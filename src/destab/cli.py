@@ -13,6 +13,8 @@ their bound), and include a configuration fingerprint for replay.
 from __future__ import annotations
 
 import argparse
+import dataclasses
+import functools
 import hashlib
 import json
 import os
@@ -39,29 +41,33 @@ EXIT_PRECONDITION = 3
 EXIT_UNSUPPORTED = 4
 EXIT_INVARIANT = 5
 
-COMMANDS = (
-    "limit",
-    "classify",
-    "optimize",
-    "cochar-closed",
-    "gcr",
-    "reduce",
-    "centre",
-    "oracle",
-    "corpus",
-)
 
-
-def _load_json(path: str, what: str):
+def _load_json(args, flag: str):
+    """The parsed document named by ``--<flag>``, kept for the fingerprint."""
+    path = getattr(args, flag)
+    what = "representation" if flag == "rep" else flag
     if path is None:
         raise SchemaError(f"missing required document: {what}")
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            return json.load(fh)
+            doc = json.load(fh)
     except FileNotFoundError:
         raise SchemaError(f"{what} document not found: {path}")
     except json.JSONDecodeError as exc:
         raise SchemaError(f"{what} document is not valid JSON: {exc}")
+    args.documents[flag] = doc
+    return doc
+
+
+def _load_config(args, group):
+    return documents.parse_config(_load_json(args, "config") if args.config else None, group)
+
+
+def _load_subgroup(args):
+    """The subgroup and search configuration of ``gcr``, ``reduce`` and ``centre``."""
+    group = documents.parse_group(_load_json(args, "group"))
+    h = documents.parse_subgroup(_load_json(args, "input"), group)
+    return h, _load_config(args, group)
 
 
 def _fingerprint(payload) -> str:
@@ -133,9 +139,9 @@ def _emit_gcr_verdict(verdict) -> dict:
 
 
 def _run_limit(args):
-    group = documents.parse_group(_load_json(args.group, "group"))
-    rep = documents.parse_representation(_load_json(args.rep, "representation"), group)
-    doc = _load_json(args.input, "input")
+    group = documents.parse_group(_load_json(args, "group"))
+    rep = documents.parse_representation(_load_json(args, "rep"), group)
+    doc = _load_json(args, "input")
     if not isinstance(doc, dict):
         raise SchemaError("input: expected an object with 'point' and 'cocharacter'")
     point = documents.parse_point(doc.get("point"), rep, "$.point")
@@ -149,8 +155,8 @@ def _run_limit(args):
 
 
 def _run_classify(args):
-    group = documents.parse_group(_load_json(args.group, "group"))
-    doc = _load_json(args.input, "input")
+    group = documents.parse_group(_load_json(args, "group"))
+    doc = _load_json(args, "input")
     if not isinstance(doc, dict):
         raise SchemaError("input: expected an object with 'element' and 'cocharacter'")
     element = documents.parse_matrix(doc.get("element"), "$.element")
@@ -160,9 +166,9 @@ def _run_classify(args):
 
 
 def _run_optimize(args, force_oracle: bool = False):
-    group = documents.parse_group(_load_json(args.group, "group"))
-    rep = documents.parse_representation(_load_json(args.rep, "representation"), group)
-    doc = _load_json(args.input, "input")
+    group = documents.parse_group(_load_json(args, "group"))
+    rep = documents.parse_representation(_load_json(args, "rep"), group)
+    doc = _load_json(args, "input")
     if not isinstance(doc, dict):
         raise SchemaError("input: expected an object with 'points' and 'subvariety'")
     pts_doc = doc.get("points")
@@ -170,16 +176,9 @@ def _run_optimize(args, force_oracle: bool = False):
         raise SchemaError("$.points: expected a nonempty list")
     points = [documents.parse_point(p, rep, f"$.points[{i}]") for i, p in enumerate(pts_doc)]
     s = documents.parse_subvariety(doc.get("subvariety"), rep, "$.subvariety")
-    cfg_doc = _load_json(args.config, "config") if args.config else None
-    cfg = documents.parse_config(cfg_doc, group)
+    cfg = _load_config(args, group)
     if force_oracle and not cfg.oracle_mode:
-        cfg = type(cfg)(
-            cfg.group,
-            cfg.exponent_box,
-            cfg.conjugation_family,
-            True,
-            cfg.normalizer_samples,
-        )
+        cfg = dataclasses.replace(cfg, oracle_mode=True)
     result = optimize(points, s, cfg)
     assertions = ["limits_land_in_subvariety", "value_recomputed_from_orders",
                   "tied_maximizers_share_parabolic", "normalizer_samples_contained"]
@@ -187,11 +186,11 @@ def _run_optimize(args, force_oracle: bool = False):
 
 
 def _run_cochar_closed(args):
-    group = documents.parse_group(_load_json(args.group, "group"))
-    rep = documents.parse_representation(_load_json(args.rep, "representation"), group)
-    doc = _load_json(args.input, "input")
+    group = documents.parse_group(_load_json(args, "group"))
+    rep = documents.parse_representation(_load_json(args, "rep"), group)
+    doc = _load_json(args, "input")
     point = documents.parse_point(doc.get("point") if isinstance(doc, dict) else doc, rep, "$.point")
-    cfg = documents.parse_config(_load_json(args.config, "config") if args.config else None, group)
+    cfg = _load_config(args, group)
     verdict = is_cochar_closed(point, cfg)
     result = {
         "closed_within_bound": verdict.closed,
@@ -206,12 +205,10 @@ def _run_cochar_closed(args):
 
 
 def _run_gcr(args):
-    group = documents.parse_group(_load_json(args.group, "group"))
-    h = documents.parse_subgroup(_load_json(args.input, "input"), group)
-    cfg = documents.parse_config(_load_json(args.config, "config") if args.config else None, group)
+    h, cfg = _load_subgroup(args)
     searched = is_gcr_search(h, cfg)
     payload = {"search": _emit_gcr_verdict(searched)}
-    if len(group.factors) == 1 and group.factors[0].family == "GL":
+    if len(h.group.factors) == 1 and h.group.factors[0].family == "GL":
         payload["algebra"] = _emit_gcr_verdict(is_gcr_algebra(h))
         payload["agree"] = payload["algebra"]["status"] == payload["search"]["status"]
     payload["status"] = searched.status
@@ -219,9 +216,7 @@ def _run_gcr(args):
 
 
 def _run_reduce(args):
-    group = documents.parse_group(_load_json(args.group, "group"))
-    h = documents.parse_subgroup(_load_json(args.input, "input"), group)
-    cfg = documents.parse_config(_load_json(args.config, "config") if args.config else None, group)
+    h, cfg = _load_subgroup(args)
     chain, quotient = reduce_to_gcr(h, cfg)
     result = {
         "chain": [documents.emit_cocharacter(lam) for lam in chain],
@@ -231,9 +226,7 @@ def _run_reduce(args):
 
 
 def _run_centre(args):
-    group = documents.parse_group(_load_json(args.group, "group"))
-    h = documents.parse_subgroup(_load_json(args.input, "input"), group)
-    cfg = documents.parse_config(_load_json(args.config, "config") if args.config else None, group)
+    h, cfg = _load_subgroup(args)
     centre = building_centre(h, cfg)
     result = {
         "has_centre": centre.has_centre,
@@ -262,6 +255,19 @@ def _run_corpus(args):
         "failures": failures,
     }
     return result, None, ()
+
+
+_COMMANDS = {
+    "limit": _run_limit,
+    "classify": _run_classify,
+    "optimize": _run_optimize,
+    "cochar-closed": _run_cochar_closed,
+    "gcr": _run_gcr,
+    "reduce": _run_reduce,
+    "centre": _run_centre,
+    "oracle": functools.partial(_run_optimize, force_oracle=True),
+    "corpus": _run_corpus,
+}
 
 
 def _worker(task):
@@ -295,7 +301,7 @@ def build_parser() -> argparse.ArgumentParser:
         prog="destab",
         description="exact destabilizing-cocharacter and complete-reducibility toolkit",
     )
-    parser.add_argument("command", choices=COMMANDS)
+    parser.add_argument("command", choices=_COMMANDS)
     parser.add_argument("--group", help="group specification document (JSON)")
     parser.add_argument("--rep", help="representation document (JSON)")
     parser.add_argument("--input", help="input document (points/subgroup/element)")
@@ -309,27 +315,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
+    args.documents = {}
     try:
-        if args.command == "limit":
-            result, cfg, assertions = _run_limit(args)
-        elif args.command == "classify":
-            result, cfg, assertions = _run_classify(args)
-        elif args.command == "optimize":
-            result, cfg, assertions = _run_optimize(args)
-        elif args.command == "oracle":
-            result, cfg, assertions = _run_optimize(args, force_oracle=True)
-        elif args.command == "cochar-closed":
-            result, cfg, assertions = _run_cochar_closed(args)
-        elif args.command == "gcr":
-            result, cfg, assertions = _run_gcr(args)
-        elif args.command == "reduce":
-            result, cfg, assertions = _run_reduce(args)
-        elif args.command == "centre":
-            result, cfg, assertions = _run_centre(args)
-        elif args.command == "corpus":
-            result, cfg, assertions = _run_corpus(args)
-        else:  # pragma: no cover - argparse restricts choices
-            raise SchemaError(f"unknown command {args.command!r}")
+        result, cfg, assertions = _COMMANDS[args.command](args)
     except SchemaError as exc:
         _emit_error(args, "schema", str(exc))
         return EXIT_SCHEMA
@@ -351,7 +339,14 @@ def main(argv=None) -> int:
         "config": config_echo,
         "assertions_passed": list(assertions),
         "config_fingerprint": _fingerprint(
-            {"command": args.command, "config": config_echo, "seed": args.seed}
+            {
+                "command": args.command,
+                "config": config_echo,
+                "seed": args.seed,
+                "profile": args.profile,
+                "size": args.size,
+                "documents": args.documents,
+            }
         ),
     }
     _write(args, report)

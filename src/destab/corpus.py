@@ -19,23 +19,30 @@ from fractions import Fraction
 from math import gcd
 
 from . import linalg
-from .errors import InvariantViolation
+from .errors import DestabError, InvariantViolation
 from .gcr import (
+    LieSubalgebra,
     SubgroupPresentation,
+    _flatten,
+    _is_unipotent,
+    _unflatten,
     centralizer_dim,
     is_gcr_algebra,
     is_gcr_search,
+    lie_is_gcr,
 )
-from .groups import Cocharacter, GroupSpec
+from .groups import Cocharacter, GroupSpec, pairing_vec
 from .instability import (
     OPTIMAL,
     SearchConfig,
     SubvarietySpec,
+    _entry_pattern,
     admissible_exponents,
     optimize,
 )
 from .linalg import Mat
 from .parabolic import (
+    _radical_positions,
     c_lambda,
     combine,
     composition_threshold,
@@ -121,33 +128,26 @@ def random_parabolic_element(rng: random.Random, lam: Cocharacter) -> Mat:
             first = block[0]
             for j in block:
                 levi[first][j] /= det
-    radical = [list(row) for row in linalg.identity(m)]
-    for i in range(m):
-        for j in range(m):
-            if d[i] > d[j] and group.block_of(i) == group.block_of(j):
-                radical[i][j] = _rand_fraction(rng)
-    x = linalg.mat_mul(linalg.mat(levi), linalg.mat(radical))
+    x = linalg.mat_mul(linalg.mat(levi), _radical_draw(rng, lam))
     return linalg.mat_mul(linalg.mat_mul(lam.base, x), lam.base_inverse)
 
 
 def random_radical_element(rng: random.Random, lam: Cocharacter) -> Mat:
-    group = lam.group
-    d = lam.torus.exponents
-    m = group.dimension
-    u = [list(row) for row in linalg.identity(m)]
-    for i in range(m):
-        for j in range(m):
-            if d[i] > d[j] and group.block_of(i) == group.block_of(j):
-                u[i][j] = _rand_fraction(rng)
-    return linalg.mat_mul(linalg.mat_mul(lam.base, linalg.mat(u)), lam.base_inverse)
+    return linalg.mat_mul(linalg.mat_mul(lam.base, _radical_draw(rng, lam)), lam.base_inverse)
+
+
+def _radical_draw(rng: random.Random, lam: Cocharacter) -> Mat:
+    """A random element of R_u(P_lambda) in the standard frame of lambda."""
+    u = [list(row) for row in linalg.identity(lam.group.dimension)]
+    for i, j in _radical_positions(lam):
+        u[i][j] = _rand_fraction(rng)
+    return linalg.mat(u)
 
 
 def random_point_with_limit(
     rng: random.Random, rep: Representation, lam: Cocharacter, strict_ok: bool = True
 ) -> Point:
     """A point supported on nonnegative levels in the frame of lambda."""
-    from .groups import pairing_vec
-
     d = lam.torus.exponents
     coords = []
     for chi in rep.weights:
@@ -246,8 +246,6 @@ def equivariance_suite(seed: int, size: int = 100) -> list[dict]:
 
 def dblecochar_suite(seed: int, size: int = 50) -> list[dict]:
     """Grading inclusions and limit composition for commuting pairs."""
-    from .groups import pairing_vec
-
     rng = random.Random(seed)
     group2 = GroupSpec.make(("GL", 2))
     group3 = GroupSpec.make(("GL", 3))
@@ -360,7 +358,7 @@ def subgroup_corpus(seed: int, size: int = 50) -> list[SubgroupPresentation]:
             gens = [linalg.mat_mul(linalg.mat_mul(frame, linalg.mat(g)), inv) for g in gens]
         try:
             out.append(SubgroupPresentation(group, tuple(linalg.mat(g) for g in gens)))
-        except Exception:
+        except DestabError:
             continue
     return out
 
@@ -375,7 +373,8 @@ def oracle_agreement_suite(seed: int, size: int = 50) -> list[dict]:
     records = []
     configs: dict[GroupSpec, SearchConfig] = {}
     for case, h in enumerate(subgroup_corpus(seed, size)):
-        cfg = configs.setdefault(h.group, corpus_config(h.group))
+        if (cfg := configs.get(h.group)) is None:
+            cfg = configs[h.group] = corpus_config(h.group)
         algebraic = is_gcr_algebra(h)
         searched = is_gcr_search(h, cfg)
         ok = algebraic.status == searched.status
@@ -408,17 +407,9 @@ def centralizer_suite(seed: int, size: int = 50) -> list[dict]:
         rep = h.tuple_rep()
         v = h.tuple_point()
         base_dim = centralizer_dim(group, h.generators)
-        m = group.dimension
-        pattern = {
-            (i, j)
-            for g in h.generators
-            for i in range(m)
-            for j in range(m)
-            if i != j and g[i][j] != 0
-        }
         ok = True
         checked = 0
-        for exps in admissible_exponents(group, 4, pattern):
+        for exps in admissible_exponents(group, 4, _entry_pattern(h.generators)):
             lam = Cocharacter.standard(group, exps)
             projected = c_lambda(h.generators, lam)
             proj_dim = centralizer_dim(group, projected)
@@ -623,8 +614,6 @@ def _tangent_span(h: SubgroupPresentation):
     Returns None when some generator is neither, or when the span fails to
     close under the commutator.
     """
-    from .gcr import LieSubalgebra, _is_unipotent
-
     group = h.group
     m = group.dimension
     mats: list[Mat] = []
@@ -636,23 +625,15 @@ def _tangent_span(h: SubgroupPresentation):
         if projections is None:
             return None
         mats.extend(projections)
-    rows = [_flat(x) for x in mats if any(c != 0 for c in _flat(x))]
+    rows = [_flatten(x) for x in mats if any(c != 0 for c in _flatten(x))]
     basis_rows = linalg.row_space(tuple(rows)) if rows else ()
-    basis = [_unflat(v, m) for v in basis_rows]
+    basis = [_unflatten(v, m) for v in basis_rows]
     if not basis:
         return None
     try:
         return LieSubalgebra(group, tuple(basis))
-    except Exception:
+    except DestabError:
         return None
-
-
-def _flat(x: Mat):
-    return tuple(c for row in x for c in row)
-
-
-def _unflat(v, m: int) -> Mat:
-    return tuple(tuple(v[i * m + j] for j in range(m)) for i in range(m))
 
 
 def group_lie_consistency_suite(seed: int, size: int = 50) -> list[dict]:
@@ -663,8 +644,6 @@ def group_lie_consistency_suite(seed: int, size: int = 50) -> list[dict]:
     Lie-side search on the tangent span; other inputs are skipped (the
     span is only meaningful when it is commutator-closed).
     """
-    from .gcr import lie_is_gcr
-
     records = []
     configs: dict[GroupSpec, SearchConfig] = {}
     for case, h in enumerate(subgroup_corpus(seed, size)):
@@ -672,7 +651,8 @@ def group_lie_consistency_suite(seed: int, size: int = 50) -> list[dict]:
         if lie is None:
             records.append({"case": case, "ok": True, "skipped": True})
             continue
-        cfg = configs.setdefault(h.group, corpus_config(h.group))
+        if (cfg := configs.get(h.group)) is None:
+            cfg = configs[h.group] = corpus_config(h.group)
         group_verdict = is_gcr_search(h, cfg)
         lie_verdict = lie_is_gcr(lie, cfg)
         ok = True

@@ -16,7 +16,6 @@ from fractions import Fraction
 
 from . import linalg
 from .errors import (
-    DimensionError,
     DomainError,
     InvariantViolation,
     ModeError,
@@ -29,7 +28,7 @@ from .instability import (
     OptimizationResult,
     SearchConfig,
     SubvarietySpec,
-    admissible_exponents,
+    _frame_cocharacters,
     is_cochar_closed,
     optimize,
 )
@@ -37,6 +36,7 @@ from .linalg import Mat, Vec
 from .parabolic import (
     MembershipClass,
     ParabolicDescriptor,
+    _require_lie_element,
     c_lambda,
     classify,
 )
@@ -141,18 +141,12 @@ def enveloping_algebra(h: SubgroupPresentation) -> EnvelopingAlgebra:
     the minimal polynomial of an invertible matrix has nonzero constant
     term.
     """
-    basis = _span_closure(h.group, [h.group.identity()], list(h.generators))
-    algebra = EnvelopingAlgebra(h.group, basis)
-    _check_multiplicatively_closed(algebra)
-    return algebra
-
-
-def _check_multiplicatively_closed(a: EnvelopingAlgebra) -> None:
-    rows = linalg.row_space(tuple(_flatten(b) for b in a.basis))
-    for x in a.basis:
-        for y in a.basis:
-            if not linalg.in_row_space(_flatten(linalg.mat_mul(x, y)), rows):
+    algebra = algebra_of_tuple(h.group, h.generators)
+    for x in algebra.basis:
+        for y in algebra.basis:
+            if not algebra.contains(linalg.mat_mul(x, y)):
                 raise InvariantViolation("algebra basis is not multiplicatively closed")
+    return algebra
 
 
 def algebra_of_tuple(group: GroupSpec, mats) -> EnvelopingAlgebra:
@@ -173,30 +167,18 @@ def is_generic_tuple(tup, h: SubgroupPresentation) -> bool:
 
 def radical_dim(a: EnvelopingAlgebra) -> int:
     """Dimension of the trace-form kernel, the radical in characteristic zero."""
-    n = a.dimension
-    gram = tuple(
-        tuple(linalg.trace(linalg.mat_mul(a.basis[i], a.basis[j])) for j in range(n))
-        for i in range(n)
-    )
-    return len(linalg.nullspace(gram, n))
+    return len(radical_basis(a))
 
 
 def radical_basis(a: EnvelopingAlgebra) -> tuple[Mat, ...]:
     n = a.dimension
-    m = a.group.dimension
     gram = tuple(
         tuple(linalg.trace(linalg.mat_mul(a.basis[i], a.basis[j])) for j in range(n))
         for i in range(n)
     )
-    out = []
-    for coeffs in linalg.nullspace(gram, n):
-        total = [[Fraction(0)] * m for _ in range(m)]
-        for c, b in zip(coeffs, a.basis):
-            for i in range(m):
-                for j in range(m):
-                    total[i][j] += c * b[i][j]
-        out.append(tuple(tuple(row) for row in total))
-    return tuple(out)
+    flat = tuple(_flatten(b) for b in a.basis)
+    combos = linalg.mat_mul(linalg.nullspace(gram, n), flat)
+    return tuple(_unflatten(v, a.group.dimension) for v in combos)
 
 
 COMPLETELY_REDUCIBLE = "completely_reducible"
@@ -232,26 +214,30 @@ def is_gcr_algebra(h: SubgroupPresentation) -> GcrVerdict:
         raise UnsupportedGroupError(
             "the algebra criterion applies to a single GL factor; use the search"
         )
-    algebra = enveloping_algebra(h)
-    if radical_dim(algebra) == 0:
+    radical = radical_basis(enveloping_algebra(h))
+    if not radical:
         return GcrVerdict(COMPLETELY_REDUCIBLE)
-    return GcrVerdict(NOT_COMPLETELY_REDUCIBLE, witness_radical=radical_basis(algebra))
+    return GcrVerdict(NOT_COMPLETELY_REDUCIBLE, witness_radical=radical)
 
 
-def is_gcr_search(h: SubgroupPresentation, cfg: SearchConfig) -> GcrVerdict:
-    """Bounded geometric criterion via closedness of the generator tuple orbit."""
-    verdict = is_cochar_closed(h.tuple_point(), cfg)
+def _search_verdict(point: Point, length: int, cfg: SearchConfig) -> GcrVerdict:
+    verdict = is_cochar_closed(point, cfg)
     extras = {
         "bounded_box": verdict.box,
         "examined": verdict.examined,
-        "tuple_length": len(h.generators),
-        "norm_gram": h.group.norm.gram,
+        "tuple_length": length,
+        "norm_gram": point.rep.group.norm.gram,
     }
     if verdict.closed:
         return GcrVerdict(COMPLETELY_REDUCIBLE, **extras)
     return GcrVerdict(
         NOT_COMPLETELY_REDUCIBLE, witness_cocharacter=verdict.witness, **extras
     )
+
+
+def is_gcr_search(h: SubgroupPresentation, cfg: SearchConfig) -> GcrVerdict:
+    """Bounded geometric criterion via closedness of the generator tuple orbit."""
+    return _search_verdict(h.tuple_point(), len(h.generators), cfg)
 
 
 def centralizer_dim(group: GroupSpec, mats) -> int:
@@ -292,24 +278,6 @@ def centralizer_dim(group: GroupSpec, mats) -> int:
     return len(linalg.nullspace(tuple(rows), m * m))
 
 
-def _candidate_cocharacters(h_mats, cfg: SearchConfig):
-    """Cocharacters in the family whose parabolic contains all the matrices."""
-    group = cfg.group
-    m = group.dimension
-    for frame in cfg.conjugation_family:
-        inv = linalg.inverse(frame)
-        tmats = [linalg.mat_mul(linalg.mat_mul(inv, g), frame) for g in h_mats]
-        pattern = {
-            (i, j)
-            for g in tmats
-            for i in range(m)
-            for j in range(m)
-            if i != j and g[i][j] != 0
-        }
-        for exps in admissible_exponents(group, cfg.exponent_box, pattern):
-            yield Cocharacter.based(group, frame, exps)
-
-
 def reduce_to_gcr(
     h: SubgroupPresentation, cfg: SearchConfig
 ) -> tuple[tuple[Cocharacter, ...], SubgroupPresentation]:
@@ -330,7 +298,7 @@ def reduce_to_gcr(
     max_dim = group.dimension ** 2
     while True:
         step = None
-        for lam in _candidate_cocharacters(current.generators, cfg):
+        for lam, _ in _frame_cocharacters(current.generators, cfg):
             image = c_lambda(current.generators, lam)
             if image == current.generators:
                 continue
@@ -464,9 +432,8 @@ class LieSubalgebra:
         if not basis:
             raise DomainError("a Lie subalgebra needs at least one basis element")
         object.__setattr__(self, "basis", basis)
-        m = self.group.dimension
         for x in basis:
-            _require_tangent(self.group, x)
+            _require_lie_element(self.group, x)
         rows = linalg.row_space(tuple(_flatten(x) for x in basis))
         if len(rows) != len(basis):
             raise DomainError("basis elements are linearly dependent")
@@ -481,19 +448,6 @@ class LieSubalgebra:
         return rep.point(self.basis)
 
 
-def _require_tangent(group: GroupSpec, x: Mat) -> None:
-    m = group.dimension
-    if len(x) != m or any(len(r) != m for r in x):
-        raise DimensionError("matrix size must equal the group dimension")
-    for bi, block_i in enumerate(group.block_slices):
-        for bj, block_j in enumerate(group.block_slices):
-            if bi != bj and any(x[i][j] != 0 for i in block_i for j in block_j):
-                raise DomainError("Lie algebra elements are block-diagonal")
-    for f, block in zip(group.factors, group.block_slices):
-        if f.family == "SL" and sum(x[i][i] for i in block) != 0:
-            raise DomainError("SL factor requires trace zero")
-
-
 def lie_is_gcr(h: LieSubalgebra, cfg: SearchConfig) -> GcrVerdict:
     """Closedness of the adjoint orbit of the basis tuple, bounded search.
 
@@ -502,15 +456,4 @@ def lie_is_gcr(h: LieSubalgebra, cfg: SearchConfig) -> GcrVerdict:
     group-side machinery applies verbatim; conjugator equations stay
     linear.
     """
-    verdict = is_cochar_closed(h.tuple_point(), cfg)
-    extras = {
-        "bounded_box": verdict.box,
-        "examined": verdict.examined,
-        "tuple_length": len(h.basis),
-        "norm_gram": h.group.norm.gram,
-    }
-    if verdict.closed:
-        return GcrVerdict(COMPLETELY_REDUCIBLE, **extras)
-    return GcrVerdict(
-        NOT_COMPLETELY_REDUCIBLE, witness_cocharacter=verdict.witness, **extras
-    )
+    return _search_verdict(h.tuple_point(), len(h.basis), cfg)

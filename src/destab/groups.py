@@ -344,9 +344,7 @@ class Norm:
 
 def pairing(lam: TorusCocharacter, chi: Character) -> int:
     """Integer pairing <lambda, chi> = sum_i d_i chi_i."""
-    if len(lam.exponents) != len(chi.weights):
-        raise DimensionError("cocharacter and character lengths differ")
-    return sum(d * w for d, w in zip(lam.exponents, chi.weights))
+    return pairing_vec(lam.exponents, chi)
 
 
 def pairing_vec(exponents, chi: Character) -> int:

@@ -45,7 +45,13 @@ from .groups import (
     pairing_vec,
 )
 from .linalg import Mat, Vec
-from .parabolic import MembershipClass, ParabolicDescriptor, classify, find_ru_conjugator
+from .parabolic import (
+    MembershipClass,
+    ParabolicDescriptor,
+    _limit_pattern,
+    classify,
+    find_ru_conjugator,
+)
 from .reps import ConjugationTuples, Point, Polynomial, Representation
 
 # ---------------------------------------------------------------------------
@@ -351,30 +357,21 @@ class TorusOptimum:
         return self.value_sq is None
 
 
-def _frame_data(points, s: SubvarietySpec, frame: Mat | None):
-    """Transported points plus cone forms and objective forms for a frame."""
+def _frame_forms(points, s: SubvarietySpec, frame: Mat | None):
+    """Per point moved into the frame: its support weights, and the weights
+    of the isotypic components of S's generators that do not vanish on it."""
     rep = points[0].rep
-    inv = linalg.inverse(frame) if frame is not None else None
-    transported = [rep.act(inv, x) if inv is not None else x for x in points]
-    cone: set[Character] = set()
-    for x in transported:
-        for chi, c in zip(rep.weights, x.coords):
-            if c != 0 and not chi.is_zero():
-                cone.add(chi)
+    if frame is not None:
+        inv = linalg.inverse(frame)
+        points = [rep.act(inv, x) for x in points]
     iso = s.isotypic_data(rep, frame)
-    objective: set[Character] = set()
-    all_in_s = True
-    for x in transported:
-        forms_x = {
-            chi
-            for parts in iso
-            for chi, component in parts
-            if component.evaluate(x) != 0
-        }
-        if forms_x:
-            all_in_s = False
-            objective |= forms_x
-    return transported, cone, objective, all_in_s
+    return [
+        (
+            [chi for chi, c in zip(rep.weights, x.coords) if c != 0],
+            {chi for parts in iso for chi, component in parts if component.evaluate(x) != 0},
+        )
+        for x in points
+    ]
 
 
 def optimize_torus(
@@ -393,8 +390,10 @@ def optimize_torus(
         raise PreconditionError("the point set must be nonempty")
     rep = points[0].rep
     group = group if group is not None else rep.group
-    _transported, cone, objective, all_in_s = _frame_data(points, s, frame)
-    if all_in_s:
+    per_point = _frame_forms(points, s, frame)
+    cone = {chi for support, _ in per_point for chi in support if not chi.is_zero()}
+    objective: set[Character] = set().union(*(forms for _, forms in per_point))
+    if not objective:  # every point already lies in S
         return TorusOptimum((0,) * group.dimension, None, (), ())
     if any(chi.is_zero() for chi in objective):
         return None
@@ -611,7 +610,6 @@ def optimize(points, s: SubvarietySpec, cfg: SearchConfig) -> OptimizationResult
     ident = group.identity()
     tied = []
     seen_folded = set()
-    winner_opt = None
     for opt_c, idx_c, frame_c in candidates:
         if opt_c.value_sq != best_value:
             continue
@@ -682,29 +680,11 @@ def _fixes_input(g: Mat, points, s: SubvarietySpec) -> bool:
 def _oracle_best_value(points, s: SubvarietySpec, cfg: SearchConfig) -> Fraction | None:
     """Exhaustive maximum of a^2/|d|^2 over the box and frames."""
     group = cfg.group
-    rep = points[0].rep
     best: Fraction | None = None
     for frame in cfg.conjugation_family:
-        inv = linalg.inverse(frame)
-        transported = [rep.act(inv, x) for x in points]
-        iso = s.isotypic_data(rep, frame)
-        supports = [
-            tuple(
-                chi.weights
-                for chi, c in zip(rep.weights, x.coords)
-                if c != 0
-            )
-            for x in transported
-        ]
-        forms = []
-        for x in transported:
-            fx = {
-                chi.weights
-                for parts in iso
-                for chi, component in parts
-                if component.evaluate(x) != 0
-            }
-            forms.append(fx)
+        per_point = _frame_forms(points, s, frame)
+        supports = [tuple(chi.weights for chi in support) for support, _ in per_point]
+        forms = [{chi.weights for chi in fx} for _, fx in per_point]
         for d in _box_vectors(group, cfg.exponent_box):
             ok = all(
                 all(sum(a * b for a, b in zip(d, w)) >= 0 for w in supp)
@@ -783,49 +763,48 @@ def is_cochar_closed(v: Point, cfg: SearchConfig) -> CocharClosedVerdict:
         raise UnsupportedRepresentationError(
             "cocharacter-closedness needs a conjugation-tuple representation"
         )
-    group = cfg.group
-    if rep.group != group:
+    if rep.group != cfg.group:
         raise DimensionError("configuration group differs from the representation group")
-    mats = rep.matrices(v)
-    m = group.dimension
     examined: list[Cocharacter] = []
+    for lam, tmats in _frame_cocharacters(rep.matrices(v), cfg):
+        examined.append(lam)
+        limit_t = [_limit_pattern(h, lam.torus.exponents) for h in tmats]
+        if limit_t == tmats:
+            continue  # the identity conjugator works
+        limit_mats = tuple(
+            linalg.mat_mul(linalg.mat_mul(lam.base, h), lam.base_inverse) for h in limit_t
+        )
+        u = find_ru_conjugator(v, rep.point(limit_mats), lam, rep)
+        if u is None:
+            return CocharClosedVerdict(
+                False,
+                fold_permutation_base(lam),
+                limit_mats,
+                tuple(examined),
+                cfg.exponent_box,
+            )
+    return CocharClosedVerdict(True, None, None, tuple(examined), cfg.exponent_box)
+
+
+def _entry_pattern(mats) -> set[tuple[int, int]]:
+    """Off-diagonal positions (i, j) where some matrix of the tuple is nonzero."""
+    return {
+        (i, j)
+        for h in mats
+        for i, row in enumerate(h)
+        for j, x in enumerate(row)
+        if i != j and x != 0
+    }
+
+
+def _frame_cocharacters(mats, cfg: SearchConfig):
+    """Frame by frame, each admissible cocharacter whose parabolic contains
+    the tuple, with the tuple moved into that frame."""
     for frame in cfg.conjugation_family:
         inv = linalg.inverse(frame)
         tmats = [linalg.mat_mul(linalg.mat_mul(inv, h), frame) for h in mats]
-        pattern = {
-            (i, j)
-            for h in tmats
-            for i in range(m)
-            for j in range(m)
-            if i != j and h[i][j] != 0
-        }
-        for exps in admissible_exponents(group, cfg.exponent_box, pattern):
-            lam = Cocharacter.based(group, frame, exps)
-            examined.append(lam)
-            d = exps
-            limit_t = [
-                tuple(
-                    tuple(h[i][j] if d[i] == d[j] else Fraction(0) for j in range(m))
-                    for i in range(m)
-                )
-                for h in tmats
-            ]
-            if limit_t == tmats:
-                continue  # the identity conjugator works
-            limit_mats = tuple(
-                linalg.mat_mul(linalg.mat_mul(frame, h), inv) for h in limit_t
-            )
-            v_prime = rep.point(limit_mats)
-            u = find_ru_conjugator(v, v_prime, lam, rep)
-            if u is None:
-                return CocharClosedVerdict(
-                    False,
-                    fold_permutation_base(lam),
-                    limit_mats,
-                    tuple(examined),
-                    cfg.exponent_box,
-                )
-    return CocharClosedVerdict(True, None, None, tuple(examined), cfg.exponent_box)
+        for exps in admissible_exponents(cfg.group, cfg.exponent_box, _entry_pattern(tmats)):
+            yield Cocharacter.based(cfg.group, frame, exps), tmats
 
 
 def admissible_exponents(group: GroupSpec, box: int, pattern) -> list[tuple[int, ...]]:

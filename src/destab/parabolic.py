@@ -27,7 +27,7 @@ from .errors import (
     UnsupportedRepresentationError,
 )
 from .groups import Cocharacter, GroupSpec, pairing_vec
-from .linalg import Mat
+from .linalg import Mat, Vec
 from .reps import ConjugationTuples, Point
 
 
@@ -110,44 +110,34 @@ def _limit_pattern(gt: Mat, d: tuple[int, ...]) -> Mat:
     )
 
 
-def c_lambda(g, lam: Cocharacter):
-    """Limit projection onto the Levi; accepts one matrix or a sequence.
-
-    Raises PreconditionError naming the offending component when some
-    component lies outside P_lambda.
-    """
+def _levi_projection(g, lam: Cocharacter, container: str):
     single = _looks_like_matrix(g)
     items = [linalg.mat(g)] if single else [linalg.mat(h) for h in g]
     d = lam.torus.exponents
     out = []
     for k, h in enumerate(items):
         ht = _transport(h, lam)
-        if _classify_pattern(ht, d, linalg.identity(len(ht))) is MembershipClass.NOT_IN_P:
+        if any(ht[i][j] != 0 for i in range(len(ht)) for j in range(len(ht)) if d[i] < d[j]):
             where = "element" if single else f"component {k}"
-            raise PreconditionError(f"{where} is not in the parabolic subgroup")
+            raise PreconditionError(f"{where} is not in {container}")
         out.append(
             linalg.mat_mul(linalg.mat_mul(lam.base, _limit_pattern(ht, d)), lam.base_inverse)
         )
     return out[0] if single else tuple(out)
+
+
+def c_lambda(g, lam: Cocharacter):
+    """Limit projection onto the Levi; accepts one matrix or a sequence.
+
+    Raises PreconditionError naming the offending component when some
+    component lies outside P_lambda.
+    """
+    return _levi_projection(g, lam, "the parabolic subgroup")
 
 
 def lie_c_lambda(x, lam: Cocharacter):
     """Limit projection for Lie algebra elements (single matrix or tuple)."""
-    single = _looks_like_matrix(x)
-    items = [linalg.mat(x)] if single else [linalg.mat(h) for h in x]
-    d = lam.torus.exponents
-    out = []
-    for k, h in enumerate(items):
-        ht = _transport(h, lam)
-        if any(
-            ht[i][j] != 0 for i in range(len(ht)) for j in range(len(ht)) if d[i] < d[j]
-        ):
-            where = "element" if single else f"component {k}"
-            raise PreconditionError(f"{where} is not in the parabolic's Lie algebra")
-        out.append(
-            linalg.mat_mul(linalg.mat_mul(lam.base, _limit_pattern(ht, d)), lam.base_inverse)
-        )
-    return out[0] if single else tuple(out)
+    return _levi_projection(x, lam, "the parabolic's Lie algebra")
 
 
 def _looks_like_matrix(g) -> bool:
@@ -237,6 +227,42 @@ class ParabolicDescriptor:
 # Conjugators inside the unipotent radical
 
 
+def _radical_positions(lam: Cocharacter) -> list[tuple[int, int]]:
+    """Entries (i, j), row by row, left free in R_u(P_lambda) in the standard frame."""
+    d = lam.torus.exponents
+    group = lam.group
+    return [
+        (i, j)
+        for i in range(len(d))
+        for j in range(len(d))
+        if d[i] > d[j] and group.block_of(i) == group.block_of(j)
+    ]
+
+
+def _conjugator_system(hs, hs_prime, free) -> tuple[Mat, Vec]:
+    """Rows and right-hand sides of u h = h' u over the free entries of u.
+
+    With u = 1 + sum x_ab E_ab, the coefficient of x_ab in (u h - h' u)_ij
+    is [a = i] h_bj - [b = j] h'_ia and the constant term is h_ij - h'_ij;
+    identically zero equations are dropped.
+    """
+    zero = Fraction(0)
+    rows = []
+    rhs = []
+    for h, hp in zip(hs, hs_prime):
+        m = len(h)
+        for i in range(m):
+            for j in range(m):
+                coeffs = tuple(
+                    (h[b][j] if a == i else zero) - (hp[i][a] if b == j else zero)
+                    for a, b in free
+                )
+                if any(coeffs) or h[i][j] != hp[i][j]:
+                    rows.append(coeffs)
+                    rhs.append(hp[i][j] - h[i][j])
+    return tuple(rows), tuple(rhs)
+
+
 def find_ru_conjugator(
     v: Point, v_prime: Point, lam: Cocharacter, rep: ConjugationTuples | None = None
 ) -> Mat | None:
@@ -256,60 +282,18 @@ def find_ru_conjugator(
         raise DimensionError("points must belong to the given representation")
     hs = [_transport(h, lam) for h in rep.matrices(v)]
     hs_prime = [_transport(h, lam) for h in rep.matrices(v_prime)]
-    d = lam.torus.exponents
-    m = len(d)
-    group = lam.group
-
-    free = [
-        (i, j)
-        for i in range(m)
-        for j in range(m)
-        if d[i] > d[j] and group.block_of(i) == group.block_of(j)
-    ]
-    index = {pos: k for k, pos in enumerate(free)}
-
-    def u_entry(i: int, j: int):
-        """Entry of u as (constant, coefficient row over free variables)."""
-        if (i, j) in index:
-            row = [Fraction(0)] * len(free)
-            row[index[(i, j)]] = Fraction(1)
-            return Fraction(0), row
-        return (Fraction(1) if i == j else Fraction(0)), [Fraction(0)] * len(free)
-
-    rows = []
-    rhs = []
-    for h, hp in zip(hs, hs_prime):
-        for i in range(m):
-            for j in range(m):
-                # (u h - h' u)_{ij} = 0
-                const = Fraction(0)
-                coeffs = [Fraction(0)] * len(free)
-                for k in range(m):
-                    c0, cv = u_entry(i, k)
-                    if h[k][j] != 0:
-                        const += c0 * h[k][j]
-                        if any(cv):
-                            for t, x in enumerate(cv):
-                                coeffs[t] += x * h[k][j]
-                    c0, cv = u_entry(k, j)
-                    if hp[i][k] != 0:
-                        const -= hp[i][k] * c0
-                        if any(cv):
-                            for t, x in enumerate(cv):
-                                coeffs[t] -= hp[i][k] * x
-                if any(coeffs) or const != 0:
-                    rows.append(tuple(coeffs))
-                    rhs.append(-const)
+    free = _radical_positions(lam)
+    rows, rhs = _conjugator_system(hs, hs_prime, free)
     if rows:
-        solution = linalg.solve_affine(tuple(rows), tuple(rhs))
+        solution = linalg.solve_affine(rows, rhs)
         if solution is None:
             return None
     else:
         solution = (Fraction(0),) * len(free)
 
-    ut = [list(row) for row in linalg.identity(m)]
-    for (i, j), k in index.items():
-        ut[i][j] = solution[k]
+    ut = [list(row) for row in linalg.identity(lam.group.dimension)]
+    for (i, j), x in zip(free, solution):
+        ut[i][j] = x
     u = linalg.mat_mul(linalg.mat_mul(lam.base, tuple(tuple(r) for r in ut)), lam.base_inverse)
 
     # re-check both postconditions exactly before handing the witness out

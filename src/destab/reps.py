@@ -337,10 +337,6 @@ def limit(v: Point, lam: Cocharacter) -> Point | None:
     return g.components.get(0, v.rep.zero())
 
 
-def torus_weight_pairings(rep: Representation, exponents) -> tuple[int, ...]:
-    return tuple(pairing_vec(exponents, chi) for chi in rep.weights)
-
-
 # ---------------------------------------------------------------------------
 # Exact polynomial functions on a representation
 

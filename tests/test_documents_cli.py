@@ -327,6 +327,44 @@ def test_cli_determinism(tmp_path, docs):
     assert reports[0] == reports[1]
 
 
+def test_cli_fingerprint_covers_input_documents(tmp_path, docs):
+    other = tmp_path / "subgroup_irreducible.json"
+    other.write_text(json.dumps({"generators": [[["0", "1"], ["1", "1"]]]}))
+    fingerprints = []
+    for subgroup in (docs["subgroup"], str(other)):
+        code, report = run_cli(
+            tmp_path,
+            ["gcr", "--group", docs["group_gl2"], "--input", subgroup, "--config", docs["gcr_config"]],
+        )
+        assert code == 0
+        fingerprints.append(report["config_fingerprint"])
+    assert fingerprints[0] != fingerprints[1]
+
+
+def test_public_exports_pinned():
+    import destab
+
+    assert sorted(destab.__all__) == [
+        "COMPLETELY_REDUCIBLE", "CentreSimplex", "Character", "CocharClosedVerdict",
+        "Cocharacter", "ConjugationTuples", "DestabError", "DimensionError", "DirectSum",
+        "DomainError", "EnvelopingAlgebra", "Factor", "GcrVerdict", "Grading", "GroupSpec",
+        "InvariantViolation", "LieSubalgebra", "LimitMembershipError", "MembershipClass",
+        "ModeError", "NOT_COMPLETELY_REDUCIBLE", "NOT_WITNESSED", "Norm", "OPTIMAL",
+        "OptimizationResult", "ParabolicDescriptor", "Point", "Polynomial",
+        "PreconditionError", "Representation", "SchemaError", "SearchConfig",
+        "SubgroupPresentation", "SubvarietyKind", "SubvarietySpec", "SymPower", "TRIVIAL",
+        "TorusCocharacter", "UnsupportedError", "UnsupportedGroupError",
+        "UnsupportedRepresentationError", "VanishingOrder", "adjoint", "admits_limit_set",
+        "building_centre", "c_lambda", "centralizer_dim", "classify", "combine",
+        "composition_threshold", "enveloping_algebra", "errors", "find_ru_conjugator", "gcr",
+        "grade", "groups", "instability", "is_cochar_closed", "is_gcr_algebra",
+        "is_gcr_search", "is_generic_tuple", "isotypic_decompose", "lie_c_lambda",
+        "lie_classify", "lie_is_gcr", "limit", "linalg", "nearest_point_interior", "norm_sq",
+        "optimal_parabolic_subgroup", "optimize", "optimize_torus", "pairing", "parabolic",
+        "radical_dim", "reduce_to_gcr", "reps", "support", "vanishing_order", "weyl_conjugate",
+    ]
+
+
 def test_cli_entry_point_installed(tmp_path, docs):
     proc = subprocess.run(
         [sys.executable, "-m", "destab.cli", "classify", "--group", docs["group_gl2"],

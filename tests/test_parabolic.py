@@ -21,13 +21,16 @@ from destab import (
     lie_classify,
     limit,
 )
-from destab import linalg
+from destab import linalg, parabolic
 from destab.corpus import (
     random_cocharacter,
+    random_frame,
     random_parabolic_element,
     random_point_with_limit,
     random_radical_element,
+    subgroup_corpus,
 )
+from destab.instability import _entry_pattern, admissible_exponents
 
 GL2 = GroupSpec.make(("GL", 2))
 GL3 = GroupSpec.make(("GL", 3))
@@ -89,6 +92,13 @@ def test_lie_classify_examples():
     assert lie_classify([[1, 0], [0, -1]], LAM2) is MembershipClass.IN_LEVI
     assert lie_classify([[0, 0], [1, 0]], LAM2) is MembershipClass.NOT_IN_P
     assert lie_c_lambda([[1, 1], [0, -1]], LAM2) == linalg.mat([[1, 0], [0, -1]])
+
+
+def test_lie_c_lambda_rejects_element_outside_parabolic_algebra():
+    with pytest.raises(PreconditionError, match="element is not in the parabolic's Lie algebra"):
+        lie_c_lambda([[0, 0], [1, 0]], LAM2)
+    with pytest.raises(PreconditionError, match="component 1 is not in the parabolic's Lie algebra"):
+        lie_c_lambda(([[0, 1], [0, 0]], [[0, 0], [1, 0]]), LAM2)
 
 
 def test_find_ru_conjugator_paper_instance():
@@ -288,6 +298,74 @@ def test_find_ru_conjugator_completeness_on_solvable_instances():
         assert u is not None
         assert rep.act(u, v) == v_prime
         assert classify(u, lam) is MembershipClass.IN_RU
+
+
+def _entrywise_conjugator_system(hs, hs_prime, free):
+    """Reference: (u h - h' u)_ij expanded entry by entry over u = 1 + sum x_ab E_ab."""
+    index = {pos: k for k, pos in enumerate(free)}
+
+    def u_entry(i, j):
+        """Entry of u as (constant, coefficient row over free variables)."""
+        if (i, j) in index:
+            row = [F(0)] * len(free)
+            row[index[(i, j)]] = F(1)
+            return F(0), row
+        return (F(1) if i == j else F(0)), [F(0)] * len(free)
+
+    rows = []
+    rhs = []
+    for h, hp in zip(hs, hs_prime):
+        m = len(h)
+        for i in range(m):
+            for j in range(m):
+                const = F(0)
+                coeffs = [F(0)] * len(free)
+                for k in range(m):
+                    c0, cv = u_entry(i, k)
+                    if h[k][j] != 0:
+                        const += c0 * h[k][j]
+                        if any(cv):
+                            for t, x in enumerate(cv):
+                                coeffs[t] += x * h[k][j]
+                    c0, cv = u_entry(k, j)
+                    if hp[i][k] != 0:
+                        const -= hp[i][k] * c0
+                        if any(cv):
+                            for t, x in enumerate(cv):
+                                coeffs[t] -= hp[i][k] * x
+                if any(coeffs) or const != 0:
+                    rows.append(tuple(coeffs))
+                    rhs.append(-const)
+    return tuple(rows), tuple(rhs)
+
+
+def test_conjugator_system_matches_entrywise_reference():
+    # corpus tuples moved into a random frame, against their limits along a
+    # random admissible cocharacter of that frame (or, when no ordering is
+    # admissible, against a random radical conjugate)
+    rng = random.Random(7)
+    with_limit = 0
+    for h in subgroup_corpus(1, 100):
+        group = h.group
+        rep = h.tuple_rep()
+        frame = random_frame(rng, group)
+        v = rep.act(frame, h.tuple_point())
+        orderings = admissible_exponents(group, 4, _entry_pattern(h.generators))
+        if orderings:
+            lam = Cocharacter.based(group, frame, rng.choice(orderings))
+            v_prime = limit(v, lam)
+            with_limit += 1
+        else:
+            lam = random_cocharacter(rng, group)
+            v_prime = rep.act(random_radical_element(rng, lam), v)
+        hs = [parabolic._transport(g, lam) for g in rep.matrices(v)]
+        hs_prime = [parabolic._transport(g, lam) for g in rep.matrices(v_prime)]
+        free = parabolic._radical_positions(lam)
+        rows, rhs = parabolic._conjugator_system(hs, hs_prime, free)
+        assert (rows, rhs) == _entrywise_conjugator_system(hs, hs_prime, free)
+        assert all(isinstance(x, F) for row in rows for x in row)
+        assert all(isinstance(x, F) for x in rhs)
+    assert with_limit >= 40
 
 
 def test_torus_sits_inside_every_standard_levi():
