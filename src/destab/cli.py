@@ -21,7 +21,7 @@ import os
 import sys
 
 from . import __version__, documents
-from .corpus import PROFILES
+from .corpus import PROFILES, run_profile
 from .errors import (
     DimensionError,
     DomainError,
@@ -244,8 +244,14 @@ def _run_corpus(args):
         raise SchemaError(f"unknown corpus profile {profile!r}; known: {sorted(PROFILES)}")
     seed = args.seed if args.seed is not None else 1
     size = args.size if args.size is not None else 50
-    suite = PROFILES[profile]
-    records = _run_suite_parallel(suite, profile, seed, size)
+    if size < 1:
+        raise SchemaError(f"corpus size must be at least 1, got {size}")
+    threads = os.environ.get("DESTAB_THREADS", "1")
+    try:
+        workers = int(threads)
+    except ValueError:
+        raise SchemaError(f"DESTAB_THREADS must be an integer, got {threads!r}") from None
+    records = run_profile(profile, seed, size, workers)
     failures = [r for r in records if not r.get("ok", False)]
     result = {
         "profile": profile,
@@ -268,32 +274,6 @@ _COMMANDS = {
     "oracle": functools.partial(_run_optimize, force_oracle=True),
     "corpus": _run_corpus,
 }
-
-
-def _worker(task):
-    profile, seed, index = task
-    record = PROFILES[profile](seed, index + 1)[index]
-    record["reproducer"] = {"profile": profile, "seed": seed, "case": index}
-    return record
-
-
-def _run_suite_parallel(suite, profile: str, seed: int, size: int) -> list[dict]:
-    """Run a suite, optionally fanning cases out to worker processes.
-
-    DESTAB_THREADS caps the worker count; results are aggregated in case
-    order, so the report is identical to a sequential run.
-    """
-    workers = int(os.environ.get("DESTAB_THREADS", "1"))
-    if workers <= 1:
-        records = suite(seed, size)
-        for i, r in enumerate(records):
-            r.setdefault("reproducer", {"profile": profile, "seed": seed, "case": i})
-        return records
-    import concurrent.futures
-
-    tasks = [(profile, seed, i) for i in range(size)]
-    with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(_worker, tasks))
 
 
 def build_parser() -> argparse.ArgumentParser:

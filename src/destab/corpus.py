@@ -1,22 +1,22 @@
-"""Seeded corpora and property suites.
+"""Seeded corpora and the property profiles that check them.
 
-Everything here is deterministic in the seed (``random.Random``), so a
-failure reported by the CLI or the acceptance tests is replayable from
-(profile, seed, case index) alone.  The suites return one record per case
-with an ``ok`` flag and enough of the inputs to reproduce the check.
-
-The subgroup corpus draws generators whose invariant flags stay within
-reach of the configured Weyl-times-shear search family (structured
-patterns conjugated by family elements, plus unstructured small matrices);
-the bound every bounded verdict is relative to is recorded per corpus.
+Each profile in ``PROFILES`` is a pair: a case stream ``cases(seed, size)``,
+which makes every draw from one ``random.Random(seed)`` in a fixed order,
+and a pure ``check(case) -> record``.  ``run_profile`` draws the cases once
+and maps the check over them, serially or in worker processes, so the
+records are the same either way.  Every record has an ``ok`` flag and enough
+of its inputs to read the verdict, and a failure replays from
+(profile, seed, case index) alone.  The subgroup profiles share the stream
+``subgroup_corpus``; their verdicts are relative to ``corpus_config``.
 """
 
 from __future__ import annotations
 
+import functools
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd
+from math import gcd, isqrt
 
 from . import linalg
 from .errors import DestabError, InvariantViolation
@@ -169,7 +169,9 @@ def random_point(rng: random.Random, rep: Representation) -> Point:
     )
 
 
-def _suite_reps(group2: GroupSpec, group3: GroupSpec) -> list[Representation]:
+def _suite_reps() -> list[Representation]:
+    group2 = GroupSpec.make(("GL", 2))
+    group3 = GroupSpec.make(("GL", 3))
     return [
         ConjugationTuples(group2, 1),
         ConjugationTuples(group2, 2),
@@ -179,125 +181,106 @@ def _suite_reps(group2: GroupSpec, group3: GroupSpec) -> list[Representation]:
     ]
 
 
+def _rep_cases(draw, seed: int, size: int) -> list:
+    """Cases cycling through ``_suite_reps``, all drawn from one rng.
+
+    ``draw(rng, case, rep)`` makes one case's draws.
+    """
+    rng = random.Random(seed)
+    reps = _suite_reps()
+    return [draw(rng, case, reps[case % len(reps)]) for case in range(size)]
+
+
 # ---------------------------------------------------------------------------
-# Suites
+# Profiles over the small representations
 
 
-def ruconj_suite(seed: int, size: int = 100) -> list[dict]:
+def _ruconj_draw(rng: random.Random, case: int, rep: Representation):
+    lam = random_cocharacter(rng, rep.group)
+    u = random_radical_element(rng, lam)
+    if case % 2 == 0:
+        fixed = random_point_with_limit(rng, rep, lam, strict_ok=False)
+        return lam, u, rep.act(linalg.inverse(u), fixed)
+    return lam, u, random_point(rng, rep)
+
+
+def _ruconj_check(case) -> dict:
     """Both directions of the radical-conjugacy criterion for limits.
 
     For u in the radical of P_lambda: the limit of v exists and equals u.v
-    exactly when the u-conjugated cocharacter fixes v.  Half the cases are
-    constructed so the criterion holds, the rest are random.
+    exactly when the u-conjugated cocharacter fixes v.  Even cases are
+    constructed so the criterion holds, odd ones are random.
     """
-    rng = random.Random(seed)
-    group2 = GroupSpec.make(("GL", 2))
-    group3 = GroupSpec.make(("GL", 3))
-    reps = _suite_reps(group2, group3)
-    records = []
-    for case in range(size):
-        rep = reps[case % len(reps)]
-        lam = random_cocharacter(rng, rep.group)
-        u = random_radical_element(rng, lam)
-        if case % 2 == 0:
-            fixed = random_point_with_limit(rng, rep, lam, strict_ok=False)
-            v = rep.act(linalg.inverse(u), fixed)
-        else:
-            v = random_point(rng, rep)
-        lim = limit(v, lam)
-        lhs = lim is not None and lim == rep.act(u, v)
-        conjugated = lam.conjugated_by(linalg.inverse(u))
-        graded = grade(v, conjugated)
-        rhs = set(graded.components) <= {0}
-        ok = lhs == rhs
-        records.append(
-            {
-                "case": case,
-                "ok": ok,
-                "holds": lhs,
-                "detail": {"exponents": list(lam.torus.exponents)},
-            }
-        )
-    return records
+    lam, u, v = case
+    lim = limit(v, lam)
+    lhs = lim is not None and lim == v.rep.act(u, v)
+    graded = grade(v, lam.conjugated_by(linalg.inverse(u)))
+    rhs = set(graded.components) <= {0}
+    return {"ok": lhs == rhs, "holds": lhs, "detail": {"exponents": list(lam.torus.exponents)}}
 
 
-def equivariance_suite(seed: int, size: int = 100) -> list[dict]:
+def _equivariance_draw(rng: random.Random, case: int, rep: Representation):
+    lam = random_cocharacter(rng, rep.group)
+    x = random_parabolic_element(rng, lam)
+    return lam, x, random_point_with_limit(rng, rep, lam)
+
+
+def _equivariance_check(case) -> dict:
     """Limits commute with the parabolic action through the Levi projection."""
-    rng = random.Random(seed)
-    group2 = GroupSpec.make(("GL", 2))
-    group3 = GroupSpec.make(("GL", 3))
-    reps = _suite_reps(group2, group3)
-    records = []
-    for case in range(size):
-        rep = reps[case % len(reps)]
-        lam = random_cocharacter(rng, rep.group)
-        x = random_parabolic_element(rng, lam)
-        v = random_point_with_limit(rng, rep, lam)
-        lim_v = limit(v, lam)
-        moved = rep.act(x, v)
-        lim_moved = limit(moved, lam)
-        expected = rep.act(c_lambda(x, lam), lim_v)
-        ok = lim_moved is not None and lim_moved == expected
-        records.append(
-            {"case": case, "ok": ok, "detail": {"exponents": list(lam.torus.exponents)}}
-        )
-    return records
+    lam, x, v = case
+    rep = v.rep
+    lim_moved = limit(rep.act(x, v), lam)
+    expected = rep.act(c_lambda(x, lam), limit(v, lam))
+    ok = lim_moved is not None and lim_moved == expected
+    return {"ok": ok, "detail": {"exponents": list(lam.torus.exponents)}}
 
 
-def dblecochar_suite(seed: int, size: int = 50) -> list[dict]:
+def _dblecochar_draw(rng: random.Random, case: int, rep: Representation):
+    """Two cocharacters and, per threshold, a point with a limit along both."""
+    group = rep.group
+    lam = Cocharacter.standard(group, random_exponents(rng, group))
+    mu = Cocharacter.standard(group, random_exponents(rng, group))
+    good = []
+    for chi in rep.weights:
+        pl = pairing_vec(lam.torus.exponents, chi)
+        pm = pairing_vec(mu.torus.exponents, chi)
+        good.append(pl > 0 or (pl == 0 and pm >= 0))
+    points = []
+    for _ in range(2):
+        coords = (_rand_fraction(rng) if g and rng.random() < 0.8 else Fraction(0) for g in good)
+        points.append(Point(rep, tuple(coords)))
+    return lam, mu, points
+
+
+def _dblecochar_check(case) -> dict:
     """Grading inclusions and limit composition for commuting pairs."""
-    rng = random.Random(seed)
-    group2 = GroupSpec.make(("GL", 2))
-    group3 = GroupSpec.make(("GL", 3))
-    reps = _suite_reps(group2, group3)
-    records = []
-    for case in range(size):
-        rep = reps[case % len(reps)]
-        group = rep.group
-        lam = Cocharacter.standard(group, random_exponents(rng, group))
-        mu = Cocharacter.standard(group, random_exponents(rng, group))
-        t0 = composition_threshold(rep, lam, mu)
-        ok = True
-        for t in (t0, t0 + 3):
-            combined = combine(lam, mu, t)
-            for chi in rep.weights:
-                pl = pairing_vec(lam.torus.exponents, chi)
-                pm = pairing_vec(mu.torus.exponents, chi)
-                pc = pairing_vec(combined.torus.exponents, chi)
-                if pc >= 0 and not pl >= 0:
-                    ok = False
-                if pl > 0 and not pc > 0:
-                    ok = False
-                if (pc == 0) != (pl == 0 and pm == 0):
-                    ok = False
-            dl = lam.torus.exponents
-            dm = mu.torus.exponents
-            coords = []
-            for chi in rep.weights:
-                pl = pairing_vec(dl, chi)
-                pm = pairing_vec(dm, chi)
-                good = pl > 0 or (pl == 0 and pm >= 0)
-                coords.append(_rand_fraction(rng) if good and rng.random() < 0.8 else Fraction(0))
-            v = Point(rep, tuple(coords))
-            v1 = limit(v, lam)
-            assert v1 is not None
-            v2 = limit(v1, mu)
-            assert v2 is not None
-            direct = limit(v, combined)
-            if direct is None or direct != v2:
+    lam, mu, points = case
+    rep = points[0].rep
+    t0 = composition_threshold(rep, lam, mu)
+    ok = True
+    for t, v in zip((t0, t0 + 3), points):
+        combined = combine(lam, mu, t)
+        for chi in rep.weights:
+            pl = pairing_vec(lam.torus.exponents, chi)
+            pm = pairing_vec(mu.torus.exponents, chi)
+            pc = pairing_vec(combined.torus.exponents, chi)
+            if pc >= 0 and not pl >= 0:
                 ok = False
-        records.append(
-            {
-                "case": case,
-                "ok": ok,
-                "detail": {
-                    "lam": list(lam.torus.exponents),
-                    "mu": list(mu.torus.exponents),
-                    "t0": t0,
-                },
-            }
-        )
-    return records
+            if pl > 0 and not pc > 0:
+                ok = False
+            if (pc == 0) != (pl == 0 and pm == 0):
+                ok = False
+        v1 = limit(v, lam)
+        assert v1 is not None
+        v2 = limit(v1, mu)
+        assert v2 is not None
+        direct = limit(v, combined)
+        if direct is None or direct != v2:
+            ok = False
+    return {
+        "ok": ok,
+        "detail": {"lam": list(lam.torus.exponents), "mu": list(mu.torus.exponents), "t0": t0},
+    }
 
 
 # ---------------------------------------------------------------------------
@@ -340,9 +323,12 @@ def _structured_generator(rng: random.Random, m: int) -> list[list[int]]:
 def subgroup_corpus(seed: int, size: int = 50) -> list[SubgroupPresentation]:
     """Seeded subgroups of GL_2 and GL_3 with 1-3 small-integer generators.
 
-    Structured generator sets are conjugated by one element of the Weyl-
-    times-shear family, which keeps their invariant flags inside the
-    search family's reach; unstructured draws are included as well.
+    Most generator sets are conjugated by one element of the Weyl-times-
+    shear family; unstructured draws are included as well.  Conjugation
+    does not keep every invariant flag within the search family's reach:
+    case 162 of ``subgroup_corpus(2, 200)`` fixes the line <(1,1,1)>, which
+    no Weyl-times-shear frame reaches, and ``is_gcr_search`` calls it
+    completely reducible after examining no cocharacter.
     """
     rng = random.Random(seed)
     groups = {2: GroupSpec.make(("GL", 2)), 3: GroupSpec.make(("GL", 3))}
@@ -363,71 +349,64 @@ def subgroup_corpus(seed: int, size: int = 50) -> list[SubgroupPresentation]:
     return out
 
 
+@functools.cache
 def corpus_config(group: GroupSpec, box: int = 4) -> SearchConfig:
-    """The search bound every corpus verdict is relative to."""
+    """The search bound every corpus verdict is relative to (built once per group)."""
     return SearchConfig.default(group, exponent_box=box, shear_values=(-2, -1, 1, 2))
 
 
-def oracle_agreement_suite(seed: int, size: int = 50) -> list[dict]:
-    """Algebra semisimplicity vs bounded geometric search, per corpus input."""
-    records = []
-    configs: dict[GroupSpec, SearchConfig] = {}
-    for case, h in enumerate(subgroup_corpus(seed, size)):
-        if (cfg := configs.get(h.group)) is None:
-            cfg = configs[h.group] = corpus_config(h.group)
-        algebraic = is_gcr_algebra(h)
-        searched = is_gcr_search(h, cfg)
-        ok = algebraic.status == searched.status
-        if ok and not searched.is_completely_reducible:
-            lam = searched.witness_cocharacter
-            v = h.tuple_point()
-            v_prime = limit(v, lam)
-            ok = v_prime is not None and find_ru_conjugator(v, v_prime, lam) is None
-        records.append(
-            {
-                "case": case,
-                "ok": ok,
-                "algebra": algebraic.status,
-                "search": searched.status,
-                "detail": {
-                    "generators": [[[str(x) for x in row] for row in g] for g in h.generators],
-                    "box": cfg.exponent_box,
-                },
-            }
-        )
-    return records
+def _oracle_agreement_check(h: SubgroupPresentation) -> dict:
+    """Algebra semisimplicity vs bounded geometric search."""
+    cfg = corpus_config(h.group)
+    algebraic = is_gcr_algebra(h)
+    searched = is_gcr_search(h, cfg)
+    ok = algebraic.status == searched.status
+    if ok and not searched.is_completely_reducible:
+        lam = searched.witness_cocharacter
+        v = h.tuple_point()
+        v_prime = limit(v, lam)
+        ok = v_prime is not None and find_ru_conjugator(v, v_prime, lam) is None
+    return {
+        "ok": ok,
+        "algebra": algebraic.status,
+        "search": searched.status,
+        "detail": {
+            "generators": [[[str(x) for x in row] for row in g] for g in h.generators],
+            "box": cfg.exponent_box,
+        },
+    }
 
 
-def centralizer_suite(seed: int, size: int = 50) -> list[dict]:
+def _centralizer_check(h: SubgroupPresentation) -> dict:
     """Centralizer dimension never drops under Levi projection; equality
     happens exactly when a radical conjugator exists."""
-    records = []
-    for case, h in enumerate(subgroup_corpus(seed, size)):
-        group = h.group
-        rep = h.tuple_rep()
-        v = h.tuple_point()
-        base_dim = centralizer_dim(group, h.generators)
-        ok = True
-        checked = 0
-        for exps in admissible_exponents(group, 4, _entry_pattern(h.generators)):
-            lam = Cocharacter.standard(group, exps)
-            projected = c_lambda(h.generators, lam)
-            proj_dim = centralizer_dim(group, projected)
-            if proj_dim < base_dim:
-                ok = False
-                break
-            v_prime = rep.point(projected)
-            u = find_ru_conjugator(v, v_prime, lam, rep)
-            if (proj_dim == base_dim) != (u is not None):
-                ok = False
-                break
-            checked += 1
-        records.append({"case": case, "ok": ok, "admissible_checked": checked})
-    return records
+    group = h.group
+    rep = h.tuple_rep()
+    v = h.tuple_point()
+    base_dim = centralizer_dim(group, h.generators)
+    ok = True
+    checked = 0
+    for exps in admissible_exponents(group, 4, _entry_pattern(h.generators)):
+        lam = Cocharacter.standard(group, exps)
+        projected = c_lambda(h.generators, lam)
+        proj_dim = centralizer_dim(group, projected)
+        if proj_dim < base_dim:
+            ok = False
+            break
+        v_prime = rep.point(projected)
+        u = find_ru_conjugator(v, v_prime, lam, rep)
+        if (proj_dim == base_dim) != (u is not None):
+            ok = False
+            break
+        checked += 1
+    return {"ok": ok, "admissible_checked": checked}
 
 
 # ---------------------------------------------------------------------------
 # Kempf equivariance instances
+
+
+KEMPF_CONJUGATORS = 5
 
 
 @dataclass(frozen=True)
@@ -435,6 +414,13 @@ class KempfInstance:
     group: GroupSpec
     points: tuple[Point, ...]
     normalizer_samples: tuple[Mat, ...]
+    extra_frame: Mat
+    conjugators: tuple[Mat, ...]
+
+
+def _kempf_cases(seed: int, size: int) -> list[KempfInstance]:
+    rng = random.Random(seed)
+    return [_kempf_instance(rng, case) for case in range(size)]
 
 
 def _kempf_instance(rng: random.Random, case: int) -> KempfInstance:
@@ -444,85 +430,75 @@ def _kempf_instance(rng: random.Random, case: int) -> KempfInstance:
     optimal value is the squared length of chi (Cauchy-Schwarz) and the
     identity frame attains it; tied maximizers across frames then all sit
     in the true optimal class.  Each sample g satisfies g.X = X on the
-    nose, exercising the optimizer's normalizer containment check.
+    nose, exercising the optimizer's normalizer containment check.  The
+    instance carries its frames: one extra family frame and the
+    ``KEMPF_CONJUGATORS`` conjugators, all drawn even when a check stops
+    early, so later cases never depend on where an earlier one failed.
     """
     flavor = case % 3
     if flavor == 0:
         group = GroupSpec.make(("GL", 2))
-        rep = ConjugationTuples(group, 1)
         c = _rand_nonzero_fraction(rng)
-        pt = rep.point([[[0, c], [0, 0]]])
-        shear = linalg.mat([[1, rng.randint(1, 2)], [0, 1]])  # commutes with e_12
-        return KempfInstance(group, (pt,), (shear,))
-    if flavor == 1:
+        pt = ConjugationTuples(group, 1).point([[[0, c], [0, 0]]])
+        samples = (linalg.mat([[1, rng.randint(1, 2)], [0, 1]]),)  # commutes with e_12
+    elif flavor == 1:
         group = GroupSpec.make(("GL", 3))
-        rep = ConjugationTuples(group, 1)
         c = _rand_nonzero_fraction(rng)
-        pt = rep.point([[[0, 0, c], [0, 0, 0], [0, 0, 0]]])
+        pt = ConjugationTuples(group, 1).point([[[0, 0, c], [0, 0, 0], [0, 0, 0]]])
         torus = linalg.mat([[2, 0, 0], [0, 3, 0], [0, 0, 2]])  # equal corner entries fix e_13
         shear = linalg.mat([[1, rng.randint(1, 2), 0], [0, 1, 0], [0, 0, 1]])
-        return KempfInstance(group, (pt,), (torus, shear))
-    group = GroupSpec.make(("SL", 2))
-    rep = SymPower(group, 4)
-    c = _rand_nonzero_fraction(rng)
-    pt = rep.monomial(1, c)  # x^3 y: triple root aligned with the torus
-    minus_one = linalg.mat([[-1, 0], [0, -1]])  # acts trivially on Sym^4
-    return KempfInstance(group, (pt,), (minus_one,))
+        samples = (torus, shear)
+    else:
+        group = GroupSpec.make(("SL", 2))
+        c = _rand_nonzero_fraction(rng)
+        pt = SymPower(group, 4).monomial(1, c)  # x^3 y: triple root aligned with the torus
+        samples = (linalg.mat([[-1, 0], [0, -1]]),)  # acts trivially on Sym^4
+    extra = random_frame(rng, group)
+    conjugators = tuple(random_frame(rng, group) for _ in range(KEMPF_CONJUGATORS))
+    return KempfInstance(group, (pt,), samples, extra, conjugators)
 
 
-def kempf_equivariance_suite(seed: int, size: int = 20, conjugators: int = 5) -> list[dict]:
+def _kempf_check(inst: KempfInstance) -> dict:
     """Conjugating the input conjugates the optimum, exactly.
 
-    For each instance and conjugator g the two searches run over families
-    F and g.F with F chosen to contain both the identity and g^{-1}, so
-    the torus subproblems correspond one to one; the optimal values must
-    then tie exactly and the optimal parabolics must be conjugate.
-    Normalizer samples are checked by the optimizer itself (it raises if
-    one escapes the parabolic).
+    For each conjugator g the two searches run over families F and g.F
+    with F chosen to contain both the identity and g^{-1}, so the torus
+    subproblems correspond one to one; the optimal values must then tie
+    exactly and the optimal parabolics must be conjugate.  Normalizer
+    samples are checked by the optimizer itself (it raises if one escapes
+    the parabolic).
     """
-    rng = random.Random(seed)
-    records = []
+    group = inst.group
+    rep = inst.points[0].rep
     s = SubvarietySpec.zero_locus()
-    for case in range(size):
-        inst = _kempf_instance(rng, case)
-        group = inst.group
-        rep = inst.points[0].rep
-        extra = random_frame(rng, group)
-        ok = True
-        detail = None
-        for _ in range(conjugators):
-            g = random_frame(rng, group)
-            ginv = linalg.inverse(g)
-            base_family = [group.identity(), extra, ginv, linalg.mat_mul(ginv, extra)]
-            cfg = SearchConfig(
-                group,
-                exponent_box=4,
-                conjugation_family=tuple(base_family),
-                normalizer_samples=inst.normalizer_samples,
-            )
-            moved_cfg = SearchConfig(
-                group,
-                exponent_box=4,
-                conjugation_family=tuple(linalg.mat_mul(g, f) for f in base_family),
-            )
-            try:
-                result = optimize(inst.points, s, cfg)
-            except InvariantViolation as exc:
-                ok, detail = False, str(exc)
-                break
-            moved = tuple(rep.act(g, x) for x in inst.points)
-            moved_result = optimize(moved, s, moved_cfg)
-            if result.status != OPTIMAL or moved_result.status != OPTIMAL:
-                ok, detail = False, "optimum not witnessed"
-                break
-            if moved_result.value_sq != result.value_sq:
-                ok, detail = False, "values differ"
-                break
-            if moved_result.parabolic != result.parabolic.conjugated_by(g):
-                ok, detail = False, "parabolic is not conjugate"
-                break
-        records.append({"case": case, "ok": ok, "detail": detail})
-    return records
+    extra = inst.extra_frame
+    for g in inst.conjugators:
+        ginv = linalg.inverse(g)
+        base_family = [group.identity(), extra, ginv, linalg.mat_mul(ginv, extra)]
+        cfg = SearchConfig(
+            group,
+            exponent_box=4,
+            conjugation_family=tuple(base_family),
+            normalizer_samples=inst.normalizer_samples,
+        )
+        moved_cfg = SearchConfig(
+            group,
+            exponent_box=4,
+            conjugation_family=tuple(linalg.mat_mul(g, f) for f in base_family),
+        )
+        try:
+            result = optimize(inst.points, s, cfg)
+        except InvariantViolation as exc:
+            return {"ok": False, "detail": str(exc)}
+        moved = tuple(rep.act(g, x) for x in inst.points)
+        moved_result = optimize(moved, s, moved_cfg)
+        if result.status != OPTIMAL or moved_result.status != OPTIMAL:
+            return {"ok": False, "detail": "optimum not witnessed"}
+        if moved_result.value_sq != result.value_sq:
+            return {"ok": False, "detail": "values differ"}
+        if moved_result.parabolic != result.parabolic.conjugated_by(g):
+            return {"ok": False, "detail": "parabolic is not conjugate"}
+    return {"ok": True, "detail": None}
 
 
 def _nilpotent_log(group: GroupSpec, u: Mat) -> Mat:
@@ -553,6 +529,13 @@ def _char_poly(g: Mat) -> list[Fraction]:
     return coeffs
 
 
+def _divisors(n: int) -> list[int]:
+    """The positive divisors of a nonzero integer, by trial division up to its square root."""
+    n = abs(n)
+    low = [d for d in range(1, isqrt(n) + 1) if n % d == 0]
+    return low + [n // d for d in low if d * d != n]
+
+
 def _rational_spectral_projections(g: Mat) -> list[Mat] | None:
     """Eigenprojections of a matrix that is diagonalizable over the rationals.
 
@@ -567,14 +550,15 @@ def _rational_spectral_projections(g: Mat) -> list[Mat] | None:
         scale = scale * c.denominator // gcd(scale, c.denominator)
     ints = [int(c * scale) for c in coeffs]
     constant, leading = ints[0], ints[-1]
-    candidates = set()
-    for p in range(1, abs(constant) + 1) if constant != 0 else []:
-        if constant % p == 0:
-            for q in range(1, abs(leading) + 1):
-                if leading % q == 0:
-                    candidates |= {Fraction(p, q), Fraction(-p, q)}
     if constant == 0:
-        candidates.add(Fraction(0))
+        candidates = {Fraction(0)}
+    else:
+        candidates = {
+            Fraction(sign * p, q)
+            for p in _divisors(constant)
+            for q in _divisors(leading)
+            for sign in (1, -1)
+        }
 
     def poly_at(x: Fraction) -> Fraction:
         total = Fraction(0)
@@ -636,7 +620,7 @@ def _tangent_span(h: SubgroupPresentation):
         return None
 
 
-def group_lie_consistency_suite(seed: int, size: int = 50) -> list[dict]:
+def _group_lie_check(h: SubgroupPresentation) -> dict:
     """Reducible subgroups have reducible tangent algebras.
 
     On corpus inputs whose generators are all unipotent or all diagonal,
@@ -644,38 +628,49 @@ def group_lie_consistency_suite(seed: int, size: int = 50) -> list[dict]:
     Lie-side search on the tangent span; other inputs are skipped (the
     span is only meaningful when it is commutator-closed).
     """
-    records = []
-    configs: dict[GroupSpec, SearchConfig] = {}
-    for case, h in enumerate(subgroup_corpus(seed, size)):
-        lie = _tangent_span(h)
-        if lie is None:
-            records.append({"case": case, "ok": True, "skipped": True})
-            continue
-        if (cfg := configs.get(h.group)) is None:
-            cfg = configs[h.group] = corpus_config(h.group)
-        group_verdict = is_gcr_search(h, cfg)
-        lie_verdict = lie_is_gcr(lie, cfg)
-        ok = True
-        if group_verdict.is_completely_reducible and not lie_verdict.is_completely_reducible:
-            ok = False
-        records.append(
-            {
-                "case": case,
-                "ok": ok,
-                "skipped": False,
-                "group": group_verdict.status,
-                "lie": lie_verdict.status,
-            }
-        )
-    return records
+    lie = _tangent_span(h)
+    if lie is None:
+        return {"ok": True, "skipped": True}
+    cfg = corpus_config(h.group)
+    group_verdict = is_gcr_search(h, cfg)
+    lie_verdict = lie_is_gcr(lie, cfg)
+    ok = lie_verdict.is_completely_reducible or not group_verdict.is_completely_reducible
+    return {"ok": ok, "skipped": False, "group": group_verdict.status, "lie": lie_verdict.status}
 
+
+# ---------------------------------------------------------------------------
+# Profiles and their runner
 
 PROFILES = {
-    "ruconj": ruconj_suite,
-    "equivariance": equivariance_suite,
-    "dblecochar": dblecochar_suite,
-    "oracle-agreement": oracle_agreement_suite,
-    "centralizer": centralizer_suite,
-    "kempf-equivariance": kempf_equivariance_suite,
-    "group-lie-consistency": group_lie_consistency_suite,
+    "ruconj": (functools.partial(_rep_cases, _ruconj_draw), _ruconj_check),
+    "equivariance": (functools.partial(_rep_cases, _equivariance_draw), _equivariance_check),
+    "dblecochar": (functools.partial(_rep_cases, _dblecochar_draw), _dblecochar_check),
+    "oracle-agreement": (subgroup_corpus, _oracle_agreement_check),
+    "centralizer": (subgroup_corpus, _centralizer_check),
+    "kempf-equivariance": (_kempf_cases, _kempf_check),
+    "group-lie-consistency": (subgroup_corpus, _group_lie_check),
 }
+
+
+def run_profile(profile: str, seed: int, size: int, workers: int = 1) -> list[dict]:
+    """One record per case of a profile, in case order.
+
+    The cases are drawn once, here.  With ``workers`` > 1 they are checked
+    in that many worker processes (at most one per case); the records do
+    not depend on the worker count.  Each record carries its case index and
+    the (profile, seed, case) triple that replays it.
+    """
+    cases, check = PROFILES[profile]
+    batch = cases(seed, size)
+    workers = min(workers, len(batch))
+    if workers > 1:
+        import concurrent.futures  # imported here so serial runs never load it
+
+        with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:
+            records = list(pool.map(check, batch))
+    else:
+        records = list(map(check, batch))
+    for case, record in enumerate(records):
+        record["case"] = case
+        record["reproducer"] = {"profile": profile, "seed": seed, "case": case}
+    return records

@@ -31,14 +31,7 @@ from destab import (
     optimize,
 )
 from destab import linalg
-from destab.corpus import (
-    centralizer_suite,
-    dblecochar_suite,
-    equivariance_suite,
-    kempf_equivariance_suite,
-    oracle_agreement_suite,
-    ruconj_suite,
-)
+from destab.corpus import run_profile
 
 SL2 = GroupSpec.make(("SL", 2))
 GL2 = GroupSpec.make(("GL", 2))
@@ -111,7 +104,7 @@ def test_criterion_02_borel_tits_recovery():
 
 def test_criterion_03_oracle_agreement():
     with budget(3, 120.0):
-        records = oracle_agreement_suite(seed=1, size=50)
+        records = run_profile("oracle-agreement", seed=1, size=50)
         assert len(records) == 50
         failures = [r for r in records if not r["ok"]]
         assert failures == []
@@ -124,14 +117,14 @@ def test_criterion_03_oracle_agreement():
 
 def test_criterion_04_limit_equivariance():
     with budget(4, 10.0):
-        records = equivariance_suite(seed=1, size=100)
+        records = run_profile("equivariance", seed=1, size=100)
         assert len(records) == 100
         assert all(r["ok"] for r in records)
 
 
 def test_criterion_05_radical_conjugacy_lemma():
     with budget(5, 10.0):
-        records = ruconj_suite(seed=1, size=100)
+        records = run_profile("ruconj", seed=1, size=100)
         assert len(records) == 100
         assert all(r["ok"] for r in records)
         assert any(r["holds"] for r in records)  # the positive direction is exercised
@@ -140,21 +133,21 @@ def test_criterion_05_radical_conjugacy_lemma():
 
 def test_criterion_06_kempf_equivariance_and_normalizers():
     with budget(6, 30.0):
-        records = kempf_equivariance_suite(seed=1, size=20, conjugators=5)
+        records = run_profile("kempf-equivariance", seed=1, size=20)
         assert len(records) == 20
         assert all(r["ok"] for r in records)
 
 
 def test_criterion_07_commuting_composition():
     with budget(7, 10.0):
-        records = dblecochar_suite(seed=1, size=50)
+        records = run_profile("dblecochar", seed=1, size=50)
         assert len(records) == 50
         assert all(r["ok"] for r in records)
 
 
 def test_criterion_08_centralizer_dimension():
     with budget(8, 60.0):
-        records = centralizer_suite(seed=1, size=50)
+        records = run_profile("centralizer", seed=1, size=50)
         assert len(records) == 50
         assert all(r["ok"] for r in records)
         assert sum(r["admissible_checked"] for r in records) > 0

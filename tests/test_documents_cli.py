@@ -1,3 +1,4 @@
+import hashlib
 import json
 import subprocess
 import sys
@@ -300,13 +301,72 @@ def test_lie_subalgebra_document():
         documents.parse_lie_subalgebra({"basis": []}, group)
 
 
-def test_cli_corpus_parallel_matches_sequential(tmp_path, monkeypatch):
+CORPUS_PROFILES = (
+    "ruconj",
+    "equivariance",
+    "dblecochar",
+    "oracle-agreement",
+    "centralizer",
+    "kempf-equivariance",
+    "group-lie-consistency",
+)
+
+# sha256 of the sorted-key JSON of each report's "result" block; a moved
+# case stream or a changed check shows here.
+CORPUS_RESULT_PINS = (
+    ("ruconj", 1, 8, "97e114c826f4eb861aeb62b406855dba9bd0c88ac798674231c998e859d7393e"),
+    ("ruconj", 2, 8, "224d1a1f7ed1579cd320b53cdba6e5b56f870871153080a912f883909d699dbc"),
+    ("equivariance", 1, 8, "3b2e2739074a4a23b2c7a7f97808457939ad3834dfebc60bf10fe02bb092c28d"),
+    ("equivariance", 2, 8, "1b4d7602e5aac0da1e81ca312dd07f60c6df23f159e46e49903a607fc6244f20"),
+    ("dblecochar", 1, 8, "85c29f46ea976c9416fb40aff3e5027f0af040d7ec95f60fa0d5e72757559a2c"),
+    ("dblecochar", 2, 8, "b2e53c7dc85e4810ec7b08effaf91a2e9f28f5edc2fdb92a1972489891f964c1"),
+    ("oracle-agreement", 1, 8, "c0af3c9218823ce56e1ba3fbbedddf1c85c2bfa4700045b383e6dcf23d4af87c"),
+    ("oracle-agreement", 2, 8, "5bd4fa304407d2ddfbdd73b70cbc1d6b02911fc609191b480e5f2a26c4c3704a"),
+    ("centralizer", 1, 8, "f16864fae47ab27b07f94ff1e281f0ed2b7737767f4220827efae5f3c0172ad7"),
+    ("centralizer", 2, 8, "2aced993ee10572e222d6402184d1b4f626ba8e23abab99e9deaebf4e5b5acc0"),
+    ("kempf-equivariance", 1, 4, "f1504a12eea76f49c4b3c708be9f318f2155fb2426fa0f6184a7ff7777441be0"),
+    ("kempf-equivariance", 2, 4, "6b6ff68c55dfb69622500e82e37eeccfe73ed0cd2abe5ccb3b47f1145f7c7167"),
+    ("group-lie-consistency", 1, 8, "3793ee15d540ff02a552d118fc69e6d3297694f27f71c0a138e2d43039a60736"),
+    ("group-lie-consistency", 2, 8, "a46e1c1239b51c74c640a0a61712b2d96d286eacd06c3d62480e3e8dc71dd532"),
+)
+
+
+def test_cli_corpus_case_streams_pinned(tmp_path):
+    for profile, seed, size, digest in CORPUS_RESULT_PINS:
+        code, report = run_cli(
+            tmp_path, ["corpus", "--profile", profile, "--seed", str(seed), "--size", str(size)]
+        )
+        assert code == 0
+        canon = json.dumps(report["result"], sort_keys=True).encode("utf-8")
+        assert hashlib.sha256(canon).hexdigest() == digest, (profile, seed)
+
+
+@pytest.mark.parametrize("profile", CORPUS_PROFILES)
+def test_cli_corpus_parallel_matches_sequential(tmp_path, monkeypatch, profile):
+    size = "2" if profile == "kempf-equivariance" else "4"
+    argv = ["corpus", "--profile", profile, "--seed", "3", "--size", size]
     out_seq = tmp_path / "seq.json"
-    main(["corpus", "--profile", "dblecochar", "--seed", "3", "--size", "4", "--out", str(out_seq)])
+    main(argv + ["--out", str(out_seq)])
     monkeypatch.setenv("DESTAB_THREADS", "2")
     out_par = tmp_path / "par.json"
-    main(["corpus", "--profile", "dblecochar", "--seed", "3", "--size", "4", "--out", str(out_par)])
+    main(argv + ["--out", str(out_par)])
     assert json.loads(out_seq.read_text())["result"] == json.loads(out_par.read_text())["result"]
+    assert out_seq.read_bytes() == out_par.read_bytes()
+
+
+def test_cli_corpus_rejects_non_integer_threads(tmp_path, monkeypatch):
+    monkeypatch.setenv("DESTAB_THREADS", "abc")
+    code, report = run_cli(tmp_path, ["corpus", "--profile", "ruconj", "--size", "2"])
+    assert code == 2
+    assert report["error"]["kind"] == "schema"
+    assert "DESTAB_THREADS" in report["error"]["message"]
+
+
+@pytest.mark.parametrize("size", ["0", "-3"])
+def test_cli_corpus_rejects_size_below_one(tmp_path, size):
+    code, report = run_cli(tmp_path, ["corpus", "--profile", "ruconj", "--size", size])
+    assert code == 2
+    assert report["error"]["kind"] == "schema"
 
 
 def test_cli_determinism(tmp_path, docs):

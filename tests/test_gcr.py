@@ -260,12 +260,24 @@ def test_lie_subalgebra_validation():
 
 
 def test_group_to_lie_consistency_corpus():
-    from destab.corpus import group_lie_consistency_suite
+    from destab.corpus import run_profile
 
-    records = group_lie_consistency_suite(seed=1, size=50)
+    records = run_profile("group-lie-consistency", seed=1, size=50)
     checked = [r for r in records if not r.get("skipped")]
     assert len(checked) >= 10  # the corpus must actually exercise the property
     assert all(r["ok"] for r in records)
+
+
+def test_rational_spectral_projections_large_constant_term():
+    import time
+
+    from destab.corpus import _rational_spectral_projections
+
+    p = 1_000_000_007  # prime: the constant term of (x - p)(x - 1) is about 10^9
+    start = time.monotonic()
+    projections = _rational_spectral_projections(linalg.mat([[p, 0], [0, 1]]))
+    assert time.monotonic() - start < 1.0
+    assert projections == [linalg.mat([[0, 0], [0, 1]]), linalg.mat([[1, 0], [0, 0]])]
 
 
 def test_group_to_lie_consistency():
