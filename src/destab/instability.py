@@ -8,11 +8,10 @@ a fixed torus frame the objective  min over components of <lambda, chi>
 is a minimum of finitely many linear forms on the admissibility cone, and
 maximizing it against the norm is an exact convex program over the
 rationals: minimize the squared norm over the polyhedron where every
-objective form is at least one.  That program is solved by enumerating
-active subsets and solving each equality-constrained system exactly,
-which is exponential in the number of distinct weights but exact; at desk
-scale (up to roughly fifteen distinct weights) this is the documented
-scalability boundary.
+objective form is at least one.  Its minimizer is unique (the norm is
+positive definite) and is found by an exact dual active-set method: one
+rational KKT solve per step, with steps that grow with the number of forms
+tight at the optimum rather than with the number of subsets of forms.
 
 Searching beyond one maximal torus uses a finite conjugation family of
 frames and is never claimed complete; ``oracle_mode`` re-derives the
@@ -237,25 +236,22 @@ def vanishing_order(x: Point, lam: Cocharacter, s: SubvarietySpec) -> VanishingO
 # Exact convex kernels
 
 
-def _min_qnorm_affine(q: Mat, rows: list[Vec], rhs: list[Fraction]) -> Vec | None:
-    """Minimize d^T q d subject to rows . d = rhs, exactly, or None."""
+def _kkt_solve(q: Mat, rows, top, bottom) -> tuple[Vec, Vec] | None:
+    """(x, y) with q x + A^T y = top and A x = bottom for the rows A, or None
+    if inconsistent.  q is positive definite, so x is unique when it exists."""
     n = len(q)
     k = len(rows)
-    size = n + k
-    system = []
-    target = []
-    for i in range(n):
-        line = [2 * q[i][j] for j in range(n)] + [-rows[r][i] for r in range(k)]
-        system.append(tuple(line))
-        target.append(Fraction(0))
-    for r in range(k):
-        line = list(rows[r]) + [Fraction(0)] * k
-        system.append(tuple(line))
-        target.append(rhs[r])
-    solution = linalg.solve_affine(tuple(system), tuple(target))
-    if solution is None:
-        return None
-    return solution[:n]
+    system = tuple(tuple(q[i]) + tuple(row[i] for row in rows) for i in range(n)) + tuple(
+        tuple(row) + (Fraction(0),) * k for row in rows
+    )
+    solution = linalg.solve_affine(system, tuple(top) + tuple(bottom))
+    return None if solution is None else (solution[:n], solution[n:])
+
+
+def _min_qnorm_affine(q: Mat, rows: list[Vec], rhs: list[Fraction]) -> Vec | None:
+    """Minimize d^T q d subject to rows . d = rhs, exactly, or None."""
+    solution = _kkt_solve(q, rows, (Fraction(0),) * len(q), rhs)
+    return None if solution is None else solution[0]
 
 
 def min_qnorm_over_polyhedron(
@@ -263,37 +259,68 @@ def min_qnorm_over_polyhedron(
 ) -> Vec | None:
     """Unique minimizer of d^T q d over {g.d >= c, e.d = 0}, or None if empty.
 
-    Enumerates active subsets of the inequalities: the minimizer sits in the
-    relative interior of a face, where it is the minimum-norm point of the
-    face's affine hull, so some linearly independent active subset recovers
-    it exactly.
-    """
-    n = len(q)
-    eq_rank = linalg.rank(tuple(eqs)) if eqs else 0
-    cap = n - eq_rank
-    seen: dict[tuple, None] = {}
-    unique_ineqs = []
-    for g, c in ineqs:
-        key = (g, c)
-        if key not in seen:
-            seen[key] = None
-            unique_ineqs.append((g, c))
+    Goldfarb-Idnani dual active-set method in exact arithmetic.  It starts
+    at d = 0, the unconstrained minimizer (q is positive definite), with
+    the equality rows active, and keeps d the minimizer over the affine set
+    of the active rows with nonnegative multipliers on the active
+    inequalities.  Each round adds the most violated inequality p: one KKT
+    solve gives the primal direction z and the change r of the active
+    multipliers, and the step either reaches g_p.d = c_p (full step: p
+    becomes active) or stops where a multiplier reaches zero (partial step:
+    that row is dropped and p is tried again).  Ties go to the smallest
+    index.  When p is a combination of the active rows and no multiplier
+    can fall, no step can satisfy it and the polyhedron is empty.
 
-    best: tuple[Fraction, Vec] | None = None
-    indices = range(len(unique_ineqs))
-    for size in range(0, cap + 1):
-        for subset in itertools.combinations(indices, size):
-            rows = list(eqs) + [unique_ineqs[i][0] for i in subset]
-            rhs = [Fraction(0)] * len(eqs) + [unique_ineqs[i][1] for i in subset]
-            d = _min_qnorm_affine(q, rows, rhs)
-            if d is None:
-                continue
-            if any(linalg.dot(g, d) < c for g, c in unique_ineqs):
-                continue
-            value = linalg.dot(d, linalg.mat_vec(q, d))
-            if best is None or value < best[0]:
-                best = (value, d)
-    return best[1] if best else None
+    Each full step strictly raises the dual objective, so no active set
+    recurs after a full step; a recurrence is reported as an invariant
+    violation rather than looping.
+    """
+    # independent equality rows, so every KKT matrix below is nonsingular
+    active: list[Vec] = list(linalg.row_space(tuple(eqs))) if eqs else []
+    n_eqs = len(active)
+    act_idx: list[int] = []  # inequality index of active[n_eqs + k]
+    mult: list[Fraction] = []  # its multiplier, always >= 0
+    d: Vec = (Fraction(0),) * len(q)
+    seen: set[frozenset[int]] = set()
+    while True:
+        slacks = [linalg.dot(g, d) - c for g, c in ineqs]
+        p = min(range(len(ineqs)), key=lambda i: (slacks[i], i), default=None)
+        if p is None or slacks[p] >= 0:
+            return d
+        g_p = ineqs[p][0]
+        u_p = Fraction(0)
+        while True:
+            solution = _kkt_solve(q, active, g_p, (Fraction(0),) * len(active))
+            if solution is None:
+                raise InvariantViolation("singular KKT system in the dual active-set solver")
+            z, r = solution
+            r_ineq = r[n_eqs:]
+            blocking = [k for k, rk in enumerate(r_ineq) if rk > 0]
+            t_partial = None
+            if blocking:
+                drop = min(blocking, key=lambda k: (mult[k] / r_ineq[k], act_idx[k]))
+                t_partial = mult[drop] / r_ineq[drop]
+            full = any(z)
+            if full:
+                t_full = -slacks[p] / linalg.dot(g_p, z)  # g_p.z = z^T q z > 0
+                full = t_partial is None or t_full <= t_partial
+            elif t_partial is None:
+                return None
+            t = t_full if full else t_partial
+            d = tuple(x + t * y for x, y in zip(d, z))
+            mult = [m - t * rk for m, rk in zip(mult, r_ineq)]
+            u_p += t
+            if full:
+                active.append(g_p)
+                act_idx.append(p)
+                mult.append(u_p)
+                key = frozenset(act_idx)
+                if key in seen:
+                    raise InvariantViolation("dual active-set solver revisited an active set")
+                seen.add(key)
+                break
+            slacks[p] += t * linalg.dot(g_p, z)
+            del active[n_eqs + drop], act_idx[drop], mult[drop]
 
 
 def nearest_point_interior(points, gram: Mat | None = None) -> Vec:
@@ -388,9 +415,12 @@ def optimize_torus(
     points = list(points)
     if not points:
         raise PreconditionError("the point set must be nonempty")
-    rep = points[0].rep
-    group = group if group is not None else rep.group
-    per_point = _frame_forms(points, s, frame)
+    group = group if group is not None else points[0].rep.group
+    return _torus_optimum(_frame_forms(points, s, frame), group)
+
+
+def _torus_optimum(per_point, group: GroupSpec) -> TorusOptimum | None:
+    """``optimize_torus`` on the ``_frame_forms`` of the points in one frame."""
     cone = {chi for support, _ in per_point for chi in support if not chi.is_zero()}
     objective: set[Character] = set().union(*(forms for _, forms in per_point))
     if not objective:  # every point already lies in S
@@ -583,10 +613,11 @@ def optimize(points, s: SubvarietySpec, cfg: SearchConfig) -> OptimizationResult
             TRIVIAL, zero, None, _whole_group_descriptor(group), cert, cfg.oracle_mode
         )
 
+    frame_forms = [_frame_forms(points, s, frame) for frame in cfg.conjugation_family]
     outcomes = []
     candidates = []
-    for idx, frame in enumerate(cfg.conjugation_family):
-        opt = optimize_torus(points, s, frame, group)
+    for idx, (frame, per_point) in enumerate(zip(cfg.conjugation_family, frame_forms)):
+        opt = _torus_optimum(per_point, group)
         if opt is None or opt.trivial:
             outcomes.append(FrameOutcome(idx, None, None))
         else:
@@ -595,7 +626,7 @@ def optimize(points, s: SubvarietySpec, cfg: SearchConfig) -> OptimizationResult
 
     oracle_value, oracle_box = (None, None)
     if cfg.oracle_mode:
-        oracle_value = _oracle_best_value(points, s, cfg)
+        oracle_value = _oracle_best_value(frame_forms, group, cfg.exponent_box)
         oracle_box = cfg.exponent_box
 
     if not candidates:
@@ -677,15 +708,13 @@ def _fixes_input(g: Mat, points, s: SubvarietySpec) -> bool:
     return True
 
 
-def _oracle_best_value(points, s: SubvarietySpec, cfg: SearchConfig) -> Fraction | None:
-    """Exhaustive maximum of a^2/|d|^2 over the box and frames."""
-    group = cfg.group
+def _oracle_best_value(frame_forms, group: GroupSpec, box: int) -> Fraction | None:
+    """Exhaustive maximum of a^2/|d|^2 over the box and the frames' forms."""
     best: Fraction | None = None
-    for frame in cfg.conjugation_family:
-        per_point = _frame_forms(points, s, frame)
+    for per_point in frame_forms:
         supports = [tuple(chi.weights for chi in support) for support, _ in per_point]
         forms = [{chi.weights for chi in fx} for _, fx in per_point]
-        for d in _box_vectors(group, cfg.exponent_box):
+        for d in _box_vectors(group, box):
             ok = all(
                 all(sum(a * b for a, b in zip(d, w)) >= 0 for w in supp)
                 for supp in supports

@@ -1,4 +1,6 @@
+import itertools
 import random
+import time
 from fractions import Fraction as F
 
 import pytest
@@ -27,7 +29,12 @@ from destab import (
     vanishing_order,
 )
 from destab import linalg, support
-from destab.instability import admissible_exponents, _box_vectors, min_qnorm_over_polyhedron
+from destab.instability import (
+    _box_vectors,
+    _min_qnorm_affine,
+    admissible_exponents,
+    min_qnorm_over_polyhedron,
+)
 
 GL2 = GroupSpec.make(("GL", 2))
 GL3 = GroupSpec.make(("GL", 3))
@@ -257,6 +264,125 @@ def test_min_qnorm_polyhedron_infeasible():
     q = linalg.identity(2)
     ineqs = [(linalg.vec([0, 0]), F(1))]
     assert min_qnorm_over_polyhedron(q, ineqs, []) is None
+
+
+def _enumerated_min_qnorm(q, ineqs, eqs):
+    """Reference: the active-subset enumeration the dual solver replaced.
+
+    The minimizer sits in the relative interior of a face, where it is the
+    minimum-norm point of the face's affine hull, so some linearly
+    independent active subset recovers it exactly.
+    """
+    n = len(q)
+    eq_rank = linalg.rank(tuple(eqs)) if eqs else 0
+    cap = n - eq_rank
+    seen: dict[tuple, None] = {}
+    unique_ineqs = []
+    for g, c in ineqs:
+        key = (g, c)
+        if key not in seen:
+            seen[key] = None
+            unique_ineqs.append((g, c))
+
+    best = None
+    indices = range(len(unique_ineqs))
+    for size in range(0, cap + 1):
+        for subset in itertools.combinations(indices, size):
+            rows = list(eqs) + [unique_ineqs[i][0] for i in subset]
+            rhs = [F(0)] * len(eqs) + [unique_ineqs[i][1] for i in subset]
+            d = _min_qnorm_affine(q, rows, rhs)
+            if d is None:
+                continue
+            if any(linalg.dot(g, d) < c for g, c in unique_ineqs):
+                continue
+            value = linalg.dot(d, linalg.mat_vec(q, d))
+            if best is None or value < best[0]:
+                best = (value, d)
+    return best[1] if best else None
+
+
+def _random_polyhedron(rng, n):
+    """Half the rows tight at one integer vertex; then duplicated, parallel,
+    dependent or zero rows, an SL sum-zero equality, and a random
+    positive-definite Gram matrix, each some of the time."""
+    q = linalg.identity(n)
+    if rng.random() < 0.5:
+        b = [[rng.randint(-2, 2) for _ in range(n)] for _ in range(n)]
+        q = linalg.mat(
+            [[sum(b[k][i] * b[k][j] for k in range(n)) + (i == j) for j in range(n)] for i in range(n)]
+        )
+    vertex = [rng.randint(-2, 3) for _ in range(n)]
+    ineqs = []
+    for _ in range(rng.randint(1, (7, 6, 5, 4, 4)[n - 1])):
+        g = linalg.vec(rng.randint(-2, 2) for _ in range(n))
+        c = linalg.dot(g, vertex) if rng.random() < 0.5 else F(rng.choice((-1, 0, 1, 1, 2)))
+        ineqs.append((g, F(c)))
+    for _ in range(rng.randint(0, 2)):
+        g, c = rng.choice(ineqs)
+        kind = rng.random()
+        if kind < 0.3:
+            ineqs.append((g, c))
+        elif kind < 0.6:
+            ineqs.append((tuple(2 * x for x in g), 2 * c + rng.randint(-1, 1)))
+        elif kind < 0.8:
+            g2, c2 = rng.choice(ineqs)
+            ineqs.append((tuple(x + y for x, y in zip(g, g2)), c + c2))
+        else:
+            ineqs.append(((F(0),) * n, F(rng.choice((0, 1)))))
+    rng.shuffle(ineqs)
+    eqs = [linalg.vec([1] * n)] if n > 1 and rng.random() < 0.3 else []
+    return q, ineqs, eqs
+
+
+def test_min_qnorm_matches_enumeration_on_seeded_polyhedra():
+    rng = random.Random(5)
+    seen = dict(empty=0, over_tight=0, zero_row_pos=0, zero_row_free=0, sl=0, gram=0, dup=0)
+    for i in range(300):
+        n = 1 + i % 5
+        q, ineqs, eqs = _random_polyhedron(rng, n)
+        ref = _enumerated_min_qnorm(q, ineqs, eqs)
+        assert min_qnorm_over_polyhedron(q, ineqs, eqs) == ref
+        if ref is None:
+            seen["empty"] += 1
+        elif len({(g, c) for g, c in ineqs if linalg.dot(g, ref) == c}) > n:
+            seen["over_tight"] += 1
+        seen["zero_row_pos"] += any(not any(g) and c > 0 for g, c in ineqs)
+        seen["zero_row_free"] += any(not any(g) and c == 0 for g, c in ineqs)
+        seen["sl"] += bool(eqs)
+        seen["gram"] += q != linalg.identity(n)
+        seen["dup"] += len(set(ineqs)) < len(ineqs)
+    assert all(count >= 5 for count in seen.values()), seen
+
+
+def test_min_qnorm_degenerate_vertex():
+    # eight forms, all tight at (1, 1, 1), which is the minimizer; the
+    # duplicate and the dependent rows make every step degenerate
+    rows = [
+        ((1, 0, 0), 1), ((0, 1, 0), 1), ((0, 0, 1), 1), ((1, 1, 0), 2),
+        ((1, 0, 1), 2), ((0, 1, 1), 2), ((1, 1, 1), 3), ((2, 1, 0), 3),
+        ((1, 1, 1), 3),
+    ]
+    ineqs = [(linalg.vec(g), F(c)) for g, c in reversed(rows)]
+    for q in (linalg.identity(3), linalg.mat([[2, 1, 0], [1, 2, 1], [0, 1, 2]])):
+        out = min_qnorm_over_polyhedron(q, ineqs, [])
+        assert out == _enumerated_min_qnorm(q, ineqs, [])
+    assert min_qnorm_over_polyhedron(linalg.identity(3), ineqs, []) == (F(1), F(1), F(1))
+
+
+@pytest.mark.parametrize(
+    "n, exponents, value_sq",
+    [(6, (5, 3, 1, -1, -3, -5), F(2, 35)), (7, (3, 2, 1, 0, -1, -2, -3), F(1, 28))],
+)
+def test_optimize_torus_generic_nilpotent_scale(n, exponents, value_sq):
+    # 15 and 21 objective forms, beyond the reach of subset enumeration
+    rng = random.Random(n)
+    e = [[rng.choice((-2, -1, 1, 3)) if j > i else 0 for j in range(n)] for i in range(n)]
+    pt = ConjugationTuples(GroupSpec.make(("GL", n)), 1).point([e])
+    start = time.perf_counter()
+    out = optimize_torus([pt], ZERO)
+    assert time.perf_counter() - start < 2.0
+    assert out.exponents == exponents
+    assert out.value_sq == value_sq == F(12, n * (n * n - 1))
 
 
 def test_optimize_torus_identity_tuple_brute_force():
