@@ -268,7 +268,7 @@ def parse_config(doc, group: GroupSpec, path: str = "$") -> SearchConfig:
     if not isinstance(doc, dict):
         _fail(path, "expected an object")
     box = doc.get("exponent_box", 4)
-    if not isinstance(box, int) or box < 1:
+    if not isinstance(box, int) or isinstance(box, bool) or box < 1:
         _fail(f"{path}.exponent_box", "must be a positive integer")
     oracle = doc.get("oracle_mode", False)
     if not isinstance(oracle, bool):
@@ -282,9 +282,11 @@ def parse_config(doc, group: GroupSpec, path: str = "$") -> SearchConfig:
     family = doc.get("family", "weyl")
     try:
         if family == "weyl" or family is None:
-            shear_values = tuple(doc.get("shear_values", ()))
-            if not all(isinstance(v, int) for v in shear_values):
-                _fail(f"{path}.shear_values", "expected integers")
+            shear_values = doc.get("shear_values", [])
+            if not isinstance(shear_values, list) or not all(
+                isinstance(v, int) and not isinstance(v, bool) for v in shear_values
+            ):
+                _fail(f"{path}.shear_values", "expected a list of integers")
             return SearchConfig.default(
                 group,
                 exponent_box=box,

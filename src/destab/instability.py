@@ -21,6 +21,7 @@ optimum by brute force over an exponent box as an independent check.
 from __future__ import annotations
 
 import enum
+import functools
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
@@ -248,12 +249,6 @@ def _kkt_solve(q: Mat, rows, top, bottom) -> tuple[Vec, Vec] | None:
     return None if solution is None else (solution[:n], solution[n:])
 
 
-def _min_qnorm_affine(q: Mat, rows: list[Vec], rhs: list[Fraction]) -> Vec | None:
-    """Minimize d^T q d subject to rows . d = rhs, exactly, or None."""
-    solution = _kkt_solve(q, rows, (Fraction(0),) * len(q), rhs)
-    return None if solution is None else solution[0]
-
-
 def min_qnorm_over_polyhedron(
     q: Mat, ineqs: list[tuple[Vec, Fraction]], eqs: list[Vec]
 ) -> Vec | None:
@@ -326,8 +321,9 @@ def min_qnorm_over_polyhedron(
 def nearest_point_interior(points, gram: Mat | None = None) -> Vec:
     """The unique gram-nearest point of the convex hull to the origin.
 
-    Enumerates affinely independent subsets (Caratheodory), solves each
-    equality-constrained projection exactly, and keeps the feasible best.
+    By duality it is d / (d^T q d) for the minimizer d of d^T q d over
+    {(q p_i).d >= 1}; when that polyhedron is empty, the origin lies in the
+    hull (Gordan's theorem) and is the answer.
     """
     pts = [linalg.vec(p) for p in points]
     if not pts:
@@ -336,34 +332,11 @@ def nearest_point_interior(points, gram: Mat | None = None) -> Vec:
     if any(len(p) != n for p in pts):
         raise DimensionError("points must share a dimension")
     q = gram if gram is not None else linalg.identity(n)
-
-    best: tuple[Fraction, Vec] | None = None
-    for size in range(1, n + 2):
-        for subset in itertools.combinations(range(len(pts)), size):
-            chosen = [pts[i] for i in subset]
-            base = chosen[0]
-            diffs = tuple(
-                tuple(a - b for a, b in zip(p, base)) for p in chosen[1:]
-            )
-            if diffs and linalg.rank(diffs) < len(diffs):
-                continue  # affinely dependent; a smaller subset covers it
-            # variables t_i; y = sum t_i p_i; minimize y^T q y s.t. sum t = 1
-            p_mat = linalg.transpose(tuple(chosen))
-            gram_t = linalg.mat_mul(
-                linalg.mat_mul(tuple(chosen), q), p_mat
-            )
-            ones = tuple(Fraction(1) for _ in chosen)
-            t = _min_qnorm_affine(gram_t, [ones], [Fraction(1)])
-            if t is None or any(x < 0 for x in t):
-                continue
-            y = tuple(
-                sum(t[k] * chosen[k][i] for k in range(len(chosen))) for i in range(n)
-            )
-            value = linalg.dot(y, linalg.mat_vec(q, y))
-            if best is None or value < best[0]:
-                best = (value, y)
-    assert best is not None  # size-1 subsets always feasible
-    return best[1]
+    d = min_qnorm_over_polyhedron(q, [(linalg.mat_vec(q, p), Fraction(1)) for p in pts], [])
+    if d is None:
+        return (Fraction(0),) * n
+    value = linalg.dot(d, linalg.mat_vec(q, d))
+    return tuple(x / value for x in d)
 
 
 # ---------------------------------------------------------------------------
@@ -494,20 +467,16 @@ class SearchConfig:
         group: GroupSpec,
         exponent_box: int = 4,
         shear_values=(),
-        include_weyl: bool = True,
         oracle_mode: bool = False,
         normalizer_samples=(),
-        extra_frames=(),
     ) -> "SearchConfig":
         """Weyl representatives composed with elementary shears."""
         frames: list[Mat] = [group.identity()]
-        weyl = group.weyl_representatives() if include_weyl else (group.identity(),)
         shears = group.shears(shear_values) if shear_values else ()
-        for w in weyl:
+        for w in group.weyl_representatives():
             frames.append(w)
             for sh in shears:
                 frames.append(linalg.mat_mul(w, sh))
-        frames.extend(linalg.mat(g) for g in extra_frames)
         return SearchConfig(
             group,
             exponent_box,
@@ -782,10 +751,13 @@ def is_cochar_closed(v: Point, cfg: SearchConfig) -> CocharClosedVerdict:
     """Semi-decide closedness of the rational orbit of a matrix tuple.
 
     Enumerates cocharacters frame by frame; within a frame only the weak
-    ordering of the exponents matters for limits and radical membership, so
-    one primitive representative per admissible ordering in the box is
-    examined.  A failed conjugator search is a sound witness: rational
-    conjugacy of the limit would force a radical conjugator.
+    ordering of the exponents within each factor block matters for limits
+    and radical membership, so one primitive representative per admissible
+    ordering in the box is examined, and on a product group one per
+    combination of block orderings.  A failed conjugator search is a sound
+    witness: rational conjugacy of the limit would force a radical
+    conjugator.  On a product group the tuple must be block-diagonal;
+    otherwise UnsupportedRepresentationError is raised.
     """
     rep = v.rep
     if not isinstance(rep, ConjugationTuples):
@@ -837,66 +809,73 @@ def _frame_cocharacters(mats, cfg: SearchConfig):
 
 
 def admissible_exponents(group: GroupSpec, box: int, pattern) -> list[tuple[int, ...]]:
-    """Primitive exponent vectors in the box admissible for a zero pattern,
-    one canonical representative per weak ordering of the coordinates.
+    """Primitive exponent vectors in the box admissible for a zero pattern:
+    one canonical representative per combination of weak orderings of the
+    factor blocks, all blocks constant excepted.
 
-    ``pattern`` holds pairs (i, j) that force d_i >= d_j.  Limits, radical
-    membership, and conjugator existence depend only on the ordering, so
-    this collapse loses nothing.
+    ``pattern`` holds pairs (i, j) that force d_i >= d_j; each pair must lie
+    within one factor block, as it does for block-diagonal tuples.  Limits,
+    radical membership and conjugator existence then depend only on the
+    ordering within each block, so this collapse loses nothing.  A block's
+    representative is its centred levels (GL) or m * level - total (SL),
+    made primitive; orderings whose representative leaves the box are
+    dropped.  Blocks combine in block order, the last varying fastest, and
+    each block's orderings come in lexicographic order of their rank vectors.
     """
-    m = group.dimension
-    if len(group.factors) == 1:
-        out = []
-        for ranks in _rank_vectors(m):
-            k = max(ranks) + 1
-            if k == 1:
-                continue  # central directions never move anything
-            if any(ranks[i] > ranks[j] for i, j in pattern):
-                continue
-            d = _canonical_exponents(group, ranks, k)
-            if d is None or any(abs(x) > box for x in d):
-                continue
-            out.append(d)
-        return out
-    seen = set()
+    blocks = group.block_slices
+    owner = [b for b, block in enumerate(blocks) for _ in block]
+    if any(owner[i] != owner[j] for i, j in pattern):
+        raise UnsupportedRepresentationError(
+            "an entry off the block diagonal of a product group; the cocharacter "
+            "search handles block-diagonal tuples only"
+        )
+    per_block = []
+    for f, block in zip(group.factors, blocks):
+        local = [(i - block.start, j - block.start) for i, j in pattern if i in block and j in block]
+        per_block.append(
+            [
+                d
+                for ranks, d in _block_representatives(f.family, len(block), box)
+                if all(ranks[i] <= ranks[j] for i, j in local)
+            ]
+        )
+    return [sum(combo, ()) for combo in itertools.product(*per_block) if any(map(any, combo))]
+
+
+@functools.cache
+def _block_representatives(family: str, m: int, box: int):
+    """(rank vector, representative) of each weak ordering of one block of
+    size m whose representative lies in the box, in lexicographic order of
+    the rank vectors; the constant ordering comes first, as zero."""
     out = []
-    for d in _box_vectors(group, box):
-        if any(d[i] < d[j] for i, j in pattern):
-            continue
-        order = {x: r for r, x in enumerate(sorted(set(d), reverse=True))}
-        sig = tuple(order[x] for x in d)
-        if max(sig) == 0:
-            continue
-        if sig in seen:
-            continue
-        seen.add(sig)
-        out.append(d)
-    return out
-
-
-def _rank_vectors(m: int):
-    """All weak orderings of m coordinates as contiguous rank vectors."""
-    for ranks in itertools.product(range(m), repeat=m):
+    for ranks in _weak_orderings(m):
         k = max(ranks) + 1
-        if set(ranks) == set(range(k)):
-            yield ranks
+        levels = [k - 1 - r for r in ranks]
+        if family == "GL":
+            d = [lv - (k - 1) // 2 for lv in levels]  # centred to fit a small box
+        else:
+            total = sum(levels)
+            d = [m * lv - total for lv in levels]
+        g = gcd(*d)
+        if g > 1:
+            d = [x // g for x in d]
+        if all(abs(x) <= box for x in d):
+            out.append((ranks, tuple(d)))
+    return tuple(out)
 
 
-def _canonical_exponents(group: GroupSpec, ranks, k: int) -> tuple[int, ...] | None:
-    m = group.dimension
-    f = group.factors[0]
-    levels = [k - 1 - r for r in ranks]
-    if f.family == "GL":
-        shift = (k - 1) // 2  # center the levels to fit a small box
-        d = tuple(lv - shift for lv in levels)
-    else:
-        total = sum(levels)
-        d = tuple(m * lv - total for lv in levels)
-        if all(x == 0 for x in d):
-            return None
-    g = 0
-    for x in d:
-        g = gcd(g, abs(x))
-    if g > 1:
-        d = tuple(x // g for x in d)
-    return d
+def _weak_orderings(m: int):
+    """Rank vectors (ranks 0..k-1, each used) of the weak orderings of m
+    coordinates in lexicographic order, built coordinate by coordinate."""
+
+    def extend(prefix: tuple[int, ...], used: frozenset[int]):
+        if len(prefix) == m:
+            yield prefix
+            return
+        for r in range(m):
+            now = used | {r}
+            # the ranks skipped so far must fit in the coordinates left
+            if max(now) + 1 - len(now) <= m - 1 - len(prefix):
+                yield from extend(prefix + (r,), now)
+
+    return extend((), frozenset())

@@ -264,6 +264,26 @@ def test_cli_schema_error_exit(tmp_path, docs):
     assert code == 2
 
 
+@pytest.mark.parametrize(
+    "config, field",
+    [
+        ({"shear_values": 3}, "shear_values"),
+        ({"exponent_box": True}, "exponent_box"),
+        ({"shear_values": [True, 2]}, "shear_values"),
+    ],
+)
+def test_cli_config_schema_errors(tmp_path, docs, config, field):
+    path = tmp_path / "bad_config.json"
+    path.write_text(json.dumps(config))
+    code, report = run_cli(
+        tmp_path,
+        ["gcr", "--group", docs["group_gl2"], "--input", docs["subgroup"], "--config", str(path)],
+    )
+    assert code == 2
+    assert report["error"]["kind"] == "schema"
+    assert f"$.{field}" in report["error"]["message"]
+
+
 def test_cli_precondition_exit(tmp_path, docs):
     inp = tmp_path / "nolimit.json"
     inp.write_text(

@@ -2,12 +2,14 @@ import itertools
 import random
 import time
 from fractions import Fraction as F
+from math import gcd
 
 import pytest
 
 from destab import (
     Cocharacter,
     ConjugationTuples,
+    DimensionError,
     GroupSpec,
     InvariantViolation,
     LimitMembershipError,
@@ -28,10 +30,10 @@ from destab import (
     optimize_torus,
     vanishing_order,
 )
-from destab import linalg, support
+from destab import UnsupportedRepresentationError, instability, linalg, support
 from destab.instability import (
     _box_vectors,
-    _min_qnorm_affine,
+    _kkt_solve,
     admissible_exponents,
     min_qnorm_over_polyhedron,
 )
@@ -230,6 +232,46 @@ def test_optimize_torus_matches_brute_force_on_random_sets():
 # Nearest point
 
 
+def _enumerated_nearest_point(points, gram=None):
+    """Reference: the Caratheodory enumeration the dual QP replaced.
+
+    Enumerates affinely independent subsets, solves each
+    equality-constrained projection exactly, and keeps the feasible best.
+    """
+    pts = [linalg.vec(p) for p in points]
+    n = len(pts[0])
+    q = gram if gram is not None else linalg.identity(n)
+
+    best = None
+    for size in range(1, n + 2):
+        for subset in itertools.combinations(range(len(pts)), size):
+            chosen = [pts[i] for i in subset]
+            base = chosen[0]
+            diffs = tuple(
+                tuple(a - b for a, b in zip(p, base)) for p in chosen[1:]
+            )
+            if diffs and linalg.rank(diffs) < len(diffs):
+                continue  # affinely dependent; a smaller subset covers it
+            # variables t_i; y = sum t_i p_i; minimize y^T q y s.t. sum t = 1
+            p_mat = linalg.transpose(tuple(chosen))
+            gram_t = linalg.mat_mul(
+                linalg.mat_mul(tuple(chosen), q), p_mat
+            )
+            ones = tuple(F(1) for _ in chosen)
+            solution = _kkt_solve(gram_t, [ones], (F(0),) * len(chosen), [F(1)])
+            if solution is None or any(x < 0 for x in solution[0]):
+                continue
+            t = solution[0]
+            y = tuple(
+                sum(t[k] * chosen[k][i] for k in range(len(chosen))) for i in range(n)
+            )
+            value = linalg.dot(y, linalg.mat_vec(q, y))
+            if best is None or value < best[0]:
+                best = (value, y)
+    assert best is not None  # size-1 subsets always feasible
+    return best[1]
+
+
 def test_nearest_point_examples():
     assert nearest_point_interior([(2, 0), (0, 2)]) == (F(1), F(1))
     assert nearest_point_interior([(3, 1)]) == (F(3), F(1))
@@ -258,6 +300,35 @@ def test_nearest_point_custom_gram():
     out = nearest_point_interior([(2, 0), (0, 2)], gram)
     # minimize 2a^2 + b^2 on the segment a + b = 2: a = 2/3, b = 4/3
     assert out == (F(2, 3), F(4, 3))
+
+
+def test_nearest_point_matches_enumeration_on_seeded_sets():
+    rng = random.Random(19)
+    seen = dict(origin=0, gram=0, dup=0)
+    for i in range(120):
+        n = 1 + i % 3
+        q = linalg.identity(n)
+        if rng.random() < 0.5:
+            b = [[rng.randint(-2, 2) for _ in range(n)] for _ in range(n)]
+            q = linalg.mat(
+                [[sum(b[k][i] * b[k][j] for k in range(n)) + (i == j) for j in range(n)] for i in range(n)]
+            )
+        pts = [tuple(rng.randint(-2, 3) for _ in range(n)) for _ in range(rng.randint(1, 5))]
+        if rng.random() < 0.3:
+            pts.append(rng.choice(pts))
+        out = nearest_point_interior(pts, q)
+        assert out == _enumerated_nearest_point(pts, q)
+        seen["origin"] += not any(out)
+        seen["gram"] += q != linalg.identity(n)
+        seen["dup"] += len(set(pts)) < len(pts)
+    assert all(count >= 10 for count in seen.values()), seen
+
+
+def test_nearest_point_rejects_bad_input():
+    with pytest.raises(PreconditionError):
+        nearest_point_interior([])
+    with pytest.raises(DimensionError):
+        nearest_point_interior([(1, 0), (1,)])
 
 
 def test_min_qnorm_polyhedron_infeasible():
@@ -290,9 +361,10 @@ def _enumerated_min_qnorm(q, ineqs, eqs):
         for subset in itertools.combinations(indices, size):
             rows = list(eqs) + [unique_ineqs[i][0] for i in subset]
             rhs = [F(0)] * len(eqs) + [unique_ineqs[i][1] for i in subset]
-            d = _min_qnorm_affine(q, rows, rhs)
-            if d is None:
+            solution = _kkt_solve(q, rows, (F(0),) * n, rhs)
+            if solution is None:
                 continue
+            d = solution[0]
             if any(linalg.dot(g, d) < c for g, c in unique_ineqs):
                 continue
             value = linalg.dot(d, linalg.mat_vec(q, d))
@@ -484,7 +556,7 @@ def test_optimizer_duality_with_nearest_point():
         if out is None or out.trivial:
             continue
         supports = sorted({chi.weights for chi in support(pt)})
-        nearest = nearest_point_interior(supports)
+        nearest = _enumerated_nearest_point(supports)
         assert out.value_sq == linalg.dot(nearest, nearest)
 
 
@@ -621,6 +693,10 @@ def _signature(d):
     return tuple(order[x] for x in d)
 
 
+def _block_signatures(group, d):
+    return tuple(_signature(d[block.start : block.stop]) for block in group.block_slices)
+
+
 @pytest.mark.parametrize(
     "group,box",
     [
@@ -633,28 +709,162 @@ def _signature(d):
     ],
 )
 def test_admissible_exponents_cover_all_box_signatures(group, box):
+    # one entry per combination of block orderings that some box vector
+    # has; on a single factor the block signature is the whole signature
     rng = random.Random(71)
-    m = group.dimension
+    pairs = [(i, j) for block in group.block_slices for i in block for j in block if i != j]
     patterns = [set(), {(0, 1)}, {(0, 1), (1, 0)}]
     for _ in range(10):
-        patterns.append(
-            {
-                (i, j)
-                for i in range(m)
-                for j in range(m)
-                if i != j and rng.random() < 0.4
-            }
-        )
+        patterns.append({p for p in pairs if rng.random() < 0.4})
     for pattern in patterns:
-        enumerated = {
-            _signature(d) for d in admissible_exponents(group, box, pattern)
-        }
+        listed = [_block_signatures(group, d) for d in admissible_exponents(group, box, pattern)]
+        assert len(set(listed)) == len(listed)
         raw = set()
         for d in _box_vectors(group, box):
             if any(d[i] < d[j] for i, j in pattern):
                 continue
-            sig = _signature(d)
-            if max(sig) == 0:
+            sig = _block_signatures(group, d)
+            if all(max(block) == 0 for block in sig):
                 continue
             raw.add(sig)
-        assert enumerated == raw
+        assert set(listed) == raw
+
+
+def _reference_admissible_exponents(group, box, pattern):
+    """Reference: the rank scan (one factor) and box scan (product groups)
+    that the per-block enumeration replaced."""
+    m = group.dimension
+    if len(group.factors) == 1:
+        out = []
+        for ranks in _rank_vectors(m):
+            k = max(ranks) + 1
+            if k == 1:
+                continue  # central directions never move anything
+            if any(ranks[i] > ranks[j] for i, j in pattern):
+                continue
+            d = _canonical_exponents(group, ranks, k)
+            if d is None or any(abs(x) > box for x in d):
+                continue
+            out.append(d)
+        return out
+    seen = set()
+    out = []
+    for d in _box_vectors(group, box):
+        if any(d[i] < d[j] for i, j in pattern):
+            continue
+        order = {x: r for r, x in enumerate(sorted(set(d), reverse=True))}
+        sig = tuple(order[x] for x in d)
+        if max(sig) == 0:
+            continue
+        if sig in seen:
+            continue
+        seen.add(sig)
+        out.append(d)
+    return out
+
+
+def _rank_vectors(m):
+    """All weak orderings of m coordinates as contiguous rank vectors."""
+    for ranks in itertools.product(range(m), repeat=m):
+        k = max(ranks) + 1
+        if set(ranks) == set(range(k)):
+            yield ranks
+
+
+def _canonical_exponents(group, ranks, k):
+    m = group.dimension
+    f = group.factors[0]
+    levels = [k - 1 - r for r in ranks]
+    if f.family == "GL":
+        shift = (k - 1) // 2  # center the levels to fit a small box
+        d = tuple(lv - shift for lv in levels)
+    else:
+        total = sum(levels)
+        d = tuple(m * lv - total for lv in levels)
+        if all(x == 0 for x in d):
+            return None
+    g = 0
+    for x in d:
+        g = gcd(g, abs(x))
+    if g > 1:
+        d = tuple(x // g for x in d)
+    return d
+
+
+@pytest.mark.parametrize("family", ["GL", "SL"])
+def test_admissible_exponents_match_reference_on_single_factors(family):
+    # every pattern for m <= 3, seeded patterns above; order included
+    rng = random.Random(83)
+    for m in range(1, 6):
+        group = GroupSpec.make((family, m))
+        pairs = [(i, j) for i in range(m) for j in range(m) if i != j]
+        if m <= 3:
+            patterns = [set(c) for r in range(len(pairs) + 1) for c in itertools.combinations(pairs, r)]
+        else:
+            patterns = [set()] + [
+                {p for p in pairs if rng.random() < q} for q in (0.1, 0.2, 0.3, 0.5) for _ in range(8)
+            ]
+        for box in (1, 2, 4):
+            for pattern in patterns:
+                expected = _reference_admissible_exponents(group, box, pattern)
+                assert admissible_exponents(group, box, pattern) == expected
+
+
+def _block_diagonal_matrix(rng, group):
+    """Per block: upper triangular, full, or diagonal, with small entries."""
+    m = group.dimension
+    h = [[0] * m for _ in range(m)]
+    for block in group.block_slices:
+        kind = rng.random()
+        for i in block:
+            for j in block:
+                if i == j:
+                    h[i][j] = rng.choice((1, 1, 2, -1))
+                elif (kind < 0.4 and i < j) or kind >= 0.8:
+                    h[i][j] = rng.choice((0, 1, -1, 2))
+    return h
+
+
+def test_is_cochar_closed_product_groups_match_reference(monkeypatch):
+    # the dropped product-group entries differ from kept ones only in how
+    # the blocks are ordered against each other, which no block-diagonal
+    # tuple sees: the verdict never moves
+    shapes = [
+        (("GL", 2), ("GL", 2)),
+        (("GL", 2), ("SL", 2)),
+        (("SL", 2), ("GL", 2)),
+        (("GL", 3), ("GL", 1)),
+    ]
+    rng = random.Random(11)
+    seen = dict(closed=0, open=0, shrunk=0)
+    for k in range(60):
+        group = GroupSpec.make(*shapes[k % len(shapes)])
+        rep = ConjugationTuples(group, rng.randint(1, 2))
+        cfg = SearchConfig.default(group, exponent_box=1)
+        # a block frame of the searched family, so that some tuples are caught
+        frame = rng.choice(cfg.conjugation_family)
+        inv = linalg.inverse(frame)
+        mats = [
+            linalg.mat_mul(linalg.mat_mul(frame, linalg.mat(_block_diagonal_matrix(rng, group))), inv)
+            for _ in range(rep.count)
+        ]
+        v = rep.point(mats)
+        new = is_cochar_closed(v, cfg)
+        with monkeypatch.context() as patched:
+            patched.setattr(instability, "admissible_exponents", _reference_admissible_exponents)
+            old = is_cochar_closed(v, cfg)
+        assert new.closed == old.closed
+        if new.closed:  # a full search; an open verdict stops at its witness
+            assert len(new.examined) <= len(old.examined)
+        seen["closed" if new.closed else "open"] += 1
+        seen["shrunk"] += len(new.examined) < len(old.examined)
+    assert all(count >= 10 for count in seen.values()), seen
+
+
+def test_is_cochar_closed_rejects_off_block_entries():
+    # an entry between two factor blocks: the block orderings alone do not
+    # decide its limit, so the search refuses rather than miss a witness
+    prod = GroupSpec.make(("GL", 1), ("GL", 1))
+    v = ConjugationTuples(prod, 1).point([[[1, 1], [0, 1]]])
+    with pytest.raises(UnsupportedRepresentationError):
+        is_cochar_closed(v, SearchConfig.default(prod))
