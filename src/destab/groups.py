@@ -219,17 +219,12 @@ class TorusCocharacter:
 
     @property
     def is_primitive(self) -> bool:
-        g = 0
-        for d in self.exponents:
-            g = gcd(g, abs(d))
-        return g == 1
+        return gcd(*self.exponents) == 1
 
     def primitive(self) -> "TorusCocharacter":
         if self.is_zero:
             return self
-        g = 0
-        for d in self.exponents:
-            g = gcd(g, abs(d))
+        g = gcd(*self.exponents)
         return TorusCocharacter(self.group, tuple(d // g for d in self.exponents))
 
     def scaled(self, k: int) -> "TorusCocharacter":

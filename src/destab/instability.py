@@ -706,21 +706,10 @@ def _oracle_best_value(frame_forms, group: GroupSpec, box: int) -> Fraction | No
 
 def _box_vectors(group: GroupSpec, box: int):
     """Primitive integer exponent vectors in the box, SL sums zero."""
-    m = group.dimension
-    sl_blocks = [
-        block for f, block in zip(group.factors, group.block_slices) if f.family == "SL"
-    ]
-    for d in itertools.product(range(-box, box + 1), repeat=m):
-        if all(x == 0 for x in d):
-            continue
-        g = 0
-        for x in d:
-            g = gcd(g, abs(x))
-        if g != 1:
-            continue
-        if any(sum(d[i] for i in block) != 0 for block in sl_blocks):
-            continue
-        yield d
+    sl_blocks = [b for f, b in zip(group.factors, group.block_slices) if f.family == "SL"]
+    for d in itertools.product(range(-box, box + 1), repeat=group.dimension):
+        if gcd(*d) == 1 and all(sum(d[b.start : b.stop]) == 0 for b in sl_blocks):
+            yield d
 
 
 # ---------------------------------------------------------------------------
@@ -754,10 +743,10 @@ def is_cochar_closed(v: Point, cfg: SearchConfig) -> CocharClosedVerdict:
     ordering of the exponents within each factor block matters for limits
     and radical membership, so one primitive representative per admissible
     ordering in the box is examined, and on a product group one per
-    combination of block orderings.  A failed conjugator search is a sound
-    witness: rational conjugacy of the limit would force a radical
-    conjugator.  On a product group the tuple must be block-diagonal;
-    otherwise UnsupportedRepresentationError is raised.
+    combination of block orderings (split further by which entries between
+    two blocks survive in the limit, when the tuple has such entries).  A
+    failed conjugator search is a sound witness: rational conjugacy of the
+    limit would force a radical conjugator.
     """
     rep = v.rep
     if not isinstance(rep, ConjugationTuples):
@@ -809,44 +798,49 @@ def _frame_cocharacters(mats, cfg: SearchConfig):
 
 
 def admissible_exponents(group: GroupSpec, box: int, pattern) -> list[tuple[int, ...]]:
-    """Primitive exponent vectors in the box admissible for a zero pattern:
-    one canonical representative per combination of weak orderings of the
-    factor blocks, all blocks constant excepted.
+    """Primitive exponent vectors in the box admissible for a zero pattern,
+    ``pattern`` holding pairs (i, j) that force d_i >= d_j.
 
-    ``pattern`` holds pairs (i, j) that force d_i >= d_j; each pair must lie
-    within one factor block, as it does for block-diagonal tuples.  Limits,
-    radical membership and conjugator existence then depend only on the
-    ordering within each block, so this collapse loses nothing.  A block's
-    representative is its centred levels (GL) or m * level - total (SL),
-    made primitive; orderings whose representative leaves the box are
-    dropped.  Blocks combine in block order, the last varying fastest, and
-    each block's orderings come in lexicographic order of their rank vectors.
+    Limits, radical membership and conjugator existence depend only on the
+    weak ordering within each factor block and on which pattern pairs
+    between two blocks have d_i = d_j, so one entry per such signature
+    loses nothing; all blocks constant and all such pairs equal is skipped.
+    A block's representative is its centred levels (GL) or m * level - total
+    (SL), made primitive; past the box it is dropped on a single factor and
+    replaced by the first primitive block vector in the box with that
+    ordering on a product group.  With a pair between blocks, each block
+    runs through all its box vectors instead.  Blocks combine in block order,
+    the last varying fastest, each in lexicographic order of rank vectors.
     """
     blocks = group.block_slices
-    owner = [b for b, block in enumerate(blocks) for _ in block]
-    if any(owner[i] != owner[j] for i, j in pattern):
-        raise UnsupportedRepresentationError(
-            "an entry off the block diagonal of a product group; the cocharacter "
-            "search handles block-diagonal tuples only"
-        )
+    crossing = [(i, j) for i, j in pattern if len(blocks) > 1 and group.block_of(i) != group.block_of(j)]
     per_block = []
     for f, block in zip(group.factors, blocks):
+        if crossing:
+            choices = _block_vectors(f.family, len(block), box)
+        else:
+            choices = _block_representatives(f.family, len(block), box, len(blocks) > 1)
         local = [(i - block.start, j - block.start) for i, j in pattern if i in block and j in block]
-        per_block.append(
-            [
-                d
-                for ranks, d in _block_representatives(f.family, len(block), box)
-                if all(ranks[i] <= ranks[j] for i, j in local)
-            ]
-        )
-    return [sum(combo, ()) for combo in itertools.product(*per_block) if any(map(any, combo))]
+        per_block.append([d for d in choices if all(d[i] >= d[j] for i, j in local)])
+    combos = itertools.product(*per_block)
+    if not crossing:  # each combination is its own signature
+        return [sum(combo, ()) for combo in combos if any(map(any, combo))]
+    out = {}
+    for combo in combos:
+        d = sum(combo, ())
+        if any(d[i] < d[j] for i, j in crossing):
+            continue
+        key = (tuple(map(_ranks, combo)), tuple(d[i] == d[j] for i, j in crossing))
+        if any(map(any, key[0])) or not all(key[1]):  # something moves
+            out.setdefault(key, tuple(x // gcd(*d) for x in d))
+    return list(out.values())
 
 
 @functools.cache
-def _block_representatives(family: str, m: int, box: int):
-    """(rank vector, representative) of each weak ordering of one block of
-    size m whose representative lies in the box, in lexicographic order of
-    the rank vectors; the constant ordering comes first, as zero."""
+def _block_representatives(family: str, m: int, box: int, complete: bool):
+    """Per weak ordering of one block of size m, in lexicographic order of
+    rank vectors (constant first, as zero), its representative in the box;
+    ``complete`` replaces one past the box as admissible_exponents says."""
     out = []
     for ranks in _weak_orderings(m):
         k = max(ranks) + 1
@@ -859,9 +853,35 @@ def _block_representatives(family: str, m: int, box: int):
         g = gcd(*d)
         if g > 1:
             d = [x // g for x in d]
+        if complete and any(abs(x) > box for x in d):
+            d = _first_block_vectors(family, m, box).get(ranks, d)
         if all(abs(x) <= box for x in d):
-            out.append((ranks, tuple(d)))
+            out.append(tuple(d))
     return tuple(out)
+
+
+@functools.cache
+def _first_block_vectors(family: str, m: int, box: int) -> dict:
+    """The first primitive block vector in the box with each rank vector."""
+    first: dict = {}
+    for d in _block_vectors(family, m, box):
+        if gcd(*d) == 1:
+            first.setdefault(_ranks(d), d)
+    return first
+
+
+def _block_vectors(family: str, m: int, box: int):
+    """Integer vectors of one block in the box, SL sums zero, in
+    lexicographic order."""
+    for d in itertools.product(range(-box, box + 1), repeat=m):
+        if family == "GL" or sum(d) == 0:
+            yield d
+
+
+def _ranks(d) -> tuple[int, ...]:
+    """The rank vector of the weak ordering of d, rank 0 the largest."""
+    levels = sorted(set(d), reverse=True)
+    return tuple(levels.index(x) for x in d)
 
 
 def _weak_orderings(m: int):

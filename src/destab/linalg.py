@@ -8,7 +8,7 @@ are tiny (at most a few dozen rows), so clarity beats asymptotics.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 from typing import Iterable, Sequence
 
 Vec = tuple[Fraction, ...]
@@ -235,11 +235,7 @@ def primitive_direction(v: Sequence[Fraction]) -> tuple[int, ...]:
     fr = [frac(x) for x in v]
     if all(x == 0 for x in fr):
         raise ValueError("zero vector has no primitive direction")
-    denom = 1
-    for x in fr:
-        denom = denom * x.denominator // gcd(denom, x.denominator)
+    denom = lcm(*(x.denominator for x in fr))
     ints = [int(x * denom) for x in fr]
-    g = 0
-    for x in ints:
-        g = gcd(g, abs(x))
+    g = gcd(*ints)
     return tuple(x // g for x in ints)

@@ -697,6 +697,13 @@ def _block_signatures(group, d):
     return tuple(_signature(d[block.start : block.stop]) for block in group.block_slices)
 
 
+def _search_signature(group, d, pattern):
+    """The ordering of each block, and which pattern pairs between two
+    blocks are tight."""
+    crossing = sorted((i, j) for i, j in pattern if group.block_of(i) != group.block_of(j))
+    return _block_signatures(group, d), tuple(d[i] == d[j] for i, j in crossing)
+
+
 @pytest.mark.parametrize(
     "group,box",
     [
@@ -706,25 +713,33 @@ def _block_signatures(group, d):
         (SL2, 4),
         (GroupSpec.make(("SL", 3)), 4),
         (GroupSpec.make(("GL", 2), ("SL", 2)), 3),
+        (GroupSpec.make(("GL", 1), ("SL", 4)), 2),
+        (GroupSpec.make(("GL", 1), ("SL", 4)), 4),
     ],
 )
 def test_admissible_exponents_cover_all_box_signatures(group, box):
-    # one entry per combination of block orderings that some box vector
-    # has; on a single factor the block signature is the whole signature
+    # one entry per search signature that some box vector has; on a single
+    # factor that is the whole ordering.  Product groups also get patterns
+    # with pairs between blocks.
     rng = random.Random(71)
-    pairs = [(i, j) for block in group.block_slices for i in block for j in block if i != j]
+    m = group.dimension
+    within = [(i, j) for block in group.block_slices for i in block for j in block if i != j]
     patterns = [set(), {(0, 1)}, {(0, 1), (1, 0)}]
     for _ in range(10):
-        patterns.append({p for p in pairs if rng.random() < 0.4})
+        patterns.append({p for p in within if rng.random() < 0.4})
+    if len(group.factors) > 1:
+        everywhere = [(i, j) for i in range(m) for j in range(m) if i != j]
+        for _ in range(10):
+            patterns.append({p for p in everywhere if rng.random() < 0.2})
     for pattern in patterns:
-        listed = [_block_signatures(group, d) for d in admissible_exponents(group, box, pattern)]
+        listed = [_search_signature(group, d, pattern) for d in admissible_exponents(group, box, pattern)]
         assert len(set(listed)) == len(listed)
         raw = set()
         for d in _box_vectors(group, box):
             if any(d[i] < d[j] for i, j in pattern):
                 continue
-            sig = _block_signatures(group, d)
-            if all(max(block) == 0 for block in sig):
+            sig = _search_signature(group, d, pattern)
+            if all(max(block) == 0 for block in sig[0]) and all(sig[1]):
                 continue
             raw.add(sig)
         assert set(listed) == raw
@@ -861,10 +876,55 @@ def test_is_cochar_closed_product_groups_match_reference(monkeypatch):
     assert all(count >= 10 for count in seen.values()), seen
 
 
-def test_is_cochar_closed_rejects_off_block_entries():
-    # an entry between two factor blocks: the block orderings alone do not
-    # decide its limit, so the search refuses rather than miss a witness
+def _closed_with_reference(v, cfg, monkeypatch):
+    new = is_cochar_closed(v, cfg)
+    with monkeypatch.context() as patched:
+        patched.setattr(instability, "admissible_exponents", _reference_admissible_exponents)
+        old = is_cochar_closed(v, cfg)
+    assert new.closed == old.closed
+    return new.closed
+
+
+def test_is_cochar_closed_sl4_block_matches_reference(monkeypatch):
+    # on SL_4, m * level - total leaves the box for some orderings that a
+    # smaller box vector has; a product group keeps them, as the box scan
+    # did.  Below, <e1, e2> is a Jordan block with an invariant complement
+    # off the coordinate planes: at box 2 only the flag <e1> < <e1, e2>
+    # catches it, with (2, 0, -1, -1) on the SL_4 block.
+    group = GroupSpec.make(("GL", 1), ("SL", 4))
+    rep = ConjugationTuples(group, 1)
+    h = [[1, 0, 0, 0, 0], [0, 1, 1, -1, 0], [0, 0, 1, -1, 1], [0, 0, 0, 0, 1], [0, 0, 0, 2, 0]]
+    for box in (2, 4):
+        cfg = SearchConfig.default(group, exponent_box=box)
+        assert not _closed_with_reference(rep.point([h]), cfg, monkeypatch)
+    rng = random.Random(17)
+    cfg = SearchConfig.default(group, exponent_box=2)
+    for _ in range(6):
+        mats = [_block_diagonal_matrix(rng, group) for _ in range(rng.randint(1, 2))]
+        _closed_with_reference(ConjugationTuples(group, len(mats)).point(mats), cfg, monkeypatch)
+
+
+def test_is_cochar_closed_off_block_entries_match_reference(monkeypatch):
+    # an entry between two factor blocks is decided by whether its two
+    # exponents are equal, which the search varies for such tuples
     prod = GroupSpec.make(("GL", 1), ("GL", 1))
     v = ConjugationTuples(prod, 1).point([[[1, 1], [0, 1]]])
-    with pytest.raises(UnsupportedRepresentationError):
-        is_cochar_closed(v, SearchConfig.default(prod))
+    assert not _closed_with_reference(v, SearchConfig.default(prod), monkeypatch)
+    shapes = [(("GL", 1), ("GL", 1)), (("GL", 1), ("GL", 2)), (("GL", 2), ("SL", 2))]
+    rng = random.Random(29)
+    seen = dict(closed=0, open=0, off_block=0)
+    for k in range(24):
+        group = GroupSpec.make(*shapes[k % len(shapes)])
+        m = group.dimension
+        mats = []
+        for _ in range(rng.randint(1, 2)):
+            h = _block_diagonal_matrix(rng, group)
+            i, j = rng.sample(range(m), 2)
+            if group.block_of(i) != group.block_of(j):
+                h[i][j] = rng.choice((1, -1))
+                seen["off_block"] += 1
+            mats.append(h)
+        cfg = SearchConfig.default(group, exponent_box=rng.choice((1, 2)))
+        closed = _closed_with_reference(ConjugationTuples(group, len(mats)).point(mats), cfg, monkeypatch)
+        seen["closed" if closed else "open"] += 1
+    assert all(count >= 5 for count in seen.values()), seen
