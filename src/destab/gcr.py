@@ -104,18 +104,28 @@ def _unflatten(v: Vec, m: int) -> Mat:
 
 
 def _span_closure(group: GroupSpec, seeds: list[Mat], multipliers: list[Mat]) -> tuple[Mat, ...]:
-    """Smallest span containing seeds and closed under right multiplication."""
-    m = group.dimension
-    basis_rows: list[Vec] = []
+    """Smallest span containing seeds and closed under right multiplication.
+
+    The accepted matrices are kept as an echelon basis of their flattened
+    entries: each row has a unit pivot and zeros at the pivots of the rows
+    before it, so a candidate lies in the span exactly when reducing it
+    against the rows in order leaves zero.
+    """
+    echelon: list[tuple[int, list[tuple[int, Fraction]]]] = []
     basis_mats: list[Mat] = []
 
     def try_add(x: Mat) -> bool:
-        flat = _flatten(x)
-        if basis_rows and linalg.in_row_space(flat, linalg.row_space(tuple(basis_rows))):
+        w = list(_flatten(x))
+        for pivot, terms in echelon:
+            f = w[pivot]
+            if f:
+                for j, y in terms:
+                    w[j] -= f * y
+        pivot = next((j for j, c in enumerate(w) if c), None)
+        if pivot is None:
             return False
-        if not basis_rows and all(c == 0 for c in flat):
-            return False
-        basis_rows.append(flat)
+        scale = 1 / w[pivot]
+        echelon.append((pivot, [(j, c * scale) for j, c in enumerate(w) if c]))
         basis_mats.append(x)
         return True
 

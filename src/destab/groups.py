@@ -280,6 +280,15 @@ class Cocharacter:
     def based(group: GroupSpec, base, exponents) -> "Cocharacter":
         return Cocharacter(linalg.mat(base), TorusCocharacter(group, tuple(exponents)))
 
+    @staticmethod
+    def _on_frame(group: GroupSpec, frame: Mat, frame_inverse: Mat, exponents) -> "Cocharacter":
+        """``based`` on a frame its caller has already checked and inverted."""
+        lam = object.__new__(Cocharacter)
+        object.__setattr__(lam, "base", frame)
+        object.__setattr__(lam, "torus", TorusCocharacter(group, tuple(exponents)))
+        object.__setattr__(lam, "_base_inv", frame_inverse)
+        return lam
+
     def conjugated_by(self, g: Mat) -> "Cocharacter":
         """The cocharacter g . self (left action on one-parameter subgroups)."""
         g = linalg.mat(g)

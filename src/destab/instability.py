@@ -23,7 +23,7 @@ from __future__ import annotations
 import enum
 import functools
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from math import gcd
 
@@ -49,8 +49,8 @@ from .parabolic import (
     MembershipClass,
     ParabolicDescriptor,
     _limit_pattern,
+    _radical_conjugator,
     classify,
-    find_ru_conjugator,
 )
 from .reps import ConjugationTuples, Point, Polynomial, Representation
 
@@ -444,6 +444,7 @@ class SearchConfig:
     conjugation_family: tuple[Mat, ...] = ()
     oracle_mode: bool = False
     normalizer_samples: tuple[Mat, ...] = ()
+    _frame_inverses: tuple[Mat, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.exponent_box < 1:
@@ -458,6 +459,7 @@ class SearchConfig:
             if g not in deduped:
                 deduped.append(g)
         object.__setattr__(self, "conjugation_family", tuple(deduped))
+        object.__setattr__(self, "_frame_inverses", tuple(map(linalg.inverse, deduped)))
         object.__setattr__(
             self, "normalizer_samples", tuple(linalg.mat(g) for g in self.normalizer_samples)
         )
@@ -747,6 +749,13 @@ def is_cochar_closed(v: Point, cfg: SearchConfig) -> CocharClosedVerdict:
     two blocks survive in the limit, when the tuple has such entries).  A
     failed conjugator search is a sound witness: rational conjugacy of the
     limit would force a radical conjugator.
+
+    The conjugator system is solved in the frame that already holds the
+    tuple and its limit, once per distinct cocharacter: the limit and the
+    radical depend on lambda alone, and lambda(2) determines lambda, so a
+    cocharacter met again in another frame after it received a conjugator
+    is only recorded in ``examined``.  The search stops at its first
+    failure, so this changes neither the verdict nor ``examined``.
     """
     rep = v.rep
     if not isinstance(rep, ConjugationTuples):
@@ -756,16 +765,19 @@ def is_cochar_closed(v: Point, cfg: SearchConfig) -> CocharClosedVerdict:
     if rep.group != cfg.group:
         raise DimensionError("configuration group differs from the representation group")
     examined: list[Cocharacter] = []
+    solved: set[Mat] = set()  # lambda(2) of each cocharacter with a conjugator
     for lam, tmats in _frame_cocharacters(rep.matrices(v), cfg):
         examined.append(lam)
         limit_t = [_limit_pattern(h, lam.torus.exponents) for h in tmats]
         if limit_t == tmats:
             continue  # the identity conjugator works
-        limit_mats = tuple(
-            linalg.mat_mul(linalg.mat_mul(lam.base, h), lam.base_inverse) for h in limit_t
-        )
-        u = find_ru_conjugator(v, rep.point(limit_mats), lam, rep)
-        if u is None:
+        key = lam.evaluate(2)
+        if key in solved:
+            continue
+        if _radical_conjugator(tmats, limit_t, lam) is None:
+            limit_mats = tuple(
+                linalg.mat_mul(linalg.mat_mul(lam.base, h), lam.base_inverse) for h in limit_t
+            )
             return CocharClosedVerdict(
                 False,
                 fold_permutation_base(lam),
@@ -773,6 +785,7 @@ def is_cochar_closed(v: Point, cfg: SearchConfig) -> CocharClosedVerdict:
                 tuple(examined),
                 cfg.exponent_box,
             )
+        solved.add(key)
     return CocharClosedVerdict(True, None, None, tuple(examined), cfg.exponent_box)
 
 
@@ -790,11 +803,10 @@ def _entry_pattern(mats) -> set[tuple[int, int]]:
 def _frame_cocharacters(mats, cfg: SearchConfig):
     """Frame by frame, each admissible cocharacter whose parabolic contains
     the tuple, with the tuple moved into that frame."""
-    for frame in cfg.conjugation_family:
-        inv = linalg.inverse(frame)
+    for frame, inv in zip(cfg.conjugation_family, cfg._frame_inverses):
         tmats = [linalg.mat_mul(linalg.mat_mul(inv, h), frame) for h in mats]
         for exps in admissible_exponents(cfg.group, cfg.exponent_box, _entry_pattern(tmats)):
-            yield Cocharacter.based(cfg.group, frame, exps), tmats
+            yield Cocharacter._on_frame(cfg.group, frame, inv, exps), tmats
 
 
 def admissible_exponents(group: GroupSpec, box: int, pattern) -> list[tuple[int, ...]]:
@@ -806,10 +818,10 @@ def admissible_exponents(group: GroupSpec, box: int, pattern) -> list[tuple[int,
     between two blocks have d_i = d_j, so one entry per such signature
     loses nothing; all blocks constant and all such pairs equal is skipped.
     A block's representative is its centred levels (GL) or m * level - total
-    (SL), made primitive; past the box it is dropped on a single factor and
-    replaced by the first primitive block vector in the box with that
-    ordering on a product group.  With a pair between blocks, each block
-    runs through all its box vectors instead.  Blocks combine in block order,
+    (SL), made primitive; past the box it is replaced by the first primitive
+    block vector in the box with that ordering, and the ordering is dropped
+    when the box has none.  With a pair between blocks, each block runs
+    through all its box vectors instead.  Blocks combine in block order,
     the last varying fastest, each in lexicographic order of rank vectors.
     """
     blocks = group.block_slices
@@ -819,7 +831,7 @@ def admissible_exponents(group: GroupSpec, box: int, pattern) -> list[tuple[int,
         if crossing:
             choices = _block_vectors(f.family, len(block), box)
         else:
-            choices = _block_representatives(f.family, len(block), box, len(blocks) > 1)
+            choices = _block_representatives(f.family, len(block), box)
         local = [(i - block.start, j - block.start) for i, j in pattern if i in block and j in block]
         per_block.append([d for d in choices if all(d[i] >= d[j] for i, j in local)])
     combos = itertools.product(*per_block)
@@ -837,10 +849,10 @@ def admissible_exponents(group: GroupSpec, box: int, pattern) -> list[tuple[int,
 
 
 @functools.cache
-def _block_representatives(family: str, m: int, box: int, complete: bool):
+def _block_representatives(family: str, m: int, box: int):
     """Per weak ordering of one block of size m, in lexicographic order of
-    rank vectors (constant first, as zero), its representative in the box;
-    ``complete`` replaces one past the box as admissible_exponents says."""
+    rank vectors (constant first, as zero), its representative in the box,
+    replaced or dropped past the box as admissible_exponents says."""
     out = []
     for ranks in _weak_orderings(m):
         k = max(ranks) + 1
@@ -853,7 +865,7 @@ def _block_representatives(family: str, m: int, box: int, complete: bool):
         g = gcd(*d)
         if g > 1:
             d = [x // g for x in d]
-        if complete and any(abs(x) > box for x in d):
+        if any(abs(x) > box for x in d):
             d = _first_block_vectors(family, m, box).get(ranks, d)
         if all(abs(x) <= box for x in d):
             out.append(tuple(d))

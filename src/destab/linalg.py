@@ -2,7 +2,11 @@
 
 All matrices are tuples of tuples of Fractions (immutable, hashable); all
 algorithms are plain fraction-free-enough Gaussian elimination.  Sizes here
-are tiny (at most a few dozen rows), so clarity beats asymptotics.
+are tiny (at most a few dozen rows), so clarity beats asymptotics, with one
+exception: ``mat_mul`` skips zero entries of both factors.  Most products
+move matrices into a search frame, a signed permutation times a shear, so
+nearly all their terms are zero; the sum of the nonzero terms is the same
+exact value.
 """
 
 from __future__ import annotations
@@ -61,13 +65,20 @@ def mat_scale(c: Fraction, a: Mat) -> Mat:
 
 
 def mat_mul(a: Mat, b: Mat) -> Mat:
-    n, k, m = len(a), len(b), len(b[0]) if b else 0
+    k, m = len(b), len(b[0]) if b else 0
     if a and len(a[0]) != k:
         raise DimensionMismatch(len(a[0]), k)
-    bt = list(zip(*b))
-    return tuple(
-        tuple(sum(x * y for x, y in zip(row, col)) for col in bt) for row in a
-    )
+    b_terms = [[(j, y) for j, y in enumerate(row) if y] for row in b]
+    out = []
+    for row in a:
+        acc: list[Fraction | None] = [None] * m
+        for x, terms in zip(row, b_terms):
+            if x:
+                for j, y in terms:
+                    s = acc[j]
+                    acc[j] = x * y if s is None else s + x * y
+        out.append(tuple(ZERO if s is None else s for s in acc))
+    return tuple(out)
 
 
 def mat_vec(a: Mat, v: Sequence[Fraction]) -> Vec:

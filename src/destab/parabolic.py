@@ -263,6 +263,37 @@ def _conjugator_system(hs, hs_prime, free) -> tuple[Mat, Vec]:
     return tuple(rows), tuple(rhs)
 
 
+def _radical_conjugator(hs, hs_prime, lam: Cocharacter) -> Mat | None:
+    """In the frame of lambda: u in R_u(P_lambda)(Q) with u h = h' u for
+    every pair of the two tuples, or None.
+
+    Both postconditions, the radical pattern and every product equation,
+    are re-checked exactly before u is handed out.
+    """
+    free = _radical_positions(lam)
+    rows, rhs = _conjugator_system(hs, hs_prime, free)
+    if rows:
+        solution = linalg.solve_affine(rows, rhs)
+        if solution is None:
+            return None
+    else:
+        solution = (Fraction(0),) * len(free)
+    ut = [list(row) for row in linalg.identity(lam.group.dimension)]
+    for (i, j), x in zip(free, solution):
+        ut[i][j] = x
+    ut = tuple(tuple(r) for r in ut)
+    if _classify_pattern(ut, lam.torus.exponents, linalg.identity(len(ut))) is not MembershipClass.IN_RU:
+        raise InvariantViolation("solved conjugator is not in the unipotent radical")
+    if not _intertwines(ut, hs, hs_prime):
+        raise InvariantViolation("solved conjugator does not map v to v'")
+    return ut
+
+
+def _intertwines(u: Mat, hs, hs_prime) -> bool:
+    """u h = h' u for every pair, that is u h u^-1 = h' for invertible u."""
+    return all(linalg.mat_mul(u, h) == linalg.mat_mul(hp, u) for h, hp in zip(hs, hs_prime))
+
+
 def find_ru_conjugator(
     v: Point, v_prime: Point, lam: Cocharacter, rep: ConjugationTuples | None = None
 ) -> Mat | None:
@@ -280,26 +311,19 @@ def find_ru_conjugator(
         )
     if v.rep != rep or v_prime.rep != rep:
         raise DimensionError("points must belong to the given representation")
-    hs = [_transport(h, lam) for h in rep.matrices(v)]
-    hs_prime = [_transport(h, lam) for h in rep.matrices(v_prime)]
-    free = _radical_positions(lam)
-    rows, rhs = _conjugator_system(hs, hs_prime, free)
-    if rows:
-        solution = linalg.solve_affine(rows, rhs)
-        if solution is None:
-            return None
-    else:
-        solution = (Fraction(0),) * len(free)
+    hs = rep.matrices(v)
+    hs_prime = rep.matrices(v_prime)
+    ut = _radical_conjugator(
+        [_transport(h, lam) for h in hs], [_transport(h, lam) for h in hs_prime], lam
+    )
+    if ut is None:
+        return None
+    u = linalg.mat_mul(linalg.mat_mul(lam.base, ut), lam.base_inverse)
 
-    ut = [list(row) for row in linalg.identity(lam.group.dimension)]
-    for (i, j), x in zip(free, solution):
-        ut[i][j] = x
-    u = linalg.mat_mul(linalg.mat_mul(lam.base, tuple(tuple(r) for r in ut)), lam.base_inverse)
-
-    # re-check both postconditions exactly before handing the witness out
+    # re-check both postconditions in the input coordinates
     if classify(u, lam) is not MembershipClass.IN_RU:
         raise InvariantViolation("solved conjugator is not in the unipotent radical")
-    if rep.act(u, v) != v_prime:
+    if not _intertwines(u, hs, hs_prime):
         raise InvariantViolation("solved conjugator does not map v to v'")
     return u
 

@@ -28,8 +28,9 @@ from destab import (
     radical_dim,
     reduce_to_gcr,
 )
-from destab import linalg
-from destab.gcr import algebra_of_tuple, radical_basis
+from destab import gcr, linalg
+from destab.corpus import subgroup_corpus
+from destab.gcr import _flatten, algebra_of_tuple, radical_basis
 
 GL2 = GroupSpec.make(("GL", 2))
 GL3 = GroupSpec.make(("GL", 3))
@@ -58,6 +59,51 @@ def test_enveloping_algebra_contains_inverses():
     h = SubgroupPresentation(GL2, (((2, 1), (1, 1)),))
     alg = enveloping_algebra(h)
     assert alg.contains(linalg.inverse(linalg.mat([[2, 1], [1, 1]])))
+
+
+def _recomputing_span_closure(group, seeds, multipliers):
+    """Reference: the closure that recomputed the row space of every
+    accepted matrix for each candidate, which the echelon basis replaced."""
+    m = group.dimension
+    basis_rows = []
+    basis_mats = []
+
+    def try_add(x):
+        flat = _flatten(x)
+        if basis_rows and linalg.in_row_space(flat, linalg.row_space(tuple(basis_rows))):
+            return False
+        if not basis_rows and all(c == 0 for c in flat):
+            return False
+        basis_rows.append(flat)
+        basis_mats.append(x)
+        return True
+
+    for s in seeds:
+        try_add(s)
+    frontier = list(basis_mats)
+    while frontier:
+        fresh = []
+        for b in frontier:
+            for g in multipliers:
+                candidate = linalg.mat_mul(b, g)
+                if try_add(candidate):
+                    fresh.append(candidate)
+        frontier = fresh
+    return tuple(basis_mats)
+
+
+def test_enveloping_algebra_matches_recomputing_reference(monkeypatch):
+    # the same matrices accepted in the same order, also with zero seeds
+    # and a zero multiplier
+    zero = linalg.zeros(2, 2)
+    for seeds, mults in [([zero], [UNIP.generators[0]]), ([GL2.identity(), zero], [zero, SWAP.generators[0]])]:
+        assert gcr._span_closure(GL2, seeds, mults) == _recomputing_span_closure(GL2, seeds, mults)
+    corpus = subgroup_corpus(2, 40)
+    new = [enveloping_algebra(h).basis for h in corpus]
+    monkeypatch.setattr(gcr, "_span_closure", _recomputing_span_closure)
+    old = [enveloping_algebra(h).basis for h in corpus]
+    assert new == old
+    assert {len(b) for b in new} >= {1, 2, 3, 4, 9}
 
 
 def test_is_generic_tuple():

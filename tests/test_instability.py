@@ -1,3 +1,4 @@
+import functools
 import itertools
 import random
 import time
@@ -30,13 +31,28 @@ from destab import (
     optimize_torus,
     vanishing_order,
 )
-from destab import UnsupportedRepresentationError, instability, linalg, support
+from destab import (
+    CocharClosedVerdict,
+    LieSubalgebra,
+    UnsupportedRepresentationError,
+    c_lambda,
+    find_ru_conjugator,
+    gcr,
+    instability,
+    lie_is_gcr,
+    linalg,
+    support,
+)
+from destab.corpus import corpus_config, subgroup_corpus
+from destab.groups import fold_permutation_base
 from destab.instability import (
     _box_vectors,
+    _entry_pattern,
     _kkt_solve,
     admissible_exponents,
     min_qnorm_over_polyhedron,
 )
+from destab.parabolic import _limit_pattern
 
 GL2 = GroupSpec.make(("GL", 2))
 GL3 = GroupSpec.make(("GL", 3))
@@ -762,6 +778,11 @@ def _reference_admissible_exponents(group, box, pattern):
                 continue
             out.append(d)
         return out
+    return _box_scan_exponents(group, box, pattern)
+
+
+def _box_scan_exponents(group, box, pattern):
+    """The first box vector of each ordering of the whole vector."""
     seen = set()
     out = []
     for d in _box_vectors(group, box):
@@ -806,9 +827,38 @@ def _canonical_exponents(group, ranks, k):
     return d
 
 
+@functools.cache
+def _first_box_vectors(group, box):
+    first = {}
+    for d in _box_vectors(group, box):
+        first.setdefault(_signature(d), d)
+    return first
+
+
+def _completed_rank_scan(group, box, pattern):
+    """The rank scan with each ordering whose representative leaves the
+    box given the first box vector with that ordering, in rank-vector
+    order; orderings with no box vector stay out."""
+    first = _first_box_vectors(group, box)
+    out = []
+    for ranks in _rank_vectors(group.dimension):
+        k = max(ranks) + 1
+        if k == 1 or any(ranks[i] > ranks[j] for i, j in pattern):
+            continue
+        d = _canonical_exponents(group, ranks, k)
+        if any(abs(x) > box for x in d):
+            d = first.get(ranks)
+        if d is not None:
+            out.append(d)
+    return out
+
+
 @pytest.mark.parametrize("family", ["GL", "SL"])
 def test_admissible_exponents_match_reference_on_single_factors(family):
-    # every pattern for m <= 3, seeded patterns above; order included
+    # every pattern for m <= 3, seeded patterns above; order included.  GL
+    # and SL_m for m <= 3 keep the rank scan's lists; SL_m for m >= 4 also
+    # lists each ordering whose representative m * level - total leaves the
+    # box, with its first box vector
     rng = random.Random(83)
     for m in range(1, 6):
         group = GroupSpec.make((family, m))
@@ -822,7 +872,18 @@ def test_admissible_exponents_match_reference_on_single_factors(family):
         for box in (1, 2, 4):
             for pattern in patterns:
                 expected = _reference_admissible_exponents(group, box, pattern)
+                if family == "SL" and m >= 4:
+                    completed = _completed_rank_scan(group, box, pattern)
+                    assert [d for d in completed if d in expected] == expected
+                    expected = completed
                 assert admissible_exponents(group, box, pattern) == expected
+    if family == "SL":
+        # SL_4 at box 2 gains all 24 orderings of four distinct values and
+        # the 24 of three distinct values with a repeated top or bottom one,
+        # like (2, 0, -1, -1) for (5, 1, -3, -3)
+        sl4 = GroupSpec.make(("SL", 4))
+        gained = set(admissible_exponents(sl4, 2, set())) - set(_reference_admissible_exponents(sl4, 2, set()))
+        assert sorted(len(set(d)) for d in gained) == [3] * 24 + [4] * 24
 
 
 def _block_diagonal_matrix(rng, group):
@@ -904,6 +965,32 @@ def test_is_cochar_closed_sl4_block_matches_reference(monkeypatch):
         _closed_with_reference(ConjugationTuples(group, len(mats)).point(mats), cfg, monkeypatch)
 
 
+def test_is_cochar_closed_single_sl4_matches_box_scan(monkeypatch):
+    # a Jordan block on <e1, e2> with an irreducible quotient: at box 2 only
+    # the flag <e1> < <e1, e2> catches it, with (2, 0, -1, -1), which the
+    # rank scan dropped because (5, 1, -3, -3) leaves the box
+    group = GroupSpec.make(("SL", 4))
+    rng = random.Random(41)
+    a, b, t = rng.choice((1, -1)), rng.choice((1, -1, 2, -2)), rng.choice((-1, 0, 1))
+    h = [[a, b] + [rng.randint(-2, 2) for _ in range(2)],
+         [0, a] + [rng.randint(-2, 2) for _ in range(2)],
+         [0, 0, 0, -1],
+         [0, 0, 1, t]]  # x^2 - t x + 1 has no rational root
+    cfg = SearchConfig.default(group, exponent_box=2)
+    frame = rng.choice(cfg.conjugation_family)
+    h = linalg.mat_mul(linalg.mat_mul(frame, linalg.mat(h)), linalg.inverse(frame))
+    group.require_member(h)
+    v = ConjugationTuples(group, 1).point([h])
+    verdict = is_cochar_closed(v, cfg)
+    with monkeypatch.context() as patched:
+        patched.setattr(instability, "admissible_exponents", _box_scan_exponents)
+        assert not is_cochar_closed(v, cfg).closed
+        patched.setattr(instability, "admissible_exponents", _reference_admissible_exponents)
+        assert is_cochar_closed(v, cfg).closed  # the rank scan misses it
+    assert not verdict.closed
+    assert sorted(verdict.witness.torus.exponents, reverse=True) == [2, 0, -1, -1]
+
+
 def test_is_cochar_closed_off_block_entries_match_reference(monkeypatch):
     # an entry between two factor blocks is decided by whether its two
     # exponents are equal, which the search varies for such tuples
@@ -928,3 +1015,122 @@ def test_is_cochar_closed_off_block_entries_match_reference(monkeypatch):
         closed = _closed_with_reference(ConjugationTuples(group, len(mats)).point(mats), cfg, monkeypatch)
         seen["closed" if closed else "open"] += 1
     assert all(count >= 5 for count in seen.values()), seen
+
+
+# ---------------------------------------------------------------------------
+# The per-cocharacter search that the in-frame, once-per-cocharacter one
+# replaced
+
+
+def _reference_frame_cocharacters(mats, cfg):
+    for frame in cfg.conjugation_family:
+        inv = linalg.inverse(frame)
+        tmats = [linalg.mat_mul(linalg.mat_mul(inv, h), frame) for h in mats]
+        for exps in admissible_exponents(cfg.group, cfg.exponent_box, _entry_pattern(tmats)):
+            yield Cocharacter.based(cfg.group, frame, exps), tmats
+
+
+def _reference_is_cochar_closed(v, cfg):
+    """Reference: one find_ru_conjugator call per examined cocharacter,
+    with the limit moved back to input coordinates first."""
+    rep = v.rep
+    if not isinstance(rep, ConjugationTuples):
+        raise UnsupportedRepresentationError(
+            "cocharacter-closedness needs a conjugation-tuple representation"
+        )
+    if rep.group != cfg.group:
+        raise DimensionError("configuration group differs from the representation group")
+    examined = []
+    for lam, tmats in _reference_frame_cocharacters(rep.matrices(v), cfg):
+        examined.append(lam)
+        limit_t = [_limit_pattern(h, lam.torus.exponents) for h in tmats]
+        if limit_t == tmats:
+            continue  # the identity conjugator works
+        limit_mats = tuple(
+            linalg.mat_mul(linalg.mat_mul(lam.base, h), lam.base_inverse) for h in limit_t
+        )
+        u = find_ru_conjugator(v, rep.point(limit_mats), lam, rep)
+        if u is None:
+            return CocharClosedVerdict(
+                False,
+                fold_permutation_base(lam),
+                limit_mats,
+                tuple(examined),
+                cfg.exponent_box,
+            )
+    return CocharClosedVerdict(True, None, None, tuple(examined), cfg.exponent_box)
+
+
+def test_is_cochar_closed_matches_reference_on_corpus():
+    seen = dict(closed=0, open=0)
+    for h in subgroup_corpus(1, 64):
+        v = h.tuple_point()
+        cfg = corpus_config(h.group)
+        verdict = is_cochar_closed(v, cfg)
+        assert verdict == _reference_is_cochar_closed(v, cfg)
+        seen["closed" if verdict.closed else "open"] += 1
+    assert all(count >= 10 for count in seen.values()), seen
+
+
+def test_is_cochar_closed_matches_reference_on_product_groups():
+    # block frames with shears, so that cocharacters recur across frames,
+    # and some entries between two blocks
+    shapes = [(("GL", 2), ("GL", 2)), (("GL", 2), ("SL", 2)), (("GL", 1), ("GL", 2))]
+    rng = random.Random(53)
+    seen = dict(closed=0, open=0, off_block=0)
+    for k in range(18):
+        group = GroupSpec.make(*shapes[k % len(shapes)])
+        m = group.dimension
+        cfg = SearchConfig.default(group, exponent_box=rng.choice((1, 2)), shear_values=(1, -1))
+        frame = rng.choice(cfg.conjugation_family)
+        inv = linalg.inverse(frame)
+        mats = []
+        for _ in range(rng.randint(1, 2)):
+            h = _block_diagonal_matrix(rng, group)
+            if k % 2:
+                i, j = rng.sample(range(m), 2)
+                if group.block_of(i) != group.block_of(j):
+                    h[i][j] = rng.choice((1, -1))
+                    seen["off_block"] += 1
+            mats.append(linalg.mat_mul(linalg.mat_mul(frame, linalg.mat(h)), inv))
+        v = ConjugationTuples(group, len(mats)).point(mats)
+        verdict = is_cochar_closed(v, cfg)
+        assert verdict == _reference_is_cochar_closed(v, cfg)
+        seen["closed" if verdict.closed else "open"] += 1
+    assert all(count >= 3 for count in seen.values()), seen
+
+
+def test_lie_is_gcr_matches_reference(monkeypatch):
+    # a toral line (a full search) and the strictly upper triangular algebra
+    toral = LieSubalgebra(GL3, (((1, 0, 0), (0, 2, 0), (0, 0, -3)),))
+    nil = LieSubalgebra(GL3, (((0, 1, 0), (0, 0, 0), (0, 0, 0)), ((0, 0, 1), (0, 0, 0), (0, 0, 0)), ((0, 0, 0), (0, 0, 1), (0, 0, 0))))
+    cfg = SearchConfig.default(GL3, exponent_box=2, shear_values=(1, -2))
+    verdicts = [lie_is_gcr(lie, cfg) for lie in (toral, nil)]
+    monkeypatch.setattr(gcr, "is_cochar_closed", _reference_is_cochar_closed)
+    assert verdicts == [lie_is_gcr(lie, cfg) for lie in (toral, nil)]
+    assert [v.is_completely_reducible for v in verdicts] == [True, False]
+    assert len(verdicts[0].examined) > 100
+
+
+def test_is_cochar_closed_solves_each_cocharacter_once(monkeypatch):
+    # stream index 63 is completely reducible with 1,080 entries examined;
+    # the conjugator system is solved once per distinct cocharacter whose
+    # limit moves the tuple
+    h = subgroup_corpus(1, 64)[63]
+    cfg = corpus_config(h.group)
+    solve = instability._radical_conjugator
+    solved = []
+
+    def counted(hs, hs_prime, lam):
+        solved.append(lam)
+        return solve(hs, hs_prime, lam)
+
+    monkeypatch.setattr(instability, "_radical_conjugator", counted)
+    verdict = is_cochar_closed(h.tuple_point(), cfg)
+    assert verdict.closed and len(verdict.examined) == 1080
+    moving = [lam for lam in verdict.examined if c_lambda(h.generators, lam) != h.generators]
+    distinct = {lam.evaluate(2) for lam in moving}
+    assert len({lam.evaluate(2) for lam in solved}) == len(solved) == len(distinct)
+    assert len(solved) < len(moving) and len(solved) < 1080
+    monkeypatch.undo()
+    assert verdict == _reference_is_cochar_closed(h.tuple_point(), cfg)

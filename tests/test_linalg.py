@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction as F
 
 import pytest
@@ -48,6 +49,46 @@ def test_det_inverse_roundtrip():
     a = linalg.mat([[2, 1], [7, 4]])
     assert linalg.det(a) == 1
     assert linalg.mat_mul(a, linalg.inverse(a)) == linalg.identity(2)
+
+
+def _dense_mat_mul(a, b):
+    """Reference: the dense product that the zero-skipping one replaced."""
+    n, k, m = len(a), len(b), len(b[0]) if b else 0
+    if a and len(a[0]) != k:
+        raise linalg.DimensionMismatch(len(a[0]), k)
+    bt = list(zip(*b))
+    return tuple(
+        tuple(sum(x * y for x, y in zip(row, col)) for col in bt) for row in a
+    )
+
+
+def test_mat_mul_matches_dense_reference():
+    rng = random.Random(5)
+
+    def draw(n, k, density):
+        return linalg.mat(
+            [[F(rng.randint(-4, 4), rng.randint(1, 3)) if rng.random() < density else 0 for _ in range(k)] for _ in range(n)]
+        )
+
+    shapes = [(rng.randint(1, 5), rng.randint(1, 5), rng.randint(1, 5)) for _ in range(150)]
+    pairs = [(draw(n, k, rng.choice((0.2, 0.5, 1.0))), draw(k, m, rng.choice((0.2, 0.5, 1.0)))) for n, k, m in shapes]
+    a = draw(3, 4, 1.0)
+    pairs += [
+        (linalg.zeros(3, 4), draw(4, 2, 1.0)),  # zero rows
+        (a, linalg.mat([[1, 0], [2, 0], [3, 0], [4, 0]])),  # a zero column
+        (draw(3, 2, 0.5), linalg.zeros(2, 5)),
+        (a, ((),) * 4),  # no columns
+        (((),) * 3, ()),  # no inner dimension
+        ((), draw(2, 2, 1.0)),  # no rows
+        ((), ()),
+    ]
+    for a, b in pairs:
+        assert linalg.mat_mul(a, b) == _dense_mat_mul(a, b)
+    for a, b in [(draw(2, 3, 1.0), draw(2, 3, 1.0)), (draw(1, 2, 1.0), ()), (((),), draw(1, 1, 1.0))]:
+        with pytest.raises(linalg.DimensionMismatch):
+            _dense_mat_mul(a, b)
+        with pytest.raises(linalg.DimensionMismatch):
+            linalg.mat_mul(a, b)
 
 
 def test_singular_inverse_raises():
