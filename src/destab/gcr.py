@@ -28,6 +28,7 @@ from .instability import (
     OptimizationResult,
     SearchConfig,
     SubvarietySpec,
+    _at_two,
     _frame_cocharacters,
     is_cochar_closed,
     optimize,
@@ -36,8 +37,8 @@ from .linalg import Mat, Vec
 from .parabolic import (
     MembershipClass,
     ParabolicDescriptor,
+    _limit_pattern,
     _require_lie_element,
-    c_lambda,
     classify,
 )
 from .reps import ConjugationTuples, Point
@@ -84,15 +85,17 @@ class EnvelopingAlgebra:
     def dimension(self) -> int:
         return len(self.basis)
 
-    def _row_basis(self):
+    def _echelon(self) -> list:
         cached = self.__dict__.get("_rows")
         if cached is None:
-            cached = linalg.row_space(tuple(_flatten(b) for b in self.basis))
+            cached = []
+            for b in self.basis:
+                _echelon_add(cached, _flatten(b))
             self.__dict__["_rows"] = cached
         return cached
 
     def contains(self, x: Mat) -> bool:
-        return linalg.in_row_space(_flatten(linalg.mat(x)), self._row_basis())
+        return not any(_echelon_reduce(self._echelon(), _flatten(linalg.mat(x))))
 
 
 def _flatten(x: Mat) -> Vec:
@@ -103,29 +106,45 @@ def _unflatten(v: Vec, m: int) -> Mat:
     return tuple(tuple(v[i * m + j] for j in range(m)) for i in range(m))
 
 
+def _echelon_reduce(echelon, v) -> list[Fraction]:
+    """v reduced against sparse echelon rows (pivot, nonzero terms).
+
+    Each row has a unit pivot and zeros at the pivots of the rows before
+    it, so reducing against the rows in order leaves zero exactly when v
+    lies in their span.
+    """
+    w = list(v)
+    for pivot, terms in echelon:
+        f = w[pivot]
+        if f:
+            for j, y in terms:
+                w[j] -= f * y
+    return w
+
+
+def _echelon_add(echelon, v) -> bool:
+    """Append the reduced v as a new row unless it lies in the span."""
+    w = _echelon_reduce(echelon, v)
+    pivot = next((j for j, c in enumerate(w) if c), None)
+    if pivot is None:
+        return False
+    scale = 1 / w[pivot]
+    echelon.append((pivot, [(j, c * scale) for j, c in enumerate(w) if c]))
+    return True
+
+
 def _span_closure(group: GroupSpec, seeds: list[Mat], multipliers: list[Mat]) -> tuple[Mat, ...]:
     """Smallest span containing seeds and closed under right multiplication.
 
-    The accepted matrices are kept as an echelon basis of their flattened
-    entries: each row has a unit pivot and zeros at the pivots of the rows
-    before it, so a candidate lies in the span exactly when reducing it
-    against the rows in order leaves zero.
+    The accepted matrices are kept as sparse echelon rows of their
+    flattened entries, so each candidate costs one reduction.
     """
     echelon: list[tuple[int, list[tuple[int, Fraction]]]] = []
     basis_mats: list[Mat] = []
 
     def try_add(x: Mat) -> bool:
-        w = list(_flatten(x))
-        for pivot, terms in echelon:
-            f = w[pivot]
-            if f:
-                for j, y in terms:
-                    w[j] -= f * y
-        pivot = next((j for j, c in enumerate(w) if c), None)
-        if pivot is None:
+        if not _echelon_add(echelon, _flatten(x)):
             return False
-        scale = 1 / w[pivot]
-        echelon.append((pivot, [(j, c * scale) for j, c in enumerate(w) if c]))
         basis_mats.append(x)
         return True
 
@@ -149,7 +168,8 @@ def enveloping_algebra(h: SubgroupPresentation) -> EnvelopingAlgebra:
     Each round strictly increases the dimension (bounded by m^2), so the
     closure terminates; inverses land in the algebra automatically because
     the minimal polynomial of an invertible matrix has nonzero constant
-    term.
+    term.  Closure is checked on all n^2 products of basis elements, each
+    reduced against the algebra's echelon rows.
     """
     algebra = algebra_of_tuple(h.group, h.generators)
     for x in algebra.basis:
@@ -182,10 +202,15 @@ def radical_dim(a: EnvelopingAlgebra) -> int:
 
 def radical_basis(a: EnvelopingAlgebra) -> tuple[Mat, ...]:
     n = a.dimension
-    gram = tuple(
-        tuple(linalg.trace(linalg.mat_mul(a.basis[i], a.basis[j])) for j in range(n))
-        for i in range(n)
-    )
+    gram = [[None] * n for _ in range(n)]
+    for i, x in enumerate(a.basis):
+        for j in range(i, n):  # tr(xy) = tr(yx) = sum of x_kl y_lk
+            y = a.basis[j]
+            gram[i][j] = gram[j][i] = sum(
+                (x[k][l] * y[l][k] for k in range(len(x)) for l in range(len(x)) if x[k][l] and y[l][k]),
+                linalg.ZERO,
+            )
+    gram = tuple(map(tuple, gram))
     flat = tuple(_flatten(b) for b in a.basis)
     combos = linalg.mat_mul(linalg.nullspace(gram, n), flat)
     return tuple(_unflatten(v, a.group.dimension) for v in combos)
@@ -300,6 +325,15 @@ def reduce_to_gcr(
     by that projection.  The quotient's conjugacy class is independent of
     the descent path when a genuinely minimal parabolic is reached; on a
     single GL factor the algebra oracle certifies the outcome.
+
+    Each projection is taken in the frame that already holds the
+    generators, and its centralizer dimension is measured there: the frame
+    is a group element, and conjugating by one preserves that dimension.
+    The projection depends on lambda alone, and lambda(2) determines
+    lambda, so within one descent step a cocharacter met again in another
+    frame is not measured again; only the accepted projection is moved back
+    to input coordinates.  The walk and the accepted cocharacter are the
+    same as projecting every entry in input coordinates.
     """
     group = h.group
     chain: list[Cocharacter] = []
@@ -308,18 +342,27 @@ def reduce_to_gcr(
     max_dim = group.dimension ** 2
     while True:
         step = None
-        for lam, _ in _frame_cocharacters(current.generators, cfg):
-            image = c_lambda(current.generators, lam)
-            if image == current.generators:
+        measured: set[Mat] = set()  # lambda(2) of each projection measured in this step
+        at_two: dict = {}
+        for lam, tmats, torus_key in _frame_cocharacters(current.generators, cfg):
+            limit_t = [_limit_pattern(h, lam.torus.exponents) for h in tmats]
+            if limit_t == tmats:
                 continue
-            image_dim = centralizer_dim(group, image)
+            key = _at_two(at_two, lam, torus_key)
+            if key in measured:
+                continue
+            measured.add(key)
+            image_dim = centralizer_dim(group, limit_t)
             if image_dim > current_dim:
-                step = (lam, image, image_dim)
+                step = (lam, limit_t, image_dim)
                 break
         if step is None:
             break
-        lam, image, current_dim = step
+        lam, limit_t, current_dim = step
         chain.append(lam)
+        image = tuple(
+            linalg.mat_mul(linalg.mat_mul(lam.base, h), lam.base_inverse) for h in limit_t
+        )
         current = SubgroupPresentation(group, image)
         if len(chain) > max_dim:
             raise InvariantViolation("descent did not stabilize within the step bound")

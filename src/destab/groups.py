@@ -240,9 +240,10 @@ class TorusCocharacter:
         a = frac(a)
         if a == 0:
             raise DomainError("parameter must be invertible")
+        m = len(self.exponents)
         return tuple(
-            tuple(a ** self.exponents[i] if i == j else Fraction(0) for j in range(len(self.exponents)))
-            for i in range(len(self.exponents))
+            tuple(a ** self.exponents[i] if i == j else linalg.ZERO for j in range(m))
+            for i in range(m)
         )
 
 
@@ -381,7 +382,8 @@ def fold_permutation_base(lam: Cocharacter) -> Cocharacter:
     exps = [0] * m
     for j in range(m):
         exps[perm[j]] = lam.torus.exponents[j]
-    return Cocharacter.standard(lam.group, tuple(exps))
+    ident = lam.group.identity()  # a member of every group, and its own inverse
+    return Cocharacter._on_frame(lam.group, ident, ident, exps)
 
 
 def weyl_conjugate(w, lam: TorusCocharacter) -> TorusCocharacter:

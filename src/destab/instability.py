@@ -436,8 +436,130 @@ def _torus_optimum(per_point, group: GroupSpec) -> TorusOptimum | None:
 
 
 @dataclass(frozen=True)
+class _TorusMove:
+    """Where a frame sits in its torus class: frame = rep_frame . P for the
+    class representative ``rep`` (an index into the family) and a monomial P
+    with P[perm[j]][j] = scales[j].  The representative itself has no perm.
+
+    A frame and its representative span the same maximal torus, and
+    conjugating by P permutes the torus coordinates: a weight or exponent
+    vector v of the representative's frame reads v[perm[j]] at j in this
+    frame, and a matrix M of the representative's frame reads P^-1 M P.
+    """
+
+    rep: int
+    perm: tuple[int, ...] | None = None
+    scales: tuple[Fraction, ...] | None = None
+    signs: tuple[int, ...] | None = None  # the scales as ints when all are +-1
+
+    def exponents(self, d: tuple[int, ...]) -> tuple[int, ...]:
+        return tuple(d[p] for p in self.perm)
+
+    def rep_exponents(self, d: tuple[int, ...]) -> tuple[int, ...]:
+        """The inverse of ``exponents``: this frame's d read in the representative's."""
+        if self.perm is None:
+            return tuple(d)
+        out = [0] * len(d)
+        for x, p in zip(d, self.perm):
+            out[p] = x
+        return tuple(out)
+
+    def characters(self, chars) -> tuple[Character, ...]:
+        """The characters in this frame, sorted by weights."""
+        moved = (Character(self.exponents(chi.weights)) for chi in chars)
+        return tuple(sorted(moved, key=lambda chi: chi.weights))
+
+    def inverse(self, rep_inverse: Mat) -> Mat:
+        """frame^-1 = P^-1 rep^-1: row j is row perm[j] of rep^-1 over scales[j]."""
+        out = []
+        for p, c in zip(self.perm, self.scales):
+            row = rep_inverse[p]
+            if c == -1:
+                row = tuple(-x for x in row)
+            elif c != 1:
+                row = tuple(x / c for x in row)
+            out.append(row)
+        return tuple(out)
+
+    def conjugate(self, h: Mat) -> Mat:
+        """P^-1 h P, entry (i, j) being h[perm[i]][perm[j]] * scales[j] / scales[i]."""
+        p = self.perm
+        if self.signs is not None:  # index shuffles and sign flips only
+            s = self.signs
+            return tuple(
+                tuple(h[pi][pj] if s[j] == si else -h[pi][pj] for j, pj in enumerate(p))
+                for si, pi in zip(s, p)
+            )
+        c = self.scales
+        return tuple(
+            tuple(h[pi][pj] * c[j] / ci for j, pj in enumerate(p)) for ci, pi in zip(c, p)
+        )
+
+
+def _column_line(col) -> tuple[tuple[int, ...], int, int]:
+    """(key, g, den) with col = (g / den) * key, key the primitive integer
+    vector on the line of col whose first nonzero entry is positive."""
+    den = 1
+    for x in col:
+        if x.denominator != 1:
+            den = den * x.denominator // gcd(den, x.denominator)
+    ints = [x.numerator * (den // x.denominator) for x in col]
+    g = gcd(*ints)
+    if next(v for v in ints if v) < 0:
+        g = -g
+    return tuple(v // g for v in ints), g, den
+
+
+def _torus_classes(frames) -> tuple[tuple[_TorusMove, ...], tuple[Mat, ...]]:
+    """Each frame's torus class and inverse.
+
+    Two invertible frames span the same maximal torus exactly when
+    frame' = frame . P with P monomial, that is when their columns agree
+    up to order and nonzero scalars; so the classes are read off the lines
+    of the columns, in integer arithmetic.  The first frame of a class is
+    its representative and is inverted; the other frames permute and scale
+    its inverse's rows.
+    """
+    reps: dict[frozenset, int] = {}
+    rep_columns: dict[int, dict] = {}
+    moves: list[_TorusMove] = []
+    inverses: list[Mat] = []
+    for idx, frame in enumerate(frames):
+        lines = [_column_line(col) for col in zip(*frame)]
+        rep = reps.setdefault(frozenset(key for key, _, _ in lines), idx)
+        if rep == idx:
+            rep_columns[idx] = {key: (j, g, den) for j, (key, g, den) in enumerate(lines)}
+            moves.append(_TorusMove(idx))
+            inverses.append(linalg.inverse(frame))
+            continue
+        where = rep_columns[rep]
+        perm, scales = [], []
+        for key, g, den in lines:
+            j, g_rep, den_rep = where[key]
+            perm.append(j)
+            if den == den_rep and abs(g) == abs(g_rep):
+                scales.append(linalg.ONE if g == g_rep else -linalg.ONE)
+            else:
+                scales.append(Fraction(g * den_rep, den * g_rep))
+        signs = tuple(int(c) for c in scales) if all(abs(c) == 1 for c in scales) else None
+        move = _TorusMove(rep, tuple(perm), tuple(scales), signs)
+        moves.append(move)
+        inverses.append(move.inverse(inverses[rep]))
+    return tuple(moves), tuple(inverses)
+
+
+@dataclass(frozen=True)
 class SearchConfig:
-    """Bounded search parameters: exponent box and conjugation family."""
+    """Bounded search parameters: exponent box and conjugation family.
+
+    The family is split once into torus classes: frames f and f . P with P
+    monomial span the same maximal torus, and everything a frame computes
+    from it (frame forms, the torus optimum, the oracle sweep, the tuple
+    moved into the frame) is its class representative's result with the
+    torus coordinates permuted by P.  The norm's Gram matrix is invariant
+    under in-block permutations (``Norm.check_invariance``) and so is the
+    exponent box, so this sharing is exact; only the work shrinks.
+    """
 
     group: GroupSpec
     exponent_box: int = 4
@@ -445,6 +567,7 @@ class SearchConfig:
     oracle_mode: bool = False
     normalizer_samples: tuple[Mat, ...] = ()
     _frame_inverses: tuple[Mat, ...] = field(init=False, repr=False, compare=False)
+    _frame_tori: tuple[_TorusMove, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.exponent_box < 1:
@@ -453,13 +576,15 @@ class SearchConfig:
         ident = self.group.identity()
         if ident not in family:
             family.insert(0, ident)
-        deduped = []
+        deduped: dict[Mat, None] = {}
         for g in family:
             self.group.require_member(g, "conjugation family element")
-            if g not in deduped:
-                deduped.append(g)
-        object.__setattr__(self, "conjugation_family", tuple(deduped))
-        object.__setattr__(self, "_frame_inverses", tuple(map(linalg.inverse, deduped)))
+            deduped.setdefault(g)
+        frames = tuple(deduped)
+        tori, inverses = _torus_classes(frames)
+        object.__setattr__(self, "conjugation_family", frames)
+        object.__setattr__(self, "_frame_inverses", inverses)
+        object.__setattr__(self, "_frame_tori", tori)
         object.__setattr__(
             self, "normalizer_samples", tuple(linalg.mat(g) for g in self.normalizer_samples)
         )
@@ -563,6 +688,15 @@ def optimize(points, s: SubvarietySpec, cfg: SearchConfig) -> OptimizationResult
     is asserted to lie in it; and the reported value is recomputed from
     vanishing orders.  In oracle mode an exhaustive exponent-box sweep
     cross-checks the optimum and sets ``global_verified``.
+
+    The frame forms, the torus optimum and the oracle sweep are computed
+    once per torus class of the family (see ``SearchConfig``).  Another
+    frame of a class moves the points by P^-1 and the generators of S by
+    P, which permutes every weight the same way, so its optimum is the
+    representative's with exponents and characters permuted: the norm and
+    the SL equations are invariant under the permutation and the minimizer
+    is unique.  Every frame still has its own ``FrameOutcome``, and the
+    ties, checks and certificate are those of the frame-by-frame search.
     """
     points = tuple(points)
     if not points:
@@ -584,20 +718,35 @@ def optimize(points, s: SubvarietySpec, cfg: SearchConfig) -> OptimizationResult
             TRIVIAL, zero, None, _whole_group_descriptor(group), cert, cfg.oracle_mode
         )
 
-    frame_forms = [_frame_forms(points, s, frame) for frame in cfg.conjugation_family]
+    frames = cfg.conjugation_family
+    class_forms = {
+        move.rep: _frame_forms(points, s, frames[move.rep])
+        for move in cfg._frame_tori
+        if move.perm is None
+    }
+    class_optima = {rep: _torus_optimum(forms, group) for rep, forms in class_forms.items()}
     outcomes = []
     candidates = []
-    for idx, (frame, per_point) in enumerate(zip(cfg.conjugation_family, frame_forms)):
-        opt = _torus_optimum(per_point, group)
+    for idx, (frame, move) in enumerate(zip(frames, cfg._frame_tori)):
+        opt = class_optima[move.rep]
         if opt is None or opt.trivial:
             outcomes.append(FrameOutcome(idx, None, None))
-        else:
-            outcomes.append(FrameOutcome(idx, opt.exponents, opt.value_sq))
-            candidates.append((opt, idx, frame))
+            continue
+        if move.perm is not None:
+            opt = TorusOptimum(
+                move.exponents(opt.exponents),
+                opt.value_sq,
+                move.characters(opt.active_objective),
+                move.characters(opt.active_cone),
+            )
+        outcomes.append(FrameOutcome(idx, opt.exponents, opt.value_sq))
+        candidates.append((opt, idx, frame))
 
     oracle_value, oracle_box = (None, None)
     if cfg.oracle_mode:
-        oracle_value = _oracle_best_value(frame_forms, group, cfg.exponent_box)
+        # the box is invariant under in-block permutations, so each class's
+        # best value is its representative's
+        oracle_value = _oracle_best_value(class_forms.values(), group, cfg.exponent_box)
         oracle_box = cfg.exponent_box
 
     if not candidates:
@@ -615,7 +764,8 @@ def optimize(points, s: SubvarietySpec, cfg: SearchConfig) -> OptimizationResult
     for opt_c, idx_c, frame_c in candidates:
         if opt_c.value_sq != best_value:
             continue
-        folded = fold_permutation_base(Cocharacter.based(group, frame_c, opt_c.exponents))
+        lam_c = Cocharacter._on_frame(group, frame_c, cfg._frame_inverses[idx_c], opt_c.exponents)
+        folded = fold_permutation_base(lam_c)
         key = (folded.base, folded.torus.exponents)
         if key in seen_folded:
             continue
@@ -766,12 +916,13 @@ def is_cochar_closed(v: Point, cfg: SearchConfig) -> CocharClosedVerdict:
         raise DimensionError("configuration group differs from the representation group")
     examined: list[Cocharacter] = []
     solved: set[Mat] = set()  # lambda(2) of each cocharacter with a conjugator
-    for lam, tmats in _frame_cocharacters(rep.matrices(v), cfg):
+    at_two: dict = {}
+    for lam, tmats, torus_key in _frame_cocharacters(rep.matrices(v), cfg):
         examined.append(lam)
         limit_t = [_limit_pattern(h, lam.torus.exponents) for h in tmats]
         if limit_t == tmats:
             continue  # the identity conjugator works
-        key = lam.evaluate(2)
+        key = _at_two(at_two, lam, torus_key)
         if key in solved:
             continue
         if _radical_conjugator(tmats, limit_t, lam) is None:
@@ -789,6 +940,14 @@ def is_cochar_closed(v: Point, cfg: SearchConfig) -> CocharClosedVerdict:
     return CocharClosedVerdict(True, None, None, tuple(examined), cfg.exponent_box)
 
 
+def _at_two(memo: dict, lam: Cocharacter, torus_key) -> Mat:
+    """lambda(2), evaluated once per torus key of ``_frame_cocharacters``."""
+    value = memo.get(torus_key)
+    if value is None:
+        value = memo[torus_key] = lam.evaluate(2)
+    return value
+
+
 def _entry_pattern(mats) -> set[tuple[int, int]]:
     """Off-diagonal positions (i, j) where some matrix of the tuple is nonzero."""
     return {
@@ -802,11 +961,21 @@ def _entry_pattern(mats) -> set[tuple[int, int]]:
 
 def _frame_cocharacters(mats, cfg: SearchConfig):
     """Frame by frame, each admissible cocharacter whose parabolic contains
-    the tuple, with the tuple moved into that frame."""
-    for frame, inv in zip(cfg.conjugation_family, cfg._frame_inverses):
-        tmats = [linalg.mat_mul(linalg.mat_mul(inv, h), frame) for h in mats]
+    the tuple, with the tuple moved into that frame and a key naming the
+    cocharacter within its torus class: the representative's index and
+    the exponents read in the representative's frame.  Equal keys are the
+    same cocharacter.  The tuple is moved once per class; the other frames
+    of a class permute and scale its entries."""
+    in_class_frame = {}  # representative index -> the tuple in its frame
+    for frame, inv, move in zip(cfg.conjugation_family, cfg._frame_inverses, cfg._frame_tori):
+        if move.perm is None:
+            tmats = [linalg.mat_mul(linalg.mat_mul(inv, h), frame) for h in mats]
+            in_class_frame[move.rep] = tmats
+        else:
+            tmats = [move.conjugate(h) for h in in_class_frame[move.rep]]
         for exps in admissible_exponents(cfg.group, cfg.exponent_box, _entry_pattern(tmats)):
-            yield Cocharacter._on_frame(cfg.group, frame, inv, exps), tmats
+            lam = Cocharacter._on_frame(cfg.group, frame, inv, exps)
+            yield lam, tmats, (move.rep, move.rep_exponents(exps))
 
 
 def admissible_exponents(group: GroupSpec, box: int, pattern) -> list[tuple[int, ...]]:

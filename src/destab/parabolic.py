@@ -105,7 +105,7 @@ def _require_lie_element(group: GroupSpec, x: Mat) -> None:
 def _limit_pattern(gt: Mat, d: tuple[int, ...]) -> Mat:
     m = len(gt)
     return tuple(
-        tuple(gt[i][j] if d[i] == d[j] else Fraction(0) for j in range(m))
+        tuple(gt[i][j] if d[i] == d[j] else linalg.ZERO for j in range(m))
         for i in range(m)
     )
 

@@ -1,3 +1,6 @@
+import random
+from fractions import Fraction as F
+
 import pytest
 
 from destab import (
@@ -5,6 +8,7 @@ from destab import (
     Cocharacter,
     DomainError,
     GroupSpec,
+    InvariantViolation,
     LieSubalgebra,
     MembershipClass,
     ModeError,
@@ -104,6 +108,61 @@ def test_enveloping_algebra_matches_recomputing_reference(monkeypatch):
     old = [enveloping_algebra(h).basis for h in corpus]
     assert new == old
     assert {len(b) for b in new} >= {1, 2, 3, 4, 9}
+
+
+def _dense_contains(algebra, x):
+    """Reference: membership by dense reduction against the RREF basis,
+    which the sparse echelon rows replaced."""
+    rows = linalg.row_space(tuple(_flatten(b) for b in algebra.basis))
+    return linalg.in_row_space(_flatten(linalg.mat(x)), rows)
+
+
+def test_enveloping_algebra_contains_matches_dense_reference():
+    rng = random.Random(5)
+    seen = {True: 0, False: 0}
+    for h in subgroup_corpus(2, 40):
+        algebra = enveloping_algebra(h)
+        m = h.group.dimension
+        probes = [linalg.mat_mul(x, y) for x in algebra.basis[:3] for y in algebra.basis[-3:]]
+        probes += [linalg.mat([[rng.choice((0, 0, 1, -1, 2)) for _ in range(m)] for _ in range(m)]) for _ in range(4)]
+        probes.append(linalg.mat_add(algebra.basis[0], linalg.mat([[F(1, 2) if (i, j) == (m - 1, 0) else 0 for j in range(m)] for i in range(m)])))
+        for x in probes:
+            inside = algebra.contains(x)
+            assert inside == _dense_contains(algebra, x)
+            seen[inside] += 1
+    assert min(seen.values()) >= 20, seen
+
+
+def test_enveloping_algebra_rejects_a_basis_that_is_not_closed(monkeypatch):
+    # span{1, e12, e21} holds no e11 = e12 e21
+    e12 = linalg.mat([[0, 1], [0, 0]])
+    e21 = linalg.mat([[0, 0], [1, 0]])
+    monkeypatch.setattr(gcr, "_span_closure", lambda group, seeds, mults: (GL2.identity(), e12, e21))
+    with pytest.raises(InvariantViolation, match="not multiplicatively closed"):
+        enveloping_algebra(SWAP)
+
+
+def _product_trace_radical_basis(a):
+    """Reference: the trace form from full products, which the sum of
+    entry products over one triangle replaced."""
+    n = a.dimension
+    gram = tuple(
+        tuple(linalg.trace(linalg.mat_mul(a.basis[i], a.basis[j])) for j in range(n))
+        for i in range(n)
+    )
+    flat = tuple(_flatten(b) for b in a.basis)
+    combos = linalg.mat_mul(linalg.nullspace(gram, n), flat)
+    return tuple(gcr._unflatten(v, a.group.dimension) for v in combos)
+
+
+def test_radical_basis_matches_product_trace_reference():
+    sizes = set()
+    for h in subgroup_corpus(2, 40):
+        algebra = enveloping_algebra(h)
+        radical = radical_basis(algebra)
+        assert radical == _product_trace_radical_basis(algebra)
+        sizes.add(len(radical))
+    assert len(sizes) >= 3, sizes
 
 
 def test_is_generic_tuple():

@@ -53,6 +53,7 @@ from destab.instability import (
     min_qnorm_over_polyhedron,
 )
 from destab.parabolic import _limit_pattern
+from destab.reps import DirectSum, Point
 
 GL2 = GroupSpec.make(("GL", 2))
 GL3 = GroupSpec.make(("GL", 3))
@@ -1134,3 +1135,373 @@ def test_is_cochar_closed_solves_each_cocharacter_once(monkeypatch):
     assert len(solved) < len(moving) and len(solved) < 1080
     monkeypatch.undo()
     assert verdict == _reference_is_cochar_closed(h.tuple_point(), cfg)
+
+
+# ---------------------------------------------------------------------------
+# Torus classes: the frame-by-frame computations that the shared ones
+# replaced, kept as references
+
+
+def _reference_optimize(points, s, cfg):
+    """Reference: ``optimize`` with frame forms, a torus optimum and an
+    oracle sweep for every frame, and each tied cocharacter inverted anew."""
+    from destab.instability import (
+        FrameOutcome,
+        OptimizationResult,
+        ParabolicDescriptor,
+        SearchCertificate,
+        _check_custom_stability,
+        _fixes_input,
+        _frame_forms,
+        _oracle_best_value,
+        _torus_optimum,
+        _whole_group_descriptor,
+    )
+    from destab.groups import norm_sq
+
+    points = tuple(points)
+    rep = points[0].rep
+    group = cfg.group
+    _check_custom_stability(s, rep, cfg)
+
+    if all(s.contains_point(x) for x in points):
+        zero = Cocharacter.standard(group, (0,) * group.dimension)
+        cert = SearchCertificate((), (), (), norm_gram=group.norm.gram)
+        return OptimizationResult(
+            TRIVIAL, zero, None, _whole_group_descriptor(group), cert, cfg.oracle_mode
+        )
+
+    frame_forms = [_frame_forms(points, s, frame) for frame in cfg.conjugation_family]
+    outcomes = []
+    candidates = []
+    for idx, (frame, per_point) in enumerate(zip(cfg.conjugation_family, frame_forms)):
+        opt = _torus_optimum(per_point, group)
+        if opt is None or opt.trivial:
+            outcomes.append(FrameOutcome(idx, None, None))
+        else:
+            outcomes.append(FrameOutcome(idx, opt.exponents, opt.value_sq))
+            candidates.append((opt, idx, frame))
+
+    oracle_value, oracle_box = (None, None)
+    if cfg.oracle_mode:
+        oracle_value = _oracle_best_value(frame_forms, group, cfg.exponent_box)
+        oracle_box = cfg.exponent_box
+
+    if not candidates:
+        cert = SearchCertificate(
+            tuple(outcomes), (), (), oracle_value, oracle_box, group.norm.gram
+        )
+        if oracle_value is not None:
+            raise InvariantViolation("oracle found a destabilizing direction the optimizer missed")
+        return OptimizationResult(NOT_WITNESSED, None, None, None, cert)
+
+    best_value = max(opt.value_sq for opt, _, _ in candidates)
+    ident = group.identity()
+    tied = []
+    seen_folded = set()
+    for opt_c, idx_c, frame_c in candidates:
+        if opt_c.value_sq != best_value:
+            continue
+        folded = fold_permutation_base(Cocharacter.based(group, frame_c, opt_c.exponents))
+        key = (folded.base, folded.torus.exponents)
+        if key in seen_folded:
+            continue
+        seen_folded.add(key)
+        tied.append((folded, opt_c, idx_c))
+    tied.sort(key=lambda t: (t[0].base != ident, t[0].torus.exponents, t[0].base, t[2]))
+    lam, opt, idx = tied[0]
+    parabolic = ParabolicDescriptor.from_cocharacter(lam)
+    for other_lam, _other_opt, _oidx in tied[1:]:
+        if ParabolicDescriptor.from_cocharacter(other_lam) != parabolic:
+            raise InvariantViolation("tied maximizers define different parabolic subgroups")
+
+    orders = [vanishing_order(x, lam, s) for x in points]
+    if not all(o.is_positive for o in orders):
+        raise InvariantViolation("an optimal limit does not land in S")
+    finite = [o.finite for o in orders if o.finite is not None]
+    if finite:
+        a = min(finite)
+        if F(a * a) / norm_sq(lam) != best_value:
+            raise InvariantViolation("value recomputation from vanishing orders disagrees")
+
+    for g in cfg.normalizer_samples:
+        if _fixes_input(g, points, s) and classify(g, lam) is MembershipClass.NOT_IN_P:
+            raise InvariantViolation("a normalizer sample falls outside the optimal parabolic")
+
+    global_verified = False
+    if cfg.oracle_mode:
+        if oracle_value is not None and oracle_value > best_value:
+            raise InvariantViolation("oracle exceeded the exact torus optimum")
+        global_verified = oracle_value == best_value
+
+    cert = SearchCertificate(
+        tuple(outcomes), opt.active_objective, opt.active_cone, oracle_value, oracle_box, group.norm.gram
+    )
+    return OptimizationResult(OPTIMAL, lam, best_value, parabolic, cert, global_verified)
+
+
+def _reference_reduce_to_gcr(h, cfg):
+    """Reference: ``reduce_to_gcr`` projecting every entry in input
+    coordinates with ``c_lambda`` and measuring every projection."""
+    group = h.group
+    chain = []
+    current = h
+    current_dim = gcr.centralizer_dim(group, current.generators)
+    while True:
+        step = None
+        for lam, _ in _reference_frame_cocharacters(current.generators, cfg):
+            image = c_lambda(current.generators, lam)
+            if image == current.generators:
+                continue
+            image_dim = gcr.centralizer_dim(group, image)
+            if image_dim > current_dim:
+                step = (lam, image, image_dim)
+                break
+        if step is None:
+            break
+        lam, image, current_dim = step
+        chain.append(lam)
+        current = gcr.SubgroupPresentation(group, image)
+    if len(group.factors) == 1 and group.factors[0].family == "GL":
+        assert gcr.is_gcr_algebra(current).is_completely_reducible
+    return tuple(chain), current
+
+
+def _conjugated(frame, h):
+    return linalg.mat_mul(linalg.mat_mul(frame, linalg.mat(h)), linalg.inverse(frame))
+
+
+def _upper_nilpotent(rng, group):
+    """Strictly upper triangular within each block, small entries."""
+    m = group.dimension
+    return [
+        [rng.choice((0, 1, -1, 2)) if j > i and group.block_of(i) == group.block_of(j) else 0 for j in range(m)]
+        for i in range(m)
+    ]
+
+
+def _torus_families():
+    """The seeded families of the shared-path tests, with their groups."""
+    sl3 = GroupSpec.make(("SL", 3))
+    gl2sl2 = GroupSpec.make(("GL", 2), ("SL", 2))
+    f = linalg.mat([[1, 0, 0], [2, 1, 0], [0, -1, 1]])
+    p = linalg.mat([[0, 0, 1], [1, 0, 0], [0, 1, 0]])
+    scaled = linalg.mat_mul(linalg.mat_mul(f, linalg.mat([[2, 0, 0], [0, 1, 0], [0, 0, 1]])), p)
+    swap = linalg.mat([[0, 1, 0], [1, 0, 0], [0, 0, 1]])
+    return {
+        "sl3-weyl": SearchConfig.default(sl3, exponent_box=2, shear_values=(1,)),
+        "gl3-shears": SearchConfig.default(GL3, exponent_box=2, shear_values=(-1, 2, 3)),
+        "gl2xsl2": SearchConfig.default(gl2sl2, exponent_box=2, shear_values=(1, -1)),
+        "gl3-scaled": SearchConfig(GL3, 3, (f, scaled, linalg.mat_mul(f, swap), swap, linalg.mat_mul(scaled, swap))),
+    }
+
+
+def test_torus_classes_match_per_frame_inverses_and_transports():
+    rng = random.Random(3)
+    scales = set()
+    for name, cfg in _torus_families().items():
+        moves = cfg._frame_tori
+        assert cfg._frame_inverses == tuple(map(linalg.inverse, cfg.conjugation_family))
+        assert len({mv.rep for mv in moves}) < len(moves), name
+        for idx, (frame, mv) in enumerate(zip(cfg.conjugation_family, moves)):
+            if mv.perm is None:
+                assert mv.rep == idx
+                continue
+            rep = cfg.conjugation_family[mv.rep]
+            p = [[F(0)] * len(frame) for _ in frame]
+            for j, (i, c) in enumerate(zip(mv.perm, mv.scales)):
+                p[i][j] = c
+            assert linalg.mat_mul(rep, linalg.mat(p)) == frame
+            scales.update(mv.scales)
+            # a dense matrix moved into the representative's frame, then on
+            h = linalg.mat([[rng.randint(-3, 3) for _ in frame] for _ in frame])
+            in_rep = linalg.mat_mul(linalg.mat_mul(cfg._frame_inverses[mv.rep], h), rep)
+            assert mv.conjugate(in_rep) == linalg.mat_mul(linalg.mat_mul(linalg.inverse(frame), h), frame)
+        # triangular in some frame of the family, so that it yields
+        group = cfg.group
+        mats = [_upper_nilpotent(rng, group), _upper_nilpotent(rng, group)]
+        mats[1][0][group.dimension - 1] = 1  # an entry off the block diagonal
+        frame = rng.choice(cfg.conjugation_family)
+        mats = [_conjugated(frame, h) for h in mats]
+        shared = list(instability._frame_cocharacters(mats, cfg))
+        assert [(lam, tmats) for lam, tmats, _ in shared] == list(_reference_frame_cocharacters(mats, cfg))
+        at_two = {}  # equal torus keys name one cocharacter
+        for lam, _, torus_key in shared:
+            assert at_two.setdefault(torus_key, lam.evaluate(2)) == lam.evaluate(2)
+        assert len(at_two) < len(shared), name
+    assert {F(-1), F(1), F(2)} <= scales  # signed columns and a scaled one
+
+
+def _optimize_cases(rng):
+    """(name, points, subvariety, config) on every seeded family."""
+    cases = []
+    for name, cfg in _torus_families().items():
+        group = cfg.group
+        rep = ConjugationTuples(group, 1)
+        for _ in range(3):
+            frame = rng.choice(cfg.conjugation_family)
+            cases.append((name, [rep.point([_conjugated(frame, _upper_nilpotent(rng, group))])], ZERO, cfg))
+        frame = rng.choice(cfg.conjugation_family)
+        pair = [rep.point([_conjugated(frame, _upper_nilpotent(rng, group))]) for _ in range(2)]
+        cases.append((name, pair, ZERO, cfg))
+    # oracle mode on SL_2 forms, and a GL_3 family with shears
+    sl2 = SearchConfig.default(SL2, exponent_box=3, shear_values=(-1, 1), oracle_mode=True)
+    for degree, j in ((3, 0), (4, 1), (5, 2)):
+        form = SymPower(SL2, degree).monomial(j, rng.choice((1, -2, 3)))
+        cases.append(("sl2-oracle", [form], ZERO, sl2))
+    gl3 = SearchConfig.default(GL3, exponent_box=2, shear_values=(1, -1), oracle_mode=True)
+    for _ in range(2):
+        frame = rng.choice(gl3.conjugation_family)
+        cases.append(("gl3-oracle", [ConjugationTuples(GL3, 1).point([_conjugated(frame, _upper_nilpotent(rng, GL3))])], ZERO, gl3))
+    # a custom subvariety stable under every frame: the first summand is zero
+    mat3 = ConjugationTuples(GL3, 1)
+    double = DirectSum((mat3, mat3))
+    first = SubvarietySpec.custom([Polynomial.coordinate(double, i) for i in range(9)], g_stable_asserted=True)
+    cfg = _torus_families()["gl3-scaled"]
+    for _ in range(2):
+        frame = rng.choice(cfg.conjugation_family)
+        x = _conjugated(frame, _upper_nilpotent(rng, GL3))
+        y = _conjugated(frame, _block_diagonal_matrix(rng, GL3))
+        coords = tuple(c for row in x for c in row) + tuple(c for row in y for c in row)
+        cases.append(("custom", [Point(double, coords)], first, cfg))
+    return cases
+
+
+def test_optimize_matches_per_frame_reference():
+    rng = random.Random(19)
+    seen = {}
+    for name, points, s, cfg in _optimize_cases(rng):
+        result = optimize(points, s, cfg)
+        assert result == _reference_optimize(points, s, cfg), name
+        seen.setdefault(name, set()).add(result.status)
+    assert set(seen) == {"sl3-weyl", "gl3-shears", "gl2xsl2", "gl3-scaled", "sl2-oracle", "gl3-oracle", "custom"}
+    assert all(OPTIMAL in statuses for statuses in seen.values()), seen
+
+
+def test_optimal_parabolic_matches_per_frame_reference(monkeypatch):
+    # unipotent generators against the identity tuple, on every family
+    rng = random.Random(23)
+    cases = []
+    for cfg in _torus_families().values():
+        group = cfg.group
+        for _ in range(2):
+            frame = rng.choice(cfg.conjugation_family)
+            u = linalg.mat_add(group.identity(), linalg.mat(_upper_nilpotent(rng, group)))
+            cases.append((gcr.SubgroupPresentation(group, (_conjugated(frame, u),)), cfg))
+    shared = [gcr.optimal_parabolic_subgroup(h, cfg) for h, cfg in cases]
+    monkeypatch.setattr(gcr, "optimize", _reference_optimize)
+    assert shared == [gcr.optimal_parabolic_subgroup(h, cfg) for h, cfg in cases]
+    assert sum(r.status == OPTIMAL for r in shared) >= 6
+
+
+def _member(rng, group):
+    """A seeded block-diagonal group element, else a unipotent one."""
+    for _ in range(10):
+        h = linalg.mat(_block_diagonal_matrix(rng, group))
+        if group.contains(h):
+            return h
+    return linalg.mat_add(group.identity(), linalg.mat(_upper_nilpotent(rng, group)))
+
+
+def _gcr_cases(rng):
+    cases = []
+    for cfg in _torus_families().values():
+        group = cfg.group
+        for k in range(4):
+            frame = rng.choice(cfg.conjugation_family)
+            gens = []
+            for _ in range(rng.randint(1, 2)):
+                if k == 3:  # a unipotent generator
+                    h = linalg.mat_add(group.identity(), linalg.mat(_upper_nilpotent(rng, group)))
+                else:
+                    h = _member(rng, group)
+                gens.append(_conjugated(frame, h))
+            cases.append((gcr.SubgroupPresentation(group, gens), cfg))
+    return cases
+
+
+def test_closedness_and_gcr_match_per_frame_reference(monkeypatch):
+    rng = random.Random(31)
+    cases = _gcr_cases(rng)
+    verdicts = [is_cochar_closed(h.tuple_point(), cfg) for h, cfg in cases]
+    searches = [gcr.is_gcr_search(h, cfg) for h, cfg in cases]
+    assert verdicts == [_reference_is_cochar_closed(h.tuple_point(), cfg) for h, cfg in cases]
+    monkeypatch.setattr(gcr, "is_cochar_closed", _reference_is_cochar_closed)
+    assert searches == [gcr.is_gcr_search(h, cfg) for h, cfg in cases]
+    assert {v.closed for v in verdicts} == {True, False}
+    assert len(cases) >= 12
+
+
+def test_reduce_to_gcr_matches_per_frame_reference():
+    rng = random.Random(37)
+    cases = _gcr_cases(rng) + [(h, corpus_config(h.group)) for h in subgroup_corpus(1, 12)]
+    steps = 0
+    for h, cfg in cases:
+        chain, quotient = gcr.reduce_to_gcr(h, cfg)
+        assert (chain, quotient) == _reference_reduce_to_gcr(h, cfg)
+        steps += len(chain)
+    assert steps >= 6
+
+
+def test_frame_forms_run_once_per_torus_class(monkeypatch):
+    # the 24 Weyl frames of GL_4 span one torus; GL_3 with shears +-1 has
+    # 78 frames on 13 tori: the identity's and one per shear
+    forms = instability._frame_forms
+    calls = []
+
+    def counted(points, s, frame):
+        calls.append(frame)
+        return forms(points, s, frame)
+
+    gl4 = GroupSpec.make(("GL", 4))
+    rng = random.Random(43)
+    for group, cfg, classes in (
+        (gl4, SearchConfig.default(gl4), 1),
+        (GL3, SearchConfig.default(GL3, shear_values=(-1, 1)), 13),
+    ):
+        assert len(cfg.conjugation_family) == (24 if group is gl4 else 78)
+        points = [ConjugationTuples(group, 1).point([_upper_nilpotent(rng, group)])]
+        with monkeypatch.context() as patched:
+            patched.setattr(instability, "_frame_forms", counted)
+            calls.clear()
+            result = optimize(points, ZERO, cfg)
+            assert len(calls) == classes
+        assert result == _reference_optimize(points, ZERO, cfg)
+        assert len(result.certificate.frames) == len(cfg.conjugation_family)
+
+
+def test_reduce_to_gcr_measures_each_cocharacter_once_per_step(monkeypatch):
+    # a Borel subgroup of GL_3 descends in steps; the last step walks the
+    # whole family and finds no enlarging projection
+    h = gcr.SubgroupPresentation(GL3, (((1, 1, 0), (0, 1, 1), (0, 0, 1)), ((2, 0, 1), (0, 1, 0), (0, 0, 3))))
+    cfg = corpus_config(GL3)
+    measure = gcr.centralizer_dim
+    calls = []
+
+    def counted(group, mats):
+        calls.append(tuple(mats))
+        return measure(group, mats)
+
+    monkeypatch.setattr(gcr, "centralizer_dim", counted)
+    chain, quotient = gcr.reduce_to_gcr(h, cfg)
+    monkeypatch.undo()
+    # per step: the distinct lambda(2) among the moving entries up to the
+    # accepted one, plus the initial measurement
+    expected = 1
+    moving = 0
+    current = h.generators
+    for step in range(len(chain) + 1):
+        distinct = set()
+        for lam, _ in _reference_frame_cocharacters(current, cfg):
+            image = c_lambda(current, lam)
+            if image == current:
+                continue
+            moving += 1
+            distinct.add(lam.evaluate(2))
+            if step < len(chain) and lam == chain[step]:
+                current = image
+                break
+        expected += len(distinct)
+    assert len(chain) >= 2
+    assert len(calls) == expected < moving + 1
+    assert (chain, quotient) == _reference_reduce_to_gcr(h, cfg)
