@@ -40,6 +40,7 @@ from .groups import (
     Character,
     Cocharacter,
     GroupSpec,
+    _perm_sign,
     fold_permutation_base,
     norm_sq,
     pairing_vec,
@@ -52,7 +53,7 @@ from .parabolic import (
     _radical_conjugator,
     classify,
 )
-from .reps import ConjugationTuples, Point, Polynomial, Representation
+from .reps import ConjugationTuples, Point, Polynomial, Representation, _composed
 
 # ---------------------------------------------------------------------------
 # Subvarieties
@@ -128,10 +129,11 @@ class SubvarietySpec:
         cache = self.__dict__.setdefault("_iso_cache", {})
         key = (rep, key_frame)
         if key not in cache:
-            trivial_frame = key_frame == rep.group.identity()
+            gens = self.generators(rep)
+            if key_frame != rep.group.identity():
+                gens = _composed(gens, linalg.mat(key_frame))
             data = []
-            for gen in self.generators(rep):
-                composed = gen if trivial_frame else gen.composed_with_action(key_frame)
+            for composed in gens:
                 parts = sorted(composed.isotypic().items(), key=lambda kv: kv[0].weights)
                 total = Polynomial(rep, ())
                 for _chi, part in parts:
@@ -148,16 +150,10 @@ class SubvarietySpec:
     def stable_under(self, g: Mat, rep: Representation) -> bool:
         """Spot check: composed generators stay in the linear span of the set."""
         gens = self.generators(rep)
-        monomials = sorted({mono for f in gens for mono, _ in f.terms})
-        extra = sorted(
-            {
-                mono
-                for f in gens
-                for mono, _ in f.composed_with_action(g).terms
-                if mono not in set(monomials)
-            }
-        )
-        cols = {mono: k for k, mono in enumerate(monomials + extra)}
+        composed = _composed(gens, linalg.mat(g))
+        known = {mono for f in gens for mono, _ in f.terms}
+        extra = {mono for f in composed for mono, _ in f.terms} - known
+        cols = {mono: k for k, mono in enumerate(sorted(known) + sorted(extra))}
 
         def as_vector(f: Polynomial) -> Vec:
             v = [Fraction(0)] * len(cols)
@@ -166,9 +162,7 @@ class SubvarietySpec:
             return tuple(v)
 
         basis = linalg.row_space(tuple(as_vector(f) for f in gens))
-        return all(
-            linalg.in_row_space(as_vector(f.composed_with_action(g)), basis) for f in gens
-        )
+        return all(linalg.in_row_space(as_vector(f), basis) for f in composed)
 
 
 # ---------------------------------------------------------------------------
@@ -199,7 +193,7 @@ class VanishingOrder:
 
 def admits_limit(x: Point, lam: Cocharacter) -> bool:
     rep = x.rep
-    transported = rep.act(lam.base_inverse, x)
+    transported = rep._act(lam.base_inverse, x, lam.base)
     d = lam.torus.exponents
     return all(
         c == 0 or pairing_vec(d, chi) >= 0
@@ -219,7 +213,7 @@ def vanishing_order(x: Point, lam: Cocharacter, s: SubvarietySpec) -> VanishingO
     rep = x.rep
     if s.contains_point(x):
         return VanishingOrder.infinite()
-    transported = rep.act(lam.base_inverse, x)
+    transported = rep._act(lam.base_inverse, x, lam.base)
     d = lam.torus.exponents
     best: int | None = None
     for parts in s.isotypic_data(rep, lam.base):
@@ -357,14 +351,25 @@ class TorusOptimum:
         return self.value_sq is None
 
 
-def _frame_forms(points, s: SubvarietySpec, frame: Mat | None):
+def _frame_forms(points, s: SubvarietySpec, frame: Mat | None, frame_inverse: Mat | None = None):
     """Per point moved into the frame: its support weights, and the weights
-    of the isotypic components of S's generators that do not vanish on it."""
+    of the isotypic components of S's generators that do not vanish on it.
+
+    For the built-in subvarieties the linear span W of S's generators is
+    G-stable: g . (coordinate form) is a combination of coordinate forms,
+    and the entries of g (X - I) g^-1 are combinations of those of X - I.
+    So the generators composed with the frame span W too.  Projecting onto
+    a weight is linear, so whether some generator's chi-component is
+    nonzero at the moved point depends only on W: the weights are those of
+    the plain generators, decomposed once per representation.  A custom
+    subvariety is only spot-checked for stability, so its generators are
+    composed with each frame.
+    """
     rep = points[0].rep
     if frame is not None:
-        inv = linalg.inverse(frame)
-        points = [rep.act(inv, x) for x in points]
-    iso = s.isotypic_data(rep, frame)
+        inverse = linalg.inverse(frame) if frame_inverse is None else frame_inverse
+        points = [rep._act(inverse, x, frame) for x in points]
+    iso = s.isotypic_data(rep, frame if s.kind is SubvarietyKind.CUSTOM else None)
     return [
         (
             [chi for chi, c in zip(rep.weights, x.coords) if c != 0],
@@ -510,24 +515,31 @@ def _column_line(col) -> tuple[tuple[int, ...], int, int]:
     return tuple(v // g for v in ints), g, den
 
 
-def _torus_classes(frames) -> tuple[tuple[_TorusMove, ...], tuple[Mat, ...]]:
-    """Each frame's torus class and inverse.
+def _torus_classes(frames, group: GroupSpec) -> tuple[tuple[_TorusMove, ...], tuple[Mat, ...]]:
+    """Each frame's torus class and inverse, checking that it is in the group.
 
     Two invertible frames span the same maximal torus exactly when
     frame' = frame . P with P monomial, that is when their columns agree
     up to order and nonzero scalars; so the classes are read off the lines
     of the columns, in integer arithmetic.  The first frame of a class is
-    its representative and is inverted; the other frames permute and scale
-    its inverse's rows.
+    its representative: it is checked in full and inverted.  The other
+    frames permute and scale its inverse's rows.  The representative is in
+    the group, so frame . P is in it exactly when the monomial P is: when P
+    keeps every factor block and has determinant one on each SL block.
     """
+    what = "conjugation family element"
+    m = group.dimension
     reps: dict[frozenset, int] = {}
     rep_columns: dict[int, dict] = {}
     moves: list[_TorusMove] = []
     inverses: list[Mat] = []
     for idx, frame in enumerate(frames):
+        if len(frame) != m or any(len(row) != m for row in frame) or not all(map(any, zip(*frame))):
+            group.require_member(frame, what)  # misshapen, or a zero column: raises
         lines = [_column_line(col) for col in zip(*frame)]
         rep = reps.setdefault(frozenset(key for key, _, _ in lines), idx)
         if rep == idx:
+            group.require_member(frame, what)
             rep_columns[idx] = {key: (j, g, den) for j, (key, g, den) in enumerate(lines)}
             moves.append(_TorusMove(idx))
             inverses.append(linalg.inverse(frame))
@@ -541,11 +553,27 @@ def _torus_classes(frames) -> tuple[tuple[_TorusMove, ...], tuple[Mat, ...]]:
                 scales.append(linalg.ONE if g == g_rep else -linalg.ONE)
             else:
                 scales.append(Fraction(g * den_rep, den * g_rep))
+        if not _monomial_in_group(group, perm, scales):
+            raise DomainError(f"{what} is not in the group")
         signs = tuple(int(c) for c in scales) if all(abs(c) == 1 for c in scales) else None
         move = _TorusMove(rep, tuple(perm), tuple(scales), signs)
         moves.append(move)
         inverses.append(move.inverse(inverses[rep]))
     return tuple(moves), tuple(inverses)
+
+
+def _monomial_in_group(group: GroupSpec, perm, scales) -> bool:
+    """Whether the monomial P with P[perm[j]][j] = scales[j] is in the group."""
+    for f, block in zip(group.factors, group.block_slices):
+        if any(perm[j] not in block for j in block):
+            return False
+        if f.family == "SL":
+            det = Fraction(_perm_sign([perm[j] - block.start for j in block]))
+            for j in block:
+                det *= scales[j]
+            if det != 1:
+                return False
+    return True
 
 
 @dataclass(frozen=True)
@@ -576,12 +604,8 @@ class SearchConfig:
         ident = self.group.identity()
         if ident not in family:
             family.insert(0, ident)
-        deduped: dict[Mat, None] = {}
-        for g in family:
-            self.group.require_member(g, "conjugation family element")
-            deduped.setdefault(g)
-        frames = tuple(deduped)
-        tori, inverses = _torus_classes(frames)
+        frames = tuple(dict.fromkeys(family))
+        tori, inverses = _torus_classes(frames, self.group)
         object.__setattr__(self, "conjugation_family", frames)
         object.__setattr__(self, "_frame_inverses", inverses)
         object.__setattr__(self, "_frame_tori", tori)
@@ -720,7 +744,7 @@ def optimize(points, s: SubvarietySpec, cfg: SearchConfig) -> OptimizationResult
 
     frames = cfg.conjugation_family
     class_forms = {
-        move.rep: _frame_forms(points, s, frames[move.rep])
+        move.rep: _frame_forms(points, s, frames[move.rep], cfg._frame_inverses[move.rep])
         for move in cfg._frame_tori
         if move.perm is None
     }

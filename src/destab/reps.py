@@ -1,14 +1,19 @@
 """Weight-diagonalized rational representations and their limits.
 
 Every supported representation carries an ordered basis on which the
-standard diagonal torus acts by an explicit integer weight, and the full
-group acts through an exact rational matrix.  A cocharacter with a base
-point is handled by transporting the point into the standard frame,
-grading there, and transporting back.
+standard diagonal torus acts by an explicit integer weight.  The full group
+acts exactly, through each kind's structure: conjugation tuples move each
+matrix as g h g^-1, a direct sum acts part by part, and a symmetric power
+applies its (d+1) x (d+1) matrix.  ``act_matrix`` is the action's matrix in
+the basis, the definition the structured actions agree with; polynomials
+are composed with the action through it.  A cocharacter with a base point
+is handled by transporting the point into the standard frame, grading
+there, and transporting back.
 
 The closed enumeration of kinds (conjugation tuples, symmetric powers of
 the standard 2-dimensional module, adjoint, direct sums) is the documented
-extension point: a new kind must supply basis weights and an exact action.
+extension point: a new kind must supply basis weights and an exact action
+matrix, and may act faster through its structure.
 """
 
 from __future__ import annotations
@@ -27,7 +32,13 @@ Monomial = tuple[tuple[int, int], ...]  # sorted ((coordinate index, exponent), 
 
 
 class Representation:
-    """Common interface: ``group``, ``dim``, ``weights``, ``act_matrix``."""
+    """Common interface: ``group``, ``dim``, ``weights``, ``act_matrix``.
+
+    ``act`` checks once per acting element that it lies in the group and
+    keeps, per element, what the kind's action needs (``_action``): the
+    element's inverse for conjugation tuples and direct sums, the action
+    matrix for any other kind.  A non-member is rejected on every call.
+    """
 
     group: GroupSpec
     dim: int
@@ -37,20 +48,30 @@ class Representation:
         raise NotImplementedError
 
     def act(self, g: Mat, point: "Point") -> "Point":
+        return self._act(linalg.mat(g), point)
+
+    def _act(self, g: Mat, point: "Point", g_inverse: Mat | None = None) -> "Point":
+        """``act`` on an exact matrix g, whose inverse the caller may know."""
         if point.rep != self:
             raise DimensionError("point belongs to a different representation")
-        g = linalg.mat(g)
-        if g == linalg.identity(self.group.dimension):
+        if g == self.group.identity():
             return point
-        return Point(self, linalg.mat_vec(self._act_matrix_cached(g), point.coords))
+        return Point(self, self._apply(g, self._acting(g, g_inverse), point.coords))
 
-    def _act_matrix_cached(self, g: Mat) -> Mat:
-        cache = self.__dict__.setdefault("_act_cache", {})
-        hit = cache.get(g)
-        if hit is None:
+    def _acting(self, g: Mat, g_inverse: Mat | None = None):
+        """The action data of g, after checking once that g is in the group."""
+        memo = self.__dict__.setdefault("_act_memo", {})
+        data = memo.get(g)
+        if data is None:
             self.group.require_member(g, "acting element")
-            hit = cache[g] = self.act_matrix(g)
-        return hit
+            data = memo[g] = self._action(g, g_inverse)
+        return data
+
+    def _action(self, g: Mat, g_inverse: Mat | None):
+        return self.act_matrix(g)
+
+    def _apply(self, g: Mat, data, coords: Vec) -> Vec:
+        return linalg.mat_vec(data, coords)
 
     def zero(self) -> "Point":
         return Point(self, (Fraction(0),) * self.dim)
@@ -108,6 +129,18 @@ class ConjugationTuples(Representation):
                 row[t * n : (t + 1) * n] = block[r]
                 rows.append(tuple(row))
         return tuple(rows)
+
+    def _action(self, g: Mat, g_inverse: Mat | None) -> Mat:
+        return linalg.inverse(g) if g_inverse is None else g_inverse
+
+    def _apply(self, g: Mat, g_inverse: Mat, coords: Vec) -> Vec:
+        m = self.m
+        out: list[Fraction] = []
+        for t in range(0, len(coords), m * m):
+            h = tuple(coords[t + i * m : t + (i + 1) * m] for i in range(m))
+            for row in linalg.mat_mul(linalg.mat_mul(g, h), g_inverse):
+                out.extend(row)
+        return tuple(out)
 
     def point(self, matrices) -> "Point":
         mats = [linalg.mat(h) for h in matrices]
@@ -245,6 +278,18 @@ class DirectSum(Representation):
             offset += p.dim
         return tuple(rows)
 
+    def _action(self, g: Mat, g_inverse: Mat | None) -> tuple:
+        g_inverse = linalg.inverse(g) if g_inverse is None else g_inverse
+        return tuple(p._action(g, g_inverse) for p in self.parts)
+
+    def _apply(self, g: Mat, data: tuple, coords: Vec) -> Vec:
+        out: list[Fraction] = []
+        offset = 0
+        for p, part_data in zip(self.parts, data):
+            out.extend(p._apply(g, part_data, coords[offset : offset + p.dim]))
+            offset += p.dim
+        return tuple(out)
+
     def inject(self, k: int, point: "Point") -> "Point":
         coords = [Fraction(0)] * self.dim
         offset = sum(p.dim for p in self.parts[:k])
@@ -304,7 +349,11 @@ def support(v: Point, frame: Mat | None = None) -> frozenset[Character]:
     ``frame`` is the base of a cocharacter; None means the standard frame.
     """
     rep = v.rep
-    w = v if frame is None else rep.act(linalg.inverse(linalg.mat(frame)), v)
+    if frame is None:
+        w = v
+    else:
+        frame = linalg.mat(frame)
+        w = rep._act(linalg.inverse(frame), v, frame)
     return frozenset(
         chi for chi, c in zip(rep.weights, w.coords) if c != 0
     )
@@ -315,7 +364,7 @@ def grade(v: Point, lam: Cocharacter) -> Grading:
     rep = v.rep
     if lam.group != rep.group:
         raise DimensionError("cocharacter and representation have different groups")
-    transported = rep.act(lam.base_inverse, v)
+    transported = rep._act(lam.base_inverse, v, lam.base)
     buckets: dict[int, list[Fraction]] = {}
     for idx, (chi, c) in enumerate(zip(rep.weights, transported.coords)):
         if c == 0:
@@ -324,7 +373,8 @@ def grade(v: Point, lam: Cocharacter) -> Grading:
         bucket = buckets.setdefault(n, [Fraction(0)] * rep.dim)
         bucket[idx] = c
     components = {
-        n: rep.act(lam.base, Point(rep, tuple(flat))) for n, flat in buckets.items()
+        n: rep._act(lam.base, Point(rep, tuple(flat)), lam.base_inverse)
+        for n, flat in buckets.items()
     }
     return Grading(v, lam, components)
 
@@ -454,7 +504,18 @@ class Polynomial:
 
     def composed_with_action(self, g: Mat) -> "Polynomial":
         """The polynomial v -> self(g . v)."""
-        return self.substitute_linear(self.rep._act_matrix_cached(linalg.mat(g)))
+        return _composed((self,), linalg.mat(g))[0]
+
+
+def _composed(polys, g: Mat) -> tuple[Polynomial, ...]:
+    """Each polynomial v -> f(g . v), for polynomials on one representation,
+    through one action matrix; g is checked like an acting element."""
+    if not polys:
+        return ()
+    rep = polys[0].rep
+    rep._acting(g)
+    a = rep.act_matrix(g)
+    return tuple(f.substitute_linear(a) for f in polys)
 
 
 def isotypic_decompose(

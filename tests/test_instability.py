@@ -11,6 +11,7 @@ from destab import (
     Cocharacter,
     ConjugationTuples,
     DimensionError,
+    DomainError,
     GroupSpec,
     InvariantViolation,
     LimitMembershipError,
@@ -1449,9 +1450,9 @@ def test_frame_forms_run_once_per_torus_class(monkeypatch):
     forms = instability._frame_forms
     calls = []
 
-    def counted(points, s, frame):
+    def counted(points, s, frame, *frame_inverse):
         calls.append(frame)
-        return forms(points, s, frame)
+        return forms(points, s, frame, *frame_inverse)
 
     gl4 = GroupSpec.make(("GL", 4))
     rng = random.Random(43)
@@ -1505,3 +1506,146 @@ def test_reduce_to_gcr_measures_each_cocharacter_once_per_step(monkeypatch):
     assert len(chain) >= 2
     assert len(calls) == expected < moving + 1
     assert (chain, quotient) == _reference_reduce_to_gcr(h, cfg)
+
+
+# ---------------------------------------------------------------------------
+# Frames acted on through the group's structure
+
+
+def _objective_set(s, rep, frame, x):
+    """The weights of the frame's isotypic components not vanishing at x."""
+    return {chi for parts in s.isotypic_data(rep, frame) for chi, part in parts if part.evaluate(x) != 0}
+
+
+def test_frame_free_objective_sets_match_per_frame_decomposition():
+    rng = random.Random(61)
+    compared = partial = 0
+    for group in (GL3, GroupSpec.make(("SL", 3)), GroupSpec.make(("GL", 2), ("SL", 2))):
+        frames = rng.sample(SearchConfig.default(group, shear_values=(-1, 2)).conjugation_family, 5)
+        for count in (1, 2):
+            rep = ConjugationTuples(group, count)
+            ident = linalg.identity(group.dimension)
+            points = [
+                rep.point([_block_diagonal_matrix(rng, group) for _ in range(count)]),
+                rep.point([_upper_nilpotent(rng, group) for _ in range(count)]),
+                rep.point([linalg.mat_add(ident, linalg.mat(_upper_nilpotent(rng, group))) for _ in range(count)]),
+                rep.point([ident] * count),
+            ]
+            for s in (SubvarietySpec.zero_locus(), SubvarietySpec.identity_tuple()):
+                for frame in frames:
+                    inverse = linalg.inverse(frame)
+                    moved = [rep.point([_conjugated(inverse, h) for h in rep.matrices(x)]) for x in points]
+                    for x in moved:
+                        frame_free = _objective_set(s, rep, None, x)
+                        assert frame_free == _objective_set(s, rep, frame, x)
+                        compared += 1
+                        partial += 0 < len(frame_free) < len(rep.weights)
+                    shared = instability._frame_forms(points, s, frame)
+                    assert [forms for _, forms in shared] == [_objective_set(s, rep, frame, x) for x in moved]
+    assert compared == 240 and partial >= 60
+
+
+def test_frame_forms_act_through_structure(monkeypatch):
+    # a Weyl x shear search on a zero-locus tuple input builds no action
+    # matrix and composes no generator with the action in any frame
+    from destab import reps
+
+    group = GroupSpec.make(("GL", 2), ("GL", 2))
+    cfg = SearchConfig.default(group, exponent_box=2, shear_values=(1, -2))
+    rng = random.Random(67)
+    rep = ConjugationTuples(group, 2)
+    frame = cfg.conjugation_family[5]
+    points = [rep.point([_conjugated(frame, _upper_nilpotent(rng, group)) for _ in range(2)])]
+    forms = instability._frame_forms
+    inside = []
+    counts = {"frames": 0, "act_matrix": 0, "composed": 0}
+
+    def counted_forms(*args):
+        counts["frames"] += 1
+        inside.append(True)
+        try:
+            return forms(*args)
+        finally:
+            inside.pop()
+
+    def counter(name, fn):
+        def counted(*args):
+            counts[name] += bool(inside)
+            return fn(*args)
+
+        return counted
+
+    with monkeypatch.context() as patched:
+        patched.setattr(instability, "_frame_forms", counted_forms)
+        patched.setattr(ConjugationTuples, "act_matrix", counter("act_matrix", ConjugationTuples.act_matrix))
+        patched.setattr(Polynomial, "composed_with_action", counter("composed", Polynomial.composed_with_action))
+        patched.setattr(reps, "_composed", counter("composed", reps._composed))
+        patched.setattr(instability, "_composed", counter("composed", instability._composed))
+        result = optimize(points, ZERO, cfg)
+    assert counts == {"frames": len({mv.rep for mv in cfg._frame_tori}), "act_matrix": 0, "composed": 0}
+    assert counts["frames"] > 1
+    assert result.status == OPTIMAL
+    assert result == _reference_optimize(points, ZERO, cfg)
+
+
+def _monomial(perm, scales):
+    p = [[F(0)] * len(perm) for _ in perm]
+    for j, (i, c) in enumerate(zip(perm, scales)):
+        p[i][j] = F(c)
+    return linalg.mat(p)
+
+
+def test_search_config_rejects_frames_outside_the_group():
+    message = "^conjugation family element is not in the group$"
+    gl2gl2 = GroupSpec.make(("GL", 2), ("GL", 2))
+    with pytest.raises(DomainError, match=message):  # swaps the two blocks
+        SearchConfig(gl2gl2, 2, (_monomial((2, 3, 0, 1), (1, 1, 1, 1)),))
+    for frame in ([[1, 0], [2, 0]], [[1, 0, 0], [0, 1, 0]], [[1, 0, 0], [0, 1, 0], [0, 0, 1]]):
+        with pytest.raises(DomainError, match=message):  # a zero column, or misshapen
+            SearchConfig(GL2, 2, (frame,))
+    sl3 = GroupSpec.make(("SL", 3))
+    rep_frame = linalg.mat_mul(sl3.weyl_representatives()[3], sl3.shears((2,))[1])
+    for p in (_monomial((0, 1, 2), (-1, 1, 1)), _monomial((1, 0, 2), (1, 1, 1)), _monomial((2, 0, 1), (2, 1, 1))):
+        frame = linalg.mat_mul(rep_frame, p)
+        assert linalg.det(frame) != 1
+        with pytest.raises(DomainError, match=message):
+            SearchConfig(sl3, 2, (rep_frame, frame))
+
+
+def test_search_config_membership_matches_dense_check():
+    # frames f . P for seeded members f and monomials P: the configuration
+    # accepts exactly the frames the dense check accepts
+    rng = random.Random(71)
+    groups = (
+        GroupSpec.make(("GL", 2), ("GL", 2)),
+        GroupSpec.make(("GL", 2), ("SL", 2)),
+        GroupSpec.make(("SL", 3)),
+        GroupSpec.make(("GL", 1), ("SL", 2)),
+    )
+    verdicts = set()
+    for group in groups:
+        m = group.dimension
+        for _ in range(30):
+            f = linalg.mat(_member(rng, group))
+            perm = list(range(m))
+            if rng.random() < 0.3:
+                rng.shuffle(perm)  # may cross blocks
+            else:
+                for block in group.block_slices:
+                    local = list(block)
+                    rng.shuffle(local)
+                    perm[block.start : block.stop] = local
+            scales = [rng.choice((1, -1, 2, F(1, 2), -3)) for _ in range(m)]
+            frame = linalg.mat_mul(f, _monomial(perm, scales))
+            member = group.contains(frame)
+            try:
+                cfg = SearchConfig(group, 2, (f, frame))
+            except DomainError as exc:
+                assert str(exc) == "conjugation family element is not in the group"
+                accepted = False
+            else:
+                accepted = True
+                assert cfg._frame_inverses == tuple(map(linalg.inverse, cfg.conjugation_family))
+            assert accepted == member, (group, f, frame)
+            verdicts.add(member)
+    assert verdicts == {True, False}

@@ -18,7 +18,7 @@ from destab import (
     limit,
     support,
 )
-from destab import linalg
+from destab import DomainError, linalg
 from destab.corpus import random_cocharacter, random_point_with_limit, random_radical_element
 import random
 
@@ -197,3 +197,103 @@ def test_point_validation():
         Point(MAT2, (F(1),))
     with pytest.raises(Exception):
         MAT2.point([[[1, 0], [0, 1]], [[1, 0], [0, 1]]])
+
+
+# ---------------------------------------------------------------------------
+# Structured actions against the action matrix, kept as the reference
+
+
+def _dense_member(rng, group):
+    """A seeded dense rational block-diagonal element of the group."""
+    m = group.dimension
+    g = [[F(0)] * m for _ in range(m)]
+    for f, block in zip(group.factors, group.block_slices):
+        while True:
+            sub = [[F(rng.randint(-4, 4), rng.randint(1, 3)) for _ in block] for _ in block]
+            d = linalg.det(linalg.mat(sub))
+            if d != 0:
+                break
+        if f.family == "SL":
+            for row in sub:
+                row[0] /= d
+        for a, i in enumerate(block):
+            for b, j in enumerate(block):
+                g[i][j] = sub[a][b]
+    return linalg.mat(g)
+
+
+def _acting_elements(rng, group):
+    """Weyl representatives times shears, and seeded dense members."""
+    shears = group.shears((-1, 2))
+    frames = [linalg.mat_mul(w, rng.choice(shears)) for w in group.weyl_representatives()]
+    return rng.sample(frames, min(len(frames), 4)) + [_dense_member(rng, group) for _ in range(3)]
+
+
+def _random_point(rng, rep):
+    return Point(rep, tuple(F(rng.randint(-3, 3), rng.randint(1, 2)) for _ in range(rep.dim)))
+
+
+def test_act_matches_action_matrix_on_seeded_inputs():
+    rng = random.Random(53)
+    groups = (
+        GL2,
+        GL3,
+        GroupSpec.make(("SL", 3)),
+        GroupSpec.make(("GL", 2), ("SL", 2)),
+        GroupSpec.make(("GL", 1), ("GL", 2)),
+    )
+    reps = [ConjugationTuples(group, count) for group in groups for count in (1, 2, 3)]
+    reps += [
+        DirectSum((ConjugationTuples(GL2, 2), SymPower(GL2, 3))),
+        DirectSum((SymPower(SL2, 2), ConjugationTuples(SL2, 1), SymPower(SL2, 4))),
+    ]
+    checked = 0
+    for rep in reps:
+        for g in _acting_elements(rng, rep.group):
+            for _ in range(2):
+                v = _random_point(rng, rep)
+                expected = Point(rep, linalg.mat_vec(rep.act_matrix(g), v.coords))
+                assert rep.act(g, v) == expected, (rep, g)
+                checked += 1
+    assert checked == 206
+
+
+def test_act_rejects_a_non_member_on_every_call():
+    sl2_tuple = ConjugationTuples(SL2, 2)
+    v = sl2_tuple.point([[[1, 2], [0, 1]], [[0, 1], [1, 0]]])
+    singular = ConjugationTuples(GL2, 1)
+    off_block = ConjugationTuples(GroupSpec.make(("GL", 1), ("GL", 1)), 1)
+    cases = (
+        (sl2_tuple, v, [[2, 0], [0, 1]]),  # determinant 2 in SL_2
+        (singular, singular.point([[[1, 0], [0, 0]]]), [[1, 1], [1, 1]]),
+        (off_block, off_block.point([[[1, 0], [0, 2]]]), [[1, 1], [0, 1]]),
+        (SYM4, SYM4.monomial(1), [[1, 0], [0, 3]]),
+        (DirectSum((SYM4, ConjugationTuples(SL2, 1))), DirectSum((SYM4, ConjugationTuples(SL2, 1))).zero(), [[3, 0], [0, 1]]),
+    )
+    for rep, point, g in cases:
+        for _ in range(2):
+            with pytest.raises(DomainError, match="acting element is not in the group"):
+                rep.act(g, point)
+        with pytest.raises(DomainError, match="acting element is not in the group"):
+            Polynomial.coordinate(rep, 0).composed_with_action(g)
+
+
+def test_support_inverts_the_frame_once(monkeypatch):
+    rng = random.Random(59)
+    inverse = linalg.inverse
+    calls = []
+
+    def counted(a):
+        calls.append(a)
+        return inverse(a)
+
+    for rep in (ConjugationTuples(GL3, 2), DirectSum((MAT2, SymPower(GL2, 2)))):
+        for frame in _acting_elements(rng, rep.group):
+            v = _random_point(rng, rep)
+            moved = linalg.mat_vec(rep.act_matrix(inverse(frame)), v.coords)
+            expected = frozenset(chi for chi, c in zip(rep.weights, moved) if c != 0)
+            monkeypatch.setattr(linalg, "inverse", counted)
+            calls.clear()
+            assert support(v, frame) == expected
+            assert len(calls) == 1
+            monkeypatch.undo()
