@@ -7,6 +7,7 @@ offending path; emitting is the exact inverse of parsing.
 
 from __future__ import annotations
 
+from contextlib import contextmanager
 from fractions import Fraction
 
 from . import linalg
@@ -20,6 +21,17 @@ from .reps import ConjugationTuples, DirectSum, Point, Polynomial, Representatio
 
 def _fail(path: str, message: str):
     raise SchemaError(f"{path}: {message}")
+
+
+@contextmanager
+def _schema_errors(path: str):
+    """Report any other DestabError raised in the block as a schema error at path."""
+    try:
+        yield
+    except SchemaError:
+        raise
+    except DestabError as exc:
+        _fail(path, str(exc))
 
 
 def parse_rational(value, path: str = "$") -> Fraction:
@@ -77,14 +89,10 @@ def parse_group(doc, path: str = "$") -> GroupSpec:
             _fail(f"{path}.factors[{i}].rank", "must be a positive integer")
         parsed.append((family, rank))
     gram = doc.get("gram", "identity")
-    try:
+    with _schema_errors(path):
         if gram == "identity":
             return GroupSpec.make(*parsed)
         return GroupSpec.make(*parsed, gram=parse_matrix(gram, f"{path}.gram"))
-    except DestabError as exc:
-        if isinstance(exc, SchemaError):
-            raise
-        _fail(path, str(exc))
 
 
 def emit_group(group: GroupSpec) -> dict:
@@ -100,7 +108,7 @@ def parse_representation(doc, group: GroupSpec, path: str = "$") -> Representati
     if not isinstance(doc, dict):
         _fail(path, "expected an object")
     kind = doc.get("kind")
-    try:
+    with _schema_errors(path):
         if kind == "conjugation_tuples":
             count = doc.get("count")
             if not isinstance(count, int) or count < 1:
@@ -126,21 +134,7 @@ def parse_representation(doc, group: GroupSpec, path: str = "$") -> Representati
                     for i, p in enumerate(parts)
                 )
             )
-    except DestabError as exc:
-        if isinstance(exc, SchemaError):
-            raise
-        _fail(path, str(exc))
     _fail(f"{path}.kind", f"unknown representation kind {kind!r}")
-
-
-def emit_representation(rep: Representation) -> dict:
-    if isinstance(rep, ConjugationTuples):
-        return {"kind": "conjugation_tuples", "m": rep.m, "count": rep.count}
-    if isinstance(rep, SymPower):
-        return {"kind": "sym_power", "degree": rep.degree}
-    if isinstance(rep, DirectSum):
-        return {"kind": "direct_sum", "parts": [emit_representation(p) for p in rep.parts]}
-    raise SchemaError(f"cannot serialize representation {type(rep).__name__}")
 
 
 def parse_point(doc, rep: Representation, path: str = "$") -> Point:
@@ -150,19 +144,13 @@ def parse_point(doc, rep: Representation, path: str = "$") -> Point:
         mats = doc["matrices"]
         if not isinstance(mats, list):
             _fail(f"{path}.matrices", "expected a list")
-        try:
+        with _schema_errors(path):
             return rep.point([parse_matrix(h, f"{path}.matrices[{k}]") for k, h in enumerate(mats)])
-        except DestabError as exc:
-            if isinstance(exc, SchemaError):
-                raise
-            _fail(path, str(exc))
     if not isinstance(doc, list):
         _fail(path, "expected a coordinate array or {'matrices': ...}")
     coords = tuple(parse_rational(x, f"{path}[{i}]") for i, x in enumerate(doc))
-    try:
+    with _schema_errors(path):
         return Point(rep, coords)
-    except DestabError as exc:
-        _fail(path, str(exc))
 
 
 def emit_point(point: Point) -> list[str]:
@@ -176,14 +164,10 @@ def parse_cocharacter(doc, group: GroupSpec, path: str = "$") -> Cocharacter:
     if not isinstance(exps, list) or not all(isinstance(x, int) for x in exps):
         _fail(f"{path}.exponents", "expected a list of integers")
     base = doc.get("base")
-    try:
+    with _schema_errors(path):
         if base is None:
             return Cocharacter.standard(group, tuple(exps))
         return Cocharacter.based(group, parse_matrix(base, f"{path}.base"), tuple(exps))
-    except DestabError as exc:
-        if isinstance(exc, SchemaError):
-            raise
-        _fail(path, str(exc))
 
 
 def emit_cocharacter(lam: Cocharacter) -> dict:
@@ -215,10 +199,8 @@ def parse_polynomial(doc, rep: Representation, path: str = "$") -> Polynomial:
             pairs.append((pair[0], pair[1]))
         key = tuple(sorted(pairs))
         terms[key] = terms.get(key, Fraction(0)) + coeff
-    try:
+    with _schema_errors(path):
         return Polynomial.from_dict(rep, terms)
-    except DestabError as exc:
-        _fail(path, str(exc))
 
 
 def emit_polynomial(poly: Polynomial) -> list[dict]:
@@ -280,7 +262,7 @@ def parse_config(doc, group: GroupSpec, path: str = "$") -> SearchConfig:
         parse_matrix(g, f"{path}.normalizer_samples[{i}]") for i, g in enumerate(samples)
     )
     family = doc.get("family", "weyl")
-    try:
+    with _schema_errors(path):
         if family == "weyl" or family is None:
             shear_values = doc.get("shear_values", [])
             if not isinstance(shear_values, list) or not all(
@@ -298,10 +280,6 @@ def parse_config(doc, group: GroupSpec, path: str = "$") -> SearchConfig:
             _fail(f"{path}.family", "expected 'weyl' or a list of matrices")
         frames = tuple(parse_matrix(g, f"{path}.family[{i}]") for i, g in enumerate(family))
         return SearchConfig(group, box, frames, oracle, parsed_samples)
-    except DestabError as exc:
-        if isinstance(exc, SchemaError):
-            raise
-        _fail(path, str(exc))
 
 
 def emit_config(cfg: SearchConfig) -> dict:
@@ -320,14 +298,8 @@ def parse_subgroup(doc, group: GroupSpec, path: str = "$") -> SubgroupPresentati
     if not isinstance(gens, list) or not gens:
         _fail(f"{path}.generators", "expected a nonempty list of matrices")
     mats = [parse_matrix(g, f"{path}.generators[{i}]") for i, g in enumerate(gens)]
-    try:
+    with _schema_errors(path):
         return SubgroupPresentation(group, tuple(mats))
-    except DestabError as exc:
-        _fail(path, str(exc))
-
-
-def emit_subgroup(h: SubgroupPresentation) -> dict:
-    return {"generators": [emit_matrix(g) for g in h.generators]}
 
 
 def parse_lie_subalgebra(doc, group: GroupSpec, path: str = "$") -> LieSubalgebra:
@@ -337,7 +309,5 @@ def parse_lie_subalgebra(doc, group: GroupSpec, path: str = "$") -> LieSubalgebr
     if not isinstance(basis, list) or not basis:
         _fail(f"{path}.basis", "expected a nonempty list of matrices")
     mats = [parse_matrix(x, f"{path}.basis[{i}]") for i, x in enumerate(basis)]
-    try:
+    with _schema_errors(path):
         return LieSubalgebra(group, tuple(mats))
-    except DestabError as exc:
-        _fail(path, str(exc))

@@ -11,8 +11,8 @@ in all orbit computations.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
-from fractions import Fraction
 
 from . import linalg
 from .errors import (
@@ -37,6 +37,7 @@ from .linalg import Mat, Vec
 from .parabolic import (
     MembershipClass,
     ParabolicDescriptor,
+    _conjugator_system,
     _limit_pattern,
     _require_lie_element,
     classify,
@@ -59,19 +60,11 @@ class SubgroupPresentation:
             self.group.require_member(g, "generator")
         object.__setattr__(self, "generators", gens)
 
-    @staticmethod
-    def make(group: GroupSpec, generators) -> "SubgroupPresentation":
-        return SubgroupPresentation(group, tuple(linalg.mat(g) for g in generators))
-
     def tuple_rep(self) -> ConjugationTuples:
         return ConjugationTuples(self.group, len(self.generators))
 
     def tuple_point(self) -> Point:
         return self.tuple_rep().point(self.generators)
-
-    def is_trivial(self) -> bool:
-        ident = self.group.identity()
-        return all(g == ident for g in self.generators)
 
 
 @dataclass(frozen=True)
@@ -85,17 +78,15 @@ class EnvelopingAlgebra:
     def dimension(self) -> int:
         return len(self.basis)
 
+    @functools.cached_property
     def _echelon(self) -> list:
-        cached = self.__dict__.get("_rows")
-        if cached is None:
-            cached = []
-            for b in self.basis:
-                _echelon_add(cached, _flatten(b))
-            self.__dict__["_rows"] = cached
-        return cached
+        echelon: list = []
+        for b in self.basis:
+            linalg.echelon_add(echelon, _flatten(b))
+        return echelon
 
     def contains(self, x: Mat) -> bool:
-        return not any(_echelon_reduce(self._echelon(), _flatten(linalg.mat(x))))
+        return linalg.echelon_contains(self._echelon, _flatten(linalg.mat(x)))
 
 
 def _flatten(x: Mat) -> Vec:
@@ -106,44 +97,17 @@ def _unflatten(v: Vec, m: int) -> Mat:
     return tuple(tuple(v[i * m + j] for j in range(m)) for i in range(m))
 
 
-def _echelon_reduce(echelon, v) -> list[Fraction]:
-    """v reduced against sparse echelon rows (pivot, nonzero terms).
-
-    Each row has a unit pivot and zeros at the pivots of the rows before
-    it, so reducing against the rows in order leaves zero exactly when v
-    lies in their span.
-    """
-    w = list(v)
-    for pivot, terms in echelon:
-        f = w[pivot]
-        if f:
-            for j, y in terms:
-                w[j] -= f * y
-    return w
-
-
-def _echelon_add(echelon, v) -> bool:
-    """Append the reduced v as a new row unless it lies in the span."""
-    w = _echelon_reduce(echelon, v)
-    pivot = next((j for j, c in enumerate(w) if c), None)
-    if pivot is None:
-        return False
-    scale = 1 / w[pivot]
-    echelon.append((pivot, [(j, c * scale) for j, c in enumerate(w) if c]))
-    return True
-
-
 def _span_closure(group: GroupSpec, seeds: list[Mat], multipliers: list[Mat]) -> tuple[Mat, ...]:
     """Smallest span containing seeds and closed under right multiplication.
 
-    The accepted matrices are kept as sparse echelon rows of their
-    flattened entries, so each candidate costs one reduction.
+    The accepted matrices are kept as an echelon basis of their flattened
+    entries, so each candidate costs one reduction.
     """
-    echelon: list[tuple[int, list[tuple[int, Fraction]]]] = []
+    echelon: list = []
     basis_mats: list[Mat] = []
 
     def try_add(x: Mat) -> bool:
-        if not _echelon_add(echelon, _flatten(x)):
+        if linalg.echelon_add(echelon, _flatten(x)) is None:
             return False
         basis_mats.append(x)
         return True
@@ -278,39 +242,18 @@ def is_gcr_search(h: SubgroupPresentation, cfg: SearchConfig) -> GcrVerdict:
 def centralizer_dim(group: GroupSpec, mats) -> int:
     """Dimension of the centralizer of a tuple inside the group's Lie algebra.
 
-    The commutation equations are linear; intersecting with the tangent
-    constraints (block diagonality, trace zero on SL blocks) gives the
-    group centralizer dimension because the invertible locus is dense.
+    The commutation equations x h = h x are the conjugator equations of the
+    tuple with itself, over the entries of x inside the diagonal blocks;
+    adding trace zero on SL blocks gives the group centralizer dimension
+    because the invertible locus is dense.
     """
     mats = [linalg.mat(x) for x in mats]
-    m = group.dimension
-    rows: list[Vec] = []
-    for h in mats:
-        # (x h - h x)_{ij} = 0, unknowns x_{kl}
-        for i in range(m):
-            for j in range(m):
-                row = [Fraction(0)] * (m * m)
-                for k in range(m):
-                    row[i * m + k] += h[k][j]
-                    row[k * m + j] -= h[i][k]
-                if any(row):
-                    rows.append(tuple(row))
-    for bi, block_i in enumerate(group.block_slices):
-        for bj, block_j in enumerate(group.block_slices):
-            if bi == bj:
-                continue
-            for i in block_i:
-                for j in block_j:
-                    row = [Fraction(0)] * (m * m)
-                    row[i * m + j] = Fraction(1)
-                    rows.append(tuple(row))
+    free = [(i, j) for block in group.block_slices for i in block for j in block]
+    rows, _ = _conjugator_system(mats, mats, free)
     for f, block in zip(group.factors, group.block_slices):
         if f.family == "SL":
-            row = [Fraction(0)] * (m * m)
-            for i in block:
-                row[i * m + i] = Fraction(1)
-            rows.append(tuple(row))
-    return len(linalg.nullspace(tuple(rows), m * m))
+            rows += (tuple(linalg.ONE if a == b and a in block else linalg.ZERO for a, b in free),)
+    return len(free) - linalg.rank(rows)
 
 
 def reduce_to_gcr(
@@ -487,13 +430,13 @@ class LieSubalgebra:
         object.__setattr__(self, "basis", basis)
         for x in basis:
             _require_lie_element(self.group, x)
-        rows = linalg.row_space(tuple(_flatten(x) for x in basis))
-        if len(rows) != len(basis):
+        echelon: list = []
+        if any(linalg.echelon_add(echelon, _flatten(x)) is None for x in basis):
             raise DomainError("basis elements are linearly dependent")
         for x in basis:
             for y in basis:
                 bracket = linalg.mat_sub(linalg.mat_mul(x, y), linalg.mat_mul(y, x))
-                if not linalg.in_row_space(_flatten(bracket), rows):
+                if not linalg.echelon_contains(echelon, _flatten(bracket)):
                     raise DomainError("basis is not closed under the commutator")
 
     def tuple_point(self) -> Point:

@@ -1,4 +1,4 @@
-"""Split classical groups: torus data, roots, Weyl elements, cocharacters.
+"""Split classical groups: torus data, Weyl elements, cocharacters.
 
 A group is a finite product of GL/SL factors embedded block-diagonally in
 ``GL_m`` with the diagonal maximal torus.  Everything is exact: group
@@ -9,6 +9,7 @@ optionally conjugated by a rational base point.
 from __future__ import annotations
 
 import itertools
+import operator
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import gcd
@@ -96,19 +97,6 @@ class GroupSpec:
             if index in r:
                 return b
         raise DimensionError(f"index {index} out of range")
-
-    def roots(self) -> tuple[Character, ...]:
-        """All roots e_i - e_j (i != j) within factor blocks."""
-        m = self.dimension
-        out = []
-        for block in self.block_slices:
-            for i in block:
-                for j in block:
-                    if i != j:
-                        w = [0] * m
-                        w[i], w[j] = 1, -1
-                        out.append(Character(tuple(w)))
-        return tuple(out)
 
     def identity(self) -> Mat:
         return linalg.identity(self.dimension)
@@ -312,12 +300,14 @@ class Norm:
     """
 
     gram: Mat
+    _int_gram: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         g = linalg.mat(self.gram)
         object.__setattr__(self, "gram", g)
         if any(x.denominator != 1 for row in g for x in row):
             raise DomainError("Gram matrix must be integer-valued")
+        object.__setattr__(self, "_int_gram", tuple(tuple(map(int, row)) for row in g))
         if not linalg.is_symmetric(g):
             raise DomainError("Gram matrix must be symmetric")
         if not linalg.is_positive_definite(g):
@@ -343,8 +333,10 @@ class Norm:
                     raise DomainError("Gram matrix is not invariant under block permutations")
 
     def value_sq(self, d: tuple[int, ...]) -> Fraction:
-        v = linalg.vec(d)
-        return linalg.dot(v, linalg.mat_vec(self.gram, v))
+        """d^T G d, summed in integers since G is integer-valued."""
+        if len(d) != len(self._int_gram):
+            raise linalg.DimensionMismatch(len(self._int_gram), len(d))
+        return Fraction(sum(x * sum(map(operator.mul, row, d)) for x, row in zip(d, self._int_gram) if x))
 
 
 def pairing(lam: TorusCocharacter, chi: Character) -> int:

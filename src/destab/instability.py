@@ -151,9 +151,8 @@ class SubvarietySpec:
         """Spot check: composed generators stay in the linear span of the set."""
         gens = self.generators(rep)
         composed = _composed(gens, linalg.mat(g))
-        known = {mono for f in gens for mono, _ in f.terms}
-        extra = {mono for f in composed for mono, _ in f.terms} - known
-        cols = {mono: k for k, mono in enumerate(sorted(known) + sorted(extra))}
+        monos = sorted({mono for f in (*gens, *composed) for mono, _ in f.terms})
+        cols = {mono: k for k, mono in enumerate(monos)}
 
         def as_vector(f: Polynomial) -> Vec:
             v = [Fraction(0)] * len(cols)
@@ -161,8 +160,10 @@ class SubvarietySpec:
                 v[cols[mono]] = c
             return tuple(v)
 
-        basis = linalg.row_space(tuple(as_vector(f) for f in gens))
-        return all(linalg.in_row_space(as_vector(f), basis) for f in composed)
+        echelon: list = []
+        for f in gens:
+            linalg.echelon_add(echelon, as_vector(f))
+        return all(linalg.echelon_contains(echelon, as_vector(f)) for f in composed)
 
 
 # ---------------------------------------------------------------------------
@@ -881,10 +882,12 @@ def _oracle_best_value(frame_forms, group: GroupSpec, box: int) -> Fraction | No
 
 
 def _box_vectors(group: GroupSpec, box: int):
-    """Primitive integer exponent vectors in the box, SL sums zero."""
-    sl_blocks = [b for f, b in zip(group.factors, group.block_slices) if f.family == "SL"]
-    for d in itertools.product(range(-box, box + 1), repeat=group.dimension):
-        if gcd(*d) == 1 and all(sum(d[b.start : b.stop]) == 0 for b in sl_blocks):
+    """Primitive integer exponent vectors in the box, SL sums zero, in
+    lexicographic order: the product of the blocks' lexicographic lists."""
+    blocks = (_block_vectors(f.family, len(b), box) for f, b in zip(group.factors, group.block_slices))
+    for combo in itertools.product(*blocks):
+        d = sum(combo, ())
+        if gcd(*d) == 1:
             yield d
 
 

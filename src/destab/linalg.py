@@ -1,12 +1,16 @@
 """Exact rational linear algebra over ``fractions.Fraction``.
 
-All matrices are tuples of tuples of Fractions (immutable, hashable); all
-algorithms are plain fraction-free-enough Gaussian elimination.  Sizes here
-are tiny (at most a few dozen rows), so clarity beats asymptotics, with one
-exception: ``mat_mul`` skips zero entries of both factors.  Most products
-move matrices into a search frame, a signed permutation times a shear, so
-nearly all their terms are zero; the sum of the nonzero terms is the same
-exact value.
+All matrices are tuples of tuples of Fractions (immutable, hashable).
+Sizes here are tiny (at most a few dozen rows), but most matrices are
+sparse: frames are signed permutations times a shear, and commutator and
+conjugator equations touch a few entries each.  So products skip zero
+entries of both factors, and all elimination runs through one step,
+``_subtract``, which subtracts a multiple of a row with a unit pivot and
+touches only that row's nonzero terms.  It serves Gauss-Jordan reduction
+(``rref`` and everything built on it), the incremental echelon basis
+(``echelon_add``, ``echelon_contains``), ``det`` and ``in_row_space``.
+Skipping zero terms leaves every exact value unchanged, and the RREF is
+unique, so the answers do not depend on the order of the work.
 """
 
 from __future__ import annotations
@@ -102,6 +106,17 @@ class DimensionMismatch(ValueError):
         super().__init__(f"dimension mismatch: expected {expected}, got {got}")
 
 
+def _terms(row) -> list[tuple[int, Fraction]]:
+    """The nonzero entries of a row as (column, value) pairs, in column order."""
+    return [(j, x) for j, x in enumerate(row) if x]
+
+
+def _subtract(w: list, f: Fraction, terms) -> None:
+    """w -= f * row for a row given by its nonzero terms: the elimination step."""
+    for j, y in terms:
+        w[j] -= f * y
+
+
 def _rref_inplace(rows: list[list[Fraction]]) -> list[int]:
     """Reduce ``rows`` to reduced row echelon form; return pivot columns."""
     pivots: list[int] = []
@@ -114,15 +129,49 @@ def _rref_inplace(rows: list[list[Fraction]]) -> list[int]:
         rows[r], rows[piv] = rows[piv], rows[r]
         inv = ONE / rows[r][c]
         rows[r] = [x * inv for x in rows[r]]
+        terms = _terms(rows[r])
         for i in range(len(rows)):
-            if i != r and rows[i][c] != 0:
-                f = rows[i][c]
-                rows[i] = [x - f * y for x, y in zip(rows[i], rows[r])]
+            f = rows[i][c]
+            if f and i != r:
+                _subtract(rows[i], f, terms)
         pivots.append(c)
         r += 1
         if r == len(rows):
             break
     return pivots
+
+
+def _echelon_reduce(echelon: list, v: Sequence[Fraction]) -> list[Fraction]:
+    """v reduced against an echelon basis, a list of rows given by their terms.
+
+    Each row's first term is a unit pivot, and the row is zero at the
+    pivots of the rows before it, so reducing against the rows in order
+    leaves zero exactly when v lies in their span.
+    """
+    w = list(v)
+    for terms in echelon:
+        f = w[terms[0][0]]
+        if f:
+            _subtract(w, f, terms)
+    return w
+
+
+def echelon_add(echelon: list, v: Sequence[Fraction]) -> Fraction | None:
+    """Append v reduced to a unit-pivot row, unless it lies in the span.
+
+    Returns the leading entry the reduced v was divided by, or None.
+    """
+    terms = _terms(_echelon_reduce(echelon, v))
+    if not terms:
+        return None
+    lead = terms[0][1]
+    inv = ONE / lead
+    echelon.append([(j, x * inv) for j, x in terms])
+    return lead
+
+
+def echelon_contains(echelon: list, v: Sequence[Fraction]) -> bool:
+    return not any(_echelon_reduce(echelon, v))
 
 
 def rref(a: Mat) -> tuple[Mat, tuple[int, ...]]:
@@ -143,14 +192,8 @@ def row_space(a: Mat) -> Mat:
 
 
 def in_row_space(v: Sequence[Fraction], basis_rref: Mat) -> bool:
-    """Membership test against an RREF basis."""
-    w = list(v)
-    for row in basis_rref:
-        c = next(i for i, x in enumerate(row) if x != 0)
-        if w[c] != 0:
-            f = w[c]
-            w = [x - f * y for x, y in zip(w, row)]
-    return all(x == 0 for x in w)
+    """Membership test against an RREF basis (its rows have unit pivots)."""
+    return echelon_contains([_terms(row) for row in basis_rref], v)
 
 
 def solve_affine(a: Mat, b: Sequence[Fraction]) -> Vec | None:
@@ -195,24 +238,19 @@ def nullspace(a: Mat, ncols: int | None = None) -> Mat:
 
 
 def det(a: Mat) -> Fraction:
-    n = len(a)
-    rows = [list(r) for r in a]
-    sign = ONE
-    for c in range(n):
-        piv = next((i for i in range(c, n) if rows[i][c] != 0), None)
-        if piv is None:
+    """Signed product of the leading entries met while building an echelon
+    basis of the rows: a row loses only multiples of earlier rows, and the
+    unit-pivot rows, ordered by pivot column, are unit upper triangular."""
+    echelon: list = []
+    prod = ONE
+    for row in a:
+        lead = echelon_add(echelon, row)
+        if lead is None:
             return ZERO
-        if piv != c:
-            rows[c], rows[piv] = rows[piv], rows[c]
-            sign = -sign
-        for i in range(c + 1, n):
-            if rows[i][c] != 0:
-                f = rows[i][c] / rows[c][c]
-                rows[i] = [x - f * y for x, y in zip(rows[i], rows[c])]
-    prod = sign
-    for i in range(n):
-        prod *= rows[i][i]
-    return prod
+        prod *= lead
+    pivots = [terms[0][0] for terms in echelon]
+    inversions = sum(p > q for k, p in enumerate(pivots) for q in pivots[k + 1 :])
+    return -prod if inversions % 2 else prod
 
 
 def inverse(a: Mat) -> Mat:

@@ -76,9 +76,6 @@ class Representation:
     def zero(self) -> "Point":
         return Point(self, (Fraction(0),) * self.dim)
 
-    def basis_labels(self) -> tuple[str, ...]:
-        raise NotImplementedError
-
 
 @dataclass(frozen=True, eq=True)
 class ConjugationTuples(Representation):
@@ -102,14 +99,6 @@ class ConjugationTuples(Representation):
     @property
     def weights(self) -> tuple[Character, ...]:
         return _conjugation_weights(self.m, self.count)
-
-    def basis_labels(self) -> tuple[str, ...]:
-        return tuple(
-            f"h{t}[{i},{j}]"
-            for t in range(self.count)
-            for i in range(self.m)
-            for j in range(self.m)
-        )
 
     def act_matrix(self, g: Mat) -> Mat:
         ginv = linalg.inverse(g)
@@ -206,10 +195,6 @@ class SymPower(Representation):
         d = self.degree
         return tuple(Character((d - j, j)) for j in range(d + 1))
 
-    def basis_labels(self) -> tuple[str, ...]:
-        d = self.degree
-        return tuple(f"x^{d - j}y^{j}" for j in range(d + 1))
-
     def act_matrix(self, g: Mat) -> Mat:
         # g.x = g00 x + g10 y, g.y = g01 x + g11 y; expand (g.x)^{d-j} (g.y)^j.
         d = self.degree
@@ -260,11 +245,6 @@ class DirectSum(Representation):
     def weights(self) -> tuple[Character, ...]:
         return tuple(w for p in self.parts for w in p.weights)
 
-    def basis_labels(self) -> tuple[str, ...]:
-        return tuple(
-            f"[{k}]{lab}" for k, p in enumerate(self.parts) for lab in p.basis_labels()
-        )
-
     def act_matrix(self, g: Mat) -> Mat:
         dim = self.dim
         rows = []
@@ -289,12 +269,6 @@ class DirectSum(Representation):
             out.extend(p._apply(g, part_data, coords[offset : offset + p.dim]))
             offset += p.dim
         return tuple(out)
-
-    def inject(self, k: int, point: "Point") -> "Point":
-        coords = [Fraction(0)] * self.dim
-        offset = sum(p.dim for p in self.parts[:k])
-        coords[offset : offset + self.parts[k].dim] = point.coords
-        return Point(self, tuple(coords))
 
 
 @dataclass(frozen=True)
@@ -338,9 +312,6 @@ class Grading:
     @property
     def levels(self) -> tuple[int, ...]:
         return tuple(sorted(self.components))
-
-    def min_level(self) -> int | None:
-        return min(self.components) if self.components else None
 
 
 def support(v: Point, frame: Mat | None = None) -> frozenset[Character]:

@@ -24,6 +24,24 @@ def test_rational_roundtrip():
         documents.parse_rational(True)
 
 
+def test_schema_errors_keep_the_innermost_path():
+    sl2 = documents.parse_group(SL2_DOC)
+    gl3 = GroupSpec.make(("GL", 3))
+    # a schema error raised inside a wrapped block keeps its own path
+    nested = {"kind": "direct_sum", "parts": [{"kind": "adjoint"}, {"kind": "sym_power", "degree": 0}]}
+    with pytest.raises(SchemaError, match=r"^\$\.parts\[1\]\.degree: must be a positive integer$"):
+        documents.parse_representation(nested, sl2)
+    with pytest.raises(SchemaError, match=r"^\$\.gram\[0\]\[1\]: "):
+        documents.parse_group({"factors": [{"family": "GL", "rank": 2}], "gram": [["1", "x"], ["0", "1"]]})
+    # any other DestabError becomes a schema error at the enclosing path
+    with pytest.raises(SchemaError, match=r"^\$: symmetric powers are supported"):
+        documents.parse_representation({"kind": "sym_power", "degree": 2}, gl3)
+    with pytest.raises(SchemaError, match=r"^\$: Gram matrix must be symmetric$"):
+        documents.parse_group({"factors": [{"family": "GL", "rank": 2}], "gram": [["1", "1"], ["0", "1"]]})
+    with pytest.raises(SchemaError, match=r"^\$\.h: generator is not in the group$"):
+        documents.parse_subgroup({"generators": [[["1", "0"], ["0", "2"]]]}, sl2, "$.h")
+
+
 def test_group_roundtrip():
     group = documents.parse_group(GL2_DOC)
     assert group == GroupSpec.make(("GL", 2))

@@ -33,8 +33,9 @@ from destab import (
     reduce_to_gcr,
 )
 from destab import gcr, linalg
-from destab.corpus import subgroup_corpus
+from destab.corpus import corpus_config, subgroup_corpus
 from destab.gcr import _flatten, algebra_of_tuple, radical_basis
+from destab.parabolic import _limit_pattern
 
 GL2 = GroupSpec.make(("GL", 2))
 GL3 = GroupSpec.make(("GL", 3))
@@ -216,6 +217,94 @@ def test_centralizer_dim_examples():
     assert centralizer_dim(GL2, [((2, 0), (0, 3))]) == 2
     # SL factor drops the central direction
     assert centralizer_dim(SL2, [((1, 0), (0, 1))]) == 3
+
+
+def _dense_centralizer_dim(group, mats):
+    """Reference: the m^2-column commutator system with unit rows for the
+    entries off the block diagonal, which the conjugator system over the
+    in-block entries replaced."""
+    mats = [linalg.mat(x) for x in mats]
+    m = group.dimension
+    rows = []
+    for h in mats:
+        # (x h - h x)_{ij} = 0, unknowns x_{kl}
+        for i in range(m):
+            for j in range(m):
+                row = [F(0)] * (m * m)
+                for k in range(m):
+                    row[i * m + k] += h[k][j]
+                    row[k * m + j] -= h[i][k]
+                if any(row):
+                    rows.append(tuple(row))
+    for bi, block_i in enumerate(group.block_slices):
+        for bj, block_j in enumerate(group.block_slices):
+            if bi == bj:
+                continue
+            for i in block_i:
+                for j in block_j:
+                    row = [F(0)] * (m * m)
+                    row[i * m + j] = F(1)
+                    rows.append(tuple(row))
+    for f, block in zip(group.factors, group.block_slices):
+        if f.family == "SL":
+            row = [F(0)] * (m * m)
+            for i in block:
+                row[i * m + i] = F(1)
+            rows.append(tuple(row))
+    return len(linalg.nullspace(tuple(rows), m * m))
+
+
+def test_centralizer_dim_matches_dense_reference_on_corpus_and_projections():
+    dims = set()
+    for h in subgroup_corpus(1, 64):
+        tuples = [h.generators]
+        for lam, tmats, _ in gcr._frame_cocharacters(h.generators, corpus_config(h.group)):
+            projected = [_limit_pattern(x, lam.torus.exponents) for x in tmats]
+            if projected != tmats and projected not in tuples:
+                tuples.append(projected)
+            if len(tuples) == 6:
+                break
+        for mats in tuples:
+            dim = centralizer_dim(h.group, mats)
+            assert dim == _dense_centralizer_dim(h.group, mats)
+            dims.add(dim)
+    assert len(dims) >= 4, dims
+
+
+def test_centralizer_dim_matches_dense_reference_on_product_and_sl_groups():
+    rng = random.Random(7)
+    gl2_sl2 = GroupSpec.make(("GL", 2), ("SL", 2))
+    sl3 = GroupSpec.make(("SL", 3))
+
+    def sl_element(n):
+        # a product of elementary matrices and one diagonal of determinant 1
+        g = linalg.identity(n)
+        for _ in range(rng.randint(0, 3)):
+            i, j = rng.sample(range(n), 2)
+            e = [[F(int(a == b)) for b in range(n)] for a in range(n)]
+            e[i][j] = F(rng.choice((-2, -1, 1, 2)))
+            g = linalg.mat_mul(g, linalg.mat(e))
+        if rng.random() < 0.5:
+            c = F(rng.choice((2, 3)), rng.choice((1, 2)))
+            diag = [[c if a == b == 0 else 1 / c if a == b == 1 else F(int(a == b)) for b in range(n)] for a in range(n)]
+            g = linalg.mat_mul(g, linalg.mat(diag))
+        return g
+
+    def gl2_sl2_element():
+        a = sl_element(2)
+        if rng.random() < 0.5:
+            a = linalg.mat_scale(F(rng.choice((-1, 2, 3))), a)
+        b = sl_element(2)
+        return tuple(tuple(a[i]) + (F(0),) * 2 for i in range(2)) + tuple((F(0),) * 2 + tuple(b[i]) for i in range(2))
+
+    dims = {gl2_sl2: set(), sl3: set()}
+    for group, draw in ((gl2_sl2, gl2_sl2_element), (sl3, lambda: sl_element(3))):
+        for _ in range(60):
+            mats = [draw() for _ in range(rng.randint(1, 3))]
+            dim = centralizer_dim(group, mats)
+            assert dim == _dense_centralizer_dim(group, mats)
+            dims[group].add(dim)
+    assert len(dims[gl2_sl2]) >= 3 and len(dims[sl3]) >= 3, dims
 
 
 def test_centralizer_transfer_to_generic_tuple():

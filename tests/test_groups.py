@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction as F
 
 import pytest
@@ -93,6 +94,34 @@ def test_norm_must_be_invariant():
     GroupSpec.make(("GL", 2), gram=[[2, 1], [1, 2]])
     # distinct factors may carry distinct scales
     GroupSpec.make(("GL", 1), ("GL", 1), gram=[[1, 0], [0, 2]])
+
+
+def _fraction_value_sq(norm, d):
+    """Reference: the dense Fraction product that the integer sum replaced."""
+    v = linalg.vec(d)
+    return linalg.dot(v, linalg.mat_vec(norm.gram, v))
+
+
+def test_norm_value_sq_matches_fraction_reference():
+    rng = random.Random(3)
+    norms = [
+        Norm.standard(2),
+        Norm.standard(5),
+        GroupSpec.make(("GL", 2), gram=[[2, 1], [1, 2]]).norm,
+        GroupSpec.make(("GL", 3), gram=[[3, -1, -1], [-1, 3, -1], [-1, -1, 3]]).norm,
+        GroupSpec.make(("GL", 1), ("GL", 1), gram=[[1, 0], [0, 2]]).norm,
+    ]
+    for norm in norms:
+        n = len(norm.gram)
+        for d in [(0,) * n] + [tuple(rng.randint(-6, 6) for _ in range(n)) for _ in range(200)]:
+            value = norm.value_sq(d)
+            assert type(value) is F
+            assert value == _fraction_value_sq(norm, d)
+        with pytest.raises(linalg.DimensionMismatch):
+            norm.value_sq((1,) * (n + 1))
+    assert norms[2].value_sq((1, -1)) == 2 and norms[2].value_sq((1, 1)) == 6
+    # the integer Gram matrix is not part of the norm's value or repr
+    assert norms[0] == Norm(linalg.identity(2)) and "_int_gram" not in repr(norms[0])
 
 
 def test_norm_rejects_bad_gram():

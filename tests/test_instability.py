@@ -763,6 +763,29 @@ def test_admissible_exponents_cover_all_box_signatures(group, box):
         assert set(listed) == raw
 
 
+def _scan_box_vectors(group, box):
+    """Reference: the full (2b+1)^m scan with an SL-sum filter that the
+    product of the blocks' lists replaced."""
+    sl_blocks = [b for f, b in zip(group.factors, group.block_slices) if f.family == "SL"]
+    for d in itertools.product(range(-box, box + 1), repeat=group.dimension):
+        if gcd(*d) == 1 and all(sum(d[b.start : b.stop]) == 0 for b in sl_blocks):
+            yield d
+
+
+def test_box_vectors_match_full_scan():
+    groups = [
+        GL3,
+        GroupSpec.make(("SL", 2)),
+        GroupSpec.make(("GL", 2), ("SL", 2)),
+        GroupSpec.make(("GL", 1), ("SL", 3)),
+    ]
+    for group in groups:
+        for box in (1, 2, 3):
+            listed = list(_box_vectors(group, box))
+            assert listed == list(_scan_box_vectors(group, box))
+            assert listed and listed == sorted(listed)
+
+
 def _reference_admissible_exponents(group, box, pattern):
     """Reference: the rank scan (one factor) and box scan (product groups)
     that the per-block enumeration replaced."""

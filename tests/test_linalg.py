@@ -138,3 +138,175 @@ def test_solve_affine_solves(rows, rhs):
     x = linalg.solve_affine(a, b)
     if x is not None:
         assert linalg.mat_vec(a, x) == b
+
+
+def _dense_rref_inplace(rows):
+    """Reference: the dense Gauss-Jordan loop that the sparse pivot rows
+    replaced."""
+    pivots = []
+    r = 0
+    ncols = len(rows[0]) if rows else 0
+    for c in range(ncols):
+        piv = next((i for i in range(r, len(rows)) if rows[i][c] != 0), None)
+        if piv is None:
+            continue
+        rows[r], rows[piv] = rows[piv], rows[r]
+        inv = linalg.ONE / rows[r][c]
+        rows[r] = [x * inv for x in rows[r]]
+        for i in range(len(rows)):
+            if i != r and rows[i][c] != 0:
+                f = rows[i][c]
+                rows[i] = [x - f * y for x, y in zip(rows[i], rows[r])]
+        pivots.append(c)
+        r += 1
+        if r == len(rows):
+            break
+    return pivots
+
+
+def _dense_det(a):
+    """Reference: the dense forward elimination that the echelon basis
+    replaced."""
+    n = len(a)
+    rows = [list(r) for r in a]
+    sign = linalg.ONE
+    for c in range(n):
+        piv = next((i for i in range(c, n) if rows[i][c] != 0), None)
+        if piv is None:
+            return linalg.ZERO
+        if piv != c:
+            rows[c], rows[piv] = rows[piv], rows[c]
+            sign = -sign
+        for i in range(c + 1, n):
+            if rows[i][c] != 0:
+                f = rows[i][c] / rows[c][c]
+                rows[i] = [x - f * y for x, y in zip(rows[i], rows[c])]
+    prod = sign
+    for i in range(n):
+        prod *= rows[i][i]
+    return prod
+
+
+def _dense_in_row_space(v, basis_rref):
+    """Reference: the dense membership loop that the echelon reduction
+    replaced."""
+    w = list(v)
+    for row in basis_rref:
+        c = next(i for i, x in enumerate(row) if x != 0)
+        if w[c] != 0:
+            f = w[c]
+            w = [x - f * y for x, y in zip(w, row)]
+    return all(x == 0 for x in w)
+
+
+def _seeded_matrices(seed, count=200):
+    """Dense, sparse, rank-deficient, rectangular and zero rational matrices."""
+    rng = random.Random(seed)
+
+    def entry(density):
+        return F(rng.randint(-5, 5), rng.randint(1, 4)) if rng.random() < density else F(0)
+
+    out = [linalg.zeros(3, 4), linalg.zeros(1, 1), linalg.identity(4), linalg.mat([[0, 2], [3, 0]])]
+    for _ in range(count):
+        n, m = rng.randint(1, 7), rng.randint(1, 7)
+        a = [[entry(rng.choice((0.15, 0.4, 1.0))) for _ in range(m)] for _ in range(n)]
+        if n > 1 and rng.random() < 0.4:  # a combination of two rows: rank-deficient
+            f, g = F(rng.randint(-3, 3), rng.randint(1, 3)), F(rng.randint(-3, 3))
+            a[rng.randrange(n)] = [f * x + g * y for x, y in zip(a[0], a[-1])]
+        out.append(linalg.mat(a))
+    return out
+
+
+def test_rref_inplace_matches_dense_reference():
+    for a in _seeded_matrices(11):
+        rows, ref = [list(r) for r in a], [list(r) for r in a]
+        assert linalg._rref_inplace(rows) == _dense_rref_inplace(ref)
+        assert rows == ref
+
+
+def test_solvers_match_dense_reference(monkeypatch):
+    rng = random.Random(12)
+    cases = []
+    for a in _seeded_matrices(12):
+        x = linalg.vec(F(rng.randint(-3, 3), rng.randint(1, 2)) for _ in a[0])
+        consistent = linalg.mat_vec(a, x)
+        inconsistent = tuple(b + (1 if i == 0 else 0) for i, b in enumerate(consistent))
+        cases.append((a, consistent, inconsistent))
+
+    def run():
+        out = {"reductions": [], "solutions": [], "inverses": []}
+        for a, consistent, inconsistent in cases:
+            out["reductions"].append((linalg.rref(a), linalg.rank(a), linalg.row_space(a), linalg.nullspace(a)))
+            out["solutions"].append((linalg.solve_affine(a, consistent), linalg.solve_affine(a, inconsistent)))
+            if len(a) == len(a[0]):
+                try:
+                    out["inverses"].append(linalg.inverse(a))
+                except ValueError as exc:
+                    out["inverses"].append(str(exc))
+        return out
+
+    new = run()
+    monkeypatch.setattr(linalg, "_rref_inplace", _dense_rref_inplace)
+    assert new == run()
+    assert all(s is not None for s, _ in new["solutions"])
+    assert sum(s is None for _, s in new["solutions"]) >= 50
+    assert {type(x) for x in new["inverses"]} == {str, tuple}
+
+
+def test_det_matches_dense_reference():
+    rng = random.Random(13)
+    squares = [a for a in _seeded_matrices(13, 400) if len(a) == len(a[0])]
+    perms = [linalg.mat([[0, 2], [3, 0]]), linalg.mat([[0, 0, 1], [0, 1, 0], [1, 0, 0]])]
+    for n in range(1, 7):
+        p = list(range(n))
+        rng.shuffle(p)
+        perms.append(linalg.mat([[3 if j == p[i] else 0 for j in range(n)] for i in range(n)]))
+    values = set()
+    for a in squares + perms + [(), linalg.zeros(2, 2)]:
+        d = linalg.det(a)
+        assert d == _dense_det(a)
+        assert type(d) is F
+        values.add(d)
+    assert 0 in values and len(values) > 20
+    assert any(linalg.det(p) < 0 for p in perms)
+
+
+def test_in_row_space_matches_dense_reference():
+    rng = random.Random(14)
+    seen = {True: 0, False: 0}
+    for a in _seeded_matrices(14):
+        basis = linalg.row_space(a)
+        m = len(a[0])
+        probes = [tuple(sum((F(rng.randint(-2, 2)) * row[j] for row in a), F(0)) for j in range(m))]
+        probes += [linalg.vec(rng.choice((0, 0, 1, -1, F(1, 2))) for _ in range(m)) for _ in range(3)]
+        for v in probes:
+            inside = linalg.in_row_space(v, basis)
+            assert inside == _dense_in_row_space(v, basis)
+            seen[inside] += 1
+    assert min(seen.values()) >= 100, seen
+
+
+def test_echelon_basis_membership_dependence_and_unit_pivots():
+    rng = random.Random(15)
+    for a in _seeded_matrices(15):
+        echelon = []
+        leads = [linalg.echelon_add(echelon, row) for row in a]
+        # a row is rejected exactly when it depends on the rows before it
+        for k, lead in enumerate(leads):
+            assert (lead is None) == (linalg.rank(a[: k + 1]) == linalg.rank(a[:k]))
+        assert len(echelon) == linalg.rank(a)
+        pivots = [terms[0][0] for terms in echelon]
+        for k, terms in enumerate(echelon):
+            assert terms[0][1] == 1 and all(x != 0 for _, x in terms)
+            assert [j for j, _ in terms] == sorted(j for j, _ in terms)
+            assert not {j for j, _ in terms} & set(pivots[:k])
+        # the same span as the rows: membership agrees with the RREF basis
+        basis = linalg.row_space(a)
+        m = len(a[0])
+        for v in [linalg.vec(rng.choice((0, 1, -2, F(1, 3))) for _ in range(m)) for _ in range(3)] + list(a):
+            assert linalg.echelon_contains(echelon, v) == linalg.in_row_space(v, basis)
+        before = [list(t) for t in echelon]
+        for row in a:
+            assert linalg.echelon_add(echelon, row) is None
+        assert echelon == before
+    assert linalg.echelon_add([], (F(0), F(2), F(4))) == 2
