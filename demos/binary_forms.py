@@ -33,7 +33,7 @@ print("the x^3 y case in detail:")
 sym4 = SymPower(sl2, 4)
 res = optimize([sym4.monomial(1)], zero_locus, cfg)
 cert = res.certificate
-print("  frames examined:", len(cert.frames))
+print("  tori examined:", len(cert.frames))
 print("  active forms at the optimum:", [c.weights for c in cert.active_objective])
 print("  optimal value^2:", res.value_sq)
 print("  parabolic blocks:", res.parabolic.blocks)

@@ -94,7 +94,8 @@ def random_frame(rng: random.Random, group: GroupSpec) -> Mat:
 
 
 def family_frame(rng: random.Random, group: GroupSpec, shear_values=(-2, -1, 1, 2)) -> Mat:
-    """A frame drawn from the default Weyl-times-one-shear search family."""
+    """A Weyl representative, times one shear four times in five: a frame
+    spanning a torus of the default search family."""
     g = rng.choice(group.weyl_representatives())
     if rng.random() < 0.8:
         g = linalg.mat_mul(g, rng.choice(group.shears(shear_values)))

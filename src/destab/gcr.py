@@ -28,7 +28,6 @@ from .instability import (
     OptimizationResult,
     SearchConfig,
     SubvarietySpec,
-    _at_two,
     _frame_cocharacters,
     is_cochar_closed,
     optimize,
@@ -269,12 +268,13 @@ def reduce_to_gcr(
     the descent path when a genuinely minimal parabolic is reached; on a
     single GL factor the algebra oracle certifies the outcome.
 
-    Each projection is taken in the frame that already holds the
+    The search walks the tori of the configuration, one base frame each.
+    Each projection is taken in the base frame that already holds the
     generators, and its centralizer dimension is measured there: the frame
     is a group element, and conjugating by one preserves that dimension.
     The projection depends on lambda alone, and lambda(2) determines
     lambda, so within one descent step a cocharacter met again in another
-    frame is not measured again; only the accepted projection is moved back
+    torus is not measured again; only the accepted projection is moved back
     to input coordinates.  The walk and the accepted cocharacter are the
     same as projecting every entry in input coordinates.
     """
@@ -286,12 +286,11 @@ def reduce_to_gcr(
     while True:
         step = None
         measured: set[Mat] = set()  # lambda(2) of each projection measured in this step
-        at_two: dict = {}
-        for lam, tmats, torus_key in _frame_cocharacters(current.generators, cfg):
+        for lam, tmats in _frame_cocharacters(current.generators, cfg):
             limit_t = [_limit_pattern(h, lam.torus.exponents) for h in tmats]
             if limit_t == tmats:
                 continue
-            key = _at_two(at_two, lam, torus_key)
+            key = lam.evaluate(2)
             if key in measured:
                 continue
             measured.add(key)

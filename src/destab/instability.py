@@ -13,9 +13,10 @@ positive definite) and is found by an exact dual active-set method: one
 rational KKT solve per step, with steps that grow with the number of forms
 tight at the optimum rather than with the number of subsets of forms.
 
-Searching beyond one maximal torus uses a finite conjugation family of
-frames and is never claimed complete; ``oracle_mode`` re-derives the
-optimum by brute force over an exponent box as an independent check.
+Searching beyond one maximal torus uses a finite family of maximal tori,
+one base frame each, and is never claimed complete; ``oracle_mode``
+re-derives the optimum by brute force over an exponent box as an
+independent check.
 """
 
 from __future__ import annotations
@@ -34,13 +35,13 @@ from .errors import (
     InvariantViolation,
     LimitMembershipError,
     PreconditionError,
+    UnsupportedError,
     UnsupportedRepresentationError,
 )
 from .groups import (
     Character,
     Cocharacter,
     GroupSpec,
-    _perm_sign,
     fold_permutation_base,
     norm_sq,
     pairing_vec,
@@ -441,70 +442,9 @@ def _torus_optimum(per_point, group: GroupSpec) -> TorusOptimum | None:
 # Search configuration and global optimization
 
 
-@dataclass(frozen=True)
-class _TorusMove:
-    """Where a frame sits in its torus class: frame = rep_frame . P for the
-    class representative ``rep`` (an index into the family) and a monomial P
-    with P[perm[j]][j] = scales[j].  The representative itself has no perm.
-
-    A frame and its representative span the same maximal torus, and
-    conjugating by P permutes the torus coordinates: a weight or exponent
-    vector v of the representative's frame reads v[perm[j]] at j in this
-    frame, and a matrix M of the representative's frame reads P^-1 M P.
-    """
-
-    rep: int
-    perm: tuple[int, ...] | None = None
-    scales: tuple[Fraction, ...] | None = None
-    signs: tuple[int, ...] | None = None  # the scales as ints when all are +-1
-
-    def exponents(self, d: tuple[int, ...]) -> tuple[int, ...]:
-        return tuple(d[p] for p in self.perm)
-
-    def rep_exponents(self, d: tuple[int, ...]) -> tuple[int, ...]:
-        """The inverse of ``exponents``: this frame's d read in the representative's."""
-        if self.perm is None:
-            return tuple(d)
-        out = [0] * len(d)
-        for x, p in zip(d, self.perm):
-            out[p] = x
-        return tuple(out)
-
-    def characters(self, chars) -> tuple[Character, ...]:
-        """The characters in this frame, sorted by weights."""
-        moved = (Character(self.exponents(chi.weights)) for chi in chars)
-        return tuple(sorted(moved, key=lambda chi: chi.weights))
-
-    def inverse(self, rep_inverse: Mat) -> Mat:
-        """frame^-1 = P^-1 rep^-1: row j is row perm[j] of rep^-1 over scales[j]."""
-        out = []
-        for p, c in zip(self.perm, self.scales):
-            row = rep_inverse[p]
-            if c == -1:
-                row = tuple(-x for x in row)
-            elif c != 1:
-                row = tuple(x / c for x in row)
-            out.append(row)
-        return tuple(out)
-
-    def conjugate(self, h: Mat) -> Mat:
-        """P^-1 h P, entry (i, j) being h[perm[i]][perm[j]] * scales[j] / scales[i]."""
-        p = self.perm
-        if self.signs is not None:  # index shuffles and sign flips only
-            s = self.signs
-            return tuple(
-                tuple(h[pi][pj] if s[j] == si else -h[pi][pj] for j, pj in enumerate(p))
-                for si, pi in zip(s, p)
-            )
-        c = self.scales
-        return tuple(
-            tuple(h[pi][pj] * c[j] / ci for j, pj in enumerate(p)) for ci, pi in zip(c, p)
-        )
-
-
-def _column_line(col) -> tuple[tuple[int, ...], int, int]:
-    """(key, g, den) with col = (g / den) * key, key the primitive integer
-    vector on the line of col whose first nonzero entry is positive."""
+def _column_line(col) -> tuple[int, ...]:
+    """The primitive integer vector on the line of a nonzero column whose
+    first nonzero entry is positive."""
     den = 1
     for x in col:
         if x.denominator != 1:
@@ -513,81 +453,44 @@ def _column_line(col) -> tuple[tuple[int, ...], int, int]:
     g = gcd(*ints)
     if next(v for v in ints if v) < 0:
         g = -g
-    return tuple(v // g for v in ints), g, den
+    return tuple(v // g for v in ints)
 
 
-def _torus_classes(frames, group: GroupSpec) -> tuple[tuple[_TorusMove, ...], tuple[Mat, ...]]:
-    """Each frame's torus class and inverse, checking that it is in the group.
+def _torus_bases(frames, group: GroupSpec) -> tuple[tuple[Mat, ...], tuple[Mat, ...]]:
+    """The first frame of each maximal torus the frames span, with its
+    inverse, checking that every frame is in the group.
 
     Two invertible frames span the same maximal torus exactly when
     frame' = frame . P with P monomial, that is when their columns agree
-    up to order and nonzero scalars; so the classes are read off the lines
-    of the columns, in integer arithmetic.  The first frame of a class is
-    its representative: it is checked in full and inverted.  The other
-    frames permute and scale its inverse's rows.  The representative is in
-    the group, so frame . P is in it exactly when the monomial P is: when P
-    keeps every factor block and has determinant one on each SL block.
+    up to order and nonzero scalars; so the tori are read off the lines of
+    the columns, in integer arithmetic.
     """
-    what = "conjugation family element"
-    m = group.dimension
-    reps: dict[frozenset, int] = {}
-    rep_columns: dict[int, dict] = {}
-    moves: list[_TorusMove] = []
-    inverses: list[Mat] = []
-    for idx, frame in enumerate(frames):
-        if len(frame) != m or any(len(row) != m for row in frame) or not all(map(any, zip(*frame))):
-            group.require_member(frame, what)  # misshapen, or a zero column: raises
-        lines = [_column_line(col) for col in zip(*frame)]
-        rep = reps.setdefault(frozenset(key for key, _, _ in lines), idx)
-        if rep == idx:
-            group.require_member(frame, what)
-            rep_columns[idx] = {key: (j, g, den) for j, (key, g, den) in enumerate(lines)}
-            moves.append(_TorusMove(idx))
-            inverses.append(linalg.inverse(frame))
-            continue
-        where = rep_columns[rep]
-        perm, scales = [], []
-        for key, g, den in lines:
-            j, g_rep, den_rep = where[key]
-            perm.append(j)
-            if den == den_rep and abs(g) == abs(g_rep):
-                scales.append(linalg.ONE if g == g_rep else -linalg.ONE)
-            else:
-                scales.append(Fraction(g * den_rep, den * g_rep))
-        if not _monomial_in_group(group, perm, scales):
-            raise DomainError(f"{what} is not in the group")
-        signs = tuple(int(c) for c in scales) if all(abs(c) == 1 for c in scales) else None
-        move = _TorusMove(rep, tuple(perm), tuple(scales), signs)
-        moves.append(move)
-        inverses.append(move.inverse(inverses[rep]))
-    return tuple(moves), tuple(inverses)
-
-
-def _monomial_in_group(group: GroupSpec, perm, scales) -> bool:
-    """Whether the monomial P with P[perm[j]][j] = scales[j] is in the group."""
-    for f, block in zip(group.factors, group.block_slices):
-        if any(perm[j] not in block for j in block):
-            return False
-        if f.family == "SL":
-            det = Fraction(_perm_sign([perm[j] - block.start for j in block]))
-            for j in block:
-                det *= scales[j]
-            if det != 1:
-                return False
-    return True
+    seen: set[frozenset] = set()
+    bases = []
+    for frame in frames:
+        group.require_member(frame, "conjugation family element")
+        key = frozenset(map(_column_line, zip(*frame)))
+        if key not in seen:
+            seen.add(key)
+            bases.append(frame)
+    return tuple(bases), tuple(map(linalg.inverse, bases))
 
 
 @dataclass(frozen=True)
 class SearchConfig:
     """Bounded search parameters: exponent box and conjugation family.
 
-    The family is split once into torus classes: frames f and f . P with P
-    monomial span the same maximal torus, and everything a frame computes
-    from it (frame forms, the torus optimum, the oracle sweep, the tuple
-    moved into the frame) is its class representative's result with the
-    torus coordinates permuted by P.  The norm's Gram matrix is invariant
-    under in-block permutations (``Norm.check_invariance``) and so is the
-    exponent box, so this sharing is exact; only the work shrinks.
+    The search runs torus by torus, as Kempf's optimum is taken: every
+    cocharacter lies in a maximal torus, and a frame f spans the torus
+    f T f^-1 of the diagonal torus T.  The family is kept as one base frame
+    per maximal torus, the first frame of the given family that spans it,
+    together with its inverse; the identity is put first when the family
+    lacks it.  Another frame of a torus is f . P with P monomial, and
+    admissibility, the weak orderings, the norm and the exponent box are
+    all invariant under the permutation of coordinates P makes
+    (``Norm.check_invariance``), so such a frame adds no cocharacter and no
+    value that its base lacks.  Every given frame is checked to be in the
+    group.
     """
 
     group: GroupSpec
@@ -596,7 +499,6 @@ class SearchConfig:
     oracle_mode: bool = False
     normalizer_samples: tuple[Mat, ...] = ()
     _frame_inverses: tuple[Mat, ...] = field(init=False, repr=False, compare=False)
-    _frame_tori: tuple[_TorusMove, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.exponent_box < 1:
@@ -605,11 +507,9 @@ class SearchConfig:
         ident = self.group.identity()
         if ident not in family:
             family.insert(0, ident)
-        frames = tuple(dict.fromkeys(family))
-        tori, inverses = _torus_classes(frames, self.group)
-        object.__setattr__(self, "conjugation_family", frames)
+        bases, inverses = _torus_bases(family, self.group)
+        object.__setattr__(self, "conjugation_family", bases)
         object.__setattr__(self, "_frame_inverses", inverses)
-        object.__setattr__(self, "_frame_tori", tori)
         object.__setattr__(
             self, "normalizer_samples", tuple(linalg.mat(g) for g in self.normalizer_samples)
         )
@@ -622,13 +522,26 @@ class SearchConfig:
         oracle_mode: bool = False,
         normalizer_samples=(),
     ) -> "SearchConfig":
-        """Weyl representatives composed with elementary shears."""
+        """The standard torus, then its conjugates by the elementary shears
+        I + c E_ij inside each factor block.
+
+        These are the maximal tori of the Weyl representatives composed
+        with those shears: w . sh spans the torus of w sh w^-1, which is
+        again an elementary shear, with c negated when w negates a column,
+        as odd Weyl representatives on SL do.  So a GL block takes the
+        given values and an SL block those values closed under negation.
+        """
         frames: list[Mat] = [group.identity()]
-        shears = group.shears(shear_values) if shear_values else ()
-        for w in group.weyl_representatives():
-            frames.append(w)
-            for sh in shears:
-                frames.append(linalg.mat_mul(w, sh))
+        for f, block in zip(group.factors, group.block_slices):
+            values = tuple(shear_values)
+            if f.family == "SL":
+                values += tuple(-c for c in values if -c not in values)
+            for i, j in itertools.permutations(block, 2):
+                for c in values:
+                    if c != 0:
+                        shear = [list(row) for row in frames[0]]
+                        shear[i][j] = c
+                        frames.append(linalg.mat(shear))
         return SearchConfig(
             group,
             exponent_box,
@@ -706,22 +619,17 @@ def _check_custom_stability(s: SubvarietySpec, rep: Representation, cfg: SearchC
 
 
 def optimize(points, s: SubvarietySpec, cfg: SearchConfig) -> OptimizationResult:
-    """Best torus optimum over the conjugation family, with runtime checks.
+    """Best torus optimum over the tori of the conjugation family, with
+    runtime checks.
 
-    The returned parabolic is asserted independent of which tied maximizer
-    is canonicalized; every supplied normalizer sample that fixes the input
-    is asserted to lie in it; and the reported value is recomputed from
-    vanishing orders.  In oracle mode an exhaustive exponent-box sweep
-    cross-checks the optimum and sets ``global_verified``.
-
-    The frame forms, the torus optimum and the oracle sweep are computed
-    once per torus class of the family (see ``SearchConfig``).  Another
-    frame of a class moves the points by P^-1 and the generators of S by
-    P, which permutes every weight the same way, so its optimum is the
-    representative's with exponents and characters permuted: the norm and
-    the SL equations are invariant under the permutation and the minimizer
-    is unique.  Every frame still has its own ``FrameOutcome``, and the
-    ties, checks and certificate are those of the frame-by-frame search.
+    Each torus contributes its exact optimum in its base frame, one
+    ``FrameOutcome`` per torus.  The returned parabolic is asserted
+    independent of which tied maximizer is canonicalized; every supplied
+    normalizer sample that fixes the input is asserted to lie in it; and
+    the reported value is recomputed from vanishing orders.  In oracle mode
+    an exhaustive exponent-box sweep over every torus cross-checks the
+    optimum and sets ``global_verified``; a sweep estimated above
+    ``_ORACLE_SWEEP_LIMIT`` box vectors is refused before it starts.
     """
     points = tuple(points)
     if not points:
@@ -734,6 +642,8 @@ def optimize(points, s: SubvarietySpec, cfg: SearchConfig) -> OptimizationResult
     group = cfg.group
     if rep.group != group:
         raise DimensionError("configuration group differs from the representation group")
+    if cfg.oracle_mode:
+        _check_oracle_sweep(cfg)
     _check_custom_stability(s, rep, cfg)
 
     if all(s.contains_point(x) for x in points):
@@ -744,65 +654,41 @@ def optimize(points, s: SubvarietySpec, cfg: SearchConfig) -> OptimizationResult
         )
 
     frames = cfg.conjugation_family
-    class_forms = {
-        move.rep: _frame_forms(points, s, frames[move.rep], cfg._frame_inverses[move.rep])
-        for move in cfg._frame_tori
-        if move.perm is None
-    }
-    class_optima = {rep: _torus_optimum(forms, group) for rep, forms in class_forms.items()}
+    forms = [_frame_forms(points, s, f, inv) for f, inv in zip(frames, cfg._frame_inverses)]
     outcomes = []
     candidates = []
-    for idx, (frame, move) in enumerate(zip(frames, cfg._frame_tori)):
-        opt = class_optima[move.rep]
+    for idx, per_point in enumerate(forms):
+        opt = _torus_optimum(per_point, group)
         if opt is None or opt.trivial:
             outcomes.append(FrameOutcome(idx, None, None))
-            continue
-        if move.perm is not None:
-            opt = TorusOptimum(
-                move.exponents(opt.exponents),
-                opt.value_sq,
-                move.characters(opt.active_objective),
-                move.characters(opt.active_cone),
-            )
-        outcomes.append(FrameOutcome(idx, opt.exponents, opt.value_sq))
-        candidates.append((opt, idx, frame))
+        else:
+            outcomes.append(FrameOutcome(idx, opt.exponents, opt.value_sq))
+            candidates.append((opt, idx))
 
     oracle_value, oracle_box = (None, None)
     if cfg.oracle_mode:
-        # the box is invariant under in-block permutations, so each class's
-        # best value is its representative's
-        oracle_value = _oracle_best_value(class_forms.values(), group, cfg.exponent_box)
+        oracle_value = _oracle_best_value(forms, group, cfg.exponent_box)
         oracle_box = cfg.exponent_box
 
     if not candidates:
-        cert = SearchCertificate(
-            tuple(outcomes), (), (), oracle_value, oracle_box, group.norm.gram
-        )
+        cert = SearchCertificate(tuple(outcomes), (), (), oracle_value, oracle_box, group.norm.gram)
         if oracle_value is not None:
             raise InvariantViolation("oracle found a destabilizing direction the optimizer missed")
         return OptimizationResult(NOT_WITNESSED, None, None, None, cert)
 
-    best_value = max(opt.value_sq for opt, _, _ in candidates)
+    best_value = max(opt.value_sq for opt, _ in candidates)
     ident = group.identity()
     tied = []
-    seen_folded = set()
-    for opt_c, idx_c, frame_c in candidates:
-        if opt_c.value_sq != best_value:
-            continue
-        lam_c = Cocharacter._on_frame(group, frame_c, cfg._frame_inverses[idx_c], opt_c.exponents)
-        folded = fold_permutation_base(lam_c)
-        key = (folded.base, folded.torus.exponents)
-        if key in seen_folded:
-            continue
-        seen_folded.add(key)
-        tied.append((folded, opt_c, idx_c))
+    for opt_c, idx in candidates:
+        if opt_c.value_sq == best_value:
+            lam_c = Cocharacter._on_frame(group, frames[idx], cfg._frame_inverses[idx], opt_c.exponents)
+            tied.append((fold_permutation_base(lam_c), opt_c))
     # standard-torus representatives first, then lexicographically smallest
-    # exponents; cross-frame ties carry base points, which lex order alone
-    # cannot rank
-    tied.sort(key=lambda t: (t[0].base != ident, t[0].torus.exponents, t[0].base, t[2]))
-    lam, opt, idx = tied[0]
+    # exponents, then family order
+    tied.sort(key=lambda t: (t[0].base != ident, t[0].torus.exponents))
+    lam, opt = tied[0]
     parabolic = ParabolicDescriptor.from_cocharacter(lam)
-    for other_lam, _other_opt, _oidx in tied[1:]:
+    for other_lam, _other_opt in tied[1:]:
         if ParabolicDescriptor.from_cocharacter(other_lam) != parabolic:
             raise InvariantViolation(
                 "tied maximizers define different parabolic subgroups; "
@@ -852,6 +738,24 @@ def _fixes_input(g: Mat, points, s: SubvarietySpec) -> bool:
     if s.kind is SubvarietyKind.CUSTOM and not s.stable_under(g, rep):
         return False
     return True
+
+
+# The oracle sweep visits about tori * (2b+1)^m box vectors.  The largest
+# oracle run of the tests, the demos and the benchmark documents estimates
+# 2,401, far below this limit; a GL_3 sweep over the 970,299 vectors of box
+# 49 takes 6.4 s on a 2-vCPU machine, and box 200 would take hours.
+_ORACLE_SWEEP_LIMIT = 1_000_000
+
+
+def _check_oracle_sweep(cfg: SearchConfig) -> None:
+    """Refuse an oracle sweep estimated above ``_ORACLE_SWEEP_LIMIT``."""
+    tori = len(cfg.conjugation_family)
+    estimate = tori * (2 * cfg.exponent_box + 1) ** cfg.group.dimension
+    if estimate > _ORACLE_SWEEP_LIMIT:
+        raise UnsupportedError(
+            f"the oracle sweep would visit about {estimate} box vectors, {tori} tori times "
+            f"(2 * {cfg.exponent_box} + 1) ** {cfg.group.dimension}; the limit is {_ORACLE_SWEEP_LIMIT}"
+        )
 
 
 def _oracle_best_value(frame_forms, group: GroupSpec, box: int) -> Fraction | None:
@@ -918,19 +822,20 @@ class CocharClosedVerdict:
 def is_cochar_closed(v: Point, cfg: SearchConfig) -> CocharClosedVerdict:
     """Semi-decide closedness of the rational orbit of a matrix tuple.
 
-    Enumerates cocharacters frame by frame; within a frame only the weak
-    ordering of the exponents within each factor block matters for limits
-    and radical membership, so one primitive representative per admissible
-    ordering in the box is examined, and on a product group one per
-    combination of block orderings (split further by which entries between
-    two blocks survive in the limit, when the tuple has such entries).  A
-    failed conjugator search is a sound witness: rational conjugacy of the
-    limit would force a radical conjugator.
+    Enumerates cocharacters torus by torus, in each torus's base frame;
+    within a torus only the weak ordering of the exponents within each
+    factor block matters for limits and radical membership, so one
+    primitive representative per admissible ordering in the box is
+    examined, and on a product group one per combination of block orderings
+    (split further by which entries between two blocks survive in the
+    limit, when the tuple has such entries).  A failed conjugator search is
+    a sound witness: rational conjugacy of the limit would force a radical
+    conjugator.
 
-    The conjugator system is solved in the frame that already holds the
-    tuple and its limit, once per distinct cocharacter: the limit and the
-    radical depend on lambda alone, and lambda(2) determines lambda, so a
-    cocharacter met again in another frame after it received a conjugator
+    The conjugator system is solved in the base frame that already holds
+    the tuple and its limit, once per distinct cocharacter: the limit and
+    the radical depend on lambda alone, and lambda(2) determines lambda, so
+    a cocharacter met again in another torus after it received a conjugator
     is only recorded in ``examined``.  The search stops at its first
     failure, so this changes neither the verdict nor ``examined``.
     """
@@ -943,13 +848,12 @@ def is_cochar_closed(v: Point, cfg: SearchConfig) -> CocharClosedVerdict:
         raise DimensionError("configuration group differs from the representation group")
     examined: list[Cocharacter] = []
     solved: set[Mat] = set()  # lambda(2) of each cocharacter with a conjugator
-    at_two: dict = {}
-    for lam, tmats, torus_key in _frame_cocharacters(rep.matrices(v), cfg):
+    for lam, tmats in _frame_cocharacters(rep.matrices(v), cfg):
         examined.append(lam)
         limit_t = [_limit_pattern(h, lam.torus.exponents) for h in tmats]
         if limit_t == tmats:
             continue  # the identity conjugator works
-        key = _at_two(at_two, lam, torus_key)
+        key = lam.evaluate(2)
         if key in solved:
             continue
         if _radical_conjugator(tmats, limit_t, lam) is None:
@@ -967,14 +871,6 @@ def is_cochar_closed(v: Point, cfg: SearchConfig) -> CocharClosedVerdict:
     return CocharClosedVerdict(True, None, None, tuple(examined), cfg.exponent_box)
 
 
-def _at_two(memo: dict, lam: Cocharacter, torus_key) -> Mat:
-    """lambda(2), evaluated once per torus key of ``_frame_cocharacters``."""
-    value = memo.get(torus_key)
-    if value is None:
-        value = memo[torus_key] = lam.evaluate(2)
-    return value
-
-
 def _entry_pattern(mats) -> set[tuple[int, int]]:
     """Off-diagonal positions (i, j) where some matrix of the tuple is nonzero."""
     return {
@@ -987,22 +883,14 @@ def _entry_pattern(mats) -> set[tuple[int, int]]:
 
 
 def _frame_cocharacters(mats, cfg: SearchConfig):
-    """Frame by frame, each admissible cocharacter whose parabolic contains
-    the tuple, with the tuple moved into that frame and a key naming the
-    cocharacter within its torus class: the representative's index and
-    the exponents read in the representative's frame.  Equal keys are the
-    same cocharacter.  The tuple is moved once per class; the other frames
-    of a class permute and scale its entries."""
-    in_class_frame = {}  # representative index -> the tuple in its frame
-    for frame, inv, move in zip(cfg.conjugation_family, cfg._frame_inverses, cfg._frame_tori):
-        if move.perm is None:
-            tmats = [linalg.mat_mul(linalg.mat_mul(inv, h), frame) for h in mats]
-            in_class_frame[move.rep] = tmats
-        else:
-            tmats = [move.conjugate(h) for h in in_class_frame[move.rep]]
+    """Torus by torus, each admissible cocharacter whose parabolic contains
+    the tuple, with the tuple moved into the torus's base frame.  Within a
+    torus distinct exponents are distinct cocharacters; one may recur in
+    another torus that contains it."""
+    for frame, inv in zip(cfg.conjugation_family, cfg._frame_inverses):
+        tmats = [linalg.mat_mul(linalg.mat_mul(inv, h), frame) for h in mats]
         for exps in admissible_exponents(cfg.group, cfg.exponent_box, _entry_pattern(tmats)):
-            lam = Cocharacter._on_frame(cfg.group, frame, inv, exps)
-            yield lam, tmats, (move.rep, move.rep_exponents(exps))
+            yield Cocharacter._on_frame(cfg.group, frame, inv, exps), tmats
 
 
 def admissible_exponents(group: GroupSpec, box: int, pattern) -> list[tuple[int, ...]]:

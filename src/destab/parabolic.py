@@ -243,22 +243,30 @@ def _conjugator_system(hs, hs_prime, free) -> tuple[Mat, Vec]:
     """Rows and right-hand sides of u h = h' u over the free entries of u.
 
     With u = 1 + sum x_ab E_ab, the coefficient of x_ab in (u h - h' u)_ij
-    is [a = i] h_bj - [b = j] h'_ia and the constant term is h_ij - h'_ij;
+    is [a = i] h_bj - [b = j] h'_ia and the constant term is h_ij - h'_ij,
+    so equation (i, j) involves only the free entries in row i or column j;
     identically zero equations are dropped.
     """
     zero = Fraction(0)
+    in_row: dict[int, list] = {}  # row a -> (index k, column b) of each free x_ab
+    in_col: dict[int, list] = {}  # column b -> (index k, row a)
+    for k, (a, b) in enumerate(free):
+        in_row.setdefault(a, []).append((k, b))
+        in_col.setdefault(b, []).append((k, a))
     rows = []
     rhs = []
     for h, hp in zip(hs, hs_prime):
         m = len(h)
         for i in range(m):
             for j in range(m):
-                coeffs = tuple(
-                    (h[b][j] if a == i else zero) - (hp[i][a] if b == j else zero)
-                    for a, b in free
-                )
-                if any(coeffs) or h[i][j] != hp[i][j]:
-                    rows.append(coeffs)
+                terms = {k: h[b][j] for k, b in in_row.get(i, ())}
+                for k, a in in_col.get(j, ()):
+                    terms[k] = terms.get(k, zero) - hp[i][a]
+                if any(terms.values()) or h[i][j] != hp[i][j]:
+                    coeffs = [zero] * len(free)
+                    for k, c in terms.items():
+                        coeffs[k] = c
+                    rows.append(tuple(coeffs))
                     rhs.append(hp[i][j] - h[i][j])
     return tuple(rows), tuple(rhs)
 

@@ -2,6 +2,7 @@ import hashlib
 import json
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -325,6 +326,25 @@ def test_cli_precondition_exit(tmp_path, docs):
         tmp_path, ["gcr", "--group", docs["group_gl2"], "--input", str(badgen)]
     )
     assert code == 2  # caught at parse time as a schema violation
+
+
+def test_cli_oracle_refuses_a_huge_box(tmp_path):
+    # box 200 on GL_3 is about 401^3 box vectors: refused before the sweep
+    paths = {}
+    for name, payload in {
+        "group": {"factors": [{"family": "GL", "rank": 3}], "gram": "identity"},
+        "rep": {"kind": "conjugation_tuples", "m": 3, "count": 1},
+        "input": {"points": [["0", "1", "0", "0", "0", "1", "0", "0", "0"]], "subvariety": {"kind": "zero_locus"}},
+        "config": {"exponent_box": 200},
+    }.items():
+        paths[name] = tmp_path / f"{name}.json"
+        paths[name].write_text(json.dumps(payload))
+    start = time.perf_counter()
+    code, report = run_cli(tmp_path, ["oracle"] + [arg for name, path in paths.items() for arg in (f"--{name}", str(path))])
+    assert time.perf_counter() - start < 2.0
+    assert code == 4
+    assert report["error"]["kind"] == "unsupported"
+    assert "64481201 box vectors" in report["error"]["message"]
 
 
 def test_lie_subalgebra_document():

@@ -258,7 +258,7 @@ def test_centralizer_dim_matches_dense_reference_on_corpus_and_projections():
     dims = set()
     for h in subgroup_corpus(1, 64):
         tuples = [h.generators]
-        for lam, tmats, _ in gcr._frame_cocharacters(h.generators, corpus_config(h.group)):
+        for lam, tmats in gcr._frame_cocharacters(h.generators, corpus_config(h.group)):
             projected = [_limit_pattern(x, lam.torus.exponents) for x in tmats]
             if projected != tmats and projected not in tuples:
                 tuples.append(projected)

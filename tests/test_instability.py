@@ -1,3 +1,4 @@
+import dataclasses
 import functools
 import itertools
 import random
@@ -54,7 +55,7 @@ from destab.instability import (
     min_qnorm_over_polyhedron,
 )
 from destab.parabolic import _limit_pattern
-from destab.reps import DirectSum, Point
+from destab.reps import DirectSum, Point, limit
 
 GL2 = GroupSpec.make(("GL", 2))
 GL3 = GroupSpec.make(("GL", 3))
@@ -943,7 +944,7 @@ def test_is_cochar_closed_product_groups_match_reference(monkeypatch):
         rep = ConjugationTuples(group, rng.randint(1, 2))
         cfg = SearchConfig.default(group, exponent_box=1)
         # a block frame of the searched family, so that some tuples are caught
-        frame = rng.choice(cfg.conjugation_family)
+        frame = rng.choice(_weyl_shear_family(group))
         inv = linalg.inverse(frame)
         mats = [
             linalg.mat_mul(linalg.mat_mul(frame, linalg.mat(_block_diagonal_matrix(rng, group))), inv)
@@ -1002,7 +1003,7 @@ def test_is_cochar_closed_single_sl4_matches_box_scan(monkeypatch):
          [0, 0, 0, -1],
          [0, 0, 1, t]]  # x^2 - t x + 1 has no rational root
     cfg = SearchConfig.default(group, exponent_box=2)
-    frame = rng.choice(cfg.conjugation_family)
+    frame = rng.choice(_weyl_shear_family(group))
     h = linalg.mat_mul(linalg.mat_mul(frame, linalg.mat(h)), linalg.inverse(frame))
     group.require_member(h)
     v = ConjugationTuples(group, 1).point([h])
@@ -1047,17 +1048,71 @@ def test_is_cochar_closed_off_block_entries_match_reference(monkeypatch):
 # replaced
 
 
-def _reference_frame_cocharacters(mats, cfg):
-    for frame in cfg.conjugation_family:
+def _per_frame_family(group, frames):
+    """A family as the frame-by-frame search walked it: the identity first
+    unless present, without repeats."""
+    family = [linalg.mat(g) for g in frames]
+    if group.identity() not in family:
+        family.insert(0, group.identity())
+    return tuple(dict.fromkeys(family))
+
+
+def _weyl_shear_family(group, values=()):
+    """The frames ``SearchConfig.default`` walked before it generated its
+    tori directly: each Weyl representative, alone and composed with each
+    elementary shear."""
+    frames = [group.identity()]
+    shears = group.shears(values) if values else ()
+    for w in group.weyl_representatives():
+        frames.append(w)
+        for sh in shears:
+            frames.append(linalg.mat_mul(w, sh))
+    return _per_frame_family(group, frames)
+
+
+def _reference_frame_cocharacters(mats, cfg, frames):
+    for frame in frames:
         inv = linalg.inverse(frame)
         tmats = [linalg.mat_mul(linalg.mat_mul(inv, h), frame) for h in mats]
         for exps in admissible_exponents(cfg.group, cfg.exponent_box, _entry_pattern(tmats)):
-            yield Cocharacter.based(cfg.group, frame, exps), tmats
+            yield Cocharacter._on_frame(cfg.group, frame, inv, exps), tmats
 
 
-def _reference_is_cochar_closed(v, cfg):
-    """Reference: one find_ru_conjugator call per examined cocharacter,
-    with the limit moved back to input coordinates first."""
+def _on_bases(verdict, cfg):
+    """The verdict with ``examined`` cut to the cocharacters on the
+    configuration's torus bases."""
+    bases = set(cfg.conjugation_family)
+    examined = tuple(lam for lam in verdict.examined if lam.base in bases)
+    return dataclasses.replace(verdict, examined=examined)
+
+
+def _assert_valid_witness(v, verdict):
+    """A not-closed verdict's limit exists and admits no radical conjugator."""
+    rep = v.rep
+    lam = verdict.witness
+    moved = limit(v, lam)
+    assert moved is not None and rep.matrices(moved) == verdict.witness_limit
+    assert find_ru_conjugator(v, moved, lam, rep) is None
+
+
+def _gl_only(group):
+    return all(f.family == "GL" for f in group.factors)
+
+
+def _assert_same_verdict(v, verdict, reference, cfg):
+    """On GL groups the search over tori is the per-frame search on the
+    torus bases; elsewhere its witness may differ and is checked."""
+    if _gl_only(cfg.group):
+        assert verdict == _on_bases(reference, cfg)
+    else:
+        assert verdict.closed == reference.closed
+        if not verdict.closed:
+            _assert_valid_witness(v, verdict)
+
+
+def _reference_is_cochar_closed(v, cfg, frames):
+    """Reference: one find_ru_conjugator call per examined cocharacter of
+    every frame, with the limit moved back to input coordinates first."""
     rep = v.rep
     if not isinstance(rep, ConjugationTuples):
         raise UnsupportedRepresentationError(
@@ -1066,7 +1121,7 @@ def _reference_is_cochar_closed(v, cfg):
     if rep.group != cfg.group:
         raise DimensionError("configuration group differs from the representation group")
     examined = []
-    for lam, tmats in _reference_frame_cocharacters(rep.matrices(v), cfg):
+    for lam, tmats in _reference_frame_cocharacters(rep.matrices(v), cfg, frames):
         examined.append(lam)
         limit_t = [_limit_pattern(h, lam.torus.exponents) for h in tmats]
         if limit_t == tmats:
@@ -1086,15 +1141,30 @@ def _reference_is_cochar_closed(v, cfg):
     return CocharClosedVerdict(True, None, None, tuple(examined), cfg.exponent_box)
 
 
+CORPUS_SHEARS = (-2, -1, 1, 2)  # the shear values of ``corpus_config``
+
+
+def _gl_corpus():
+    """The subgroups of ``subgroup_corpus(1, 64)`` and the GL ones of
+    ``subgroup_corpus(2, 200)``."""
+    second = [h for h in subgroup_corpus(2, 200) if _gl_only(h.group)]
+    return subgroup_corpus(1, 64) + second
+
+
 def test_is_cochar_closed_matches_reference_on_corpus():
     seen = dict(closed=0, open=0)
-    for h in subgroup_corpus(1, 64):
+    examined = reference_examined = 0
+    for h in _gl_corpus():
         v = h.tuple_point()
         cfg = corpus_config(h.group)
         verdict = is_cochar_closed(v, cfg)
-        assert verdict == _reference_is_cochar_closed(v, cfg)
+        reference = _reference_is_cochar_closed(v, cfg, _weyl_shear_family(h.group, CORPUS_SHEARS))
+        assert verdict == _on_bases(reference, cfg)
         seen["closed" if verdict.closed else "open"] += 1
+        examined += len(verdict.examined)
+        reference_examined += len(reference.examined)
     assert all(count >= 10 for count in seen.values()), seen
+    assert (examined, reference_examined) == (1778, 8415)
 
 
 def test_is_cochar_closed_matches_reference_on_product_groups():
@@ -1107,7 +1177,8 @@ def test_is_cochar_closed_matches_reference_on_product_groups():
         group = GroupSpec.make(*shapes[k % len(shapes)])
         m = group.dimension
         cfg = SearchConfig.default(group, exponent_box=rng.choice((1, 2)), shear_values=(1, -1))
-        frame = rng.choice(cfg.conjugation_family)
+        frames = _weyl_shear_family(group, (1, -1))
+        frame = rng.choice(frames)
         inv = linalg.inverse(frame)
         mats = []
         for _ in range(rng.randint(1, 2)):
@@ -1120,7 +1191,7 @@ def test_is_cochar_closed_matches_reference_on_product_groups():
             mats.append(linalg.mat_mul(linalg.mat_mul(frame, linalg.mat(h)), inv))
         v = ConjugationTuples(group, len(mats)).point(mats)
         verdict = is_cochar_closed(v, cfg)
-        assert verdict == _reference_is_cochar_closed(v, cfg)
+        _assert_same_verdict(v, verdict, _reference_is_cochar_closed(v, cfg, frames), cfg)
         seen["closed" if verdict.closed else "open"] += 1
     assert all(count >= 3 for count in seen.values()), seen
 
@@ -1131,17 +1202,18 @@ def test_lie_is_gcr_matches_reference(monkeypatch):
     nil = LieSubalgebra(GL3, (((0, 1, 0), (0, 0, 0), (0, 0, 0)), ((0, 0, 1), (0, 0, 0), (0, 0, 0)), ((0, 0, 0), (0, 0, 1), (0, 0, 0))))
     cfg = SearchConfig.default(GL3, exponent_box=2, shear_values=(1, -2))
     verdicts = [lie_is_gcr(lie, cfg) for lie in (toral, nil)]
-    monkeypatch.setattr(gcr, "is_cochar_closed", _reference_is_cochar_closed)
+    frames = _weyl_shear_family(GL3, (1, -2))
+    monkeypatch.setattr(gcr, "is_cochar_closed", lambda v, c: _on_bases(_reference_is_cochar_closed(v, c, frames), c))
     assert verdicts == [lie_is_gcr(lie, cfg) for lie in (toral, nil)]
     assert [v.is_completely_reducible for v in verdicts] == [True, False]
-    assert len(verdicts[0].examined) > 100
+    assert len(verdicts[0].examined) == 96  # every torus searched
 
 
 def test_is_cochar_closed_solves_each_cocharacter_once(monkeypatch):
-    # stream index 63 is completely reducible with 1,080 entries examined;
-    # the conjugator system is solved once per distinct cocharacter whose
-    # limit moves the tuple
-    h = subgroup_corpus(1, 64)[63]
+    # stream index 16 is completely reducible with 47 entries examined, 16
+    # of them met again in another torus; the conjugator system is solved
+    # once per distinct cocharacter whose limit moves the tuple
+    h = subgroup_corpus(1, 64)[16]
     cfg = corpus_config(h.group)
     solve = instability._radical_conjugator
     solved = []
@@ -1152,23 +1224,25 @@ def test_is_cochar_closed_solves_each_cocharacter_once(monkeypatch):
 
     monkeypatch.setattr(instability, "_radical_conjugator", counted)
     verdict = is_cochar_closed(h.tuple_point(), cfg)
-    assert verdict.closed and len(verdict.examined) == 1080
+    assert verdict.closed and len(verdict.examined) == 47
     moving = [lam for lam in verdict.examined if c_lambda(h.generators, lam) != h.generators]
     distinct = {lam.evaluate(2) for lam in moving}
-    assert len({lam.evaluate(2) for lam in solved}) == len(solved) == len(distinct)
-    assert len(solved) < len(moving) and len(solved) < 1080
+    assert len({lam.evaluate(2) for lam in solved}) == len(solved) == len(distinct) == 31
+    assert len(moving) == 47
     monkeypatch.undo()
-    assert verdict == _reference_is_cochar_closed(h.tuple_point(), cfg)
+    reference = _reference_is_cochar_closed(h.tuple_point(), cfg, _weyl_shear_family(h.group, CORPUS_SHEARS))
+    assert verdict == _on_bases(reference, cfg)
 
 
 # ---------------------------------------------------------------------------
-# Torus classes: the frame-by-frame computations that the shared ones
+# Tori: the frame-by-frame computations that the search over tori
 # replaced, kept as references
 
 
-def _reference_optimize(points, s, cfg):
+def _reference_optimize(points, s, cfg, frames):
     """Reference: ``optimize`` with frame forms, a torus optimum and an
-    oracle sweep for every frame, and each tied cocharacter inverted anew."""
+    oracle sweep for every frame of a per-frame family, and each tied
+    cocharacter inverted anew."""
     from destab.instability import (
         FrameOutcome,
         OptimizationResult,
@@ -1195,10 +1269,10 @@ def _reference_optimize(points, s, cfg):
             TRIVIAL, zero, None, _whole_group_descriptor(group), cert, cfg.oracle_mode
         )
 
-    frame_forms = [_frame_forms(points, s, frame) for frame in cfg.conjugation_family]
+    frame_forms = [_frame_forms(points, s, frame) for frame in frames]
     outcomes = []
     candidates = []
-    for idx, (frame, per_point) in enumerate(zip(cfg.conjugation_family, frame_forms)):
+    for idx, (frame, per_point) in enumerate(zip(frames, frame_forms)):
         opt = _torus_optimum(per_point, group)
         if opt is None or opt.trivial:
             outcomes.append(FrameOutcome(idx, None, None))
@@ -1264,20 +1338,37 @@ def _reference_optimize(points, s, cfg):
     return OptimizationResult(OPTIMAL, lam, best_value, parabolic, cert, global_verified)
 
 
-def _reference_reduce_to_gcr(h, cfg):
-    """Reference: ``reduce_to_gcr`` projecting every entry in input
-    coordinates with ``c_lambda`` and measuring every projection."""
+def _assert_same_optimum(result, reference, cfg, frames):
+    """Equal status, value, parabolic, verification and oracle value; a
+    tied optimum may have another representative.  A torus base that the
+    per-frame family holds has the same outcome there."""
+    fields = ("status", "value_sq", "parabolic", "global_verified")
+    assert [getattr(result, f) for f in fields] == [getattr(reference, f) for f in fields]
+    assert result.certificate.oracle_value_sq == reference.certificate.oracle_value_sq
+    per_frame = dict(zip(frames, reference.certificate.frames))
+    for base, outcome in zip(cfg.conjugation_family, result.certificate.frames):
+        if base in per_frame:
+            assert (outcome.exponents, outcome.value_sq) == (per_frame[base].exponents, per_frame[base].value_sq)
+
+
+def _reference_reduce_to_gcr(h, cfg, frames):
+    """Reference: ``reduce_to_gcr`` walking every frame of a per-frame
+    family, projecting every entry in input coordinates with ``c_lambda``
+    and measuring each distinct projection."""
     group = h.group
     chain = []
     current = h
     current_dim = gcr.centralizer_dim(group, current.generators)
+    dims = {}
     while True:
         step = None
-        for lam, _ in _reference_frame_cocharacters(current.generators, cfg):
+        for lam, _ in _reference_frame_cocharacters(current.generators, cfg, frames):
             image = c_lambda(current.generators, lam)
             if image == current.generators:
                 continue
-            image_dim = gcr.centralizer_dim(group, image)
+            if image not in dims:
+                dims[image] = gcr.centralizer_dim(group, image)
+            image_dim = dims[image]
             if image_dim > current_dim:
                 step = (lam, image, image_dim)
                 break
@@ -1287,7 +1378,8 @@ def _reference_reduce_to_gcr(h, cfg):
         chain.append(lam)
         current = gcr.SubgroupPresentation(group, image)
     if len(group.factors) == 1 and group.factors[0].family == "GL":
-        assert gcr.is_gcr_algebra(current).is_completely_reducible
+        if not gcr.is_gcr_algebra(current).is_completely_reducible:
+            raise InvariantViolation("descent stalled on a non-semisimple quotient")
     return tuple(chain), current
 
 
@@ -1305,98 +1397,123 @@ def _upper_nilpotent(rng, group):
 
 
 def _torus_families():
-    """The seeded families of the shared-path tests, with their groups."""
+    """The seeded families of the torus tests: per name, the configuration
+    and the per-frame family it was searched frame by frame over."""
     sl3 = GroupSpec.make(("SL", 3))
     gl2sl2 = GroupSpec.make(("GL", 2), ("SL", 2))
     f = linalg.mat([[1, 0, 0], [2, 1, 0], [0, -1, 1]])
     p = linalg.mat([[0, 0, 1], [1, 0, 0], [0, 1, 0]])
     scaled = linalg.mat_mul(linalg.mat_mul(f, linalg.mat([[2, 0, 0], [0, 1, 0], [0, 0, 1]])), p)
     swap = linalg.mat([[0, 1, 0], [1, 0, 0], [0, 0, 1]])
+    given = (f, scaled, linalg.mat_mul(f, swap), swap, linalg.mat_mul(scaled, swap))
     return {
-        "sl3-weyl": SearchConfig.default(sl3, exponent_box=2, shear_values=(1,)),
-        "gl3-shears": SearchConfig.default(GL3, exponent_box=2, shear_values=(-1, 2, 3)),
-        "gl2xsl2": SearchConfig.default(gl2sl2, exponent_box=2, shear_values=(1, -1)),
-        "gl3-scaled": SearchConfig(GL3, 3, (f, scaled, linalg.mat_mul(f, swap), swap, linalg.mat_mul(scaled, swap))),
+        "sl3-weyl": (SearchConfig.default(sl3, exponent_box=2, shear_values=(1,)), _weyl_shear_family(sl3, (1,))),
+        "gl3-shears": (
+            SearchConfig.default(GL3, exponent_box=2, shear_values=(-1, 2, 3)),
+            _weyl_shear_family(GL3, (-1, 2, 3)),
+        ),
+        "gl2xsl2": (
+            SearchConfig.default(gl2sl2, exponent_box=2, shear_values=(1, -1)),
+            _weyl_shear_family(gl2sl2, (1, -1)),
+        ),
+        "gl3-scaled": (SearchConfig(GL3, 3, given), _per_frame_family(GL3, given)),
     }
 
 
-def test_torus_classes_match_per_frame_inverses_and_transports():
-    rng = random.Random(3)
-    scales = set()
-    for name, cfg in _torus_families().items():
-        moves = cfg._frame_tori
-        assert cfg._frame_inverses == tuple(map(linalg.inverse, cfg.conjugation_family))
-        assert len({mv.rep for mv in moves}) < len(moves), name
-        for idx, (frame, mv) in enumerate(zip(cfg.conjugation_family, moves)):
-            if mv.perm is None:
-                assert mv.rep == idx
-                continue
-            rep = cfg.conjugation_family[mv.rep]
-            p = [[F(0)] * len(frame) for _ in frame]
-            for j, (i, c) in enumerate(zip(mv.perm, mv.scales)):
-                p[i][j] = c
-            assert linalg.mat_mul(rep, linalg.mat(p)) == frame
-            scales.update(mv.scales)
-            # a dense matrix moved into the representative's frame, then on
-            h = linalg.mat([[rng.randint(-3, 3) for _ in frame] for _ in frame])
-            in_rep = linalg.mat_mul(linalg.mat_mul(cfg._frame_inverses[mv.rep], h), rep)
-            assert mv.conjugate(in_rep) == linalg.mat_mul(linalg.mat_mul(linalg.inverse(frame), h), frame)
-        # triangular in some frame of the family, so that it yields
-        group = cfg.group
-        mats = [_upper_nilpotent(rng, group), _upper_nilpotent(rng, group)]
-        mats[1][0][group.dimension - 1] = 1  # an entry off the block diagonal
-        frame = rng.choice(cfg.conjugation_family)
-        mats = [_conjugated(frame, h) for h in mats]
-        shared = list(instability._frame_cocharacters(mats, cfg))
-        assert [(lam, tmats) for lam, tmats, _ in shared] == list(_reference_frame_cocharacters(mats, cfg))
-        at_two = {}  # equal torus keys name one cocharacter
-        for lam, _, torus_key in shared:
-            assert at_two.setdefault(torus_key, lam.evaluate(2)) == lam.evaluate(2)
-        assert len(at_two) < len(shared), name
-    assert {F(-1), F(1), F(2)} <= scales  # signed columns and a scaled one
+def _torus_keys(frames):
+    """Per frame, the set of its column lines: equal sets span one torus."""
+    return [frozenset(map(instability._column_line, zip(*frame))) for frame in frames]
+
+
+def _first_per_torus(frames):
+    first = {}
+    for key, frame in zip(_torus_keys(frames), frames):
+        first.setdefault(key, frame)
+    return tuple(first.values())
+
+
+def test_default_tori_match_weyl_shear_family():
+    # the tori generated directly are those of the Weyl x shear frames; on
+    # GL groups they are its first frames per torus, in its order
+    shapes = [
+        (("GL", 3),),
+        (("GL", 2), ("GL", 1)),
+        (("SL", 2),),
+        (("SL", 3),),
+        (("SL", 4),),
+        (("GL", 2), ("SL", 2)),
+        (("SL", 2), ("GL", 3)),
+        (("GL", 1), ("SL", 4)),
+        (("SL", 2), ("SL", 3)),
+    ]
+    for shape in shapes:
+        group = GroupSpec.make(*shape)
+        for values in ((), (1, -1), (2,), (-1, 2, 3)):
+            cfg = SearchConfig.default(group, shear_values=values)
+            frames = _weyl_shear_family(group, values)
+            assert set(_torus_keys(cfg.conjugation_family)) == set(_torus_keys(frames)), (shape, values)
+            assert len(set(_torus_keys(cfg.conjugation_family))) == len(cfg.conjugation_family)
+            if _gl_only(group):
+                assert cfg.conjugation_family == _first_per_torus(frames), (shape, values)
+            assert cfg._frame_inverses == tuple(map(linalg.inverse, cfg.conjugation_family))
+    # a given family keeps its first frame per torus, the identity first
+    cfg, frames = _torus_families()["gl3-scaled"]
+    assert cfg.conjugation_family == _first_per_torus(frames) == frames[:2]
+
+
+def test_default_family_builds_gl7_within_budget():
+    # 1 + 42 * 4 tori; the Weyl x shear family has 7! * 169 frames
+    gl7 = GroupSpec.make(("GL", 7))
+    start = time.perf_counter()
+    cfg = SearchConfig.default(gl7, shear_values=(-2, -1, 1, 2))
+    assert time.perf_counter() - start < 1.0
+    assert len(cfg.conjugation_family) == 169
 
 
 def _optimize_cases(rng):
-    """(name, points, subvariety, config) on every seeded family."""
+    """(name, points, subvariety, config, per-frame family) on every seeded
+    family."""
     cases = []
-    for name, cfg in _torus_families().items():
+    for name, (cfg, frames) in _torus_families().items():
         group = cfg.group
         rep = ConjugationTuples(group, 1)
         for _ in range(3):
-            frame = rng.choice(cfg.conjugation_family)
-            cases.append((name, [rep.point([_conjugated(frame, _upper_nilpotent(rng, group))])], ZERO, cfg))
-        frame = rng.choice(cfg.conjugation_family)
+            frame = rng.choice(frames)
+            cases.append((name, [rep.point([_conjugated(frame, _upper_nilpotent(rng, group))])], ZERO, cfg, frames))
+        frame = rng.choice(frames)
         pair = [rep.point([_conjugated(frame, _upper_nilpotent(rng, group))]) for _ in range(2)]
-        cases.append((name, pair, ZERO, cfg))
+        cases.append((name, pair, ZERO, cfg, frames))
     # oracle mode on SL_2 forms, and a GL_3 family with shears
     sl2 = SearchConfig.default(SL2, exponent_box=3, shear_values=(-1, 1), oracle_mode=True)
     for degree, j in ((3, 0), (4, 1), (5, 2)):
         form = SymPower(SL2, degree).monomial(j, rng.choice((1, -2, 3)))
-        cases.append(("sl2-oracle", [form], ZERO, sl2))
+        cases.append(("sl2-oracle", [form], ZERO, sl2, _weyl_shear_family(SL2, (-1, 1))))
     gl3 = SearchConfig.default(GL3, exponent_box=2, shear_values=(1, -1), oracle_mode=True)
+    gl3_frames = _weyl_shear_family(GL3, (1, -1))
     for _ in range(2):
-        frame = rng.choice(gl3.conjugation_family)
-        cases.append(("gl3-oracle", [ConjugationTuples(GL3, 1).point([_conjugated(frame, _upper_nilpotent(rng, GL3))])], ZERO, gl3))
+        frame = rng.choice(gl3_frames)
+        point = ConjugationTuples(GL3, 1).point([_conjugated(frame, _upper_nilpotent(rng, GL3))])
+        cases.append(("gl3-oracle", [point], ZERO, gl3, gl3_frames))
     # a custom subvariety stable under every frame: the first summand is zero
     mat3 = ConjugationTuples(GL3, 1)
     double = DirectSum((mat3, mat3))
     first = SubvarietySpec.custom([Polynomial.coordinate(double, i) for i in range(9)], g_stable_asserted=True)
-    cfg = _torus_families()["gl3-scaled"]
+    cfg, frames = _torus_families()["gl3-scaled"]
     for _ in range(2):
-        frame = rng.choice(cfg.conjugation_family)
+        frame = rng.choice(frames)
         x = _conjugated(frame, _upper_nilpotent(rng, GL3))
         y = _conjugated(frame, _block_diagonal_matrix(rng, GL3))
         coords = tuple(c for row in x for c in row) + tuple(c for row in y for c in row)
-        cases.append(("custom", [Point(double, coords)], first, cfg))
+        cases.append(("custom", [Point(double, coords)], first, cfg, frames))
     return cases
 
 
 def test_optimize_matches_per_frame_reference():
     rng = random.Random(19)
     seen = {}
-    for name, points, s, cfg in _optimize_cases(rng):
+    for name, points, s, cfg, frames in _optimize_cases(rng):
         result = optimize(points, s, cfg)
-        assert result == _reference_optimize(points, s, cfg), name
+        _assert_same_optimum(result, _reference_optimize(points, s, cfg, frames), cfg, frames)
         seen.setdefault(name, set()).add(result.status)
     assert set(seen) == {"sl3-weyl", "gl3-shears", "gl2xsl2", "gl3-scaled", "sl2-oracle", "gl3-oracle", "custom"}
     assert all(OPTIMAL in statuses for statuses in seen.values()), seen
@@ -1406,16 +1523,18 @@ def test_optimal_parabolic_matches_per_frame_reference(monkeypatch):
     # unipotent generators against the identity tuple, on every family
     rng = random.Random(23)
     cases = []
-    for cfg in _torus_families().values():
+    for cfg, frames in _torus_families().values():
         group = cfg.group
         for _ in range(2):
-            frame = rng.choice(cfg.conjugation_family)
+            frame = rng.choice(frames)
             u = linalg.mat_add(group.identity(), linalg.mat(_upper_nilpotent(rng, group)))
-            cases.append((gcr.SubgroupPresentation(group, (_conjugated(frame, u),)), cfg))
-    shared = [gcr.optimal_parabolic_subgroup(h, cfg) for h, cfg in cases]
-    monkeypatch.setattr(gcr, "optimize", _reference_optimize)
-    assert shared == [gcr.optimal_parabolic_subgroup(h, cfg) for h, cfg in cases]
-    assert sum(r.status == OPTIMAL for r in shared) >= 6
+            cases.append((gcr.SubgroupPresentation(group, (_conjugated(frame, u),)), cfg, frames))
+    for h, cfg, frames in cases:
+        result = gcr.optimal_parabolic_subgroup(h, cfg)
+        with monkeypatch.context() as patched:
+            patched.setattr(gcr, "optimize", functools.partial(_reference_optimize, frames=frames))
+            _assert_same_optimum(result, gcr.optimal_parabolic_subgroup(h, cfg), cfg, frames)
+    assert sum(gcr.optimal_parabolic_subgroup(h, cfg).status == OPTIMAL for h, cfg, _ in cases) >= 6
 
 
 def _member(rng, group):
@@ -1429,10 +1548,10 @@ def _member(rng, group):
 
 def _gcr_cases(rng):
     cases = []
-    for cfg in _torus_families().values():
+    for cfg, frames in _torus_families().values():
         group = cfg.group
         for k in range(4):
-            frame = rng.choice(cfg.conjugation_family)
+            frame = rng.choice(frames)
             gens = []
             for _ in range(rng.randint(1, 2)):
                 if k == 3:  # a unipotent generator
@@ -1440,31 +1559,67 @@ def _gcr_cases(rng):
                 else:
                     h = _member(rng, group)
                 gens.append(_conjugated(frame, h))
-            cases.append((gcr.SubgroupPresentation(group, gens), cfg))
+            cases.append((gcr.SubgroupPresentation(group, gens), cfg, frames))
     return cases
 
 
 def test_closedness_and_gcr_match_per_frame_reference(monkeypatch):
     rng = random.Random(31)
     cases = _gcr_cases(rng)
-    verdicts = [is_cochar_closed(h.tuple_point(), cfg) for h, cfg in cases]
-    searches = [gcr.is_gcr_search(h, cfg) for h, cfg in cases]
-    assert verdicts == [_reference_is_cochar_closed(h.tuple_point(), cfg) for h, cfg in cases]
-    monkeypatch.setattr(gcr, "is_cochar_closed", _reference_is_cochar_closed)
-    assert searches == [gcr.is_gcr_search(h, cfg) for h, cfg in cases]
+    verdicts = []
+    for h, cfg, frames in cases:
+        v = h.tuple_point()
+        verdict = is_cochar_closed(v, cfg)
+        _assert_same_verdict(v, verdict, _reference_is_cochar_closed(v, cfg, frames), cfg)
+        search = gcr.is_gcr_search(h, cfg)
+        with monkeypatch.context() as patched:
+            reference = functools.partial(_reference_is_cochar_closed, frames=frames)
+            patched.setattr(gcr, "is_cochar_closed", lambda v, c: _on_bases(reference(v, c), c))
+            if _gl_only(h.group):
+                assert search == gcr.is_gcr_search(h, cfg)
+            else:
+                assert search.status == gcr.is_gcr_search(h, cfg).status
+        verdicts.append(verdict)
     assert {v.closed for v in verdicts} == {True, False}
     assert len(cases) >= 12
 
 
+def _assert_same_reduction(h, cfg, frames):
+    """On GL groups the chain and the quotient are the per-frame ones;
+    elsewhere each step strictly enlarges the centralizer, and the quotient
+    reaches the reference's centralizer dimension."""
+    try:
+        chain, quotient = gcr.reduce_to_gcr(h, cfg)
+    except InvariantViolation as exc:  # the stall on case 162 of seed 2
+        assert str(exc).startswith("descent stalled on a non-semisimple quotient")
+        with pytest.raises(InvariantViolation, match="^descent stalled on a non-semisimple quotient"):
+            _reference_reduce_to_gcr(h, cfg, frames)
+        return 0
+    reference = _reference_reduce_to_gcr(h, cfg, frames)
+    if _gl_only(h.group):
+        assert (chain, quotient) == reference
+        return len(chain)
+    current = h.generators
+    for lam in chain:
+        image = c_lambda(current, lam)
+        assert gcr.centralizer_dim(h.group, image) > gcr.centralizer_dim(h.group, current)
+        current = image
+    assert current == quotient.generators
+    assert gcr.centralizer_dim(h.group, current) == gcr.centralizer_dim(h.group, reference[1].generators)
+    return len(chain)
+
+
 def test_reduce_to_gcr_matches_per_frame_reference():
     rng = random.Random(37)
-    cases = _gcr_cases(rng) + [(h, corpus_config(h.group)) for h in subgroup_corpus(1, 12)]
-    steps = 0
-    for h, cfg in cases:
-        chain, quotient = gcr.reduce_to_gcr(h, cfg)
-        assert (chain, quotient) == _reference_reduce_to_gcr(h, cfg)
-        steps += len(chain)
+    steps = sum(_assert_same_reduction(h, cfg, frames) for h, cfg, frames in _gcr_cases(rng))
     assert steps >= 6
+
+
+def test_reduce_to_gcr_matches_per_frame_reference_on_corpus():
+    steps = 0
+    for h in _gl_corpus():
+        steps += _assert_same_reduction(h, corpus_config(h.group), _weyl_shear_family(h.group, CORPUS_SHEARS))
+    assert steps >= 90
 
 
 def test_frame_forms_run_once_per_torus_class(monkeypatch):
@@ -1479,26 +1634,26 @@ def test_frame_forms_run_once_per_torus_class(monkeypatch):
 
     gl4 = GroupSpec.make(("GL", 4))
     rng = random.Random(43)
-    for group, cfg, classes in (
-        (gl4, SearchConfig.default(gl4), 1),
-        (GL3, SearchConfig.default(GL3, shear_values=(-1, 1)), 13),
-    ):
-        assert len(cfg.conjugation_family) == (24 if group is gl4 else 78)
+    for group, values, tori in ((gl4, (), 1), (GL3, (-1, 1), 13)):
+        cfg = SearchConfig.default(group, shear_values=values)
+        frames = _weyl_shear_family(group, values)
+        assert (len(frames), len(cfg.conjugation_family)) == ((24, 1) if group is gl4 else (78, 13))
         points = [ConjugationTuples(group, 1).point([_upper_nilpotent(rng, group)])]
         with monkeypatch.context() as patched:
             patched.setattr(instability, "_frame_forms", counted)
             calls.clear()
             result = optimize(points, ZERO, cfg)
-            assert len(calls) == classes
-        assert result == _reference_optimize(points, ZERO, cfg)
-        assert len(result.certificate.frames) == len(cfg.conjugation_family)
+            assert calls == list(cfg.conjugation_family)
+        _assert_same_optimum(result, _reference_optimize(points, ZERO, cfg, frames), cfg, frames)
+        assert len(result.certificate.frames) == tori
 
 
 def test_reduce_to_gcr_measures_each_cocharacter_once_per_step(monkeypatch):
-    # a Borel subgroup of GL_3 descends in steps; the last step walks the
-    # whole family and finds no enlarging projection
-    h = gcr.SubgroupPresentation(GL3, (((1, 1, 0), (0, 1, 1), (0, 0, 1)), ((2, 0, 1), (0, 1, 0), (0, 0, 3))))
-    cfg = corpus_config(GL3)
+    # stream index 8 descends in two steps, meeting cocharacters again in
+    # other tori; the last step walks every torus and finds no enlarging
+    # projection
+    h = subgroup_corpus(1, 64)[8]
+    cfg = corpus_config(h.group)
     measure = gcr.centralizer_dim
     calls = []
 
@@ -1516,7 +1671,7 @@ def test_reduce_to_gcr_measures_each_cocharacter_once_per_step(monkeypatch):
     current = h.generators
     for step in range(len(chain) + 1):
         distinct = set()
-        for lam, _ in _reference_frame_cocharacters(current, cfg):
+        for lam, _ in _reference_frame_cocharacters(current, cfg, cfg.conjugation_family):
             image = c_lambda(current, lam)
             if image == current:
                 continue
@@ -1528,7 +1683,7 @@ def test_reduce_to_gcr_measures_each_cocharacter_once_per_step(monkeypatch):
         expected += len(distinct)
     assert len(chain) >= 2
     assert len(calls) == expected < moving + 1
-    assert (chain, quotient) == _reference_reduce_to_gcr(h, cfg)
+    assert (chain, quotient) == _reference_reduce_to_gcr(h, cfg, _weyl_shear_family(h.group, CORPUS_SHEARS))
 
 
 # ---------------------------------------------------------------------------
@@ -1544,7 +1699,7 @@ def test_frame_free_objective_sets_match_per_frame_decomposition():
     rng = random.Random(61)
     compared = partial = 0
     for group in (GL3, GroupSpec.make(("SL", 3)), GroupSpec.make(("GL", 2), ("SL", 2))):
-        frames = rng.sample(SearchConfig.default(group, shear_values=(-1, 2)).conjugation_family, 5)
+        frames = rng.sample(_weyl_shear_family(group, (-1, 2)), 5)
         for count in (1, 2):
             rep = ConjugationTuples(group, count)
             ident = linalg.identity(group.dimension)
@@ -1575,9 +1730,10 @@ def test_frame_forms_act_through_structure(monkeypatch):
 
     group = GroupSpec.make(("GL", 2), ("GL", 2))
     cfg = SearchConfig.default(group, exponent_box=2, shear_values=(1, -2))
+    frames = _weyl_shear_family(group, (1, -2))
     rng = random.Random(67)
     rep = ConjugationTuples(group, 2)
-    frame = cfg.conjugation_family[5]
+    frame = frames[5]
     points = [rep.point([_conjugated(frame, _upper_nilpotent(rng, group)) for _ in range(2)])]
     forms = instability._frame_forms
     inside = []
@@ -1605,10 +1761,10 @@ def test_frame_forms_act_through_structure(monkeypatch):
         patched.setattr(reps, "_composed", counter("composed", reps._composed))
         patched.setattr(instability, "_composed", counter("composed", instability._composed))
         result = optimize(points, ZERO, cfg)
-    assert counts == {"frames": len({mv.rep for mv in cfg._frame_tori}), "act_matrix": 0, "composed": 0}
+    assert counts == {"frames": len(cfg.conjugation_family), "act_matrix": 0, "composed": 0}
     assert counts["frames"] > 1
     assert result.status == OPTIMAL
-    assert result == _reference_optimize(points, ZERO, cfg)
+    _assert_same_optimum(result, _reference_optimize(points, ZERO, cfg, frames), cfg, frames)
 
 
 def _monomial(perm, scales):
