@@ -4,8 +4,9 @@ On GL_n over the rationals, a subgroup given by generators is completely
 reducible exactly when its enveloping algebra is semisimple; the same
 answer must come back from the bounded geometric search for a
 destabilizing direction without a rational conjugator.  Both engines run
-here side by side, followed by the greedy reduction to a reducible
-quotient and the Lie algebra counterparts.
+here side by side, followed by the one-step reduction along the radical
+filtration to a completely reducible quotient and the Lie algebra
+counterparts.
 """
 
 from destab import (

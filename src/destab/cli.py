@@ -206,12 +206,10 @@ def _run_cochar_closed(args):
 
 def _run_gcr(args):
     h, cfg = _load_subgroup(args)
-    searched = is_gcr_search(h, cfg)
-    payload = {"search": _emit_gcr_verdict(searched)}
-    if len(h.group.factors) == 1 and h.group.factors[0].family == "GL":
-        payload["algebra"] = _emit_gcr_verdict(is_gcr_algebra(h))
-        payload["agree"] = payload["algebra"]["status"] == payload["search"]["status"]
-    payload["status"] = searched.status
+    searched = _emit_gcr_verdict(is_gcr_search(h, cfg))
+    algebra = _emit_gcr_verdict(is_gcr_algebra(h))
+    agree = algebra["status"] == searched["status"]
+    payload = {"search": searched, "algebra": algebra, "agree": agree, "status": algebra["status"]}
     return payload, cfg, ("witness_conjugator_rechecked",)
 
 
@@ -222,7 +220,7 @@ def _run_reduce(args):
         "chain": [documents.emit_cocharacter(lam) for lam in chain],
         "quotient_generators": [documents.emit_matrix(g) for g in quotient.generators],
     }
-    return result, cfg, ("quotient_certified_semisimple_on_gl",)
+    return result, cfg, ("quotient_certified_semisimple",)
 
 
 def _run_centre(args):

@@ -327,9 +327,9 @@ def subgroup_corpus(seed: int, size: int = 50) -> list[SubgroupPresentation]:
     Most generator sets are conjugated by one element of the Weyl-times-
     shear family; unstructured draws are included as well.  Conjugation
     does not keep every invariant flag within the search family's reach:
-    case 162 of ``subgroup_corpus(2, 200)`` fixes the line <(1,1,1)>, which
-    no Weyl-times-shear frame reaches, and ``is_gcr_search`` calls it
-    completely reducible after examining no cocharacter.
+    case 162 of ``subgroup_corpus(2, 200)`` fixes the line <(1,1,1)>, to
+    which no searched torus is adapted, so ``is_gcr_search`` calls it
+    completely reducible; the exact route finds that line as JV.
     """
     rng = random.Random(seed)
     groups = {2: GroupSpec.make(("GL", 2)), 3: GroupSpec.make(("GL", 3))}

@@ -1,12 +1,15 @@
 """Complete reducibility of matrix subgroups and Lie subalgebras.
 
-Two independent routes are provided and cross-validated on GL factors:
-the enveloping-algebra semisimplicity oracle (characteristic zero: the
-radical is the kernel of the trace form), and the bounded geometric
-search for a destabilizing cocharacter whose limit admits no rational
-radical conjugator.  Subgroups are presented by topological generators;
-the generator tuple is a generic tuple, so it stands in for the subgroup
-in all orbit computations.
+Two independent routes are provided and cross-validated.  The exact route
+is the enveloping-algebra semisimplicity oracle: on a product of GL/SL
+factors in characteristic zero, a subgroup is completely reducible exactly
+when the module V is semisimple, that is when the radical J of the algebra
+(the kernel of the trace form) is zero.  Otherwise the radical filtration
+V > JV > J^2 V > ... gives a destabilizing cocharacter whose limit is
+semisimple and admits no rational radical conjugator.  The bounded route
+searches the configured tori for such a cocharacter.  Subgroups are
+presented by topological generators; the generator tuple is a generic
+tuple, so it stands in for the subgroup in all orbit computations.
 """
 
 from __future__ import annotations
@@ -15,20 +18,13 @@ import functools
 from dataclasses import dataclass
 
 from . import linalg
-from .errors import (
-    DomainError,
-    InvariantViolation,
-    ModeError,
-    PreconditionError,
-    UnsupportedGroupError,
-)
-from .groups import Cocharacter, GroupSpec
+from .errors import DomainError, InvariantViolation, ModeError, PreconditionError
+from .groups import SL, Cocharacter, GroupSpec, TorusCocharacter, fold_permutation_base
 from .instability import (
     OPTIMAL,
     OptimizationResult,
     SearchConfig,
     SubvarietySpec,
-    _frame_cocharacters,
     is_cochar_closed,
     optimize,
 )
@@ -37,8 +33,8 @@ from .parabolic import (
     MembershipClass,
     ParabolicDescriptor,
     _conjugator_system,
-    _limit_pattern,
     _require_lie_element,
+    c_lambda,
     classify,
 )
 from .reps import ConjugationTuples, Point
@@ -206,16 +202,60 @@ class GcrVerdict:
         return self.status == COMPLETELY_REDUCIBLE
 
 
-def is_gcr_algebra(h: SubgroupPresentation) -> GcrVerdict:
-    """Semisimplicity oracle on a single GL factor, characteristic zero."""
-    if len(h.group.factors) != 1 or h.group.factors[0].family != "GL":
-        raise UnsupportedGroupError(
-            "the algebra criterion applies to a single GL factor; use the search"
-        )
+def _radical_filtration(h: SubgroupPresentation):
+    """The radical J of the generators' algebra, the nonzero layers J^k V
+    for k >= 1 (RREF bases), and a cocharacter lambda adapted to them, or
+    None when J = 0.
+
+    The generators are block-diagonal, so each layer is the sum of its
+    parts in the factor blocks.  Per block, the frame lists a basis of the
+    deepest layer first and completes it layer by layer, unit vectors last.
+    Then lambda is constant on each layer and highest on the deepest (m k -
+    total on an SL block of rank m, whose frame is scaled to determinant 1),
+    and the stable flag of layers puts every generator in P_lambda.
+    """
     radical = radical_basis(enveloping_algebra(h))
     if not radical:
+        return radical, (), None
+    group = h.group
+    layers: list[Mat] = []
+    layer = group.identity()
+    while layer := linalg.row_space(tuple(linalg.mat_vec(x, v) for x in radical for v in layer)):
+        layers.append(layer)
+    echelon: list = []
+    per_block: list[list] = [[] for _ in group.factors]  # (vector, depth) pairs
+    for depth, basis in reversed(list(enumerate([group.identity()] + layers))):
+        for v in basis:
+            if linalg.echelon_add(echelon, v) is not None:
+                per_block[group.block_of(next(i for i, x in enumerate(v) if x))].append((v, depth))
+    columns: list[Vec] = []
+    exponents: list[int] = []
+    for f, block, pairs in zip(group.factors, group.block_slices, per_block):
+        vectors, depths = map(list, zip(*pairs))
+        if f.family == SL:
+            total = sum(depths)
+            depths = [f.rank * depth - total for depth in depths]
+            scale = 1 / linalg.det(tuple(tuple(v[i] for i in block) for v in vectors))
+            vectors[0] = tuple(scale * x for x in vectors[0])
+        columns += vectors
+        exponents += depths
+    lam = Cocharacter(linalg.transpose(columns), TorusCocharacter(group, exponents).primitive())
+    return radical, tuple(layers), fold_permutation_base(lam)
+
+
+def is_gcr_algebra(h: SubgroupPresentation) -> GcrVerdict:
+    """Semisimplicity oracle on products of GL/SL factors, characteristic 0.
+
+    Completely reducible exactly when V is a semisimple module, that is when
+    the algebra radical is zero.  Otherwise the witnesses are the radical
+    and the lambda of its filtration: the generators lie in P_lambda, and
+    their limit acts on the semisimple layers, so no element of
+    R_u(P_lambda) conjugates them to it.
+    """
+    radical, _, lam = _radical_filtration(h)
+    if lam is None:
         return GcrVerdict(COMPLETELY_REDUCIBLE)
-    return GcrVerdict(NOT_COMPLETELY_REDUCIBLE, witness_radical=radical)
+    return GcrVerdict(NOT_COMPLETELY_REDUCIBLE, witness_cocharacter=lam, witness_radical=radical)
 
 
 def _search_verdict(point: Point, length: int, cfg: SearchConfig) -> GcrVerdict:
@@ -258,62 +298,23 @@ def centralizer_dim(group: GroupSpec, mats) -> int:
 def reduce_to_gcr(
     h: SubgroupPresentation, cfg: SearchConfig
 ) -> tuple[tuple[Cocharacter, ...], SubgroupPresentation]:
-    """Greedy descent to a completely reducible quotient.
+    """A completely reducible quotient, in one exact step.
 
-    Repeatedly finds a searched proper parabolic containing the current
-    generators whose Levi projection strictly enlarges the centralizer (a
-    projection with equal centralizer dimension is conjugate to the input
-    and would only shuffle the presentation), and replaces the generators
-    by that projection.  The quotient's conjugacy class is independent of
-    the descent path when a genuinely minimal parabolic is reached; on a
-    single GL factor the algebra oracle certifies the outcome.
-
-    The search walks the tori of the configuration, one base frame each.
-    Each projection is taken in the base frame that already holds the
-    generators, and its centralizer dimension is measured there: the frame
-    is a group element, and conjugating by one preserves that dimension.
-    The projection depends on lambda alone, and lambda(2) determines
-    lambda, so within one descent step a cocharacter met again in another
-    torus is not measured again; only the accepted projection is moved back
-    to input coordinates.  The walk and the accepted cocharacter are the
-    same as projecting every entry in input coordinates.
+    A completely reducible subgroup comes back unchanged with an empty
+    chain.  Otherwise the chain is the cocharacter lambda of the radical
+    filtration (see ``is_gcr_algebra``) and the quotient is c_lambda(h),
+    which acts on the graded layers: the semisimplification of V, unique up
+    to conjugacy, which the algebra oracle certifies.  ``cfg`` does not
+    enter the computation; it is kept for the report's config echo.
     """
-    group = h.group
-    chain: list[Cocharacter] = []
-    current = h
-    current_dim = centralizer_dim(group, current.generators)
-    max_dim = group.dimension ** 2
-    while True:
-        step = None
-        measured: set[Mat] = set()  # lambda(2) of each projection measured in this step
-        for lam, tmats in _frame_cocharacters(current.generators, cfg):
-            limit_t = [_limit_pattern(h, lam.torus.exponents) for h in tmats]
-            if limit_t == tmats:
-                continue
-            key = lam.evaluate(2)
-            if key in measured:
-                continue
-            measured.add(key)
-            image_dim = centralizer_dim(group, limit_t)
-            if image_dim > current_dim:
-                step = (lam, limit_t, image_dim)
-                break
-        if step is None:
-            break
-        lam, limit_t, current_dim = step
-        chain.append(lam)
-        image = tuple(
-            linalg.mat_mul(linalg.mat_mul(lam.base, h), lam.base_inverse) for h in limit_t
-        )
-        current = SubgroupPresentation(group, image)
-        if len(chain) > max_dim:
-            raise InvariantViolation("descent did not stabilize within the step bound")
-    if len(group.factors) == 1 and group.factors[0].family == "GL":
-        if not is_gcr_algebra(current).is_completely_reducible:
-            raise InvariantViolation(
-                "descent stalled on a non-semisimple quotient; enlarge the search family"
-            )
-    return tuple(chain), current
+    verdict = is_gcr_algebra(h)
+    if verdict.is_completely_reducible:
+        return (), h
+    lam = verdict.witness_cocharacter
+    quotient = SubgroupPresentation(h.group, c_lambda(h.generators, lam))
+    if not is_gcr_algebra(quotient).is_completely_reducible:
+        raise InvariantViolation("the graded quotient of the radical filtration is not semisimple")
+    return (lam,), quotient
 
 
 UNIPOTENT_IDENTITY = "unipotent_identity"

@@ -6,7 +6,7 @@ import time
 
 import pytest
 
-from destab import GroupSpec, SchemaError, documents
+from destab import GroupSpec, SchemaError, SubgroupPresentation, c_lambda, documents, is_gcr_algebra
 from destab.cli import main
 
 GL2_DOC = {"factors": [{"family": "GL", "rank": 2}], "gram": "identity"}
@@ -245,6 +245,61 @@ def test_cli_reduce_and_centre(tmp_path, docs):
     )
     assert code == 0
     assert report["result"]["has_centre"]
+
+
+# case 162 of subgroup_corpus(2, 200): I + 2E12 - 2E13 and the two 3-cycles
+# fix the line <(1,1,1)>, which has no invariant complement
+CASE_162 = {
+    "generators": [
+        [["1", "2", "-2"], ["0", "1", "0"], ["0", "0", "1"]],
+        [["0", "1", "0"], ["0", "0", "1"], ["1", "0", "0"]],
+        [["0", "0", "1"], ["1", "0", "0"], ["0", "1", "0"]],
+    ]
+}
+
+
+@pytest.fixture()
+def case_162(tmp_path, docs):
+    group = tmp_path / "group_gl3.json"
+    group.write_text(json.dumps({"factors": [{"family": "GL", "rank": 3}], "gram": "identity"}))
+    subgroup = tmp_path / "case_162.json"
+    subgroup.write_text(json.dumps(CASE_162))
+    return ["--group", str(group), "--input", str(subgroup), "--config", docs["gcr_config"]]
+
+
+def test_cli_gcr_takes_its_status_from_the_exact_route(tmp_path, case_162):
+    code, report = run_cli(tmp_path, ["gcr"] + case_162)
+    assert code == 0
+    result = report["result"]
+    assert result["status"] == "not_completely_reducible"
+    assert result["algebra"]["status"] == "not_completely_reducible"
+    assert result["search"]["status"] == "completely_reducible"  # the bounded search misses it
+    assert result["agree"] is False
+    assert result["algebra"]["witness_cocharacter"] == {
+        "base": [["1", "1", "0"], ["1", "0", "1"], ["1", "0", "0"]],
+        "exponents": [1, 0, 0],
+    }
+
+
+def test_cli_gcr_reports_one_shape_on_sl(tmp_path, docs):
+    code, report = run_cli(tmp_path, ["gcr", "--group", docs["group_sl2"], "--input", docs["subgroup"]])
+    assert code == 0
+    result = report["result"]
+    assert set(result) == {"search", "algebra", "agree", "status"}
+    assert result["status"] == result["algebra"]["status"] == "not_completely_reducible"
+    assert result["agree"] is True
+
+
+def test_cli_reduce_certifies_case_162_in_one_step(tmp_path, case_162):
+    code, report = run_cli(tmp_path, ["reduce"] + case_162)
+    assert code == 0
+    assert report["assertions_passed"] == ["quotient_certified_semisimple"]
+    (lam,) = report["result"]["chain"]
+    group = documents.parse_group({"factors": [{"family": "GL", "rank": 3}], "gram": "identity"})
+    gens = documents.parse_subgroup(CASE_162, group).generators
+    quotient = [documents.parse_matrix(g) for g in report["result"]["quotient_generators"]]
+    assert quotient == list(c_lambda(gens, documents.parse_cocharacter(lam, group)))
+    assert is_gcr_algebra(SubgroupPresentation(group, quotient)).is_completely_reducible
 
 
 def test_cli_cochar_closed(tmp_path, docs):

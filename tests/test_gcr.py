@@ -18,21 +18,22 @@ from destab import (
     SearchConfig,
     SubgroupPresentation,
     TRIVIAL,
-    UnsupportedGroupError,
     building_centre,
     c_lambda,
     centralizer_dim,
     classify,
     enveloping_algebra,
+    find_ru_conjugator,
     is_gcr_algebra,
     is_gcr_search,
     is_generic_tuple,
     lie_is_gcr,
+    limit,
     optimal_parabolic_subgroup,
     radical_dim,
     reduce_to_gcr,
 )
-from destab import gcr, linalg
+from destab import gcr, instability, linalg
 from destab.corpus import corpus_config, subgroup_corpus
 from destab.gcr import _flatten, algebra_of_tuple, radical_basis
 from destab.parabolic import _limit_pattern
@@ -193,10 +194,167 @@ def test_is_gcr_algebra_examples():
     assert is_gcr_algebra(TRIVIAL_H).status == COMPLETELY_REDUCIBLE
 
 
-def test_is_gcr_algebra_rejects_sl():
-    h = SubgroupPresentation(SL2, (((1, 1), (0, 1)),))
-    with pytest.raises(UnsupportedGroupError):
-        is_gcr_algebra(h)
+def _assert_algebra_witness(h, verdict):
+    """The witness lambda holds every generator in P_lambda, the limit of
+    the tuple exists, and no element of R_u(P_lambda) conjugates the tuple
+    to it."""
+    lam = verdict.witness_cocharacter
+    assert all(classify(g, lam).in_parabolic for g in h.generators)
+    v = h.tuple_point()
+    moved = limit(v, lam)
+    assert moved is not None
+    assert find_ru_conjugator(v, moved, lam) is None
+
+
+def _block_diagonal(*blocks):
+    """The block-diagonal matrix of the given square blocks."""
+    m = sum(len(b) for b in blocks)
+    out = [[F(0)] * m for _ in range(m)]
+    start = 0
+    for b in blocks:
+        for i, row in enumerate(b):
+            for j, x in enumerate(row):
+                out[start + i][start + j] = F(x)
+        start += len(b)
+    return linalg.mat(out)
+
+
+def test_is_gcr_algebra_on_sl_and_product_groups_matches_search():
+    gl2_sl2 = GroupSpec.make(("GL", 2), ("SL", 2))
+    unip, rot, half = ((1, 1), (0, 1)), ((0, -1), (1, 0)), ((2, 0), (0, F(1, 2)))
+    diag, swap = DIAG.generators[0], SWAP.generators[0]
+    cases = [
+        (SL2, [unip], NOT_COMPLETELY_REDUCIBLE),
+        (SL2, [rot], COMPLETELY_REDUCIBLE),
+        (SL2, [half], COMPLETELY_REDUCIBLE),
+        (SL2, [half, ((1, 0), (3, 1))], NOT_COMPLETELY_REDUCIBLE),
+        (gl2_sl2, [_block_diagonal(diag, rot)], COMPLETELY_REDUCIBLE),
+        (gl2_sl2, [_block_diagonal(swap, rot), _block_diagonal(diag, half)], COMPLETELY_REDUCIBLE),
+        (gl2_sl2, [_block_diagonal(swap, unip)], NOT_COMPLETELY_REDUCIBLE),
+        (gl2_sl2, [_block_diagonal(unip, rot)], NOT_COMPLETELY_REDUCIBLE),
+        (gl2_sl2, [_block_diagonal(((2, 1), (0, 2)), half)], NOT_COMPLETELY_REDUCIBLE),
+    ]
+    for group, gens, status in cases:
+        h = SubgroupPresentation(group, gens)
+        verdict = is_gcr_algebra(h)
+        assert verdict.status == status == is_gcr_search(h, cfg_for(group)).status
+        if status == COMPLETELY_REDUCIBLE:
+            assert verdict.witness_cocharacter is None and verdict.witness_radical is None
+        else:
+            assert verdict.witness_radical
+            _assert_algebra_witness(h, verdict)
+
+
+def test_case_162_has_an_exact_witness_and_quotient():
+    # the bounded search misses the destabilizing line <(1,1,1)> of this
+    # case (a known limit of its torus family); the exact route finds it
+    h = subgroup_corpus(2, 200)[162]
+    cfg = corpus_config(h.group)
+    assert is_gcr_search(h, cfg).status == COMPLETELY_REDUCIBLE
+    verdict = is_gcr_algebra(h)
+    assert verdict.status == NOT_COMPLETELY_REDUCIBLE
+    _assert_algebra_witness(h, verdict)
+    radical, layers, lam = gcr._radical_filtration(h)
+    assert lam == verdict.witness_cocharacter and radical == verdict.witness_radical
+    assert layers == (((1, 1, 1),),)
+    chain, quotient = reduce_to_gcr(h, cfg)
+    assert chain == (lam,)
+    assert is_gcr_algebra(quotient).is_completely_reducible
+
+
+def _dense_frame(rng, group):
+    """An invertible block-diagonal matrix whose in-block entries are all
+    drawn from the rationals in [-3, 3] with denominator at most 2."""
+    m = group.dimension
+    while True:
+        g = linalg.mat([
+            [F(rng.randint(-6, 6), 2) if group.block_of(i) == group.block_of(j) else 0 for j in range(m)]
+            for i in range(m)
+        ])
+        if linalg.det(g) != 0:
+            return g
+
+
+def _flag_element(rng, group, splits):
+    """A group element keeping, in each factor block b, the span of its
+    first ``splits[b]`` coordinates: a diagonal (of determinant 1 on SL
+    blocks) times in-block elementary shears that keep that span."""
+    m = group.dimension
+    g = [[F(int(i == j)) for j in range(m)] for i in range(m)]
+    for f, block in zip(group.factors, group.block_slices):
+        c = F(rng.choice((1, -1, 2, -2, 3)))
+        g[block[0]][block[0]] = c
+        g[block[-1]][block[-1]] = 1 / c if f.family == "SL" else F(rng.choice((1, 2, -1)))
+    g = linalg.mat(g)
+    for _ in range(3):
+        b = rng.randrange(len(group.factors))
+        block, split = group.block_slices[b], splits[b]
+        i, j = rng.sample(list(block), 2)
+        if i - block[0] >= split > j - block[0]:
+            continue  # would move the flag
+        e = [[F(int(a == c)) for c in range(m)] for a in range(m)]
+        e[i][j] = F(rng.choice((-2, -1, 1, 2)))
+        g = linalg.mat_mul(g, linalg.mat(e))
+    return g
+
+
+def _power_traces(g):
+    """tr g, tr g^2, ..., tr g^m: equal exactly when the characteristic
+    polynomials are (Newton's identities, characteristic zero)."""
+    out, power = [], g
+    for _ in range(len(g)):
+        out.append(linalg.trace(power))
+        power = linalg.mat_mul(power, g)
+    return out
+
+
+def _assert_stable_adapted_layers(h, layers, lam):
+    """Every layer is stable under the generators and, within each factor
+    block, is spanned by the frame columns of exponent at least some cut;
+    the layers strictly decrease."""
+    group = h.group
+    sizes = [len(layer) for layer in layers]
+    assert sizes == sorted(set(sizes), reverse=True)
+    columns = linalg.transpose(lam.base)
+    d = lam.torus.exponents
+    for layer in layers:
+        for g in h.generators:
+            assert all(linalg.in_row_space(linalg.mat_vec(g, v), layer) for v in layer)
+        for block in group.block_slices:
+            part = tuple(v for v in layer if any(v[i] for i in block))
+            cuts = {linalg.row_space(tuple(columns[i] for i in block if d[i] >= d[k])) for k in block}
+            assert part == () or part in cuts
+
+
+def test_radical_filtration_witnesses_and_reduces_conjugated_subgroups():
+    # seeded flag-preserving subgroups conjugated by dense rational
+    # matrices, which the search family's tori are not adapted to
+    rng = random.Random(71)
+    groups = (GL3, GroupSpec.make(("GL", 4)), GroupSpec.make(("GL", 2), ("SL", 2)))
+    for group in groups:
+        found = 0
+        for _ in range(24):
+            splits = [rng.randint(1, f.rank - 1) for f in group.factors]
+            frame = _dense_frame(rng, group)
+            inverse = linalg.inverse(frame)
+            gens = [
+                linalg.mat_mul(linalg.mat_mul(frame, _flag_element(rng, group, splits)), inverse)
+                for _ in range(rng.randint(1, 2))
+            ]
+            h = SubgroupPresentation(group, gens)
+            verdict = is_gcr_algebra(h)
+            if verdict.is_completely_reducible:
+                continue
+            found += 1
+            _assert_algebra_witness(h, verdict)
+            radical, layers, lam = gcr._radical_filtration(h)
+            assert lam == verdict.witness_cocharacter
+            _assert_stable_adapted_layers(h, layers, lam)
+            chain, quotient = reduce_to_gcr(h, cfg_for(group))
+            assert chain == (lam,)
+            assert is_gcr_algebra(quotient).is_completely_reducible
+            assert [_power_traces(g) for g in quotient.generators] == [_power_traces(g) for g in gens]
+        assert found >= 10, (group, found)
 
 
 def test_is_gcr_search_examples():
@@ -258,7 +416,7 @@ def test_centralizer_dim_matches_dense_reference_on_corpus_and_projections():
     dims = set()
     for h in subgroup_corpus(1, 64):
         tuples = [h.generators]
-        for lam, tmats in gcr._frame_cocharacters(h.generators, corpus_config(h.group)):
+        for lam, tmats in instability._frame_cocharacters(h.generators, corpus_config(h.group)):
             projected = [_limit_pattern(x, lam.torus.exponents) for x in tmats]
             if projected != tmats and projected not in tuples:
                 tuples.append(projected)
