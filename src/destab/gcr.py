@@ -127,14 +127,24 @@ def enveloping_algebra(h: SubgroupPresentation) -> EnvelopingAlgebra:
     Each round strictly increases the dimension (bounded by m^2), so the
     closure terminates; inverses land in the algebra automatically because
     the minimal polynomial of an invertible matrix has nonzero constant
-    term.  Closure is checked on all n^2 products of basis elements, each
-    reduced against the algebra's echelon rows.
+    term.  Closure is certified on the n k products b g of a basis element
+    and a generator: the first basis element is I, each later one equals
+    an earlier one times a generator, and every b g lies in the span S.
+    So S is spanned by words, and S g in S for every generator g gives
+    S w in S for every word w, hence S S in S.
     """
     algebra = algebra_of_tuple(h.group, h.generators)
-    for x in algebra.basis:
-        for y in algebra.basis:
-            if not algebra.contains(linalg.mat_mul(x, y)):
+    basis = algebra.basis
+    words = 1  # basis[:words] are checked to be words in the generators
+    for k, b in enumerate(basis):
+        for g in h.generators:
+            x = linalg.mat_mul(b, g)
+            if k < words < len(basis) and x == basis[words]:
+                words += 1
+            elif not algebra.contains(x):
                 raise InvariantViolation("algebra basis is not multiplicatively closed")
+    if basis[0] != h.group.identity() or words < len(basis):
+        raise InvariantViolation("algebra basis is not spanned by words in the generators")
     return algebra
 
 
@@ -291,8 +301,8 @@ def centralizer_dim(group: GroupSpec, mats) -> int:
     rows, _ = _conjugator_system(mats, mats, free)
     for f, block in zip(group.factors, group.block_slices):
         if f.family == "SL":
-            rows += (tuple(linalg.ONE if a == b and a in block else linalg.ZERO for a, b in free),)
-    return len(free) - linalg.rank(rows)
+            rows.append([(k, linalg.ONE) for k, (a, b) in enumerate(free) if a == b and a in block])
+    return len(free) - linalg._rank_terms(rows, len(free))
 
 
 def reduce_to_gcr(
@@ -433,8 +443,8 @@ class LieSubalgebra:
         echelon: list = []
         if any(linalg.echelon_add(echelon, _flatten(x)) is None for x in basis):
             raise DomainError("basis elements are linearly dependent")
-        for x in basis:
-            for y in basis:
+        for i, x in enumerate(basis):  # [x, x] = 0 and [y, x] = -[x, y]
+            for y in basis[i + 1 :]:
                 bracket = linalg.mat_sub(linalg.mat_mul(x, y), linalg.mat_mul(y, x))
                 if not linalg.echelon_contains(echelon, _flatten(bracket)):
                     raise DomainError("basis is not closed under the commutator")

@@ -4,13 +4,21 @@ All matrices are tuples of tuples of Fractions (immutable, hashable).
 Sizes here are tiny (at most a few dozen rows), but most matrices are
 sparse: frames are signed permutations times a shear, and commutator and
 conjugator equations touch a few entries each.  So products skip zero
-entries of both factors, and all elimination runs through one step,
-``_subtract``, which subtracts a multiple of a row with a unit pivot and
-touches only that row's nonzero terms.  It serves Gauss-Jordan reduction
-(``rref`` and everything built on it), the incremental echelon basis
-(``echelon_add``, ``echelon_contains``), ``det`` and ``in_row_space``.
-Skipping zero terms leaves every exact value unchanged, and the RREF is
-unique, so the answers do not depend on the order of the work.
+entries of both factors.
+
+Elimination runs on integer rows.  Each incoming row is scaled by the lcm
+of its denominators, and one fraction-free step, ``_eliminate``, replaces
+w by (p/g) w - (f/g) row, where p is the row's pivot, f the entry of w
+below it and g = gcd(p, f), touching only the row's nonzero terms; a row
+that was scaled is made primitive again, so entries grow only with the
+pivots (fraction-free elimination after Bareiss, Math. Comp. 22, 1968).
+The step serves Gauss-Jordan reduction (``rref``, ``rank``,
+``solve_affine`` and everything built on them), the incremental echelon
+basis (``echelon_add``, ``echelon_contains``), ``det`` and
+``in_row_space``.  Fractions come back only at the end, when a
+pivot row is divided by its pivot.  Every integer row is a positive
+multiple of the row that unit-pivot elimination over Fractions would hold,
+and the RREF is unique, so every answer is the same exact value.
 """
 
 from __future__ import annotations
@@ -107,33 +115,79 @@ class DimensionMismatch(ValueError):
 
 
 def _terms(row) -> list[tuple[int, Fraction]]:
-    """The nonzero entries of a row as (column, value) pairs, in column order."""
+    """The nonzero (column, entry) terms of a row."""
     return [(j, x) for j, x in enumerate(row) if x]
 
 
-def _subtract(w: list, f: Fraction, terms) -> None:
-    """w -= f * row for a row given by its nonzero terms: the elimination step."""
+def _integer_terms(terms, n: int) -> tuple[list[int], int]:
+    """The integer row of length n whose nonzero entries are the given
+    (column, rational) terms scaled by the lcm of their denominators, and
+    that lcm."""
+    den = lcm(*[x.denominator for _, x in terms])
+    w = [0] * n
+    for j, x in terms:
+        w[j] = x.numerator * (den // x.denominator)
+    return w, den
+
+
+def _integer_row(row) -> list[int]:
+    """A rational row scaled by the lcm of its denominators."""
+    return _integer_terms(_terms(row), len(row))[0]
+
+
+def _pivot_terms(w: list[int]) -> list[tuple[int, int]]:
+    """A nonzero integer row as the primitive row on its line with a
+    positive leading entry, given by its nonzero (column, value) terms."""
+    terms = [(j, x) for j, x in enumerate(w) if x]
+    g = gcd(*[x for _, x in terms])
+    if terms[0][1] < 0:
+        g = -g
+    return terms if g == 1 else [(j, x // g) for j, x in terms]
+
+
+def _eliminate(w: list[int], f: int, terms) -> tuple[list[int], int, int]:
+    """The elimination step: w <- (a w - b row) / d, for a row given by its
+    nonzero terms with its pivot p > 0 first, where f is the entry of w at
+    the pivot column, a = p/g and b = f/g with g = gcd(p, f).  The new w is
+    zero there.  When a > 1, d is the gcd of the new entries (w is made
+    primitive), else d = 1.  Returns the new w, a and d.
+    """
+    p = terms[0][1]
+    g = gcd(p, f)
+    a, b = p // g, f // g
+    if a != 1:
+        w = [a * x for x in w]
     for j, y in terms:
-        w[j] -= f * y
+        w[j] -= b * y
+    d = gcd(*w) if a != 1 else 1
+    if d > 1:
+        return [x // d for x in w], a, d
+    return w, a, 1
 
 
-def _rref_inplace(rows: list[list[Fraction]]) -> list[int]:
-    """Reduce ``rows`` to reduced row echelon form; return pivot columns."""
+def _reduce(rows: list[list[int]]) -> list[int]:
+    """Fraction-free Gauss-Jordan reduction of integer rows, in place;
+    returns the pivot columns.  Row r < len(pivots) ends with a positive
+    pivot at column pivots[r] and zeros at the other pivot columns, a
+    multiple of row r of the RREF; the rows after them end zero.
+    """
     pivots: list[int] = []
     r = 0
     ncols = len(rows[0]) if rows else 0
     for c in range(ncols):
-        piv = next((i for i in range(r, len(rows)) if rows[i][c] != 0), None)
+        piv = next((i for i in range(r, len(rows)) if rows[i][c]), None)
         if piv is None:
             continue
-        rows[r], rows[piv] = rows[piv], rows[r]
-        inv = ONE / rows[r][c]
-        rows[r] = [x * inv for x in rows[r]]
-        terms = _terms(rows[r])
+        row = rows[piv]
+        if row[c] < 0:
+            row = [-x for x in row]
+        rows[piv] = rows[r]
+        rows[r] = row
+        terms = [(j, y) for j, y in enumerate(row) if y]  # starts at column c
         for i in range(len(rows)):
             f = rows[i][c]
             if f and i != r:
-                _subtract(rows[i], f, terms)
+                rows[i] = _eliminate(rows[i], f, terms)[0]
         pivots.append(c)
         r += 1
         if r == len(rows):
@@ -141,37 +195,57 @@ def _rref_inplace(rows: list[list[Fraction]]) -> list[int]:
     return pivots
 
 
-def _echelon_reduce(echelon: list, v: Sequence[Fraction]) -> list[Fraction]:
-    """v reduced against an echelon basis, a list of rows given by their terms.
+def _rref_inplace(rows: list[list[Fraction]]) -> list[int]:
+    """Reduce ``rows`` to reduced row echelon form; return pivot columns.
 
-    Each row's first term is a unit pivot, and the row is zero at the
-    pivots of the rows before it, so reducing against the rows in order
-    leaves zero exactly when v lies in their span.
+    The reduction runs on the rows scaled to integers (``_reduce``);
+    Fractions come back when each pivot row is divided by its pivot.
     """
-    w = list(v)
+    ints = [_integer_row(row) for row in rows]
+    pivots = _reduce(ints)
+    for r, row in enumerate(ints):
+        p = row[pivots[r]] if r < len(pivots) else 1  # the later rows are zero
+        rows[r] = [Fraction(x, p) if x else ZERO for x in row]
+    return pivots
+
+
+def _echelon_reduce(echelon: list, v: Sequence[Fraction]) -> tuple[list[int], int, int]:
+    """v reduced against an echelon basis: (w, s, t) with w an integer row
+    equal to s/t times v minus a combination of the basis rows.
+
+    Each basis row is a primitive integer row given by its nonzero terms,
+    positive pivot first, and is zero at the pivots of the rows before it,
+    so reducing against the rows in order leaves zero exactly when v lies
+    in their span.
+    """
+    w, s = _integer_terms(_terms(v), len(v))
+    t = 1
     for terms in echelon:
         f = w[terms[0][0]]
         if f:
-            _subtract(w, f, terms)
-    return w
+            w, a, d = _eliminate(w, f, terms)
+            s *= a
+            t *= d
+    return w, s, t
 
 
 def echelon_add(echelon: list, v: Sequence[Fraction]) -> Fraction | None:
-    """Append v reduced to a unit-pivot row, unless it lies in the span.
+    """Append v reduced against the basis, as the primitive integer row on
+    its line with a positive pivot, unless it lies in the span.
 
-    Returns the leading entry the reduced v was divided by, or None.
+    Returns the leading entry of v minus the combination of the basis rows
+    that is zero at their pivots (the reduced v), or None.
     """
-    terms = _terms(_echelon_reduce(echelon, v))
-    if not terms:
+    w, s, t = _echelon_reduce(echelon, v)
+    lead = next((x for x in w if x), 0)
+    if not lead:
         return None
-    lead = terms[0][1]
-    inv = ONE / lead
-    echelon.append([(j, x * inv) for j, x in terms])
-    return lead
+    echelon.append(_pivot_terms(w))
+    return Fraction(lead * t, s)
 
 
 def echelon_contains(echelon: list, v: Sequence[Fraction]) -> bool:
-    return not any(_echelon_reduce(echelon, v))
+    return not any(_echelon_reduce(echelon, v)[0])
 
 
 def rref(a: Mat) -> tuple[Mat, tuple[int, ...]]:
@@ -183,7 +257,7 @@ def rref(a: Mat) -> tuple[Mat, tuple[int, ...]]:
 
 
 def rank(a: Mat) -> int:
-    return len(rref(a)[1])
+    return _rank_terms([_terms(row) for row in a], len(a[0]) if a else 0)
 
 
 def row_space(a: Mat) -> Mat:
@@ -192,8 +266,8 @@ def row_space(a: Mat) -> Mat:
 
 
 def in_row_space(v: Sequence[Fraction], basis_rref: Mat) -> bool:
-    """Membership test against an RREF basis (its rows have unit pivots)."""
-    return echelon_contains([_terms(row) for row in basis_rref], v)
+    """Membership test against an RREF basis."""
+    return echelon_contains([_pivot_terms(_integer_row(row)) for row in basis_rref], v)
 
 
 def solve_affine(a: Mat, b: Sequence[Fraction]) -> Vec | None:
@@ -201,20 +275,28 @@ def solve_affine(a: Mat, b: Sequence[Fraction]) -> Vec | None:
 
     Free variables are set to zero, so the answer is deterministic.
     """
-    n = len(a)
     m = len(a[0]) if a else 0
-    rows = [list(a[i]) + [frac(b[i])] for i in range(n)]
-    pivots = _rref_inplace(rows)
-    for i in range(len(pivots), n):
-        if rows[i] and rows[i][m] != 0:
-            return None
-    # pivot columns that landed on the RHS mean inconsistency
+    return _solve_terms([_terms(row) for row in a], [frac(x) for x in b], m)
+
+
+def _solve_terms(rows, rhs: Sequence[Fraction], m: int) -> Vec | None:
+    """``solve_affine`` for a system in m unknowns whose rows are given by
+    their nonzero (column, rational) terms, reduced on integer rows."""
+    ints = [_integer_terms([*terms, (m, b)], m + 1)[0] for terms, b in zip(rows, rhs)]
+    pivots = _reduce(ints)
+    # a pivot on the right-hand side means inconsistency
     if pivots and pivots[-1] == m:
         return None
     x = [ZERO] * m
     for r, c in enumerate(pivots):
-        x[c] = rows[r][m]
+        if ints[r][m]:
+            x[c] = Fraction(ints[r][m], ints[r][c])
     return tuple(x)
+
+
+def _rank_terms(rows, m: int) -> int:
+    """``rank`` of the rows of length m given by their nonzero terms."""
+    return len(_reduce([_integer_terms(terms, m)[0] for terms in rows]))
 
 
 def nullspace(a: Mat, ncols: int | None = None) -> Mat:
@@ -240,7 +322,8 @@ def nullspace(a: Mat, ncols: int | None = None) -> Mat:
 def det(a: Mat) -> Fraction:
     """Signed product of the leading entries met while building an echelon
     basis of the rows: a row loses only multiples of earlier rows, and the
-    unit-pivot rows, ordered by pivot column, are unit upper triangular."""
+    reduced rows, ordered by pivot column, form an upper triangular matrix
+    with those leading entries on its diagonal."""
     echelon: list = []
     prod = ONE
     for row in a:
@@ -284,7 +367,6 @@ def primitive_direction(v: Sequence[Fraction]) -> tuple[int, ...]:
     fr = [frac(x) for x in v]
     if all(x == 0 for x in fr):
         raise ValueError("zero vector has no primitive direction")
-    denom = lcm(*(x.denominator for x in fr))
-    ints = [int(x * denom) for x in fr]
+    ints = _integer_row(fr)
     g = gcd(*ints)
     return tuple(x // g for x in ints)

@@ -27,7 +27,7 @@ from .errors import (
     UnsupportedRepresentationError,
 )
 from .groups import Cocharacter, GroupSpec, pairing_vec
-from .linalg import Mat, Vec
+from .linalg import Mat
 from .reps import ConjugationTuples, Point
 
 
@@ -239,15 +239,16 @@ def _radical_positions(lam: Cocharacter) -> list[tuple[int, int]]:
     ]
 
 
-def _conjugator_system(hs, hs_prime, free) -> tuple[Mat, Vec]:
+def _conjugator_system(hs, hs_prime, free) -> tuple[list, list]:
     """Rows and right-hand sides of u h = h' u over the free entries of u.
 
     With u = 1 + sum x_ab E_ab, the coefficient of x_ab in (u h - h' u)_ij
     is [a = i] h_bj - [b = j] h'_ia and the constant term is h_ij - h'_ij,
-    so equation (i, j) involves only the free entries in row i or column j;
-    identically zero equations are dropped.
+    so equation (i, j) involves only the free entries in row i or column j.
+    Each row is given by its nonzero (index into free, coefficient) terms,
+    as the integer elimination of ``linalg`` takes it; identically zero
+    equations are dropped.
     """
-    zero = Fraction(0)
     in_row: dict[int, list] = {}  # row a -> (index k, column b) of each free x_ab
     in_col: dict[int, list] = {}  # column b -> (index k, row a)
     for k, (a, b) in enumerate(free):
@@ -261,14 +262,12 @@ def _conjugator_system(hs, hs_prime, free) -> tuple[Mat, Vec]:
             for j in range(m):
                 terms = {k: h[b][j] for k, b in in_row.get(i, ())}
                 for k, a in in_col.get(j, ()):
-                    terms[k] = terms.get(k, zero) - hp[i][a]
-                if any(terms.values()) or h[i][j] != hp[i][j]:
-                    coeffs = [zero] * len(free)
-                    for k, c in terms.items():
-                        coeffs[k] = c
-                    rows.append(tuple(coeffs))
+                    terms[k] = terms.get(k, 0) - hp[i][a]
+                terms = [(k, c) for k, c in terms.items() if c]
+                if terms or h[i][j] != hp[i][j]:
+                    rows.append(terms)
                     rhs.append(hp[i][j] - h[i][j])
-    return tuple(rows), tuple(rhs)
+    return rows, rhs
 
 
 def _radical_conjugator(hs, hs_prime, lam: Cocharacter) -> Mat | None:
@@ -279,13 +278,9 @@ def _radical_conjugator(hs, hs_prime, lam: Cocharacter) -> Mat | None:
     are re-checked exactly before u is handed out.
     """
     free = _radical_positions(lam)
-    rows, rhs = _conjugator_system(hs, hs_prime, free)
-    if rows:
-        solution = linalg.solve_affine(rows, rhs)
-        if solution is None:
-            return None
-    else:
-        solution = (Fraction(0),) * len(free)
+    solution = linalg._solve_terms(*_conjugator_system(hs, hs_prime, free), len(free))
+    if solution is None:
+        return None
     ut = [list(row) for row in linalg.identity(lam.group.dimension)]
     for (i, j), x in zip(free, solution):
         ut[i][j] = x

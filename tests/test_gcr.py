@@ -35,7 +35,7 @@ from destab import (
 )
 from destab import gcr, instability, linalg
 from destab.corpus import corpus_config, subgroup_corpus
-from destab.gcr import _flatten, algebra_of_tuple, radical_basis
+from destab.gcr import EnvelopingAlgebra, _flatten, algebra_of_tuple, radical_basis
 from destab.parabolic import _limit_pattern
 
 GL2 = GroupSpec.make(("GL", 2))
@@ -142,6 +142,68 @@ def test_enveloping_algebra_rejects_a_basis_that_is_not_closed(monkeypatch):
     monkeypatch.setattr(gcr, "_span_closure", lambda group, seeds, mults: (GL2.identity(), e12, e21))
     with pytest.raises(InvariantViolation, match="not multiplicatively closed"):
         enveloping_algebra(SWAP)
+
+
+def _closed_under_all_products(algebra):
+    """Reference: the n^2 closure check that the n k certificate replaced."""
+    return all(algebra.contains(linalg.mat_mul(x, y)) for x in algebra.basis for y in algebra.basis)
+
+
+def _certified(monkeypatch, h, basis):
+    """Does ``enveloping_algebra`` accept ``basis`` as the algebra of h?"""
+    monkeypatch.setattr(gcr, "_span_closure", lambda group, seeds, mults: basis)
+    try:
+        enveloping_algebra(h)
+    except InvariantViolation:
+        return False
+    return True
+
+
+def test_closure_certificate_matches_all_products_on_corpus(monkeypatch):
+    # the built bases pass both checks; doctored ones (the last element
+    # dropped, or E_11 appended) pass the certificate only when every
+    # product of two basis elements lies in their span
+    corpus = subgroup_corpus(1, 200) + subgroup_corpus(2, 200)
+    algebras = [algebra_of_tuple(h.group, h.generators) for h in corpus]
+    assert all(_closed_under_all_products(a) for a in algebras)
+    assert [enveloping_algebra(h) for h in corpus] == algebras
+    outcomes = {"dropped": [0, 0], "appended": [0, 0]}  # [certified, closed]
+    for h, algebra in zip(corpus, algebras):
+        m = h.group.dimension
+        e11 = linalg.mat([[int(i == j == 0) for j in range(m)] for i in range(m)])
+        doctored = {"dropped": algebra.basis[:-1]}
+        if not algebra.contains(e11):
+            doctored["appended"] = algebra.basis + (e11,)
+        for kind, basis in doctored.items():
+            if not basis:
+                continue
+            certified = _certified(monkeypatch, h, basis)
+            closed = _closed_under_all_products(EnvelopingAlgebra(h.group, basis))
+            assert closed or not certified
+            outcomes[kind][0] += certified
+            outcomes[kind][1] += closed
+    assert outcomes["dropped"][0] == 0 and outcomes["appended"][0] == 0
+    assert outcomes["dropped"][1] > 0 and outcomes["appended"][1] > 0, outcomes
+
+
+def test_closure_certificate_rejects_a_basis_closed_under_the_generators_only(monkeypatch):
+    # every b g lies in the span and the span holds I, but E_12 E_21 = E_11
+    # does not: E_12 and E_21 are not words in the generators
+    e12 = linalg.mat([[0, 1], [0, 0]])
+    e21 = linalg.mat([[0, 0], [1, 0]])
+    assert not _certified(monkeypatch, TRIVIAL_H, (GL2.identity(), e12, e21))
+    # without I: span{s} is closed under the generator I, but s s = I
+    s = SWAP.generators[0]
+    assert not _closed_under_all_products(EnvelopingAlgebra(GL2, (s,)))
+    assert not _certified(monkeypatch, TRIVIAL_H, (s,))
+    g = linalg.mat([[1, 0, 0], [0, 1, 0], [0, 0, 2]])
+    h = SubgroupPresentation(GL3, (g,))
+    basis = (GL3.identity(), g, linalg.mat([[0, 1, 0], [0, 0, 0], [0, 0, 0]]), linalg.mat([[0, 0, 0], [1, 0, 0], [0, 0, 0]]))
+    assert all(EnvelopingAlgebra(GL3, basis).contains(linalg.mat_mul(b, g)) for b in basis)
+    assert not _closed_under_all_products(EnvelopingAlgebra(GL3, basis))
+    monkeypatch.setattr(gcr, "_span_closure", lambda group, seeds, mults: basis)
+    with pytest.raises(InvariantViolation, match="not spanned by words"):
+        enveloping_algebra(h)
 
 
 def _product_trace_radical_basis(a):

@@ -1,5 +1,7 @@
 import random
 from fractions import Fraction as F
+from functools import partial
+from math import gcd
 
 import pytest
 from hypothesis import given, settings
@@ -224,6 +226,24 @@ def test_rref_inplace_matches_dense_reference():
         assert rows == ref
 
 
+def _reference_solve_affine(rref_inplace, a, b):
+    """Reference: ``solve_affine`` read off a given Gauss-Jordan loop on
+    Fraction rows, with free variables set to zero."""
+    m = len(a[0]) if a else 0
+    rows = [list(a[i]) + [F(b[i])] for i in range(len(a))]
+    pivots = rref_inplace(rows)
+    if pivots and pivots[-1] == m:
+        return None
+    x = [F(0)] * m
+    for r, c in enumerate(pivots):
+        x[c] = rows[r][m]
+    return tuple(x)
+
+
+def _reference_rank(rref_inplace, a):
+    return len(rref_inplace([list(r) for r in a]))
+
+
 def test_solvers_match_dense_reference(monkeypatch):
     rng = random.Random(12)
     cases = []
@@ -233,11 +253,11 @@ def test_solvers_match_dense_reference(monkeypatch):
         inconsistent = tuple(b + (1 if i == 0 else 0) for i, b in enumerate(consistent))
         cases.append((a, consistent, inconsistent))
 
-    def run():
+    def run(solve, rank):
         out = {"reductions": [], "solutions": [], "inverses": []}
         for a, consistent, inconsistent in cases:
-            out["reductions"].append((linalg.rref(a), linalg.rank(a), linalg.row_space(a), linalg.nullspace(a)))
-            out["solutions"].append((linalg.solve_affine(a, consistent), linalg.solve_affine(a, inconsistent)))
+            out["reductions"].append((linalg.rref(a), rank(a), linalg.row_space(a), linalg.nullspace(a)))
+            out["solutions"].append((solve(a, consistent), solve(a, inconsistent)))
             if len(a) == len(a[0]):
                 try:
                     out["inverses"].append(linalg.inverse(a))
@@ -245,9 +265,10 @@ def test_solvers_match_dense_reference(monkeypatch):
                     out["inverses"].append(str(exc))
         return out
 
-    new = run()
+    new = run(linalg.solve_affine, linalg.rank)
     monkeypatch.setattr(linalg, "_rref_inplace", _dense_rref_inplace)
-    assert new == run()
+    reference = partial(_reference_solve_affine, _dense_rref_inplace), partial(_reference_rank, _dense_rref_inplace)
+    assert new == run(*reference)
     assert all(s is not None for s, _ in new["solutions"])
     assert sum(s is None for _, s in new["solutions"]) >= 50
     assert {type(x) for x in new["inverses"]} == {str, tuple}
@@ -295,9 +316,16 @@ def test_echelon_basis_membership_dependence_and_unit_pivots():
         for k, lead in enumerate(leads):
             assert (lead is None) == (linalg.rank(a[: k + 1]) == linalg.rank(a[:k]))
         assert len(echelon) == linalg.rank(a)
+        reference = []
+        for row in a:
+            _fraction_echelon_add(reference, row)
         pivots = [terms[0][0] for terms in echelon]
         for k, terms in enumerate(echelon):
-            assert terms[0][1] == 1 and all(x != 0 for _, x in terms)
+            # a primitive integer row with a positive pivot, whose unit-pivot
+            # form is the row of the Fraction kernel
+            assert terms[0][1] > 0 and all(type(x) is int and x != 0 for _, x in terms)
+            assert gcd(*(x for _, x in terms)) == 1
+            assert [(j, F(x, terms[0][1])) for j, x in terms] == reference[k]
             assert [j for j, _ in terms] == sorted(j for j, _ in terms)
             assert not {j for j, _ in terms} & set(pivots[:k])
         # the same span as the rows: membership agrees with the RREF basis
@@ -310,3 +338,181 @@ def test_echelon_basis_membership_dependence_and_unit_pivots():
             assert linalg.echelon_add(echelon, row) is None
         assert echelon == before
     assert linalg.echelon_add([], (F(0), F(2), F(4))) == 2
+
+
+# ---------------------------------------------------------------------------
+# The unit-pivot Fraction kernel that the integer rows replaced, kept as the
+# reference: every row is scaled to a unit pivot when it becomes a pivot row,
+# and one step subtracts a multiple of it over its nonzero terms.
+
+
+def _fraction_terms(row):
+    return [(j, x) for j, x in enumerate(row) if x]
+
+
+def _fraction_subtract(w, f, terms):
+    for j, y in terms:
+        w[j] -= f * y
+
+
+def _fraction_rref_inplace(rows):
+    pivots = []
+    r = 0
+    ncols = len(rows[0]) if rows else 0
+    for c in range(ncols):
+        piv = next((i for i in range(r, len(rows)) if rows[i][c] != 0), None)
+        if piv is None:
+            continue
+        rows[r], rows[piv] = rows[piv], rows[r]
+        inv = linalg.ONE / rows[r][c]
+        rows[r] = [x * inv for x in rows[r]]
+        terms = _fraction_terms(rows[r])
+        for i in range(len(rows)):
+            f = rows[i][c]
+            if f and i != r:
+                _fraction_subtract(rows[i], f, terms)
+        pivots.append(c)
+        r += 1
+        if r == len(rows):
+            break
+    return pivots
+
+
+def _fraction_echelon_reduce(echelon, v):
+    w = list(v)
+    for terms in echelon:
+        f = w[terms[0][0]]
+        if f:
+            _fraction_subtract(w, f, terms)
+    return w
+
+
+def _fraction_echelon_add(echelon, v):
+    terms = _fraction_terms(_fraction_echelon_reduce(echelon, v))
+    if not terms:
+        return None
+    lead = terms[0][1]
+    inv = linalg.ONE / lead
+    echelon.append([(j, x * inv) for j, x in terms])
+    return lead
+
+
+def _fraction_echelon_contains(echelon, v):
+    return not any(_fraction_echelon_reduce(echelon, v))
+
+
+def _fraction_det(a):
+    echelon = []
+    prod = linalg.ONE
+    for row in a:
+        lead = _fraction_echelon_add(echelon, row)
+        if lead is None:
+            return linalg.ZERO
+        prod *= lead
+    pivots = [terms[0][0] for terms in echelon]
+    inversions = sum(p > q for k, p in enumerate(pivots) for q in pivots[k + 1 :])
+    return -prod if inversions % 2 else prod
+
+
+def _kernel_matrices(seed, count=150):
+    """Seeded rational matrices for the integer kernel: mixed denominators,
+    zero rows, zero columns, rank-deficient rows, and entries above 2^64."""
+    rng = random.Random(seed)
+
+    def entry(kind):
+        if rng.random() < 0.3:
+            return F(0)
+        if kind == "huge" and rng.random() < 0.5:
+            return F(rng.choice((-1, 1)) * rng.randint(2**64, 2**72), rng.randint(1, 2**66))
+        return F(rng.randint(-9, 9), rng.choice((1, 1, 2, 3, 4, 5, 6, 7, 12)))
+
+    out = [linalg.zeros(2, 3), linalg.identity(3), linalg.mat([[0, F(1, 2)], [F(-2, 3), 0]])]
+    for k in range(count):
+        n, m = rng.randint(1, 7), rng.randint(1, 8)
+        kind = "huge" if k % 3 == 0 else "small"
+        a = [[entry(kind) for _ in range(m)] for _ in range(n)]
+        if n > 1 and rng.random() < 0.4:  # a combination of two rows
+            f, g = F(rng.randint(-3, 3), rng.randint(1, 5)), F(rng.randint(-3, 3), rng.randint(1, 7))
+            a[rng.randrange(n)] = [f * x + g * y for x, y in zip(a[0], a[-1])]
+        if rng.random() < 0.3:
+            a[rng.randrange(n)] = [F(0)] * m
+        if rng.random() < 0.3:
+            zero_col = rng.randrange(m)
+            for row in a:
+                row[zero_col] = F(0)
+        out.append(linalg.mat(a))
+    return out
+
+
+def test_kernel_matrices_cover_the_cases():
+    mats = _kernel_matrices(21)
+    entries = [x for a in mats for row in a for x in row]
+    assert any(abs(x.numerator) > 2**64 for x in entries)
+    assert any(any(x.denominator != row[0].denominator for x in row) for a in mats for row in a)
+    assert any(not any(row) for a in mats for row in a)
+    assert any(not any(row[j] for row in a) for a in mats for j in range(len(a[0])))
+
+
+def test_integer_rref_matches_fraction_kernel():
+    for a in _kernel_matrices(21) + _seeded_matrices(22):
+        rows, ref = [list(r) for r in a], [list(r) for r in a]
+        assert linalg._rref_inplace(rows) == _fraction_rref_inplace(ref)
+        assert rows == ref
+        assert all(type(x) is F for row in rows for x in row)
+        ints = [linalg._integer_row(row) for row in a]
+        pivots = linalg._reduce(ints)
+        assert all(ints[r][c] > 0 for r, c in enumerate(pivots))
+        assert not any(any(row) for row in ints[len(pivots) :])
+
+
+def test_integer_solvers_match_fraction_kernel(monkeypatch):
+    rng = random.Random(23)
+    cases = []
+    for a in _kernel_matrices(23):
+        x = linalg.vec(F(rng.randint(-3, 3), rng.randint(1, 5)) for _ in a[0])
+        consistent = linalg.mat_vec(a, x)
+        inconsistent = tuple(b + F(1, 3) * (i == len(a) - 1) for i, b in enumerate(consistent))
+        cases.append((a, consistent, inconsistent))
+
+    def run(solve, rank):
+        out = {"reductions": [], "solutions": [], "inverses": []}
+        for a, consistent, inconsistent in cases:
+            out["reductions"].append((linalg.rref(a), rank(a), linalg.nullspace(a)))
+            out["solutions"].append(tuple(solve(a, b) for b in (consistent, inconsistent)))
+            if len(a) == len(a[0]):
+                try:
+                    out["inverses"].append(linalg.inverse(a))
+                except ValueError as exc:
+                    out["inverses"].append(str(exc))
+        return out
+
+    new = run(linalg.solve_affine, linalg.rank)
+    monkeypatch.setattr(linalg, "_rref_inplace", _fraction_rref_inplace)
+    reference = partial(_reference_solve_affine, _fraction_rref_inplace), partial(_reference_rank, _fraction_rref_inplace)
+    assert run(*reference) == new
+    assert all(s is not None for s, _ in new["solutions"])
+    assert sum(s is None for _, s in new["solutions"]) >= 30
+    assert sum(type(x) is str for x in new["inverses"]) >= 5
+    assert sum(type(x) is tuple for x in new["inverses"]) >= 5
+
+
+def test_integer_det_and_echelon_match_fraction_kernel():
+    rng = random.Random(24)
+    mats = _kernel_matrices(24, 300)
+    dets = set()
+    for a in mats:
+        if len(a) == len(a[0]):
+            d = linalg.det(a)
+            assert d == _fraction_det(a) and type(d) is F
+            dets.add(d != 0)
+        echelon, reference = [], []
+        for row in a:
+            lead = linalg.echelon_add(echelon, row)
+            assert lead == _fraction_echelon_add(reference, row)
+            assert lead is None or type(lead) is F
+        m = len(a[0])
+        probes = [tuple(sum((F(rng.randint(-2, 2), rng.randint(1, 3)) * row[j] for row in a), F(0)) for j in range(m))]
+        probes += [linalg.vec(rng.choice((0, 0, 1, -1, F(1, 2), F(2**65, 3))) for _ in range(m)) for _ in range(3)]
+        for v in probes:
+            assert linalg.echelon_contains(echelon, v) == _fraction_echelon_contains(reference, v)
+    assert dets == {True, False}

@@ -362,8 +362,14 @@ def test_conjugator_system_matches_entrywise_reference():
         hs_prime = [parabolic._transport(g, lam) for g in rep.matrices(v_prime)]
         free = parabolic._radical_positions(lam)
         rows, rhs = parabolic._conjugator_system(hs, hs_prime, free)
-        assert (rows, rhs) == _entrywise_conjugator_system(hs, hs_prime, free)
-        assert all(isinstance(x, F) for row in rows for x in row)
+        dense = []
+        for terms in rows:  # each row is given by its nonzero terms
+            coeffs = [F(0)] * len(free)
+            for k, c in terms:
+                coeffs[k] = c
+            dense.append(tuple(coeffs))
+        assert (tuple(dense), tuple(rhs)) == _entrywise_conjugator_system(hs, hs_prime, free)
+        assert all(isinstance(c, F) and c != 0 for terms in rows for _, c in terms)
         assert all(isinstance(x, F) for x in rhs)
     assert with_limit >= 40
 
