@@ -10,12 +10,20 @@ semisimple and admits no rational radical conjugator.  The bounded route
 searches the configured tori for such a cocharacter.  Subgroups are
 presented by topological generators; the generator tuple is a generic
 tuple, so it stands in for the subgroup in all orbit computations.
+
+Both routes multiply on integers.  Scaling a generator by a nonzero
+rational changes neither the algebra it spans with I nor any answer of
+the search, and a span test does not see a positive scale.  So the span
+closure keeps each word as an integer matrix with its scale, and its
+certificate multiplies the basis scaled to integers; the basis is
+divided by its scales once, and every matrix handed out is rational.
 """
 
 from __future__ import annotations
 
 import functools
 from dataclasses import dataclass
+from fractions import Fraction
 
 from . import linalg
 from .errors import DomainError, InvariantViolation, ModeError, PreconditionError
@@ -92,33 +100,39 @@ def _unflatten(v: Vec, m: int) -> Mat:
     return tuple(tuple(v[i * m + j] for j in range(m)) for i in range(m))
 
 
-def _span_closure(group: GroupSpec, seeds: list[Mat], multipliers: list[Mat]) -> tuple[Mat, ...]:
-    """Smallest span containing seeds and closed under right multiplication.
+def _span_closure(group: GroupSpec, seeds: list[Mat], multipliers: list[Mat]) -> EnvelopingAlgebra:
+    """Smallest span containing seeds and closed under right multiplication,
+    as an algebra that keeps the echelon basis built here.
 
-    The accepted matrices are kept as an echelon basis of their flattened
-    entries, so each candidate costs one reduction.
+    Words are integer matrices with their scales, a word being its integer
+    matrix divided by its scale: a product of words is the integer product
+    with the product of the scales, and a span test does not see a positive
+    scale.  So each candidate costs one integer product and one reduction
+    against the echelon basis of the flattened words, and an accepted word
+    is divided by its scale once.
     """
     echelon: list = []
-    basis_mats: list[Mat] = []
+    basis: list[Mat] = []
 
-    def try_add(x: Mat) -> bool:
+    def try_add(x, scale: int) -> bool:
         if linalg.echelon_add(echelon, _flatten(x)) is None:
             return False
-        basis_mats.append(x)
+        basis.append(linalg._divided(x, scale))
         return True
 
-    for s in seeds:
-        try_add(s)
-    frontier = list(basis_mats)
+    frontier = [word for word in map(linalg._integer_matrix, seeds) if try_add(*word)]
+    steps = [linalg._integer_matrix(g) for g in multipliers]
     while frontier:
         fresh = []
-        for b in frontier:
-            for g in multipliers:
-                candidate = linalg.mat_mul(b, g)
-                if try_add(candidate):
-                    fresh.append(candidate)
+        for b, s in frontier:
+            for g, t in steps:
+                candidate = linalg._integer_mat_mul(b, g)
+                if try_add(candidate, s * t):
+                    fresh.append((candidate, s * t))
         frontier = fresh
-    return tuple(basis_mats)
+    algebra = EnvelopingAlgebra(group, tuple(basis))
+    object.__setattr__(algebra, "_echelon", echelon)  # the cached property, already built
+    return algebra
 
 
 def enveloping_algebra(h: SubgroupPresentation) -> EnvelopingAlgebra:
@@ -132,26 +146,37 @@ def enveloping_algebra(h: SubgroupPresentation) -> EnvelopingAlgebra:
     an earlier one times a generator, and every b g lies in the span S.
     So S is spanned by words, and S g in S for every generator g gives
     S w in S for every word w, hence S S in S.
+
+    The products run on integers: with b and g scaled to integer matrices
+    s b and t g, the product x = (s b)(t g) is s t (b g).  A span test does
+    not see the positive scale s t, and b g equals a basis element c with
+    integer matrix u c exactly when x u = (u c) s t entry by entry.
     """
     algebra = algebra_of_tuple(h.group, h.generators)
     basis = algebra.basis
+    scaled = [linalg._integer_matrix(b) for b in basis]
+    gens = [linalg._integer_matrix(g) for g in h.generators]
     words = 1  # basis[:words] are checked to be words in the generators
-    for k, b in enumerate(basis):
-        for g in h.generators:
-            x = linalg.mat_mul(b, g)
-            if k < words < len(basis) and x == basis[words]:
+    for k, (b, s) in enumerate(scaled):
+        for g, t in gens:
+            x = linalg._integer_mat_mul(b, g)
+            if k < words < len(basis) and _same_matrix(x, s * t, *scaled[words]):
                 words += 1
-            elif not algebra.contains(x):
+            elif not linalg.echelon_contains(algebra._echelon, _flatten(x)):
                 raise InvariantViolation("algebra basis is not multiplicatively closed")
     if basis[0] != h.group.identity() or words < len(basis):
         raise InvariantViolation("algebra basis is not spanned by words in the generators")
     return algebra
 
 
+def _same_matrix(x, s: int, y, t: int) -> bool:
+    """Is x / s = y / t, for integer matrices x, y and positive s, t?"""
+    return all(p * t == q * s for rx, ry in zip(x, y) for p, q in zip(rx, ry))
+
+
 def algebra_of_tuple(group: GroupSpec, mats) -> EnvelopingAlgebra:
     """Associative algebra generated by a tuple, seeded with the identity."""
-    basis = _span_closure(group, [group.identity()], [linalg.mat(x) for x in mats])
-    return EnvelopingAlgebra(group, basis)
+    return _span_closure(group, [group.identity()], [linalg.mat(x) for x in mats])
 
 
 def is_generic_tuple(tup, h: SubgroupPresentation) -> bool:
@@ -170,15 +195,16 @@ def radical_dim(a: EnvelopingAlgebra) -> int:
 
 
 def radical_basis(a: EnvelopingAlgebra) -> tuple[Mat, ...]:
+    """The kernel of the trace form, summed on the basis scaled to integer
+    matrices: tr(x y) = tr((s x)(t y)) / (s t)."""
     n = a.dimension
+    scaled = [linalg._integer_matrix(b) for b in a.basis]
     gram = [[None] * n for _ in range(n)]
-    for i, x in enumerate(a.basis):
+    for i, (x, s) in enumerate(scaled):
         for j in range(i, n):  # tr(xy) = tr(yx) = sum of x_kl y_lk
-            y = a.basis[j]
-            gram[i][j] = gram[j][i] = sum(
-                (x[k][l] * y[l][k] for k in range(len(x)) for l in range(len(x)) if x[k][l] and y[l][k]),
-                linalg.ZERO,
-            )
+            y, t = scaled[j]
+            tr = sum(v * y[l][k] for k, row in enumerate(x) for l, v in enumerate(row) if v)
+            gram[i][j] = gram[j][i] = Fraction(tr, s * t) if tr else linalg.ZERO
     gram = tuple(map(tuple, gram))
     flat = tuple(_flatten(b) for b in a.basis)
     combos = linalg.mat_mul(linalg.nullspace(gram, n), flat)

@@ -17,6 +17,14 @@ Searching beyond one maximal torus uses a finite family of maximal tori,
 one base frame each, and is never claimed complete; ``oracle_mode``
 re-derives the optimum by brute force over an exponent box as an
 independent check.
+
+The closedness search runs on integers.  Each generator is scaled once to
+an integer matrix, and each torus base and its inverse once per
+configuration, so the tuple moves into a torus by integer products.  Its
+entry pattern, its limit and the conjugator equations u h = h' u are
+homogeneous in the pair (h, h') of one generator, so the positive scales
+change no answer; a witness limit is divided by its generator's scale
+before it is returned.
 """
 
 from __future__ import annotations
@@ -445,15 +453,8 @@ def _torus_optimum(per_point, group: GroupSpec) -> TorusOptimum | None:
 def _column_line(col) -> tuple[int, ...]:
     """The primitive integer vector on the line of a nonzero column whose
     first nonzero entry is positive."""
-    den = 1
-    for x in col:
-        if x.denominator != 1:
-            den = den * x.denominator // gcd(den, x.denominator)
-    ints = [x.numerator * (den // x.denominator) for x in col]
-    g = gcd(*ints)
-    if next(v for v in ints if v) < 0:
-        g = -g
-    return tuple(v // g for v in ints)
+    d = linalg.primitive_direction(col)
+    return d if next(x for x in d if x) > 0 else tuple(-x for x in d)
 
 
 def _torus_bases(frames, group: GroupSpec) -> tuple[tuple[Mat, ...], tuple[Mat, ...]]:
@@ -484,13 +485,14 @@ class SearchConfig:
     cocharacter lies in a maximal torus, and a frame f spans the torus
     f T f^-1 of the diagonal torus T.  The family is kept as one base frame
     per maximal torus, the first frame of the given family that spans it,
-    together with its inverse; the identity is put first when the family
-    lacks it.  Another frame of a torus is f . P with P monomial, and
-    admissibility, the weak orderings, the norm and the exponent box are
-    all invariant under the permutation of coordinates P makes
-    (``Norm.check_invariance``), so such a frame adds no cocharacter and no
-    value that its base lacks.  Every given frame is checked to be in the
-    group.
+    together with its inverse, and both scaled to integer matrices for the
+    closedness search (``_integer_bases``); the identity is put first when
+    the family lacks it.  Another frame of a torus is f . P with P
+    monomial, and admissibility, the weak orderings, the norm and the
+    exponent box are all invariant under the permutation of coordinates P
+    makes (``Norm.check_invariance``), so such a frame adds no cocharacter
+    and no value that its base lacks.  Every given frame is checked to be
+    in the group.
     """
 
     group: GroupSpec
@@ -513,6 +515,16 @@ class SearchConfig:
         object.__setattr__(
             self, "normalizer_samples", tuple(linalg.mat(g) for g in self.normalizer_samples)
         )
+
+    @functools.cached_property
+    def _integer_bases(self) -> tuple:
+        """Per torus, its base's inverse and its base scaled to integer
+        matrices, and the product of their scales; built on the first
+        closedness search, so a configuration that only optimizes never
+        pays for it."""
+        inverses = map(linalg._integer_matrix, self._frame_inverses)
+        bases = map(linalg._integer_matrix, self.conjugation_family)
+        return tuple((i, f, di * df) for (i, di), (f, df) in zip(inverses, bases))
 
     @staticmethod
     def default(
@@ -847,18 +859,19 @@ def is_cochar_closed(v: Point, cfg: SearchConfig) -> CocharClosedVerdict:
     if rep.group != cfg.group:
         raise DimensionError("configuration group differs from the representation group")
     examined: list[Cocharacter] = []
-    solved: set[Mat] = set()  # lambda(2) of each cocharacter with a conjugator
-    for lam, tmats in _frame_cocharacters(rep.matrices(v), cfg):
+    solved: set = set()  # lambda(2) of each cocharacter with a conjugator
+    for lam, tmats, scales, base in _frame_cocharacters(rep.matrices(v), cfg):
         examined.append(lam)
         limit_t = [_limit_pattern(h, lam.torus.exponents) for h in tmats]
         if limit_t == tmats:
             continue  # the identity conjugator works
-        key = lam.evaluate(2)
+        key = _value_at_two(base, lam.torus.exponents)
         if key in solved:
             continue
         if _radical_conjugator(tmats, limit_t, lam) is None:
             limit_mats = tuple(
-                linalg.mat_mul(linalg.mat_mul(lam.base, h), lam.base_inverse) for h in limit_t
+                linalg.mat_mul(linalg.mat_mul(lam.base, linalg._divided(h, s)), lam.base_inverse)
+                for h, s in zip(limit_t, scales)
             )
             return CocharClosedVerdict(
                 False,
@@ -882,15 +895,54 @@ def _entry_pattern(mats) -> set[tuple[int, int]]:
     }
 
 
+def _moved_tuples(mats, cfg: SearchConfig):
+    """Torus by torus, its base and inverse, their integer scalings (an
+    entry of ``SearchConfig._integer_bases``), and the tuple moved into the
+    base frame as integer matrices and their scales: the k-th matrix h
+    moves to inv h frame = tmats[k] / scales[k].
+
+    Each matrix is scaled to an integer matrix once, and each base and its
+    inverse once per configuration, so a move is two integer products.
+    Everything the search asks of the moved tuple, its entry pattern, its
+    limit and the conjugator equations u h = h' u between it and its limit,
+    is homogeneous in the pair (h, h') of one generator, so the positive
+    scales change no answer.
+    """
+    scaled = [linalg._integer_matrix(h) for h in mats]
+    for frame, inv, base in zip(cfg.conjugation_family, cfg._frame_inverses, cfg._integer_bases):
+        inv_int, frame_int, den = base
+        tmats = [linalg._integer_mat_mul(linalg._integer_mat_mul(inv_int, h), frame_int) for h, _ in scaled]
+        yield frame, inv, base, tmats, [den * s for _, s in scaled]
+
+
 def _frame_cocharacters(mats, cfg: SearchConfig):
     """Torus by torus, each admissible cocharacter whose parabolic contains
-    the tuple, with the tuple moved into the torus's base frame.  Within a
+    the tuple, with the tuple moved into the torus's base frame and the
+    base's integer scalings, as ``_moved_tuples`` gives them.  Within a
     torus distinct exponents are distinct cocharacters; one may recur in
     another torus that contains it."""
-    for frame, inv in zip(cfg.conjugation_family, cfg._frame_inverses):
-        tmats = [linalg.mat_mul(linalg.mat_mul(inv, h), frame) for h in mats]
+    for frame, inv, base, tmats, scales in _moved_tuples(mats, cfg):
         for exps in admissible_exponents(cfg.group, cfg.exponent_box, _entry_pattern(tmats)):
-            yield Cocharacter._on_frame(cfg.group, frame, inv, exps), tmats
+            yield Cocharacter._on_frame(cfg.group, frame, inv, exps), tmats, scales, base
+
+
+def _value_at_two(base, d) -> tuple:
+    """lambda(2) for the exponents d on a torus base given by its integer
+    scalings (inverse, base, product of their scales), as the pair (P, c)
+    with lambda(2) = c P, P the primitive integer matrix on its line with
+    lambda(2) a positive multiple of it, and c > 0.  The pair determines
+    lambda(2) and is determined by it.
+
+    With l = min d, lambda(2) is base diag(2^(d - l)) inverse 2^l, so it
+    takes one integer product, the diagonal a shift of the base's columns.
+    """
+    inv_int, frame_int, den = base
+    low = min(d)
+    shifted = tuple(tuple(v << (e - low) for v, e in zip(row, d)) for row in frame_int)
+    x = linalg._integer_mat_mul(shifted, inv_int)
+    g = gcd(*(v for row in x for v in row))
+    p = tuple(tuple(v // g for v in row) for row in x)
+    return p, Fraction(g << max(low, 0), den << max(-low, 0))
 
 
 def admissible_exponents(group: GroupSpec, box: int, pattern) -> list[tuple[int, ...]]:

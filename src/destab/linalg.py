@@ -6,6 +6,14 @@ sparse: frames are signed permutations times a shear, and commutator and
 conjugator equations touch a few entries each.  So products skip zero
 entries of both factors.
 
+Products run on integers.  A matrix is scaled by the lcm of its
+denominators (``_integer_matrix``), and the integer product of s a and
+t b (``_integer_mat_mul``) is s t (a b).  ``mat_mul`` divides it by s t
+once per entry.  Callers that multiply the same matrices again and again,
+the closedness search and the enveloping algebra's span closure, keep
+them as integer matrices with their scales between products and divide
+only what they return.
+
 Elimination runs on integer rows.  Each incoming row is scaled by the lcm
 of its denominators, and one fraction-free step, ``_eliminate``, replaces
 w by (p/g) w - (f/g) row, where p is the row's pivot, f the entry of w
@@ -77,20 +85,11 @@ def mat_scale(c: Fraction, a: Mat) -> Mat:
 
 
 def mat_mul(a: Mat, b: Mat) -> Mat:
-    k, m = len(b), len(b[0]) if b else 0
-    if a and len(a[0]) != k:
-        raise DimensionMismatch(len(a[0]), k)
-    b_terms = [[(j, y) for j, y in enumerate(row) if y] for row in b]
-    out = []
-    for row in a:
-        acc: list[Fraction | None] = [None] * m
-        for x, terms in zip(row, b_terms):
-            if x:
-                for j, y in terms:
-                    s = acc[j]
-                    acc[j] = x * y if s is None else s + x * y
-        out.append(tuple(ZERO if s is None else s for s in acc))
-    return tuple(out)
+    """The product a b: the integer product of the scaled factors, divided
+    by the product of their scales."""
+    ai, s = _integer_matrix(a)
+    bi, t = _integer_matrix(b)
+    return _divided(_integer_mat_mul(ai, bi), s * t)
 
 
 def mat_vec(a: Mat, v: Sequence[Fraction]) -> Vec:
@@ -133,6 +132,38 @@ def _integer_terms(terms, n: int) -> tuple[list[int], int]:
 def _integer_row(row) -> list[int]:
     """A rational row scaled by the lcm of its denominators."""
     return _integer_terms(_terms(row), len(row))[0]
+
+
+def _integer_matrix(a) -> tuple[tuple[tuple[int, ...], ...], int]:
+    """A rational matrix scaled by the lcm of its denominators, and that
+    lcm: the integer matrix equals lcm times a."""
+    n, m = len(a), len(a[0]) if a else 0
+    flat, den = _integer_terms([(i * m + j, x) for i, row in enumerate(a) for j, x in enumerate(row) if x], n * m)
+    return tuple(tuple(flat[i * m : (i + 1) * m]) for i in range(n)), den
+
+
+def _divided(a, den: int) -> Mat:
+    """The integer matrix a divided by den, as a matrix of Fractions."""
+    return tuple(tuple(Fraction(x, den) if x else ZERO for x in row) for row in a)
+
+
+def _integer_mat_mul(a, b) -> tuple[tuple[int, ...], ...]:
+    """The product of two integer matrices, skipping zero entries of both
+    factors; for the scalings s a and t b of rational matrices it is
+    s t (a b)."""
+    k, m = len(b), len(b[0]) if b else 0
+    if a and len(a[0]) != k:
+        raise DimensionMismatch(len(a[0]), k)
+    b_terms = [[(j, y) for j, y in enumerate(row) if y] for row in b]
+    out = []
+    for row in a:
+        acc = [0] * m
+        for x, terms in zip(row, b_terms):
+            if x:
+                for j, y in terms:
+                    acc[j] += x * y
+        out.append(tuple(acc))
+    return tuple(out)
 
 
 def _pivot_terms(w: list[int]) -> list[tuple[int, int]]:
@@ -364,9 +395,8 @@ def primitive_direction(v: Sequence[Fraction]) -> tuple[int, ...]:
 
     The positive scaling factor is unique, so the direction is preserved.
     """
-    fr = [frac(x) for x in v]
-    if all(x == 0 for x in fr):
-        raise ValueError("zero vector has no primitive direction")
-    ints = _integer_row(fr)
+    ints = _integer_row([frac(x) for x in v])
     g = gcd(*ints)
+    if not g:
+        raise ValueError("zero vector has no primitive direction")
     return tuple(x // g for x in ints)

@@ -103,11 +103,10 @@ def _require_lie_element(group: GroupSpec, x: Mat) -> None:
 
 
 def _limit_pattern(gt: Mat, d: tuple[int, ...]) -> Mat:
+    """The entries of gt where d_i = d_j, the others the int 0, so an
+    integer matrix stays integer (``mat_mul`` skips the zeros)."""
     m = len(gt)
-    return tuple(
-        tuple(gt[i][j] if d[i] == d[j] else linalg.ZERO for j in range(m))
-        for i in range(m)
-    )
+    return tuple(tuple(gt[i][j] if d[i] == d[j] else 0 for j in range(m)) for i in range(m))
 
 
 def _levi_projection(g, lam: Cocharacter, container: str):
@@ -293,8 +292,17 @@ def _radical_conjugator(hs, hs_prime, lam: Cocharacter) -> Mat | None:
 
 
 def _intertwines(u: Mat, hs, hs_prime) -> bool:
-    """u h = h' u for every pair, that is u h u^-1 = h' for invertible u."""
-    return all(linalg.mat_mul(u, h) == linalg.mat_mul(hp, u) for h, hp in zip(hs, hs_prime))
+    """u h = h' u for every pair, that is u h u^-1 = h' for invertible u.
+
+    The equation is homogeneous in u and in the pair (h, h'), so it is
+    tested on integers: u and each pair, stacked, scaled by the lcm of
+    their denominators."""
+    ui = linalg._integer_matrix(u)[0]
+    for h, hp in zip(hs, hs_prime):
+        pair = linalg._integer_matrix(h + hp)[0]
+        if linalg._integer_mat_mul(ui, pair[: len(h)]) != linalg._integer_mat_mul(pair[len(h) :], ui):
+            return False
+    return True
 
 
 def find_ru_conjugator(

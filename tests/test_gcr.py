@@ -69,7 +69,8 @@ def test_enveloping_algebra_contains_inverses():
 
 def _recomputing_span_closure(group, seeds, multipliers):
     """Reference: the closure that recomputed the row space of every
-    accepted matrix for each candidate, which the echelon basis replaced."""
+    accepted matrix for each candidate, which the echelon basis replaced,
+    and multiplied Fraction matrices, which the integer words replaced."""
     m = group.dimension
     basis_rows = []
     basis_mats = []
@@ -95,21 +96,37 @@ def _recomputing_span_closure(group, seeds, multipliers):
                 if try_add(candidate):
                     fresh.append(candidate)
         frontier = fresh
-    return tuple(basis_mats)
+    return EnvelopingAlgebra(group, tuple(basis_mats))
+
+
+def _twisted_corpus(seed, size):
+    """The corpus with each generator scaled by one of +-1, +-2, +-1/2."""
+    rng = random.Random(seed)
+    twists = [F(1), F(-1), F(2), F(-2), F(1, 2), F(-1, 2)]
+    return [
+        SubgroupPresentation(h.group, tuple(linalg.mat_scale(rng.choice(twists), g) for g in h.generators))
+        for h in subgroup_corpus(seed, size)
+    ]
 
 
 def test_enveloping_algebra_matches_recomputing_reference(monkeypatch):
     # the same matrices accepted in the same order, also with zero seeds
-    # and a zero multiplier
+    # and a zero multiplier; the echelon basis the closure keeps is the one
+    # its basis builds
     zero = linalg.zeros(2, 2)
-    for seeds, mults in [([zero], [UNIP.generators[0]]), ([GL2.identity(), zero], [zero, SWAP.generators[0]])]:
-        assert gcr._span_closure(GL2, seeds, mults) == _recomputing_span_closure(GL2, seeds, mults)
-    corpus = subgroup_corpus(2, 40)
-    new = [enveloping_algebra(h).basis for h in corpus]
+    half = linalg.mat([[F(1, 2), F(-3, 4)], [0, F(5, 6)]])
+    cases = [([zero], [UNIP.generators[0]]), ([GL2.identity(), zero], [zero, SWAP.generators[0], half])]
+    for seeds, mults in cases:
+        algebra = gcr._span_closure(GL2, seeds, mults)
+        assert algebra == _recomputing_span_closure(GL2, seeds, mults)
+        assert algebra._echelon == EnvelopingAlgebra(GL2, algebra.basis)._echelon
+    corpus = [h for s in (1, 2, 3) for h in subgroup_corpus(s, 200) + _twisted_corpus(s, 60)]
+    new = [enveloping_algebra(h) for h in corpus]
+    assert all(a._echelon == EnvelopingAlgebra(a.group, a.basis)._echelon for a in new)
     monkeypatch.setattr(gcr, "_span_closure", _recomputing_span_closure)
-    old = [enveloping_algebra(h).basis for h in corpus]
-    assert new == old
-    assert {len(b) for b in new} >= {1, 2, 3, 4, 9}
+    old = [enveloping_algebra(h) for h in corpus]
+    assert [a.basis for a in new] == [a.basis for a in old]
+    assert {len(a.basis) for a in new} >= {1, 2, 3, 4, 9}
 
 
 def _dense_contains(algebra, x):
@@ -139,7 +156,8 @@ def test_enveloping_algebra_rejects_a_basis_that_is_not_closed(monkeypatch):
     # span{1, e12, e21} holds no e11 = e12 e21
     e12 = linalg.mat([[0, 1], [0, 0]])
     e21 = linalg.mat([[0, 0], [1, 0]])
-    monkeypatch.setattr(gcr, "_span_closure", lambda group, seeds, mults: (GL2.identity(), e12, e21))
+    basis = (GL2.identity(), e12, e21)
+    monkeypatch.setattr(gcr, "_span_closure", lambda group, seeds, mults: EnvelopingAlgebra(group, basis))
     with pytest.raises(InvariantViolation, match="not multiplicatively closed"):
         enveloping_algebra(SWAP)
 
@@ -150,8 +168,9 @@ def _closed_under_all_products(algebra):
 
 
 def _certified(monkeypatch, h, basis):
-    """Does ``enveloping_algebra`` accept ``basis`` as the algebra of h?"""
-    monkeypatch.setattr(gcr, "_span_closure", lambda group, seeds, mults: basis)
+    """Does ``enveloping_algebra`` accept ``basis`` as the algebra of h?
+    The injected algebra builds its echelon basis from ``basis``."""
+    monkeypatch.setattr(gcr, "_span_closure", lambda group, seeds, mults: EnvelopingAlgebra(group, basis))
     try:
         enveloping_algebra(h)
     except InvariantViolation:
@@ -201,7 +220,7 @@ def test_closure_certificate_rejects_a_basis_closed_under_the_generators_only(mo
     basis = (GL3.identity(), g, linalg.mat([[0, 1, 0], [0, 0, 0], [0, 0, 0]]), linalg.mat([[0, 0, 0], [1, 0, 0], [0, 0, 0]]))
     assert all(EnvelopingAlgebra(GL3, basis).contains(linalg.mat_mul(b, g)) for b in basis)
     assert not _closed_under_all_products(EnvelopingAlgebra(GL3, basis))
-    monkeypatch.setattr(gcr, "_span_closure", lambda group, seeds, mults: basis)
+    monkeypatch.setattr(gcr, "_span_closure", lambda group, seeds, mults: EnvelopingAlgebra(group, basis))
     with pytest.raises(InvariantViolation, match="not spanned by words"):
         enveloping_algebra(h)
 
@@ -217,6 +236,42 @@ def _product_trace_radical_basis(a):
     flat = tuple(_flatten(b) for b in a.basis)
     combos = linalg.mat_mul(linalg.nullspace(gram, n), flat)
     return tuple(gcr._unflatten(v, a.group.dimension) for v in combos)
+
+
+def _fraction_entries(mats):
+    """Every entry of every matrix is a Fraction, none an int."""
+    return all(type(x) is F for g in mats for row in g for x in row)
+
+
+def test_returned_matrices_hold_fractions_only():
+    # integer matrices stay inside: bases, radicals, witnesses, limits,
+    # quotients and conjugators come back as Fractions
+    counts = dict(open=0, radical=0, conjugator=0)
+    for h in _twisted_corpus(1, 60) + _twisted_corpus(2, 60):
+        cfg = corpus_config(h.group)
+        assert _fraction_entries(enveloping_algebra(h).basis)
+        algebraic = is_gcr_algebra(h)
+        chain, quotient = reduce_to_gcr(h, cfg)
+        assert _fraction_entries(quotient.generators)
+        for lam in chain:
+            assert _fraction_entries((lam.base, lam.base_inverse))
+        if algebraic.witness_radical:
+            assert _fraction_entries(algebraic.witness_radical)
+            counts["radical"] += 1
+        verdict = instability.is_cochar_closed(h.tuple_point(), cfg)
+        assert all(_fraction_entries((lam.base, lam.base_inverse)) for lam in verdict.examined)
+        if not verdict.closed:
+            lam = verdict.witness
+            assert _fraction_entries(verdict.witness_limit + (lam.base, lam.base_inverse))
+            counts["open"] += 1
+        for lam in verdict.examined[:3]:
+            projected = c_lambda(h.generators, lam)
+            assert _fraction_entries(projected)
+            u = find_ru_conjugator(h.tuple_point(), h.tuple_rep().point(projected), lam)
+            if u is not None:
+                assert _fraction_entries((u,))
+                counts["conjugator"] += 1
+    assert min(counts.values()) >= 10, counts
 
 
 def test_radical_basis_matches_product_trace_reference():
@@ -478,9 +533,10 @@ def test_centralizer_dim_matches_dense_reference_on_corpus_and_projections():
     dims = set()
     for h in subgroup_corpus(1, 64):
         tuples = [h.generators]
-        for lam, tmats in instability._frame_cocharacters(h.generators, corpus_config(h.group)):
-            projected = [_limit_pattern(x, lam.torus.exponents) for x in tmats]
-            if projected != tmats and projected not in tuples:
+        for lam, tmats, scales, _ in instability._frame_cocharacters(h.generators, corpus_config(h.group)):
+            # the moved tuple's Levi projection, back on its own scale
+            projected = [linalg._divided(_limit_pattern(x, lam.torus.exponents), s) for x, s in zip(tmats, scales)]
+            if projected != [linalg._divided(x, s) for x, s in zip(tmats, scales)] and projected not in tuples:
                 tuples.append(projected)
             if len(tuples) == 6:
                 break

@@ -1167,6 +1167,67 @@ def test_is_cochar_closed_matches_reference_on_corpus():
     assert (examined, reference_examined) == (1778, 8415)
 
 
+def _twisted(mats, rng, twists=(F(1, 2), F(-1, 2), F(2), F(-2))):
+    return [linalg.mat_scale(rng.choice(twists), g) for g in mats]
+
+
+def test_moved_tuples_match_fraction_products():
+    # every torus of the corpus configurations, generators twisted by
+    # +-1/2 and +-2: the integer tuple over its scale is inv h frame
+    rng = random.Random(61)
+    tori = 0
+    for seed in (1, 2):
+        for h in subgroup_corpus(seed, 60):
+            cfg = corpus_config(h.group)
+            mats = _twisted(h.generators, rng)
+            moved = list(instability._moved_tuples(mats, cfg))
+            assert [(f, inv) for f, inv, _, _, _ in moved] == list(zip(cfg.conjugation_family, cfg._frame_inverses))
+            for frame, inv, _, tmats, scales in moved:
+                assert all(type(x) is int for t in tmats for row in t for x in row)
+                assert all(type(s) is int and s > 0 for s in scales)
+                expected = [linalg.mat_mul(linalg.mat_mul(inv, g), frame) for g in mats]
+                assert [linalg._divided(t, s) for t, s in zip(tmats, scales)] == expected
+                tori += 1
+    assert tori >= 120 * 7, tori
+
+
+def test_value_at_two_is_lambda_of_two():
+    # the integer pair (P, c) is lambda(2) = c P, also where a cocharacter
+    # is met again in another torus
+    recurred = 0
+    for group in (GL2, GL3, GroupSpec.make(("GL", 2), ("SL", 2))):
+        cfg = SearchConfig.default(group, shear_values=(-2, F(-1, 2), 1, 2))
+        values = {}
+        for frame, inv, base in zip(cfg.conjugation_family, cfg._frame_inverses, cfg._integer_bases):
+            for d in admissible_exponents(group, 3, set()):
+                at_two = Cocharacter._on_frame(group, frame, inv, d).evaluate(2)
+                p, c = instability._value_at_two(base, d)
+                assert linalg.mat_scale(c, p) == at_two and c > 0
+                assert gcd(*(x for row in p for x in row)) == 1
+                values.setdefault((p, c), set()).add(at_two)
+        assert all(len(v) == 1 for v in values.values())
+        recurred += len(cfg.conjugation_family) * len(admissible_exponents(group, 3, set())) - len(values)
+    assert recurred > 0
+
+
+def test_is_cochar_closed_matches_reference_on_twisted_corpus():
+    # the scales of twisted generators reach the limits the verdict returns
+    rng = random.Random(62)
+    seen = dict(closed=0, open=0)
+    for h in subgroup_corpus(1, 64):
+        mats = _twisted(h.generators, rng)
+        v = ConjugationTuples(h.group, len(mats)).point(mats)
+        cfg = corpus_config(h.group)
+        verdict = is_cochar_closed(v, cfg)
+        reference = _reference_is_cochar_closed(v, cfg, cfg.conjugation_family)
+        assert verdict == reference
+        if not verdict.closed:
+            assert all(type(x) is F for g in verdict.witness_limit for row in g for x in row)
+            _assert_valid_witness(v, verdict)
+        seen["closed" if verdict.closed else "open"] += 1
+    assert all(count >= 10 for count in seen.values()), seen
+
+
 def test_is_cochar_closed_matches_reference_on_product_groups():
     # block frames with shears, so that cocharacters recur across frames,
     # and some entries between two blocks
@@ -1458,6 +1519,10 @@ def test_default_tori_match_weyl_shear_family():
             if _gl_only(group):
                 assert cfg.conjugation_family == _first_per_torus(frames), (shape, values)
             assert cfg._frame_inverses == tuple(map(linalg.inverse, cfg.conjugation_family))
+            for inv_int, frame_int, den in cfg._integer_bases:  # frame inv = I, scaled by den
+                m = group.dimension
+                assert linalg._integer_mat_mul(frame_int, inv_int) == tuple(tuple(den * (i == j) for j in range(m)) for i in range(m))
+            assert cfg._integer_bases is cfg._integer_bases  # built once
     # a given family keeps its first frame per torus, the identity first
     cfg, frames = _torus_families()["gl3-scaled"]
     assert cfg.conjugation_family == _first_per_torus(frames) == frames[:2]

@@ -1,7 +1,7 @@
 import random
 from fractions import Fraction as F
 from functools import partial
-from math import gcd
+from math import gcd, lcm
 
 import pytest
 from hypothesis import given, settings
@@ -91,6 +91,29 @@ def test_mat_mul_matches_dense_reference():
             _dense_mat_mul(a, b)
         with pytest.raises(linalg.DimensionMismatch):
             linalg.mat_mul(a, b)
+
+
+def test_integer_product_matches_dense_reference():
+    # mixed denominators, zero rows and columns, and entries above 2^64
+    rng = random.Random(25)
+    mats = _kernel_matrices(25, 120)
+    pairs = []
+    for a in mats:
+        b = rng.choice([c for c in mats if len(c) == len(a[0])] or [linalg.identity(len(a[0]))])
+        pairs.append((a, b))
+    pairs += [(linalg.zeros(2, 3), linalg.identity(3)), (linalg.identity(2), linalg.zeros(2, 4)), ((), ())]
+    for a, b in pairs:
+        (ai, s), (bi, t) = linalg._integer_matrix(a), linalg._integer_matrix(b)
+        assert s == lcm(1, *[x.denominator for row in a for x in row])
+        assert all(type(x) is int for row in ai + bi for x in row)
+        assert linalg._divided(ai, s) == a and linalg._divided(bi, t) == b
+        product = linalg._divided(linalg._integer_mat_mul(ai, bi), s * t)
+        assert product == _dense_mat_mul(a, b) == linalg.mat_mul(a, b)
+        assert all(type(x) is F for row in linalg.mat_mul(a, b) for x in row)
+    entries = [x for a, b in pairs for row in a + b for x in row]
+    assert any(abs(x.numerator) > 2**64 for x in entries)
+    with pytest.raises(linalg.DimensionMismatch):
+        linalg._integer_mat_mul(((1, 2),), ((1, 2),))
 
 
 def test_singular_inverse_raises():
