@@ -115,7 +115,7 @@ def _span_closure(group: GroupSpec, seeds: list[Mat], multipliers: list[Mat]) ->
     basis: list[Mat] = []
 
     def try_add(x, scale: int) -> bool:
-        if linalg.echelon_add(echelon, _flatten(x)) is None:
+        if not linalg.echelon_add(echelon, _flatten(x)):
             return False
         basis.append(linalg._divided(x, scale))
         return True
@@ -262,7 +262,7 @@ def _radical_filtration(h: SubgroupPresentation):
     per_block: list[list] = [[] for _ in group.factors]  # (vector, depth) pairs
     for depth, basis in reversed(list(enumerate([group.identity()] + layers))):
         for v in basis:
-            if linalg.echelon_add(echelon, v) is not None:
+            if linalg.echelon_add(echelon, v):
                 per_block[group.block_of(next(i for i, x in enumerate(v) if x))].append((v, depth))
     columns: list[Vec] = []
     exponents: list[int] = []
@@ -467,7 +467,7 @@ class LieSubalgebra:
         for x in basis:
             _require_lie_element(self.group, x)
         echelon: list = []
-        if any(linalg.echelon_add(echelon, _flatten(x)) is None for x in basis):
+        if not all(linalg.echelon_add(echelon, _flatten(x)) for x in basis):
             raise DomainError("basis elements are linearly dependent")
         for i, x in enumerate(basis):  # [x, x] = 0 and [y, x] = -[x, y]
             for y in basis[i + 1 :]:

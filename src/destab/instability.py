@@ -10,8 +10,14 @@ maximizing it against the norm is an exact convex program over the
 rationals: minimize the squared norm over the polyhedron where every
 objective form is at least one.  Its minimizer is unique (the norm is
 positive definite) and is found by an exact dual active-set method: one
-rational KKT solve per step, with steps that grow with the number of forms
-tight at the optimum rather than with the number of subsets of forms.
+KKT solve per step, with steps that grow with the number of forms tight at
+the optimum rather than with the number of subsets of forms.  The method
+runs on integers: the rows are scaled to integers, each KKT system is
+reduced as integer rows, and the slacks are integers ranked exactly as the
+rational slacks are (``min_qnorm_over_polyhedron``), so it adds and drops
+the rows the rational method would; Fractions come back only in the
+returned minimizer.  The points move into each torus through the integer
+actions of ``reps``.
 
 Searching beyond one maximal torus uses a finite family of maximal tori,
 one base frame each, and is never claimed complete; ``oracle_mode``
@@ -32,9 +38,10 @@ from __future__ import annotations
 import enum
 import functools
 import itertools
+import operator
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 
 from . import linalg
 from .errors import (
@@ -54,7 +61,7 @@ from .groups import (
     norm_sq,
     pairing_vec,
 )
-from .linalg import Mat, Vec
+from .linalg import ZERO, Mat, Vec
 from .parabolic import (
     MembershipClass,
     ParabolicDescriptor,
@@ -241,16 +248,26 @@ def vanishing_order(x: Point, lam: Cocharacter, s: SubvarietySpec) -> VanishingO
 # Exact convex kernels
 
 
-def _kkt_solve(q: Mat, rows, top, bottom) -> tuple[Vec, Vec] | None:
-    """(x, y) with q x + A^T y = top and A x = bottom for the rows A, or None
-    if inconsistent.  q is positive definite, so x is unique when it exists."""
-    n = len(q)
-    k = len(rows)
-    system = tuple(tuple(q[i]) + tuple(row[i] for row in rows) for i in range(n)) + tuple(
-        tuple(row) + (Fraction(0),) * k for row in rows
-    )
-    solution = linalg.solve_affine(system, tuple(top) + tuple(bottom))
-    return None if solution is None else (solution[:n], solution[n:])
+def _kkt_solve(q: list, sigma: int, rows: list, top: list) -> tuple[list[int], list[int], int]:
+    """(z, r, den) with Q x + A^T y = top and A x = 0 for x = z/den and
+    y = r/den, where q = sigma Q is the Gram matrix Q scaled to integers and
+    A the integer rows.  The first n equations are multiplied by sigma, so
+    the system is integer and is reduced as integer rows.  Q is positive
+    definite and the rows are independent, so the solution is unique.
+    """
+    n, k = len(q), len(rows)
+    m = n + k
+    system = [[*q[i], *(sigma * row[i] for row in rows), sigma * top[i]] for i in range(n)]
+    system += [[*row, *[0] * (k + 1)] for row in rows]
+    pivots = linalg._reduce(system)
+    # a pivot on the right-hand side means inconsistency
+    if pivots and pivots[-1] == m:
+        raise InvariantViolation("singular KKT system in the dual active-set solver")
+    den = lcm(*(system[r][c] for r, c in enumerate(pivots)))
+    x = [0] * m
+    for r, c in enumerate(pivots):
+        x[c] = system[r][m] * (den // system[r][c])
+    return x[:n], x[n:], den
 
 
 def min_qnorm_over_polyhedron(
@@ -273,41 +290,72 @@ def min_qnorm_over_polyhedron(
     Each full step strictly raises the dual objective, so no active set
     recurs after a full step; a recurrence is reported as an invariant
     violation rather than looping.
+
+    The method runs on integers.  Rows may hold ints or Fractions; each
+    inequality is scaled by the lcm s of its denominators, q by the lcm of
+    its own, and d is kept as an integer vector over one denominator D.  So
+    each slack is an integer, s D (g.d - c), and multiplied by L/s, with L
+    the lcm of all the s, it is L D (g.d - c): the slacks are ranked as the
+    rational slacks are, ties included.  A scaled row s g solves the KKT
+    system with z and its multiplier scaled by s and 1/s, so the step
+    lengths, the full-or-partial test and the drop ratios mult/r all scale
+    by one positive factor per step: the same rows are added and dropped,
+    and d takes the same values.
     """
+    n = len(q)
+    q_int, sigma = linalg._integer_matrix(q)
+    rows, rhs, scales = [], [], []
+    for g, c in ineqs:
+        if len(g) != n:
+            raise linalg.DimensionMismatch(n, len(g))
+        w, s = linalg._integer_terms(linalg._terms((*g, c)), n + 1)
+        rows.append(w[:n])
+        rhs.append(w[n])
+        scales.append(s)
+    common_scale = lcm(*scales)
+    weights = [common_scale // s for s in scales]
     # independent equality rows, so every KKT matrix below is nonsingular
-    active: list[Vec] = list(linalg.row_space(tuple(eqs))) if eqs else []
+    active: list[list[int]] = list(map(linalg._integer_row, linalg.row_space(tuple(eqs)))) if eqs else []
     n_eqs = len(active)
     act_idx: list[int] = []  # inequality index of active[n_eqs + k]
     mult: list[Fraction] = []  # its multiplier, always >= 0
-    d: Vec = (Fraction(0),) * len(q)
+    dn, den = [0] * n, 1  # d = dn / den
     seen: set[frozenset[int]] = set()
     while True:
-        slacks = [linalg.dot(g, d) - c for g, c in ineqs]
-        p = min(range(len(ineqs)), key=lambda i: (slacks[i], i), default=None)
+        slacks = [sum(map(operator.mul, g, dn)) - c * den for g, c in zip(rows, rhs)]
+        ranked = [x * w for x, w in zip(slacks, weights)]
+        p = min(range(len(rows)), key=ranked.__getitem__, default=None)  # the first minimum
         if p is None or slacks[p] >= 0:
-            return d
-        g_p = ineqs[p][0]
-        u_p = Fraction(0)
+            return tuple(Fraction(x, den) if x else ZERO for x in dn)
+        g_p = rows[p]
+        slack_p = Fraction(slacks[p], den)
+        u_p = ZERO
         while True:
-            solution = _kkt_solve(q, active, g_p, (Fraction(0),) * len(active))
-            if solution is None:
-                raise InvariantViolation("singular KKT system in the dual active-set solver")
-            z, r = solution
+            z, r, z_den = _kkt_solve(q_int, sigma, active, g_p)
             r_ineq = r[n_eqs:]
             blocking = [k for k, rk in enumerate(r_ineq) if rk > 0]
             t_partial = None
             if blocking:
                 drop = min(blocking, key=lambda k: (mult[k] / r_ineq[k], act_idx[k]))
-                t_partial = mult[drop] / r_ineq[drop]
+                t_partial = mult[drop] * z_den / r_ineq[drop]
+            gz = sum(map(operator.mul, g_p, z))  # z^T q z / z_den > 0 when z is not 0
             full = any(z)
             if full:
-                t_full = -slacks[p] / linalg.dot(g_p, z)  # g_p.z = z^T q z > 0
+                t_full = -slack_p * z_den / gz
                 full = t_partial is None or t_full <= t_partial
             elif t_partial is None:
                 return None
             t = t_full if full else t_partial
-            d = tuple(x + t * y for x, y in zip(d, z))
-            mult = [m - t * rk for m, rk in zip(mult, r_ineq)]
+            # d + t z over the denominator den t.denominator z_den, reduced
+            a, b = t.numerator, t.denominator
+            dn = [x * b * z_den + a * y * den for x, y in zip(dn, z)]
+            den *= b * z_den
+            common = gcd(den, *dn)
+            if common > 1:
+                dn = [x // common for x in dn]
+                den //= common
+            step = t / z_den
+            mult = [m - step * rk for m, rk in zip(mult, r_ineq)]
             u_p += t
             if full:
                 active.append(g_p)
@@ -318,7 +366,7 @@ def min_qnorm_over_polyhedron(
                     raise InvariantViolation("dual active-set solver revisited an active set")
                 seen.add(key)
                 break
-            slacks[p] += t * linalg.dot(g_p, z)
+            slack_p += step * gz
             del active[n_eqs + drop], act_idx[drop], mult[drop]
 
 
@@ -416,17 +464,13 @@ def _torus_optimum(per_point, group: GroupSpec) -> TorusOptimum | None:
     if any(chi.is_zero() for chi in objective):
         return None
     m = group.dimension
-    eqs = []
-    for f, block in zip(group.factors, group.block_slices):
-        if f.family == "SL":
-            row = [Fraction(0)] * m
-            for i in block:
-                row[i] = Fraction(1)
-            eqs.append(tuple(row))
-    obj_rows = {chi: linalg.vec(chi.weights) for chi in objective}
-    ineqs = [(row, Fraction(1)) for row in obj_rows.values()]
-    for chi in cone - objective:
-        ineqs.append((linalg.vec(chi.weights), Fraction(0)))
+    eqs = [
+        tuple(int(i in block) for i in range(m))
+        for f, block in zip(group.factors, group.block_slices)
+        if f.family == "SL"
+    ]
+    ineqs = [(chi.weights, 1) for chi in objective]
+    ineqs += [(chi.weights, 0) for chi in cone - objective]
     d = min_qnorm_over_polyhedron(group.norm.gram, ineqs, eqs)
     if d is None:
         return None

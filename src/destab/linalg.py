@@ -33,6 +33,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd, lcm
+from operator import mul
 from typing import Iterable, Sequence
 
 Vec = tuple[Fraction, ...]
@@ -166,6 +167,11 @@ def _integer_mat_mul(a, b) -> tuple[tuple[int, ...], ...]:
     return tuple(out)
 
 
+def _integer_mat_vec(a, v) -> tuple[int, ...]:
+    """The product of an integer matrix and an integer vector."""
+    return tuple(sum(map(mul, row, v)) for row in a)
+
+
 def _pivot_terms(w: list[int]) -> list[tuple[int, int]]:
     """A nonzero integer row as the primitive row on its line with a
     positive leading entry, given by its nonzero (column, value) terms."""
@@ -260,19 +266,15 @@ def _echelon_reduce(echelon: list, v: Sequence[Fraction]) -> tuple[list[int], in
     return w, s, t
 
 
-def echelon_add(echelon: list, v: Sequence[Fraction]) -> Fraction | None:
+def echelon_add(echelon: list, v: Sequence[Fraction]) -> bool:
     """Append v reduced against the basis, as the primitive integer row on
-    its line with a positive pivot, unless it lies in the span.
-
-    Returns the leading entry of v minus the combination of the basis rows
-    that is zero at their pivots (the reduced v), or None.
-    """
-    w, s, t = _echelon_reduce(echelon, v)
-    lead = next((x for x in w if x), 0)
-    if not lead:
-        return None
+    its line with a positive pivot, unless it lies in the span; returns
+    whether v was appended."""
+    w = _echelon_reduce(echelon, v)[0]
+    if not any(w):
+        return False
     echelon.append(_pivot_terms(w))
-    return Fraction(lead * t, s)
+    return True
 
 
 def echelon_contains(echelon: list, v: Sequence[Fraction]) -> bool:
@@ -354,17 +356,22 @@ def det(a: Mat) -> Fraction:
     """Signed product of the leading entries met while building an echelon
     basis of the rows: a row loses only multiples of earlier rows, and the
     reduced rows, ordered by pivot column, form an upper triangular matrix
-    with those leading entries on its diagonal."""
+    with those leading entries on its diagonal.  A row comes back reduced
+    and scaled by s/t (``_echelon_reduce``), so its leading entry is
+    lead t / s, and the product is kept as one integer fraction."""
     echelon: list = []
-    prod = ONE
+    num = den = 1
     for row in a:
-        lead = echelon_add(echelon, row)
-        if lead is None:
+        w, s, t = _echelon_reduce(echelon, row)
+        lead = next((x for x in w if x), 0)
+        if not lead:
             return ZERO
-        prod *= lead
+        echelon.append(_pivot_terms(w))
+        num *= lead * t
+        den *= s
     pivots = [terms[0][0] for terms in echelon]
     inversions = sum(p > q for k, p in enumerate(pivots) for q in pivots[k + 1 :])
-    return -prod if inversions % 2 else prod
+    return Fraction(-num if inversions % 2 else num, den)
 
 
 def inverse(a: Mat) -> Mat:

@@ -10,6 +10,14 @@ are composed with the action through it.  A cocharacter with a base point
 is handled by transporting the point into the standard frame, grading
 there, and transporting back.
 
+The actions run on integers.  Per acting element the representation keeps
+integer matrices with their scales: g and g^-1 scaled to integers for
+conjugation tuples, the action matrix of the scaled g for a symmetric
+power, which is s^d times the action matrix of g.  A point is scaled to
+integers once, moved by integer products, and divided by the product of
+the scales once per coordinate, so every coordinate is the same Fraction
+the rational action gives.
+
 The closed enumeration of kinds (conjugation tuples, symmetric powers of
 the standard 2-dimensional module, adjoint, direct sums) is the documented
 extension point: a new kind must supply basis weights and an exact action
@@ -26,7 +34,7 @@ from functools import lru_cache
 from . import linalg
 from .errors import DimensionError, DomainError
 from .groups import Character, Cocharacter, GroupSpec, pairing_vec
-from .linalg import Mat, Vec, frac
+from .linalg import ZERO, Mat, Vec, frac
 
 Monomial = tuple[tuple[int, int], ...]  # sorted ((coordinate index, exponent), ...)
 
@@ -36,7 +44,9 @@ class Representation:
 
     ``act`` checks once per acting element that it lies in the group and
     keeps, per element, what the kind's action needs (``_action``): the
-    element's inverse for conjugation tuples and direct sums, the action
+    element and its inverse as integer matrices with the product of their
+    scales for conjugation tuples, the integer action matrix with its scale
+    for a symmetric power, the parts' data for a direct sum, and the action
     matrix for any other kind.  A non-member is rejected on every call.
     """
 
@@ -101,33 +111,38 @@ class ConjugationTuples(Representation):
         return _conjugation_weights(self.m, self.count)
 
     def act_matrix(self, g: Mat) -> Mat:
-        ginv = linalg.inverse(g)
+        gi, ginv, scale = self._action(g, None)
         m = self.m
         # (g h g^{-1})_{ij} = sum_{kl} g_{ik} (g^{-1})_{lj} h_{kl}
-        block = tuple(
-            tuple(g[i][k] * ginv[l][j] for k in range(m) for l in range(m))
-            for i in range(m)
-            for j in range(m)
+        block = linalg._divided(
+            [[gi[i][k] * ginv[l][j] for k in range(m) for l in range(m)] for i in range(m) for j in range(m)],
+            scale,
         )
         n = m * m
         dim = self.dim
         rows = []
         for t in range(self.count):
             for r in range(n):
-                row = [Fraction(0)] * dim
+                row = [ZERO] * dim
                 row[t * n : (t + 1) * n] = block[r]
                 rows.append(tuple(row))
         return tuple(rows)
 
-    def _action(self, g: Mat, g_inverse: Mat | None) -> Mat:
-        return linalg.inverse(g) if g_inverse is None else g_inverse
+    def _action(self, g: Mat, g_inverse: Mat | None) -> tuple:
+        """g and g^-1 scaled to integer matrices, and the product of the
+        scales."""
+        gi, s = linalg._integer_matrix(g)
+        ginv, t = linalg._integer_matrix(linalg.inverse(g) if g_inverse is None else g_inverse)
+        return gi, ginv, s * t
 
-    def _apply(self, g: Mat, g_inverse: Mat, coords: Vec) -> Vec:
+    def _apply(self, g: Mat, data: tuple, coords: Vec) -> Vec:
+        gi, ginv, scale = data
         m = self.m
         out: list[Fraction] = []
         for t in range(0, len(coords), m * m):
-            h = tuple(coords[t + i * m : t + (i + 1) * m] for i in range(m))
-            for row in linalg.mat_mul(linalg.mat_mul(g, h), g_inverse):
+            h, u = linalg._integer_matrix(tuple(coords[t + i * m : t + (i + 1) * m] for i in range(m)))
+            moved = linalg._integer_mat_mul(linalg._integer_mat_mul(gi, h), ginv)
+            for row in linalg._divided(moved, scale * u):
                 out.extend(row)
         return tuple(out)
 
@@ -196,18 +211,28 @@ class SymPower(Representation):
         return tuple(Character((d - j, j)) for j in range(d + 1))
 
     def act_matrix(self, g: Mat) -> Mat:
+        return linalg._divided(*self._action(g, None))
+
+    def _action(self, g: Mat, g_inverse: Mat | None) -> tuple:
+        """The action matrix of s g, for g scaled to the integer matrix s g,
+        and its scale s^d: the entries are forms of degree d in g."""
         # g.x = g00 x + g10 y, g.y = g01 x + g11 y; expand (g.x)^{d-j} (g.y)^j.
+        gi, s = linalg._integer_matrix(g)
+        (a, b), (c, e) = gi
         d = self.degree
         cols = []
         for j in range(d + 1):
-            poly1 = _binom_expand(g[0][0], g[1][0], d - j)
-            poly2 = _binom_expand(g[0][1], g[1][1], j)
-            col = [Fraction(0)] * (d + 1)
-            for k1, c1 in enumerate(poly1):
-                for k2, c2 in enumerate(poly2):
+            col = [0] * (d + 1)
+            for k1, c1 in enumerate(_binom_expand(a, c, d - j)):
+                for k2, c2 in enumerate(_binom_expand(b, e, j)):
                     col[k1 + k2] += c1 * c2
             cols.append(col)
-        return tuple(tuple(cols[j][i] for j in range(d + 1)) for i in range(d + 1))
+        return tuple(zip(*cols)), s**d
+
+    def _apply(self, g: Mat, data: tuple, coords: Vec) -> Vec:
+        a, scale = data
+        v, u = linalg._integer_terms(linalg._terms(coords), len(coords))
+        return tuple(Fraction(x, scale * u) if x else ZERO for x in linalg._integer_mat_vec(a, v))
 
     def monomial(self, j: int, coeff=1) -> "Point":
         coords = [Fraction(0)] * self.dim
@@ -215,7 +240,7 @@ class SymPower(Representation):
         return Point(self, tuple(coords))
 
 
-def _binom_expand(a: Fraction, b: Fraction, n: int) -> list[Fraction]:
+def _binom_expand(a: int, b: int, n: int) -> list[int]:
     """Coefficients of (a x + b y)^n in y-degree order."""
     from math import comb
 
@@ -428,14 +453,17 @@ class Polynomial:
     def evaluate(self, v: Point) -> Fraction:
         if v.rep != self.rep:
             raise DimensionError("point belongs to a different representation")
-        total = Fraction(0)
+        coords = v.coords
+        total = ZERO
         for mono, coeff in self.terms:
             val = coeff
             for i, e in mono:
-                val *= v.coords[i] ** e
-                if val == 0:
-                    break
-            total += val
+                x = coords[i]
+                if not x:
+                    break  # the term is zero
+                val *= x if e == 1 else x**e
+            else:
+                total += val
         return total
 
     def weight_of_monomial(self, mono: Monomial) -> Character:

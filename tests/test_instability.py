@@ -2,7 +2,9 @@ import dataclasses
 import functools
 import itertools
 import random
+import sys
 import time
+from fractions import Fraction
 from fractions import Fraction as F
 from math import gcd
 
@@ -47,10 +49,10 @@ from destab import (
 )
 from destab.corpus import corpus_config, subgroup_corpus
 from destab.groups import fold_permutation_base
+from destab.linalg import Mat, Vec
 from destab.instability import (
     _box_vectors,
     _entry_pattern,
-    _kkt_solve,
     admissible_exponents,
     min_qnorm_over_polyhedron,
 )
@@ -245,6 +247,92 @@ def test_optimize_torus_matches_brute_force_on_random_sets():
             assert out.value_sq >= brute
             if all(abs(e) <= 4 for e in out.exponents):
                 assert out.value_sq == brute
+
+
+# ---------------------------------------------------------------------------
+# The Fraction dual active-set loop that the integer kernel replaced, kept as
+# the reference, with its KKT solve (which the enumeration references use too).
+
+
+def _kkt_solve(q: Mat, rows, top, bottom) -> tuple[Vec, Vec] | None:
+    """(x, y) with q x + A^T y = top and A x = bottom for the rows A, or None
+    if inconsistent.  q is positive definite, so x is unique when it exists."""
+    n = len(q)
+    k = len(rows)
+    system = tuple(tuple(q[i]) + tuple(row[i] for row in rows) for i in range(n)) + tuple(
+        tuple(row) + (Fraction(0),) * k for row in rows
+    )
+    solution = linalg.solve_affine(system, tuple(top) + tuple(bottom))
+    return None if solution is None else (solution[:n], solution[n:])
+
+
+def _fraction_min_qnorm(
+    q: Mat, ineqs: list[tuple[Vec, Fraction]], eqs: list[Vec]
+) -> Vec | None:
+    """Unique minimizer of d^T q d over {g.d >= c, e.d = 0}, or None if empty.
+
+    Goldfarb-Idnani dual active-set method in exact arithmetic.  It starts
+    at d = 0, the unconstrained minimizer (q is positive definite), with
+    the equality rows active, and keeps d the minimizer over the affine set
+    of the active rows with nonnegative multipliers on the active
+    inequalities.  Each round adds the most violated inequality p: one KKT
+    solve gives the primal direction z and the change r of the active
+    multipliers, and the step either reaches g_p.d = c_p (full step: p
+    becomes active) or stops where a multiplier reaches zero (partial step:
+    that row is dropped and p is tried again).  Ties go to the smallest
+    index.  When p is a combination of the active rows and no multiplier
+    can fall, no step can satisfy it and the polyhedron is empty.
+
+    Each full step strictly raises the dual objective, so no active set
+    recurs after a full step; a recurrence is reported as an invariant
+    violation rather than looping.
+    """
+    # independent equality rows, so every KKT matrix below is nonsingular
+    active: list[Vec] = list(linalg.row_space(tuple(eqs))) if eqs else []
+    n_eqs = len(active)
+    act_idx: list[int] = []  # inequality index of active[n_eqs + k]
+    mult: list[Fraction] = []  # its multiplier, always >= 0
+    d: Vec = (Fraction(0),) * len(q)
+    seen: set[frozenset[int]] = set()
+    while True:
+        slacks = [linalg.dot(g, d) - c for g, c in ineqs]
+        p = min(range(len(ineqs)), key=lambda i: (slacks[i], i), default=None)
+        if p is None or slacks[p] >= 0:
+            return d
+        g_p = ineqs[p][0]
+        u_p = Fraction(0)
+        while True:
+            solution = _kkt_solve(q, active, g_p, (Fraction(0),) * len(active))
+            if solution is None:
+                raise InvariantViolation("singular KKT system in the dual active-set solver")
+            z, r = solution
+            r_ineq = r[n_eqs:]
+            blocking = [k for k, rk in enumerate(r_ineq) if rk > 0]
+            t_partial = None
+            if blocking:
+                drop = min(blocking, key=lambda k: (mult[k] / r_ineq[k], act_idx[k]))
+                t_partial = mult[drop] / r_ineq[drop]
+            full = any(z)
+            if full:
+                t_full = -slacks[p] / linalg.dot(g_p, z)  # g_p.z = z^T q z > 0
+                full = t_partial is None or t_full <= t_partial
+            elif t_partial is None:
+                return None
+            t = t_full if full else t_partial
+            d = tuple(x + t * y for x, y in zip(d, z))
+            mult = [m - t * rk for m, rk in zip(mult, r_ineq)]
+            u_p += t
+            if full:
+                active.append(g_p)
+                act_idx.append(p)
+                mult.append(u_p)
+                key = frozenset(act_idx)
+                if key in seen:
+                    raise InvariantViolation("dual active-set solver revisited an active set")
+                seen.add(key)
+                break
+            slacks[p] += t * linalg.dot(g_p, z)
+            del active[n_eqs + drop], act_idx[drop], mult[drop]
 
 
 # ---------------------------------------------------------------------------
@@ -458,6 +546,130 @@ def test_min_qnorm_degenerate_vertex():
         out = min_qnorm_over_polyhedron(q, ineqs, [])
         assert out == _enumerated_min_qnorm(q, ineqs, [])
     assert min_qnorm_over_polyhedron(linalg.identity(3), ineqs, []) == (F(1), F(1), F(1))
+
+
+def _weight_polyhedron(rng, group):
+    """Objective rows (c = 1) and cone rows (c = 0) drawn from the weights of
+    the adjoint module and their pairwise sums that a seeded cocharacter
+    pairs with positively or to zero, so the set is not empty; the SL sum
+    rows as equalities; the group's Gram matrix or a custom integer one.  A
+    third of the time a row and its negative are both objective rows, which
+    leaves the set empty."""
+    n = group.dimension
+    d0 = [rng.randint(-3, 3) for _ in range(n)]
+    eqs = []
+    for f, block in zip(group.factors, group.block_slices):
+        if f.family == "SL":
+            total = sum(d0[i] for i in block)
+            for i in block:
+                d0[i] = len(block) * d0[i] - total
+            eqs.append(tuple(int(i in block) for i in range(n)))
+    roots = [chi.weights for chi in ConjugationTuples(group, 1).weights if not chi.is_zero()]
+    pool = set(roots) | {tuple(a + b for a, b in zip(x, y)) for x, y in itertools.combinations(roots, 2)}
+    pool = sorted(w for w in pool if any(w) and sum(a * b for a, b in zip(d0, w)) >= 0)
+    # integer rows, as the torus optimum passes them
+    ineqs = [
+        (w, rng.choice((0, 1, 1)) if sum(a * b for a, b in zip(d0, w)) > 0 else 0)
+        for w in rng.sample(pool, min(len(pool), rng.randint(2, 9)))
+    ]
+    if rng.random() < 1 / 3:
+        g, _ = rng.choice(ineqs)
+        ineqs += [(g, 1), (tuple(-x for x in g), 1)]
+    rng.shuffle(ineqs)
+    q = group.norm.gram if rng.random() < 0.5 else _gram(rng, n)
+    return q, ineqs, eqs
+
+
+def _gram(rng, n, scale=F(1)):
+    """A seeded positive-definite Gram matrix: scale (B^T B + I)."""
+    b = [[rng.randint(-2, 2) for _ in range(n)] for _ in range(n)]
+    rows = [[sum(b[k][i] * b[k][j] for k in range(n)) + (i == j) for j in range(n)] for i in range(n)]
+    return linalg.mat([[scale * x for x in row] for row in rows])
+
+
+def _rational_polyhedron(rng, n):
+    """Rows and right-hand sides with denominators 1, 2, 3 and 6, under a
+    custom integer Gram matrix or one scaled by 1/2 or 1/3."""
+
+    def rational(lo, hi, denominators=(1, 2, 3, 6)):
+        return F(rng.randint(lo, hi), rng.choice(denominators))
+
+    q = _gram(rng, n, rng.choice((F(1), F(1), F(1, 2), F(1, 3))))
+    ineqs = [
+        (tuple(rational(-4, 4) for _ in range(n)), rational(-1, 3))
+        for _ in range(rng.randint(1, 2 * n + 2))
+    ]
+    eqs = []
+    if n > 1 and rng.random() < 0.25:
+        eqs.append(tuple(rational(-2, 2, (1, 2, 3)) for _ in range(n)))
+    return q, ineqs, eqs
+
+
+def _line(v):
+    """The primitive integer vector on the ray of v, or v's zeros."""
+    return linalg.primitive_direction(v) if any(v) else (0,) * len(v)
+
+
+def _small_row_polyhedron(rng, n):
+    """Many rows with entries in {-1, 0, 1, 2} and right-hand sides in
+    {0, 1, 2} under the identity Gram matrix: rows meet in degenerate
+    vertices, where two multipliers can reach zero in one step and the
+    drop tie-break decides."""
+    ineqs = [
+        (tuple(rng.choice((-1, 0, 1, 1, 2)) for _ in range(n)), rng.choice((0, 1, 1, 2)))
+        for _ in range(rng.randint(n + 1, 4 * n))
+    ]
+    return linalg.identity(n), ineqs, []
+
+
+def test_integer_kernel_matches_fraction_reference(monkeypatch):
+    """The integer kernel solves the Fraction loop's KKT systems in the same
+    order, with the same active rows and the same added row up to positive
+    scale, so it adds, drops and breaks ties as the loop does; and it
+    returns the loop's minimizer, or None where the loop does.  Checked on
+    weight polyhedra of GL_3, GL_4 and GL_2 x SL_2, on rational rows under
+    integer and rational Gram matrices, on the seeded polyhedra of the
+    enumeration test and on degenerate vertices of small integer rows."""
+    reference_systems, integer_systems = [], []
+    kkt, integer_kkt = _kkt_solve, instability._kkt_solve
+
+    def recording_kkt(q, rows, top, bottom):
+        reference_systems.append((tuple(map(_line, rows)), _line(top)))
+        return kkt(q, rows, top, bottom)
+
+    def recording_integer_kkt(q, sigma, rows, top):
+        integer_systems.append((tuple(map(_line, rows)), _line(top)))
+        return integer_kkt(q, sigma, rows, top)
+
+    monkeypatch.setattr(sys.modules[__name__], "_kkt_solve", recording_kkt)
+    monkeypatch.setattr(instability, "_kkt_solve", recording_integer_kkt)
+    rng = random.Random(31)
+    gl2_sl2 = GroupSpec.make(("GL", 2), ("SL", 2))
+    cases = []
+    for group in (GL3, GroupSpec.make(("GL", 4)), gl2_sl2):
+        cases += [_weight_polyhedron(rng, group) for _ in range(80)]
+    cases += [_rational_polyhedron(rng, 1 + i % 4) for i in range(120)]
+    cases += [_random_polyhedron(rng, 1 + i % 5) for i in range(60)]
+    cases += [_small_row_polyhedron(rng, 3 + i % 2) for i in range(400)]
+    seen = dict(partial=0, empty=0, sl=0, rational=0, gram=0, dup=0)
+    for q, ineqs, eqs in cases:
+        reference_systems.clear()
+        integer_systems.clear()
+        ref = _fraction_min_qnorm(q, ineqs, eqs)
+        out = min_qnorm_over_polyhedron(q, ineqs, eqs)
+        assert out == ref
+        assert out is None or all(type(x) is F for x in out)
+        assert integer_systems == reference_systems
+        # a full step adds a row to the next system, a partial step drops one
+        sizes = [len(rows) for rows, _ in reference_systems]
+        seen["partial"] += any(b < a for a, b in zip(sizes, sizes[1:]))
+        seen["empty"] += ref is None
+        seen["sl"] += bool(eqs)
+        seen["rational"] += any(F(x).denominator > 1 for g, c in ineqs for x in (*g, c))
+        seen["gram"] += q != linalg.identity(len(q))
+        # a repeated row ties with itself: the first index must be added
+        seen["dup"] += len(set(ineqs)) < len(ineqs)
+    assert all(count >= 10 for count in seen.values()), seen
 
 
 @pytest.mark.parametrize(

@@ -334,10 +334,10 @@ def test_echelon_basis_membership_dependence_and_unit_pivots():
     rng = random.Random(15)
     for a in _seeded_matrices(15):
         echelon = []
-        leads = [linalg.echelon_add(echelon, row) for row in a]
+        added = [linalg.echelon_add(echelon, row) for row in a]
         # a row is rejected exactly when it depends on the rows before it
-        for k, lead in enumerate(leads):
-            assert (lead is None) == (linalg.rank(a[: k + 1]) == linalg.rank(a[:k]))
+        for k, appended in enumerate(added):
+            assert appended is (linalg.rank(a[: k + 1]) > linalg.rank(a[:k]))
         assert len(echelon) == linalg.rank(a)
         reference = []
         for row in a:
@@ -358,9 +358,11 @@ def test_echelon_basis_membership_dependence_and_unit_pivots():
             assert linalg.echelon_contains(echelon, v) == linalg.in_row_space(v, basis)
         before = [list(t) for t in echelon]
         for row in a:
-            assert linalg.echelon_add(echelon, row) is None
+            assert linalg.echelon_add(echelon, row) is False
         assert echelon == before
-    assert linalg.echelon_add([], (F(0), F(2), F(4))) == 2
+    echelon = []
+    assert linalg.echelon_add(echelon, (F(0), F(2), F(4))) is True
+    assert echelon == [[(1, 1), (2, 2)]]
 
 
 # ---------------------------------------------------------------------------
@@ -530,9 +532,11 @@ def test_integer_det_and_echelon_match_fraction_kernel():
             dets.add(d != 0)
         echelon, reference = [], []
         for row in a:
-            lead = linalg.echelon_add(echelon, row)
+            # the leading entry of the reduced row, read as det reads it
+            w, s, t = linalg._echelon_reduce(echelon, row)
+            lead = next((F(x * t, s) for x in w if x), None)
             assert lead == _fraction_echelon_add(reference, row)
-            assert lead is None or type(lead) is F
+            assert linalg.echelon_add(echelon, row) is (lead is not None)
         m = len(a[0])
         probes = [tuple(sum((F(rng.randint(-2, 2), rng.randint(1, 3)) * row[j] for row in a), F(0)) for j in range(m))]
         probes += [linalg.vec(rng.choice((0, 0, 1, -1, F(1, 2), F(2**65, 3))) for _ in range(m)) for _ in range(3)]

@@ -1,4 +1,5 @@
 from fractions import Fraction as F
+from math import comb
 
 import pytest
 from hypothesis import given, settings
@@ -27,6 +28,7 @@ GL3 = GroupSpec.make(("GL", 3))
 SL2 = GroupSpec.make(("SL", 2))
 MAT2 = ConjugationTuples(GL2, 1)
 SYM4 = SymPower(SL2, 4)
+MAT_SL2 = ConjugationTuples(SL2, 1)
 
 
 def test_support_examples():
@@ -297,3 +299,114 @@ def test_support_inverts_the_frame_once(monkeypatch):
             assert support(v, frame) == expected
             assert len(calls) == 1
             monkeypatch.undo()
+
+
+# ---------------------------------------------------------------------------
+# The integer actions against the definition
+
+
+def _fraction_act_matrix(rep, g):
+    """The action matrix of the rational kinds, in Fraction arithmetic."""
+    if isinstance(rep, DirectSum):
+        blocks = [_fraction_act_matrix(p, g) for p in rep.parts]
+        rows, offset = [], 0
+        for p, block in zip(rep.parts, blocks):
+            for r in block:
+                rows.append((F(0),) * offset + tuple(r) + (F(0),) * (rep.dim - offset - p.dim))
+            offset += p.dim
+        return tuple(rows)
+    if isinstance(rep, SymPower):
+        d = rep.degree
+        cols = []
+        for j in range(d + 1):
+            poly1 = [comb(d - j, k) * g[0][0] ** (d - j - k) * g[1][0] ** k for k in range(d - j + 1)]
+            poly2 = [comb(j, k) * g[0][1] ** (j - k) * g[1][1] ** k for k in range(j + 1)]
+            col = [F(0)] * (d + 1)
+            for k1, c1 in enumerate(poly1):
+                for k2, c2 in enumerate(poly2):
+                    col[k1 + k2] += c1 * c2
+            cols.append(col)
+        return tuple(tuple(cols[j][i] for j in range(d + 1)) for i in range(d + 1))
+    ginv = linalg.inverse(g)
+    m, n = rep.m, rep.m * rep.m
+    block = [[g[i][k] * ginv[l][j] for k in range(m) for l in range(m)] for i in range(m) for j in range(m)]
+    return tuple(
+        tuple(block[r][c - t * n] if t * n <= c < (t + 1) * n else F(0) for c in range(rep.dim))
+        for t in range(rep.count)
+        for r in range(n)
+    )
+
+
+def _member_with_denominators(rng, group):
+    """A seeded element of GL_2, SL_2 or GL_3 whose entries have
+    denominators among 2, 3 and 6: a dense one on GL, a product of two
+    shears and a torus element on SL."""
+    m = group.dimension
+    if group.factors[0].family == "SL":
+        a = F(rng.choice((2, -2, 3, -3)), rng.choice((3, 2, 1)))
+        u = linalg.mat([[1, F(rng.randint(-5, 5), rng.choice((2, 3, 6)))], [0, 1]])
+        lower = linalg.mat([[1, 0], [F(rng.randint(-5, 5), rng.choice((2, 3, 6))), 1]])
+        return linalg.mat_mul(linalg.mat_mul(u, linalg.mat([[a, 0], [0, 1 / a]])), lower)
+    while True:
+        g = linalg.mat(
+            [[F(rng.randint(-5, 5), rng.choice((1, 2, 3, 6))) for _ in range(m)] for _ in range(m)]
+        )
+        if linalg.det(g):
+            return g
+
+
+def test_integer_action_matches_definition_with_rational_entries():
+    rng = random.Random(61)
+    reps = [ConjugationTuples(group, count) for group in (GL2, SL2, GL3) for count in (1, 2)]
+    reps += [SymPower(group, degree) for group in (GL2, SL2) for degree in (3, 4, 5, 6)]
+    reps += [DirectSum((ConjugationTuples(GL2, 2), SymPower(GL2, 5))), DirectSum((SymPower(SL2, 3), MAT_SL2))]
+    denominators = set()
+    for rep in reps:
+        for _ in range(6):
+            g = _member_with_denominators(rng, rep.group)
+            denominators |= {x.denominator for row in g for x in row}
+            matrix = rep.act_matrix(g)
+            assert matrix == _fraction_act_matrix(rep, g)
+            assert all(type(x) is F for row in matrix for x in row)
+            for _ in range(2):
+                coords = [F(rng.randint(-3, 3), rng.choice((1, 2, 3, 6))) for _ in range(rep.dim)]
+                coords[rng.randrange(rep.dim)] = F(0)
+                v = Point(rep, coords)
+                moved = rep._act(g, v)
+                assert moved.coords == linalg.mat_vec(matrix, v.coords)
+                assert all(type(x) is F for x in moved.coords)
+    assert {2, 3, 6} <= denominators
+
+
+def _fraction_evaluate(f, v):
+    """The evaluation loop before it skipped zero coordinates."""
+    total = F(0)
+    for mono, coeff in f.terms:
+        val = coeff
+        for i, e in mono:
+            val *= v.coords[i] ** e
+            if val == 0:
+                break
+        total += val
+    return total
+
+
+def test_evaluate_matches_fraction_loop():
+    rng = random.Random(67)
+    rep = ConjugationTuples(GL2, 2)
+    seen = dict(constant=0, power=0, zero_hit=0, zero_value=0)
+    for _ in range(300):
+        terms = {}
+        for _ in range(rng.randint(1, 5)):
+            indices = sorted(rng.sample(range(rep.dim), rng.randint(0, 3)))
+            mono = tuple((i, rng.choice((1, 1, 2, 3))) for i in indices)
+            terms[mono] = F(rng.randint(-4, 4), rng.choice((1, 2, 3)))
+        f = Polynomial.from_dict(rep, terms)
+        v = Point(rep, [rng.choice((F(0), F(0), F(1), F(-2), F(1, 2), F(3, 4))) for _ in range(rep.dim)])
+        value = f.evaluate(v)
+        assert value == _fraction_evaluate(f, v) and type(value) is F
+        seen["constant"] += any(not mono for mono, _ in f.terms)
+        seen["power"] += any(e > 1 for mono, _ in f.terms for _, e in mono)
+        seen["zero_hit"] += any(not v.coords[i] for mono, _ in f.terms for i, _ in mono)
+        seen["zero_value"] += value == 0
+    assert all(count >= 20 for count in seen.values()), seen
