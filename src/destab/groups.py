@@ -101,28 +101,48 @@ class GroupSpec:
     def identity(self) -> Mat:
         return linalg.identity(self.dimension)
 
-    def contains(self, g: Mat) -> bool:
+    def _blocks(self, g: Mat) -> list[Mat] | None:
+        """The diagonal blocks of g, or None unless g is m x m with zeros
+        off its factor blocks."""
         m = self.dimension
         if len(g) != m or any(len(row) != m for row in g):
-            return False
+            return None
+        if len(self.factors) == 1:
+            return [g]
         for bi, block_i in enumerate(self.block_slices):
             for bj, block_j in enumerate(self.block_slices):
                 if bi == bj:
                     continue
                 if any(g[i][j] != 0 for i in block_i for j in block_j):
-                    return False
-        for f, block in zip(self.factors, self.block_slices):
-            sub = tuple(tuple(g[i][j] for j in block) for i in block)
-            d = linalg.det(sub)
-            if d == 0:
-                return False
-            if f.family == SL and d != 1:
-                return False
-        return True
+                    return None
+        return [tuple(tuple(g[i][j] for j in block) for i in block) for block in self.block_slices]
+
+    def contains(self, g: Mat) -> bool:
+        blocks = self._blocks(g)
+        return blocks is not None and all(
+            _block_det_allowed(f, linalg.det(sub)) for f, sub in zip(self.factors, blocks)
+        )
 
     def require_member(self, g: Mat, what: str = "element") -> None:
         if not self.contains(linalg.mat(g)):
             raise DomainError(f"{what} is not in the group")
+
+    def _member_inverse(self, g: Mat, what: str = "element") -> Mat:
+        """The inverse of an exact matrix g, which is checked as
+        ``require_member`` checks it, with the same error: each block's
+        determinant and inverse come from one reduction."""
+        blocks = self._blocks(g)
+        if blocks is not None:
+            parts = [linalg._inverse_det(sub) for sub in blocks]
+            if all(_block_det_allowed(f, d) for f, (_, d) in zip(self.factors, parts)):
+                if len(parts) == 1:
+                    return parts[0][0]
+                inverse = [[linalg.ZERO] * self.dimension for _ in range(self.dimension)]
+                for block, (inv, _) in zip(self.block_slices, parts):
+                    for i, row in zip(block, inv):
+                        inverse[i][block.start : block.stop] = row
+                return tuple(map(tuple, inverse))
+        raise DomainError(f"{what} is not in the group")
 
     def weyl_representatives(self) -> tuple[Mat, ...]:
         """One rational representative per Weyl group element.
@@ -167,6 +187,11 @@ class GroupSpec:
                         g[i][j] = frac(c)
                         out.append(tuple(tuple(row) for row in g))
         return tuple(out)
+
+
+def _block_det_allowed(f: Factor, d: Fraction) -> bool:
+    """Whether a block of factor f with determinant d is in the factor."""
+    return d != 0 and (f.family == GL or d == 1)
 
 
 def _perm_sign(perm) -> int:
@@ -246,8 +271,7 @@ class Cocharacter:
     def __post_init__(self):
         base = linalg.mat(self.base)
         object.__setattr__(self, "base", base)
-        self.group.require_member(base, "cocharacter base")
-        object.__setattr__(self, "_base_inv", linalg.inverse(base))
+        object.__setattr__(self, "_base_inv", self.group._member_inverse(base, "cocharacter base"))
 
     @property
     def group(self) -> GroupSpec:
@@ -302,6 +326,11 @@ class Norm:
     gram: Mat
     _int_gram: tuple = field(init=False, repr=False, compare=False)
 
+    def __hash__(self) -> int:
+        # agrees with equality: equal Grams have equal integer Grams, and
+        # an int hashes as the equal Fraction does
+        return hash(self._int_gram)
+
     def __post_init__(self):
         g = linalg.mat(self.gram)
         object.__setattr__(self, "gram", g)
@@ -336,7 +365,11 @@ class Norm:
         """d^T G d, summed in integers since G is integer-valued."""
         if len(d) != len(self._int_gram):
             raise linalg.DimensionMismatch(len(self._int_gram), len(d))
-        return Fraction(sum(x * sum(map(operator.mul, row, d)) for x, row in zip(d, self._int_gram) if x))
+        return Fraction(self._int_value_sq(d))
+
+    def _int_value_sq(self, d: tuple[int, ...]) -> int:
+        """``value_sq`` of an integer vector of the right length, as an int."""
+        return sum(x * sum(map(operator.mul, row, d)) for x, row in zip(d, self._int_gram) if x)
 
 
 def pairing(lam: TorusCocharacter, chi: Character) -> int:

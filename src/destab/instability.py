@@ -19,6 +19,16 @@ the rows the rational method would; Fractions come back only in the
 returned minimizer.  The points move into each torus through the integer
 actions of ``reps``.
 
+For the built-in subvarieties, the zero locus and the identity tuple, the
+generators span a G-stable space, so which weights have a component that
+does not vanish at a point moved into a frame does not depend on the
+frame (``_frame_forms``).  Their generators are decomposed once per
+representation, and both the torus search and the value check that
+``optimize`` runs on its optimum (``vanishing_order``) read that one
+decomposition.  A custom subvariety, only spot-checked for stability,
+composes its generators with each frame.  The oracle sweep merges the
+points of a frame into one set of support weights and one set of forms.
+
 Searching beyond one maximal torus uses a finite family of maximal tori,
 one base frame each, and is never claimed complete; ``oracle_mode``
 re-derives the optimum by brute force over an exponent box as an
@@ -136,19 +146,21 @@ class SubvarietySpec:
     def isotypic_data(
         self, rep: Representation, frame: Mat | None = None
     ) -> tuple[tuple[tuple[Character, Polynomial], ...], ...]:
-        """Per generator, the weight components of the frame-composed generator.
+        """Per generator, the weight components of the generator composed
+        with the frame, or of the plain generator when the frame is None.
 
-        Cached; on first computation the components are checked to sum back
-        to the composed generator exactly.
+        Cached per representation and frame; on first computation the
+        components are checked to sum back to the composed generator
+        exactly.
         """
-        key_frame = frame if frame is not None else rep.group.identity()
         cache = self.__dict__.setdefault("_iso_cache", {})
-        key = (rep, key_frame)
-        if key not in cache:
+        key = (rep, frame)
+        data = cache.get(key)
+        if data is None:
             gens = self.generators(rep)
-            if key_frame != rep.group.identity():
-                gens = _composed(gens, linalg.mat(key_frame))
-            data = []
+            if frame is not None and frame != rep.group.identity():
+                gens = _composed(gens, linalg.mat(frame))
+            parts_per_gen = []
             for composed in gens:
                 parts = sorted(composed.isotypic().items(), key=lambda kv: kv[0].weights)
                 total = Polynomial(rep, ())
@@ -156,9 +168,16 @@ class SubvarietySpec:
                     total = total + part
                 if total != composed:
                     raise InvariantViolation("isotypic components do not reconstruct the generator")
-                data.append(tuple(parts))
-            cache[key] = tuple(data)
-        return cache[key]
+                parts_per_gen.append(tuple(parts))
+            data = cache[key] = tuple(parts_per_gen)
+        return data
+
+    def _composing_frame(self, frame: Mat | None) -> Mat | None:
+        """The frame whose composed generators give the weights of S in it:
+        None for the built-in subvarieties, whose generators span a
+        G-stable space (``_frame_forms``), the frame itself for a custom
+        one."""
+        return frame if self.kind is SubvarietyKind.CUSTOM else None
 
     def contains_point(self, x: Point) -> bool:
         return all(g.evaluate(x) == 0 for g in self.generators(x.rep))
@@ -224,7 +243,18 @@ def admits_limit_set(points, lam: Cocharacter) -> bool:
 
 
 def vanishing_order(x: Point, lam: Cocharacter, s: SubvarietySpec) -> VanishingOrder:
-    """Exact order of the orbit curve of x against S along lambda."""
+    """Exact order of the orbit curve of x against S along lambda.
+
+    It is the least <lambda, chi> over the weights chi of the isotypic
+    components of S's generators, composed with lambda's base, that do not
+    vanish at x moved into the base's frame.  For the built-in
+    subvarieties these weights are read from the plain generators, as
+    ``_frame_forms`` reads them: the generators span a G-stable space and
+    the base is in G, so composing with it changes the span but not which
+    weights are nonzero at a point.  A custom subvariety, only spot-checked
+    for stability, composes its generators with the base.  A component is
+    evaluated only when its pairing is below the least order found so far.
+    """
     if not admits_limit(x, lam):
         raise LimitMembershipError("the limit of x along lambda does not exist")
     rep = x.rep
@@ -233,12 +263,11 @@ def vanishing_order(x: Point, lam: Cocharacter, s: SubvarietySpec) -> VanishingO
     transported = rep._act(lam.base_inverse, x, lam.base)
     d = lam.torus.exponents
     best: int | None = None
-    for parts in s.isotypic_data(rep, lam.base):
+    for parts in s.isotypic_data(rep, s._composing_frame(lam.base)):
         for chi, component in parts:
-            if component.evaluate(transported) != 0:
-                n = pairing_vec(d, chi)
-                if best is None or n < best:
-                    best = n
+            n = pairing_vec(d, chi)
+            if (best is None or n < best) and component.evaluate(transported) != 0:
+                best = n
     if best is None:
         raise InvariantViolation("point outside S with identically vanishing generators")
     return VanishingOrder(best)
@@ -427,14 +456,16 @@ def _frame_forms(points, s: SubvarietySpec, frame: Mat | None, frame_inverse: Ma
     if frame is not None:
         inverse = linalg.inverse(frame) if frame_inverse is None else frame_inverse
         points = [rep._act(inverse, x, frame) for x in points]
-    iso = s.isotypic_data(rep, frame if s.kind is SubvarietyKind.CUSTOM else None)
-    return [
-        (
-            [chi for chi, c in zip(rep.weights, x.coords) if c != 0],
-            {chi for parts in iso for chi, component in parts if component.evaluate(x) != 0},
-        )
-        for x in points
-    ]
+    iso = s.isotypic_data(rep, s._composing_frame(frame))
+    out = []
+    for x in points:
+        forms: set[Character] = set()
+        for parts in iso:
+            for chi, component in parts:
+                if chi not in forms and component.evaluate(x) != 0:
+                    forms.add(chi)
+        out.append(([chi for chi, c in zip(rep.weights, x.coords) if c != 0], forms))
+    return out
 
 
 def optimize_torus(
@@ -494,11 +525,19 @@ def _torus_optimum(per_point, group: GroupSpec) -> TorusOptimum | None:
 # Search configuration and global optimization
 
 
-def _column_line(col) -> tuple[int, ...]:
-    """The primitive integer vector on the line of a nonzero column whose
-    first nonzero entry is positive."""
-    d = linalg.primitive_direction(col)
-    return d if next(x for x in d if x) > 0 else tuple(-x for x in d)
+def _column_line(col: tuple[int, ...]) -> tuple[int, ...]:
+    """The primitive integer vector on the line of a nonzero integer column
+    whose first nonzero entry is positive."""
+    g = gcd(*col)
+    if next(x for x in col if x) < 0:
+        g = -g
+    return col if g == 1 else tuple(x // g for x in col)
+
+
+def _torus_key(frame: Mat) -> frozenset:
+    """The lines of the columns of an invertible frame, in integers: two
+    frames span one maximal torus exactly when their keys are equal."""
+    return frozenset(map(_column_line, zip(*linalg._integer_matrix(frame)[0])))
 
 
 def _torus_bases(frames, group: GroupSpec) -> tuple[tuple[Mat, ...], tuple[Mat, ...]]:
@@ -508,17 +547,19 @@ def _torus_bases(frames, group: GroupSpec) -> tuple[tuple[Mat, ...], tuple[Mat, 
     Two invertible frames span the same maximal torus exactly when
     frame' = frame . P with P monomial, that is when their columns agree
     up to order and nonzero scalars; so the tori are read off the lines of
-    the columns, in integer arithmetic.
+    the columns (``_torus_key``).  One reduction per block gives the
+    frame's membership and its inverse.
     """
     seen: set[frozenset] = set()
-    bases = []
+    bases, inverses = [], []
     for frame in frames:
-        group.require_member(frame, "conjugation family element")
-        key = frozenset(map(_column_line, zip(*frame)))
+        inverse = group._member_inverse(frame, "conjugation family element")
+        key = _torus_key(frame)
         if key not in seen:
             seen.add(key)
             bases.append(frame)
-    return tuple(bases), tuple(map(linalg.inverse, bases))
+            inverses.append(inverse)
+    return tuple(bases), tuple(inverses)
 
 
 @dataclass(frozen=True)
@@ -815,30 +856,30 @@ def _check_oracle_sweep(cfg: SearchConfig) -> None:
 
 
 def _oracle_best_value(frame_forms, group: GroupSpec, box: int) -> Fraction | None:
-    """Exhaustive maximum of a^2/|d|^2 over the box and the frames' forms."""
-    best: Fraction | None = None
+    """Exhaustive maximum of a^2/|d|^2 over the box and the frames' forms.
+
+    Per frame the points merge into two weight sets.  A box vector d
+    admits every point's limit iff no nonzero support weight of any point
+    pairs negatively with it, and a, the least pairing over each point's
+    forms minimized over the points outside S, is the least pairing over
+    the union of their forms.
+    """
+    vectors = list(_box_vectors(group, box))
+    best_num, best_den = 0, 1  # the best a^2 / |d|^2 so far, 0 for none
     for per_point in frame_forms:
-        supports = [tuple(chi.weights for chi in support) for support, _ in per_point]
-        forms = [{chi.weights for chi in fx} for _, fx in per_point]
-        for d in _box_vectors(group, box):
-            ok = all(
-                all(sum(a * b for a, b in zip(d, w)) >= 0 for w in supp)
-                for supp in supports
-            )
-            if not ok:
+        support = {chi.weights for points_support, _ in per_point for chi in points_support if not chi.is_zero()}
+        forms = {chi.weights for _, point_forms in per_point for chi in point_forms}
+        if not forms:
+            continue  # every point is in S; infinite order
+        for d in vectors:
+            if any(sum(map(operator.mul, d, w)) < 0 for w in support):
                 continue
-            a: int | None = None
-            for fx in forms:
-                if not fx:
-                    continue  # that point is in S; infinite order
-                mn = min(sum(p * q for p, q in zip(d, w)) for w in fx)
-                a = mn if a is None else min(a, mn)
-            if a is None or a <= 0:
-                continue
-            val = Fraction(a * a) / group.norm.value_sq(d)
-            if best is None or val > best:
-                best = val
-    return best
+            a = min(sum(map(operator.mul, d, w)) for w in forms)
+            if a > 0:
+                n = group.norm._int_value_sq(d)
+                if a * a * best_den > best_num * n:
+                    best_num, best_den = a * a, n
+    return Fraction(best_num, best_den) if best_num else None
 
 
 def _box_vectors(group: GroupSpec, box: int):

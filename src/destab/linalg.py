@@ -22,7 +22,8 @@ that was scaled is made primitive again, so entries grow only with the
 pivots (fraction-free elimination after Bareiss, Math. Comp. 22, 1968).
 The step serves Gauss-Jordan reduction (``rref``, ``rank``,
 ``solve_affine`` and everything built on them), the incremental echelon
-basis (``echelon_add``, ``echelon_contains``), ``det`` and
+basis (``echelon_add``, ``echelon_contains``), ``det``, ``inverse``
+(which also yields the determinant, ``_inverse_det``) and
 ``in_row_space``.  Fractions come back only at the end, when a
 pivot row is divided by its pivot.  Every integer row is a positive
 multiple of the row that unit-pivot elimination over Fractions would hold,
@@ -375,12 +376,54 @@ def det(a: Mat) -> Fraction:
 
 
 def inverse(a: Mat) -> Mat:
-    n = len(a)
-    rows = [list(a[i]) + [ONE if i == j else ZERO for j in range(n)] for i in range(n)]
-    pivots = _rref_inplace(rows)
-    if tuple(pivots[:n]) != tuple(range(n)):
+    inv = _inverse_det(a)[0]
+    if inv is None:
         raise ValueError("matrix is singular")
-    return tuple(tuple(rows[i][n:]) for i in range(n))
+    return inv
+
+
+def _inverse_det(a: Mat) -> tuple[Mat | None, Fraction]:
+    """The inverse of a square matrix (None when it is singular) and its
+    determinant, from one fraction-free Gauss-Jordan reduction of [a | I].
+
+    Every row operation multiplies the determinant of the left half by a
+    known factor f: scaling a row to integers by its scale, a swap or a
+    negation by -1, the step w <- (a w - b row) / d by a/d.  At the end the
+    left half is diagonal with the positive pivots p on it, so det a is
+    prod p / f, and row i of the inverse is the right half of row i over
+    p_i.
+    """
+    n = len(a)
+    rows = []
+    num = den = 1  # f = num / den
+    for i, row in enumerate(a):
+        w, s = _integer_terms([*_terms(row), (n + i, ONE)], 2 * n)
+        rows.append(w)
+        num *= s
+    for c in range(n):
+        piv = next((i for i in range(c, n) if rows[i][c]), None)
+        if piv is None:
+            return None, ZERO
+        row = rows[piv]
+        if piv != c:
+            rows[piv] = rows[c]
+            num = -num
+        if row[c] < 0:
+            row = [-x for x in row]
+            num = -num
+        rows[c] = row
+        terms = [(j, y) for j, y in enumerate(row) if y]  # starts at column c
+        for i in range(n):
+            f = rows[i][c]
+            if f and i != c:
+                rows[i], step, d = _eliminate(rows[i], f, terms)
+                num *= step
+                den *= d
+    prod = 1
+    for i in range(n):
+        prod *= rows[i][i]
+    inv = tuple(tuple(Fraction(x, row[i]) if x else ZERO for x in row[n:]) for i, row in enumerate(rows))
+    return inv, Fraction(prod * den, num)
 
 
 def trace(a: Mat) -> Fraction:

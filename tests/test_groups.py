@@ -168,3 +168,18 @@ def test_pairing_bilinearity(d1, d2, chi):
     c = Character(chi)
     assert pairing(l1 + l2, c) == pairing(l1, c) + pairing(l2, c)
     assert pairing(l1, c + c) == 2 * pairing(l1, c)
+
+
+def test_cocharacter_base_checked_and_inverted_by_one_reduction():
+    gl2sl2 = GroupSpec.make(("GL", 2), ("SL", 2))
+    base = linalg.mat([[2, 1, 0, 0], [F(1, 2), 3, 0, 0], [0, 0, 2, F(3, 2)], [0, 0, 2, 2]])
+    lam = Cocharacter.based(gl2sl2, base, (1, 0, 1, -1))
+    assert lam.base_inverse == linalg.inverse(base)
+    for bad in (
+        [[2, 1, 0, 0], [1, 3, 0, 0], [0, 0, 2, 1], [0, 0, 1, 2]],  # SL block of determinant 3
+        [[1, 2, 0, 0], [2, 4, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]],  # singular GL block
+        [[1, 0, 1, 0], [0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]],  # crosses the blocks
+    ):
+        with pytest.raises(DomainError, match="^cocharacter base is not in the group$"):
+            Cocharacter.based(gl2sl2, bad, (1, 0, 1, -1))
+        assert not gl2sl2.contains(linalg.mat(bad))

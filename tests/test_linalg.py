@@ -543,3 +543,35 @@ def test_integer_det_and_echelon_match_fraction_kernel():
         for v in probes:
             assert linalg.echelon_contains(echelon, v) == _fraction_echelon_contains(reference, v)
     assert dets == {True, False}
+
+
+def _rref_inverse(a):
+    """Reference: the inverse read off the RREF of [a | I], with no
+    determinant, as ``inverse`` computed it before the reduction tracked
+    one."""
+    n = len(a)
+    rows = [list(a[i]) + [linalg.ONE if i == j else linalg.ZERO for j in range(n)] for i in range(n)]
+    pivots = _dense_rref_inplace(rows)
+    if tuple(pivots[:n]) != tuple(range(n)):
+        return None
+    return tuple(tuple(rows[i][n:]) for i in range(n))
+
+
+def test_inverse_and_determinant_from_one_reduction_match_references():
+    # square matrices of the kernel's seeded kinds, singular ones included,
+    # and frames: signed permutations times shears
+    square = [a for seed in (31, 32) for a in _kernel_matrices(seed) if len(a) == len(a[0])]
+    square += [linalg.mat_mul(p, s) for p in (linalg.mat([[0, -1, 0], [0, 0, 1], [1, 0, 0]]), linalg.identity(3))
+               for s in (linalg.mat([[1, 0, 0], [0, 1, 0], [F(-1, 2), 0, 1]]), linalg.identity(3))]
+    singular = 0
+    for a in square:
+        inv, d = linalg._inverse_det(a)
+        assert d == _dense_det(a) == linalg.det(a)
+        assert inv == _rref_inverse(a)
+        if inv is None:
+            singular += 1
+            with pytest.raises(ValueError, match="singular"):
+                linalg.inverse(a)
+        else:
+            assert linalg.inverse(a) == inv and linalg.mat_mul(a, inv) == linalg.identity(len(a))
+    assert singular >= 5 and len(square) - singular >= 20
