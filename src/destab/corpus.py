@@ -130,11 +130,11 @@ def random_parabolic_element(rng: random.Random, lam: Cocharacter) -> Mat:
             for j in block:
                 levi[first][j] /= det
     x = linalg.mat_mul(linalg.mat(levi), _radical_draw(rng, lam))
-    return linalg.mat_mul(linalg.mat_mul(lam.base, x), lam.base_inverse)
+    return lam._from_frame(x)
 
 
 def random_radical_element(rng: random.Random, lam: Cocharacter) -> Mat:
-    return linalg.mat_mul(linalg.mat_mul(lam.base, _radical_draw(rng, lam)), lam.base_inverse)
+    return lam._from_frame(_radical_draw(rng, lam))
 
 
 def _radical_draw(rng: random.Random, lam: Cocharacter) -> Mat:

@@ -11,19 +11,15 @@ searches the configured tori for such a cocharacter.  Subgroups are
 presented by topological generators; the generator tuple is a generic
 tuple, so it stands in for the subgroup in all orbit computations.
 
-Both routes multiply on integers.  Scaling a generator by a nonzero
-rational changes neither the algebra it spans with I nor any answer of
-the search, and a span test does not see a positive scale.  So the span
-closure keeps each word as an integer matrix with its scale, and its
-certificate multiplies the basis scaled to integers; the basis is
-divided by its scales once, and every matrix handed out is rational.
+The span closure keeps its words as scaled values, and a span test reads
+their integer rows, which a positive scale does not change; the algebra
+keeps the scaled basis for its certificate and its trace form.
 """
 
 from __future__ import annotations
 
 import functools
 from dataclasses import dataclass
-from fractions import Fraction
 
 from . import linalg
 from .errors import DomainError, InvariantViolation, ModeError, PreconditionError
@@ -88,6 +84,10 @@ class EnvelopingAlgebra:
             linalg.echelon_add(echelon, _flatten(b))
         return echelon
 
+    @functools.cached_property
+    def _scaled(self) -> tuple:
+        return tuple(map(linalg._Scaled.of, self.basis))
+
     def contains(self, x: Mat) -> bool:
         return linalg.echelon_contains(self._echelon, _flatten(linalg.mat(x)))
 
@@ -102,36 +102,27 @@ def _unflatten(v: Vec, m: int) -> Mat:
 
 def _span_closure(group: GroupSpec, seeds: list[Mat], multipliers: list[Mat]) -> EnvelopingAlgebra:
     """Smallest span containing seeds and closed under right multiplication,
-    as an algebra that keeps the echelon basis built here.
-
-    Words are integer matrices with their scales, a word being its integer
-    matrix divided by its scale: a product of words is the integer product
-    with the product of the scales, and a span test does not see a positive
-    scale.  So each candidate costs one integer product and one reduction
-    against the echelon basis of the flattened words, and an accepted word
-    is divided by its scale once.
+    as an algebra that keeps the echelon basis and the scaled words built
+    here.  Each candidate costs one product of scaled values and one
+    reduction of its integer rows against the echelon basis.
     """
     echelon: list = []
-    basis: list[Mat] = []
+    words: list = []
 
-    def try_add(x, scale: int) -> bool:
-        if not linalg.echelon_add(echelon, _flatten(x)):
+    def try_add(x) -> bool:
+        if not linalg.echelon_add(echelon, _flatten(x.rows)):
             return False
-        basis.append(linalg._divided(x, scale))
+        words.append(x)
         return True
 
-    frontier = [word for word in map(linalg._integer_matrix, seeds) if try_add(*word)]
-    steps = [linalg._integer_matrix(g) for g in multipliers]
+    frontier = [word for word in map(linalg._Scaled.of, seeds) if try_add(word)]
+    steps = [linalg._Scaled.of(g) for g in multipliers]
     while frontier:
-        fresh = []
-        for b, s in frontier:
-            for g, t in steps:
-                candidate = linalg._integer_mat_mul(b, g)
-                if try_add(candidate, s * t):
-                    fresh.append((candidate, s * t))
-        frontier = fresh
-    algebra = EnvelopingAlgebra(group, tuple(basis))
-    object.__setattr__(algebra, "_echelon", echelon)  # the cached property, already built
+        frontier = [c for c in (b @ g for b in frontier for g in steps) if try_add(c)]
+    algebra = EnvelopingAlgebra(group, tuple(x.fractions() for x in words))
+    # the cached properties, already built
+    object.__setattr__(algebra, "_echelon", echelon)
+    object.__setattr__(algebra, "_scaled", tuple(words))
     return algebra
 
 
@@ -145,33 +136,23 @@ def enveloping_algebra(h: SubgroupPresentation) -> EnvelopingAlgebra:
     and a generator: the first basis element is I, each later one equals
     an earlier one times a generator, and every b g lies in the span S.
     So S is spanned by words, and S g in S for every generator g gives
-    S w in S for every word w, hence S S in S.
-
-    The products run on integers: with b and g scaled to integer matrices
-    s b and t g, the product x = (s b)(t g) is s t (b g).  A span test does
-    not see the positive scale s t, and b g equals a basis element c with
-    integer matrix u c exactly when x u = (u c) s t entry by entry.
+    S w in S for every word w, hence S S in S.  The products are taken on
+    the algebra's scaled basis.
     """
     algebra = algebra_of_tuple(h.group, h.generators)
-    basis = algebra.basis
-    scaled = [linalg._integer_matrix(b) for b in basis]
-    gens = [linalg._integer_matrix(g) for g in h.generators]
+    basis = algebra._scaled
+    gens = [linalg._Scaled.of(g) for g in h.generators]
     words = 1  # basis[:words] are checked to be words in the generators
-    for k, (b, s) in enumerate(scaled):
-        for g, t in gens:
-            x = linalg._integer_mat_mul(b, g)
-            if k < words < len(basis) and _same_matrix(x, s * t, *scaled[words]):
+    for k, b in enumerate(basis):
+        for g in gens:
+            x = b @ g
+            if k < words < len(basis) and x == basis[words]:
                 words += 1
-            elif not linalg.echelon_contains(algebra._echelon, _flatten(x)):
+            elif not linalg.echelon_contains(algebra._echelon, _flatten(x.rows)):
                 raise InvariantViolation("algebra basis is not multiplicatively closed")
-    if basis[0] != h.group.identity() or words < len(basis):
+    if algebra.basis[0] != h.group.identity() or words < len(basis):
         raise InvariantViolation("algebra basis is not spanned by words in the generators")
     return algebra
-
-
-def _same_matrix(x, s: int, y, t: int) -> bool:
-    """Is x / s = y / t, for integer matrices x, y and positive s, t?"""
-    return all(p * t == q * s for rx, ry in zip(x, y) for p, q in zip(rx, ry))
 
 
 def algebra_of_tuple(group: GroupSpec, mats) -> EnvelopingAlgebra:
@@ -195,16 +176,13 @@ def radical_dim(a: EnvelopingAlgebra) -> int:
 
 
 def radical_basis(a: EnvelopingAlgebra) -> tuple[Mat, ...]:
-    """The kernel of the trace form, summed on the basis scaled to integer
-    matrices: tr(x y) = tr((s x)(t y)) / (s t)."""
+    """The kernel of the trace form, summed on the algebra's scaled basis."""
     n = a.dimension
-    scaled = [linalg._integer_matrix(b) for b in a.basis]
+    scaled = a._scaled
     gram = [[None] * n for _ in range(n)]
-    for i, (x, s) in enumerate(scaled):
-        for j in range(i, n):  # tr(xy) = tr(yx) = sum of x_kl y_lk
-            y, t = scaled[j]
-            tr = sum(v * y[l][k] for k, row in enumerate(x) for l, v in enumerate(row) if v)
-            gram[i][j] = gram[j][i] = Fraction(tr, s * t) if tr else linalg.ZERO
+    for i, x in enumerate(scaled):
+        for j in range(i, n):  # tr(xy) = tr(yx)
+            gram[i][j] = gram[j][i] = x.trace_product(scaled[j])
     gram = tuple(map(tuple, gram))
     flat = tuple(_flatten(b) for b in a.basis)
     combos = linalg.mat_mul(linalg.nullspace(gram, n), flat)

@@ -8,6 +8,7 @@ optionally conjugated by a rational base point.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import operator
 from dataclasses import dataclass, field
@@ -309,8 +310,22 @@ class Cocharacter:
         return Cocharacter(linalg.mat_mul(g, self.base), self.torus)
 
     def evaluate(self, a) -> Mat:
-        inner = self.torus.evaluate(a)
-        return linalg.mat_mul(linalg.mat_mul(self.base, inner), self._base_inv)
+        return self._from_frame(self.torus.evaluate(a))
+
+    @functools.cached_property
+    def _scaled_frame(self) -> tuple:
+        """The base and its inverse as scaled values."""
+        return linalg._Scaled.of(self.base), linalg._Scaled.of(self._base_inv)
+
+    def _to_frame(self, g: Mat) -> Mat:
+        """base^-1 g base: g moved into the frame of the base."""
+        base, inverse = self._scaled_frame
+        return (inverse @ linalg._Scaled.of(g) @ base).fractions()
+
+    def _from_frame(self, x: Mat) -> Mat:
+        """base x base^-1: x moved out of the frame of the base."""
+        base, inverse = self._scaled_frame
+        return (base @ linalg._Scaled.of(x) @ inverse).fractions()
 
 
 @dataclass(frozen=True)

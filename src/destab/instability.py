@@ -11,13 +11,9 @@ rationals: minimize the squared norm over the polyhedron where every
 objective form is at least one.  Its minimizer is unique (the norm is
 positive definite) and is found by an exact dual active-set method: one
 KKT solve per step, with steps that grow with the number of forms tight at
-the optimum rather than with the number of subsets of forms.  The method
-runs on integers: the rows are scaled to integers, each KKT system is
-reduced as integer rows, and the slacks are integers ranked exactly as the
-rational slacks are (``min_qnorm_over_polyhedron``), so it adds and drops
-the rows the rational method would; Fractions come back only in the
-returned minimizer.  The points move into each torus through the integer
-actions of ``reps``.
+the optimum rather than with the number of subsets of forms.  It runs on
+integer rows (``min_qnorm_over_polyhedron``), and Fractions come back only
+in the returned minimizer.
 
 For the built-in subvarieties, the zero locus and the identity tuple, the
 generators span a G-stable space, so which weights have a component that
@@ -34,13 +30,11 @@ one base frame each, and is never claimed complete; ``oracle_mode``
 re-derives the optimum by brute force over an exponent box as an
 independent check.
 
-The closedness search runs on integers.  Each generator is scaled once to
-an integer matrix, and each torus base and its inverse once per
-configuration, so the tuple moves into a torus by integer products.  Its
-entry pattern, its limit and the conjugator equations u h = h' u are
-homogeneous in the pair (h, h') of one generator, so the positive scales
-change no answer; a witness limit is divided by its generator's scale
-before it is returned.
+The closedness search moves the tuple into each torus as scaled values,
+each generator scaled once and each torus base and its inverse once per
+configuration.  Its entry pattern, its limit and the conjugator equations
+u h = h' u are homogeneous in the pair (h, h') of one generator, so the
+search reads the integer rows alone.
 """
 
 from __future__ import annotations
@@ -229,7 +223,7 @@ class VanishingOrder:
 
 def admits_limit(x: Point, lam: Cocharacter) -> bool:
     rep = x.rep
-    transported = rep._act(lam.base_inverse, x, lam.base)
+    transported = rep._act(lam.base_inverse, x)
     d = lam.torus.exponents
     return all(
         c == 0 or pairing_vec(d, chi) >= 0
@@ -260,7 +254,7 @@ def vanishing_order(x: Point, lam: Cocharacter, s: SubvarietySpec) -> VanishingO
     rep = x.rep
     if s.contains_point(x):
         return VanishingOrder.infinite()
-    transported = rep._act(lam.base_inverse, x, lam.base)
+    transported = rep._act(lam.base_inverse, x)
     d = lam.torus.exponents
     best: int | None = None
     for parts in s.isotypic_data(rep, s._composing_frame(lam.base)):
@@ -277,18 +271,17 @@ def vanishing_order(x: Point, lam: Cocharacter, s: SubvarietySpec) -> VanishingO
 # Exact convex kernels
 
 
-def _kkt_solve(q: list, sigma: int, rows: list, top: list) -> tuple[list[int], list[int], int]:
-    """(z, r, den) with Q x + A^T y = top and A x = 0 for x = z/den and
-    y = r/den, where q = sigma Q is the Gram matrix Q scaled to integers and
-    A the integer rows.  The first n equations are multiplied by sigma, so
-    the system is integer and is reduced as integer rows.  Q is positive
-    definite and the rows are independent, so the solution is unique.
+def _kkt_solve(q: list, rows: list, top: list) -> tuple[list[int], list[int], int]:
+    """(z, r, den) with q x + A^T y = top and A x = 0 for x = z/den and
+    y = r/den, for the integer Gram matrix q and integer rows A, reduced as
+    integer rows.  q is positive definite and the rows are independent, so
+    the solution is unique.
     """
     n, k = len(q), len(rows)
     m = n + k
-    system = [[*q[i], *(sigma * row[i] for row in rows), sigma * top[i]] for i in range(n)]
+    system = [[*q[i], *(row[i] for row in rows), top[i]] for i in range(n)]
     system += [[*row, *[0] * (k + 1)] for row in rows]
-    pivots = linalg._reduce(system)
+    pivots = linalg._reduce(system)[0]
     # a pivot on the right-hand side means inconsistency
     if pivots and pivots[-1] == m:
         raise InvariantViolation("singular KKT system in the dual active-set solver")
@@ -320,31 +313,27 @@ def min_qnorm_over_polyhedron(
     recurs after a full step; a recurrence is reported as an invariant
     violation rather than looping.
 
-    The method runs on integers.  Rows may hold ints or Fractions; each
-    inequality is scaled by the lcm s of its denominators, q by the lcm of
-    its own, and d is kept as an integer vector over one denominator D.  So
-    each slack is an integer, s D (g.d - c), and multiplied by L/s, with L
-    the lcm of all the s, it is L D (g.d - c): the slacks are ranked as the
-    rational slacks are, ties included.  A scaled row s g solves the KKT
-    system with z and its multiplier scaled by s and 1/s, so the step
-    lengths, the full-or-partial test and the drop ratios mult/r all scale
-    by one positive factor per step: the same rows are added and dropped,
-    and d takes the same values.
+    The method runs on integers.  Rows may hold ints or Fractions.  The
+    inequalities [g | c] and q are taken as the integer rows of their
+    scaled values, and d is kept as an integer vector over one denominator
+    D.  Scaling q by a positive factor divides z by it and multiplies the
+    step lengths and the multipliers by it; scaling a row s g scales z and
+    its multiplier by s and 1/s.  So the step lengths, the full-or-partial
+    test and the drop ratios mult/r all scale by one positive factor per
+    step: the same rows are added and dropped, and d takes the same values.
+    All inequalities share one scale L, so each slack is the integer
+    L D (g.d - c), ranked as the rational slacks are, ties included.
     """
     n = len(q)
-    q_int, sigma = linalg._integer_matrix(q)
-    rows, rhs, scales = [], [], []
-    for g, c in ineqs:
+    q_int = linalg._Scaled.of(q).rows
+    for g, _ in ineqs:
         if len(g) != n:
             raise linalg.DimensionMismatch(n, len(g))
-        w, s = linalg._integer_terms(linalg._terms((*g, c)), n + 1)
-        rows.append(w[:n])
-        rhs.append(w[n])
-        scales.append(s)
-    common_scale = lcm(*scales)
-    weights = [common_scale // s for s in scales]
+    ineq_rows = linalg._Scaled.of(tuple((*g, c) for g, c in ineqs)).rows
+    rows = [w[:n] for w in ineq_rows]
+    rhs = [w[n] for w in ineq_rows]
     # independent equality rows, so every KKT matrix below is nonsingular
-    active: list[list[int]] = list(map(linalg._integer_row, linalg.row_space(tuple(eqs)))) if eqs else []
+    active: list = list(map(linalg.primitive_direction, linalg.row_space(tuple(eqs)))) if eqs else []
     n_eqs = len(active)
     act_idx: list[int] = []  # inequality index of active[n_eqs + k]
     mult: list[Fraction] = []  # its multiplier, always >= 0
@@ -352,15 +341,14 @@ def min_qnorm_over_polyhedron(
     seen: set[frozenset[int]] = set()
     while True:
         slacks = [sum(map(operator.mul, g, dn)) - c * den for g, c in zip(rows, rhs)]
-        ranked = [x * w for x, w in zip(slacks, weights)]
-        p = min(range(len(rows)), key=ranked.__getitem__, default=None)  # the first minimum
+        p = min(range(len(rows)), key=slacks.__getitem__, default=None)  # the first minimum
         if p is None or slacks[p] >= 0:
             return tuple(Fraction(x, den) if x else ZERO for x in dn)
         g_p = rows[p]
         slack_p = Fraction(slacks[p], den)
         u_p = ZERO
         while True:
-            z, r, z_den = _kkt_solve(q_int, sigma, active, g_p)
+            z, r, z_den = _kkt_solve(q_int, active, g_p)
             r_ineq = r[n_eqs:]
             blocking = [k for k, rk in enumerate(r_ineq) if rk > 0]
             t_partial = None
@@ -455,7 +443,7 @@ def _frame_forms(points, s: SubvarietySpec, frame: Mat | None, frame_inverse: Ma
     rep = points[0].rep
     if frame is not None:
         inverse = linalg.inverse(frame) if frame_inverse is None else frame_inverse
-        points = [rep._act(inverse, x, frame) for x in points]
+        points = [rep._act(inverse, x) for x in points]
     iso = s.isotypic_data(rep, s._composing_frame(frame))
     out = []
     for x in points:
@@ -525,19 +513,10 @@ def _torus_optimum(per_point, group: GroupSpec) -> TorusOptimum | None:
 # Search configuration and global optimization
 
 
-def _column_line(col: tuple[int, ...]) -> tuple[int, ...]:
-    """The primitive integer vector on the line of a nonzero integer column
-    whose first nonzero entry is positive."""
-    g = gcd(*col)
-    if next(x for x in col if x) < 0:
-        g = -g
-    return col if g == 1 else tuple(x // g for x in col)
-
-
 def _torus_key(frame: Mat) -> frozenset:
     """The lines of the columns of an invertible frame, in integers: two
     frames span one maximal torus exactly when their keys are equal."""
-    return frozenset(map(_column_line, zip(*linalg._integer_matrix(frame)[0])))
+    return frozenset(map(linalg._line, zip(*linalg._Scaled.of(frame).rows)))
 
 
 def _torus_bases(frames, group: GroupSpec) -> tuple[tuple[Mat, ...], tuple[Mat, ...]]:
@@ -570,8 +549,8 @@ class SearchConfig:
     cocharacter lies in a maximal torus, and a frame f spans the torus
     f T f^-1 of the diagonal torus T.  The family is kept as one base frame
     per maximal torus, the first frame of the given family that spans it,
-    together with its inverse, and both scaled to integer matrices for the
-    closedness search (``_integer_bases``); the identity is put first when
+    together with its inverse, and both as scaled values for the closedness
+    search (``_scaled_bases``); the identity is put first when
     the family lacks it.  Another frame of a torus is f . P with P
     monomial, and admissibility, the weak orderings, the norm and the
     exponent box are all invariant under the permutation of coordinates P
@@ -602,14 +581,12 @@ class SearchConfig:
         )
 
     @functools.cached_property
-    def _integer_bases(self) -> tuple:
-        """Per torus, its base's inverse and its base scaled to integer
-        matrices, and the product of their scales; built on the first
-        closedness search, so a configuration that only optimizes never
-        pays for it."""
-        inverses = map(linalg._integer_matrix, self._frame_inverses)
-        bases = map(linalg._integer_matrix, self.conjugation_family)
-        return tuple((i, f, di * df) for (i, di), (f, df) in zip(inverses, bases))
+    def _scaled_bases(self) -> tuple:
+        """Per torus, its base's inverse and its base as scaled values;
+        built on the first closedness search, so a configuration that only
+        optimizes never pays for it."""
+        scaled = linalg._Scaled.of
+        return tuple((scaled(i), scaled(f)) for i, f in zip(self._frame_inverses, self.conjugation_family))
 
     @staticmethod
     def default(
@@ -945,8 +922,9 @@ def is_cochar_closed(v: Point, cfg: SearchConfig) -> CocharClosedVerdict:
         raise DimensionError("configuration group differs from the representation group")
     examined: list[Cocharacter] = []
     solved: set = set()  # lambda(2) of each cocharacter with a conjugator
-    for lam, tmats, scales, base in _frame_cocharacters(rep.matrices(v), cfg):
+    for lam, moved, base in _frame_cocharacters(rep.matrices(v), cfg):
         examined.append(lam)
+        tmats = [t.rows for t in moved]
         limit_t = [_limit_pattern(h, lam.torus.exponents) for h in tmats]
         if limit_t == tmats:
             continue  # the identity conjugator works
@@ -954,10 +932,8 @@ def is_cochar_closed(v: Point, cfg: SearchConfig) -> CocharClosedVerdict:
         if key in solved:
             continue
         if _radical_conjugator(tmats, limit_t, lam) is None:
-            limit_mats = tuple(
-                linalg.mat_mul(linalg.mat_mul(lam.base, linalg._divided(h, s)), lam.base_inverse)
-                for h, s in zip(limit_t, scales)
-            )
+            # each limit on its moved matrix's scale, out of the frame
+            limit_mats = tuple(lam._from_frame(t._replace(rows=h).fractions()) for t, h in zip(moved, limit_t))
             return CocharClosedVerdict(
                 False,
                 fold_permutation_base(lam),
@@ -981,53 +957,43 @@ def _entry_pattern(mats) -> set[tuple[int, int]]:
 
 
 def _moved_tuples(mats, cfg: SearchConfig):
-    """Torus by torus, its base and inverse, their integer scalings (an
-    entry of ``SearchConfig._integer_bases``), and the tuple moved into the
-    base frame as integer matrices and their scales: the k-th matrix h
-    moves to inv h frame = tmats[k] / scales[k].
+    """Torus by torus, its base and inverse, their scaled values (an entry
+    of ``SearchConfig._scaled_bases``), and the tuple moved into the base
+    frame, inv h frame for each matrix h, as scaled values.
 
-    Each matrix is scaled to an integer matrix once, and each base and its
-    inverse once per configuration, so a move is two integer products.
-    Everything the search asks of the moved tuple, its entry pattern, its
-    limit and the conjugator equations u h = h' u between it and its limit,
-    is homogeneous in the pair (h, h') of one generator, so the positive
-    scales change no answer.
+    Each matrix is scaled once, and each base and its inverse once per
+    configuration, so a move is two integer products.
     """
-    scaled = [linalg._integer_matrix(h) for h in mats]
-    for frame, inv, base in zip(cfg.conjugation_family, cfg._frame_inverses, cfg._integer_bases):
-        inv_int, frame_int, den = base
-        tmats = [linalg._integer_mat_mul(linalg._integer_mat_mul(inv_int, h), frame_int) for h, _ in scaled]
-        yield frame, inv, base, tmats, [den * s for _, s in scaled]
+    scaled = [linalg._Scaled.of(h) for h in mats]
+    for frame, inv, base in zip(cfg.conjugation_family, cfg._frame_inverses, cfg._scaled_bases):
+        inv_s, frame_s = base
+        yield frame, inv, base, [inv_s @ h @ frame_s for h in scaled]
 
 
 def _frame_cocharacters(mats, cfg: SearchConfig):
     """Torus by torus, each admissible cocharacter whose parabolic contains
     the tuple, with the tuple moved into the torus's base frame and the
-    base's integer scalings, as ``_moved_tuples`` gives them.  Within a
-    torus distinct exponents are distinct cocharacters; one may recur in
-    another torus that contains it."""
-    for frame, inv, base, tmats, scales in _moved_tuples(mats, cfg):
-        for exps in admissible_exponents(cfg.group, cfg.exponent_box, _entry_pattern(tmats)):
-            yield Cocharacter._on_frame(cfg.group, frame, inv, exps), tmats, scales, base
+    base's scaled values, as ``_moved_tuples`` gives them.  Within a torus
+    distinct exponents are distinct cocharacters; one may recur in another
+    torus that contains it."""
+    for frame, inv, base, moved in _moved_tuples(mats, cfg):
+        for exps in admissible_exponents(cfg.group, cfg.exponent_box, _entry_pattern(t.rows for t in moved)):
+            yield Cocharacter._on_frame(cfg.group, frame, inv, exps), moved, base
 
 
 def _value_at_two(base, d) -> tuple:
-    """lambda(2) for the exponents d on a torus base given by its integer
-    scalings (inverse, base, product of their scales), as the pair (P, c)
-    with lambda(2) = c P, P the primitive integer matrix on its line with
-    lambda(2) a positive multiple of it, and c > 0.  The pair determines
-    lambda(2) and is determined by it.
+    """lambda(2) for the exponents d on a torus base given by its scaled
+    values (inverse, base), as the pair (x, l) with l = min d and
+    lambda(2) = 2^l x, x a scaled value.  The pair determines lambda(2)
+    and is determined by it: the eigenvalues of lambda(2) are the 2^d_i.
 
-    With l = min d, lambda(2) is base diag(2^(d - l)) inverse 2^l, so it
-    takes one integer product, the diagonal a shift of the base's columns.
+    x is base diag(2^(d - l)) inverse, one integer product, the diagonal a
+    shift of the base's columns.
     """
-    inv_int, frame_int, den = base
+    inv, frame = base
     low = min(d)
-    shifted = tuple(tuple(v << (e - low) for v, e in zip(row, d)) for row in frame_int)
-    x = linalg._integer_mat_mul(shifted, inv_int)
-    g = gcd(*(v for row in x for v in row))
-    p = tuple(tuple(v // g for v in row) for row in x)
-    return p, Fraction(g << max(low, 0), den << max(-low, 0))
+    shifted = tuple(tuple(v << (e - low) for v, e in zip(row, d)) for row in frame.rows)
+    return frame._replace(rows=shifted) @ inv, low
 
 
 def admissible_exponents(group: GroupSpec, box: int, pattern) -> list[tuple[int, ...]]:

@@ -6,13 +6,14 @@ sparse: frames are signed permutations times a shear, and commutator and
 conjugator equations touch a few entries each.  So products skip zero
 entries of both factors.
 
-Products run on integers.  A matrix is scaled by the lcm of its
-denominators (``_integer_matrix``), and the integer product of s a and
-t b (``_integer_mat_mul``) is s t (a b).  ``mat_mul`` divides it by s t
-once per entry.  Callers that multiply the same matrices again and again,
-the closedness search and the enveloping algebra's span closure, keep
-them as integer matrices with their scales between products and divide
-only what they return.
+Inside the library a matrix may also be held as one ``_Scaled`` value:
+integer rows over one positive scale.  A Fraction matrix is scaled by the
+lcm of its denominators (``_Scaled.of``), values multiply as integer
+matrices with their scales multiplied, compare equal when they hold the
+same rational matrix, and turn back into Fractions once
+(``_Scaled.fractions``).  ``mat_mul`` is one such product.  Callers that
+multiply the same matrices again and again keep the values between
+products; the scale never leaves this module.
 
 Elimination runs on integer rows.  Each incoming row is scaled by the lcm
 of its denominators, and one fraction-free step, ``_eliminate``, replaces
@@ -20,22 +21,24 @@ w by (p/g) w - (f/g) row, where p is the row's pivot, f the entry of w
 below it and g = gcd(p, f), touching only the row's nonzero terms; a row
 that was scaled is made primitive again, so entries grow only with the
 pivots (fraction-free elimination after Bareiss, Math. Comp. 22, 1968).
-The step serves Gauss-Jordan reduction (``rref``, ``rank``,
-``solve_affine`` and everything built on them), the incremental echelon
-basis (``echelon_add``, ``echelon_contains``), ``det``, ``inverse``
-(which also yields the determinant, ``_inverse_det``) and
-``in_row_space``.  Fractions come back only at the end, when a
-pivot row is divided by its pivot.  Every integer row is a positive
-multiple of the row that unit-pivot elimination over Fractions would hold,
-and the RREF is unique, so every answer is the same exact value.
+One Gauss-Jordan loop, ``_reduce``, serves ``rref``, ``rank``,
+``solve_affine`` and everything built on them, and ``inverse`` and
+``det``, which read the factor it puts on the determinant
+(``_reduced_det``); the same step grows the incremental echelon basis
+(``echelon_add``, ``echelon_contains``, ``in_row_space``).
+Fractions come back only at the end, when a pivot row is divided by its
+pivot.  Every integer row is a positive multiple of the row that
+unit-pivot elimination over Fractions would hold, and the RREF is unique,
+so every answer is the same exact value.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import chain
 from math import gcd, lcm
 from operator import mul
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 Vec = tuple[Fraction, ...]
 Mat = tuple[Vec, ...]
@@ -87,11 +90,8 @@ def mat_scale(c: Fraction, a: Mat) -> Mat:
 
 
 def mat_mul(a: Mat, b: Mat) -> Mat:
-    """The product a b: the integer product of the scaled factors, divided
-    by the product of their scales."""
-    ai, s = _integer_matrix(a)
-    bi, t = _integer_matrix(b)
-    return _divided(_integer_mat_mul(ai, bi), s * t)
+    """The product a b, taken on the scaled values of the factors."""
+    return (_Scaled.of(a) @ _Scaled.of(b)).fractions()
 
 
 def mat_vec(a: Mat, v: Sequence[Fraction]) -> Vec:
@@ -136,51 +136,112 @@ def _integer_row(row) -> list[int]:
     return _integer_terms(_terms(row), len(row))[0]
 
 
-def _integer_matrix(a) -> tuple[tuple[tuple[int, ...], ...], int]:
-    """A rational matrix scaled by the lcm of its denominators, and that
-    lcm: the integer matrix equals lcm times a."""
-    n, m = len(a), len(a[0]) if a else 0
-    flat, den = _integer_terms([(i * m + j, x) for i, row in enumerate(a) for j, x in enumerate(row) if x], n * m)
-    return tuple(tuple(flat[i * m : (i + 1) * m]) for i in range(n)), den
+class _Scaled(NamedTuple):
+    """A rational matrix held as integer rows over one positive scale: the
+    matrix is rows / scale.
+
+    ``of`` builds the canonical value of a matrix; a product carries the
+    product of its factors' scales.  Two values are equal when they hold
+    the same rational matrix, whatever their scales, and then hash alike.
+    """
+
+    rows: tuple[tuple[int, ...], ...]
+    scale: int
+
+    @staticmethod
+    def of(a) -> "_Scaled":
+        """A matrix of Fractions or ints scaled by the lcm of its
+        denominators, which is unique, so equal matrices give equal
+        rows and scales."""
+        den = lcm(*[x.denominator for row in a for x in row])
+        if den == 1:
+            return _Scaled(tuple([tuple([x.numerator for x in row]) for row in a]), 1)
+        return _Scaled(tuple([tuple([x.numerator * (den // x.denominator) for x in row]) for row in a]), den)
+
+    def __matmul__(self, other: "_Scaled") -> "_Scaled":
+        """The product, skipping zero entries of both factors."""
+        b = other.rows
+        k, m = len(b), len(b[0]) if b else 0
+        if self.rows and len(self.rows[0]) != k:
+            raise DimensionMismatch(len(self.rows[0]), k)
+        b_terms = [[(j, y) for j, y in enumerate(row) if y] for row in b]
+        out = []
+        for row in self.rows:
+            acc = [0] * m
+            for x, terms in zip(row, b_terms):
+                if x:
+                    for j, y in terms:
+                        acc[j] += x * y
+            out.append(tuple(acc))
+        return _Scaled(tuple(out), self.scale * other.scale)
+
+    def __eq__(self, other) -> bool:
+        """x / s = y / t, tested as x t = y s."""
+        if not isinstance(other, _Scaled):
+            return NotImplemented
+        s, t = self.scale, other.scale
+        if s == t:
+            return self.rows == other.rows
+        return len(self.rows) == len(other.rows) and all(
+            len(rx) == len(ry) and all(p * t == q * s for p, q in zip(rx, ry))
+            for rx, ry in zip(self.rows, other.rows)
+        )
+
+    def __ne__(self, other) -> bool:  # tuple's own != would compare the fields
+        equal = self.__eq__(other)
+        return equal if equal is NotImplemented else not equal
+
+    def __hash__(self) -> int:
+        # the hash of the value with no common factor of scale and entries,
+        # which equal values share
+        g = gcd(self.scale, *chain.from_iterable(self.rows))
+        if g == 1:
+            return tuple.__hash__(self)
+        return hash((tuple(tuple(x // g for x in row) for row in self.rows), self.scale // g))
+
+    def fractions(self) -> Mat:
+        """The matrix as Fractions, each entry divided by the scale once."""
+        s = self.scale
+        return tuple([tuple([Fraction(x, s) if x else ZERO for x in row]) for row in self.rows])
+
+    def apply(self, v: Sequence[Fraction]) -> Vec:
+        """The matrix times a rational vector, which is scaled to integers
+        once; each entry is divided once."""
+        w, u = _integer_terms(_terms(v), len(v))
+        den = self.scale * u
+        return tuple(Fraction(x, den) if x else ZERO for x in (sum(map(mul, row, w)) for row in self.rows))
+
+    def kron(self, other: "_Scaled") -> "_Scaled":
+        """The Kronecker product: entry ((i, j), (k, l)) is a_ik b_jl."""
+        rows = tuple(tuple(x * y for x in ra for y in rb) for ra in self.rows for rb in other.rows)
+        return _Scaled(rows, self.scale * other.scale)
+
+    def homogeneous(self, rows, degree: int) -> "_Scaled":
+        """The matrix of forms of the given degree in this matrix's
+        entries, given by their values at its integer rows: their values at
+        its rational entries are those over scale ** degree."""
+        return _Scaled(rows, self.scale**degree)
+
+    def trace_product(self, other: "_Scaled") -> Fraction:
+        """tr(a b) = sum of a_kl b_lk."""
+        b = other.rows
+        tr = sum(x * b[l][k] for k, row in enumerate(self.rows) for l, x in enumerate(row) if x)
+        return Fraction(tr, self.scale * other.scale) if tr else ZERO
 
 
-def _divided(a, den: int) -> Mat:
-    """The integer matrix a divided by den, as a matrix of Fractions."""
-    return tuple(tuple(Fraction(x, den) if x else ZERO for x in row) for row in a)
-
-
-def _integer_mat_mul(a, b) -> tuple[tuple[int, ...], ...]:
-    """The product of two integer matrices, skipping zero entries of both
-    factors; for the scalings s a and t b of rational matrices it is
-    s t (a b)."""
-    k, m = len(b), len(b[0]) if b else 0
-    if a and len(a[0]) != k:
-        raise DimensionMismatch(len(a[0]), k)
-    b_terms = [[(j, y) for j, y in enumerate(row) if y] for row in b]
-    out = []
-    for row in a:
-        acc = [0] * m
-        for x, terms in zip(row, b_terms):
-            if x:
-                for j, y in terms:
-                    acc[j] += x * y
-        out.append(tuple(acc))
-    return tuple(out)
-
-
-def _integer_mat_vec(a, v) -> tuple[int, ...]:
-    """The product of an integer matrix and an integer vector."""
-    return tuple(sum(map(mul, row, v)) for row in a)
+def _line(v: Sequence[int]) -> tuple[int, ...]:
+    """The primitive integer vector on the line of a nonzero integer vector
+    whose first nonzero entry is positive."""
+    g = gcd(*v)
+    if next(x for x in v if x) < 0:
+        g = -g
+    return tuple(v) if g == 1 else tuple(x // g for x in v)
 
 
 def _pivot_terms(w: list[int]) -> list[tuple[int, int]]:
-    """A nonzero integer row as the primitive row on its line with a
-    positive leading entry, given by its nonzero (column, value) terms."""
-    terms = [(j, x) for j, x in enumerate(w) if x]
-    g = gcd(*[x for _, x in terms])
-    if terms[0][1] < 0:
-        g = -g
-    return terms if g == 1 else [(j, x // g) for j, x in terms]
+    """A nonzero integer row as its ``_line``, given by its nonzero
+    (column, value) terms."""
+    return [(j, x) for j, x in enumerate(_line(w)) if x]
 
 
 def _eliminate(w: list[int], f: int, terms) -> tuple[list[int], int, int]:
@@ -203,13 +264,19 @@ def _eliminate(w: list[int], f: int, terms) -> tuple[list[int], int, int]:
     return w, a, 1
 
 
-def _reduce(rows: list[list[int]]) -> list[int]:
-    """Fraction-free Gauss-Jordan reduction of integer rows, in place;
-    returns the pivot columns.  Row r < len(pivots) ends with a positive
-    pivot at column pivots[r] and zeros at the other pivot columns, a
-    multiple of row r of the RREF; the rows after them end zero.
+def _reduce(rows: list[list[int]]) -> tuple[list[int], int, int]:
+    """Fraction-free Gauss-Jordan reduction of integer rows, in place.
+    Row r < len(pivots) ends with a positive pivot at column pivots[r] and
+    zeros at the other pivot columns, a multiple of row r of the RREF; the
+    rows after them end zero.
+
+    Returns the pivot columns and the factor num / den by which the row
+    operations multiplied the determinant of n of the columns, when there
+    are n rows: a swap or a negation multiplies it by -1, the step
+    w <- (a w - b row) / d by a / d.
     """
     pivots: list[int] = []
+    num = den = 1
     r = 0
     ncols = len(rows[0]) if rows else 0
     for c in range(ncols):
@@ -217,20 +284,25 @@ def _reduce(rows: list[list[int]]) -> list[int]:
         if piv is None:
             continue
         row = rows[piv]
+        if piv != r:
+            rows[piv] = rows[r]
+            num = -num
         if row[c] < 0:
             row = [-x for x in row]
-        rows[piv] = rows[r]
+            num = -num
         rows[r] = row
         terms = [(j, y) for j, y in enumerate(row) if y]  # starts at column c
         for i in range(len(rows)):
             f = rows[i][c]
             if f and i != r:
-                rows[i] = _eliminate(rows[i], f, terms)[0]
+                rows[i], a, d = _eliminate(rows[i], f, terms)
+                num *= a
+                den *= d
         pivots.append(c)
         r += 1
         if r == len(rows):
             break
-    return pivots
+    return pivots, num, den
 
 
 def _rref_inplace(rows: list[list[Fraction]]) -> list[int]:
@@ -240,7 +312,7 @@ def _rref_inplace(rows: list[list[Fraction]]) -> list[int]:
     Fractions come back when each pivot row is divided by its pivot.
     """
     ints = [_integer_row(row) for row in rows]
-    pivots = _reduce(ints)
+    pivots = _reduce(ints)[0]
     for r, row in enumerate(ints):
         p = row[pivots[r]] if r < len(pivots) else 1  # the later rows are zero
         rows[r] = [Fraction(x, p) if x else ZERO for x in row]
@@ -317,7 +389,7 @@ def _solve_terms(rows, rhs: Sequence[Fraction], m: int) -> Vec | None:
     """``solve_affine`` for a system in m unknowns whose rows are given by
     their nonzero (column, rational) terms, reduced on integer rows."""
     ints = [_integer_terms([*terms, (m, b)], m + 1)[0] for terms, b in zip(rows, rhs)]
-    pivots = _reduce(ints)
+    pivots = _reduce(ints)[0]
     # a pivot on the right-hand side means inconsistency
     if pivots and pivots[-1] == m:
         return None
@@ -330,7 +402,7 @@ def _solve_terms(rows, rhs: Sequence[Fraction], m: int) -> Vec | None:
 
 def _rank_terms(rows, m: int) -> int:
     """``rank`` of the rows of length m given by their nonzero terms."""
-    return len(_reduce([_integer_terms(terms, m)[0] for terms in rows]))
+    return len(_reduce([_integer_terms(terms, m)[0] for terms in rows])[0])
 
 
 def nullspace(a: Mat, ncols: int | None = None) -> Mat:
@@ -354,25 +426,7 @@ def nullspace(a: Mat, ncols: int | None = None) -> Mat:
 
 
 def det(a: Mat) -> Fraction:
-    """Signed product of the leading entries met while building an echelon
-    basis of the rows: a row loses only multiples of earlier rows, and the
-    reduced rows, ordered by pivot column, form an upper triangular matrix
-    with those leading entries on its diagonal.  A row comes back reduced
-    and scaled by s/t (``_echelon_reduce``), so its leading entry is
-    lead t / s, and the product is kept as one integer fraction."""
-    echelon: list = []
-    num = den = 1
-    for row in a:
-        w, s, t = _echelon_reduce(echelon, row)
-        lead = next((x for x in w if x), 0)
-        if not lead:
-            return ZERO
-        echelon.append(_pivot_terms(w))
-        num *= lead * t
-        den *= s
-    pivots = [terms[0][0] for terms in echelon]
-    inversions = sum(p > q for k, p in enumerate(pivots) for q in pivots[k + 1 :])
-    return Fraction(-num if inversions % 2 else num, den)
+    return _reduced_det(a, False)[1]
 
 
 def inverse(a: Mat) -> Mat:
@@ -384,46 +438,39 @@ def inverse(a: Mat) -> Mat:
 
 def _inverse_det(a: Mat) -> tuple[Mat | None, Fraction]:
     """The inverse of a square matrix (None when it is singular) and its
-    determinant, from one fraction-free Gauss-Jordan reduction of [a | I].
+    determinant, from one reduction of [a | I]: row i of the inverse is the
+    right half of row i over its pivot."""
+    rows, d = _reduced_det(a, True)
+    if not d:
+        return None, ZERO
+    n = len(a)
+    return tuple(tuple(Fraction(x, row[i]) if x else ZERO for x in row[n:]) for i, row in enumerate(rows)), d
 
-    Every row operation multiplies the determinant of the left half by a
-    known factor f: scaling a row to integers by its scale, a swap or a
-    negation by -1, the step w <- (a w - b row) / d by a/d.  At the end the
-    left half is diagonal with the positive pivots p on it, so det a is
-    prod p / f, and row i of the inverse is the right half of row i over
-    p_i.
+
+def _reduced_det(a: Mat, augment: bool) -> tuple[list[list[int]], Fraction]:
+    """The integer rows of a square matrix a, or of [a | I] when augment is
+    set, reduced by ``_reduce``, and det a.
+
+    Scaling row i to integers by its scale s_i multiplies the determinant
+    of the first n columns by s_i, and ``_reduce`` reports the factor f of
+    its row operations.  When a is invertible those columns end diagonal
+    with the positive pivots p on them, so det a is prod p / (f prod s).
     """
     n = len(a)
     rows = []
-    num = den = 1  # f = num / den
+    scale = 1
     for i, row in enumerate(a):
-        w, s = _integer_terms([*_terms(row), (n + i, ONE)], 2 * n)
+        terms = _terms(row) + [(n + i, ONE)] if augment else _terms(row)
+        w, s = _integer_terms(terms, 2 * n if augment else n)
         rows.append(w)
-        num *= s
-    for c in range(n):
-        piv = next((i for i in range(c, n) if rows[i][c]), None)
-        if piv is None:
-            return None, ZERO
-        row = rows[piv]
-        if piv != c:
-            rows[piv] = rows[c]
-            num = -num
-        if row[c] < 0:
-            row = [-x for x in row]
-            num = -num
-        rows[c] = row
-        terms = [(j, y) for j, y in enumerate(row) if y]  # starts at column c
-        for i in range(n):
-            f = rows[i][c]
-            if f and i != c:
-                rows[i], step, d = _eliminate(rows[i], f, terms)
-                num *= step
-                den *= d
+        scale *= s
+    pivots, num, den = _reduce(rows)
+    if pivots[:n] != list(range(n)):
+        return rows, ZERO
     prod = 1
     for i in range(n):
         prod *= rows[i][i]
-    inv = tuple(tuple(Fraction(x, row[i]) if x else ZERO for x in row[n:]) for i, row in enumerate(rows))
-    return inv, Fraction(prod * den, num)
+    return rows, Fraction(prod * den, num * scale)
 
 
 def trace(a: Mat) -> Fraction:

@@ -42,10 +42,6 @@ class MembershipClass(enum.Enum):
         return self is not MembershipClass.NOT_IN_P
 
 
-def _transport(g: Mat, lam: Cocharacter) -> Mat:
-    return linalg.mat_mul(linalg.mat_mul(lam.base_inverse, g), lam.base)
-
-
 def _classify_pattern(gt: Mat, d: tuple[int, ...], unit_diag: Mat) -> MembershipClass:
     m = len(d)
     below = any(
@@ -75,7 +71,7 @@ def classify(g: Mat, lam: Cocharacter) -> MembershipClass:
     """
     g = linalg.mat(g)
     lam.group.require_member(g)
-    gt = _transport(g, lam)
+    gt = lam._to_frame(g)
     return _classify_pattern(gt, lam.torus.exponents, linalg.identity(len(gt)))
 
 
@@ -83,7 +79,7 @@ def lie_classify(x: Mat, lam: Cocharacter) -> MembershipClass:
     """Lie algebra version: the limit must be 0 for the radical's algebra."""
     x = linalg.mat(x)
     _require_lie_element(lam.group, x)
-    xt = _transport(x, lam)
+    xt = lam._to_frame(x)
     m = len(xt)
     zero = tuple((Fraction(0),) * m for _ in range(m))
     return _classify_pattern(xt, lam.torus.exponents, zero)
@@ -103,8 +99,8 @@ def _require_lie_element(group: GroupSpec, x: Mat) -> None:
 
 
 def _limit_pattern(gt: Mat, d: tuple[int, ...]) -> Mat:
-    """The entries of gt where d_i = d_j, the others the int 0, so an
-    integer matrix stays integer (``mat_mul`` skips the zeros)."""
+    """The entries of gt where d_i = d_j, the others the int 0, so integer
+    rows stay integer."""
     m = len(gt)
     return tuple(tuple(gt[i][j] if d[i] == d[j] else 0 for j in range(m)) for i in range(m))
 
@@ -115,13 +111,11 @@ def _levi_projection(g, lam: Cocharacter, container: str):
     d = lam.torus.exponents
     out = []
     for k, h in enumerate(items):
-        ht = _transport(h, lam)
+        ht = lam._to_frame(h)
         if any(ht[i][j] != 0 for i in range(len(ht)) for j in range(len(ht)) if d[i] < d[j]):
             where = "element" if single else f"component {k}"
             raise PreconditionError(f"{where} is not in {container}")
-        out.append(
-            linalg.mat_mul(linalg.mat_mul(lam.base, _limit_pattern(ht, d)), lam.base_inverse)
-        )
+        out.append(lam._from_frame(_limit_pattern(ht, d)))
     return out[0] if single else tuple(out)
 
 
@@ -292,17 +286,11 @@ def _radical_conjugator(hs, hs_prime, lam: Cocharacter) -> Mat | None:
 
 
 def _intertwines(u: Mat, hs, hs_prime) -> bool:
-    """u h = h' u for every pair, that is u h u^-1 = h' for invertible u.
-
-    The equation is homogeneous in u and in the pair (h, h'), so it is
-    tested on integers: u and each pair, stacked, scaled by the lcm of
-    their denominators."""
-    ui = linalg._integer_matrix(u)[0]
-    for h, hp in zip(hs, hs_prime):
-        pair = linalg._integer_matrix(h + hp)[0]
-        if linalg._integer_mat_mul(ui, pair[: len(h)]) != linalg._integer_mat_mul(pair[len(h) :], ui):
-            return False
-    return True
+    """u h = h' u for every pair, that is u h u^-1 = h' for invertible u,
+    tested on scaled values."""
+    scaled = linalg._Scaled.of
+    us = scaled(u)
+    return all(us @ scaled(h) == scaled(hp) @ us for h, hp in zip(hs, hs_prime))
 
 
 def find_ru_conjugator(
@@ -324,12 +312,10 @@ def find_ru_conjugator(
         raise DimensionError("points must belong to the given representation")
     hs = rep.matrices(v)
     hs_prime = rep.matrices(v_prime)
-    ut = _radical_conjugator(
-        [_transport(h, lam) for h in hs], [_transport(h, lam) for h in hs_prime], lam
-    )
+    ut = _radical_conjugator([lam._to_frame(h) for h in hs], [lam._to_frame(h) for h in hs_prime], lam)
     if ut is None:
         return None
-    u = linalg.mat_mul(linalg.mat_mul(lam.base, ut), lam.base_inverse)
+    u = lam._from_frame(ut)
 
     # re-check both postconditions in the input coordinates
     if classify(u, lam) is not MembershipClass.IN_RU:

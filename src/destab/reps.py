@@ -8,15 +8,8 @@ applies its (d+1) x (d+1) matrix.  ``act_matrix`` is the action's matrix in
 the basis, the definition the structured actions agree with; polynomials
 are composed with the action through it.  A cocharacter with a base point
 is handled by transporting the point into the standard frame, grading
-there, and transporting back.
-
-The actions run on integers.  Per acting element the representation keeps
-integer matrices with their scales: g and g^-1 scaled to integers for
-conjugation tuples, the action matrix of the scaled g for a symmetric
-power, which is s^d times the action matrix of g.  A point is scaled to
-integers once, moved by integer products, and divided by the product of
-the scales once per coordinate, so every coordinate is the same Fraction
-the rational action gives.
+there, and transporting back.  The actions run on the scaled values of
+``linalg``, built once per acting element.
 
 The closed enumeration of kinds (conjugation tuples, symmetric powers of
 the standard 2-dimensional module, adjoint, direct sums) is the documented
@@ -42,12 +35,11 @@ Monomial = tuple[tuple[int, int], ...]  # sorted ((coordinate index, exponent), 
 class Representation:
     """Common interface: ``group``, ``dim``, ``weights``, ``act_matrix``.
 
-    ``act`` checks once per acting element that it lies in the group and
-    keeps, per element, what the kind's action needs (``_action``): the
-    element and its inverse as integer matrices with the product of their
-    scales for conjugation tuples, the integer action matrix with its scale
-    for a symmetric power, the parts' data for a direct sum, and the action
-    matrix for any other kind.  A non-member is rejected on every call.
+    ``act`` checks each new acting element once, inverting it in the same
+    reduction, and keeps what the kind's action needs (``_action``), keyed
+    by the element's scaled value: the element and its inverse for
+    conjugation tuples, the action matrix for any other kind, the parts'
+    data for a direct sum.  A non-member is rejected on every call.
     """
 
     group: GroupSpec
@@ -60,28 +52,30 @@ class Representation:
     def act(self, g: Mat, point: "Point") -> "Point":
         return self._act(linalg.mat(g), point)
 
-    def _act(self, g: Mat, point: "Point", g_inverse: Mat | None = None) -> "Point":
-        """``act`` on an exact matrix g, whose inverse the caller may know."""
+    def _act(self, g: Mat, point: "Point") -> "Point":
+        """``act`` on an exact matrix g."""
         if point.rep != self:
             raise DimensionError("point belongs to a different representation")
-        if g == self.group.identity():
-            return point
-        return Point(self, self._apply(g, self._acting(g, g_inverse), point.coords))
+        data = self._acting(g)
+        return point if data is None else Point(self, self._apply(data, point.coords))
 
-    def _acting(self, g: Mat, g_inverse: Mat | None = None):
-        """The action data of g, after checking once that g is in the group."""
+    def _acting(self, g: Mat):
+        """The action data of g, None for the identity, after checking once
+        that g is in the group."""
+        key = linalg._Scaled.of(g)
         memo = self.__dict__.setdefault("_act_memo", {})
-        data = memo.get(g)
-        if data is None:
-            self.group.require_member(g, "acting element")
-            data = memo[g] = self._action(g, g_inverse)
-        return data
+        try:
+            return memo[key]
+        except KeyError:
+            inverse = linalg._Scaled.of(self.group._member_inverse(g, "acting element"))
+            data = memo[key] = None if g == self.group.identity() else self._action(key, inverse)
+            return data
 
-    def _action(self, g: Mat, g_inverse: Mat | None):
-        return self.act_matrix(g)
+    def _action(self, g: linalg._Scaled, inverse: linalg._Scaled):
+        return linalg._Scaled.of(self.act_matrix(g.fractions()))
 
-    def _apply(self, g: Mat, data, coords: Vec) -> Vec:
-        return linalg.mat_vec(data, coords)
+    def _apply(self, data, coords: Vec) -> Vec:
+        return data.apply(coords)
 
     def zero(self) -> "Point":
         return Point(self, (Fraction(0),) * self.dim)
@@ -111,14 +105,10 @@ class ConjugationTuples(Representation):
         return _conjugation_weights(self.m, self.count)
 
     def act_matrix(self, g: Mat) -> Mat:
-        gi, ginv, scale = self._action(g, None)
-        m = self.m
-        # (g h g^{-1})_{ij} = sum_{kl} g_{ik} (g^{-1})_{lj} h_{kl}
-        block = linalg._divided(
-            [[gi[i][k] * ginv[l][j] for k in range(m) for l in range(m)] for i in range(m) for j in range(m)],
-            scale,
-        )
-        n = m * m
+        # (g h g^{-1})_{ij} = sum_{kl} g_{ik} (g^{-1})_{lj} h_{kl}: the block is g (x) g^-T
+        inverse_t = linalg.transpose(linalg.inverse(g))
+        block = linalg._Scaled.of(g).kron(linalg._Scaled.of(inverse_t)).fractions()
+        n = self.m * self.m
         dim = self.dim
         rows = []
         for t in range(self.count):
@@ -128,21 +118,16 @@ class ConjugationTuples(Representation):
                 rows.append(tuple(row))
         return tuple(rows)
 
-    def _action(self, g: Mat, g_inverse: Mat | None) -> tuple:
-        """g and g^-1 scaled to integer matrices, and the product of the
-        scales."""
-        gi, s = linalg._integer_matrix(g)
-        ginv, t = linalg._integer_matrix(linalg.inverse(g) if g_inverse is None else g_inverse)
-        return gi, ginv, s * t
+    def _action(self, g: linalg._Scaled, inverse: linalg._Scaled) -> tuple:
+        return g, inverse
 
-    def _apply(self, g: Mat, data: tuple, coords: Vec) -> Vec:
-        gi, ginv, scale = data
+    def _apply(self, data: tuple, coords: Vec) -> Vec:
+        g, inverse = data
         m = self.m
         out: list[Fraction] = []
         for t in range(0, len(coords), m * m):
-            h, u = linalg._integer_matrix(tuple(coords[t + i * m : t + (i + 1) * m] for i in range(m)))
-            moved = linalg._integer_mat_mul(linalg._integer_mat_mul(gi, h), ginv)
-            for row in linalg._divided(moved, scale * u):
+            h = linalg._Scaled.of(tuple(coords[t + i * m : t + (i + 1) * m] for i in range(m)))
+            for row in (g @ h @ inverse).fractions():
                 out.extend(row)
         return tuple(out)
 
@@ -211,14 +196,12 @@ class SymPower(Representation):
         return tuple(Character((d - j, j)) for j in range(d + 1))
 
     def act_matrix(self, g: Mat) -> Mat:
-        return linalg._divided(*self._action(g, None))
+        return self._action(linalg._Scaled.of(g), None).fractions()
 
-    def _action(self, g: Mat, g_inverse: Mat | None) -> tuple:
-        """The action matrix of s g, for g scaled to the integer matrix s g,
-        and its scale s^d: the entries are forms of degree d in g."""
+    def _action(self, g: linalg._Scaled, inverse: linalg._Scaled | None) -> linalg._Scaled:
+        """The action matrix, whose entries are forms of degree d in g."""
         # g.x = g00 x + g10 y, g.y = g01 x + g11 y; expand (g.x)^{d-j} (g.y)^j.
-        gi, s = linalg._integer_matrix(g)
-        (a, b), (c, e) = gi
+        (a, b), (c, e) = g.rows
         d = self.degree
         cols = []
         for j in range(d + 1):
@@ -227,12 +210,7 @@ class SymPower(Representation):
                 for k2, c2 in enumerate(_binom_expand(b, e, j)):
                     col[k1 + k2] += c1 * c2
             cols.append(col)
-        return tuple(zip(*cols)), s**d
-
-    def _apply(self, g: Mat, data: tuple, coords: Vec) -> Vec:
-        a, scale = data
-        v, u = linalg._integer_terms(linalg._terms(coords), len(coords))
-        return tuple(Fraction(x, scale * u) if x else ZERO for x in linalg._integer_mat_vec(a, v))
+        return g.homogeneous(tuple(zip(*cols)), d)
 
     def monomial(self, j: int, coeff=1) -> "Point":
         coords = [Fraction(0)] * self.dim
@@ -283,15 +261,14 @@ class DirectSum(Representation):
             offset += p.dim
         return tuple(rows)
 
-    def _action(self, g: Mat, g_inverse: Mat | None) -> tuple:
-        g_inverse = linalg.inverse(g) if g_inverse is None else g_inverse
-        return tuple(p._action(g, g_inverse) for p in self.parts)
+    def _action(self, g: linalg._Scaled, inverse: linalg._Scaled) -> tuple:
+        return tuple(p._action(g, inverse) for p in self.parts)
 
-    def _apply(self, g: Mat, data: tuple, coords: Vec) -> Vec:
+    def _apply(self, data: tuple, coords: Vec) -> Vec:
         out: list[Fraction] = []
         offset = 0
         for p, part_data in zip(self.parts, data):
-            out.extend(p._apply(g, part_data, coords[offset : offset + p.dim]))
+            out.extend(p._apply(part_data, coords[offset : offset + p.dim]))
             offset += p.dim
         return tuple(out)
 
@@ -348,8 +325,7 @@ def support(v: Point, frame: Mat | None = None) -> frozenset[Character]:
     if frame is None:
         w = v
     else:
-        frame = linalg.mat(frame)
-        w = rep._act(linalg.inverse(frame), v, frame)
+        w = rep._act(linalg.inverse(linalg.mat(frame)), v)
     return frozenset(
         chi for chi, c in zip(rep.weights, w.coords) if c != 0
     )
@@ -360,7 +336,7 @@ def grade(v: Point, lam: Cocharacter) -> Grading:
     rep = v.rep
     if lam.group != rep.group:
         raise DimensionError("cocharacter and representation have different groups")
-    transported = rep._act(lam.base_inverse, v, lam.base)
+    transported = rep._act(lam.base_inverse, v)
     buckets: dict[int, list[Fraction]] = {}
     for idx, (chi, c) in enumerate(zip(rep.weights, transported.coords)):
         if c == 0:
@@ -369,7 +345,7 @@ def grade(v: Point, lam: Cocharacter) -> Grading:
         bucket = buckets.setdefault(n, [Fraction(0)] * rep.dim)
         bucket[idx] = c
     components = {
-        n: rep._act(lam.base, Point(rep, tuple(flat)), lam.base_inverse)
+        n: rep._act(lam.base, Point(rep, tuple(flat)))
         for n, flat in buckets.items()
     }
     return Grading(v, lam, components)

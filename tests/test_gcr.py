@@ -533,10 +533,10 @@ def test_centralizer_dim_matches_dense_reference_on_corpus_and_projections():
     dims = set()
     for h in subgroup_corpus(1, 64):
         tuples = [h.generators]
-        for lam, tmats, scales, _ in instability._frame_cocharacters(h.generators, corpus_config(h.group)):
+        for lam, moved, _ in instability._frame_cocharacters(h.generators, corpus_config(h.group)):
             # the moved tuple's Levi projection, back on its own scale
-            projected = [linalg._divided(_limit_pattern(x, lam.torus.exponents), s) for x, s in zip(tmats, scales)]
-            if projected != [linalg._divided(x, s) for x, s in zip(tmats, scales)] and projected not in tuples:
+            projected = [linalg._Scaled(_limit_pattern(t.rows, lam.torus.exponents), t.scale).fractions() for t in moved]
+            if projected != [t.fractions() for t in moved] and projected not in tuples:
                 tuples.append(projected)
             if len(tuples) == 6:
                 break

@@ -637,9 +637,9 @@ def test_integer_kernel_matches_fraction_reference(monkeypatch):
         reference_systems.append((tuple(map(_line, rows)), _line(top)))
         return kkt(q, rows, top, bottom)
 
-    def recording_integer_kkt(q, sigma, rows, top):
+    def recording_integer_kkt(q, rows, top):
         integer_systems.append((tuple(map(_line, rows)), _line(top)))
-        return integer_kkt(q, sigma, rows, top)
+        return integer_kkt(q, rows, top)
 
     monkeypatch.setattr(sys.modules[__name__], "_kkt_solve", recording_kkt)
     monkeypatch.setattr(instability, "_kkt_solve", recording_integer_kkt)
@@ -1393,31 +1393,31 @@ def test_moved_tuples_match_fraction_products():
             cfg = corpus_config(h.group)
             mats = _twisted(h.generators, rng)
             moved = list(instability._moved_tuples(mats, cfg))
-            assert [(f, inv) for f, inv, _, _, _ in moved] == list(zip(cfg.conjugation_family, cfg._frame_inverses))
-            for frame, inv, _, tmats, scales in moved:
-                assert all(type(x) is int for t in tmats for row in t for x in row)
-                assert all(type(s) is int and s > 0 for s in scales)
+            assert [(f, inv) for f, inv, _, _ in moved] == list(zip(cfg.conjugation_family, cfg._frame_inverses))
+            for frame, inv, _, tmats in moved:
+                assert all(type(x) is int for t in tmats for row in t.rows for x in row)
+                assert all(type(t.scale) is int and t.scale > 0 for t in tmats)
                 expected = [linalg.mat_mul(linalg.mat_mul(inv, g), frame) for g in mats]
-                assert [linalg._divided(t, s) for t, s in zip(tmats, scales)] == expected
+                assert [t.fractions() for t in tmats] == expected
                 tori += 1
     assert tori >= 120 * 7, tori
 
 
 def test_value_at_two_is_lambda_of_two():
-    # the integer pair (P, c) is lambda(2) = c P, also where a cocharacter
-    # is met again in another torus
+    # the pair (x, l) is lambda(2) = 2^l x, also where a cocharacter is met
+    # again in another torus
     recurred = 0
     for group in (GL2, GL3, GroupSpec.make(("GL", 2), ("SL", 2))):
         cfg = SearchConfig.default(group, shear_values=(-2, F(-1, 2), 1, 2))
         values = {}
-        for frame, inv, base in zip(cfg.conjugation_family, cfg._frame_inverses, cfg._integer_bases):
+        for frame, inv, base in zip(cfg.conjugation_family, cfg._frame_inverses, cfg._scaled_bases):
             for d in admissible_exponents(group, 3, set()):
                 at_two = Cocharacter._on_frame(group, frame, inv, d).evaluate(2)
-                p, c = instability._value_at_two(base, d)
-                assert linalg.mat_scale(c, p) == at_two and c > 0
-                assert gcd(*(x for row in p for x in row)) == 1
-                values.setdefault((p, c), set()).add(at_two)
+                x, low = instability._value_at_two(base, d)
+                assert linalg.mat_scale(F(2) ** low, x.fractions()) == at_two and low == min(d)
+                values.setdefault((x, low), set()).add(at_two)
         assert all(len(v) == 1 for v in values.values())
+        assert len(values) == len(set().union(*values.values()))  # one key per lambda(2)
         recurred += len(cfg.conjugation_family) * len(admissible_exponents(group, 3, set())) - len(values)
     assert recurred > 0
 
@@ -1731,10 +1731,9 @@ def test_default_tori_match_weyl_shear_family():
             if _gl_only(group):
                 assert cfg.conjugation_family == _first_per_torus(frames), (shape, values)
             assert cfg._frame_inverses == tuple(map(linalg.inverse, cfg.conjugation_family))
-            for inv_int, frame_int, den in cfg._integer_bases:  # frame inv = I, scaled by den
-                m = group.dimension
-                assert linalg._integer_mat_mul(frame_int, inv_int) == tuple(tuple(den * (i == j) for j in range(m)) for i in range(m))
-            assert cfg._integer_bases is cfg._integer_bases  # built once
+            for inv_s, frame_s in cfg._scaled_bases:  # frame inv = I
+                assert frame_s @ inv_s == linalg._Scaled.of(linalg.identity(group.dimension))
+            assert cfg._scaled_bases is cfg._scaled_bases  # built once
     # a given family keeps its first frame per torus, the identity first
     cfg, frames = _torus_families()["gl3-scaled"]
     assert cfg.conjugation_family == _first_per_torus(frames) == frames[:2]

@@ -7,7 +7,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from destab import linalg
+from destab import GroupSpec, linalg
+from destab.errors import DomainError
 
 
 def test_rref_and_rank():
@@ -103,17 +104,73 @@ def test_integer_product_matches_dense_reference():
         pairs.append((a, b))
     pairs += [(linalg.zeros(2, 3), linalg.identity(3)), (linalg.identity(2), linalg.zeros(2, 4)), ((), ())]
     for a, b in pairs:
-        (ai, s), (bi, t) = linalg._integer_matrix(a), linalg._integer_matrix(b)
-        assert s == lcm(1, *[x.denominator for row in a for x in row])
-        assert all(type(x) is int for row in ai + bi for x in row)
-        assert linalg._divided(ai, s) == a and linalg._divided(bi, t) == b
-        product = linalg._divided(linalg._integer_mat_mul(ai, bi), s * t)
+        sa, sb = linalg._Scaled.of(a), linalg._Scaled.of(b)
+        assert sa.scale == lcm(1, *[x.denominator for row in a for x in row])
+        assert all(type(x) is int for row in sa.rows + sb.rows for x in row)
+        assert sa.fractions() == a and sb.fractions() == b
+        product = (sa @ sb).fractions()
         assert product == _dense_mat_mul(a, b) == linalg.mat_mul(a, b)
         assert all(type(x) is F for row in linalg.mat_mul(a, b) for x in row)
     entries = [x for a, b in pairs for row in a + b for x in row]
     assert any(abs(x.numerator) > 2**64 for x in entries)
     with pytest.raises(linalg.DimensionMismatch):
-        linalg._integer_mat_mul(((1, 2),), ((1, 2),))
+        linalg._Scaled(((1, 2),), 1) @ linalg._Scaled(((1, 2),), 1)
+
+
+def _fraction_mat_vec(a, v):
+    """Reference: the Fraction loop for a matrix times a vector."""
+    return tuple(sum((x * y for x, y in zip(row, v)), F(0)) for row in a)
+
+
+def test_scaled_value_matches_fraction_references():
+    # denominators 2, 3 and 6, zero rows and columns, entries above 2^64
+    rng = random.Random(26)
+
+    def entry():
+        if rng.random() < 0.3:
+            return F(0)
+        if rng.random() < 0.2:
+            return F(rng.choice((-1, 1)) * rng.randint(2**64, 2**70), rng.choice((1, 2, 3, 6)))
+        return F(rng.randint(-9, 9), rng.choice((1, 2, 3, 6)))
+
+    def draw(n, m):
+        a = [[entry() for _ in range(m)] for _ in range(n)]
+        if rng.random() < 0.3:
+            a[rng.randrange(n)] = [F(0)] * m
+        if rng.random() < 0.3:
+            j = rng.randrange(m)
+            for row in a:
+                row[j] = F(0)
+        return linalg.mat(a)
+
+    seen = dict(scales=set(), unequal=0, huge=0)
+    for _ in range(200):
+        n, k, m = rng.randint(1, 5), rng.randint(1, 5), rng.randint(1, 5)
+        a, b = draw(n, k), draw(k, m)
+        sa, sb = linalg._Scaled.of(a), linalg._Scaled.of(b)
+        # canonical: the lcm of the denominators, and no factor shared by
+        # the scale and every entry
+        assert sa.scale == lcm(*[x.denominator for row in a for x in row])
+        assert gcd(sa.scale, *[x for row in sa.rows for x in row]) == 1
+        assert sa.fractions() == a and linalg._Scaled.of(sa.fractions()) == sa
+        product = sa @ sb
+        assert product.scale == sa.scale * sb.scale
+        assert product.fractions() == _dense_mat_mul(a, b)
+        # equal matrices at different scales: equal values with equal hashes
+        canonical = linalg._Scaled.of(product.fractions())
+        assert canonical == product and hash(canonical) == hash(product)
+        seen["scales"].add(canonical.scale == product.scale)
+        doubled = linalg._Scaled(tuple(tuple(3 * x for x in row) for row in sa.rows), 3 * sa.scale)
+        assert doubled == sa and hash(doubled) == hash(sa) and not doubled != sa
+        other = draw(n, k)
+        assert (linalg._Scaled.of(other) == sa) == (other == a)
+        seen["unequal"] += other != a
+        v = tuple(entry() for _ in range(k))
+        moved = sa.apply(v)
+        assert moved == _fraction_mat_vec(a, v) == linalg.mat_vec(a, v)
+        assert all(type(x) is F for x in moved)
+        seen["huge"] += any(abs(x.numerator) > 2**64 for row in a for x in row)
+    assert seen["scales"] == {True, False} and seen["unequal"] > 100 and seen["huge"] > 50
 
 
 def test_singular_inverse_raises():
@@ -485,7 +542,7 @@ def test_integer_rref_matches_fraction_kernel():
         assert rows == ref
         assert all(type(x) is F for row in rows for x in row)
         ints = [linalg._integer_row(row) for row in a]
-        pivots = linalg._reduce(ints)
+        pivots = linalg._reduce(ints)[0]
         assert all(ints[r][c] > 0 for r, c in enumerate(pivots))
         assert not any(any(row) for row in ints[len(pivots) :])
 
@@ -532,7 +589,7 @@ def test_integer_det_and_echelon_match_fraction_kernel():
             dets.add(d != 0)
         echelon, reference = [], []
         for row in a:
-            # the leading entry of the reduced row, read as det reads it
+            # the leading entry of the reduced row, over its scale
             w, s, t = linalg._echelon_reduce(echelon, row)
             lead = next((F(x * t, s) for x in w if x), None)
             assert lead == _fraction_echelon_add(reference, row)
@@ -557,16 +614,41 @@ def _rref_inverse(a):
     return tuple(tuple(rows[i][n:]) for i in range(n))
 
 
+def _echelon_det(a):
+    """Reference: the signed product of the leading entries met while
+    building an echelon basis of the rows, as ``det`` computed it before it
+    shared the reduction of ``inverse``.  A row comes back reduced and
+    scaled by s/t, so its leading entry is lead t / s."""
+    echelon = []
+    num = den = 1
+    for row in a:
+        w, s, t = linalg._echelon_reduce(echelon, row)
+        lead = next((x for x in w if x), 0)
+        if not lead:
+            return linalg.ZERO
+        echelon.append(linalg._pivot_terms(w))
+        num *= lead * t
+        den *= s
+    pivots = [terms[0][0] for terms in echelon]
+    inversions = sum(p > q for k, p in enumerate(pivots) for q in pivots[k + 1 :])
+    return F(-num if inversions % 2 else num, den)
+
+
 def test_inverse_and_determinant_from_one_reduction_match_references():
     # square matrices of the kernel's seeded kinds, singular ones included,
-    # and frames: signed permutations times shears
+    # frames (signed permutations times shears), row swaps, and an SL_2
+    # block with determinant 2
     square = [a for seed in (31, 32) for a in _kernel_matrices(seed) if len(a) == len(a[0])]
     square += [linalg.mat_mul(p, s) for p in (linalg.mat([[0, -1, 0], [0, 0, 1], [1, 0, 0]]), linalg.identity(3))
                for s in (linalg.mat([[1, 0, 0], [0, 1, 0], [F(-1, 2), 0, 1]]), linalg.identity(3))]
+    swaps = [linalg.mat([[0, 1], [1, 0]]), linalg.mat([[0, F(1, 2), 0], [0, 0, 3], [F(-2, 3), 0, 0]]),
+             linalg.mat([[0, 0, 1, 0], [0, 0, 0, 2], [1, 0, 0, 0], [0, 1, 0, 0]])]
+    sl_block = linalg.mat([[2, 1], [0, 1]])
+    square += swaps + [sl_block, linalg.mat([[0, 2], [0, 5]])]
     singular = 0
     for a in square:
         inv, d = linalg._inverse_det(a)
-        assert d == _dense_det(a) == linalg.det(a)
+        assert d == _dense_det(a) == _echelon_det(a) == linalg.det(a)
         assert inv == _rref_inverse(a)
         if inv is None:
             singular += 1
@@ -575,3 +657,9 @@ def test_inverse_and_determinant_from_one_reduction_match_references():
         else:
             assert linalg.inverse(a) == inv and linalg.mat_mul(a, inv) == linalg.identity(len(a))
     assert singular >= 5 and len(square) - singular >= 20
+    assert [linalg.det(a) for a in swaps] == [-1, -1, 2] and linalg.det(sl_block) == 2
+    sl2 = GroupSpec.make(("SL", 2))
+    with pytest.raises(DomainError, match="acting element is not in the group"):
+        sl2._member_inverse(sl_block, "acting element")
+    member = linalg.mat([[F(1, 2), 1], [F(-1, 2), 1]])
+    assert sl2._member_inverse(member, "x") == linalg.inverse(member)

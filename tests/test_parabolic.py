@@ -358,8 +358,8 @@ def test_conjugator_system_matches_entrywise_reference():
         else:
             lam = random_cocharacter(rng, group)
             v_prime = rep.act(random_radical_element(rng, lam), v)
-        hs = [parabolic._transport(g, lam) for g in rep.matrices(v)]
-        hs_prime = [parabolic._transport(g, lam) for g in rep.matrices(v_prime)]
+        hs = [lam._to_frame(g) for g in rep.matrices(v)]
+        hs_prime = [lam._to_frame(g) for g in rep.matrices(v_prime)]
         free = parabolic._radical_positions(lam)
         rows, rhs = parabolic._conjugator_system(hs, hs_prime, free)
         dense = []

@@ -260,6 +260,42 @@ def test_act_matches_action_matrix_on_seeded_inputs():
     assert checked == 206
 
 
+def test_act_memo_keys_on_the_scaled_value(monkeypatch):
+    # _act agrees with the action matrix; equal matrices built from
+    # distinct Fraction objects hit one memo entry, checked and inverted by
+    # one reduction; the identity moves nothing
+    rng = random.Random(71)
+    reps = [
+        ConjugationTuples(GL2, 2),
+        ConjugationTuples(SL2, 1),
+        ConjugationTuples(GL3, 1),
+        SymPower(SL2, 4),
+        SymPower(GL2, 3),
+        DirectSum((SymPower(GL2, 3), ConjugationTuples(GL2, 1))),
+    ]
+    reductions = []
+    member_inverse = GroupSpec._member_inverse
+
+    def counted(group, g, what="element"):
+        reductions.append(g)
+        return member_inverse(group, g, what)
+
+    monkeypatch.setattr(GroupSpec, "_member_inverse", counted)
+    for rep in reps:
+        elements = _acting_elements(rng, rep.group) + [rep.group.identity()]
+        reductions.clear()
+        for g in elements:
+            v = _random_point(rng, rep)
+            expected = linalg.mat_vec(rep.act_matrix(g), v.coords)
+            assert rep._act(g, v).coords == expected
+            copy = tuple(tuple(F(x.numerator, x.denominator) for x in row) for row in g)
+            assert copy == g and all(x is not y for r, q in zip(copy, g) for x, y in zip(r, q) if x)
+            assert rep._act(copy, v).coords == expected
+        assert len(rep._act_memo) == len(reductions) == len(set(elements))
+        v = _random_point(rng, rep)
+        assert rep._act(rep.group.identity(), v) is v
+
+
 def test_act_rejects_a_non_member_on_every_call():
     sl2_tuple = ConjugationTuples(SL2, 2)
     v = sl2_tuple.point([[[1, 2], [0, 1]], [[0, 1], [1, 0]]])
