@@ -157,7 +157,7 @@ def random_point_with_limit(
             coords.append(Fraction(0))
         else:
             coords.append(_rand_fraction(rng) if rng.random() < 0.7 else Fraction(0))
-    return rep.act(lam.base, Point(rep, tuple(coords)))
+    return rep._act(lam._frame, Point(rep, tuple(coords)))
 
 
 def random_point(rng: random.Random, rep: Representation) -> Point:

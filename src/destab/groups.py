@@ -8,7 +8,6 @@ optionally conjugated by a rational base point.
 
 from __future__ import annotations
 
-import functools
 import itertools
 import operator
 from dataclasses import dataclass, field
@@ -145,6 +144,13 @@ class GroupSpec:
                 return tuple(map(tuple, inverse))
         raise DomainError(f"{what} is not in the group")
 
+    def _checked_pair(self, g: Mat, what: str = "element") -> tuple:
+        """The checked pair (g, g^-1) of an exact matrix g as scaled values,
+        after ``_member_inverse`` has checked g and inverted it.  Code that
+        holds the pair moves points and matrices by g or g^-1 without
+        checking or inverting g again."""
+        return linalg._Scaled.of(g), linalg._Scaled.of(self._member_inverse(g, what))
+
     def weyl_representatives(self) -> tuple[Mat, ...]:
         """One rational representative per Weyl group element.
 
@@ -263,16 +269,20 @@ class TorusCocharacter:
 
 @dataclass(frozen=True)
 class Cocharacter:
-    """A conjugated torus cocharacter g . lambda_d . g^{-1}."""
+    """A conjugated torus cocharacter g . lambda_d . g^{-1}.
+
+    The base is checked and inverted once, and kept as its checked pair
+    (``GroupSpec._checked_pair``).
+    """
 
     base: Mat
     torus: TorusCocharacter
-    _base_inv: Mat = field(init=False, repr=False, compare=False)
+    _frame: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         base = linalg.mat(self.base)
         object.__setattr__(self, "base", base)
-        object.__setattr__(self, "_base_inv", self.group._member_inverse(base, "cocharacter base"))
+        object.__setattr__(self, "_frame", self.group._checked_pair(base, "cocharacter base"))
 
     @property
     def group(self) -> GroupSpec:
@@ -280,7 +290,7 @@ class Cocharacter:
 
     @property
     def base_inverse(self) -> Mat:
-        return self._base_inv
+        return self._frame[1].fractions()
 
     @property
     def is_zero(self) -> bool:
@@ -288,19 +298,21 @@ class Cocharacter:
 
     @staticmethod
     def standard(group: GroupSpec, exponents) -> "Cocharacter":
-        return Cocharacter(group.identity(), TorusCocharacter(group, tuple(exponents)))
+        ident = group.identity()  # a member of every group, and its own inverse
+        one = linalg._Scaled.of(ident)
+        return Cocharacter._on_frame(group, ident, (one, one), exponents)
 
     @staticmethod
     def based(group: GroupSpec, base, exponents) -> "Cocharacter":
         return Cocharacter(linalg.mat(base), TorusCocharacter(group, tuple(exponents)))
 
     @staticmethod
-    def _on_frame(group: GroupSpec, frame: Mat, frame_inverse: Mat, exponents) -> "Cocharacter":
-        """``based`` on a frame its caller has already checked and inverted."""
+    def _on_frame(group: GroupSpec, frame: Mat, pair: tuple, exponents) -> "Cocharacter":
+        """``based`` on a frame given with its checked pair."""
         lam = object.__new__(Cocharacter)
         object.__setattr__(lam, "base", frame)
         object.__setattr__(lam, "torus", TorusCocharacter(group, tuple(exponents)))
-        object.__setattr__(lam, "_base_inv", frame_inverse)
+        object.__setattr__(lam, "_frame", pair)
         return lam
 
     def conjugated_by(self, g: Mat) -> "Cocharacter":
@@ -312,19 +324,14 @@ class Cocharacter:
     def evaluate(self, a) -> Mat:
         return self._from_frame(self.torus.evaluate(a))
 
-    @functools.cached_property
-    def _scaled_frame(self) -> tuple:
-        """The base and its inverse as scaled values."""
-        return linalg._Scaled.of(self.base), linalg._Scaled.of(self._base_inv)
-
     def _to_frame(self, g: Mat) -> Mat:
         """base^-1 g base: g moved into the frame of the base."""
-        base, inverse = self._scaled_frame
+        base, inverse = self._frame
         return (inverse @ linalg._Scaled.of(g) @ base).fractions()
 
     def _from_frame(self, x: Mat) -> Mat:
         """base x base^-1: x moved out of the frame of the base."""
-        base, inverse = self._scaled_frame
+        base, inverse = self._frame
         return (base @ linalg._Scaled.of(x) @ inverse).fractions()
 
 
@@ -422,8 +429,7 @@ def fold_permutation_base(lam: Cocharacter) -> Cocharacter:
     exps = [0] * m
     for j in range(m):
         exps[perm[j]] = lam.torus.exponents[j]
-    ident = lam.group.identity()  # a member of every group, and its own inverse
-    return Cocharacter._on_frame(lam.group, ident, ident, exps)
+    return Cocharacter.standard(lam.group, exps)
 
 
 def weyl_conjugate(w, lam: TorusCocharacter) -> TorusCocharacter:

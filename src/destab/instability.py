@@ -30,9 +30,12 @@ one base frame each, and is never claimed complete; ``oracle_mode``
 re-derives the optimum by brute force over an exponent box as an
 independent check.
 
-The closedness search moves the tuple into each torus as scaled values,
-each generator scaled once and each torus base and its inverse once per
-configuration.  Its entry pattern, its limit and the conjugator equations
+A configuration checks each torus base and inverts it once, and keeps it
+as its checked pair (base, base^-1) of scaled values
+(``GroupSpec._checked_pair``); the optimizer, the value check and the
+closedness search move points and tuples by those pairs, and the
+cocharacters they build hold them.  The closedness search scales each
+generator once.  Its entry pattern, its limit and the conjugator equations
 u h = h' u are homogeneous in the pair (h, h') of one generator, so the
 search reads the integer rows alone.
 """
@@ -73,7 +76,7 @@ from .parabolic import (
     _radical_conjugator,
     classify,
 )
-from .reps import ConjugationTuples, Point, Polynomial, Representation, _composed
+from .reps import ConjugationTuples, Point, Polynomial, Representation, _composed, _frame_weights
 
 # ---------------------------------------------------------------------------
 # Subvarieties
@@ -166,12 +169,12 @@ class SubvarietySpec:
             data = cache[key] = tuple(parts_per_gen)
         return data
 
-    def _composing_frame(self, frame: Mat | None) -> Mat | None:
-        """The frame whose composed generators give the weights of S in it:
-        None for the built-in subvarieties, whose generators span a
-        G-stable space (``_frame_forms``), the frame itself for a custom
-        one."""
-        return frame if self.kind is SubvarietyKind.CUSTOM else None
+    def _composing_frame(self, frame: tuple | None) -> Mat | None:
+        """The frame, given by its checked pair, whose composed generators
+        give the weights of S in it: None for the built-in subvarieties,
+        whose generators span a G-stable space (``_frame_forms``), the
+        frame itself for a custom one."""
+        return frame[0].fractions() if frame is not None and self.kind is SubvarietyKind.CUSTOM else None
 
     def contains_point(self, x: Point) -> bool:
         return all(g.evaluate(x) == 0 for g in self.generators(x.rep))
@@ -222,13 +225,8 @@ class VanishingOrder:
 
 
 def admits_limit(x: Point, lam: Cocharacter) -> bool:
-    rep = x.rep
-    transported = rep._act(lam.base_inverse, x)
     d = lam.torus.exponents
-    return all(
-        c == 0 or pairing_vec(d, chi) >= 0
-        for chi, c in zip(rep.weights, transported.coords)
-    )
+    return all(pairing_vec(d, chi) >= 0 for chi in _frame_weights(x, lam._frame)[1])
 
 
 def admits_limit_set(points, lam: Cocharacter) -> bool:
@@ -241,30 +239,18 @@ def vanishing_order(x: Point, lam: Cocharacter, s: SubvarietySpec) -> VanishingO
 
     It is the least <lambda, chi> over the weights chi of the isotypic
     components of S's generators, composed with lambda's base, that do not
-    vanish at x moved into the base's frame.  For the built-in
-    subvarieties these weights are read from the plain generators, as
-    ``_frame_forms`` reads them: the generators span a G-stable space and
-    the base is in G, so composing with it changes the span but not which
-    weights are nonzero at a point.  A custom subvariety, only spot-checked
-    for stability, composes its generators with the base.  A component is
-    evaluated only when its pairing is below the least order found so far.
+    vanish at x moved into the base's frame: the least pairing over the
+    forms ``_frame_forms`` reads in that frame.
     """
     if not admits_limit(x, lam):
         raise LimitMembershipError("the limit of x along lambda does not exist")
-    rep = x.rep
     if s.contains_point(x):
         return VanishingOrder.infinite()
-    transported = rep._act(lam.base_inverse, x)
-    d = lam.torus.exponents
-    best: int | None = None
-    for parts in s.isotypic_data(rep, s._composing_frame(lam.base)):
-        for chi, component in parts:
-            n = pairing_vec(d, chi)
-            if (best is None or n < best) and component.evaluate(transported) != 0:
-                best = n
-    if best is None:
+    forms = _frame_forms([x], s, lam._frame)[0][1]
+    if not forms:
         raise InvariantViolation("point outside S with identically vanishing generators")
-    return VanishingOrder(best)
+    d = lam.torus.exponents
+    return VanishingOrder(min(pairing_vec(d, chi) for chi in forms))
 
 
 # ---------------------------------------------------------------------------
@@ -400,7 +386,16 @@ def nearest_point_interior(points, gram: Mat | None = None) -> Vec:
     n = len(pts[0])
     if any(len(p) != n for p in pts):
         raise DimensionError("points must share a dimension")
-    q = gram if gram is not None else linalg.identity(n)
+    if gram is None:
+        q = linalg.identity(n)
+    else:
+        if len(gram) != n or any(len(row) != n for row in gram):
+            raise DimensionError("Gram matrix size must equal the points' dimension")
+        q = linalg.mat(gram)
+        if not linalg.is_symmetric(q):
+            raise DomainError("Gram matrix must be symmetric")
+        if not linalg.is_positive_definite(q):
+            raise DomainError("Gram matrix must be positive definite")
     d = min_qnorm_over_polyhedron(q, [(linalg.mat_vec(q, p), Fraction(1)) for p in pts], [])
     if d is None:
         return (Fraction(0),) * n
@@ -426,9 +421,11 @@ class TorusOptimum:
         return self.value_sq is None
 
 
-def _frame_forms(points, s: SubvarietySpec, frame: Mat | None, frame_inverse: Mat | None = None):
-    """Per point moved into the frame: its support weights, and the weights
-    of the isotypic components of S's generators that do not vanish on it.
+def _frame_forms(points, s: SubvarietySpec, frame: tuple | None):
+    """Per point moved into the frame of a checked pair (base, base^-1), or
+    left in the standard frame when it is None: its support weights, and
+    the weights of the isotypic components of S's generators that do not
+    vanish on it.
 
     For the built-in subvarieties the linear span W of S's generators is
     G-stable: g . (coordinate form) is a combination of coordinate forms,
@@ -440,19 +437,16 @@ def _frame_forms(points, s: SubvarietySpec, frame: Mat | None, frame_inverse: Ma
     subvariety is only spot-checked for stability, so its generators are
     composed with each frame.
     """
-    rep = points[0].rep
-    if frame is not None:
-        inverse = linalg.inverse(frame) if frame_inverse is None else frame_inverse
-        points = [rep._act(inverse, x) for x in points]
-    iso = s.isotypic_data(rep, s._composing_frame(frame))
+    iso = s.isotypic_data(points[0].rep, s._composing_frame(frame))
     out = []
     for x in points:
+        moved, support = _frame_weights(x, frame)
         forms: set[Character] = set()
         for parts in iso:
             for chi, component in parts:
-                if chi not in forms and component.evaluate(x) != 0:
+                if chi not in forms and component.evaluate(moved) != 0:
                     forms.add(chi)
-        out.append(([chi for chi, c in zip(rep.weights, x.coords) if c != 0], forms))
+        out.append((support, forms))
     return out
 
 
@@ -470,8 +464,9 @@ def optimize_torus(
     points = list(points)
     if not points:
         raise PreconditionError("the point set must be nonempty")
-    group = group if group is not None else points[0].rep.group
-    return _torus_optimum(_frame_forms(points, s, frame), group)
+    acting = points[0].rep.group
+    pair = None if frame is None else acting._checked_pair(linalg.mat(frame), "acting element")
+    return _torus_optimum(_frame_forms(points, s, pair), group if group is not None else acting)
 
 
 def _torus_optimum(per_point, group: GroupSpec) -> TorusOptimum | None:
@@ -513,32 +508,32 @@ def _torus_optimum(per_point, group: GroupSpec) -> TorusOptimum | None:
 # Search configuration and global optimization
 
 
-def _torus_key(frame: Mat) -> frozenset:
-    """The lines of the columns of an invertible frame, in integers: two
-    frames span one maximal torus exactly when their keys are equal."""
-    return frozenset(map(linalg._line, zip(*linalg._Scaled.of(frame).rows)))
+def _torus_key(frame: linalg._Scaled) -> frozenset:
+    """The lines of the columns of an invertible frame, given by its scaled
+    value, in integers: two frames span one maximal torus exactly when
+    their keys are equal."""
+    return frozenset(map(linalg._line, zip(*frame.rows)))
 
 
-def _torus_bases(frames, group: GroupSpec) -> tuple[tuple[Mat, ...], tuple[Mat, ...]]:
+def _torus_bases(frames, group: GroupSpec) -> tuple[tuple[Mat, ...], tuple[tuple, ...]]:
     """The first frame of each maximal torus the frames span, with its
-    inverse, checking that every frame is in the group.
+    checked pair, checking that every frame is in the group.
 
     Two invertible frames span the same maximal torus exactly when
     frame' = frame . P with P monomial, that is when their columns agree
     up to order and nonzero scalars; so the tori are read off the lines of
-    the columns (``_torus_key``).  One reduction per block gives the
-    frame's membership and its inverse.
+    the columns (``_torus_key``).
     """
     seen: set[frozenset] = set()
-    bases, inverses = [], []
+    bases, pairs = [], []
     for frame in frames:
-        inverse = group._member_inverse(frame, "conjugation family element")
-        key = _torus_key(frame)
+        pair = group._checked_pair(frame, "conjugation family element")
+        key = _torus_key(pair[0])
         if key not in seen:
             seen.add(key)
             bases.append(frame)
-            inverses.append(inverse)
-    return tuple(bases), tuple(inverses)
+            pairs.append(pair)
+    return tuple(bases), tuple(pairs)
 
 
 @dataclass(frozen=True)
@@ -549,9 +544,9 @@ class SearchConfig:
     cocharacter lies in a maximal torus, and a frame f spans the torus
     f T f^-1 of the diagonal torus T.  The family is kept as one base frame
     per maximal torus, the first frame of the given family that spans it,
-    together with its inverse, and both as scaled values for the closedness
-    search (``_scaled_bases``); the identity is put first when
-    the family lacks it.  Another frame of a torus is f . P with P
+    and the searches move points by its checked pair (base, base^-1)
+    (``_frames``); the identity is put first when the family lacks it.
+    Another frame of a torus is f . P with P
     monomial, and admissibility, the weak orderings, the norm and the
     exponent box are all invariant under the permutation of coordinates P
     makes (``Norm.check_invariance``), so such a frame adds no cocharacter
@@ -564,7 +559,7 @@ class SearchConfig:
     conjugation_family: tuple[Mat, ...] = ()
     oracle_mode: bool = False
     normalizer_samples: tuple[Mat, ...] = ()
-    _frame_inverses: tuple[Mat, ...] = field(init=False, repr=False, compare=False)
+    _frames: tuple[tuple, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.exponent_box < 1:
@@ -573,20 +568,12 @@ class SearchConfig:
         ident = self.group.identity()
         if ident not in family:
             family.insert(0, ident)
-        bases, inverses = _torus_bases(family, self.group)
+        bases, pairs = _torus_bases(family, self.group)
         object.__setattr__(self, "conjugation_family", bases)
-        object.__setattr__(self, "_frame_inverses", inverses)
+        object.__setattr__(self, "_frames", pairs)
         object.__setattr__(
             self, "normalizer_samples", tuple(linalg.mat(g) for g in self.normalizer_samples)
         )
-
-    @functools.cached_property
-    def _scaled_bases(self) -> tuple:
-        """Per torus, its base's inverse and its base as scaled values;
-        built on the first closedness search, so a configuration that only
-        optimizes never pays for it."""
-        scaled = linalg._Scaled.of
-        return tuple((scaled(i), scaled(f)) for i, f in zip(self._frame_inverses, self.conjugation_family))
 
     @staticmethod
     def default(
@@ -728,7 +715,7 @@ def optimize(points, s: SubvarietySpec, cfg: SearchConfig) -> OptimizationResult
         )
 
     frames = cfg.conjugation_family
-    forms = [_frame_forms(points, s, f, inv) for f, inv in zip(frames, cfg._frame_inverses)]
+    forms = [_frame_forms(points, s, pair) for pair in cfg._frames]
     outcomes = []
     candidates = []
     for idx, per_point in enumerate(forms):
@@ -755,7 +742,7 @@ def optimize(points, s: SubvarietySpec, cfg: SearchConfig) -> OptimizationResult
     tied = []
     for opt_c, idx in candidates:
         if opt_c.value_sq == best_value:
-            lam_c = Cocharacter._on_frame(group, frames[idx], cfg._frame_inverses[idx], opt_c.exponents)
+            lam_c = Cocharacter._on_frame(group, frames[idx], cfg._frames[idx], opt_c.exponents)
             tied.append((fold_permutation_base(lam_c), opt_c))
     # standard-torus representatives first, then lexicographically smallest
     # exponents, then family order
@@ -922,13 +909,13 @@ def is_cochar_closed(v: Point, cfg: SearchConfig) -> CocharClosedVerdict:
         raise DimensionError("configuration group differs from the representation group")
     examined: list[Cocharacter] = []
     solved: set = set()  # lambda(2) of each cocharacter with a conjugator
-    for lam, moved, base in _frame_cocharacters(rep.matrices(v), cfg):
+    for lam, moved in _frame_cocharacters(rep.matrices(v), cfg):
         examined.append(lam)
         tmats = [t.rows for t in moved]
         limit_t = [_limit_pattern(h, lam.torus.exponents) for h in tmats]
         if limit_t == tmats:
             continue  # the identity conjugator works
-        key = _value_at_two(base, lam.torus.exponents)
+        key = _value_at_two(lam._frame, lam.torus.exponents)
         if key in solved:
             continue
         if _radical_conjugator(tmats, limit_t, lam) is None:
@@ -957,40 +944,40 @@ def _entry_pattern(mats) -> set[tuple[int, int]]:
 
 
 def _moved_tuples(mats, cfg: SearchConfig):
-    """Torus by torus, its base and inverse, their scaled values (an entry
-    of ``SearchConfig._scaled_bases``), and the tuple moved into the base
-    frame, inv h frame for each matrix h, as scaled values.
+    """Torus by torus, its base, its checked pair (an entry of
+    ``SearchConfig._frames``), and the tuple moved into the base frame,
+    base^-1 h base for each matrix h, as scaled values.
 
-    Each matrix is scaled once, and each base and its inverse once per
-    configuration, so a move is two integer products.
+    Each matrix is scaled once, so a move is two integer products.
     """
     scaled = [linalg._Scaled.of(h) for h in mats]
-    for frame, inv, base in zip(cfg.conjugation_family, cfg._frame_inverses, cfg._scaled_bases):
-        inv_s, frame_s = base
-        yield frame, inv, base, [inv_s @ h @ frame_s for h in scaled]
+    for frame, pair in zip(cfg.conjugation_family, cfg._frames):
+        base, inverse = pair
+        yield frame, pair, [inverse @ h @ base for h in scaled]
 
 
 def _frame_cocharacters(mats, cfg: SearchConfig):
     """Torus by torus, each admissible cocharacter whose parabolic contains
-    the tuple, with the tuple moved into the torus's base frame and the
-    base's scaled values, as ``_moved_tuples`` gives them.  Within a torus
-    distinct exponents are distinct cocharacters; one may recur in another
-    torus that contains it."""
-    for frame, inv, base, moved in _moved_tuples(mats, cfg):
+    the tuple, with the tuple moved into the torus's base frame as
+    ``_moved_tuples`` gives it.  Within a torus distinct exponents are
+    distinct cocharacters; one may recur in another torus that contains
+    it."""
+    for frame, pair, moved in _moved_tuples(mats, cfg):
         for exps in admissible_exponents(cfg.group, cfg.exponent_box, _entry_pattern(t.rows for t in moved)):
-            yield Cocharacter._on_frame(cfg.group, frame, inv, exps), moved, base
+            yield Cocharacter._on_frame(cfg.group, frame, pair, exps), moved
 
 
-def _value_at_two(base, d) -> tuple:
-    """lambda(2) for the exponents d on a torus base given by its scaled
-    values (inverse, base), as the pair (x, l) with l = min d and
-    lambda(2) = 2^l x, x a scaled value.  The pair determines lambda(2)
-    and is determined by it: the eigenvalues of lambda(2) are the 2^d_i.
+def _value_at_two(pair, d) -> tuple:
+    """lambda(2) for the exponents d on a torus base given by its checked
+    pair (base, base^-1), as the pair (x, l) with l = min d and
+    lambda(2) = 2^l x, x a scaled value.  The pair (x, l) determines
+    lambda(2) and is determined by it: the eigenvalues of lambda(2) are the
+    2^d_i.
 
-    x is base diag(2^(d - l)) inverse, one integer product, the diagonal a
+    x is base diag(2^(d - l)) base^-1, one integer product, the diagonal a
     shift of the base's columns.
     """
-    inv, frame = base
+    frame, inv = pair
     low = min(d)
     shifted = tuple(tuple(v << (e - low) for v, e in zip(row, d)) for row in frame.rows)
     return frame._replace(rows=shifted) @ inv, low

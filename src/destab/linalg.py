@@ -21,11 +21,11 @@ w by (p/g) w - (f/g) row, where p is the row's pivot, f the entry of w
 below it and g = gcd(p, f), touching only the row's nonzero terms; a row
 that was scaled is made primitive again, so entries grow only with the
 pivots (fraction-free elimination after Bareiss, Math. Comp. 22, 1968).
-One Gauss-Jordan loop, ``_reduce``, serves ``rref``, ``rank``,
-``solve_affine`` and everything built on them, and ``inverse`` and
-``det``, which read the factor it puts on the determinant
-(``_reduced_det``); the same step grows the incremental echelon basis
-(``echelon_add``, ``echelon_contains``, ``in_row_space``).
+One Gauss-Jordan loop, ``_reduce``, serves ``row_space``, ``rank``,
+``nullspace``, the private solver ``_solve_terms`` and everything built on
+them, and ``inverse`` and ``det``, which read the factor it puts on the
+determinant (``_reduced_det``); the same step grows the incremental
+echelon basis (``echelon_add``, ``echelon_contains``, ``in_row_space``).
 Fractions come back only at the end, when a pivot row is divided by its
 pivot.  Every integer row is a positive multiple of the row that
 unit-pivot elimination over Fractions would hold, and the RREF is unique,
@@ -354,21 +354,14 @@ def echelon_contains(echelon: list, v: Sequence[Fraction]) -> bool:
     return not any(_echelon_reduce(echelon, v)[0])
 
 
-def rref(a: Mat) -> tuple[Mat, tuple[int, ...]]:
-    """Reduced row echelon form with zero rows dropped, plus pivot columns."""
-    rows = [list(r) for r in a]
-    pivots = _rref_inplace(rows)
-    kept = tuple(tuple(r) for r in rows[: len(pivots)])
-    return kept, tuple(pivots)
-
-
 def rank(a: Mat) -> int:
     return _rank_terms([_terms(row) for row in a], len(a[0]) if a else 0)
 
 
 def row_space(a: Mat) -> Mat:
     """Canonical (RREF) basis of the row space; equal iff spaces are equal."""
-    return rref(a)[0]
+    rows = [list(r) for r in a]
+    return tuple(tuple(r) for r in rows[: len(_rref_inplace(rows))])
 
 
 def in_row_space(v: Sequence[Fraction], basis_rref: Mat) -> bool:
@@ -376,18 +369,11 @@ def in_row_space(v: Sequence[Fraction], basis_rref: Mat) -> bool:
     return echelon_contains([_pivot_terms(_integer_row(row)) for row in basis_rref], v)
 
 
-def solve_affine(a: Mat, b: Sequence[Fraction]) -> Vec | None:
-    """One exact solution of ``a x = b`` or None if inconsistent.
-
-    Free variables are set to zero, so the answer is deterministic.
-    """
-    m = len(a[0]) if a else 0
-    return _solve_terms([_terms(row) for row in a], [frac(x) for x in b], m)
-
-
 def _solve_terms(rows, rhs: Sequence[Fraction], m: int) -> Vec | None:
-    """``solve_affine`` for a system in m unknowns whose rows are given by
-    their nonzero (column, rational) terms, reduced on integer rows."""
+    """One exact solution of the system in m unknowns whose rows are given
+    by their nonzero (column, rational) terms, with right-hand side rhs, or
+    None if it is inconsistent; reduced on integer rows.  Free variables
+    are set to zero, so the answer is deterministic."""
     ints = [_integer_terms([*terms, (m, b)], m + 1)[0] for terms, b in zip(rows, rhs)]
     pivots = _reduce(ints)[0]
     # a pivot on the right-hand side means inconsistency

@@ -351,4 +351,5 @@ def combine(lam: Cocharacter, mu: Cocharacter, t: int) -> Cocharacter:
     """The cocharacter t*lam + mu for commuting (same-frame) inputs."""
     if lam.base != mu.base:
         raise PreconditionError("cocharacters must share a frame")
-    return Cocharacter(lam.base, lam.torus.scaled(t) + mu.torus)
+    torus = lam.torus.scaled(t) + mu.torus
+    return Cocharacter._on_frame(lam.group, lam.base, lam._frame, torus.exponents)

@@ -8,8 +8,15 @@ applies its (d+1) x (d+1) matrix.  ``act_matrix`` is the action's matrix in
 the basis, the definition the structured actions agree with; polynomials
 are composed with the action through it.  A cocharacter with a base point
 is handled by transporting the point into the standard frame, grading
-there, and transporting back.  The actions run on the scaled values of
-``linalg``, built once per acting element.
+there, and transporting back.
+
+A point is moved by a checked pair (g, g^-1) of ``linalg`` scaled values
+(``GroupSpec._checked_pair``): a cocharacter and a search configuration
+hold the pairs of their frames, so moving a point into a frame or out of
+it neither checks nor inverts the frame again.  Only an element that comes
+from outside (``act``, ``support``, ``composed_with_action``) is checked
+where it enters.  The weights of a point in a frame have one reader,
+``_frame_weights``.
 
 The closed enumeration of kinds (conjugation tuples, symmetric powers of
 the standard 2-dimensional module, adjoint, direct sums) is the documented
@@ -35,11 +42,11 @@ Monomial = tuple[tuple[int, int], ...]  # sorted ((coordinate index, exponent), 
 class Representation:
     """Common interface: ``group``, ``dim``, ``weights``, ``act_matrix``.
 
-    ``act`` checks each new acting element once, inverting it in the same
-    reduction, and keeps what the kind's action needs (``_action``), keyed
-    by the element's scaled value: the element and its inverse for
-    conjugation tuples, the action matrix for any other kind, the parts'
-    data for a direct sum.  A non-member is rejected on every call.
+    ``act`` checks the acting element on every call, so a non-member is
+    always rejected, and acts by its checked pair (``_act``).  ``_act``
+    keeps what the kind's action needs (``_action``), keyed by the pair's
+    first value: the element and its inverse for conjugation tuples, the
+    action matrix for any other kind, the parts' data for a direct sum.
     """
 
     group: GroupSpec
@@ -50,26 +57,20 @@ class Representation:
         raise NotImplementedError
 
     def act(self, g: Mat, point: "Point") -> "Point":
-        return self._act(linalg.mat(g), point)
+        return self._act(self.group._checked_pair(linalg.mat(g), "acting element"), point)
 
-    def _act(self, g: Mat, point: "Point") -> "Point":
-        """``act`` on an exact matrix g."""
+    def _act(self, pair: tuple, point: "Point") -> "Point":
+        """``act`` by a checked pair (g, g^-1); the identity returns the
+        point itself."""
         if point.rep != self:
             raise DimensionError("point belongs to a different representation")
-        data = self._acting(g)
-        return point if data is None else Point(self, self._apply(data, point.coords))
-
-    def _acting(self, g: Mat):
-        """The action data of g, None for the identity, after checking once
-        that g is in the group."""
-        key = linalg._Scaled.of(g)
         memo = self.__dict__.setdefault("_act_memo", {})
+        g = pair[0]
         try:
-            return memo[key]
+            data = memo[g]
         except KeyError:
-            inverse = linalg._Scaled.of(self.group._member_inverse(g, "acting element"))
-            data = memo[key] = None if g == self.group.identity() else self._action(key, inverse)
-            return data
+            data = memo[g] = None if g == linalg._Scaled.of(self.group.identity()) else self._action(*pair)
+        return point if data is None else Point(self, self._apply(data, point.coords))
 
     def _action(self, g: linalg._Scaled, inverse: linalg._Scaled):
         return linalg._Scaled.of(self.act_matrix(g.fractions()))
@@ -321,14 +322,17 @@ def support(v: Point, frame: Mat | None = None) -> frozenset[Character]:
 
     ``frame`` is the base of a cocharacter; None means the standard frame.
     """
-    rep = v.rep
-    if frame is None:
-        w = v
-    else:
-        w = rep._act(linalg.inverse(linalg.mat(frame)), v)
-    return frozenset(
-        chi for chi, c in zip(rep.weights, w.coords) if c != 0
-    )
+    pair = None if frame is None else v.rep.group._checked_pair(linalg.mat(frame), "acting element")
+    return frozenset(_frame_weights(v, pair)[1])
+
+
+def _frame_weights(v: Point, frame: tuple | None) -> tuple[Point, list[Character]]:
+    """v moved into the frame of a checked pair (base, base^-1), base^-1 . v,
+    or v itself when the frame is None, and the weights of the nonzero
+    coordinates of the moved point."""
+    if frame is not None:
+        v = v.rep._act(frame[::-1], v)
+    return v, [chi for chi, c in zip(v.rep.weights, v.coords) if c]
 
 
 def grade(v: Point, lam: Cocharacter) -> Grading:
@@ -336,7 +340,7 @@ def grade(v: Point, lam: Cocharacter) -> Grading:
     rep = v.rep
     if lam.group != rep.group:
         raise DimensionError("cocharacter and representation have different groups")
-    transported = rep._act(lam.base_inverse, v)
+    transported = rep._act(lam._frame[::-1], v)
     buckets: dict[int, list[Fraction]] = {}
     for idx, (chi, c) in enumerate(zip(rep.weights, transported.coords)):
         if c == 0:
@@ -345,7 +349,7 @@ def grade(v: Point, lam: Cocharacter) -> Grading:
         bucket = buckets.setdefault(n, [Fraction(0)] * rep.dim)
         bucket[idx] = c
     components = {
-        n: rep._act(lam.base, Point(rep, tuple(flat)))
+        n: rep._act(lam._frame, Point(rep, tuple(flat)))
         for n, flat in buckets.items()
     }
     return Grading(v, lam, components)
@@ -488,7 +492,7 @@ def _composed(polys, g: Mat) -> tuple[Polynomial, ...]:
     if not polys:
         return ()
     rep = polys[0].rep
-    rep._acting(g)
+    rep.group.require_member(g, "acting element")
     a = rep.act_matrix(g)
     return tuple(f.substitute_linear(a) for f in polys)
 

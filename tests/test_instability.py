@@ -57,7 +57,7 @@ from destab.instability import (
     min_qnorm_over_polyhedron,
 )
 from destab.parabolic import _limit_pattern
-from destab.reps import DirectSum, Point, limit
+from destab.reps import DirectSum, Point, grade, limit
 
 GL2 = GroupSpec.make(("GL", 2))
 GL3 = GroupSpec.make(("GL", 3))
@@ -262,7 +262,7 @@ def _kkt_solve(q: Mat, rows, top, bottom) -> tuple[Vec, Vec] | None:
     system = tuple(tuple(q[i]) + tuple(row[i] for row in rows) for i in range(n)) + tuple(
         tuple(row) + (Fraction(0),) * k for row in rows
     )
-    solution = linalg.solve_affine(system, tuple(top) + tuple(bottom))
+    solution = linalg._solve_terms([linalg._terms(row) for row in system], linalg.vec((*top, *bottom)), n + k)
     return None if solution is None else (solution[:n], solution[n:])
 
 
@@ -436,6 +436,15 @@ def test_nearest_point_rejects_bad_input():
         nearest_point_interior([])
     with pytest.raises(DimensionError):
         nearest_point_interior([(1, 0), (1,)])
+    # the Gram matrix is checked as a norm's is
+    points = [(1, 0), (1, 1)]
+    for gram in ([[1, 0, 0], [0, 1, 0], [0, 0, 1]], [[1]], [[1, 0], [0]], [[1, 0], [0, 1], [0, 0]]):
+        with pytest.raises(DimensionError):
+            nearest_point_interior(points, gram)
+    for gram in ([[1, 0], [0, -1]], [[0, 0], [0, 0]], [[1, 2], [0, 1]], [[1, 2], [2, 1]]):
+        with pytest.raises(DomainError):
+            nearest_point_interior(points, gram)
+    assert nearest_point_interior(points, [[2, 1], [1, 2]]) == (1, 0)  # |(1, t)|^2 = 2 + 2t + 2t^2 on [0, 1]
 
 
 def test_min_qnorm_polyhedron_infeasible():
@@ -1269,6 +1278,14 @@ def _per_frame_family(group, frames):
     return tuple(dict.fromkeys(family))
 
 
+def _frame_pair(frame, inverse=None):
+    """The pair (frame, frame^-1) of scaled values, the inverse taken by
+    ``linalg.inverse`` unless given; None for no frame."""
+    if frame is None:
+        return None
+    return linalg._Scaled.of(frame), linalg._Scaled.of(linalg.inverse(frame) if inverse is None else inverse)
+
+
 def _weyl_shear_family(group, values=()):
     """The frames ``SearchConfig.default`` walked before it generated its
     tori directly: each Weyl representative, alone and composed with each
@@ -1285,9 +1302,10 @@ def _weyl_shear_family(group, values=()):
 def _reference_frame_cocharacters(mats, cfg, frames):
     for frame in frames:
         inv = linalg.inverse(frame)
+        pair = _frame_pair(frame, inv)
         tmats = [linalg.mat_mul(linalg.mat_mul(inv, h), frame) for h in mats]
         for exps in admissible_exponents(cfg.group, cfg.exponent_box, _entry_pattern(tmats)):
-            yield Cocharacter._on_frame(cfg.group, frame, inv, exps), tmats
+            yield Cocharacter._on_frame(cfg.group, frame, pair, exps), tmats
 
 
 def _on_bases(verdict, cfg):
@@ -1393,8 +1411,10 @@ def test_moved_tuples_match_fraction_products():
             cfg = corpus_config(h.group)
             mats = _twisted(h.generators, rng)
             moved = list(instability._moved_tuples(mats, cfg))
-            assert [(f, inv) for f, inv, _, _ in moved] == list(zip(cfg.conjugation_family, cfg._frame_inverses))
-            for frame, inv, _, tmats in moved:
+            assert [(f, pair) for f, pair, _ in moved] == list(zip(cfg.conjugation_family, cfg._frames))
+            for frame, pair, tmats in moved:
+                inv = linalg.inverse(frame)
+                assert pair == _frame_pair(frame, inv)
                 assert all(type(x) is int for t in tmats for row in t.rows for x in row)
                 assert all(type(t.scale) is int and t.scale > 0 for t in tmats)
                 expected = [linalg.mat_mul(linalg.mat_mul(inv, g), frame) for g in mats]
@@ -1410,10 +1430,10 @@ def test_value_at_two_is_lambda_of_two():
     for group in (GL2, GL3, GroupSpec.make(("GL", 2), ("SL", 2))):
         cfg = SearchConfig.default(group, shear_values=(-2, F(-1, 2), 1, 2))
         values = {}
-        for frame, inv, base in zip(cfg.conjugation_family, cfg._frame_inverses, cfg._scaled_bases):
+        for frame, pair in zip(cfg.conjugation_family, cfg._frames):
             for d in admissible_exponents(group, 3, set()):
-                at_two = Cocharacter._on_frame(group, frame, inv, d).evaluate(2)
-                x, low = instability._value_at_two(base, d)
+                at_two = Cocharacter.based(group, frame, d).evaluate(2)
+                x, low = instability._value_at_two(pair, d)
                 assert linalg.mat_scale(F(2) ** low, x.fractions()) == at_two and low == min(d)
                 values.setdefault((x, low), set()).add(at_two)
         assert all(len(v) == 1 for v in values.values())
@@ -1542,7 +1562,7 @@ def _reference_optimize(points, s, cfg, frames):
             TRIVIAL, zero, None, _whole_group_descriptor(group), cert, cfg.oracle_mode
         )
 
-    frame_forms = [_frame_forms(points, s, frame) for frame in frames]
+    frame_forms = [_frame_forms(points, s, _frame_pair(frame)) for frame in frames]
     outcomes = []
     candidates = []
     for idx, (frame, per_point) in enumerate(zip(frames, frame_forms)):
@@ -1697,7 +1717,7 @@ def _torus_families():
 
 def _torus_keys(frames):
     """Per frame, the set of its column lines: equal sets span one torus."""
-    return [instability._torus_key(frame) for frame in frames]
+    return [instability._torus_key(linalg._Scaled.of(frame)) for frame in frames]
 
 
 def _first_per_torus(frames):
@@ -1730,10 +1750,9 @@ def test_default_tori_match_weyl_shear_family():
             assert len(set(_torus_keys(cfg.conjugation_family))) == len(cfg.conjugation_family)
             if _gl_only(group):
                 assert cfg.conjugation_family == _first_per_torus(frames), (shape, values)
-            assert cfg._frame_inverses == tuple(map(linalg.inverse, cfg.conjugation_family))
-            for inv_s, frame_s in cfg._scaled_bases:  # frame inv = I
+            assert cfg._frames == tuple(map(_frame_pair, cfg.conjugation_family))
+            for frame_s, inv_s in cfg._frames:  # frame inv = I
                 assert frame_s @ inv_s == linalg._Scaled.of(linalg.identity(group.dimension))
-            assert cfg._scaled_bases is cfg._scaled_bases  # built once
     # a given family keeps its first frame per torus, the identity first
     cfg, frames = _torus_families()["gl3-scaled"]
     assert cfg.conjugation_family == _first_per_torus(frames) == frames[:2]
@@ -1911,9 +1930,9 @@ def test_frame_forms_run_once_per_torus_class(monkeypatch):
     forms = instability._frame_forms
     calls = []
 
-    def counted(points, s, frame, *frame_inverse):
+    def counted(points, s, frame):
         calls.append(frame)
-        return forms(points, s, frame, *frame_inverse)
+        return forms(points, s, frame)
 
     gl4 = GroupSpec.make(("GL", 4))
     rng = random.Random(43)
@@ -1926,7 +1945,8 @@ def test_frame_forms_run_once_per_torus_class(monkeypatch):
             patched.setattr(instability, "_frame_forms", counted)
             calls.clear()
             result = optimize(points, ZERO, cfg)
-            assert calls == list(cfg.conjugation_family)
+            # one call per torus, then the value check's per point
+            assert calls == [*cfg._frames, *[result.cocharacter._frame] * len(points)]
         _assert_same_optimum(result, _reference_optimize(points, ZERO, cfg, frames), cfg, frames)
         assert len(result.certificate.frames) == tori
 
@@ -1963,7 +1983,7 @@ def test_frame_free_objective_sets_match_per_frame_decomposition():
                         assert frame_free == _objective_set(s, rep, frame, x)
                         compared += 1
                         partial += 0 < len(frame_free) < len(rep.weights)
-                    shared = instability._frame_forms(points, s, frame)
+                    shared = instability._frame_forms(points, s, _frame_pair(frame))
                     assert [forms for _, forms in shared] == [_objective_set(s, rep, frame, x) for x in moved]
     assert compared == 240 and partial >= 60
 
@@ -2006,7 +2026,8 @@ def test_frame_forms_act_through_structure(monkeypatch):
         patched.setattr(reps, "_composed", counter("composed", reps._composed))
         patched.setattr(instability, "_composed", counter("composed", instability._composed))
         result = optimize(points, ZERO, cfg)
-    assert counts == {"frames": len(cfg.conjugation_family), "act_matrix": 0, "composed": 0}
+    # one call per torus, then the value check's per point
+    assert counts == {"frames": len(cfg.conjugation_family) + len(points), "act_matrix": 0, "composed": 0}
     assert counts["frames"] > 1
     assert result.status == OPTIMAL
     _assert_same_optimum(result, _reference_optimize(points, ZERO, cfg, frames), cfg, frames)
@@ -2069,7 +2090,7 @@ def test_search_config_membership_matches_dense_check():
                 accepted = False
             else:
                 accepted = True
-                assert cfg._frame_inverses == tuple(map(linalg.inverse, cfg.conjugation_family))
+                assert cfg._frames == tuple(map(_frame_pair, cfg.conjugation_family))
             assert accepted == member, (group, f, frame)
             verdicts.add(member)
     assert verdicts == {True, False}
@@ -2170,6 +2191,45 @@ def test_frame_free_vanishing_order_matches_per_frame_and_curve_oracle():
                 assert order.finite == reference == curve_order(x, lam, s)
                 orders.append(reference)
     assert len(orders) == 96 and orders.count(None) >= 10 and len(set(orders)) >= 5
+
+
+def test_built_frames_are_not_checked_or_inverted_again(monkeypatch):
+    # a configuration checks and inverts each frame when it is built, and a
+    # cocharacter its base; the searches, the value check, the grading and
+    # the limit move points by the pairs they hold, on representations
+    # whose act memos start empty
+    rng = random.Random(91)
+    identity_tuple = SubvarietySpec.identity_tuple()
+    cases = []
+    for group, nilpotent in ((GL3, ((0, 1), (1, 2))), (GroupSpec.make(("GL", 2), ("SL", 2)), ((0, 1), (2, 3)))):
+        m = group.dimension
+        cfg = SearchConfig.default(group, exponent_box=2, shear_values=(-1, 2))
+        lam = Cocharacter.based(group, _dense_member(rng, group), _exponents(rng, group))
+        x = _point_with_limit(rng, ConjugationTuples(group, 1), lam, ZERO)
+        order = curve_order(Point(ConjugationTuples(group, 1), x.coords), lam, ZERO)  # leaves x's memo empty
+        n = [[int((i, j) in nilpotent) for j in range(m)] for i in range(m)]
+        u = [[int(i == j) + n[i][j] for j in range(m)] for i in range(m)]
+        diagonal = [[i + 1 if i == j else 0 for j in range(m)] for i in range(m)]
+        points = [ConjugationTuples(group, 1).point([h]) for h in (n, u, diagonal)]
+        cases.append((cfg, lam, x, order, *points))
+    calls = []
+    member_inverse = GroupSpec._member_inverse
+
+    def counted(group, g, what="element"):
+        calls.append(what)
+        return member_inverse(group, g, what)
+
+    monkeypatch.setattr(GroupSpec, "_member_inverse", counted)
+    for cfg, lam, x, order, n, u, diagonal in cases:
+        assert optimize([n], ZERO, cfg).status == OPTIMAL
+        assert optimize([u], identity_tuple, cfg).status == OPTIMAL
+        assert not is_cochar_closed(u, cfg).closed
+        assert is_cochar_closed(diagonal, cfg).closed
+        assert grade(x, lam).reconstruct() == x
+        assert limit(x, lam) is not None
+        assert vanishing_order(x, lam, ZERO).finite == order
+        assert admits_limit_set([x, n], lam) == admits_limit_set([n], lam)
+    assert calls == []
 
 
 def test_vanishing_order_reads_builtin_subvarieties_frame_free(monkeypatch):
@@ -2286,7 +2346,7 @@ def test_oracle_sweep_on_merged_weight_sets_matches_per_point_reference():
                     coords = [F(rng.choice((0, 0, 1, -2, F(1, 2)))) if j < rep.dim // 2 else F(0) for j in range(rep.dim)]
                     points.append(rep.act(frame, Point(rep, tuple(coords))))
             frames = (None, frame, _dense_member(rng, group))
-            frame_forms = [instability._frame_forms(points, ZERO, f) for f in frames]
+            frame_forms = [instability._frame_forms(points, ZERO, _frame_pair(f)) for f in frames]
             value = instability._oracle_best_value(frame_forms, group, box)
             assert value == _reference_oracle_best_value(frame_forms, group, box)
             values.append(value)

@@ -11,27 +11,36 @@ from destab import GroupSpec, linalg
 from destab.errors import DomainError
 
 
+def _solve(a, b):
+    """One solution of a x = b through the integer solver, or None."""
+    return linalg._solve_terms([linalg._terms(row) for row in a], linalg.vec(b), len(a[0]) if a else 0)
+
+
+def _pivots(a):
+    """The pivot columns of the integer reduction of a."""
+    return tuple(linalg._reduce([linalg._integer_row(row) for row in a])[0])
+
+
 def test_rref_and_rank():
     a = linalg.mat([[1, 2, 3], [2, 4, 6], [0, 1, 1]])
-    basis, pivots = linalg.rref(a)
-    assert pivots == (0, 1)
+    assert _pivots(a) == (0, 1)
     assert linalg.rank(a) == 2
 
 
 def test_solve_affine_consistent():
     a = linalg.mat([[1, 1], [1, -1]])
-    x = linalg.solve_affine(a, linalg.vec([3, 1]))
+    x = _solve(a, linalg.vec([3, 1]))
     assert x == (F(2), F(1))
 
 
 def test_solve_affine_inconsistent():
     a = linalg.mat([[1, 1], [2, 2]])
-    assert linalg.solve_affine(a, linalg.vec([1, 3])) is None
+    assert _solve(a, linalg.vec([1, 3])) is None
 
 
 def test_solve_affine_underdetermined_picks_particular():
     a = linalg.mat([[1, 1, 0]])
-    x = linalg.solve_affine(a, linalg.vec([5]))
+    x = _solve(a, linalg.vec([5]))
     assert x is not None
     assert sum(c * v for c, v in zip(a[0], x)) == 5
 
@@ -217,7 +226,7 @@ def test_nullspace_vectors_annihilate(rows):
 def test_solve_affine_solves(rows, rhs):
     a = linalg.mat(rows)
     b = linalg.vec(rhs)
-    x = linalg.solve_affine(a, b)
+    x = _solve(a, b)
     if x is not None:
         assert linalg.mat_vec(a, x) == b
 
@@ -307,7 +316,7 @@ def test_rref_inplace_matches_dense_reference():
 
 
 def _reference_solve_affine(rref_inplace, a, b):
-    """Reference: ``solve_affine`` read off a given Gauss-Jordan loop on
+    """Reference: a solution read off a given Gauss-Jordan loop on
     Fraction rows, with free variables set to zero."""
     m = len(a[0]) if a else 0
     rows = [list(a[i]) + [F(b[i])] for i in range(len(a))]
@@ -324,6 +333,10 @@ def _reference_rank(rref_inplace, a):
     return len(rref_inplace([list(r) for r in a]))
 
 
+def _reference_pivots(rref_inplace, a):
+    return tuple(rref_inplace([list(r) for r in a]))
+
+
 def test_solvers_match_dense_reference(monkeypatch):
     rng = random.Random(12)
     cases = []
@@ -333,10 +346,10 @@ def test_solvers_match_dense_reference(monkeypatch):
         inconsistent = tuple(b + (1 if i == 0 else 0) for i, b in enumerate(consistent))
         cases.append((a, consistent, inconsistent))
 
-    def run(solve, rank):
+    def run(solve, rank, pivots):
         out = {"reductions": [], "solutions": [], "inverses": []}
         for a, consistent, inconsistent in cases:
-            out["reductions"].append((linalg.rref(a), rank(a), linalg.row_space(a), linalg.nullspace(a)))
+            out["reductions"].append((pivots(a), rank(a), linalg.row_space(a), linalg.nullspace(a)))
             out["solutions"].append((solve(a, consistent), solve(a, inconsistent)))
             if len(a) == len(a[0]):
                 try:
@@ -345,9 +358,9 @@ def test_solvers_match_dense_reference(monkeypatch):
                     out["inverses"].append(str(exc))
         return out
 
-    new = run(linalg.solve_affine, linalg.rank)
+    new = run(_solve, linalg.rank, _pivots)
     monkeypatch.setattr(linalg, "_rref_inplace", _dense_rref_inplace)
-    reference = partial(_reference_solve_affine, _dense_rref_inplace), partial(_reference_rank, _dense_rref_inplace)
+    reference = [partial(f, _dense_rref_inplace) for f in (_reference_solve_affine, _reference_rank, _reference_pivots)]
     assert new == run(*reference)
     assert all(s is not None for s, _ in new["solutions"])
     assert sum(s is None for _, s in new["solutions"]) >= 50
@@ -556,10 +569,10 @@ def test_integer_solvers_match_fraction_kernel(monkeypatch):
         inconsistent = tuple(b + F(1, 3) * (i == len(a) - 1) for i, b in enumerate(consistent))
         cases.append((a, consistent, inconsistent))
 
-    def run(solve, rank):
+    def run(solve, rank, pivots):
         out = {"reductions": [], "solutions": [], "inverses": []}
         for a, consistent, inconsistent in cases:
-            out["reductions"].append((linalg.rref(a), rank(a), linalg.nullspace(a)))
+            out["reductions"].append((linalg.row_space(a), pivots(a), rank(a), linalg.nullspace(a)))
             out["solutions"].append(tuple(solve(a, b) for b in (consistent, inconsistent)))
             if len(a) == len(a[0]):
                 try:
@@ -568,9 +581,9 @@ def test_integer_solvers_match_fraction_kernel(monkeypatch):
                     out["inverses"].append(str(exc))
         return out
 
-    new = run(linalg.solve_affine, linalg.rank)
+    new = run(_solve, linalg.rank, _pivots)
     monkeypatch.setattr(linalg, "_rref_inplace", _fraction_rref_inplace)
-    reference = partial(_reference_solve_affine, _fraction_rref_inplace), partial(_reference_rank, _fraction_rref_inplace)
+    reference = [partial(f, _fraction_rref_inplace) for f in (_reference_solve_affine, _reference_rank, _reference_pivots)]
     assert run(*reference) == new
     assert all(s is not None for s, _ in new["solutions"])
     assert sum(s is None for _, s in new["solutions"]) >= 30

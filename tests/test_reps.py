@@ -13,10 +13,12 @@ from destab import (
     GroupSpec,
     Point,
     Polynomial,
+    SubvarietySpec,
     SymPower,
     grade,
     isotypic_decompose,
     limit,
+    optimize_torus,
     support,
 )
 from destab import DomainError, linalg
@@ -261,9 +263,9 @@ def test_act_matches_action_matrix_on_seeded_inputs():
 
 
 def test_act_memo_keys_on_the_scaled_value(monkeypatch):
-    # _act agrees with the action matrix; equal matrices built from
-    # distinct Fraction objects hit one memo entry, checked and inverted by
-    # one reduction; the identity moves nothing
+    # _act agrees with the action matrix; the checked pairs of equal
+    # matrices built from distinct Fraction objects hit one memo entry;
+    # _act itself checks and inverts nothing; the identity moves nothing
     rng = random.Random(71)
     reps = [
         ConjugationTuples(GL2, 2),
@@ -283,17 +285,23 @@ def test_act_memo_keys_on_the_scaled_value(monkeypatch):
     monkeypatch.setattr(GroupSpec, "_member_inverse", counted)
     for rep in reps:
         elements = _acting_elements(rng, rep.group) + [rep.group.identity()]
-        reductions.clear()
+        pairs = []
         for g in elements:
-            v = _random_point(rng, rep)
-            expected = linalg.mat_vec(rep.act_matrix(g), v.coords)
-            assert rep._act(g, v).coords == expected
             copy = tuple(tuple(F(x.numerator, x.denominator) for x in row) for row in g)
             assert copy == g and all(x is not y for r, q in zip(copy, g) for x, y in zip(r, q) if x)
-            assert rep._act(copy, v).coords == expected
-        assert len(rep._act_memo) == len(reductions) == len(set(elements))
+            pairs.append((g, rep.group._checked_pair(g), rep.group._checked_pair(copy)))
+        identity = rep.group._checked_pair(rep.group.identity())
+        assert len(reductions) == 2 * len(elements) + 1
+        reductions.clear()
+        for g, pair, copy_pair in pairs:
+            v = _random_point(rng, rep)
+            expected = linalg.mat_vec(rep.act_matrix(g), v.coords)
+            assert rep._act(pair, v).coords == expected
+            assert rep._act(copy_pair, v).coords == expected
+        assert len(rep._act_memo) == len(set(elements))
         v = _random_point(rng, rep)
-        assert rep._act(rep.group.identity(), v) is v
+        assert rep._act(identity, v) is v
+        assert reductions == []
 
 
 def test_act_rejects_a_non_member_on_every_call():
@@ -307,6 +315,9 @@ def test_act_rejects_a_non_member_on_every_call():
         (off_block, off_block.point([[[1, 0], [0, 2]]]), [[1, 1], [0, 1]]),
         (SYM4, SYM4.monomial(1), [[1, 0], [0, 3]]),
         (DirectSum((SYM4, ConjugationTuples(SL2, 1))), DirectSum((SYM4, ConjugationTuples(SL2, 1))).zero(), [[3, 0], [0, 1]]),
+        (MAT2, MAT2.point([[[0, 1], [0, 0]]]), [[1, 1], [1, 1]]),  # singular
+        (SYM4, SYM4.monomial(1), [[1, 1], [1, 1]]),
+        (ConjugationTuples(GL3, 1), ConjugationTuples(GL3, 1).zero(), [[1, 2, 3], [2, 4, 6], [0, 0, 1]]),
     )
     for rep, point, g in cases:
         for _ in range(2):
@@ -314,23 +325,28 @@ def test_act_rejects_a_non_member_on_every_call():
                 rep.act(g, point)
         with pytest.raises(DomainError, match="acting element is not in the group"):
             Polynomial.coordinate(rep, 0).composed_with_action(g)
+        # a frame moves points into it: support and the torus optimum
+        with pytest.raises(DomainError, match="acting element is not in the group"):
+            support(point, g)
+        with pytest.raises(DomainError, match="acting element is not in the group"):
+            optimize_torus([point], SubvarietySpec.zero_locus(), g)
 
 
 def test_support_inverts_the_frame_once(monkeypatch):
     rng = random.Random(59)
-    inverse = linalg.inverse
+    member_inverse = GroupSpec._member_inverse
     calls = []
 
-    def counted(a):
-        calls.append(a)
-        return inverse(a)
+    def counted(group, g, what="element"):
+        calls.append(g)
+        return member_inverse(group, g, what)
 
     for rep in (ConjugationTuples(GL3, 2), DirectSum((MAT2, SymPower(GL2, 2)))):
         for frame in _acting_elements(rng, rep.group):
             v = _random_point(rng, rep)
-            moved = linalg.mat_vec(rep.act_matrix(inverse(frame)), v.coords)
+            moved = linalg.mat_vec(rep.act_matrix(linalg.inverse(frame)), v.coords)
             expected = frozenset(chi for chi, c in zip(rep.weights, moved) if c != 0)
-            monkeypatch.setattr(linalg, "inverse", counted)
+            monkeypatch.setattr(GroupSpec, "_member_inverse", counted)
             calls.clear()
             assert support(v, frame) == expected
             assert len(calls) == 1
@@ -408,7 +424,7 @@ def test_integer_action_matches_definition_with_rational_entries():
                 coords = [F(rng.randint(-3, 3), rng.choice((1, 2, 3, 6))) for _ in range(rep.dim)]
                 coords[rng.randrange(rep.dim)] = F(0)
                 v = Point(rep, coords)
-                moved = rep._act(g, v)
+                moved = rep._act(rep.group._checked_pair(g), v)
                 assert moved.coords == linalg.mat_vec(matrix, v.coords)
                 assert all(type(x) is F for x in moved.coords)
     assert {2, 3, 6} <= denominators
