@@ -316,10 +316,13 @@ class Cocharacter:
         return lam
 
     def conjugated_by(self, g: Mat) -> "Cocharacter":
-        """The cocharacter g . self (left action on one-parameter subgroups)."""
-        g = linalg.mat(g)
-        self.group.require_member(g, "conjugator")
-        return Cocharacter(linalg.mat_mul(g, self.base), self.torus)
+        """The cocharacter g . self (left action on one-parameter subgroups),
+        on the frame g . base: g is checked and inverted once, and the
+        frame's pair is (g base, base^-1 g^-1)."""
+        g, g_inverse = self.group._checked_pair(linalg.mat(g), "conjugator")
+        base, inverse = self._frame
+        pair = (g @ base, inverse @ g_inverse)
+        return Cocharacter._on_frame(self.group, pair[0].fractions(), pair, self.torus.exponents)
 
     def evaluate(self, a) -> Mat:
         return self._from_frame(self.torus.evaluate(a))

@@ -15,15 +15,21 @@ the optimum rather than with the number of subsets of forms.  It runs on
 integer rows (``min_qnorm_over_polyhedron``), and Fractions come back only
 in the returned minimizer.
 
-For the built-in subvarieties, the zero locus and the identity tuple, the
-generators span a G-stable space, so which weights have a component that
-does not vanish at a point moved into a frame does not depend on the
-frame (``_frame_forms``).  Their generators are decomposed once per
-representation, and both the torus search and the value check that
-``optimize`` runs on its optimum (``vanishing_order``) read that one
-decomposition.  A custom subvariety, only spot-checked for stability,
-composes its generators with each frame.  The oracle sweep merges the
-points of a frame into one set of support weights and one set of forms.
+The built-in subvarieties, the zero locus and the identity tuple, are each
+one G-fixed point p: 0, or (I, ..., I).  A frame's inverse moves x - p to
+base^-1 . x - p, so the weights of S that survive at a point moved into a
+frame are those of the coordinates where the moved point differs from p
+(``_frame_forms``), and a point lies in S when its coordinates are p's
+(``SubvarietySpec.contains_point``); no polynomial is evaluated.  Both the
+torus search and the value check that ``optimize`` runs on its optimum
+(``vanishing_order``) read them so.  A custom subvariety, only
+spot-checked for stability, composes its generators with each frame and
+evaluates their isotypic components.  The points of a frame merge into
+two weight sets, the nonzero support weights and the objective forms
+(``_weight_sets``).  A torus optimum is a function of those two sets, and
+``optimize`` solves each pair of sets once per representation: the result
+is kept on the representation, beside its act memo.  The oracle sweep
+reads the same sets.
 
 Searching beyond one maximal torus uses a finite family of maximal tori,
 one base frame each, and is never claimed complete; ``oracle_mode``
@@ -72,9 +78,9 @@ from .linalg import ZERO, Mat, Vec
 from .parabolic import (
     MembershipClass,
     ParabolicDescriptor,
+    _classify_member,
     _limit_pattern,
     _radical_conjugator,
-    classify,
 )
 from .reps import ConjugationTuples, Point, Polynomial, Representation, _composed, _frame_weights
 
@@ -118,27 +124,28 @@ class SubvarietySpec:
         return cache[rep]
 
     def _materialize(self, rep: Representation) -> tuple[Polynomial, ...]:
-        if self.kind is SubvarietyKind.ZERO_LOCUS:
-            return tuple(Polynomial.coordinate(rep, i) for i in range(rep.dim))
-        if self.kind is SubvarietyKind.IDENTITY_TUPLE:
-            if not isinstance(rep, ConjugationTuples):
-                raise UnsupportedRepresentationError(
-                    "the identity-tuple subvariety needs a conjugation-tuple representation"
-                )
-            m = rep.m
-            gens = []
-            for t in range(rep.count):
-                for i in range(m):
-                    for j in range(m):
-                        coord = Polynomial.coordinate(rep, t * m * m + i * m + j)
-                        if i == j:
-                            coord = coord - Polynomial.constant(rep, 1)
-                        gens.append(coord)
-            return tuple(gens)
+        p = self._fixed_point(rep)
+        if p is not None:  # the coordinates of x - p
+            return tuple(Polynomial.coordinate(rep, i) - Polynomial.constant(rep, c) for i, c in enumerate(p))
         for g in self.custom_generators:
             if g.rep != rep:
                 raise DimensionError("custom generators are bound to a different representation")
         return self.custom_generators
+
+    def _fixed_point(self, rep: Representation) -> tuple[int, ...] | None:
+        """The coordinates of the one G-fixed point p that a built-in
+        subvariety is: 0 for the zero locus, (I, ..., I) for the identity
+        tuple.  None for a custom subvariety."""
+        if self.kind is SubvarietyKind.CUSTOM:
+            return None
+        if self.kind is SubvarietyKind.ZERO_LOCUS:
+            return (0,) * rep.dim
+        if not isinstance(rep, ConjugationTuples):
+            raise UnsupportedRepresentationError(
+                "the identity-tuple subvariety needs a conjugation-tuple representation"
+            )
+        m = rep.m
+        return tuple(int(i == j) for i in range(m) for j in range(m)) * rep.count
 
     def isotypic_data(
         self, rep: Representation, frame: Mat | None = None
@@ -169,14 +176,10 @@ class SubvarietySpec:
             data = cache[key] = tuple(parts_per_gen)
         return data
 
-    def _composing_frame(self, frame: tuple | None) -> Mat | None:
-        """The frame, given by its checked pair, whose composed generators
-        give the weights of S in it: None for the built-in subvarieties,
-        whose generators span a G-stable space (``_frame_forms``), the
-        frame itself for a custom one."""
-        return frame[0].fractions() if frame is not None and self.kind is SubvarietyKind.CUSTOM else None
-
     def contains_point(self, x: Point) -> bool:
+        p = self._fixed_point(x.rep)
+        if p is not None:
+            return x.coords == p
         return all(g.evaluate(x) == 0 for g in self.generators(x.rep))
 
     def stable_under(self, g: Mat, rep: Representation) -> bool:
@@ -427,27 +430,36 @@ def _frame_forms(points, s: SubvarietySpec, frame: tuple | None):
     the weights of the isotypic components of S's generators that do not
     vanish on it.
 
-    For the built-in subvarieties the linear span W of S's generators is
-    G-stable: g . (coordinate form) is a combination of coordinate forms,
-    and the entries of g (X - I) g^-1 are combinations of those of X - I.
-    So the generators composed with the frame span W too.  Projecting onto
-    a weight is linear, so whether some generator's chi-component is
-    nonzero at the moved point depends only on W: the weights are those of
-    the plain generators, decomposed once per representation.  A custom
-    subvariety is only spot-checked for stability, so its generators are
-    composed with each frame.
+    A built-in subvariety is one G-fixed point p (``_fixed_point``), and
+    its generators are the coordinates of x - p, each a single isotypic
+    component with the weight of its coordinate.  Since base^-1 fixes p,
+    the moved point minus p is base^-1 . (x - p), so the weights are read
+    off the coordinates where the moved point differs from p, with no
+    polynomial evaluated.  A custom subvariety is only spot-checked for
+    stability, so its generators are composed with each frame and their
+    components evaluated.
     """
-    iso = s.isotypic_data(points[0].rep, s._composing_frame(frame))
+    rep = points[0].rep
+    p = s._fixed_point(rep)
+    if p is None:
+        iso = s.isotypic_data(rep, None if frame is None else frame[0].fractions())
     out = []
     for x in points:
         moved, support = _frame_weights(x, frame)
-        forms: set[Character] = set()
-        for parts in iso:
-            for chi, component in parts:
-                if chi not in forms and component.evaluate(moved) != 0:
-                    forms.add(chi)
+        if p is not None:
+            forms = {chi for chi, c, pc in zip(rep.weights, moved.coords, p) if c != pc}
+        else:
+            forms = {chi for parts in iso for chi, component in parts if component.evaluate(moved) != 0}
         out.append((support, forms))
     return out
+
+
+def _weight_sets(per_point) -> tuple[frozenset, frozenset]:
+    """The ``_frame_forms`` of the points in one frame merged: the nonzero
+    support weights, which bound the admissibility cone, and the objective
+    forms."""
+    cone = frozenset(chi for support, _ in per_point for chi in support if not chi.is_zero())
+    return cone, frozenset().union(*(forms for _, forms in per_point))
 
 
 def optimize_torus(
@@ -466,13 +478,13 @@ def optimize_torus(
         raise PreconditionError("the point set must be nonempty")
     acting = points[0].rep.group
     pair = None if frame is None else acting._checked_pair(linalg.mat(frame), "acting element")
-    return _torus_optimum(_frame_forms(points, s, pair), group if group is not None else acting)
+    cone, objective = _weight_sets(_frame_forms(points, s, pair))
+    return _torus_optimum(cone, objective, group if group is not None else acting)
 
 
-def _torus_optimum(per_point, group: GroupSpec) -> TorusOptimum | None:
-    """``optimize_torus`` on the ``_frame_forms`` of the points in one frame."""
-    cone = {chi for support, _ in per_point for chi in support if not chi.is_zero()}
-    objective: set[Character] = set().union(*(forms for _, forms in per_point))
+def _torus_optimum(cone: frozenset, objective: frozenset, group: GroupSpec) -> TorusOptimum | None:
+    """``optimize_torus`` on the weight sets of the points in one frame
+    (``_weight_sets``): a function of the two sets and the group alone."""
     if not objective:  # every point already lies in S
         return TorusOptimum((0,) * group.dimension, None, (), ())
     if any(chi.is_zero() for chi in objective):
@@ -550,8 +562,9 @@ class SearchConfig:
     monomial, and admissibility, the weak orderings, the norm and the
     exponent box are all invariant under the permutation of coordinates P
     makes (``Norm.check_invariance``), so such a frame adds no cocharacter
-    and no value that its base lacks.  Every given frame is checked to be
-    in the group.
+    and no value that its base lacks.  Every given frame and every
+    normalizer sample is checked to be in the group, and each sample is
+    kept as its checked pair too (``_samples``).
     """
 
     group: GroupSpec
@@ -560,6 +573,7 @@ class SearchConfig:
     oracle_mode: bool = False
     normalizer_samples: tuple[Mat, ...] = ()
     _frames: tuple[tuple, ...] = field(init=False, repr=False, compare=False)
+    _samples: tuple[tuple, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.exponent_box < 1:
@@ -571,8 +585,10 @@ class SearchConfig:
         bases, pairs = _torus_bases(family, self.group)
         object.__setattr__(self, "conjugation_family", bases)
         object.__setattr__(self, "_frames", pairs)
+        samples = tuple(linalg.mat(g) for g in self.normalizer_samples)
+        object.__setattr__(self, "normalizer_samples", samples)
         object.__setattr__(
-            self, "normalizer_samples", tuple(linalg.mat(g) for g in self.normalizer_samples)
+            self, "_samples", tuple(self.group._checked_pair(g, "normalizer sample") for g in samples)
         )
 
     @staticmethod
@@ -715,11 +731,15 @@ def optimize(points, s: SubvarietySpec, cfg: SearchConfig) -> OptimizationResult
         )
 
     frames = cfg.conjugation_family
-    forms = [_frame_forms(points, s, pair) for pair in cfg._frames]
+    weight_sets = [_weight_sets(_frame_forms(points, s, pair)) for pair in cfg._frames]
+    # one torus optimum per weight pattern and representation
+    memo = rep.__dict__.setdefault("_torus_memo", {})
     outcomes = []
     candidates = []
-    for idx, per_point in enumerate(forms):
-        opt = _torus_optimum(per_point, group)
+    for idx, key in enumerate(weight_sets):
+        if key not in memo:
+            memo[key] = _torus_optimum(*key, group)
+        opt = memo[key]
         if opt is None or opt.trivial:
             outcomes.append(FrameOutcome(idx, None, None))
         else:
@@ -728,7 +748,7 @@ def optimize(points, s: SubvarietySpec, cfg: SearchConfig) -> OptimizationResult
 
     oracle_value, oracle_box = (None, None)
     if cfg.oracle_mode:
-        oracle_value = _oracle_best_value(forms, group, cfg.exponent_box)
+        oracle_value = _oracle_best_value(weight_sets, group, cfg.exponent_box)
         oracle_box = cfg.exponent_box
 
     if not candidates:
@@ -766,10 +786,10 @@ def optimize(points, s: SubvarietySpec, cfg: SearchConfig) -> OptimizationResult
         if recomputed != best_value:
             raise InvariantViolation("value recomputation from vanishing orders disagrees")
 
-    for g in cfg.normalizer_samples:
-        if not _fixes_input(g, points, s):
+    for g, pair in zip(cfg.normalizer_samples, cfg._samples):
+        if not _fixes_input(g, pair, points, s):
             continue
-        if classify(g, lam) is MembershipClass.NOT_IN_P:
+        if _classify_member(pair[0], lam) is MembershipClass.NOT_IN_P:
             raise InvariantViolation(
                 "a normalizer sample falls outside the optimal parabolic; "
                 "the bounded search did not reach the true optimum"
@@ -792,9 +812,11 @@ def optimize(points, s: SubvarietySpec, cfg: SearchConfig) -> OptimizationResult
     return OptimizationResult(OPTIMAL, lam, best_value, parabolic, cert, global_verified)
 
 
-def _fixes_input(g: Mat, points, s: SubvarietySpec) -> bool:
+def _fixes_input(g: Mat, pair: tuple, points, s: SubvarietySpec) -> bool:
+    """Whether the sample g, given with its checked pair, fixes the point
+    set and, for a custom subvariety, S."""
     rep = points[0].rep
-    if set(rep.act(g, x) for x in points) != set(points):
+    if set(rep._act(pair, x) for x in points) != set(points):
         return False
     if s.kind is SubvarietyKind.CUSTOM and not s.stable_under(g, rep):
         return False
@@ -819,22 +841,22 @@ def _check_oracle_sweep(cfg: SearchConfig) -> None:
         )
 
 
-def _oracle_best_value(frame_forms, group: GroupSpec, box: int) -> Fraction | None:
-    """Exhaustive maximum of a^2/|d|^2 over the box and the frames' forms.
+def _oracle_best_value(weight_sets, group: GroupSpec, box: int) -> Fraction | None:
+    """Exhaustive maximum of a^2/|d|^2 over the box and the frames' weight
+    sets (``_weight_sets``).
 
-    Per frame the points merge into two weight sets.  A box vector d
-    admits every point's limit iff no nonzero support weight of any point
-    pairs negatively with it, and a, the least pairing over each point's
-    forms minimized over the points outside S, is the least pairing over
-    the union of their forms.
+    A box vector d admits every point's limit iff no nonzero support
+    weight of any point pairs negatively with it, and a, the least pairing
+    over each point's forms minimized over the points outside S, is the
+    least pairing over the union of their forms.
     """
     vectors = list(_box_vectors(group, box))
     best_num, best_den = 0, 1  # the best a^2 / |d|^2 so far, 0 for none
-    for per_point in frame_forms:
-        support = {chi.weights for points_support, _ in per_point for chi in points_support if not chi.is_zero()}
-        forms = {chi.weights for _, point_forms in per_point for chi in point_forms}
-        if not forms:
+    for cone, objective in weight_sets:
+        if not objective:
             continue  # every point is in S; infinite order
+        support = [chi.weights for chi in cone]
+        forms = [chi.weights for chi in objective]
         for d in vectors:
             if any(sum(map(operator.mul, d, w)) < 0 for w in support):
                 continue

@@ -71,7 +71,14 @@ def classify(g: Mat, lam: Cocharacter) -> MembershipClass:
     """
     g = linalg.mat(g)
     lam.group.require_member(g)
-    gt = lam._to_frame(g)
+    return _classify_member(linalg._Scaled.of(g), lam)
+
+
+def _classify_member(g: linalg._Scaled, lam: Cocharacter) -> MembershipClass:
+    """``classify`` for a member given by its scaled value, which is not
+    checked again."""
+    base, inverse = lam._frame
+    gt = (inverse @ g @ base).fractions()
     return _classify_pattern(gt, lam.torus.exponents, linalg.identity(len(gt)))
 
 

@@ -24,6 +24,7 @@ from destab import (
     Polynomial,
     PreconditionError,
     SearchConfig,
+    SubvarietyKind,
     SubvarietySpec,
     SymPower,
     TRIVIAL,
@@ -1532,6 +1533,50 @@ def test_is_cochar_closed_solves_each_cocharacter_once(monkeypatch):
 # replaced, kept as references
 
 
+def _reference_contains_point(s, x):
+    """Reference: every generator of S evaluated at x."""
+    return all(g.evaluate(x) == 0 for g in s.generators(x.rep))
+
+
+def _reference_frame_forms(points, s, frame):
+    """Reference: ``_frame_forms`` with every isotypic component of S's
+    generators evaluated at each moved point, the plain generators for a
+    built-in subvariety and the generators composed with the frame for a
+    custom one."""
+    from destab.reps import _frame_weights
+
+    rep = points[0].rep
+    composing = None if frame is None or s.kind is not SubvarietyKind.CUSTOM else frame[0].fractions()
+    iso = s.isotypic_data(rep, composing)
+    out = []
+    for x in points:
+        moved, support = _frame_weights(x, frame)
+        out.append((support, {chi for parts in iso for chi, part in parts if part.evaluate(moved) != 0}))
+    return out
+
+
+def _reference_weight_sets(per_point):
+    """Reference: one frame's forms merged, the nonzero support weights and
+    the objective forms."""
+    cone = {chi for support, _ in per_point for chi in support if not chi.is_zero()}
+    return frozenset(cone), frozenset(set().union(*(forms for _, forms in per_point)))
+
+
+def _reference_torus_optimum(per_point, group):
+    """Reference: the torus optimum of one frame's forms, solved on every
+    call, with no memo."""
+    return instability._torus_optimum(*_reference_weight_sets(per_point), group)
+
+
+def _reference_fixes_input(g, points, s):
+    """Reference: whether g fixes the point set, acting through public
+    ``act``, and, for a custom subvariety, S."""
+    rep = points[0].rep
+    if {rep.act(g, x) for x in points} != set(points):
+        return False
+    return s.kind is not SubvarietyKind.CUSTOM or s.stable_under(g, rep)
+
+
 def _reference_optimize(points, s, cfg, frames):
     """Reference: ``optimize`` with frame forms, a torus optimum and an
     oracle sweep for every frame of a per-frame family, and each tied
@@ -1542,10 +1587,7 @@ def _reference_optimize(points, s, cfg, frames):
         ParabolicDescriptor,
         SearchCertificate,
         _check_custom_stability,
-        _fixes_input,
-        _frame_forms,
         _oracle_best_value,
-        _torus_optimum,
         _whole_group_descriptor,
     )
     from destab.groups import norm_sq
@@ -1555,18 +1597,18 @@ def _reference_optimize(points, s, cfg, frames):
     group = cfg.group
     _check_custom_stability(s, rep, cfg)
 
-    if all(s.contains_point(x) for x in points):
+    if all(_reference_contains_point(s, x) for x in points):
         zero = Cocharacter.standard(group, (0,) * group.dimension)
         cert = SearchCertificate((), (), (), norm_gram=group.norm.gram)
         return OptimizationResult(
             TRIVIAL, zero, None, _whole_group_descriptor(group), cert, cfg.oracle_mode
         )
 
-    frame_forms = [_frame_forms(points, s, _frame_pair(frame)) for frame in frames]
+    frame_forms = [_reference_frame_forms(points, s, _frame_pair(frame)) for frame in frames]
     outcomes = []
     candidates = []
     for idx, (frame, per_point) in enumerate(zip(frames, frame_forms)):
-        opt = _torus_optimum(per_point, group)
+        opt = _reference_torus_optimum(per_point, group)
         if opt is None or opt.trivial:
             outcomes.append(FrameOutcome(idx, None, None))
         else:
@@ -1575,7 +1617,7 @@ def _reference_optimize(points, s, cfg, frames):
 
     oracle_value, oracle_box = (None, None)
     if cfg.oracle_mode:
-        oracle_value = _oracle_best_value(frame_forms, group, cfg.exponent_box)
+        oracle_value = _oracle_best_value(list(map(_reference_weight_sets, frame_forms)), group, cfg.exponent_box)
         oracle_box = cfg.exponent_box
 
     if not candidates:
@@ -1616,7 +1658,7 @@ def _reference_optimize(points, s, cfg, frames):
             raise InvariantViolation("value recomputation from vanishing orders disagrees")
 
     for g in cfg.normalizer_samples:
-        if _fixes_input(g, points, s) and classify(g, lam) is MembershipClass.NOT_IN_P:
+        if _reference_fixes_input(g, points, s) and classify(g, lam) is MembershipClass.NOT_IN_P:
             raise InvariantViolation("a normalizer sample falls outside the optimal parabolic")
 
     global_verified = False
@@ -2105,7 +2147,7 @@ def _per_frame_vanishing_order(x, lam, s):
     base, decomposed in that frame, every component evaluated."""
     if not admits_limit_set([x], lam):
         raise LimitMembershipError("the limit of x along lambda does not exist")
-    if s.contains_point(x):
+    if _reference_contains_point(s, x):
         return None
     rep = x.rep
     moved = rep.act(lam.base_inverse, x)
@@ -2347,7 +2389,283 @@ def test_oracle_sweep_on_merged_weight_sets_matches_per_point_reference():
                     points.append(rep.act(frame, Point(rep, tuple(coords))))
             frames = (None, frame, _dense_member(rng, group))
             frame_forms = [instability._frame_forms(points, ZERO, _frame_pair(f)) for f in frames]
-            value = instability._oracle_best_value(frame_forms, group, box)
+            weight_sets = [instability._weight_sets(per_point) for per_point in frame_forms]
+            value = instability._oracle_best_value(weight_sets, group, box)
             assert value == _reference_oracle_best_value(frame_forms, group, box)
             values.append(value)
     assert len(values) == 24 and 3 <= values.count(None) and len(set(values)) >= 5
+
+
+# ---------------------------------------------------------------------------
+# Built-in targets read off coordinates, one torus optimum per weight
+# pattern and representation
+
+
+def _slow_optimize(points, s, cfg):
+    """Reference: ``optimize`` over the configuration's tori with every
+    isotypic component evaluated, one QP per torus and no memo, the value
+    checked from per-frame vanishing orders, and the normalizer samples
+    acted by and classified through the public, checking entry points."""
+    from destab.instability import (
+        FrameOutcome,
+        OptimizationResult,
+        ParabolicDescriptor,
+        SearchCertificate,
+        _check_custom_stability,
+        _oracle_best_value,
+        _whole_group_descriptor,
+    )
+    from destab.groups import norm_sq
+
+    points = tuple(points)
+    group = cfg.group
+    _check_custom_stability(s, points[0].rep, cfg)
+    if all(_reference_contains_point(s, x) for x in points):
+        zero = Cocharacter.standard(group, (0,) * group.dimension)
+        cert = SearchCertificate((), (), (), norm_gram=group.norm.gram)
+        return OptimizationResult(TRIVIAL, zero, None, _whole_group_descriptor(group), cert, cfg.oracle_mode)
+    forms = [_reference_frame_forms(points, s, pair) for pair in cfg._frames]
+    outcomes, candidates = [], []
+    for idx, per_point in enumerate(forms):
+        opt = _reference_torus_optimum(per_point, group)
+        if opt is None or opt.trivial:
+            outcomes.append(FrameOutcome(idx, None, None))
+        else:
+            outcomes.append(FrameOutcome(idx, opt.exponents, opt.value_sq))
+            candidates.append((opt, idx))
+    oracle_value = None
+    if cfg.oracle_mode:
+        oracle_value = _oracle_best_value(list(map(_reference_weight_sets, forms)), group, cfg.exponent_box)
+    oracle_box = cfg.exponent_box if cfg.oracle_mode else None
+    if not candidates:
+        assert oracle_value is None
+        cert = SearchCertificate(tuple(outcomes), (), (), oracle_value, oracle_box, group.norm.gram)
+        return OptimizationResult(NOT_WITNESSED, None, None, None, cert)
+    best = max(opt.value_sq for opt, _ in candidates)
+    tied = [
+        (fold_permutation_base(Cocharacter.based(group, cfg.conjugation_family[idx], opt.exponents)), opt)
+        for opt, idx in candidates
+        if opt.value_sq == best
+    ]
+    tied.sort(key=lambda t: (t[0].base != group.identity(), t[0].torus.exponents))
+    lam, opt = tied[0]
+    parabolic = ParabolicDescriptor.from_cocharacter(lam)
+    assert all(ParabolicDescriptor.from_cocharacter(other) == parabolic for other, _ in tied[1:])
+    finite = [o for o in (_per_frame_vanishing_order(x, lam, s) for x in points) if o is not None]
+    assert all(o > 0 for o in finite)
+    if finite:
+        assert F(min(finite) ** 2) / norm_sq(lam) == best
+    for g in cfg.normalizer_samples:
+        if _reference_fixes_input(g, points, s):
+            assert classify(g, lam) is not MembershipClass.NOT_IN_P
+    assert oracle_value is None or oracle_value <= best
+    cert = SearchCertificate(
+        tuple(outcomes), opt.active_objective, opt.active_cone, oracle_value, oracle_box, group.norm.gram
+    )
+    return OptimizationResult(OPTIMAL, lam, best, parabolic, cert, cfg.oracle_mode and oracle_value == best)
+
+
+def _first_block_scalar(group):
+    """2 on the diagonal of the first block and 1 elsewhere: a member of the
+    group that fixes every block-diagonal matrix."""
+    m = group.dimension
+    return linalg.mat([[(2 if group.block_of(i) == 0 else 1) if i == j else 0 for j in range(m)] for i in range(m)])
+
+
+def _target_cases(rng):
+    """(name, points, subvariety, config) on seeded inputs: both built-in
+    targets on GL_3, GL_4 and GL_2 x SL_2 tuples, forms of degree 3 to 6 on
+    SL_2, a direct sum and a custom subvariety.  Points are moved by a
+    torus base of the configuration or by a dense member; each
+    configuration holds normalizer samples, some of which fix the input."""
+
+    def mover(cfg):
+        return rng.choice((*cfg.conjugation_family, _dense_member(rng, cfg.group)))
+
+    cases = []
+    gl2sl2 = GroupSpec.make(("GL", 2), ("SL", 2))
+    for group in (GL3, GroupSpec.make(("GL", 4)), gl2sl2):
+        m = group.dimension
+        samples = (_first_block_scalar(group), _dense_member(rng, group))
+        cfg = SearchConfig.default(group, exponent_box=3, shear_values=(1, -2), normalizer_samples=samples)
+        ident = group.identity()
+        for count in (1, 2):
+            rep = ConjugationTuples(group, count)
+            for _ in range(3):
+                frame = mover(cfg)
+                nilpotents = [_conjugated(frame, _upper_nilpotent(rng, group)) for _ in range(count)]
+                cases.append((f"zero-{m}", [rep.point(nilpotents)], ZERO, cfg))
+                unipotents = [linalg.mat_add(ident, h) for h in nilpotents]
+                cases.append((f"identity-{m}", [rep.point(unipotents)], SubvarietySpec.identity_tuple(), cfg))
+            diagonal = rep.point([_block_diagonal_matrix(rng, group) for _ in range(count)])
+            cases.append((f"zero-{m}", [diagonal, rep.zero()], ZERO, cfg))
+            cases.append((f"identity-{m}", [rep.point([ident] * count)], SubvarietySpec.identity_tuple(), cfg))
+    minus = linalg.mat([[-1, 0], [0, -1]])
+    sl2 = SearchConfig.default(
+        SL2, exponent_box=3, shear_values=(-1, 1), oracle_mode=True, normalizer_samples=(minus, _dense_member(rng, SL2))
+    )
+    values = (0, 0, 1, -2, F(1, 2), 3)
+    for degree in (3, 4, 5, 6):
+        rep = SymPower(SL2, degree)
+        for _ in range(3):
+            coords = tuple(F(rng.choice(values)) if j <= degree // 2 else F(0) for j in range(degree + 1))
+            cases.append((f"sym-{degree}", [rep.act(mover(sl2), Point(rep, coords))], ZERO, sl2))
+    both = DirectSum((SymPower(SL2, 3), SymPower(SL2, 4)))
+    for _ in range(3):
+        coords = tuple(F(rng.choice(values)) if j in (0, 1, 4, 5) else F(0) for j in range(both.dim))
+        cases.append(("direct-sum", [both.act(mover(sl2), Point(both, coords))], ZERO, sl2))
+    # a custom subvariety stable under every frame: the first summand is zero
+    mat3 = ConjugationTuples(GL3, 1)
+    double = DirectSum((mat3, mat3))
+    first = SubvarietySpec.custom([Polynomial.coordinate(double, i) for i in range(9)], g_stable_asserted=True)
+    gl3 = SearchConfig.default(GL3, exponent_box=2, shear_values=(1,), normalizer_samples=(_first_block_scalar(GL3),))
+    for _ in range(3):
+        frame = mover(gl3)
+        x = _conjugated(frame, _upper_nilpotent(rng, GL3))
+        y = _conjugated(frame, _block_diagonal_matrix(rng, GL3))
+        cases.append(("custom", [Point(double, tuple(c for h in (x, y) for row in h for c in row))], first, gl3))
+    return cases
+
+
+def test_optimize_matches_slow_reference_on_seeded_inputs():
+    # the whole result: status, cocharacter, value, parabolic, verification
+    # and the certificate with one outcome per torus
+    rng = random.Random(101)
+    seen: dict = {}
+    for name, points, s, cfg in _target_cases(rng):
+        result = optimize(points, s, cfg)
+        assert result == _slow_optimize(points, s, cfg), name
+        seen.setdefault(name.split("-")[0], set()).add(result.status)
+    assert set(seen) == {"zero", "identity", "sym", "direct", "custom"}
+    assert all(OPTIMAL in statuses for statuses in seen.values()), seen
+    assert {TRIVIAL, NOT_WITNESSED} <= seen["zero"] and TRIVIAL in seen["identity"]
+
+
+def test_repeated_weight_pattern_solves_one_qp_per_representation(monkeypatch):
+    # the shear I + E_12 fixes E_13, so both tori see one weight pattern
+    calls = []
+    qp = instability.min_qnorm_over_polyhedron
+
+    def counted(*args):
+        calls.append(args)
+        return qp(*args)
+
+    monkeypatch.setattr(instability, "min_qnorm_over_polyhedron", counted)
+    cfg = SearchConfig(GL3, 2, ([[1, 1, 0], [0, 1, 0], [0, 0, 1]],))
+    assert len(cfg.conjugation_family) == 2
+    e13 = [[0, 0, 1], [0, 0, 0], [0, 0, 0]]
+    rep = ConjugationTuples(GL3, 1)
+    first = optimize([rep.point([e13])], ZERO, cfg)
+    assert len(calls) == 1 and len(rep._torus_memo) == 1
+    # a point of the same pattern on the same representation solves nothing
+    again = optimize([rep.point([[[0, 0, F(-5, 2)], [0, 0, 0], [0, 0, 0]]])], ZERO, cfg)
+    assert len(calls) == 1 and again.certificate == first.certificate
+    # an equal representation starts with its own, empty memo
+    other = ConjugationTuples(GL3, 1)
+    assert other == rep and other is not rep and "_torus_memo" not in vars(other)
+    assert optimize([other.point([e13])], ZERO, cfg) == first
+    assert len(calls) == 2
+    assert next(iter(rep._torus_memo.values())) == next(iter(other._torus_memo.values()))
+
+
+def test_builtin_targets_evaluate_no_polynomial(monkeypatch):
+    # the built-in targets compare coordinates with their fixed point in
+    # the frame forms, the membership test and the whole optimizer; a
+    # custom subvariety still evaluates its components
+    rng = random.Random(103)
+    evaluated = []
+    evaluate = Polynomial.evaluate
+
+    def counted(f, x):
+        evaluated.append(f)
+        return evaluate(f, x)
+
+    monkeypatch.setattr(Polynomial, "evaluate", counted)
+    custom_seen = False
+    for name, points, s, cfg in _target_cases(rng):
+        frame = cfg._frames[-1]
+        instability._frame_forms(points, s, frame)
+        for x in points:
+            s.contains_point(x)
+        if s.kind is SubvarietyKind.CUSTOM:
+            custom_seen = custom_seen or bool(evaluated)
+        else:
+            optimize(points, s, cfg)
+            assert evaluated == [], name
+        evaluated.clear()
+    assert custom_seen
+
+
+def test_search_config_rejects_normalizer_samples_outside_the_group():
+    message = "^normalizer sample is not in the group$"
+    gl2gl2 = GroupSpec.make(("GL", 2), ("GL", 2))
+    bad = (
+        (GL2, [[1, 1], [1, 1]]),  # singular
+        (GL2, [[1, 0, 0], [0, 1, 0]]),  # misshapen
+        (SL2, [[2, 0], [0, 1]]),  # determinant 2
+        (gl2gl2, _monomial((2, 3, 0, 1), (1, 1, 1, 1))),  # swaps the blocks
+    )
+    for group, sample in bad:
+        with pytest.raises(DomainError, match=message):
+            SearchConfig.default(group, normalizer_samples=(group.identity(), sample))
+        with pytest.raises(DomainError, match=message):
+            SearchConfig(group, 2, (), normalizer_samples=(sample,))
+
+
+def test_optimize_checks_no_normalizer_sample_again(monkeypatch):
+    # samples are checked and inverted when the configuration is built; the
+    # optimizer acts by and classifies them with no further check
+    rng = random.Random(107)
+    gl2sl2 = GroupSpec.make(("GL", 2), ("SL", 2))
+    cases = []
+    for group in (GL3, gl2sl2):
+        samples = (_first_block_scalar(group), _dense_member(rng, group))
+        cfg = SearchConfig.default(group, shear_values=(1,), normalizer_samples=samples)
+        n = _upper_nilpotent(rng, group)
+        u = linalg.mat_add(group.identity(), linalg.mat(n))
+        cases.append((cfg, ConjugationTuples(group, 1).point([n]), ZERO))
+        cases.append((cfg, ConjugationTuples(group, 1).point([u]), SubvarietySpec.identity_tuple()))
+    inverted, checked = [], []
+    member_inverse, require_member = GroupSpec._member_inverse, GroupSpec.require_member
+
+    def counted_inverse(group, g, what="element"):
+        inverted.append(what)
+        return member_inverse(group, g, what)
+
+    def counted_check(group, g, what="element"):
+        checked.append(what)
+        return require_member(group, g, what)
+
+    monkeypatch.setattr(GroupSpec, "_member_inverse", counted_inverse)
+    monkeypatch.setattr(GroupSpec, "require_member", counted_check)
+    for cfg, x, s in cases:
+        result = optimize([x], s, cfg)
+        assert result.status == OPTIMAL
+        assert classify(cfg.normalizer_samples[0], result.cocharacter) is not MembershipClass.NOT_IN_P
+    assert inverted == [] and checked == ["element"] * len(cases)
+
+
+def test_conjugated_by_inverts_only_the_conjugator(monkeypatch):
+    rng = random.Random(109)
+    calls = []
+    member_inverse = GroupSpec._member_inverse
+
+    def counted(group, g, what="element"):
+        calls.append((g, what))
+        return member_inverse(group, g, what)
+
+    for group in (GL3, GroupSpec.make(("GL", 2), ("SL", 2)), GroupSpec.make(("SL", 3))):
+        for _ in range(4):
+            lam = Cocharacter.based(group, _dense_member(rng, group), _exponents(rng, group))
+            g = _dense_member(rng, group)
+            with monkeypatch.context() as patched:
+                patched.setattr(GroupSpec, "_member_inverse", counted)
+                calls.clear()
+                mu = lam.conjugated_by(g)
+                assert calls == [(g, "conjugator")]
+            assert mu == Cocharacter(linalg.mat_mul(g, lam.base), lam.torus)
+            assert mu._frame == _frame_pair(mu.base)
+            assert mu.evaluate(2) == linalg.mat_mul(linalg.mat_mul(g, lam.evaluate(2)), linalg.inverse(g))
+        singular = linalg.mat_mul(g, _monomial(tuple(range(group.dimension)), (0,) + (1,) * (group.dimension - 1)))
+        with pytest.raises(DomainError, match="^conjugator is not in the group$"):
+            lam.conjugated_by(singular)
