@@ -474,7 +474,8 @@ def _kempf_check(inst: KempfInstance) -> dict:
     s = SubvarietySpec.zero_locus()
     extra = inst.extra_frame
     for g in inst.conjugators:
-        ginv = linalg.inverse(g)
+        pair = group._checked_pair(linalg.mat(g), "conjugator")
+        ginv = pair[1].fractions()
         base_family = [group.identity(), extra, ginv, linalg.mat_mul(ginv, extra)]
         cfg = SearchConfig(
             group,
@@ -491,13 +492,13 @@ def _kempf_check(inst: KempfInstance) -> dict:
             result = optimize(inst.points, s, cfg)
         except InvariantViolation as exc:
             return {"ok": False, "detail": str(exc)}
-        moved = tuple(rep.act(g, x) for x in inst.points)
+        moved = tuple(rep._act(pair, x) for x in inst.points)
         moved_result = optimize(moved, s, moved_cfg)
         if result.status != OPTIMAL or moved_result.status != OPTIMAL:
             return {"ok": False, "detail": "optimum not witnessed"}
         if moved_result.value_sq != result.value_sq:
             return {"ok": False, "detail": "values differ"}
-        if moved_result.parabolic != result.parabolic.conjugated_by(g):
+        if moved_result.parabolic != result.parabolic._conjugated_by_pair(pair):
             return {"ok": False, "detail": "parabolic is not conjugate"}
     return {"ok": True, "detail": None}
 

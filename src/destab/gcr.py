@@ -20,6 +20,8 @@ from __future__ import annotations
 
 import functools
 from dataclasses import dataclass
+from fractions import Fraction
+from operator import mul
 
 from . import linalg
 from .errors import DomainError, InvariantViolation, ModeError, PreconditionError
@@ -227,15 +229,26 @@ def _radical_filtration(h: SubgroupPresentation):
     Then lambda is constant on each layer and highest on the deepest (m k -
     total on an SL block of rank m, whose frame is scaled to determinant 1),
     and the stable flag of layers puts every generator in P_lambda.
+
+    Each layer is built and reduced on integer rows (``linalg._reduce``);
+    a returned layer's rows are divided by their pivots once.
     """
     radical = radical_basis(enveloping_algebra(h))
     if not radical:
         return radical, (), None
     group = h.group
+    matrices = [linalg._Scaled.of(x).rows for x in radical]
     layers: list[Mat] = []
-    layer = group.identity()
-    while layer := linalg.row_space(tuple(linalg.mat_vec(x, v) for x in radical for v in layer)):
-        layers.append(layer)
+    layer = [[int(i == j) for j in range(group.dimension)] for i in range(group.dimension)]
+    while True:
+        # J^k V spanned by the images of J^(k-1) V's integer rows under the
+        # radical's integer rows, which the scales do not change
+        rows = [[sum(map(mul, row, w)) for row in x] for x in matrices for w in layer]
+        pivots = linalg._reduce(rows)[0]
+        if not pivots:
+            break
+        layer = rows[: len(pivots)]
+        layers.append(tuple(tuple(Fraction(x, w[c]) if x else linalg.ZERO for x in w) for w, c in zip(layer, pivots)))
     echelon: list = []
     per_block: list[list] = [[] for _ in group.factors]  # (vector, depth) pairs
     for depth, basis in reversed(list(enumerate([group.identity()] + layers))):
@@ -417,9 +430,8 @@ def building_centre(
     if result.status != OPTIMAL:
         return CentreSimplex(None, None, None, ())
     verified = []
-    for g in cfg.normalizer_samples:
-        conj = result.parabolic.conjugated_by(g)
-        if conj == result.parabolic:
+    for g, pair in zip(cfg.normalizer_samples, cfg._samples):  # checked with the configuration
+        if result.parabolic._conjugated_by_pair(pair) == result.parabolic:
             verified.append(g)
     return CentreSimplex(
         result.parabolic, result.cocharacter, result.parabolic.blocks, tuple(verified)

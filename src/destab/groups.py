@@ -8,9 +8,10 @@ optionally conjugated by a rational base point.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import operator
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from fractions import Fraction
 from math import gcd
 
@@ -79,11 +80,15 @@ class GroupSpec:
         norm = Norm.standard(m) if gram is None else Norm(linalg.mat(gram))
         return GroupSpec(fs, norm)
 
-    @property
+    # The shape data below is computed once per instance and kept in its
+    # __dict__, outside the dataclass fields, so equality, hash and repr
+    # do not see it; ``__getstate__`` leaves it out of pickles.
+
+    @functools.cached_property
     def dimension(self) -> int:
         return sum(f.rank for f in self.factors)
 
-    @property
+    @functools.cached_property
     def block_slices(self) -> tuple[range, ...]:
         out = []
         start = 0
@@ -92,11 +97,18 @@ class GroupSpec:
             start += f.rank
         return tuple(out)
 
+    @functools.cached_property
+    def _block_indices(self) -> tuple[int, ...]:
+        """The block of each coordinate."""
+        return tuple(b for b, r in enumerate(self.block_slices) for _ in r)
+
     def block_of(self, index: int) -> int:
-        for b, r in enumerate(self.block_slices):
-            if index in r:
-                return b
+        if 0 <= index < self.dimension:
+            return self._block_indices[index]
         raise DimensionError(f"index {index} out of range")
+
+    def __getstate__(self) -> dict:
+        return {f.name: getattr(self, f.name) for f in fields(self)}
 
     def identity(self) -> Mat:
         return linalg.identity(self.dimension)

@@ -41,7 +41,9 @@ as its checked pair (base, base^-1) of scaled values
 (``GroupSpec._checked_pair``); the optimizer, the value check and the
 closedness search move points and tuples by those pairs, and the
 cocharacters they build hold them.  The closedness search scales each
-generator once.  Its entry pattern, its limit and the conjugator equations
+generator once and moves it into each torus by that torus's conjugation
+operator, which the configuration builds on its first search.  Its entry
+pattern, its limit and the conjugator equations
 u h = h' u are homogeneous in the pair (h, h') of one generator, so the
 search reads the integer rows alone.
 """
@@ -79,8 +81,10 @@ from .parabolic import (
     MembershipClass,
     ParabolicDescriptor,
     _classify_member,
+    _conjugator_index,
     _limit_pattern,
     _radical_conjugator,
+    _radical_entries,
 )
 from .reps import ConjugationTuples, Point, Polynomial, Representation, _composed, _frame_weights
 
@@ -591,6 +595,13 @@ class SearchConfig:
             self, "_samples", tuple(self.group._checked_pair(g, "normalizer sample") for g in samples)
         )
 
+    @functools.cached_property
+    def _operators(self) -> tuple:
+        """Per torus, the ``_conjugation_operator`` of its checked pair,
+        built on the first closedness search and kept, outside the
+        compared fields, beside ``_frames``."""
+        return tuple(map(_conjugation_operator, self._frames))
+
     @staticmethod
     def default(
         group: GroupSpec,
@@ -921,6 +932,13 @@ def is_cochar_closed(v: Point, cfg: SearchConfig) -> CocharClosedVerdict:
     a cocharacter met again in another torus after it received a conjugator
     is only recorded in ``examined``.  The search stops at its first
     failure, so this changes neither the verdict nor ``examined``.
+
+    What depends on the configuration alone is built once: each torus's
+    conjugation operator (``_moved_tuples``), and per group shape and box
+    each representative's ordering mask, which ``admissible_exponents``
+    tests against the entry pattern, and its radical positions with their
+    conjugator index (``_Representatives``).  Nothing keyed by the input
+    is kept between calls.
     """
     rep = v.rep
     if not isinstance(rep, ConjugationTuples):
@@ -929,6 +947,7 @@ def is_cochar_closed(v: Point, cfg: SearchConfig) -> CocharClosedVerdict:
         )
     if rep.group != cfg.group:
         raise DimensionError("configuration group differs from the representation group")
+    table = _representatives(cfg.group.factors, cfg.exponent_box)
     examined: list[Cocharacter] = []
     solved: set = set()  # lambda(2) of each cocharacter with a conjugator
     for lam, moved in _frame_cocharacters(rep.matrices(v), cfg):
@@ -940,7 +959,7 @@ def is_cochar_closed(v: Point, cfg: SearchConfig) -> CocharClosedVerdict:
         key = _value_at_two(lam._frame, lam.torus.exponents)
         if key in solved:
             continue
-        if _radical_conjugator(tmats, limit_t, lam) is None:
+        if _radical_conjugator(tmats, limit_t, lam, table.radical(lam.torus.exponents)) is None:
             # each limit on its moved matrix's scale, out of the frame
             limit_mats = tuple(lam._from_frame(t._replace(rows=h).fractions()) for t, h in zip(moved, limit_t))
             return CocharClosedVerdict(
@@ -965,17 +984,55 @@ def _entry_pattern(mats) -> set[tuple[int, int]]:
     }
 
 
+def _conjugation_operator(pair) -> tuple:
+    """h -> base^-1 h base for a torus base given by its checked pair, on
+    the flattened integer rows of h: per entry (k, l) of h, the nonzero
+    terms (i m + j, inverse_ik base_lj), column (k, l) of the Kronecker
+    product of inverse and base^T.  Moving an integer h by it gives the
+    integer rows of inverse @ h @ base, whose scale is the product of the
+    three scales."""
+    base, inverse = pair
+    m = len(base.rows)
+    columns = []
+    for k in range(m):
+        for l in range(m):
+            columns.append(
+                tuple(
+                    (i * m + j, a * b)
+                    for i, row in enumerate(inverse.rows)
+                    if (a := row[k])
+                    for j, b in enumerate(base.rows[l])
+                    if b
+                )
+            )
+    return tuple(columns)
+
+
 def _moved_tuples(mats, cfg: SearchConfig):
     """Torus by torus, its base, its checked pair (an entry of
     ``SearchConfig._frames``), and the tuple moved into the base frame,
     base^-1 h base for each matrix h, as scaled values.
 
-    Each matrix is scaled once, so a move is two integer products.
+    Each matrix is scaled once, and each torus holds its conjugation
+    operator (``SearchConfig._operators``), so a move is one pass over the
+    nonzero entries of h's integer rows; the result is the value that the
+    two products inverse @ h @ base give, rows and scale alike.
     """
-    scaled = [linalg._Scaled.of(h) for h in mats]
-    for frame, pair in zip(cfg.conjugation_family, cfg._frames):
-        base, inverse = pair
-        yield frame, pair, [inverse @ h @ base for h in scaled]
+    m = cfg.group.dimension
+    flat = []
+    for h in mats:
+        h = linalg._Scaled.of(h)
+        flat.append(([(kl, x) for kl, x in enumerate(itertools.chain.from_iterable(h.rows)) if x], h.scale))
+    for frame, pair, columns in zip(cfg.conjugation_family, cfg._frames, cfg._operators):
+        scale = pair[1].scale * pair[0].scale
+        moved = []
+        for terms, s in flat:
+            acc = [0] * (m * m)
+            for kl, x in terms:
+                for ij, c in columns[kl]:
+                    acc[ij] += c * x
+            moved.append(linalg._Scaled(tuple(tuple(acc[i : i + m]) for i in range(0, m * m, m)), scale * s))
+        yield frame, pair, moved
 
 
 def _frame_cocharacters(mats, cfg: SearchConfig):
@@ -1019,20 +1076,23 @@ def admissible_exponents(group: GroupSpec, box: int, pattern) -> list[tuple[int,
     when the box has none.  With a pair between blocks, each block runs
     through all its box vectors instead.  Blocks combine in block order,
     the last varying fastest, each in lexicographic order of rank vectors.
+    Without such a pair the combined representatives are kept once per
+    group shape and box, each with its ordering mask (``_Representatives``),
+    and the pattern's pairs, as bits, select them.
     """
-    blocks = group.block_slices
-    crossing = [(i, j) for i, j in pattern if len(blocks) > 1 and group.block_of(i) != group.block_of(j)]
+    table = _representatives(group.factors, box)
+    m = group.dimension
+    bits = 0
+    for i, j in pattern:
+        bits |= 1 << (i * m + j)
+    if not bits & table.crossing:  # each combination is its own signature
+        return [d for d, mask in table.records if not mask & bits]
+    crossing = [(i, j) for i, j in pattern if group.block_of(i) != group.block_of(j)]
     per_block = []
-    for f, block in zip(group.factors, blocks):
-        if crossing:
-            choices = _block_vectors(f.family, len(block), box)
-        else:
-            choices = _block_representatives(f.family, len(block), box)
+    for f, block in zip(group.factors, group.block_slices):
         local = [(i - block.start, j - block.start) for i, j in pattern if i in block and j in block]
-        per_block.append([d for d in choices if all(d[i] >= d[j] for i, j in local)])
+        per_block.append([d for d in _block_vectors(f.family, len(block), box) if all(d[i] >= d[j] for i, j in local)])
     combos = itertools.product(*per_block)
-    if not crossing:  # each combination is its own signature
-        return [sum(combo, ()) for combo in combos if any(map(any, combo))]
     out = {}
     for combo in combos:
         d = sum(combo, ())
@@ -1042,6 +1102,49 @@ def admissible_exponents(group: GroupSpec, box: int, pattern) -> list[tuple[int,
         if any(map(any, key[0])) or not all(key[1]):  # something moves
             out.setdefault(key, tuple(x // gcd(*d) for x in d))
     return list(out.values())
+
+
+class _Representatives:
+    """The combined block representatives of one group shape and box, the
+    entries ``admissible_exponents`` gives for a pattern with no pair
+    between blocks, and what depends on them alone.
+
+    ``records`` holds each representative d, in order, with the bits
+    i m + j of its in-block pairs with d_i < d_j: a pattern, as bits of its
+    pairs, admits d exactly when the two share no bit.  ``crossing`` holds
+    the bits of the pairs between blocks.  ``radical`` gives a
+    representative's radical positions with their conjugator index, built
+    on first use.
+    """
+
+    def __init__(self, factors: tuple, box: int):
+        self._blocks = tuple(b for b, f in enumerate(factors) for _ in range(f.rank))
+        m = len(self._blocks)
+        pairs = [(i, j) for i in range(m) for j in range(m)]
+        self.crossing = sum(1 << (i * m + j) for i, j in pairs if self._blocks[i] != self._blocks[j])
+        inside = [(i, j) for i, j in pairs if self._blocks[i] == self._blocks[j]]
+        records = []
+        for combo in itertools.product(*(_block_representatives(f.family, f.rank, box) for f in factors)):
+            if any(map(any, combo)):
+                d = sum(combo, ())
+                records.append((d, sum(1 << (i * m + j) for i, j in inside if d[i] < d[j])))
+        self.records = tuple(records)
+        self._radicals: dict = dict.fromkeys(d for d, _ in records)
+
+    def radical(self, d: tuple[int, ...]) -> tuple | None:
+        """The radical positions of a representative d
+        (``_radical_entries``) with their ``_conjugator_index``; None when
+        d is not a representative."""
+        radical = self._radicals.get(d)
+        if radical is None and d in self._radicals:
+            free = tuple(_radical_entries(d, self._blocks))
+            radical = self._radicals[d] = (free, _conjugator_index(free))
+        return radical
+
+
+@functools.cache
+def _representatives(factors: tuple, box: int) -> _Representatives:
+    return _Representatives(factors, box)
 
 
 @functools.cache

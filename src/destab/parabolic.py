@@ -211,13 +211,14 @@ class ParabolicDescriptor:
         return True
 
     def conjugated_by(self, g: Mat) -> "ParabolicDescriptor":
-        g = linalg.mat(g)
-        self.group.require_member(g)
+        return self._conjugated_by_pair(self.group._checked_pair(linalg.mat(g)))
+
+    def _conjugated_by_pair(self, pair: tuple) -> "ParabolicDescriptor":
+        """``conjugated_by`` for an element given by its checked pair
+        (``GroupSpec._checked_pair``), which is not checked again."""
+        g = pair[0]
         flags = tuple(
-            tuple(
-                linalg.row_space(tuple(linalg.mat_vec(g, row) for row in space))
-                for space in chain
-            )
+            tuple(linalg.row_space(tuple(g.apply(row) for row in space)) for space in chain)
             for chain in self.flags
         )
         return ParabolicDescriptor(self.group, flags)
@@ -229,31 +230,39 @@ class ParabolicDescriptor:
 
 def _radical_positions(lam: Cocharacter) -> list[tuple[int, int]]:
     """Entries (i, j), row by row, left free in R_u(P_lambda) in the standard frame."""
-    d = lam.torus.exponents
-    group = lam.group
-    return [
-        (i, j)
-        for i in range(len(d))
-        for j in range(len(d))
-        if d[i] > d[j] and group.block_of(i) == group.block_of(j)
-    ]
+    return _radical_entries(lam.torus.exponents, lam.group._block_indices)
 
 
-def _conjugator_system(hs, hs_prime, free) -> tuple[list, list]:
+def _radical_entries(d, blocks) -> list[tuple[int, int]]:
+    """``_radical_positions`` of exponents d, given the block of each
+    coordinate: the entries (i, j), row by row, with d_i > d_j in one
+    block."""
+    return [(i, j) for i in range(len(d)) for j in range(len(d)) if d[i] > d[j] and blocks[i] == blocks[j]]
+
+
+def _conjugator_index(free) -> tuple[dict, dict]:
+    """The free entries x_ab of u by row and by column: row a -> the
+    (index k, column b) of each free x_ab in it, and column b -> (k, a)."""
+    in_row: dict[int, list] = {}
+    in_col: dict[int, list] = {}
+    for k, (a, b) in enumerate(free):
+        in_row.setdefault(a, []).append((k, b))
+        in_col.setdefault(b, []).append((k, a))
+    return in_row, in_col
+
+
+def _conjugator_system(hs, hs_prime, free, index=None) -> tuple[list, list]:
     """Rows and right-hand sides of u h = h' u over the free entries of u.
 
     With u = 1 + sum x_ab E_ab, the coefficient of x_ab in (u h - h' u)_ij
     is [a = i] h_bj - [b = j] h'_ia and the constant term is h_ij - h'_ij,
-    so equation (i, j) involves only the free entries in row i or column j.
-    Each row is given by its nonzero (index into free, coefficient) terms,
-    as the integer elimination of ``linalg`` takes it; identically zero
-    equations are dropped.
+    so equation (i, j) involves only the free entries in row i or column j,
+    which ``index``, the ``_conjugator_index`` of free, lists (built here
+    when not given).  Each row is given by its nonzero (index into free,
+    coefficient) terms, as the integer elimination of ``linalg`` takes it;
+    identically zero equations are dropped.
     """
-    in_row: dict[int, list] = {}  # row a -> (index k, column b) of each free x_ab
-    in_col: dict[int, list] = {}  # column b -> (index k, row a)
-    for k, (a, b) in enumerate(free):
-        in_row.setdefault(a, []).append((k, b))
-        in_col.setdefault(b, []).append((k, a))
+    in_row, in_col = _conjugator_index(free) if index is None else index
     rows = []
     rhs = []
     for h, hp in zip(hs, hs_prime):
@@ -270,15 +279,17 @@ def _conjugator_system(hs, hs_prime, free) -> tuple[list, list]:
     return rows, rhs
 
 
-def _radical_conjugator(hs, hs_prime, lam: Cocharacter) -> Mat | None:
+def _radical_conjugator(hs, hs_prime, lam: Cocharacter, radical=None) -> Mat | None:
     """In the frame of lambda: u in R_u(P_lambda)(Q) with u h = h' u for
-    every pair of the two tuples, or None.
+    every pair of the two tuples, or None.  ``radical`` is the pair of
+    lambda's ``_radical_positions`` and their ``_conjugator_index``, when
+    the caller holds it.
 
     Both postconditions, the radical pattern and every product equation,
     are re-checked exactly before u is handed out.
     """
-    free = _radical_positions(lam)
-    solution = linalg._solve_terms(*_conjugator_system(hs, hs_prime, free), len(free))
+    free, index = (_radical_positions(lam), None) if radical is None else radical
+    solution = linalg._solve_terms(*_conjugator_system(hs, hs_prime, free, index), len(free))
     if solution is None:
         return None
     ut = [list(row) for row in linalg.identity(lam.group.dimension)]

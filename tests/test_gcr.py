@@ -362,6 +362,30 @@ def test_is_gcr_algebra_on_sl_and_product_groups_matches_search():
             _assert_algebra_witness(h, verdict)
 
 
+def _reference_layers(radical, group):
+    """Reference: the layers J^k V, k >= 1, as RREF bases of Fraction
+    products, one ``mat_vec`` per radical element and layer vector."""
+    layers = []
+    layer = group.identity()
+    while layer := linalg.row_space(tuple(linalg.mat_vec(x, v) for x in radical for v in layer)):
+        layers.append(layer)
+    return tuple(layers)
+
+
+def test_radical_filtration_layers_match_fraction_reference():
+    # the layers built on integer rows are the Fraction RREF layers, and
+    # lambda is adapted to them, on three corpus streams
+    deep = 0
+    for seed, size in ((1, 64), (2, 200), (3, 100)):
+        for h in subgroup_corpus(seed, size):
+            radical, layers, lam = gcr._radical_filtration(h)
+            assert layers == _reference_layers(radical, h.group)
+            assert all(type(x) is F for layer in layers for row in layer for x in row)
+            assert (lam is None) == (not radical)
+            deep += len(layers) > 1
+    assert deep > 0
+
+
 def test_case_162_has_an_exact_witness_and_quotient():
     # the bounded search misses the destabilizing line <(1,1,1)> of this
     # case (a known limit of its torus family); the exact route finds it

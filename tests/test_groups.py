@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from destab import (
     Character,
     Cocharacter,
+    DimensionError,
     DomainError,
     GroupSpec,
     Norm,
@@ -183,3 +184,27 @@ def test_cocharacter_base_checked_and_inverted_by_one_reduction():
         with pytest.raises(DomainError, match="^cocharacter base is not in the group$"):
             Cocharacter.based(gl2sl2, bad, (1, 0, 1, -1))
         assert not gl2sl2.contains(linalg.mat(bad))
+
+
+def test_group_shape_is_kept_out_of_equality_and_pickles():
+    # dimension, block slices and block indices are computed once per
+    # instance; equality, hash, repr and the pickled bytes are a fresh
+    # group's
+    import pickle
+
+    for factors in ((("GL", 3),), (("GL", 2), ("SL", 2)), (("GL", 1), ("SL", 3), ("GL", 2))):
+        group, fresh = GroupSpec.make(*factors), GroupSpec.make(*factors)
+        pickled = pickle.dumps(fresh)
+        m = sum(rank for _, rank in factors)
+        starts = [sum(rank for _, rank in factors[:b]) for b in range(len(factors))]
+        slices = tuple(range(start, start + rank) for start, (_, rank) in zip(starts, factors))
+        assert group.dimension == m and group.block_slices == slices
+        assert group.block_slices is group.block_slices
+        assert [group.block_of(i) for i in range(m)] == [b for b, r in enumerate(slices) for _ in r]
+        for index in (-1, m, m + 3):
+            with pytest.raises(DimensionError):
+                group.block_of(index)
+        assert group == fresh and hash(group) == hash(fresh) and repr(group) == repr(fresh)
+        assert pickle.dumps(group) == pickled
+        copy = pickle.loads(pickled)
+        assert copy == group and copy.block_slices == slices and copy.block_of(m - 1) == len(slices) - 1

@@ -1512,9 +1512,9 @@ def test_is_cochar_closed_solves_each_cocharacter_once(monkeypatch):
     solve = instability._radical_conjugator
     solved = []
 
-    def counted(hs, hs_prime, lam):
+    def counted(hs, hs_prime, lam, *radical):
         solved.append(lam)
-        return solve(hs, hs_prime, lam)
+        return solve(hs, hs_prime, lam, *radical)
 
     monkeypatch.setattr(instability, "_radical_conjugator", counted)
     verdict = is_cochar_closed(h.tuple_point(), cfg)
@@ -2669,3 +2669,257 @@ def test_conjugated_by_inverts_only_the_conjugator(monkeypatch):
         singular = linalg.mat_mul(g, _monomial(tuple(range(group.dimension)), (0,) + (1,) * (group.dimension - 1)))
         with pytest.raises(DomainError, match="^conjugator is not in the group$"):
             lam.conjugated_by(singular)
+
+
+# ---------------------------------------------------------------------------
+# The closedness search's input-free tables: the two-product move and the
+# per-block all(...) filter they replaced, kept as references
+
+
+def _two_product_moved_tuples(mats, cfg):
+    """Reference: each matrix scaled once and moved into each torus base by
+    the two products inverse @ h @ base."""
+    scaled = [linalg._Scaled.of(h) for h in mats]
+    for frame, pair in zip(cfg.conjugation_family, cfg._frames):
+        base, inverse = pair
+        yield frame, pair, [inverse @ h @ base for h in scaled]
+
+
+def _all_filter_admissible_exponents(group, box, pattern):
+    """Reference: ``admissible_exponents`` filtering each block's
+    representatives by all(d_i >= d_j) over the pattern's pairs inside the
+    block, with the block-vector path for pairs between blocks."""
+    blocks = group.block_slices
+    crossing = [(i, j) for i, j in pattern if len(blocks) > 1 and group.block_of(i) != group.block_of(j)]
+    per_block = []
+    for f, block in zip(group.factors, blocks):
+        if crossing:
+            choices = instability._block_vectors(f.family, len(block), box)
+        else:
+            choices = instability._block_representatives(f.family, len(block), box)
+        local = [(i - block.start, j - block.start) for i, j in pattern if i in block and j in block]
+        per_block.append([d for d in choices if all(d[i] >= d[j] for i, j in local)])
+    combos = itertools.product(*per_block)
+    if not crossing:
+        return [sum(combo, ()) for combo in combos if any(map(any, combo))]
+    out = {}
+    for combo in combos:
+        d = sum(combo, ())
+        if any(d[i] < d[j] for i, j in crossing):
+            continue
+        key = (tuple(map(instability._ranks, combo)), tuple(d[i] == d[j] for i, j in crossing))
+        if any(map(any, key[0])) or not all(key[1]):
+            out.setdefault(key, tuple(x // gcd(*d) for x in d))
+    return list(out.values())
+
+
+SEARCH_TABLE_GROUPS = (
+    GL2,
+    GL3,
+    GroupSpec.make(("GL", 4)),
+    GroupSpec.make(("SL", 3)),
+    GroupSpec.make(("GL", 2), ("SL", 2)),
+)
+
+
+def _rational_matrix(rng, m):
+    return [[F(rng.randint(-3, 3), rng.choice((1, 1, 2, 3))) if rng.random() < 0.6 else F(0) for _ in range(m)] for _ in range(m)]
+
+
+def test_conjugation_operator_matches_two_products():
+    # every torus of the corpus configurations (generators twisted by
+    # +-1/2 and +-2) and of seeded configurations with a rational shear,
+    # on seeded rational tuples: the same rows and the same scale
+    rng = random.Random(113)
+    cases = []
+    for seed in (1, 2):
+        for h in subgroup_corpus(seed, 60):
+            cases.append((corpus_config(h.group), _twisted(h.generators, rng)))
+    for group in SEARCH_TABLE_GROUPS:
+        cfg = SearchConfig.default(group, shear_values=(-2, F(-1, 2), 1, 3))
+        for _ in range(4):
+            cases.append((cfg, [_rational_matrix(rng, group.dimension) for _ in range(rng.randint(1, 3))]))
+    tori = 0
+    for cfg, mats in cases:
+        new = list(instability._moved_tuples(mats, cfg))
+        old = list(_two_product_moved_tuples(mats, cfg))
+        assert [(f, pair) for f, pair, _ in new] == [(f, pair) for f, pair, _ in old]
+        for (_, _, moved), (_, _, expected) in zip(new, old):
+            assert [tuple(t) for t in moved] == [tuple(t) for t in expected]  # rows and scale, not only the value
+        tori += len(new)
+    assert tori >= 120 * 7 + 5 * 4 * 7, tori
+
+
+def test_admissible_exponent_masks_match_all_filter():
+    # seeded patterns on GL_2-GL_4, SL_3 and GL_2 x SL_2 at boxes 1-4, with
+    # pairs between blocks on the product, and the entry pattern of every
+    # corpus torus
+    rng = random.Random(127)
+    cases = []
+    for group in SEARCH_TABLE_GROUPS:
+        m = group.dimension
+        everywhere = [(i, j) for i in range(m) for j in range(m) if i != j]
+        within = [(i, j) for i, j in everywhere if group.block_of(i) == group.block_of(j)]
+        patterns = [set(), set(within), set(everywhere)]
+        for q in (0.1, 0.25, 0.5):
+            patterns += [{p for p in within if rng.random() < q} for _ in range(6)]
+            patterns += [{p for p in everywhere if rng.random() < q} for _ in range(6)]
+        cases += [(group, box, pattern) for box in (1, 2, 3, 4) for pattern in patterns]
+    for seed in (1, 2):
+        for h in subgroup_corpus(seed, 60):
+            cfg = corpus_config(h.group)
+            for _, _, moved in instability._moved_tuples(h.generators, cfg):
+                cases.append((h.group, cfg.exponent_box, _entry_pattern(t.rows for t in moved)))
+    crossing = 0
+    for group, box, pattern in cases:
+        assert admissible_exponents(group, box, pattern) == _all_filter_admissible_exponents(group, box, pattern)
+        crossing += any(group.block_of(i) != group.block_of(j) for i, j in pattern)
+    assert crossing >= 50, crossing
+
+
+def test_representative_radicals_match_radical_positions():
+    # the positions and index kept per representative are the ones the
+    # solver built per cocharacter
+    from destab.parabolic import _conjugator_index, _radical_positions
+
+    for group in SEARCH_TABLE_GROUPS:
+        for box in (1, 2, 4):
+            table = instability._representatives(group.factors, box)
+            assert [d for d, _ in table.records] == admissible_exponents(group, box, set())
+            for d, _ in table.records:
+                free = _radical_positions(Cocharacter.standard(group, d))
+                assert table.radical(d) == (tuple(free), _conjugator_index(free))
+            assert table.radical((0,) * group.dimension) is None
+
+
+def _closedness_points(group, rng, count=6):
+    """Seeded tuples of block-diagonal matrices moved by a family frame,
+    so that some are caught by the search."""
+    family = _weyl_shear_family(group, (-1, 1))
+    points = []
+    for _ in range(count):
+        frame = rng.choice(family)
+        inv = linalg.inverse(frame)
+        mats = [
+            linalg.mat_mul(linalg.mat_mul(frame, linalg.mat(_block_diagonal_matrix(rng, group))), inv)
+            for _ in range(rng.randint(1, 2))
+        ]
+        points.append(ConjugationTuples(group, len(mats)).point(mats))
+    return points
+
+
+def test_second_search_builds_no_operator(monkeypatch):
+    build = instability._conjugation_operator
+    built = []
+
+    def counted(pair):
+        built.append(pair)
+        return build(pair)
+
+    monkeypatch.setattr(instability, "_conjugation_operator", counted)
+    rng = random.Random(131)
+    for group in (GL3, GroupSpec.make(("GL", 2), ("SL", 2))):
+        cfg = SearchConfig.default(group, exponent_box=2, shear_values=(-1, 1))
+        points = _closedness_points(group, rng)
+        built.clear()
+        verdicts = [is_cochar_closed(v, cfg) for v in points]
+        assert built == list(cfg._frames)  # one operator per torus, on the first search
+        assert {v.closed for v in verdicts} == {True, False}
+        assert [is_cochar_closed(v, cfg) for v in points] == verdicts
+        assert len(built) == len(cfg._frames)
+
+
+def test_searched_configuration_equals_a_fresh_one():
+    import pickle
+
+    from destab import cli, documents
+
+    rng = random.Random(137)
+    for group in (GL3, GroupSpec.make(("GL", 2), ("SL", 2))):
+        samples = (_dense_member(rng, group),)
+
+        def build():
+            return SearchConfig.default(group, exponent_box=2, shear_values=(-1, 1), normalizer_samples=samples)
+
+        cfg, fresh = build(), build()
+        points = _closedness_points(group, rng)
+        verdicts = [is_cochar_closed(v, cfg) for v in points]
+        assert "_operators" in vars(cfg) and "_operators" not in vars(fresh)
+        assert cfg == fresh and hash(cfg) == hash(fresh) and repr(cfg) == repr(fresh)
+        echo = documents.emit_config(cfg)
+        assert echo == documents.emit_config(fresh)
+        assert cli._fingerprint({"config": echo}) == cli._fingerprint({"config": documents.emit_config(fresh)})
+        for copy in (pickle.loads(pickle.dumps(cfg)), pickle.loads(pickle.dumps(fresh))):
+            assert copy == cfg and hash(copy) == hash(cfg)
+            assert [is_cochar_closed(v, copy) for v in points] == verdicts
+        assert [is_cochar_closed(v, fresh) for v in points] == verdicts
+
+
+def _reference_kempf_check(inst):
+    """Reference: ``corpus._kempf_check`` inverting each conjugator with
+    ``linalg.inverse``, moving the points by public ``act`` and
+    conjugating the parabolic by public ``conjugated_by``."""
+    group = inst.group
+    rep = inst.points[0].rep
+    s = SubvarietySpec.zero_locus()
+    extra = inst.extra_frame
+    for g in inst.conjugators:
+        ginv = linalg.inverse(g)
+        base_family = [group.identity(), extra, ginv, linalg.mat_mul(ginv, extra)]
+        cfg = SearchConfig(group, 4, tuple(base_family), normalizer_samples=inst.normalizer_samples)
+        moved_cfg = SearchConfig(group, 4, tuple(linalg.mat_mul(g, f) for f in base_family))
+        try:
+            result = optimize(inst.points, s, cfg)
+        except InvariantViolation as exc:
+            return {"ok": False, "detail": str(exc)}
+        moved_result = optimize(tuple(rep.act(g, x) for x in inst.points), s, moved_cfg)
+        if result.status != OPTIMAL or moved_result.status != OPTIMAL:
+            return {"ok": False, "detail": "optimum not witnessed"}
+        if moved_result.value_sq != result.value_sq:
+            return {"ok": False, "detail": "values differ"}
+        if moved_result.parabolic != result.parabolic.conjugated_by(g):
+            return {"ok": False, "detail": "parabolic is not conjugate"}
+    return {"ok": True, "detail": None}
+
+
+def test_kempf_check_checks_each_conjugator_once(monkeypatch):
+    from destab import corpus
+    from destab.parabolic import ParabolicDescriptor
+    from destab.reps import Representation
+
+    cases = corpus._kempf_cases(1, 6)
+    expected = [_reference_kempf_check(inst) for inst in cases]
+    calls = []
+    checked_pair, inverse = GroupSpec._checked_pair, linalg.inverse
+    require_member, act = GroupSpec.require_member, Representation.act
+
+    def counted_pair(group, g, what="element"):
+        calls.append(what)
+        return checked_pair(group, g, what)
+
+    def refused(name):
+        def call(*args, **kwargs):
+            calls.append(name)
+            raise AssertionError(f"{name} called")
+
+        return call
+
+    monkeypatch.setattr(GroupSpec, "_checked_pair", counted_pair)
+    monkeypatch.setattr(linalg, "inverse", refused("inverse"))
+    monkeypatch.setattr(GroupSpec, "require_member", refused("require_member"))
+    monkeypatch.setattr(Representation, "act", refused("act"))
+    for inst, record in zip(cases, expected):
+        calls.clear()
+        assert corpus._kempf_check(inst) == record == {"ok": True, "detail": None}
+        assert calls.count("conjugator") == len(inst.conjugators)
+        assert not {"inverse", "require_member", "act"} & set(calls)
+    monkeypatch.undo()
+    # the private path conjugates as the public one, which still checks
+    rng = random.Random(139)
+    for group in SEARCH_TABLE_GROUPS:
+        for _ in range(4):
+            p = ParabolicDescriptor.from_cocharacter(Cocharacter.based(group, _dense_member(rng, group), _exponents(rng, group)))
+            g = _dense_member(rng, group)
+            assert p._conjugated_by_pair(group._checked_pair(g)) == p.conjugated_by(g)
+        with pytest.raises(DomainError, match="^element is not in the group$"):
+            p.conjugated_by(linalg.zeros(group.dimension, group.dimension))
