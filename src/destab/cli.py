@@ -291,8 +291,15 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """``build_parser``'s parser, built once per process: parsing reads it
+    and does not change it."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    args = _parser().parse_args(argv)
     args.documents = {}
     try:
         result, cfg, assertions = _COMMANDS[args.command](args)

@@ -602,6 +602,14 @@ class SearchConfig:
         compared fields, beside ``_frames``."""
         return tuple(map(_conjugation_operator, self._frames))
 
+    @functools.cached_property
+    def _flag_spaces(self) -> dict:
+        """(torus index, coordinate bitmask) -> the ``_column_space`` of
+        that torus base's columns at the set bits, filled by the closedness
+        search on first use (``_flag``) and kept, outside the compared
+        fields, beside ``_operators``."""
+        return {}
+
     @staticmethod
     def default(
         group: GroupSpec,
@@ -927,18 +935,27 @@ def is_cochar_closed(v: Point, cfg: SearchConfig) -> CocharClosedVerdict:
     conjugator.
 
     The conjugator system is solved in the base frame that already holds
-    the tuple and its limit, once per distinct cocharacter: the limit and
-    the radical depend on lambda alone, and lambda(2) determines lambda, so
-    a cocharacter met again in another torus after it received a conjugator
-    is only recorded in ``examined``.  The search stops at its first
-    failure, so this changes neither the verdict nor ``examined``.
+    the tuple and its limit, once per flag of lambda in the whole space
+    (``_flag``).  Whether the limit is R_u(P_lambda)(Q)-conjugate to the
+    tuple depends on the parabolic alone: two cocharacters with one flag
+    have one parabolic and interleave their levels alike, so their Levi
+    subgroups are conjugate by some u0 in R_u(P)(Q), and u0 carries one
+    limit onto the other (Borel, Linear Algebraic Groups, section 20).  A
+    cocharacter whose flag already received a conjugator is only recorded
+    in ``examined``.  The flag is taken in the whole space, not per factor:
+    with an entry between two blocks, two cocharacters with the same
+    per-factor flags may order the levels of the two blocks differently,
+    and then their limits differ.  The search stops at its first failure,
+    and a skipped cocharacter has a conjugator, so this changes neither
+    the verdict nor ``examined``.
 
     What depends on the configuration alone is built once: each torus's
     conjugation operator (``_moved_tuples``), and per group shape and box
     each representative's ordering mask, which ``admissible_exponents``
     tests against the entry pattern, and its radical positions with their
-    conjugator index (``_Representatives``).  Nothing keyed by the input
-    is kept between calls.
+    conjugator index (``_Representatives``); per torus and coordinate set,
+    each flag space (``SearchConfig._flag_spaces``).  Nothing keyed by the
+    input is kept between calls.
     """
     rep = v.rep
     if not isinstance(rep, ConjugationTuples):
@@ -949,17 +966,18 @@ def is_cochar_closed(v: Point, cfg: SearchConfig) -> CocharClosedVerdict:
         raise DimensionError("configuration group differs from the representation group")
     table = _representatives(cfg.group.factors, cfg.exponent_box)
     examined: list[Cocharacter] = []
-    solved: set = set()  # lambda(2) of each cocharacter with a conjugator
-    for lam, moved in _frame_cocharacters(rep.matrices(v), cfg):
+    solved: set = set()  # the flag of each cocharacter with a conjugator
+    for torus, lam, moved in _frame_cocharacters(rep.matrices(v), cfg):
         examined.append(lam)
+        d = lam.torus.exponents
         tmats = [t.rows for t in moved]
-        limit_t = [_limit_pattern(h, lam.torus.exponents) for h in tmats]
+        limit_t = [_limit_pattern(h, d) for h in tmats]
         if limit_t == tmats:
             continue  # the identity conjugator works
-        key = _value_at_two(lam._frame, lam.torus.exponents)
+        key = _flag(cfg, torus, d)
         if key in solved:
             continue
-        if _radical_conjugator(tmats, limit_t, lam, table.radical(lam.torus.exponents)) is None:
+        if _radical_conjugator(tmats, limit_t, lam, table.radical(d)) is None:
             # each limit on its moved matrix's scale, out of the frame
             limit_mats = tuple(lam._from_frame(t._replace(rows=h).fractions()) for t, h in zip(moved, limit_t))
             return CocharClosedVerdict(
@@ -1037,29 +1055,44 @@ def _moved_tuples(mats, cfg: SearchConfig):
 
 def _frame_cocharacters(mats, cfg: SearchConfig):
     """Torus by torus, each admissible cocharacter whose parabolic contains
-    the tuple, with the tuple moved into the torus's base frame as
-    ``_moved_tuples`` gives it.  Within a torus distinct exponents are
-    distinct cocharacters; one may recur in another torus that contains
-    it."""
-    for frame, pair, moved in _moved_tuples(mats, cfg):
+    the tuple, with the torus's index and the tuple moved into its base
+    frame as ``_moved_tuples`` gives it.  Within a torus distinct exponents
+    are distinct cocharacters; one may recur in another torus that
+    contains it."""
+    for torus, (frame, pair, moved) in enumerate(_moved_tuples(mats, cfg)):
         for exps in admissible_exponents(cfg.group, cfg.exponent_box, _entry_pattern(t.rows for t in moved)):
-            yield Cocharacter._on_frame(cfg.group, frame, pair, exps), moved
+            yield torus, Cocharacter._on_frame(cfg.group, frame, pair, exps), moved
 
 
-def _value_at_two(pair, d) -> tuple:
-    """lambda(2) for the exponents d on a torus base given by its checked
-    pair (base, base^-1), as the pair (x, l) with l = min d and
-    lambda(2) = 2^l x, x a scaled value.  The pair (x, l) determines
-    lambda(2) and is determined by it: the eigenvalues of lambda(2) are the
-    2^d_i.
+def _flag(cfg: SearchConfig, torus: int, d) -> tuple:
+    """The flag of the cocharacter with exponents d on the configuration's
+    torus of that index, in the whole space: for each distinct exponent c
+    but the smallest, largest first, V_c, the span of the base columns i
+    with d_i >= c, as its ``_column_space``.  Two cocharacters have equal
+    flags exactly when they define one parabolic subgroup of GL of the
+    space; each space is built once per torus and coordinate set."""
+    spaces = cfg._flag_spaces
+    key = []
+    mask = 0
+    for c in sorted(set(d), reverse=True)[:-1]:
+        for i, x in enumerate(d):
+            if x == c:
+                mask |= 1 << i
+        space = spaces.get((torus, mask))
+        if space is None:
+            space = spaces[torus, mask] = _column_space(cfg._frames[torus][0], mask)
+        key.append(space)
+    return tuple(key)
 
-    x is base diag(2^(d - l)) base^-1, one integer product, the diagonal a
-    shift of the base's columns.
-    """
-    frame, inv = pair
-    low = min(d)
-    shifted = tuple(tuple(v << (e - low) for v, e in zip(row, d)) for row in frame.rows)
-    return frame._replace(rows=shifted) @ inv, low
+
+def _column_space(frame: linalg._Scaled, mask: int) -> tuple:
+    """The span of the columns of a scaled frame at the set bits of mask,
+    as its RREF basis with each row the primitive integer row on its line
+    (``linalg._line``), which is canonical: equal spaces give equal
+    tuples."""
+    rows = [[row[i] for row in frame.rows] for i in range(len(frame.rows)) if mask >> i & 1]
+    pivots = linalg._reduce(rows)[0]
+    return tuple(linalg._line(row) for row in rows[: len(pivots)])
 
 
 def admissible_exponents(group: GroupSpec, box: int, pattern) -> list[tuple[int, ...]]:

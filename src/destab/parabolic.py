@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from fractions import Fraction
+from math import lcm
 
 from . import linalg
 from .errors import (
@@ -42,7 +42,10 @@ class MembershipClass(enum.Enum):
         return self is not MembershipClass.NOT_IN_P
 
 
-def _classify_pattern(gt: Mat, d: tuple[int, ...], unit_diag: Mat) -> MembershipClass:
+def _classify_pattern(gt: Mat, d: tuple[int, ...], unit) -> MembershipClass:
+    """Where gt, in the frame of d, sits relative to P_d, with ``unit`` the
+    diagonal entry of the radical's elements: 1 for a group element, the
+    scale for a group element's integer rows, 0 for a Lie element."""
     m = len(d)
     below = any(
         gt[i][j] != 0 for i in range(m) for j in range(m) if d[i] < d[j]
@@ -50,7 +53,7 @@ def _classify_pattern(gt: Mat, d: tuple[int, ...], unit_diag: Mat) -> Membership
     if below:
         return MembershipClass.NOT_IN_P
     diag_part_is_unit = all(
-        gt[i][j] == unit_diag[i][j] for i in range(m) for j in range(m) if d[i] == d[j]
+        gt[i][j] == (unit if i == j else 0) for i in range(m) for j in range(m) if d[i] == d[j]
     )
     if diag_part_is_unit:
         return MembershipClass.IN_RU
@@ -79,17 +82,14 @@ def _classify_member(g: linalg._Scaled, lam: Cocharacter) -> MembershipClass:
     checked again."""
     base, inverse = lam._frame
     gt = (inverse @ g @ base).fractions()
-    return _classify_pattern(gt, lam.torus.exponents, linalg.identity(len(gt)))
+    return _classify_pattern(gt, lam.torus.exponents, 1)
 
 
 def lie_classify(x: Mat, lam: Cocharacter) -> MembershipClass:
     """Lie algebra version: the limit must be 0 for the radical's algebra."""
     x = linalg.mat(x)
     _require_lie_element(lam.group, x)
-    xt = lam._to_frame(x)
-    m = len(xt)
-    zero = tuple((Fraction(0),) * m for _ in range(m))
-    return _classify_pattern(xt, lam.torus.exponents, zero)
+    return _classify_pattern(lam._to_frame(x), lam.torus.exponents, 0)
 
 
 def _require_lie_element(group: GroupSpec, x: Mat) -> None:
@@ -279,36 +279,40 @@ def _conjugator_system(hs, hs_prime, free, index=None) -> tuple[list, list]:
     return rows, rhs
 
 
-def _radical_conjugator(hs, hs_prime, lam: Cocharacter, radical=None) -> Mat | None:
+def _radical_conjugator(hs, hs_prime, lam: Cocharacter, radical=None) -> linalg._Scaled | None:
     """In the frame of lambda: u in R_u(P_lambda)(Q) with u h = h' u for
-    every pair of the two tuples, or None.  ``radical`` is the pair of
-    lambda's ``_radical_positions`` and their ``_conjugator_index``, when
-    the caller holds it.
+    every pair of the two tuples, as a scaled value, or None.  Each pair
+    (h, h') is given as integer rows over one common scale, which cancels
+    in u h = h' u.  ``radical`` is the pair of lambda's
+    ``_radical_positions`` and their ``_conjugator_index``, when the caller
+    holds it.
 
-    Both postconditions, the radical pattern and every product equation,
-    are re-checked exactly before u is handed out.
+    u's integer rows are built once, over the lcm of the solution's
+    denominators, and both postconditions, the radical pattern (the scale
+    on the diagonal) and every product equation, are re-checked exactly on
+    them before u is handed out.
     """
     free, index = (_radical_positions(lam), None) if radical is None else radical
     solution = linalg._solve_terms(*_conjugator_system(hs, hs_prime, free, index), len(free))
     if solution is None:
         return None
-    ut = [list(row) for row in linalg.identity(lam.group.dimension)]
+    scale = lcm(*[x.denominator for x in solution])
+    m = lam.group.dimension
+    rows = [[scale if i == j else 0 for j in range(m)] for i in range(m)]
     for (i, j), x in zip(free, solution):
-        ut[i][j] = x
-    ut = tuple(tuple(r) for r in ut)
-    if _classify_pattern(ut, lam.torus.exponents, linalg.identity(len(ut))) is not MembershipClass.IN_RU:
+        rows[i][j] = x.numerator * (scale // x.denominator)
+    u = linalg._Scaled(tuple(map(tuple, rows)), scale)
+    if _classify_pattern(u.rows, lam.torus.exponents, scale) is not MembershipClass.IN_RU:
         raise InvariantViolation("solved conjugator is not in the unipotent radical")
-    if not _intertwines(ut, hs, hs_prime):
+    if not _intertwines(u, [linalg._Scaled(h, 1) for h in hs], [linalg._Scaled(h, 1) for h in hs_prime]):
         raise InvariantViolation("solved conjugator does not map v to v'")
-    return ut
+    return u
 
 
-def _intertwines(u: Mat, hs, hs_prime) -> bool:
-    """u h = h' u for every pair, that is u h u^-1 = h' for invertible u,
-    tested on scaled values."""
-    scaled = linalg._Scaled.of
-    us = scaled(u)
-    return all(us @ scaled(h) == scaled(hp) @ us for h, hp in zip(hs, hs_prime))
+def _intertwines(u: linalg._Scaled, hs, hs_prime) -> bool:
+    """u h = h' u for every pair of scaled values, that is u h u^-1 = h'
+    for invertible u."""
+    return all(u @ h == hp @ u for h, hp in zip(hs, hs_prime))
 
 
 def find_ru_conjugator(
@@ -330,15 +334,20 @@ def find_ru_conjugator(
         raise DimensionError("points must belong to the given representation")
     hs = rep.matrices(v)
     hs_prime = rep.matrices(v_prime)
-    ut = _radical_conjugator([lam._to_frame(h) for h in hs], [lam._to_frame(h) for h in hs_prime], lam)
+    m = lam.group.dimension
+    # each pair moved into the frame, stacked, so that it is scaled to
+    # integer rows over one common scale
+    pairs = [linalg._Scaled.of(lam._to_frame(h) + lam._to_frame(hp)).rows for h, hp in zip(hs, hs_prime)]
+    ut = _radical_conjugator([p[:m] for p in pairs], [p[m:] for p in pairs], lam)
     if ut is None:
         return None
-    u = lam._from_frame(ut)
+    u = lam._from_frame(ut.fractions())
 
     # re-check both postconditions in the input coordinates
     if classify(u, lam) is not MembershipClass.IN_RU:
         raise InvariantViolation("solved conjugator is not in the unipotent radical")
-    if not _intertwines(u, hs, hs_prime):
+    scaled = linalg._Scaled.of
+    if not _intertwines(scaled(u), list(map(scaled, hs)), list(map(scaled, hs_prime))):
         raise InvariantViolation("solved conjugator does not map v to v'")
     return u
 

@@ -6,7 +6,7 @@ import time
 
 import pytest
 
-from destab import GroupSpec, SchemaError, SubgroupPresentation, c_lambda, documents, is_gcr_algebra
+from destab import GroupSpec, SchemaError, SubgroupPresentation, c_lambda, cli, documents, is_gcr_algebra
 from destab.cli import main
 
 GL2_DOC = {"factors": [{"family": "GL", "rank": 2}], "gram": "identity"}
@@ -218,6 +218,21 @@ def test_cli_gcr_reports_both_witnesses(tmp_path, docs):
     v_prime = destab.limit(v, lam)
     assert v_prime is not None
     assert destab.find_ru_conjugator(v, v_prime, lam) is None
+
+
+def test_cli_main_twice_in_process_gives_identical_reports(tmp_path, docs):
+    # the parser is built once per process; a refused command between the
+    # two runs leaves it as it was
+    args = ["gcr", "--group", docs["group_gl2"], "--input", docs["subgroup"], "--config", docs["gcr_config"]]
+    reports = []
+    for k in range(2):
+        out = tmp_path / f"report_{k}.json"
+        assert main(args + ["--out", str(out)]) == 0
+        reports.append(out.read_bytes())
+        refused = tmp_path / f"refused_{k}.json"
+        assert main(["corpus", "--profile", "no-such-profile", "--out", str(refused)]) == 2
+    assert reports[0] == reports[1]
+    assert cli._parser() is cli._parser()
 
 
 def test_cli_reduce_and_centre(tmp_path, docs):

@@ -557,7 +557,7 @@ def test_centralizer_dim_matches_dense_reference_on_corpus_and_projections():
     dims = set()
     for h in subgroup_corpus(1, 64):
         tuples = [h.generators]
-        for lam, moved in instability._frame_cocharacters(h.generators, corpus_config(h.group)):
+        for _, lam, moved in instability._frame_cocharacters(h.generators, corpus_config(h.group)):
             # the moved tuple's Levi projection, back on its own scale
             projected = [linalg._Scaled(_limit_pattern(t.rows, lam.torus.exponents), t.scale).fractions() for t in moved]
             if projected != [t.fractions() for t in moved] and projected not in tuples:

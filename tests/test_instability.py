@@ -39,6 +39,7 @@ from destab import (
 from destab import (
     CocharClosedVerdict,
     LieSubalgebra,
+    ParabolicDescriptor,
     UnsupportedRepresentationError,
     c_lambda,
     find_ru_conjugator,
@@ -1424,23 +1425,45 @@ def test_moved_tuples_match_fraction_products():
     assert tori >= 120 * 7, tori
 
 
-def test_value_at_two_is_lambda_of_two():
-    # the pair (x, l) is lambda(2) = 2^l x, also where a cocharacter is met
-    # again in another torus
-    recurred = 0
-    for group in (GL2, GL3, GroupSpec.make(("GL", 2), ("SL", 2))):
-        cfg = SearchConfig.default(group, shear_values=(-2, F(-1, 2), 1, 2))
-        values = {}
-        for frame, pair in zip(cfg.conjugation_family, cfg._frames):
-            for d in admissible_exponents(group, 3, set()):
-                at_two = Cocharacter.based(group, frame, d).evaluate(2)
-                x, low = instability._value_at_two(pair, d)
-                assert linalg.mat_scale(F(2) ** low, x.fractions()) == at_two and low == min(d)
-                values.setdefault((x, low), set()).add(at_two)
-        assert all(len(v) == 1 for v in values.values())
-        assert len(values) == len(set().union(*values.values()))  # one key per lambda(2)
-        recurred += len(cfg.conjugation_family) * len(admissible_exponents(group, 3, set())) - len(values)
-    assert recurred > 0
+def _primitive_rows(space):
+    """An RREF basis with each row made the primitive integer row on its
+    line."""
+    return tuple(linalg._line(linalg._integer_row(row)) for row in space)
+
+
+def _whole_space_flag(lam):
+    """Reference: the flag of lambda in the whole space, largest exponent
+    first, each space the ``linalg.row_space`` of the base columns whose
+    exponent is at least the cut, all but the smallest cut."""
+    d = lam.torus.exponents
+    columns = linalg.transpose(lam.base)
+    return tuple(
+        _primitive_rows(linalg.row_space(tuple(col for col, x in zip(columns, d) if x >= cut)))
+        for cut in sorted(set(d), reverse=True)[:-1]
+    )
+
+
+def test_flag_is_the_whole_space_flag():
+    # every cocharacter the corpus search examines whose limit moves the
+    # tuple: its key, read off the configuration's table, is its flag, and
+    # on these one-factor groups the one flag of its parabolic descriptor
+    keys = set()
+    checked = 0
+    for h in subgroup_corpus(1, 64):
+        cfg = corpus_config(h.group)
+        for torus, lam, moved in instability._frame_cocharacters(h.generators, cfg):
+            d = lam.torus.exponents
+            if [_limit_pattern(t.rows, d) for t in moved] == [t.rows for t in moved]:
+                continue
+            key = instability._flag(cfg, torus, d)
+            assert key == _whole_space_flag(lam)
+            (chain,) = ParabolicDescriptor.from_cocharacter(lam).flags
+            assert key == tuple(map(_primitive_rows, chain))
+            keys.add(key)
+            checked += 1
+        m = cfg.group.dimension
+        assert all(0 <= t < len(cfg._frames) and 0 < mask < (1 << m) - 1 for t, mask in cfg._flag_spaces)
+    assert checked >= 400 and len(keys) >= 20, (checked, len(keys))
 
 
 def test_is_cochar_closed_matches_reference_on_twisted_corpus():
@@ -1503,12 +1526,8 @@ def test_lie_is_gcr_matches_reference(monkeypatch):
     assert len(verdicts[0].examined) == 96  # every torus searched
 
 
-def test_is_cochar_closed_solves_each_cocharacter_once(monkeypatch):
-    # stream index 16 is completely reducible with 47 entries examined, 16
-    # of them met again in another torus; the conjugator system is solved
-    # once per distinct cocharacter whose limit moves the tuple
-    h = subgroup_corpus(1, 64)[16]
-    cfg = corpus_config(h.group)
+def _counting_solves(monkeypatch):
+    """The cocharacters handed to the conjugator solver, in order."""
     solve = instability._radical_conjugator
     solved = []
 
@@ -1517,15 +1536,107 @@ def test_is_cochar_closed_solves_each_cocharacter_once(monkeypatch):
         return solve(hs, hs_prime, lam, *radical)
 
     monkeypatch.setattr(instability, "_radical_conjugator", counted)
+    return solved
+
+
+def test_is_cochar_closed_solves_each_flag_once(monkeypatch):
+    # stream index 16 is completely reducible with 47 entries examined,
+    # every one moving the tuple: 31 distinct lambda(2) but 3 distinct
+    # flags, and the conjugator system is solved once per flag
+    h = subgroup_corpus(1, 64)[16]
+    cfg = corpus_config(h.group)
+    solved = _counting_solves(monkeypatch)
     verdict = is_cochar_closed(h.tuple_point(), cfg)
     assert verdict.closed and len(verdict.examined) == 47
     moving = [lam for lam in verdict.examined if c_lambda(h.generators, lam) != h.generators]
-    distinct = {lam.evaluate(2) for lam in moving}
-    assert len({lam.evaluate(2) for lam in solved}) == len(solved) == len(distinct) == 31
-    assert len(moving) == 47
+    assert len(moving) == 47 and len({lam.evaluate(2) for lam in moving}) == 31
+    flags = {_whole_space_flag(lam) for lam in moving}
+    assert len({_whole_space_flag(lam) for lam in solved}) == len(solved) == len(flags) == 3
     monkeypatch.undo()
     reference = _reference_is_cochar_closed(h.tuple_point(), cfg, _weyl_shear_family(h.group, CORPUS_SHEARS))
     assert verdict == _on_bases(reference, cfg)
+
+
+def test_is_cochar_closed_diagonal_gl4_solves_once_per_flag(monkeypatch):
+    # the diagonal GL_4 tuple under the default shears examines 2,138
+    # cocharacters, as the search keyed on lambda(2) did while it solved
+    # 1,488 systems; one system is solved per distinct flag among those
+    # whose limit moves the tuple
+    group = GroupSpec.make(("GL", 4))
+    cfg = SearchConfig.default(group, shear_values=(-2, -1, 1, 2))
+    v = ConjugationTuples(group, 1).point([linalg.mat([[i + 1 if i == j else 0 for j in range(4)] for i in range(4)])])
+    solved = _counting_solves(monkeypatch)
+    verdict = is_cochar_closed(v, cfg)
+    assert verdict.closed and len(verdict.examined) == 2138
+    moving = [lam for lam in verdict.examined if limit(v, lam) != v]
+    assert len({_whole_space_flag(lam) for lam in moving}) == len(solved) == 74
+
+
+def _crossing_tuples(rng, shapes, count):
+    """Seeded block-diagonal tuples with up to two entries between blocks
+    per matrix."""
+    for k in range(count):
+        group = GroupSpec.make(*shapes[k % len(shapes)])
+        m = group.dimension
+        mats = []
+        for _ in range(rng.randint(1, 2)):
+            h = _block_diagonal_matrix(rng, group)
+            for _ in range(rng.randint(1, 2)):
+                i, j = rng.sample(range(m), 2)
+                if group.block_of(i) != group.block_of(j):
+                    h[i][j] = rng.choice((1, -1, 2))
+            mats.append(linalg.mat(h))
+        yield ConjugationTuples(group, len(mats)).point(mats)
+
+
+def test_is_cochar_closed_skips_only_cocharacters_with_a_conjugator(monkeypatch):
+    # every moving cocharacter the search examines but does not solve
+    # shares its flag with one solved before it, so a radical conjugator
+    # exists for it too: solve each of them through find_ru_conjugator
+    solved = _counting_solves(monkeypatch)
+    inputs = [(h.tuple_point(), corpus_config(h.group)) for h in subgroup_corpus(1, 64) + subgroup_corpus(2, 200)]
+    shapes = [(("GL", 1), ("GL", 2)), (("GL", 2), ("SL", 2)), (("GL", 1),) * 3, (("SL", 2), ("GL", 1))]
+    for v in _crossing_tuples(random.Random(72), shapes, 40):
+        inputs.append((v, SearchConfig.default(v.rep.group, exponent_box=2, shear_values=(1, -1))))
+    toral = LieSubalgebra(GL3, (((1, 0, 0), (0, 2, 0), (0, 0, -3)),))
+    inputs.append((toral.tuple_point(), SearchConfig.default(GL3, exponent_box=2, shear_values=(1, -2))))
+    skipped = []
+    for v, cfg in inputs:
+        solved.clear()
+        verdict = is_cochar_closed(v, cfg)
+        handed = set(map(id, solved))
+        skipped.append(0)
+        for lam in verdict.examined:
+            moved = limit(v, lam)
+            if moved != v and id(lam) not in handed:
+                assert find_ru_conjugator(v, moved, lam) is not None
+                skipped[-1] += 1
+    corpus, crossing, lie = sum(skipped[:264]), sum(skipped[264:-1]), skipped[-1]
+    # on these crossing tuples, keying on the per-factor descriptor would
+    # skip three cocharacters that have no conjugator
+    assert corpus >= 800 and crossing >= 3 and lie >= 40, (corpus, crossing, lie)
+
+
+def test_is_cochar_closed_keys_on_the_whole_space_flag_not_per_factor():
+    # an entry between the two blocks of GL_2 x SL_2: (-1, -2, 1, -1)
+    # receives a conjugator and (-1, -2, 2, -2), with the same per-factor
+    # flags, has none, because the two order the levels of the blocks
+    # differently; keying the search on the parabolic descriptor would
+    # skip the failure
+    group = GroupSpec.make(("GL", 2), ("SL", 2))
+    cfg = SearchConfig.default(group, exponent_box=2, shear_values=(1, -1))
+    v = ConjugationTuples(group, 1).point([linalg.mat([[1, 0, 0, -1], [0, 1, 0, 0], [0, 0, -1, 1], [0, 0, 0, 1]])])
+    verdict = is_cochar_closed(v, cfg)
+    assert not verdict.closed and len(verdict.examined) == 4
+    solved, failed = verdict.examined[2:]
+    assert solved.base == failed.base == group.identity()
+    assert (solved.torus.exponents, failed.torus.exponents) == ((-1, -2, 1, -1), (-1, -2, 2, -2))
+    assert verdict.witness == failed
+    assert ParabolicDescriptor.from_cocharacter(solved) == ParabolicDescriptor.from_cocharacter(failed)
+    assert _whole_space_flag(solved) != _whole_space_flag(failed)
+    assert find_ru_conjugator(v, limit(v, solved), solved) is not None
+    assert find_ru_conjugator(v, limit(v, failed), failed) is None
+    _assert_valid_witness(v, verdict)
 
 
 # ---------------------------------------------------------------------------
