@@ -11,9 +11,9 @@ searches the configured tori for such a cocharacter.  Subgroups are
 presented by topological generators; the generator tuple is a generic
 tuple, so it stands in for the subgroup in all orbit computations.
 
-The span closure keeps its words as scaled values, and a span test reads
-their integer rows, which a positive scale does not change; the algebra
-keeps the scaled basis for its certificate and its trace form.
+The algebra route runs on integer rows: the span closure keeps its words
+as scaled values, and its span tests, closure certificate and integer
+trace form read their rows, whose lines a positive scale does not move.
 """
 
 from __future__ import annotations
@@ -21,6 +21,8 @@ from __future__ import annotations
 import functools
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import chain
+from math import lcm
 from operator import mul
 
 from . import linalg
@@ -105,22 +107,28 @@ def _unflatten(v: Vec, m: int) -> Mat:
 def _span_closure(group: GroupSpec, seeds: list[Mat], multipliers: list[Mat]) -> EnvelopingAlgebra:
     """Smallest span containing seeds and closed under right multiplication,
     as an algebra that keeps the echelon basis and the scaled words built
-    here.  Each candidate costs one product of scaled values and one
-    reduction of its integer rows against the echelon basis.
+    here, taken breadth first.  Each candidate costs one product on integer
+    rows (the multipliers' terms are built once) and one reduction of those
+    rows.  A span of dimension m^2 is all of M_m, so the closure ends there.
     """
     echelon: list = []
     words: list = []
 
     def try_add(x) -> bool:
-        if not linalg.echelon_add(echelon, _flatten(x.rows)):
+        w = linalg.echelon_reduce(echelon, list(chain(*x.rows)))[0]
+        if not any(w):
             return False
+        echelon.append(linalg._pivot_terms(w))
         words.append(x)
         return True
 
-    frontier = [word for word in map(linalg._Scaled.of, seeds) if try_add(word)]
-    steps = [linalg._Scaled.of(g) for g in multipliers]
-    while frontier:
-        frontier = [c for c in (b @ g for b in frontier for g in steps) if try_add(c)]
+    for seed in map(linalg._Scaled.of, seeds):
+        try_add(seed)
+    steps = [linalg._Scaled.of(g).factor() for g in multipliers]
+    for b, g in ((b, g) for b in words for g in steps):  # the words appended below join the queue
+        if len(echelon) == group.dimension**2:
+            break
+        try_add(b.times(g))
     algebra = EnvelopingAlgebra(group, tuple(x.fractions() for x in words))
     # the cached properties, already built
     object.__setattr__(algebra, "_echelon", echelon)
@@ -139,18 +147,22 @@ def enveloping_algebra(h: SubgroupPresentation) -> EnvelopingAlgebra:
     an earlier one times a generator, and every b g lies in the span S.
     So S is spanned by words, and S g in S for every generator g gives
     S w in S for every word w, hence S S in S.  The products are taken on
-    the algebra's scaled basis.
+    the algebra's scaled basis.  If S has dimension m^2, it is M_m and
+    holds every b g, so the products stop once every word is matched.
     """
     algebra = algebra_of_tuple(h.group, h.generators)
     basis = algebra._scaled
-    gens = [linalg._Scaled.of(g) for g in h.generators]
+    full = len(algebra._echelon) == h.group.dimension**2
+    gens = [linalg._Scaled.of(g).factor() for g in h.generators]
     words = 1  # basis[:words] are checked to be words in the generators
     for k, b in enumerate(basis):
+        if full and words == len(basis):
+            break
         for g in gens:
-            x = b @ g
+            x = b.times(g)
             if k < words < len(basis) and x == basis[words]:
                 words += 1
-            elif not linalg.echelon_contains(algebra._echelon, _flatten(x.rows)):
+            elif not full and any(linalg.echelon_reduce(algebra._echelon, list(chain(*x.rows)))[0]):
                 raise InvariantViolation("algebra basis is not multiplicatively closed")
     if algebra.basis[0] != h.group.identity() or words < len(basis):
         raise InvariantViolation("algebra basis is not spanned by words in the generators")
@@ -174,21 +186,37 @@ def is_generic_tuple(tup, h: SubgroupPresentation) -> bool:
 
 def radical_dim(a: EnvelopingAlgebra) -> int:
     """Dimension of the trace-form kernel, the radical in characteristic zero."""
-    return len(radical_basis(a))
+    return len(_radical(a))
 
 
 def radical_basis(a: EnvelopingAlgebra) -> tuple[Mat, ...]:
-    """The kernel of the trace form, summed on the algebra's scaled basis."""
-    n = a.dimension
-    scaled = a._scaled
-    gram = [[None] * n for _ in range(n)]
-    for i, x in enumerate(scaled):
-        for j in range(i, n):  # tr(xy) = tr(yx)
-            gram[i][j] = gram[j][i] = x.trace_product(scaled[j])
-    gram = tuple(map(tuple, gram))
-    flat = tuple(_flatten(b) for b in a.basis)
-    combos = linalg.mat_mul(linalg.nullspace(gram, n), flat)
-    return tuple(_unflatten(v, a.group.dimension) for v in combos)
+    """The kernel of the trace form, one element per free Gram column."""
+    return tuple(x.fractions() for x in _radical(a))
+
+
+def _radical(a: EnvelopingAlgebra) -> list:
+    """``radical_basis`` as scaled values, from G_ij = tr(r_i r_j) on the
+    integer rows r_i = s_i x_i of the basis.  The trace form's Gram matrix
+    is D^-1 G D^-1 with D = diag(s): c is in its kernel exactly when
+    k = D^-1 c is in ker G, and sum c_j x_j = sum k_j r_j.  M_m(Q) is
+    simple, so a full matrix algebra has no radical."""
+    m = a.group.dimension
+    if len(a._echelon) == m * m:
+        return []
+    flats = [list(chain(*x.rows)) for x in a._scaled]
+    transposed = [list(chain(*zip(*x.rows))) for x in a._scaled]
+    gram = [[sum(map(mul, r, t)) for t in transposed] for r in flats]
+    pivots = linalg._reduce(gram)[0]
+    radical = []
+    for f in sorted(set(range(len(flats))) - set(pivots)):
+        # k_f = 1 / s_f, and k_c = -e / (p s_f) for a reduced row p at c, e at f
+        terms = [(c, row[f], row[c]) for row, c in zip(gram, pivots) if row[f]]
+        den = lcm(*[p for _, _, p in terms])
+        v = [den * x for x in flats[f]]
+        for c, e, p in terms:
+            v = [x - e * (den // p) * y for x, y in zip(v, flats[c])]
+        radical.append(linalg._Scaled(_unflatten(v, m), den * a._scaled[f].scale))
+    return radical
 
 
 COMPLETELY_REDUCIBLE = "completely_reducible"
@@ -233,17 +261,17 @@ def _radical_filtration(h: SubgroupPresentation):
     Each layer is built and reduced on integer rows (``linalg._reduce``);
     a returned layer's rows are divided by their pivots once.
     """
-    radical = radical_basis(enveloping_algebra(h))
+    scaled = _radical(enveloping_algebra(h))
+    radical = tuple(x.fractions() for x in scaled)
     if not radical:
         return radical, (), None
     group = h.group
-    matrices = [linalg._Scaled.of(x).rows for x in radical]
     layers: list[Mat] = []
     layer = [[int(i == j) for j in range(group.dimension)] for i in range(group.dimension)]
     while True:
         # J^k V spanned by the images of J^(k-1) V's integer rows under the
         # radical's integer rows, which the scales do not change
-        rows = [[sum(map(mul, row, w)) for row in x] for x in matrices for w in layer]
+        rows = [[sum(map(mul, row, w)) for row in x.rows] for x in scaled for w in layer]
         pivots = linalg._reduce(rows)[0]
         if not pivots:
             break
@@ -348,12 +376,13 @@ UNIPOTENT_IDENTITY = "unipotent_identity"
 
 
 def _is_unipotent(group: GroupSpec, g: Mat) -> bool:
-    m = group.dimension
-    n = linalg.mat_sub(g, linalg.identity(m))
-    power = n
-    for _ in range(m - 1):
-        power = linalg.mat_mul(power, n)
-    return all(x == 0 for row in power for x in row)
+    # (g - I)^m = 0, tested on s g - s I for the scale s of g
+    x = linalg._Scaled.of(g)
+    n = linalg._Scaled(tuple(tuple(y - x.scale * (i == j) for j, y in enumerate(row)) for i, row in enumerate(x.rows)), 1)
+    power, step = n, n.factor()
+    for _ in range(group.dimension - 1):
+        power = power.times(step)
+    return not any(map(any, power.rows))
 
 
 def optimal_parabolic_subgroup(
@@ -459,10 +488,12 @@ class LieSubalgebra:
         echelon: list = []
         if not all(linalg.echelon_add(echelon, _flatten(x)) for x in basis):
             raise DomainError("basis elements are linearly dependent")
-        for i, x in enumerate(basis):  # [x, x] = 0 and [y, x] = -[x, y]
-            for y in basis[i + 1 :]:
-                bracket = linalg.mat_sub(linalg.mat_mul(x, y), linalg.mat_mul(y, x))
-                if not linalg.echelon_contains(echelon, _flatten(bracket)):
+        scaled = [linalg._Scaled.of(x) for x in basis]
+        for i, x in enumerate(scaled):  # [x, x] = 0 and [y, x] = -[x, y]
+            for y in scaled[i + 1 :]:
+                # x y and y x share their scale
+                bracket = [p - q for u, v in zip((x @ y).rows, (y @ x).rows) for p, q in zip(u, v)]
+                if any(linalg.echelon_reduce(echelon, bracket)[0]):
                     raise DomainError("basis is not closed under the commutator")
 
     def tuple_point(self) -> Point:

@@ -13,7 +13,7 @@ matrices with their scales multiplied, compare equal when they hold the
 same rational matrix, and turn back into Fractions once
 (``_Scaled.fractions``).  ``mat_mul`` is one such product.  Callers that
 multiply the same matrices again and again keep the values between
-products; the scale never leaves this module.
+products, and a repeated right factor's terms (``_Scaled.factor``).
 
 Elimination runs on integer rows.  Each incoming row is scaled by the lcm
 of its denominators, and one fraction-free step, ``_eliminate``, replaces
@@ -25,7 +25,8 @@ One Gauss-Jordan loop, ``_reduce``, serves ``row_space``, ``rank``,
 ``nullspace``, the private solver ``_solve_terms`` and everything built on
 them, and ``inverse`` and ``det``, which read the factor it puts on the
 determinant (``_reduced_det``); the same step grows the incremental
-echelon basis (``echelon_add``, ``echelon_contains``, ``in_row_space``).
+echelon basis (``echelon_add``, ``echelon_contains``, ``in_row_space``, and
+``echelon_reduce`` for rows that are already integer).
 Fractions come back only at the end, when a pivot row is divided by its
 pivot.  Every integer row is a positive multiple of the row that
 unit-pivot elimination over Fractions would hold, and the RREF is unique,
@@ -159,12 +160,17 @@ class _Scaled(NamedTuple):
         return _Scaled(tuple([tuple([x.numerator * (den // x.denominator) for x in row]) for row in a]), den)
 
     def __matmul__(self, other: "_Scaled") -> "_Scaled":
-        """The product, skipping zero entries of both factors."""
-        b = other.rows
-        k, m = len(b), len(b[0]) if b else 0
-        if self.rows and len(self.rows[0]) != k:
-            raise DimensionMismatch(len(self.rows[0]), k)
-        b_terms = [[(j, y) for j, y in enumerate(row) if y] for row in b]
+        return self.times(other.factor())
+
+    def factor(self) -> tuple:
+        """The nonzero row terms, width and scale that ``times`` reads."""
+        return [[(j, y) for j, y in enumerate(row) if y] for row in self.rows], len(self.rows[0]) if self.rows else 0, self.scale
+
+    def times(self, factor: tuple) -> "_Scaled":
+        """The product with a right factor, skipping zero entries of both."""
+        b_terms, m, scale = factor
+        if self.rows and len(self.rows[0]) != len(b_terms):
+            raise DimensionMismatch(len(self.rows[0]), len(b_terms))
         out = []
         for row in self.rows:
             acc = [0] * m
@@ -173,7 +179,7 @@ class _Scaled(NamedTuple):
                     for j, y in terms:
                         acc[j] += x * y
             out.append(tuple(acc))
-        return _Scaled(tuple(out), self.scale * other.scale)
+        return _Scaled(tuple(out), self.scale * scale)
 
     def __eq__(self, other) -> bool:
         """x / s = y / t, tested as x t = y s."""
@@ -221,12 +227,6 @@ class _Scaled(NamedTuple):
         entries, given by their values at its integer rows: their values at
         its rational entries are those over scale ** degree."""
         return _Scaled(rows, self.scale**degree)
-
-    def trace_product(self, other: "_Scaled") -> Fraction:
-        """tr(a b) = sum of a_kl b_lk."""
-        b = other.rows
-        tr = sum(x * b[l][k] for k, row in enumerate(self.rows) for l, x in enumerate(row) if x)
-        return Fraction(tr, self.scale * other.scale) if tr else ZERO
 
 
 def _line(v: Sequence[int]) -> tuple[int, ...]:
@@ -321,22 +321,27 @@ def _rref_inplace(rows: list[list[Fraction]]) -> list[int]:
 
 def _echelon_reduce(echelon: list, v: Sequence[Fraction]) -> tuple[list[int], int, int]:
     """v reduced against an echelon basis: (w, s, t) with w an integer row
-    equal to s/t times v minus a combination of the basis rows.
-
-    Each basis row is a primitive integer row given by its nonzero terms,
-    positive pivot first, and is zero at the pivots of the rows before it,
-    so reducing against the rows in order leaves zero exactly when v lies
-    in their span.
-    """
+    equal to s/t times v minus a combination of the basis rows."""
     w, s = _integer_terms(_terms(v), len(v))
-    t = 1
+    w, a, t = echelon_reduce(echelon, w)
+    return w, s * a, t
+
+
+def echelon_reduce(echelon: list, w: list[int]) -> tuple[list[int], int, int]:
+    """An integer row w, a list it may change, reduced against an echelon
+    basis with no rescaling: (w', a, t) with w' equal to a/t times w minus a
+    combination of the basis rows.  Each basis row is a primitive integer
+    row given by its nonzero terms, positive pivot first, and is zero at the
+    pivots of the rows before it, so w' is zero exactly when w lies in the
+    span."""
+    a = t = 1
     for terms in echelon:
         f = w[terms[0][0]]
         if f:
-            w, a, d = _eliminate(w, f, terms)
-            s *= a
+            w, b, d = _eliminate(w, f, terms)
+            a *= b
             t *= d
-    return w, s, t
+    return w, a, t
 
 
 def echelon_add(echelon: list, v: Sequence[Fraction]) -> bool:
@@ -459,18 +464,22 @@ def _reduced_det(a: Mat, augment: bool) -> tuple[list[list[int]], Fraction]:
     return rows, Fraction(prod * den, num * scale)
 
 
-def trace(a: Mat) -> Fraction:
-    return sum(a[i][i] for i in range(len(a)))
-
-
 def is_symmetric(a: Mat) -> bool:
     return all(a[i][j] == a[j][i] for i in range(len(a)) for j in range(len(a)))
 
 
 def is_positive_definite(a: Mat) -> bool:
-    """Sylvester criterion with exact leading principal minors."""
-    n = len(a)
-    return all(det(tuple(row[: k + 1] for row in a[: k + 1])) > 0 for k in range(n))
+    """Sylvester's criterion in one fraction-free elimination without row
+    swaps.  Rows are scaled and combined by positive factors only, so pivot
+    k is a positive multiple of leading minor k + 1 over minor k (Bareiss,
+    Math. Comp. 22, 1968): every minor is positive exactly when every pivot is."""
+    rows = [_integer_row(row) for row in a]
+    for k, row in enumerate(rows):
+        if row[k] <= 0:
+            return False
+        terms = [(j, y) for j, y in enumerate(row) if y]  # zero before column k
+        rows[k + 1 :] = [_eliminate(w, w[k], terms)[0] if w[k] else w for w in rows[k + 1 :]]
+    return True
 
 
 def primitive_direction(v: Sequence[Fraction]) -> tuple[int, ...]:

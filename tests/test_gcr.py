@@ -1,3 +1,5 @@
+import hashlib
+import math
 import random
 from fractions import Fraction as F
 
@@ -225,12 +227,17 @@ def test_closure_certificate_rejects_a_basis_closed_under_the_generators_only(mo
         enveloping_algebra(h)
 
 
+def _trace(a):
+    return sum(a[i][i] for i in range(len(a)))
+
+
 def _product_trace_radical_basis(a):
-    """Reference: the trace form from full products, which the sum of
-    entry products over one triangle replaced."""
+    """Reference: the Fraction trace form from full products and its
+    Fraction nullspace, which the integer Gram matrix of the basis's
+    integer rows replaced."""
     n = a.dimension
     gram = tuple(
-        tuple(linalg.trace(linalg.mat_mul(a.basis[i], a.basis[j])) for j in range(n))
+        tuple(_trace(linalg.mat_mul(a.basis[i], a.basis[j])) for j in range(n))
         for i in range(n)
     )
     flat = tuple(_flatten(b) for b in a.basis)
@@ -274,14 +281,115 @@ def test_returned_matrices_hold_fractions_only():
     assert min(counts.values()) >= 10, counts
 
 
+def _triangular_subgroup(rng, group):
+    """Two or three generators that are upper triangular in every factor
+    block (determinant 1 on SL blocks), conjugated by a dense block frame:
+    their algebras mostly have a nonzero radical."""
+    frame = _dense_frame(rng, group)
+    inverse = linalg.inverse(frame)
+    gens = []
+    for _ in range(rng.randint(2, 3)):
+        g = [[F(0)] * group.dimension for _ in range(group.dimension)]
+        for f, block in zip(group.factors, group.block_slices):
+            for i in block:
+                g[i][i] = F(rng.choice((1, -1, 2, 3, F(1, 2))))
+                for j in block:
+                    if j > i:
+                        g[i][j] = F(rng.randint(-2, 2), rng.choice((1, 2)))
+            if f.family == "SL":
+                g[block[-1]][block[-1]] = 1 / math.prod(g[i][i] for i in block[:-1])
+        gens.append(linalg.mat_mul(linalg.mat_mul(frame, linalg.mat(g)), inverse))
+    return SubgroupPresentation(group, gens)
+
+
 def test_radical_basis_matches_product_trace_reference():
+    # the corpus, its rational twists (scales other than 1), and seeded
+    # triangular subgroups of GL_2 x SL_2 and GL_1 x GL_2 with a radical
     sizes = set()
-    for h in subgroup_corpus(2, 40):
+    corpus = subgroup_corpus(2, 40) + _twisted_corpus(1, 60) + _twisted_corpus(3, 60)
+    for h in corpus:
         algebra = enveloping_algebra(h)
         radical = radical_basis(algebra)
         assert radical == _product_trace_radical_basis(algebra)
         sizes.add(len(radical))
     assert len(sizes) >= 3, sizes
+    assert any(1 < s.scale for h in corpus for s in enveloping_algebra(h)._scaled)
+    rng = random.Random(22)
+    for group in (GroupSpec.make(("GL", 2), ("SL", 2)), GroupSpec.make(("GL", 1), ("GL", 2))):
+        nonzero = 0
+        for _ in range(30):
+            algebra = enveloping_algebra(_triangular_subgroup(rng, group))
+            radical = radical_basis(algebra)
+            assert radical == _product_trace_radical_basis(algebra)
+            nonzero += bool(radical)
+        assert nonzero >= 15, (group, nonzero)
+
+
+# sha256 of repr([(_radical_filtration(h), enveloping_algebra(h).basis) for
+# every h in subgroup_corpus(seed, 200)]), as the Fraction trace form gave it
+_ALGEBRA_ROUTE_DIGESTS = {
+    1: "edc743f1c87f3b5db1b49d002650c392193e33854e0caee040b2828862aaa9c9",
+    2: "2e1bea77a8450f18d5d1332c10db5b1b493a12ab2f6804b6244ecfe7f7870df8",
+    3: "ec6e25707274258327df85cb9aa4f2e7ee5c5c46c9fa4d891f9673adedfbfe92",
+}
+
+
+def test_algebra_route_outputs_pinned():
+    for seed, digest in _ALGEBRA_ROUTE_DIGESTS.items():
+        out = [(gcr._radical_filtration(h), enveloping_algebra(h).basis) for h in subgroup_corpus(seed, 200)]
+        assert hashlib.sha256(repr(out).encode()).hexdigest() == digest, seed
+
+
+def _unit(m, i, j):
+    return linalg.mat([[int((a, b) == (i, j)) for b in range(m)] for a in range(m)])
+
+
+def test_full_matrix_algebra_certificate_keeps_its_word_check(monkeypatch):
+    # spans of dimension m^2 that are not spanned by words are refused;
+    # a dependent basis of m^2 words takes no full-algebra exit
+    diag3 = linalg.mat([[1, 0, 0], [0, 2, 0], [0, 0, 3]])
+    cycle = linalg.mat([[0, 1, 0], [0, 0, 1], [1, 0, 0]])
+    diag2, swap = DIAG.generators[0], SWAP.generators[0]
+    subgroups = (SubgroupPresentation(GL2, (diag2, swap)), SubgroupPresentation(GL3, (diag3, cycle)))
+    assert [enveloping_algebra(h).dimension for h in subgroups] == [4, 9]
+    for h in subgroups:
+        m = h.group.dimension
+        units = tuple(_unit(m, i, j) for i in range(m) for j in range(m))
+        with_identity = (h.group.identity(),) + units[1:]
+        for basis in (units, with_identity):
+            assert len(EnvelopingAlgebra(h.group, basis)._echelon) == m * m
+            monkeypatch.setattr(gcr, "_span_closure", lambda group, seeds, mults, basis=basis: EnvelopingAlgebra(group, basis))
+            with pytest.raises(InvariantViolation, match="not spanned by words"):
+                enveloping_algebra(h)
+    # I, a, b and a a are words, but a a lies in span{I, a}, and a b does
+    # not lie in span{I, a, b}
+    basis = (GL2.identity(), diag2, swap, linalg.mat_mul(diag2, diag2))
+    assert len(EnvelopingAlgebra(GL2, basis)._echelon) == 3
+    monkeypatch.setattr(gcr, "_span_closure", lambda group, seeds, mults: EnvelopingAlgebra(group, basis))
+    with pytest.raises(InvariantViolation, match="not multiplicatively closed"):
+        enveloping_algebra(SubgroupPresentation(GL2, (diag2, swap)))
+
+
+def test_full_matrix_algebra_ends_the_closure_and_the_certificate(monkeypatch):
+    # a GL_3 subgroup that generates M_3: fewer than n k products in the
+    # closure and in its certificate, the reference's basis, no radical
+    h = subgroup_corpus(1, 200)[5]
+    n, k = 9, len(h.generators)
+    products = []
+    times = linalg._Scaled.times
+
+    def counted(self, factor):
+        products.append(self)
+        return times(self, factor)
+
+    monkeypatch.setattr(linalg._Scaled, "times", counted)
+    algebra = algebra_of_tuple(h.group, h.generators)
+    closure = len(products)
+    assert enveloping_algebra(h) == algebra
+    certificate = len(products) - 2 * closure
+    assert algebra.dimension == n and closure < n * k and 0 < certificate < n * k, (closure, certificate)
+    assert algebra == _recomputing_span_closure(h.group, [h.group.identity()], list(h.generators))
+    assert radical_basis(algebra) == () and _product_trace_radical_basis(algebra) == ()
 
 
 def test_is_generic_tuple():
@@ -444,7 +552,7 @@ def _power_traces(g):
     polynomials are (Newton's identities, characteristic zero)."""
     out, power = [], g
     for _ in range(len(g)):
-        out.append(linalg.trace(power))
+        out.append(_trace(power))
         power = linalg.mat_mul(power, g)
     return out
 
@@ -751,6 +859,80 @@ def test_lie_subalgebra_validation():
         LieSubalgebra(SL2, (((1, 0), (0, 1)),))  # trace nonzero
     with pytest.raises(DomainError):
         LieSubalgebra(GL2, (((0, 1), (0, 0)), ((0, 0), (1, 0))))  # bracket escapes
+
+
+def _fraction_brackets_closed(basis):
+    """Reference: the commutator check on Fraction products, which the
+    integer rows of the scaled products replaced."""
+    echelon = []
+    for x in basis:
+        linalg.echelon_add(echelon, _flatten(x))
+    return all(
+        linalg.echelon_contains(echelon, _flatten(linalg.mat_sub(linalg.mat_mul(x, y), linalg.mat_mul(y, x))))
+        for i, x in enumerate(basis)
+        for y in basis[i + 1 :]
+    )
+
+
+def test_lie_bracket_check_matches_fraction_reference():
+    # seeded spans of triangular, diagonal and dense rational matrices,
+    # conjugated by dense frames, closed and not
+    rng = random.Random(33)
+    outcomes = {True: 0, False: 0}
+    for _ in range(120):
+        group = rng.choice((GL2, GL3, GroupSpec.make(("GL", 4))))
+        m = group.dimension
+        kind = rng.choice(("diagonal", "triangular", "dense"))
+
+        def entry(i, j):
+            if kind == "diagonal" and i != j or kind == "triangular" and i > j:
+                return 0
+            return F(rng.randint(-2, 2), rng.choice((1, 2, 3)))
+
+        frame = _dense_frame(rng, group)
+        inverse = linalg.inverse(frame)
+        basis = [linalg.mat_mul(linalg.mat_mul(frame, linalg.mat([[entry(i, j) for j in range(m)] for i in range(m)])), inverse) for _ in range(rng.randint(1, 3))]
+        if linalg.rank(tuple(_flatten(x) for x in basis)) < len(basis):
+            continue
+        closed = _fraction_brackets_closed(basis)
+        outcomes[closed] += 1
+        if closed:
+            assert LieSubalgebra(group, basis).basis == tuple(basis)
+        else:
+            with pytest.raises(DomainError, match="not closed under the commutator"):
+                LieSubalgebra(group, basis)
+    assert min(outcomes.values()) >= 25, outcomes
+
+
+def _fraction_is_unipotent(group, g):
+    """Reference: (g - I)^m = 0 on Fraction matrices, which the powers of
+    the integer rows of s g - s I replaced."""
+    n = linalg.mat_sub(g, linalg.identity(group.dimension))
+    power = n
+    for _ in range(group.dimension - 1):
+        power = linalg.mat_mul(power, n)
+    return all(x == 0 for row in power for x in row)
+
+
+def test_is_unipotent_matches_fraction_reference():
+    # conjugated unitriangular matrices and their perturbations on the
+    # diagonal, on GL and product groups
+    rng = random.Random(44)
+    outcomes = {True: 0, False: 0}
+    groups = (GL2, GL3, GroupSpec.make(("GL", 4)), GroupSpec.make(("GL", 2), ("SL", 2)))
+    for _ in range(120):
+        group = rng.choice(groups)
+        m = group.dimension
+        frame = _dense_frame(rng, group)
+        u = [[F(int(i == j)) if i >= j else F(rng.randint(-2, 2), rng.choice((1, 2))) if group.block_of(i) == group.block_of(j) else F(0) for j in range(m)] for i in range(m)]
+        if rng.random() < 0.4:
+            k = rng.randrange(m)
+            u[k][k] = F(rng.choice((-1, 2, F(1, 2))))
+        g = linalg.mat_mul(linalg.mat_mul(frame, linalg.mat(u)), linalg.inverse(frame))
+        unipotent = gcr._is_unipotent(group, g)
+        assert unipotent == _fraction_is_unipotent(group, g)
+        outcomes[unipotent] += 1
+    assert min(outcomes.values()) >= 30, outcomes
 
 
 def test_group_to_lie_consistency_corpus():

@@ -1,4 +1,5 @@
 import random
+import time
 from fractions import Fraction as F
 from functools import partial
 from math import gcd, lcm
@@ -203,6 +204,47 @@ def test_in_row_space():
 def test_positive_definite():
     assert linalg.is_positive_definite(linalg.identity(3))
     assert not linalg.is_positive_definite(linalg.mat([[1, 2], [2, 1]]))
+
+
+def _minors_positive_definite(a):
+    """Reference: Sylvester's criterion with one determinant per leading
+    principal minor, which the single elimination replaced."""
+    return all(linalg.det(tuple(row[: k + 1] for row in a[: k + 1])) > 0 for k in range(len(a)))
+
+
+def test_positive_definite_matches_leading_minor_reference():
+    # seeded Grams B^T B + D: definite when B has full column rank or D > 0,
+    # singular when B is short and D = 0, indefinite when D has a negative
+    # entry large enough; rational entries too
+    rng = random.Random(12)
+    outcomes = {True: 0, False: 0}
+    kinds = set()
+    for _ in range(150):
+        n = rng.randint(1, 6)
+        b = linalg.mat([[F(rng.randint(-3, 3), rng.choice((1, 1, 2, 3))) for _ in range(n)] for _ in range(rng.randint(1, n + 1))])
+        shift = rng.choice((0, 0, 1, -1, -4, F(1, 2)))
+        d = [[shift if i == j and (shift >= 0 or rng.random() < 0.5) else 0 for j in range(n)] for i in range(n)]
+        a = linalg.mat_add(linalg.mat_mul(linalg.transpose(b), b), linalg.mat(d))
+        definite = linalg.is_positive_definite(a)
+        assert definite == _minors_positive_definite(a)
+        outcomes[definite] += 1
+        kinds.add((definite, linalg.det(a) == 0, linalg.det(a) < 0))
+    assert min(outcomes.values()) >= 30, outcomes
+    assert {(False, True, False), (False, False, True), (True, False, False)} <= kinds, kinds
+
+
+def test_positive_definite_at_rank_200_within_budget():
+    # the Gram checks of a rank-200 group document: the standard Gram, a
+    # dense invariant one, 3 I + J, and that one with its last diagonal
+    # entry set to -1, whose last leading minor alone is negative
+    n = 200
+    dense = tuple(tuple(F(3 if i == j else 1) for j in range(n)) for i in range(n))
+    last = dense[:-1] + (dense[-1][:-1] + (F(-1),),)
+    start = time.monotonic()
+    assert linalg.is_positive_definite(linalg.identity(n))
+    assert linalg.is_positive_definite(dense)
+    assert not linalg.is_positive_definite(last)
+    assert time.monotonic() - start < 3.0
 
 
 small_fracs = st.fractions(
