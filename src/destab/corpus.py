@@ -84,13 +84,13 @@ def random_exponents(rng: random.Random, group: GroupSpec, box: int = 3) -> tupl
 
 
 def random_frame(rng: random.Random, group: GroupSpec) -> Mat:
-    """A unimodular frame: a Weyl representative times a couple of shears."""
-    weyl = group.weyl_representatives()
-    g = rng.choice(weyl)
+    """A unimodular frame: a Weyl representative times a couple of shears,
+    multiplied on scaled values."""
+    g = linalg._Scaled.of(rng.choice(group.weyl_representatives()))
     shears = group.shears((-2, -1, 1, 2))
     for _ in range(rng.randint(0, 2)):
-        g = linalg.mat_mul(g, rng.choice(shears))
-    return g
+        g @= linalg._Scaled.of(rng.choice(shears))
+    return g.fractions()
 
 
 def family_frame(rng: random.Random, group: GroupSpec, shear_values=(-2, -1, 1, 2)) -> Mat:
@@ -340,9 +340,8 @@ def subgroup_corpus(seed: int, size: int = 50) -> list[SubgroupPresentation]:
         count = rng.randint(1, 3)
         gens = [_structured_generator(rng, m) for _ in range(count)]
         if rng.random() < 0.8:
-            frame = family_frame(rng, group)
-            inv = linalg.inverse(frame)
-            gens = [linalg.mat_mul(linalg.mat_mul(frame, linalg.mat(g)), inv) for g in gens]
+            frame, inverse = group._checked_pair(family_frame(rng, group), "frame")
+            gens = [(frame @ linalg._Scaled.of(g) @ inverse).fractions() for g in gens]
         try:
             out.append(SubgroupPresentation(group, tuple(linalg.mat(g) for g in gens)))
         except DestabError:
@@ -473,20 +472,20 @@ def _kempf_check(inst: KempfInstance) -> dict:
     rep = inst.points[0].rep
     s = SubvarietySpec.zero_locus()
     extra = inst.extra_frame
-    for g in inst.conjugators:
-        pair = group._checked_pair(linalg.mat(g), "conjugator")
-        ginv = pair[1].fractions()
-        base_family = [group.identity(), extra, ginv, linalg.mat_mul(ginv, extra)]
+    ident, scaled_extra = group.identity(), linalg._Scaled.of(extra)
+    for g in map(linalg.mat, inst.conjugators):
+        pair = group._checked_pair(g, "conjugator")
         cfg = SearchConfig(
             group,
             exponent_box=4,
-            conjugation_family=tuple(base_family),
+            conjugation_family=(ident, extra, pair[1].fractions(), (pair[1] @ scaled_extra).fractions()),
             normalizer_samples=inst.normalizer_samples,
         )
+        # g times the family above: g g^-1 = I and g g^-1 extra = extra
         moved_cfg = SearchConfig(
             group,
             exponent_box=4,
-            conjugation_family=tuple(linalg.mat_mul(g, f) for f in base_family),
+            conjugation_family=(g, (pair[0] @ scaled_extra).fractions(), ident, extra),
         )
         try:
             result = optimize(inst.points, s, cfg)

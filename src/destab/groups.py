@@ -13,7 +13,7 @@ import itertools
 import operator
 from dataclasses import dataclass, field, fields
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 
 from . import linalg
 from .errors import DimensionError, DomainError
@@ -113,9 +113,9 @@ class GroupSpec:
     def identity(self) -> Mat:
         return linalg.identity(self.dimension)
 
-    def _blocks(self, g: Mat) -> list[Mat] | None:
-        """The diagonal blocks of g, or None unless g is m x m with zeros
-        off its factor blocks."""
+    def _blocks(self, g):
+        """The diagonal blocks of a matrix g given by its rows, or None
+        unless g is m x m with zeros off its factor blocks."""
         m = self.dimension
         if len(g) != m or any(len(row) != m for row in g):
             return None
@@ -139,29 +139,39 @@ class GroupSpec:
         if not self.contains(linalg.mat(g)):
             raise DomainError(f"{what} is not in the group")
 
-    def _member_inverse(self, g: Mat, what: str = "element") -> Mat:
-        """The inverse of an exact matrix g, which is checked as
-        ``require_member`` checks it, with the same error: each block's
-        determinant and inverse come from one reduction."""
-        blocks = self._blocks(g)
+    def _member_inverse(self, g: linalg._Scaled, what: str = "element") -> linalg._Scaled:
+        """The inverse of the matrix of a scaled value g as its canonical
+        scaled value, after the matrix is checked as ``require_member``
+        checks it, with the same error: each block's determinant and
+        inverse come from one reduction of its integer rows
+        (``linalg._Scaled.inverse``), and the blocks' inverses are put over
+        the lcm of their scales."""
+        blocks = self._blocks(g.rows)
         if blocks is not None:
-            parts = [linalg._inverse_det(sub) for sub in blocks]
+            parts = [linalg._Scaled(sub, g.scale).inverse() for sub in blocks]
             if all(_block_det_allowed(f, d) for f, (_, d) in zip(self.factors, parts)):
                 if len(parts) == 1:
                     return parts[0][0]
-                inverse = [[linalg.ZERO] * self.dimension for _ in range(self.dimension)]
+                m = self.dimension
+                scale = lcm(*[inv.scale for inv, _ in parts])
+                rows = [[0] * m for _ in range(m)]
                 for block, (inv, _) in zip(self.block_slices, parts):
-                    for i, row in zip(block, inv):
-                        inverse[i][block.start : block.stop] = row
-                return tuple(map(tuple, inverse))
+                    k = scale // inv.scale
+                    for i, row in zip(block, inv.rows):
+                        rows[i][block.start : block.stop] = [x * k for x in row]
+                return linalg._Scaled(tuple(map(tuple, rows)), scale)
         raise DomainError(f"{what} is not in the group")
 
     def _checked_pair(self, g: Mat, what: str = "element") -> tuple:
-        """The checked pair (g, g^-1) of an exact matrix g as scaled values,
-        after ``_member_inverse`` has checked g and inverted it.  Code that
-        holds the pair moves points and matrices by g or g^-1 without
-        checking or inverting g again."""
-        return linalg._Scaled.of(g), linalg._Scaled.of(self._member_inverse(g, what))
+        """The checked pair (g, g^-1) of an exact matrix g as scaled values:
+        g is scaled once, and ``_member_inverse`` checks and inverts it on
+        those integer rows.  Code that holds the pair moves points and
+        matrices by g or g^-1 without checking or inverting g again."""
+        scaled = linalg._Scaled.of(g)
+        return scaled, self._member_inverse(scaled, what)
+
+    # The frame tables below depend on the group alone: each is built on
+    # first use and kept in __dict__ like the shape data.
 
     def weyl_representatives(self) -> tuple[Mat, ...]:
         """One rational representative per Weyl group element.
@@ -169,6 +179,10 @@ class GroupSpec:
         Permutation matrices blockwise; inside SL factors a column is negated
         when needed to keep determinant one.
         """
+        return self._weyl_representatives
+
+    @functools.cached_property
+    def _weyl_representatives(self) -> tuple[Mat, ...]:
         per_block = []
         for f, block in zip(self.factors, self.block_slices):
             reps = []
@@ -191,21 +205,30 @@ class GroupSpec:
         return tuple(out)
 
     def shears(self, values=(-2, -1, 1, 2)) -> tuple[Mat, ...]:
-        """Elementary shears I + c*E_ij inside factor blocks."""
-        m = self.dimension
-        out = []
-        for block in self.block_slices:
-            for i in block:
-                for j in block:
-                    if i == j:
-                        continue
-                    for c in values:
-                        if c == 0:
+        """Elementary shears I + c*E_ij inside factor blocks, built once per
+        sequence of values."""
+        values = tuple(map(frac, values))
+        tables = self._shear_tables
+        if values not in tables:
+            m = self.dimension
+            out = []
+            for block in self.block_slices:
+                for i in block:
+                    for j in block:
+                        if i == j:
                             continue
-                        g = [list(row) for row in linalg.identity(m)]
-                        g[i][j] = frac(c)
-                        out.append(tuple(tuple(row) for row in g))
-        return tuple(out)
+                        for c in values:
+                            if c == 0:
+                                continue
+                            g = [list(row) for row in linalg.identity(m)]
+                            g[i][j] = c
+                            out.append(tuple(tuple(row) for row in g))
+            tables[values] = tuple(out)
+        return tables[values]
+
+    @functools.cached_property
+    def _shear_tables(self) -> dict:
+        return {}
 
 
 def _block_det_allowed(f: Factor, d: Fraction) -> bool:

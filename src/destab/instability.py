@@ -597,10 +597,10 @@ class SearchConfig:
 
     @functools.cached_property
     def _operators(self) -> tuple:
-        """Per torus, the ``_conjugation_operator`` of its checked pair,
-        built on the first closedness search and kept, outside the
-        compared fields, beside ``_frames``."""
-        return tuple(map(_conjugation_operator, self._frames))
+        """Per torus, h -> base^-1 h base as the ``linalg`` conjugation
+        operator of its checked pair, built on the first closedness search
+        and kept, outside the compared fields, beside ``_frames``."""
+        return tuple(linalg._conjugation_operator(inverse, base) for base, inverse in self._frames)
 
     @functools.cached_property
     def _flag_spaces(self) -> dict:
@@ -1002,30 +1002,6 @@ def _entry_pattern(mats) -> set[tuple[int, int]]:
     }
 
 
-def _conjugation_operator(pair) -> tuple:
-    """h -> base^-1 h base for a torus base given by its checked pair, on
-    the flattened integer rows of h: per entry (k, l) of h, the nonzero
-    terms (i m + j, inverse_ik base_lj), column (k, l) of the Kronecker
-    product of inverse and base^T.  Moving an integer h by it gives the
-    integer rows of inverse @ h @ base, whose scale is the product of the
-    three scales."""
-    base, inverse = pair
-    m = len(base.rows)
-    columns = []
-    for k in range(m):
-        for l in range(m):
-            columns.append(
-                tuple(
-                    (i * m + j, a * b)
-                    for i, row in enumerate(inverse.rows)
-                    if (a := row[k])
-                    for j, b in enumerate(base.rows[l])
-                    if b
-                )
-            )
-    return tuple(columns)
-
-
 def _moved_tuples(mats, cfg: SearchConfig):
     """Torus by torus, its base, its checked pair (an entry of
     ``SearchConfig._frames``), and the tuple moved into the base frame,
@@ -1041,15 +1017,11 @@ def _moved_tuples(mats, cfg: SearchConfig):
     for h in mats:
         h = linalg._Scaled.of(h)
         flat.append(([(kl, x) for kl, x in enumerate(itertools.chain.from_iterable(h.rows)) if x], h.scale))
-    for frame, pair, columns in zip(cfg.conjugation_family, cfg._frames, cfg._operators):
-        scale = pair[1].scale * pair[0].scale
+    for frame, pair, operator in zip(cfg.conjugation_family, cfg._frames, cfg._operators):
         moved = []
         for terms, s in flat:
-            acc = [0] * (m * m)
-            for kl, x in terms:
-                for ij, c in columns[kl]:
-                    acc[ij] += c * x
-            moved.append(linalg._Scaled(tuple(tuple(acc[i : i + m]) for i in range(0, m * m, m)), scale * s))
+            acc = operator.moved(terms)
+            moved.append(linalg._Scaled(tuple(tuple(acc[i : i + m]) for i in range(0, m * m, m)), operator.scale * s))
         yield frame, pair, moved
 
 

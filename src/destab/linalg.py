@@ -13,7 +13,11 @@ matrices with their scales multiplied, compare equal when they hold the
 same rational matrix, and turn back into Fractions once
 (``_Scaled.fractions``).  ``mat_mul`` is one such product.  Callers that
 multiply the same matrices again and again keep the values between
-products, and a repeated right factor's terms (``_Scaled.factor``).
+products, and a repeated right factor's terms (``_Scaled.factor``).  A
+matrix conjugated again and again by one pair keeps the pair's
+conjugation operator (``_conjugation_operator``): the integer terms of
+h -> left h right over the entries of h, so a move is one pass over h's
+nonzero entries.
 
 Elimination runs on integer rows.  Each incoming row is scaled by the lcm
 of its denominators, and one fraction-free step, ``_eliminate``, replaces
@@ -23,12 +27,15 @@ that was scaled is made primitive again, so entries grow only with the
 pivots (fraction-free elimination after Bareiss, Math. Comp. 22, 1968).
 One Gauss-Jordan loop, ``_reduce``, serves ``row_space``, ``rank``,
 ``nullspace``, the private solver ``_solve_terms`` and everything built on
-them, and ``inverse`` and ``det``, which read the factor it puts on the
-determinant (``_reduced_det``); the same step grows the incremental
+them, and ``det`` and the inverse, which read the factor it puts on the
+determinant (``_Scaled.reduced``); the same step grows the incremental
 echelon basis (``echelon_add``, ``echelon_contains``, ``in_row_space``, and
-``echelon_reduce`` for rows that are already integer).
-Fractions come back only at the end, when a pivot row is divided by its
-pivot.  Every integer row is a positive multiple of the row that
+``echelon_reduce`` for rows that are already integer).  The inverse of a
+scaled value is read off one reduction of [rows | scale I] as its
+canonical scaled value (``_Scaled.inverse``), with no Fraction built;
+``inverse`` divides it into Fractions once.
+Elsewhere Fractions come back only at the end, when a pivot row is divided
+by its pivot.  Every integer row is a positive multiple of the row that
 unit-pivot elimination over Fractions would hold, and the RREF is unique,
 so every answer is the same exact value.
 """
@@ -222,11 +229,97 @@ class _Scaled(NamedTuple):
         rows = tuple(tuple(x * y for x in ra for y in rb) for ra in self.rows for rb in other.rows)
         return _Scaled(rows, self.scale * other.scale)
 
+    def inverse(self) -> tuple["_Scaled | None", Fraction]:
+        """The inverse of a square value as its canonical value (None when
+        it is singular), and its determinant, from one reduction of
+        [rows | scale I], which ends [D | rows of the inverse times D] with
+        D the diagonal of the positive pivots.
+
+        Row i of the inverse is the right half r of row i over its pivot p,
+        which in lowest terms has denominators of lcm q = p / gcd(p, r); the
+        inverse's scale is the lcm S of those q, and its row i is r S / p,
+        so the value is the one ``of`` gives the inverse's Fractions.
+        """
+        rows, d = self.reduced(True)
+        if not d:
+            return None, ZERO
+        n = len(rows)
+        reduced = []
+        for i, row in enumerate(rows):
+            g = gcd(row[i], *row[n:])
+            reduced.append((row[i] // g, [x // g for x in row[n:]]))
+        scale = lcm(*[q for q, _ in reduced])
+        return _Scaled(tuple([tuple([x * (scale // q) for x in r]) for q, r in reduced]), scale), d
+
+    def reduced(self, augment: bool) -> tuple[list[list[int]], Fraction]:
+        """The integer rows of a square value, or [rows | scale I] when
+        augment is set, reduced by ``_reduce``, and the determinant.
+
+        ``_reduce`` reports the factor num / den of its row operations on
+        the determinant of the first n columns.  When they are invertible
+        they end diagonal with the positive pivots p on them, so the rows
+        have determinant prod p den / num, and the matrix that over
+        scale ** n.
+        """
+        n, s = len(self.rows), self.scale
+        if augment:
+            rows = [[*row, *[s if j == i else 0 for j in range(n)]] for i, row in enumerate(self.rows)]
+        else:
+            rows = [list(row) for row in self.rows]
+        pivots, num, den = _reduce(rows)
+        if pivots[:n] != list(range(n)):
+            return rows, ZERO
+        prod = 1
+        for i in range(n):
+            prod *= rows[i][i]
+        return rows, Fraction(prod * den, num * s**n)
+
     def homogeneous(self, rows, degree: int) -> "_Scaled":
         """The matrix of forms of the given degree in this matrix's
         entries, given by their values at its integer rows: their values at
         its rational entries are those over scale ** degree."""
         return _Scaled(rows, self.scale**degree)
+
+
+class _Conjugation(NamedTuple):
+    """h -> left h right for m x m matrices h, on the flattened integer rows
+    of h: per entry (k, l) of h, the nonzero terms (i m + j, left_ik
+    right_lj), column (k, l) of the Kronecker product of left and right^T,
+    and the product of the two scales (``_conjugation_operator``)."""
+
+    columns: tuple
+    scale: int
+
+    def moved(self, terms) -> list[int]:
+        """The flattened integer rows of left h right, for an integer h
+        given by its nonzero (k m + l, entry) terms, in one pass over them;
+        their scale is ``scale`` times h's."""
+        acc = [0] * len(self.columns)
+        for kl, x in terms:
+            for ij, c in self.columns[kl]:
+                acc[ij] += c * x
+        return acc
+
+    def apply(self, h: Sequence[Fraction]) -> Vec:
+        """left h right for a flattened rational matrix h, which is scaled
+        to integers once; each entry is divided once."""
+        terms = _terms(h)
+        den = lcm(*[x.denominator for _, x in terms])
+        acc = self.moved([(kl, x.numerator * (den // x.denominator)) for kl, x in terms])
+        den *= self.scale
+        return tuple([Fraction(x, den) if x else ZERO for x in acc])
+
+
+def _conjugation_operator(left: _Scaled, right: _Scaled) -> _Conjugation:
+    """The ``_Conjugation`` h -> left h right of two m x m scaled values:
+    moving h by it gives the rows and scale of left @ h @ right."""
+    m = len(left.rows)
+    columns = tuple(
+        tuple((i * m + j, a * b) for i, row in enumerate(left.rows) if (a := row[k]) for j, b in enumerate(right.rows[l]) if b)
+        for k in range(m)
+        for l in range(m)
+    )
+    return _Conjugation(columns, left.scale * right.scale)
 
 
 def _line(v: Sequence[int]) -> tuple[int, ...]:
@@ -417,51 +510,14 @@ def nullspace(a: Mat, ncols: int | None = None) -> Mat:
 
 
 def det(a: Mat) -> Fraction:
-    return _reduced_det(a, False)[1]
+    return _Scaled.of(a).reduced(False)[1]
 
 
 def inverse(a: Mat) -> Mat:
-    inv = _inverse_det(a)[0]
+    inv = _Scaled.of(a).inverse()[0]
     if inv is None:
         raise ValueError("matrix is singular")
-    return inv
-
-
-def _inverse_det(a: Mat) -> tuple[Mat | None, Fraction]:
-    """The inverse of a square matrix (None when it is singular) and its
-    determinant, from one reduction of [a | I]: row i of the inverse is the
-    right half of row i over its pivot."""
-    rows, d = _reduced_det(a, True)
-    if not d:
-        return None, ZERO
-    n = len(a)
-    return tuple(tuple(Fraction(x, row[i]) if x else ZERO for x in row[n:]) for i, row in enumerate(rows)), d
-
-
-def _reduced_det(a: Mat, augment: bool) -> tuple[list[list[int]], Fraction]:
-    """The integer rows of a square matrix a, or of [a | I] when augment is
-    set, reduced by ``_reduce``, and det a.
-
-    Scaling row i to integers by its scale s_i multiplies the determinant
-    of the first n columns by s_i, and ``_reduce`` reports the factor f of
-    its row operations.  When a is invertible those columns end diagonal
-    with the positive pivots p on them, so det a is prod p / (f prod s).
-    """
-    n = len(a)
-    rows = []
-    scale = 1
-    for i, row in enumerate(a):
-        terms = _terms(row) + [(n + i, ONE)] if augment else _terms(row)
-        w, s = _integer_terms(terms, 2 * n if augment else n)
-        rows.append(w)
-        scale *= s
-    pivots, num, den = _reduce(rows)
-    if pivots[:n] != list(range(n)):
-        return rows, ZERO
-    prod = 1
-    for i in range(n):
-        prod *= rows[i][i]
-    return rows, Fraction(prod * den, num * scale)
+    return inv.fractions()
 
 
 def is_symmetric(a: Mat) -> bool:

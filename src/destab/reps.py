@@ -15,8 +15,10 @@ A point is moved by a checked pair (g, g^-1) of ``linalg`` scaled values
 hold the pairs of their frames, so moving a point into a frame or out of
 it neither checks nor inverts the frame again.  Only an element that comes
 from outside (``act``, ``support``, ``composed_with_action``) is checked
-where it enters.  The weights of a point in a frame have one reader,
-``_frame_weights``.
+where it enters.  Conjugation tuples act by the pair's ``linalg``
+conjugation operator h -> g h g^-1, built once per acting element and kept
+in the act memo, so a move is one pass over each matrix's nonzero entries.
+The weights of a point in a frame have one reader, ``_frame_weights``.
 
 The closed enumeration of kinds (conjugation tuples, symmetric powers of
 the standard 2-dimensional module, adjoint, direct sums) is the documented
@@ -45,7 +47,7 @@ class Representation:
     ``act`` checks the acting element on every call, so a non-member is
     always rejected, and acts by its checked pair (``_act``).  ``_act``
     keeps what the kind's action needs (``_action``), keyed by the pair's
-    first value: the element and its inverse for conjugation tuples, the
+    first value: the conjugation operator for conjugation tuples, the
     action matrix for any other kind, the parts' data for a direct sum.
     """
 
@@ -119,18 +121,12 @@ class ConjugationTuples(Representation):
                 rows.append(tuple(row))
         return tuple(rows)
 
-    def _action(self, g: linalg._Scaled, inverse: linalg._Scaled) -> tuple:
-        return g, inverse
+    def _action(self, g: linalg._Scaled, inverse: linalg._Scaled) -> linalg._Conjugation:
+        return linalg._conjugation_operator(g, inverse)
 
-    def _apply(self, data: tuple, coords: Vec) -> Vec:
-        g, inverse = data
-        m = self.m
-        out: list[Fraction] = []
-        for t in range(0, len(coords), m * m):
-            h = linalg._Scaled.of(tuple(coords[t + i * m : t + (i + 1) * m] for i in range(m)))
-            for row in (g @ h @ inverse).fractions():
-                out.extend(row)
-        return tuple(out)
+    def _apply(self, data: linalg._Conjugation, coords: Vec) -> Vec:
+        n = self.m * self.m
+        return tuple(itertools.chain.from_iterable(data.apply(coords[t : t + n]) for t in range(0, len(coords), n)))
 
     def point(self, matrices) -> "Point":
         mats = [linalg.mat(h) for h in matrices]

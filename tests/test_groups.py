@@ -1,3 +1,5 @@
+import itertools
+import math
 import random
 from fractions import Fraction as F
 
@@ -186,10 +188,30 @@ def test_cocharacter_base_checked_and_inverted_by_one_reduction():
         assert not gl2sl2.contains(linalg.mat(bad))
 
 
+def test_frame_tables_match_their_definition():
+    # the cached tables hold what building them again gives, for every
+    # sequence of shear values asked for
+    for factors in ((("GL", 1),), (("SL", 3),), (("GL", 2), ("SL", 2)), (("GL", 1), ("GL", 1), ("GL", 1))):
+        group = GroupSpec.make(*factors)
+        m = group.dimension
+        for values in ((-2, -1, 1, 2), (1,), (2, 0, "-1/2"), ()):
+            expected = []
+            for block in group.block_slices:
+                for i, j in itertools.product(block, block):
+                    for c in values if i != j else ():
+                        if F(c):
+                            expected.append(linalg.mat([[F(c) if (a, b) == (i, j) else int(a == b) for b in range(m)] for a in range(m)]))
+            assert group.shears(values) == tuple(expected)
+            assert all(group.contains(g) for g in expected)
+        weyl = group.weyl_representatives()
+        assert len(set(weyl)) == len(weyl) == math.prod(math.factorial(rank) for _, rank in factors)
+        assert all(group.contains(w) and {abs(x) for row in w for x in row} <= {0, 1} for w in weyl)
+
+
 def test_group_shape_is_kept_out_of_equality_and_pickles():
-    # dimension, block slices and block indices are computed once per
-    # instance; equality, hash, repr and the pickled bytes are a fresh
-    # group's
+    # dimension, block slices, block indices and the frame tables are
+    # computed once per instance; equality, hash, repr and the pickled
+    # bytes are a fresh group's
     import pickle
 
     for factors in ((("GL", 3),), (("GL", 2), ("SL", 2)), (("GL", 1), ("SL", 3), ("GL", 2))):
@@ -204,7 +226,15 @@ def test_group_shape_is_kept_out_of_equality_and_pickles():
         for index in (-1, m, m + 3):
             with pytest.raises(DimensionError):
                 group.block_of(index)
+        weyl, shears = group.weyl_representatives(), group.shears([1, -1])
+        assert group.weyl_representatives() is weyl
+        assert group.shears((1, -1)) is shears and group.shears([1, -1]) == group.shears((1, -1))
+        assert group.shears() is group.shears((-2, -1, 1, 2)) and group.shears((1, -1)) != group.shears((-1, 1))
+        with pytest.raises(TypeError):
+            group.shears((1.0, -1))  # keyed on exact values: a float is still refused
         assert group == fresh and hash(group) == hash(fresh) and repr(group) == repr(fresh)
         assert pickle.dumps(group) == pickled
         copy = pickle.loads(pickled)
         assert copy == group and copy.block_slices == slices and copy.block_of(m - 1) == len(slices) - 1
+        assert "_weyl_representatives" not in copy.__dict__ and "_shear_tables" not in copy.__dict__
+        assert copy.weyl_representatives() == weyl and copy.shears((1, -1)) == shears

@@ -2773,7 +2773,7 @@ def test_conjugated_by_inverts_only_the_conjugator(monkeypatch):
                 patched.setattr(GroupSpec, "_member_inverse", counted)
                 calls.clear()
                 mu = lam.conjugated_by(g)
-                assert calls == [(g, "conjugator")]
+                assert calls == [(linalg._Scaled.of(g), "conjugator")]
             assert mu == Cocharacter(linalg.mat_mul(g, lam.base), lam.torus)
             assert mu._frame == _frame_pair(mu.base)
             assert mu.evaluate(2) == linalg.mat_mul(linalg.mat_mul(g, lam.evaluate(2)), linalg.inverse(g))
@@ -2920,14 +2920,14 @@ def _closedness_points(group, rng, count=6):
 
 
 def test_second_search_builds_no_operator(monkeypatch):
-    build = instability._conjugation_operator
+    build = linalg._conjugation_operator
     built = []
 
-    def counted(pair):
-        built.append(pair)
-        return build(pair)
+    def counted(left, right):
+        built.append((right, left))  # h -> base^-1 h base for the pair (base, base^-1)
+        return build(left, right)
 
-    monkeypatch.setattr(instability, "_conjugation_operator", counted)
+    monkeypatch.setattr(linalg, "_conjugation_operator", counted)
     rng = random.Random(131)
     for group in (GL3, GroupSpec.make(("GL", 2), ("SL", 2))):
         cfg = SearchConfig.default(group, exponent_box=2, shear_values=(-1, 1))

@@ -2,6 +2,7 @@ import random
 import time
 from fractions import Fraction as F
 from functools import partial
+import math
 from math import gcd, lcm
 
 import pytest
@@ -702,7 +703,9 @@ def test_inverse_and_determinant_from_one_reduction_match_references():
     square += swaps + [sl_block, linalg.mat([[0, 2], [0, 5]])]
     singular = 0
     for a in square:
-        inv, d = linalg._inverse_det(a)
+        scaled, d = linalg._Scaled.of(a).inverse()
+        inv = None if scaled is None else scaled.fractions()
+        assert (inv, d) == _reference_inverse_det(a)
         assert d == _dense_det(a) == _echelon_det(a) == linalg.det(a)
         assert inv == _rref_inverse(a)
         if inv is None:
@@ -710,11 +713,118 @@ def test_inverse_and_determinant_from_one_reduction_match_references():
             with pytest.raises(ValueError, match="singular"):
                 linalg.inverse(a)
         else:
+            assert tuple(scaled) == tuple(linalg._Scaled.of(inv))  # the canonical rows and scale
             assert linalg.inverse(a) == inv and linalg.mat_mul(a, inv) == linalg.identity(len(a))
     assert singular >= 5 and len(square) - singular >= 20
     assert [linalg.det(a) for a in swaps] == [-1, -1, 2] and linalg.det(sl_block) == 2
     sl2 = GroupSpec.make(("SL", 2))
     with pytest.raises(DomainError, match="acting element is not in the group"):
-        sl2._member_inverse(sl_block, "acting element")
+        sl2._member_inverse(linalg._Scaled.of(sl_block), "acting element")
     member = linalg.mat([[F(1, 2), 1], [F(-1, 2), 1]])
-    assert sl2._member_inverse(member, "x") == linalg.inverse(member)
+    assert sl2._member_inverse(linalg._Scaled.of(member), "x").fractions() == linalg.inverse(member)
+
+
+# ---------------------------------------------------------------------------
+# The scaled inverse against the Fraction route it replaced, kept as the
+# reference
+
+
+def _reference_inverse_det(a):
+    """Reference: the inverse as Fractions (None when a is singular) and
+    det a, from one reduction of [a | I] with each row scaled by the lcm of
+    its denominators: row i of the inverse is the right half of row i over
+    its pivot, and det a is the pivots' product over the scales and the
+    reduction's factor."""
+    n = len(a)
+    rows, scale = [], 1
+    for i, row in enumerate(a):
+        w, s = linalg._integer_terms(linalg._terms(row) + [(n + i, linalg.ONE)], 2 * n)
+        rows.append(w)
+        scale *= s
+    pivots, num, den = linalg._reduce(rows)
+    if pivots[:n] != list(range(n)):
+        return None, linalg.ZERO
+    d = F(math.prod(rows[i][i] for i in range(n)) * den, num * scale)
+    return tuple(tuple(F(x, row[i]) if x else linalg.ZERO for x in row[n:]) for i, row in enumerate(rows)), d
+
+
+def _reference_member_inverse(group, g, what="element"):
+    """Reference: ``GroupSpec._member_inverse`` as Fractions, block by block
+    through ``_reference_inverse_det``."""
+    from destab.groups import _block_det_allowed
+
+    blocks = group._blocks(g)
+    if blocks is not None:
+        parts = [_reference_inverse_det(sub) for sub in blocks]
+        if all(_block_det_allowed(f, d) for f, (_, d) in zip(group.factors, parts)):
+            m = group.dimension
+            inverse = [[linalg.ZERO] * m for _ in range(m)]
+            for block, (inv, _) in zip(group.block_slices, parts):
+                for i, row in zip(block, inv):
+                    inverse[i][block.start : block.stop] = row
+            return tuple(map(tuple, inverse))
+    raise DomainError(f"{what} is not in the group")
+
+
+MEMBER_GROUPS = [GroupSpec.make(("GL", n)) for n in range(1, 6)]
+MEMBER_GROUPS += [GroupSpec.make(("SL", n)) for n in range(2, 5)]
+MEMBER_GROUPS += [GroupSpec.make(("GL", 2), ("SL", 2)), GroupSpec.make(("GL", 1), ("GL", 1), ("GL", 1))]
+
+
+def _block_matrix(rng, group, kind):
+    """A seeded square matrix of the group's size, block-diagonal unless
+    kind is "off-block": dense rational blocks, a singular block when kind
+    is "singular", SL blocks rescaled to determinant one unless kind is
+    "sl-det"."""
+    m = group.dimension
+    g = [[F(0)] * m for _ in range(m)]
+    for f, block in zip(group.factors, group.block_slices):
+        sub = [[F(rng.randint(-4, 4), rng.choice((1, 1, 2, 3, 6))) if rng.random() < 0.7 else F(0) for _ in block] for _ in block]
+        d = linalg.det(linalg.mat(sub))
+        if f.family == "SL" and d and kind != "sl-det":
+            for row in sub:
+                row[0] /= d
+        elif kind == "sl-det" and f.family == "SL" and d in (0, 1):
+            sub = [[F(2) if i == j == 0 else F(int(i == j)) for j in block] for i in block]
+        for a, i in enumerate(block):
+            for b, j in enumerate(block):
+                g[i][j] = sub[a][b]
+    if kind == "singular":
+        block = rng.choice(group.block_slices)
+        g[block[-1]] = [F(0)] * m if len(block) == 1 else [2 * x for x in g[block[0]]]
+    if kind == "off-block":
+        i, j = rng.choice([(i, j) for i in range(m) for j in range(m) if group.block_of(i) != group.block_of(j)])
+        g[i][j] = F(rng.choice((-1, 1)), rng.randint(1, 3))
+    return linalg.mat(g)
+
+
+def test_member_inverse_matches_fraction_reference():
+    # seeded block matrices over GL_1-GL_5, SL_2-SL_4, GL_2 x SL_2 and
+    # GL_1^3: the same rows and scale as the scaled Fraction inverse, and
+    # the same verdict; singular, off-block, ragged and SL determinant != 1
+    # inputs fail with the same error text
+    rng = random.Random(149)
+    members = refused = 0
+    for group in MEMBER_GROUPS:
+        m = group.dimension
+        kinds = ["member"] * 12 + ["singular"] * 3 + ["sl-det"] * 3
+        kinds += ["off-block"] * 3 if len(group.factors) > 1 else []
+        cases = [_block_matrix(rng, group, kind) for kind in kinds]
+        cases.append(tuple(tuple(F(int(i == j)) for j in range(m - (i == m - 1))) for i in range(m)))  # ragged
+        cases.append(linalg.identity(m + 1))
+        for g in cases:
+            try:
+                expected = linalg._Scaled.of(_reference_member_inverse(group, g, "acting element"))
+            except DomainError as exc:
+                with pytest.raises(DomainError) as caught:
+                    group._checked_pair(g, "acting element")
+                assert str(caught.value) == str(exc) == "acting element is not in the group"
+                assert not group.contains(g)
+                refused += 1
+                continue
+            scaled, got = group._checked_pair(g, "acting element")
+            assert tuple(scaled) == tuple(linalg._Scaled.of(g))
+            assert tuple(got) == tuple(expected)  # rows and scale, not only the value
+            assert group.contains(g)
+            members += 1
+    assert members >= 90 and refused >= 60, (members, refused)

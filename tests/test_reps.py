@@ -430,6 +430,50 @@ def test_integer_action_matches_definition_with_rational_entries():
     assert {2, 3, 6} <= denominators
 
 
+def _two_product_apply(rep, pair, coords):
+    """Reference: the conjugation-tuple move before the conjugation
+    operator, each matrix scaled and moved by the two products g @ h @ g^-1;
+    a direct sum moves part by part, its other kinds by their own action."""
+    if isinstance(rep, DirectSum):
+        out, offset = [], 0
+        for p in rep.parts:
+            out.extend(_two_product_apply(p, pair, coords[offset : offset + p.dim]))
+            offset += p.dim
+        return tuple(out)
+    if not isinstance(rep, ConjugationTuples):
+        return rep._apply(rep._action(*pair), coords)
+    g, inverse = pair
+    m = rep.m
+    out = []
+    for t in range(0, len(coords), m * m):
+        h = linalg._Scaled.of(tuple(coords[t + i * m : t + (i + 1) * m] for i in range(m)))
+        for row in (g @ h @ inverse).fractions():
+            out.extend(row)
+    return tuple(out)
+
+
+def test_conjugation_operator_act_matches_two_products():
+    # conjugation tuples of counts 1-3 over GL_2-GL_4, SL_3 and GL_2 x SL_2,
+    # and direct sums holding one, on seeded sparse and dense rational
+    # points: the operator moves each point to the two products' coordinates
+    rng = random.Random(151)
+    groups = [GL2, GL3, GroupSpec.make(("GL", 4)), GroupSpec.make(("SL", 3)), GroupSpec.make(("GL", 2), ("SL", 2))]
+    reps = [ConjugationTuples(group, count) for group in groups for count in (1, 2, 3)]
+    reps += [DirectSum((SymPower(GL2, 3), ConjugationTuples(GL2, 2))), DirectSum((ConjugationTuples(GL3, 1), ConjugationTuples(GL3, 2)))]
+    checked = 0
+    for rep in reps:
+        for g in _acting_elements(rng, rep.group):
+            pair = rep.group._checked_pair(g)
+            for density in (0.2, 0.6, 1.0):
+                coords = [F(rng.randint(-5, 5), rng.choice((1, 2, 3, 6))) if rng.random() < density else F(0) for _ in range(rep.dim)]
+                v = Point(rep, coords)
+                expected = _two_product_apply(rep, pair, v.coords)
+                moved = rep._act(pair, v).coords
+                assert moved == expected and all(type(x) is F for x in moved)
+                checked += 1
+    assert checked == 333, checked
+
+
 def _fraction_evaluate(f, v):
     """The evaluation loop before it skipped zero coordinates."""
     total = F(0)
