@@ -201,7 +201,7 @@ def _ruconj_draw(rng: random.Random, case: int, rep: Representation):
     u = random_radical_element(rng, lam)
     if case % 2 == 0:
         fixed = random_point_with_limit(rng, rep, lam, strict_ok=False)
-        return lam, u, rep.act(linalg.inverse(u), fixed)
+        return lam, u, rep._act(rep.group._checked_pair(u, "acting element")[::-1], fixed)
     return lam, u, random_point(rng, rep)
 
 
@@ -213,9 +213,10 @@ def _ruconj_check(case) -> dict:
     constructed so the criterion holds, odd ones are random.
     """
     lam, u, v = case
+    pair = v.rep.group._checked_pair(u, "acting element")
     lim = limit(v, lam)
-    lhs = lim is not None and lim == v.rep.act(u, v)
-    graded = grade(v, lam.conjugated_by(linalg.inverse(u)))
+    lhs = lim is not None and lim == v.rep._act(pair, v)
+    graded = grade(v, lam._conjugated_by_pair(pair[::-1]))
     rhs = set(graded.components) <= {0}
     return {"ok": lhs == rhs, "holds": lhs, "detail": {"exponents": list(lam.torus.exponents)}}
 

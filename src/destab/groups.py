@@ -354,10 +354,14 @@ class Cocharacter:
         """The cocharacter g . self (left action on one-parameter subgroups),
         on the frame g . base: g is checked and inverted once, and the
         frame's pair is (g base, base^-1 g^-1)."""
-        g, g_inverse = self.group._checked_pair(linalg.mat(g), "conjugator")
+        return self._conjugated_by_pair(self.group._checked_pair(linalg.mat(g), "conjugator"))
+
+    def _conjugated_by_pair(self, pair: tuple) -> "Cocharacter":
+        """``conjugated_by`` for a conjugator given by its checked pair
+        (``GroupSpec._checked_pair``), which is not checked again."""
         base, inverse = self._frame
-        pair = (g @ base, inverse @ g_inverse)
-        return Cocharacter._on_frame(self.group, pair[0].fractions(), pair, self.torus.exponents)
+        frame = (pair[0] @ base, inverse @ pair[1])
+        return Cocharacter._on_frame(self.group, frame[0].fractions(), frame, self.torus.exponents)
 
     def evaluate(self, a) -> Mat:
         return self._from_frame(self.torus.evaluate(a))

@@ -18,9 +18,10 @@ in the returned minimizer.
 The built-in subvarieties, the zero locus and the identity tuple, are each
 one G-fixed point p: 0, or (I, ..., I).  A frame's inverse moves x - p to
 base^-1 . x - p, so the weights of S that survive at a point moved into a
-frame are those of the coordinates where the moved point differs from p
-(``_frame_forms``), and a point lies in S when its coordinates are p's
-(``SubvarietySpec.contains_point``); no polynomial is evaluated.  Both the
+frame are those of the coordinates where the moved point differs from p,
+read on its integer coordinates (``_frame_forms``), and a point lies in S
+when its coordinates are p's (``SubvarietySpec.contains_point``); no
+polynomial is evaluated.  Both the
 torus search and the value check that ``optimize`` runs on its optimum
 (``vanishing_order``) read them so.  A custom subvariety, only
 spot-checked for stability, composes its generators with each frame and
@@ -86,7 +87,7 @@ from .parabolic import (
     _radical_conjugator,
     _radical_entries,
 )
-from .reps import ConjugationTuples, Point, Polynomial, Representation, _composed, _frame_weights
+from .reps import ConjugationTuples, Point, Polynomial, Representation, _composed, _frame_ints, _point
 
 # ---------------------------------------------------------------------------
 # Subvarieties
@@ -233,7 +234,7 @@ class VanishingOrder:
 
 def admits_limit(x: Point, lam: Cocharacter) -> bool:
     d = lam.torus.exponents
-    return all(pairing_vec(d, chi) >= 0 for chi in _frame_weights(x, lam._frame)[1])
+    return all(pairing_vec(d, chi) >= 0 for chi, c in zip(x.rep.weights, _frame_ints(x, lam._frame)[0]) if c)
 
 
 def admits_limit_set(points, lam: Cocharacter) -> bool:
@@ -438,10 +439,11 @@ def _frame_forms(points, s: SubvarietySpec, frame: tuple | None):
     its generators are the coordinates of x - p, each a single isotypic
     component with the weight of its coordinate.  Since base^-1 fixes p,
     the moved point minus p is base^-1 . (x - p), so the weights are read
-    off the coordinates where the moved point differs from p, with no
-    polynomial evaluated.  A custom subvariety is only spot-checked for
-    stability, so its generators are composed with each frame and their
-    components evaluated.
+    off the integer coordinates c of the moved point (``_frame_ints``) with
+    c != p_i times their scale, with no point built and no polynomial
+    evaluated.  A custom subvariety is only spot-checked for stability, so
+    its generators are composed with each frame and their components
+    evaluated at the moved point.
     """
     rep = points[0].rep
     p = s._fixed_point(rep)
@@ -449,12 +451,13 @@ def _frame_forms(points, s: SubvarietySpec, frame: tuple | None):
         iso = s.isotypic_data(rep, None if frame is None else frame[0].fractions())
     out = []
     for x in points:
-        moved, support = _frame_weights(x, frame)
+        w, u = _frame_ints(x, frame)
         if p is not None:
-            forms = {chi for chi, c, pc in zip(rep.weights, moved.coords, p) if c != pc}
+            forms = {chi for chi, c, pc in zip(rep.weights, w, p) if c != pc * u}
         else:
+            moved = _point(rep, w, u)
             forms = {chi for parts in iso for chi, component in parts if component.evaluate(moved) != 0}
-        out.append((support, forms))
+        out.append(([chi for chi, c in zip(rep.weights, w) if c], forms))
     return out
 
 

@@ -300,15 +300,6 @@ class _Conjugation(NamedTuple):
                 acc[ij] += c * x
         return acc
 
-    def apply(self, h: Sequence[Fraction]) -> Vec:
-        """left h right for a flattened rational matrix h, which is scaled
-        to integers once; each entry is divided once."""
-        terms = _terms(h)
-        den = lcm(*[x.denominator for _, x in terms])
-        acc = self.moved([(kl, x.numerator * (den // x.denominator)) for kl, x in terms])
-        den *= self.scale
-        return tuple([Fraction(x, den) if x else ZERO for x in acc])
-
 
 def _conjugation_operator(left: _Scaled, right: _Scaled) -> _Conjugation:
     """The ``_Conjugation`` h -> left h right of two m x m scaled values:

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
+from fractions import Fraction
 from math import lcm
 
 from . import linalg
@@ -171,16 +172,22 @@ class ParabolicDescriptor:
 
     @staticmethod
     def from_cocharacter(lam: Cocharacter) -> "ParabolicDescriptor":
+        """The flags of the base columns, read off the integer columns of
+        the cocharacter's scaled base: each space is those columns reduced
+        by ``linalg._reduce`` with each pivot row divided by its pivot once,
+        the RREF that ``row_space`` gives the Fraction columns, since a
+        positive multiple of a row leaves its span alone."""
         group = lam.group
         d = lam.torus.exponents
-        base_cols = linalg.transpose(lam.base)
+        columns = tuple(zip(*lam._frame[0].rows))
         flags = []
         for block in group.block_slices:
             values = sorted({d[i] for i in block}, reverse=True)
             chain = []
             for cut in values[:-1]:  # the last cut spans the whole block
-                rows = tuple(base_cols[i] for i in block if d[i] >= cut)
-                chain.append(linalg.row_space(rows))
+                rows = [list(columns[i]) for i in block if d[i] >= cut]
+                pivots = linalg._reduce(rows)[0]
+                chain.append(tuple(tuple(Fraction(x, row[c]) if x else linalg.ZERO for x in row) for row, c in zip(rows, pivots)))
             flags.append(tuple(chain))
         return ParabolicDescriptor(group, tuple(flags))
 

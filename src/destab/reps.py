@@ -15,10 +15,18 @@ A point is moved by a checked pair (g, g^-1) of ``linalg`` scaled values
 hold the pairs of their frames, so moving a point into a frame or out of
 it neither checks nor inverts the frame again.  Only an element that comes
 from outside (``act``, ``support``, ``composed_with_action``) is checked
-where it enters.  Conjugation tuples act by the pair's ``linalg``
-conjugation operator h -> g h g^-1, built once per acting element and kept
-in the act memo, so a move is one pass over each matrix's nonzero entries.
-The weights of a point in a frame have one reader, ``_frame_weights``.
+where it enters.  A point keeps its coordinates scaled to integers, with
+their scale, from its first move.  Each kind has one integer kernel
+(``_moved``) that moves integer coordinates by the act memo's entry for
+the pair, built once per acting element, and gives integer coordinates
+and a factor on the scale: conjugation tuples apply the pair's ``linalg``
+conjugation operator h -> g h g^-1, one pass over each matrix's nonzero
+entries; other kinds apply the integer rows of the action matrix; a
+direct sum puts its parts over the lcm of their scales.  ``act`` is that
+kernel and one division.  The integer coordinates of a point in a frame
+have one reader, ``_frame_ints``: the support and the instability code
+read the integers alone, and the grading and the limit build Fractions
+only for the points they return.
 
 The closed enumeration of kinds (conjugation tuples, symmetric powers of
 the standard 2-dimensional module, adjoint, direct sums) is the documented
@@ -28,10 +36,13 @@ matrix, and may act faster through its structure.
 
 from __future__ import annotations
 
+import functools
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from fractions import Fraction
 from functools import lru_cache
+from math import lcm
+from operator import mul
 
 from . import linalg
 from .errors import DimensionError, DomainError
@@ -45,10 +56,12 @@ class Representation:
     """Common interface: ``group``, ``dim``, ``weights``, ``act_matrix``.
 
     ``act`` checks the acting element on every call, so a non-member is
-    always rejected, and acts by its checked pair (``_act``).  ``_act``
+    always rejected, and acts by its checked pair (``_act``).  The act memo
     keeps what the kind's action needs (``_action``), keyed by the pair's
     first value: the conjugation operator for conjugation tuples, the
     action matrix for any other kind, the parts' data for a direct sum.
+    Each kind's kernel ``_moved`` applies an entry to integer coordinates,
+    and ``_kernel`` looks the entry up and applies it.
     """
 
     group: GroupSpec
@@ -62,23 +75,35 @@ class Representation:
         return self._act(self.group._checked_pair(linalg.mat(g), "acting element"), point)
 
     def _act(self, pair: tuple, point: "Point") -> "Point":
-        """``act`` by a checked pair (g, g^-1); the identity returns the
+        """``act`` by a checked pair (g, g^-1): the kernel on the point's
+        integer coordinates and one division; the identity returns the
         point itself."""
         if point.rep != self:
             raise DimensionError("point belongs to a different representation")
+        w, u = point._ints
+        moved, s = self._kernel(pair, w)
+        return point if moved is w else _point(self, moved, s * u)
+
+    def _kernel(self, pair: tuple, w) -> tuple:
+        """Integer coordinates w moved by a checked pair (g, g^-1), through
+        the act memo's entry for g (None for the identity): the moved
+        integer coordinates and the factor on w's scale, or w itself and 1
+        for the identity."""
         memo = self.__dict__.setdefault("_act_memo", {})
         g = pair[0]
         try:
             data = memo[g]
         except KeyError:
             data = memo[g] = None if g == linalg._Scaled.of(self.group.identity()) else self._action(*pair)
-        return point if data is None else Point(self, self._apply(data, point.coords))
+        return (w, 1) if data is None else self._moved(data, w)
 
     def _action(self, g: linalg._Scaled, inverse: linalg._Scaled):
         return linalg._Scaled.of(self.act_matrix(g.fractions()))
 
-    def _apply(self, data, coords: Vec) -> Vec:
-        return data.apply(coords)
+    def _moved(self, data: linalg._Scaled, w) -> tuple[list[int], int]:
+        """The kernel: integer coordinates w moved by a memo entry, and the
+        factor on their scale."""
+        return [sum(map(mul, row, w)) for row in data.rows], data.scale
 
     def zero(self) -> "Point":
         return Point(self, (Fraction(0),) * self.dim)
@@ -124,9 +149,10 @@ class ConjugationTuples(Representation):
     def _action(self, g: linalg._Scaled, inverse: linalg._Scaled) -> linalg._Conjugation:
         return linalg._conjugation_operator(g, inverse)
 
-    def _apply(self, data: linalg._Conjugation, coords: Vec) -> Vec:
+    def _moved(self, data: linalg._Conjugation, w) -> tuple[list[int], int]:
         n = self.m * self.m
-        return tuple(itertools.chain.from_iterable(data.apply(coords[t : t + n]) for t in range(0, len(coords), n)))
+        blocks = (data.moved([(kl, x) for kl, x in enumerate(w[t : t + n]) if x]) for t in range(0, len(w), n))
+        return list(itertools.chain.from_iterable(blocks)), data.scale
 
     def point(self, matrices) -> "Point":
         mats = [linalg.mat(h) for h in matrices]
@@ -261,13 +287,13 @@ class DirectSum(Representation):
     def _action(self, g: linalg._Scaled, inverse: linalg._Scaled) -> tuple:
         return tuple(p._action(g, inverse) for p in self.parts)
 
-    def _apply(self, data: tuple, coords: Vec) -> Vec:
-        out: list[Fraction] = []
-        offset = 0
-        for p, part_data in zip(self.parts, data):
-            out.extend(p._apply(part_data, coords[offset : offset + p.dim]))
-            offset += p.dim
-        return tuple(out)
+    def _moved(self, data: tuple, w) -> tuple[list[int], int]:
+        """Each part moved by its own kernel, put over the lcm of the parts'
+        scales."""
+        starts = itertools.accumulate((p.dim for p in self.parts), initial=0)
+        parts = [p._moved(part_data, w[k : k + p.dim]) for p, part_data, k in zip(self.parts, data, starts)]
+        scale = lcm(*[s for _, s in parts])
+        return [x * (scale // s) for moved, s in parts for x in moved], scale
 
 
 @dataclass(frozen=True)
@@ -292,6 +318,25 @@ class Point:
 
     def is_zero(self) -> bool:
         return all(c == 0 for c in self.coords)
+
+    # The integer coordinates below are computed once per instance and kept
+    # in its __dict__, outside the dataclass fields, so equality, hash and
+    # repr do not see them; ``__getstate__`` leaves them out of pickles.
+
+    @functools.cached_property
+    def _ints(self) -> tuple[tuple[int, ...], int]:
+        """The coordinates scaled by the lcm of their denominators, and that
+        lcm."""
+        w, u = linalg._integer_terms(linalg._terms(self.coords), self.rep.dim)
+        return tuple(w), u
+
+    def __getstate__(self) -> dict:
+        return {f.name: getattr(self, f.name) for f in fields(self)}
+
+
+def _point(rep: Representation, w, den: int) -> Point:
+    """The point of integer coordinates w over den."""
+    return Point(rep, tuple([Fraction(x, den) if x else ZERO for x in w]))
 
 
 @dataclass(frozen=True)
@@ -319,44 +364,61 @@ def support(v: Point, frame: Mat | None = None) -> frozenset[Character]:
     ``frame`` is the base of a cocharacter; None means the standard frame.
     """
     pair = None if frame is None else v.rep.group._checked_pair(linalg.mat(frame), "acting element")
-    return frozenset(_frame_weights(v, pair)[1])
+    return frozenset(chi for chi, c in zip(v.rep.weights, _frame_ints(v, pair)[0]) if c)
 
 
-def _frame_weights(v: Point, frame: tuple | None) -> tuple[Point, list[Character]]:
-    """v moved into the frame of a checked pair (base, base^-1), base^-1 . v,
-    or v itself when the frame is None, and the weights of the nonzero
-    coordinates of the moved point."""
-    if frame is not None:
-        v = v.rep._act(frame[::-1], v)
-    return v, [chi for chi, c in zip(v.rep.weights, v.coords) if c]
+def _frame_ints(v: Point, pair: tuple | None) -> tuple:
+    """The integer coordinates of v moved into the frame of a checked pair
+    (base, base^-1), base^-1 . v, or of v itself when the pair is None, and
+    their scale."""
+    w, u = v._ints
+    if pair is None:
+        return w, u
+    moved, s = v.rep._kernel(pair[::-1], w)
+    return moved, s * u
+
+
+def _frame_levels(v: Point, lam: Cocharacter) -> tuple:
+    """The nonzero integer coordinates of v in lambda's frame as (index,
+    level, coordinate) triples, in order, and their scale."""
+    if lam.group != v.rep.group:
+        raise DimensionError("cocharacter and representation have different groups")
+    w, u = _frame_ints(v, lam._frame)
+    d = lam.torus.exponents
+    return ((idx, pairing_vec(d, chi), c) for idx, (chi, c) in enumerate(zip(v.rep.weights, w)) if c), u
+
+
+def _point_from_frame(rep: Representation, lam: Cocharacter, w, u: int) -> Point:
+    """The point base . (w / u), for lambda's base and integer coordinates w
+    in its frame."""
+    moved, s = rep._kernel(lam._frame, w)
+    return _point(rep, moved, s * u)
 
 
 def grade(v: Point, lam: Cocharacter) -> Grading:
     """Split v into components on which lambda acts by a fixed power."""
-    rep = v.rep
-    if lam.group != rep.group:
-        raise DimensionError("cocharacter and representation have different groups")
-    transported = rep._act(lam._frame[::-1], v)
-    buckets: dict[int, list[Fraction]] = {}
-    for idx, (chi, c) in enumerate(zip(rep.weights, transported.coords)):
-        if c == 0:
-            continue
-        n = pairing_vec(lam.torus.exponents, chi)
-        bucket = buckets.setdefault(n, [Fraction(0)] * rep.dim)
-        bucket[idx] = c
-    components = {
-        n: rep._act(lam._frame, Point(rep, tuple(flat)))
-        for n, flat in buckets.items()
-    }
-    return Grading(v, lam, components)
+    levels, u = _frame_levels(v, lam)
+    buckets: dict[int, list[int]] = {}
+    for idx, n, c in levels:
+        buckets.setdefault(n, [0] * v.rep.dim)[idx] = c
+    return Grading(v, lam, {n: _point_from_frame(v.rep, lam, w, u) for n, w in buckets.items()})
 
 
 def limit(v: Point, lam: Cocharacter) -> Point | None:
-    """lim_{a->0} lambda(a).v, or None when a negative level is present."""
-    g = grade(v, lam)
-    if any(n < 0 for n in g.components):
-        return None
-    return g.components.get(0, v.rep.zero())
+    """lim_{a->0} lambda(a).v, or None when a negative level is present.
+
+    v is moved into lambda's frame on its integer coordinates, the reading
+    stops at the first coordinate of a negative level, and otherwise only
+    the level-0 part is moved back.
+    """
+    levels, u = _frame_levels(v, lam)
+    level = [0] * v.rep.dim
+    for idx, n, c in levels:
+        if n < 0:
+            return None
+        if n == 0:
+            level[idx] = c
+    return _point_from_frame(v.rep, lam, level, u)
 
 
 # ---------------------------------------------------------------------------

@@ -59,7 +59,7 @@ from destab.instability import (
     min_qnorm_over_polyhedron,
 )
 from destab.parabolic import _limit_pattern
-from destab.reps import DirectSum, Point, grade, limit
+from destab.reps import DirectSum, Point, _frame_ints, grade, limit
 
 GL2 = GroupSpec.make(("GL", 2))
 GL3 = GroupSpec.make(("GL", 3))
@@ -1649,19 +1649,26 @@ def _reference_contains_point(s, x):
     return all(g.evaluate(x) == 0 for g in s.generators(x.rep))
 
 
+def _reference_frame_weights(v, frame):
+    """Reference: v moved into the frame of a checked pair (base, base^-1)
+    as a point, or v itself when the frame is None, and the weights of the
+    moved point's nonzero coordinates."""
+    if frame is not None:
+        v = v.rep._act(frame[::-1], v)
+    return v, [chi for chi, c in zip(v.rep.weights, v.coords) if c]
+
+
 def _reference_frame_forms(points, s, frame):
     """Reference: ``_frame_forms`` with every isotypic component of S's
     generators evaluated at each moved point, the plain generators for a
     built-in subvariety and the generators composed with the frame for a
     custom one."""
-    from destab.reps import _frame_weights
-
     rep = points[0].rep
     composing = None if frame is None or s.kind is not SubvarietyKind.CUSTOM else frame[0].fractions()
     iso = s.isotypic_data(rep, composing)
     out = []
     for x in points:
-        moved, support = _frame_weights(x, frame)
+        moved, support = _reference_frame_weights(x, frame)
         out.append((support, {chi for parts in iso for chi, part in parts if part.evaluate(moved) != 0}))
     return out
 
@@ -3034,3 +3041,177 @@ def test_kempf_check_checks_each_conjugator_once(monkeypatch):
             assert p._conjugated_by_pair(group._checked_pair(g)) == p.conjugated_by(g)
         with pytest.raises(DomainError, match="^element is not in the group$"):
             p.conjugated_by(linalg.zeros(group.dimension, group.dimension))
+
+
+# ---------------------------------------------------------------------------
+# Points read in a frame on their integer coordinates, against the routes
+# that moved them as points, kept as references
+
+
+def _reference_moved_point_forms(points, s, frame):
+    """Reference: ``_frame_forms`` on moved points: each point moved into
+    the frame as a point (``_reference_frame_weights``), its forms read off
+    the coordinates that differ from S's fixed point, or for a custom S off
+    the generators' components evaluated at the moved point."""
+    rep = points[0].rep
+    p = s._fixed_point(rep)
+    if p is None:
+        iso = s.isotypic_data(rep, None if frame is None else frame[0].fractions())
+    out = []
+    for x in points:
+        moved, support = _reference_frame_weights(x, frame)
+        if p is not None:
+            forms = {chi for chi, c, pc in zip(rep.weights, moved.coords, p) if c != pc}
+        else:
+            forms = {chi for parts in iso for chi, part in parts if part.evaluate(moved) != 0}
+        out.append((support, forms))
+    return out
+
+
+def _reference_grade(v, lam):
+    """Reference: ``grade`` on moved points: v moved into lambda's frame as
+    a point, its coordinates bucketed by level, each bucket moved back."""
+    rep = v.rep
+    transported = rep._act(lam._frame[::-1], v)
+    buckets = {}
+    for idx, (chi, c) in enumerate(zip(rep.weights, transported.coords)):
+        if c:
+            buckets.setdefault(pairing(lam.torus, chi), [F(0)] * rep.dim)[idx] = c
+    return {n: rep._act(lam._frame, Point(rep, tuple(flat))) for n, flat in buckets.items()}
+
+
+def _reference_limit(v, lam):
+    """Reference: the grade-based ``limit``: None when a negative level is
+    present, else the level-0 component or the zero point."""
+    components = _reference_grade(v, lam)
+    if any(n < 0 for n in components):
+        return None
+    return components.get(0, v.rep.zero())
+
+
+def _reference_from_cocharacter(lam):
+    """Reference: ``ParabolicDescriptor.from_cocharacter`` by
+    ``linalg.row_space`` of the base's Fraction columns."""
+    d = lam.torus.exponents
+    columns = linalg.transpose(lam.base)
+    flags = []
+    for block in lam.group.block_slices:
+        cuts = sorted({d[i] for i in block}, reverse=True)[:-1]
+        flags.append(tuple(linalg.row_space(tuple(columns[i] for i in block if d[i] >= cut)) for cut in cuts))
+    return ParabolicDescriptor(lam.group, tuple(flags))
+
+
+def _denominator_frame(rng, group, den):
+    """A seeded frame with entries over den: per block a signed permutation
+    times a lower and an upper unitriangular matrix with entries k/den, and
+    on a GL block a diagonal of den, 1/den and -1."""
+    m = group.dimension
+    g = [[F(0)] * m for _ in range(m)]
+    for f, block in zip(group.factors, group.block_slices):
+        n = len(block)
+        perm = rng.sample(range(n), n)
+        sub = linalg.mat([[int(perm[i] == j) for j in range(n)] for i in range(n)])
+        if f.family == "SL" and linalg.det(sub) < 0:
+            sub = linalg.mat([[-x for x in sub[0]], *sub[1:]])
+        for upper in (False, True):
+            tri = [[F(int(i == j)) if (j > i) != upper or i == j else F(rng.randint(-5, 5), den) for j in range(n)] for i in range(n)]
+            sub = linalg.mat_mul(sub, linalg.mat(tri))
+        if f.family == "GL":
+            diagonal = [rng.choice((1, den, F(1, den), -1)) for _ in range(n)]
+            sub = linalg.mat_mul(sub, linalg.mat([[diagonal[i] if i == j else 0 for j in range(n)] for i in range(n)]))
+        for i, row in zip(block, sub):
+            g[i][block.start : block.stop] = row
+    return linalg.mat(g)
+
+
+def _frame_read_cases():
+    """Seeded (representation, cocharacter, points, subvarieties) cases:
+    conjugation tuples of counts 1-3 over GL_2-GL_4, SL_3 and GL_2 x SL_2,
+    symmetric powers of degrees 2-6 on GL_2 and SL_2 and two direct sums,
+    each on cocharacters whose frames have denominators 2, 3 and 6.  The
+    points: one with a limit, one with a coordinate of a negative level in
+    the frame, one dense; on conjugation tuples, each also plus the identity
+    tuple.  The subvarieties: the zero locus, the identity tuple on
+    conjugation tuples, and a custom one."""
+    rng = random.Random(173)
+    GL4 = GroupSpec.make(("GL", 4))
+    groups = [GL2, GL3, GL4, GroupSpec.make(("SL", 3)), GroupSpec.make(("GL", 2), ("SL", 2))]
+    reps = [ConjugationTuples(group, count) for group in groups for count in (1, 2, 3)]
+    reps += [SymPower(group, degree) for group in (GL2, SL2) for degree in range(2, 7)]
+    reps += [DirectSum((SymPower(GL2, 3), ConjugationTuples(GL2, 2))), DirectSum((ConjugationTuples(GL3, 1), ConjugationTuples(GL3, 2)))]
+    for rep in reps:
+        custom = SubvarietySpec.custom(
+            (Polynomial.coordinate(rep, 0) - Polynomial.coordinate(rep, rep.dim - 1),), g_stable_asserted=True
+        )
+        subvarieties = [ZERO, custom]
+        if isinstance(rep, ConjugationTuples):
+            subvarieties.append(SubvarietySpec.identity_tuple())
+        for den in (2, 3, 6):
+            lam = Cocharacter.based(rep.group, _denominator_frame(rng, rep.group, den), _exponents(rng, rep.group))
+            levels = [pairing(lam.torus, chi) for chi in rep.weights]
+            points = []
+            for negative in (False, True):
+                coords = [F(rng.randint(-4, 4), rng.choice((1, 2, 3, 6))) if n >= 0 and rng.random() < 0.7 else F(0) for n in levels]
+                if negative and min(levels) < 0:
+                    coords[rng.choice([k for k, n in enumerate(levels) if n < 0])] = F(rng.choice((1, -1)), rng.choice((1, 2, 3)))
+                points.append(rep._act(lam._frame, Point(rep, coords)))
+            points.append(Point(rep, [F(rng.randint(-4, 4), rng.choice((1, 2, 3, 6))) for _ in range(rep.dim)]))
+            if isinstance(rep, ConjugationTuples):
+                identity = Point(rep, SubvarietySpec.identity_tuple()._fixed_point(rep))
+                points += [x + identity for x in points]
+            yield rep, lam, points, subvarieties
+
+
+def test_frame_forms_match_moved_point_reference():
+    # the forms and support read off integer coordinates against the route
+    # that moved each point as a point, in the frame of each cocharacter
+    # and in the standard frame, for every subvariety of the case; the
+    # integer coordinates are those of the moved point
+    checked = 0
+    for rep, lam, points, subvarieties in _frame_read_cases():
+        for s in subvarieties:
+            for frame in (lam._frame, None):
+                for x in points:
+                    assert instability._frame_forms([x], s, frame) == _reference_moved_point_forms([x], s, frame)
+                    checked += 1
+                assert instability._frame_forms(points, s, frame) == _reference_moved_point_forms(points, s, frame)
+        for x in points:
+            w, u = _frame_ints(x, lam._frame)
+            assert tuple(F(c, u) for c in w) == _reference_frame_weights(x, lam._frame)[0].coords
+    assert checked == 2052, checked
+
+
+def test_limit_and_grade_match_grade_based_reference():
+    # limit, grade and admits_limit against the grade-based references on
+    # points with and without a limit; every coordinate returned is a Fraction
+    without = with_limit = 0
+    for rep, lam, points, _ in _frame_read_cases():
+        for x in points:
+            expected = _reference_limit(x, lam)
+            value = limit(x, lam)
+            assert value == expected and instability.admits_limit(x, lam) == (expected is not None)
+            graded = grade(x, lam)
+            assert graded.components == _reference_grade(x, lam) and graded.reconstruct() == x
+            assert all(type(c) is F for part in graded.components.values() for c in part.coords)
+            if value is None:
+                without += 1
+            else:
+                assert all(type(c) is F for c in value.coords)
+                with_limit += 1
+    assert (without, with_limit) == (238, 140), (without, with_limit)
+
+
+def test_from_cocharacter_matches_row_space_reference():
+    # the flags read off the scaled base against row_space of the Fraction
+    # columns, on each case's cocharacter and on it conjugated by a second
+    # frame, whose pair is a product with a scale that is not the lcm
+    rng = random.Random(179)
+    checked = 0
+    for rep, lam, _, _ in _frame_read_cases():
+        other = lam.conjugated_by(_denominator_frame(rng, rep.group, rng.choice((2, 3, 6))))
+        for mu in (lam, other):
+            descriptor = ParabolicDescriptor.from_cocharacter(mu)
+            assert descriptor == _reference_from_cocharacter(mu)
+            assert all(type(x) is F for chain in descriptor.flags for space in chain for row in space for x in row)
+            checked += 1
+    assert checked == 162, checked

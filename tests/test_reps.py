@@ -1,4 +1,5 @@
 from fractions import Fraction as F
+import math
 from math import comb
 
 import pytest
@@ -433,7 +434,8 @@ def test_integer_action_matches_definition_with_rational_entries():
 def _two_product_apply(rep, pair, coords):
     """Reference: the conjugation-tuple move before the conjugation
     operator, each matrix scaled and moved by the two products g @ h @ g^-1;
-    a direct sum moves part by part, its other kinds by their own action."""
+    a direct sum moves part by part, its other kinds by their action
+    matrix's scaled value applied to the rational coordinates."""
     if isinstance(rep, DirectSum):
         out, offset = [], 0
         for p in rep.parts:
@@ -441,7 +443,7 @@ def _two_product_apply(rep, pair, coords):
             offset += p.dim
         return tuple(out)
     if not isinstance(rep, ConjugationTuples):
-        return rep._apply(rep._action(*pair), coords)
+        return rep._action(*pair).apply(coords)
     g, inverse = pair
     m = rep.m
     out = []
@@ -506,3 +508,49 @@ def test_evaluate_matches_fraction_loop():
         seen["zero_hit"] += any(not v.coords[i] for mono, _ in f.terms for i, _ in mono)
         seen["zero_value"] += value == 0
     assert all(count >= 20 for count in seen.values()), seen
+
+
+def test_point_integer_coordinates_are_kept_out_of_equality_and_pickles():
+    # the integer coordinates and their scale are computed once per point,
+    # on first use; equality, hash, repr and the pickled bytes are a fresh
+    # point's, and an unpickled copy computes them again
+    import pickle
+
+    rng = random.Random(181)
+    reps = [ConjugationTuples(GL2, 2), ConjugationTuples(GroupSpec.make(("GL", 2), ("SL", 2)), 1), SymPower(SL2, 4)]
+    reps.append(DirectSum((SymPower(GL2, 3), ConjugationTuples(GL2, 1))))
+    for rep in reps:
+        for _ in range(4):
+            coords = [F(rng.randint(-5, 5), rng.choice((1, 2, 3, 6))) if rng.random() < 0.7 else F(0) for _ in range(rep.dim)]
+            v, fresh = Point(rep, coords), Point(rep, coords)
+            assert "_ints" not in v.__dict__
+            support(v, rep.group.identity())
+            pickled = pickle.dumps(fresh)  # after the call, which fills the representation's act memo
+            w, u = v._ints
+            assert v._ints is v._ints and "_ints" in v.__dict__
+            assert tuple(F(x, u) for x in w) == v.coords and math.gcd(u, *w) == 1
+            assert v == fresh and hash(v) == hash(fresh) and repr(v) == repr(fresh)
+            assert pickle.dumps(v) == pickled
+            copy = pickle.loads(pickle.dumps(v))
+            assert copy == v and "_ints" not in copy.__dict__ and copy._ints == v._ints
+
+
+def test_points_with_integer_coordinates_round_trip_through_workers(monkeypatch):
+    # the worker-process corpus path pickles each case; points whose integer
+    # coordinates were computed before the cases leave give the records of
+    # a serial run
+    from destab import corpus
+
+    cases, check = corpus.PROFILES["ruconj"]
+
+    def warmed(seed, size):
+        batch = cases(seed, size)
+        for _lam, _u, v in batch:
+            support(v)
+            assert "_ints" in v.__dict__
+        return batch
+
+    monkeypatch.setitem(corpus.PROFILES, "ruconj", (warmed, check))
+    serial = corpus.run_profile("ruconj", 1, 10)
+    assert corpus.run_profile("ruconj", 1, 10, workers=2) == serial
+    assert all(record["ok"] for record in serial) and sum(record["holds"] for record in serial) >= 5
