@@ -129,20 +129,20 @@ def random_parabolic_element(rng: random.Random, lam: Cocharacter) -> Mat:
             first = block[0]
             for j in block:
                 levi[first][j] /= det
-    x = linalg.mat_mul(linalg.mat(levi), _radical_draw(rng, lam))
-    return lam._from_frame(x)
+    return lam._from_frame(linalg._Scaled.of(levi) @ _radical_draw(rng, lam))
 
 
 def random_radical_element(rng: random.Random, lam: Cocharacter) -> Mat:
     return lam._from_frame(_radical_draw(rng, lam))
 
 
-def _radical_draw(rng: random.Random, lam: Cocharacter) -> Mat:
-    """A random element of R_u(P_lambda) in the standard frame of lambda."""
+def _radical_draw(rng: random.Random, lam: Cocharacter) -> linalg._Scaled:
+    """A random element of R_u(P_lambda) in the standard frame of lambda,
+    as a scaled value."""
     u = [list(row) for row in linalg.identity(lam.group.dimension)]
     for i, j in _radical_positions(lam):
         u[i][j] = _rand_fraction(rng)
-    return linalg.mat(u)
+    return linalg._Scaled.of(u)
 
 
 def random_point_with_limit(
@@ -351,9 +351,9 @@ def subgroup_corpus(seed: int, size: int = 50) -> list[SubgroupPresentation]:
 
 
 @functools.cache
-def corpus_config(group: GroupSpec, box: int = 4) -> SearchConfig:
+def corpus_config(group: GroupSpec) -> SearchConfig:
     """The search bound every corpus verdict is relative to (built once per group)."""
-    return SearchConfig.default(group, exponent_box=box, shear_values=(-2, -1, 1, 2))
+    return SearchConfig.default(group, exponent_box=4, shear_values=(-2, -1, 1, 2))
 
 
 def _oracle_agreement_check(h: SubgroupPresentation) -> dict:

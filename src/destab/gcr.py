@@ -20,9 +20,7 @@ from __future__ import annotations
 
 import functools
 from dataclasses import dataclass
-from fractions import Fraction
 from itertools import chain
-from math import lcm
 from operator import mul
 
 from . import linalg
@@ -206,15 +204,12 @@ def _radical(a: EnvelopingAlgebra) -> list:
     flats = [list(chain(*x.rows)) for x in a._scaled]
     transposed = [list(chain(*zip(*x.rows))) for x in a._scaled]
     gram = [[sum(map(mul, r, t)) for t in transposed] for r in flats]
-    pivots = linalg._reduce(gram)[0]
     radical = []
-    for f in sorted(set(range(len(flats))) - set(pivots)):
-        # k_f = 1 / s_f, and k_c = -e / (p s_f) for a reduced row p at c, e at f
-        terms = [(c, row[f], row[c]) for row, c in zip(gram, pivots) if row[f]]
-        den = lcm(*[p for _, _, p in terms])
-        v = [den * x for x in flats[f]]
-        for c, e, p in terms:
-            v = [x - e * (den // p) * y for x, y in zip(v, flats[c])]
+    for f, k, den in linalg._kernel(gram, len(flats)):
+        v = [0] * (m * m)
+        for c, x in enumerate(k):
+            if x:
+                v = [y + x * z for y, z in zip(v, flats[c])]
         radical.append(linalg._Scaled(_unflatten(v, m), den * a._scaled[f].scale))
     return radical
 
@@ -258,8 +253,8 @@ def _radical_filtration(h: SubgroupPresentation):
     total on an SL block of rank m, whose frame is scaled to determinant 1),
     and the stable flag of layers puts every generator in P_lambda.
 
-    Each layer is built and reduced on integer rows (``linalg._reduce``);
-    a returned layer's rows are divided by their pivots once.
+    Each layer is built on integer rows and read by ``linalg._rref``, which
+    leaves the next layer's integer rows in place.
     """
     scaled = _radical(enveloping_algebra(h))
     radical = tuple(x.fractions() for x in scaled)
@@ -272,11 +267,11 @@ def _radical_filtration(h: SubgroupPresentation):
         # J^k V spanned by the images of J^(k-1) V's integer rows under the
         # radical's integer rows, which the scales do not change
         rows = [[sum(map(mul, row, w)) for row in x.rows] for x in scaled for w in layer]
-        pivots = linalg._reduce(rows)[0]
-        if not pivots:
+        space = linalg._rref(rows)
+        if not space:
             break
-        layer = rows[: len(pivots)]
-        layers.append(tuple(tuple(Fraction(x, w[c]) if x else linalg.ZERO for x in w) for w, c in zip(layer, pivots)))
+        layer = rows[: len(space)]
+        layers.append(space)
     echelon: list = []
     per_block: list[list] = [[] for _ in group.factors]  # (vector, depth) pairs
     for depth, basis in reversed(list(enumerate([group.identity()] + layers))):

@@ -364,17 +364,19 @@ class Cocharacter:
         return Cocharacter._on_frame(self.group, frame[0].fractions(), frame, self.torus.exponents)
 
     def evaluate(self, a) -> Mat:
-        return self._from_frame(self.torus.evaluate(a))
+        return self._from_frame(linalg._Scaled.of(self.torus.evaluate(a)))
 
-    def _to_frame(self, g: Mat) -> Mat:
-        """base^-1 g base: g moved into the frame of the base."""
+    def _to_frame(self, g: Mat) -> linalg._Scaled:
+        """base^-1 g base: g moved into the frame of the base, as a scaled
+        value."""
         base, inverse = self._frame
-        return (inverse @ linalg._Scaled.of(g) @ base).fractions()
+        return inverse @ linalg._Scaled.of(g) @ base
 
-    def _from_frame(self, x: Mat) -> Mat:
-        """base x base^-1: x moved out of the frame of the base."""
+    def _from_frame(self, x: linalg._Scaled) -> Mat:
+        """base x base^-1: a scaled value x moved out of the frame of the
+        base."""
         base, inverse = self._frame
-        return (base @ linalg._Scaled.of(x) @ inverse).fractions()
+        return (base @ x @ inverse).fractions()
 
 
 @dataclass(frozen=True)

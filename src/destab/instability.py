@@ -57,7 +57,7 @@ import itertools
 import operator
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import gcd, lcm
+from math import gcd
 
 from . import linalg
 from .errors import (
@@ -275,14 +275,10 @@ def _kkt_solve(q: list, rows: list, top: list) -> tuple[list[int], list[int], in
     m = n + k
     system = [[*q[i], *(row[i] for row in rows), top[i]] for i in range(n)]
     system += [[*row, *[0] * (k + 1)] for row in rows]
-    pivots = linalg._reduce(system)[0]
-    # a pivot on the right-hand side means inconsistency
-    if pivots and pivots[-1] == m:
+    solution = linalg._solve(system, m)
+    if solution is None:
         raise InvariantViolation("singular KKT system in the dual active-set solver")
-    den = lcm(*(system[r][c] for r, c in enumerate(pivots)))
-    x = [0] * m
-    for r, c in enumerate(pivots):
-        x[c] = system[r][m] * (den // system[r][c])
+    x, den = solution
     return x[:n], x[n:], den
 
 
@@ -327,7 +323,7 @@ def min_qnorm_over_polyhedron(
     rows = [w[:n] for w in ineq_rows]
     rhs = [w[n] for w in ineq_rows]
     # independent equality rows, so every KKT matrix below is nonsingular
-    active: list = list(map(linalg.primitive_direction, linalg.row_space(tuple(eqs)))) if eqs else []
+    active: list = list(linalg._basis([linalg._integer_row(e) for e in eqs]))
     n_eqs = len(active)
     act_idx: list[int] = []  # inequality index of active[n_eqs + k]
     mult: list[Fraction] = []  # its multiplier, always >= 0
@@ -469,9 +465,7 @@ def _weight_sets(per_point) -> tuple[frozenset, frozenset]:
     return cone, frozenset().union(*(forms for _, forms in per_point))
 
 
-def optimize_torus(
-    points, s: SubvarietySpec, frame: Mat | None = None, group: GroupSpec | None = None
-) -> TorusOptimum | None:
+def optimize_torus(points, s: SubvarietySpec, frame: Mat | None = None) -> TorusOptimum | None:
     """Exact maximizer of (min objective pairing) / norm within one torus.
 
     Returns None when no cocharacter of this torus frame moves every point
@@ -483,10 +477,10 @@ def optimize_torus(
     points = list(points)
     if not points:
         raise PreconditionError("the point set must be nonempty")
-    acting = points[0].rep.group
-    pair = None if frame is None else acting._checked_pair(linalg.mat(frame), "acting element")
+    group = points[0].rep.group
+    pair = None if frame is None else group._checked_pair(linalg.mat(frame), "acting element")
     cone, objective = _weight_sets(_frame_forms(points, s, pair))
-    return _torus_optimum(cone, objective, group if group is not None else acting)
+    return _torus_optimum(cone, objective, group)
 
 
 def _torus_optimum(cone: frozenset, objective: frozenset, group: GroupSpec) -> TorusOptimum | None:
@@ -982,7 +976,7 @@ def is_cochar_closed(v: Point, cfg: SearchConfig) -> CocharClosedVerdict:
             continue
         if _radical_conjugator(tmats, limit_t, lam, table.radical(d)) is None:
             # each limit on its moved matrix's scale, out of the frame
-            limit_mats = tuple(lam._from_frame(t._replace(rows=h).fractions()) for t, h in zip(moved, limit_t))
+            limit_mats = tuple(lam._from_frame(t._replace(rows=h)) for t, h in zip(moved, limit_t))
             return CocharClosedVerdict(
                 False,
                 fold_permutation_base(lam),
@@ -1062,12 +1056,8 @@ def _flag(cfg: SearchConfig, torus: int, d) -> tuple:
 
 def _column_space(frame: linalg._Scaled, mask: int) -> tuple:
     """The span of the columns of a scaled frame at the set bits of mask,
-    as its RREF basis with each row the primitive integer row on its line
-    (``linalg._line``), which is canonical: equal spaces give equal
-    tuples."""
-    rows = [[row[i] for row in frame.rows] for i in range(len(frame.rows)) if mask >> i & 1]
-    pivots = linalg._reduce(rows)[0]
-    return tuple(linalg._line(row) for row in rows[: len(pivots)])
+    as its canonical basis (``linalg._basis``)."""
+    return linalg._basis([[row[i] for row in frame.rows] for i in range(len(frame.rows)) if mask >> i & 1])
 
 
 def admissible_exponents(group: GroupSpec, box: int, pattern) -> list[tuple[int, ...]]:

@@ -25,17 +25,21 @@ w by (p/g) w - (f/g) row, where p is the row's pivot, f the entry of w
 below it and g = gcd(p, f), touching only the row's nonzero terms; a row
 that was scaled is made primitive again, so entries grow only with the
 pivots (fraction-free elimination after Bareiss, Math. Comp. 22, 1968).
-One Gauss-Jordan loop, ``_reduce``, serves ``row_space``, ``rank``,
-``nullspace``, the private solver ``_solve_terms`` and everything built on
-them, and ``det`` and the inverse, which read the factor it puts on the
-determinant (``_Scaled.reduced``); the same step grows the incremental
-echelon basis (``echelon_add``, ``echelon_contains``, ``in_row_space``, and
-``echelon_reduce`` for rows that are already integer).  The inverse of a
-scaled value is read off one reduction of [rows | scale I] as its
-canonical scaled value (``_Scaled.inverse``), with no Fraction built;
-``inverse`` divides it into Fractions once.
-Elsewhere Fractions come back only at the end, when a pivot row is divided
-by its pivot.  Every integer row is a positive multiple of the row that
+One Gauss-Jordan loop, ``_reduce``, reduces integer rows, and each kind of
+answer has one reader over it: ``_basis`` gives the RREF rows as primitive
+integer rows, ``_rref`` divides each pivot row by its pivot once,
+``_solve`` gives one solution as integers over one denominator, and
+``_kernel`` one integer kernel vector per free column over its
+denominator.  ``row_space``, ``nullspace`` and the solver ``_solve_terms``
+are built on them, and the callers in other modules read them directly.
+``rank`` counts the pivots, and ``det`` and the inverse read the factor
+``_reduce`` puts on the determinant (``_Scaled.reduced``); the same step
+grows the incremental echelon basis (``echelon_add``,
+``echelon_contains``, ``in_row_space``, and ``echelon_reduce`` for rows
+that are already integer).  The inverse of a scaled value is read off one
+reduction of [rows | scale I] as its canonical scaled value
+(``_Scaled.inverse``), with no Fraction built; ``inverse`` divides it into
+Fractions once.  Every integer row is a positive multiple of the row that
 unit-pivot elimination over Fractions would hold, and the RREF is unique,
 so every answer is the same exact value.
 """
@@ -45,7 +49,6 @@ from __future__ import annotations
 from fractions import Fraction
 from itertools import chain
 from math import gcd, lcm
-from operator import mul
 from typing import Iterable, NamedTuple, Sequence
 
 Vec = tuple[Fraction, ...]
@@ -217,18 +220,6 @@ class _Scaled(NamedTuple):
         s = self.scale
         return tuple([tuple([Fraction(x, s) if x else ZERO for x in row]) for row in self.rows])
 
-    def apply(self, v: Sequence[Fraction]) -> Vec:
-        """The matrix times a rational vector, which is scaled to integers
-        once; each entry is divided once."""
-        w, u = _integer_terms(_terms(v), len(v))
-        den = self.scale * u
-        return tuple(Fraction(x, den) if x else ZERO for x in (sum(map(mul, row, w)) for row in self.rows))
-
-    def kron(self, other: "_Scaled") -> "_Scaled":
-        """The Kronecker product: entry ((i, j), (k, l)) is a_ik b_jl."""
-        rows = tuple(tuple(x * y for x in ra for y in rb) for ra in self.rows for rb in other.rows)
-        return _Scaled(rows, self.scale * other.scale)
-
     def inverse(self) -> tuple["_Scaled | None", Fraction]:
         """The inverse of a square value as its canonical value (None when
         it is singular), and its determinant, from one reduction of
@@ -389,18 +380,54 @@ def _reduce(rows: list[list[int]]) -> tuple[list[int], int, int]:
     return pivots, num, den
 
 
-def _rref_inplace(rows: list[list[Fraction]]) -> list[int]:
-    """Reduce ``rows`` to reduced row echelon form; return pivot columns.
+def _basis(rows: list[list[int]]) -> tuple[tuple[int, ...], ...]:
+    """The RREF basis of the span of integer rows, with each row the
+    primitive integer row on its line (``_line``), which is canonical:
+    equal spans give equal tuples.  The rows are reduced in place."""
+    pivots = _reduce(rows)[0]
+    return tuple(_line(row) for row in rows[: len(pivots)])
 
-    The reduction runs on the rows scaled to integers (``_reduce``);
-    Fractions come back when each pivot row is divided by its pivot.
-    """
-    ints = [_integer_row(row) for row in rows]
-    pivots = _reduce(ints)[0]
-    for r, row in enumerate(ints):
-        p = row[pivots[r]] if r < len(pivots) else 1  # the later rows are zero
-        rows[r] = [Fraction(x, p) if x else ZERO for x in row]
-    return pivots
+
+def _rref(rows: list[list[int]]) -> Mat:
+    """The RREF basis of the span of integer rows: each pivot row divided
+    by its pivot once.  The rows are reduced in place, so the first
+    len(basis) of them are positive integer multiples of its rows."""
+    pivots = _reduce(rows)[0]
+    return tuple(tuple(Fraction(x, row[c]) if x else ZERO for x in row) for row, c in zip(rows, pivots))
+
+
+def _solve(rows: list[list[int]], m: int) -> tuple[list[int], int] | None:
+    """One solution x = z / den of the integer system whose rows [A | b]
+    (reduced in place) have m unknowns, or None if it is inconsistent.
+    Free unknowns are zero, so the answer is deterministic, and den is the
+    lcm of the denominators of x in lowest terms."""
+    pivots = _reduce(rows)[0]
+    # a pivot on the right-hand side means inconsistency
+    if pivots and pivots[-1] == m:
+        return None
+    den = lcm(*[row[c] // gcd(row[c], row[m]) for row, c in zip(rows, pivots)])
+    z = [0] * m
+    for row, c in zip(rows, pivots):
+        z[c] = row[m] * den // row[c]
+    return z, den
+
+
+def _kernel(rows: list[list[int]], m: int) -> list[tuple[int, list[int], int]]:
+    """The right kernel of integer rows of length m (reduced in place):
+    per free column f, (f, k, den) with k / den the kernel vector that is 1
+    at f and 0 at the other free columns.  k is an integer vector and den
+    the lcm of the pivots of the rows with a nonzero entry at f."""
+    pivots = _reduce(rows)[0]
+    out = []
+    for f in sorted(set(range(m)) - set(pivots)):
+        terms = [(c, row[f], row[c]) for row, c in zip(rows, pivots) if row[f]]
+        den = lcm(*[p for _, _, p in terms])
+        k = [0] * m
+        k[f] = den
+        for c, e, p in terms:
+            k[c] = -e * (den // p)
+        out.append((f, k, den))
+    return out
 
 
 def _echelon_reduce(echelon: list, v: Sequence[Fraction]) -> tuple[list[int], int, int]:
@@ -449,8 +476,7 @@ def rank(a: Mat) -> int:
 
 def row_space(a: Mat) -> Mat:
     """Canonical (RREF) basis of the row space; equal iff spaces are equal."""
-    rows = [list(r) for r in a]
-    return tuple(tuple(r) for r in rows[: len(_rref_inplace(rows))])
+    return _rref([_integer_row(row) for row in a])
 
 
 def in_row_space(v: Sequence[Fraction], basis_rref: Mat) -> bool:
@@ -458,21 +484,11 @@ def in_row_space(v: Sequence[Fraction], basis_rref: Mat) -> bool:
     return echelon_contains([_pivot_terms(_integer_row(row)) for row in basis_rref], v)
 
 
-def _solve_terms(rows, rhs: Sequence[Fraction], m: int) -> Vec | None:
-    """One exact solution of the system in m unknowns whose rows are given
-    by their nonzero (column, rational) terms, with right-hand side rhs, or
-    None if it is inconsistent; reduced on integer rows.  Free variables
-    are set to zero, so the answer is deterministic."""
-    ints = [_integer_terms([*terms, (m, b)], m + 1)[0] for terms, b in zip(rows, rhs)]
-    pivots = _reduce(ints)[0]
-    # a pivot on the right-hand side means inconsistency
-    if pivots and pivots[-1] == m:
-        return None
-    x = [ZERO] * m
-    for r, c in enumerate(pivots):
-        if ints[r][m]:
-            x[c] = Fraction(ints[r][m], ints[r][c])
-    return tuple(x)
+def _solve_terms(rows, rhs: Sequence[Fraction], m: int) -> tuple[list[int], int] | None:
+    """``_solve`` for the system in m unknowns whose rows are given by their
+    nonzero (column, rational) terms, with right-hand side rhs, each row
+    scaled to integers first."""
+    return _solve([_integer_terms([*terms, (m, b)], m + 1)[0] for terms, b in zip(rows, rhs)], m)
 
 
 def _rank_terms(rows, m: int) -> int:
@@ -483,21 +499,8 @@ def _rank_terms(rows, m: int) -> int:
 def nullspace(a: Mat, ncols: int | None = None) -> Mat:
     """Basis (rows) of the right nullspace of ``a``."""
     m = ncols if ncols is not None else (len(a[0]) if a else 0)
-    if not a:
-        return identity(m)
-    rows = [list(r) for r in a]
-    pivots = _rref_inplace(rows)
-    pivset = set(pivots)
-    basis = []
-    for free in range(m):
-        if free in pivset:
-            continue
-        v = [ZERO] * m
-        v[free] = ONE
-        for r, c in enumerate(pivots):
-            v[c] = -rows[r][free]
-        basis.append(tuple(v))
-    return tuple(basis)
+    kernel = _kernel([_integer_row(row) for row in a], m)
+    return tuple(tuple(Fraction(x, den) if x else ZERO for x in k) for _, k, den in kernel)
 
 
 def det(a: Mat) -> Fraction:

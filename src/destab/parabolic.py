@@ -3,21 +3,26 @@
 For a diagonal exponent vector d, conjugation by lambda(a) scales the
 matrix entry (i, j) by a^(d_i - d_j), so membership in P_lambda, the Levi
 L_lambda, and the unipotent radical R_u(P_lambda) are pure zero-pattern
-conditions.  A based cocharacter is handled by transporting the element
-into the standard frame first.
+conditions.  A based cocharacter is handled by moving the element into its
+frame as a scaled value (``Cocharacter._to_frame``): the patterns are read
+on its integer rows, with its scale as the unit on the diagonal.
+
+A descriptor holds P_lambda as the RREF bases of its flags, of which it is
+the stabilizer: conjugation moves the flags' integer rows, and membership
+is conjugation that fixes them.
 
 The conjugator solver exploits that u h u^{-1} = h' is equivalent to the
 linear equation u h = h' u once u is constrained to the affine subspace
 defining R_u(P_lambda) (identity on diagonal blocks, zero below them), so
-existence over the rationals reduces to exact affine feasibility.
+existence over the rationals reduces to exact affine feasibility, solved
+on integer rows (``linalg._solve``).
 """
 
 from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from fractions import Fraction
-from math import lcm
+from operator import mul
 
 from . import linalg
 from .errors import (
@@ -45,8 +50,8 @@ class MembershipClass(enum.Enum):
 
 def _classify_pattern(gt: Mat, d: tuple[int, ...], unit) -> MembershipClass:
     """Where gt, in the frame of d, sits relative to P_d, with ``unit`` the
-    diagonal entry of the radical's elements: 1 for a group element, the
-    scale for a group element's integer rows, 0 for a Lie element."""
+    diagonal entry of the radical's elements: the scale for a group
+    element's integer rows, 0 for a Lie element."""
     m = len(d)
     below = any(
         gt[i][j] != 0 for i in range(m) for j in range(m) if d[i] < d[j]
@@ -82,15 +87,15 @@ def _classify_member(g: linalg._Scaled, lam: Cocharacter) -> MembershipClass:
     """``classify`` for a member given by its scaled value, which is not
     checked again."""
     base, inverse = lam._frame
-    gt = (inverse @ g @ base).fractions()
-    return _classify_pattern(gt, lam.torus.exponents, 1)
+    gt = inverse @ g @ base
+    return _classify_pattern(gt.rows, lam.torus.exponents, gt.scale)
 
 
 def lie_classify(x: Mat, lam: Cocharacter) -> MembershipClass:
     """Lie algebra version: the limit must be 0 for the radical's algebra."""
     x = linalg.mat(x)
     _require_lie_element(lam.group, x)
-    return _classify_pattern(lam._to_frame(x), lam.torus.exponents, 0)
+    return _classify_pattern(lam._to_frame(x).rows, lam.torus.exponents, 0)
 
 
 def _require_lie_element(group: GroupSpec, x: Mat) -> None:
@@ -120,10 +125,11 @@ def _levi_projection(g, lam: Cocharacter, container: str):
     out = []
     for k, h in enumerate(items):
         ht = lam._to_frame(h)
-        if any(ht[i][j] != 0 for i in range(len(ht)) for j in range(len(ht)) if d[i] < d[j]):
+        rows = ht.rows
+        if any(rows[i][j] != 0 for i in range(len(rows)) for j in range(len(rows)) if d[i] < d[j]):
             where = "element" if single else f"component {k}"
             raise PreconditionError(f"{where} is not in {container}")
-        out.append(lam._from_frame(_limit_pattern(ht, d)))
+        out.append(lam._from_frame(ht._replace(rows=_limit_pattern(rows, d))))
     return out[0] if single else tuple(out)
 
 
@@ -172,11 +178,9 @@ class ParabolicDescriptor:
 
     @staticmethod
     def from_cocharacter(lam: Cocharacter) -> "ParabolicDescriptor":
-        """The flags of the base columns, read off the integer columns of
-        the cocharacter's scaled base: each space is those columns reduced
-        by ``linalg._reduce`` with each pivot row divided by its pivot once,
-        the RREF that ``row_space`` gives the Fraction columns, since a
-        positive multiple of a row leaves its span alone."""
+        """The flags of the base columns, each space the RREF
+        (``linalg._rref``) of the integer columns of the cocharacter's
+        scaled base, which span what its rational columns span."""
         group = lam.group
         d = lam.torus.exponents
         columns = tuple(zip(*lam._frame[0].rows))
@@ -185,9 +189,7 @@ class ParabolicDescriptor:
             values = sorted({d[i] for i in block}, reverse=True)
             chain = []
             for cut in values[:-1]:  # the last cut spans the whole block
-                rows = [list(columns[i]) for i in block if d[i] >= cut]
-                pivots = linalg._reduce(rows)[0]
-                chain.append(tuple(tuple(Fraction(x, row[c]) if x else linalg.ZERO for x in row) for row, c in zip(rows, pivots)))
+                chain.append(linalg._rref([list(columns[i]) for i in block if d[i] >= cut]))
             flags.append(tuple(chain))
         return ParabolicDescriptor(group, tuple(flags))
 
@@ -206,26 +208,21 @@ class ParabolicDescriptor:
         return tuple(out)
 
     def contains(self, g: Mat) -> bool:
-        """Membership via flag stabilization (g must be a group element)."""
-        g = linalg.mat(g)
-        self.group.require_member(g)
-        for chain in self.flags:
-            for space in chain:
-                for row in space:
-                    image = linalg.mat_vec(g, row)
-                    if not linalg.in_row_space(image, space):
-                        return False
-        return True
+        """Membership of a group element: P is the stabilizer of its flags,
+        so g is in P exactly when it moves them to themselves."""
+        return self.conjugated_by(g) == self
 
     def conjugated_by(self, g: Mat) -> "ParabolicDescriptor":
         return self._conjugated_by_pair(self.group._checked_pair(linalg.mat(g)))
 
     def _conjugated_by_pair(self, pair: tuple) -> "ParabolicDescriptor":
         """``conjugated_by`` for an element given by its checked pair
-        (``GroupSpec._checked_pair``), which is not checked again."""
-        g = pair[0]
+        (``GroupSpec._checked_pair``), which is not checked again: each
+        space's rows, scaled to integers, are moved by g's integer rows and
+        read by ``linalg._rref``."""
+        g = pair[0].rows
         flags = tuple(
-            tuple(linalg.row_space(tuple(g.apply(row) for row in space)) for space in chain)
+            tuple(linalg._rref([[sum(map(mul, row, w)) for row in g] for w in map(linalg._integer_row, space)]) for space in chain)
             for chain in self.flags
         )
         return ParabolicDescriptor(self.group, flags)
@@ -294,20 +291,20 @@ def _radical_conjugator(hs, hs_prime, lam: Cocharacter, radical=None) -> linalg.
     ``_radical_positions`` and their ``_conjugator_index``, when the caller
     holds it.
 
-    u's integer rows are built once, over the lcm of the solution's
-    denominators, and both postconditions, the radical pattern (the scale
-    on the diagonal) and every product equation, are re-checked exactly on
-    them before u is handed out.
+    u's integer rows are the solution's integer entries over its
+    denominator (``linalg._solve``), and both postconditions, the radical
+    pattern (the scale on the diagonal) and every product equation, are
+    re-checked exactly on them before u is handed out.
     """
     free, index = (_radical_positions(lam), None) if radical is None else radical
     solution = linalg._solve_terms(*_conjugator_system(hs, hs_prime, free, index), len(free))
     if solution is None:
         return None
-    scale = lcm(*[x.denominator for x in solution])
+    z, scale = solution
     m = lam.group.dimension
     rows = [[scale if i == j else 0 for j in range(m)] for i in range(m)]
-    for (i, j), x in zip(free, solution):
-        rows[i][j] = x.numerator * (scale // x.denominator)
+    for (i, j), x in zip(free, z):
+        rows[i][j] = x
     u = linalg._Scaled(tuple(map(tuple, rows)), scale)
     if _classify_pattern(u.rows, lam.torus.exponents, scale) is not MembershipClass.IN_RU:
         raise InvariantViolation("solved conjugator is not in the unipotent radical")
@@ -341,14 +338,17 @@ def find_ru_conjugator(
         raise DimensionError("points must belong to the given representation")
     hs = rep.matrices(v)
     hs_prime = rep.matrices(v_prime)
-    m = lam.group.dimension
-    # each pair moved into the frame, stacked, so that it is scaled to
-    # integer rows over one common scale
-    pairs = [linalg._Scaled.of(lam._to_frame(h) + lam._to_frame(hp)).rows for h, hp in zip(hs, hs_prime)]
-    ut = _radical_conjugator([p[:m] for p in pairs], [p[m:] for p in pairs], lam)
+    # each pair moved into the frame and put over one common scale, the
+    # product of the two
+    pairs = [(lam._to_frame(h), lam._to_frame(hp)) for h, hp in zip(hs, hs_prime)]
+    ut = _radical_conjugator(
+        [tuple(tuple(x * hp.scale for x in row) for row in h.rows) for h, hp in pairs],
+        [tuple(tuple(x * h.scale for x in row) for row in hp.rows) for h, hp in pairs],
+        lam,
+    )
     if ut is None:
         return None
-    u = lam._from_frame(ut.fractions())
+    u = lam._from_frame(ut)
 
     # re-check both postconditions in the input coordinates
     if classify(u, lam) is not MembershipClass.IN_RU:

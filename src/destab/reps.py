@@ -4,34 +4,36 @@ Every supported representation carries an ordered basis on which the
 standard diagonal torus acts by an explicit integer weight.  The full group
 acts exactly, through each kind's structure: conjugation tuples move each
 matrix as g h g^-1, a direct sum acts part by part, and a symmetric power
-applies its (d+1) x (d+1) matrix.  ``act_matrix`` is the action's matrix in
-the basis, the definition the structured actions agree with; polynomials
-are composed with the action through it.  A cocharacter with a base point
-is handled by transporting the point into the standard frame, grading
-there, and transporting back.
+applies its (d+1) x (d+1) matrix.  ``act_matrix``, the action's matrix in
+the basis, is read off the same action one basis vector at a time;
+polynomials are composed with the action through it.  A cocharacter with a
+base point is handled by transporting the point into the standard frame,
+grading there, and transporting back.
 
 A point is moved by a checked pair (g, g^-1) of ``linalg`` scaled values
 (``GroupSpec._checked_pair``): a cocharacter and a search configuration
 hold the pairs of their frames, so moving a point into a frame or out of
 it neither checks nor inverts the frame again.  Only an element that comes
-from outside (``act``, ``support``, ``composed_with_action``) is checked
-where it enters.  A point keeps its coordinates scaled to integers, with
-their scale, from its first move.  Each kind has one integer kernel
-(``_moved``) that moves integer coordinates by the act memo's entry for
-the pair, built once per acting element, and gives integer coordinates
-and a factor on the scale: conjugation tuples apply the pair's ``linalg``
-conjugation operator h -> g h g^-1, one pass over each matrix's nonzero
-entries; other kinds apply the integer rows of the action matrix; a
-direct sum puts its parts over the lcm of their scales.  ``act`` is that
-kernel and one division.  The integer coordinates of a point in a frame
-have one reader, ``_frame_ints``: the support and the instability code
-read the integers alone, and the grading and the limit build Fractions
-only for the points they return.
+from outside (``act``, ``act_matrix``, ``support``,
+``composed_with_action``) is checked where it enters.  A point keeps its
+coordinates scaled to integers, with their scale, from its first move.
+Each kind has one integer kernel (``_moved``) that moves integer
+coordinates by the act memo's entry for the pair, built once per acting
+element, and gives integer coordinates and a factor on the scale:
+conjugation tuples apply the pair's ``linalg`` conjugation operator
+h -> g h g^-1, one pass over each matrix's nonzero entries; other kinds
+apply the integer rows of the action matrix; a direct sum puts its parts
+over the lcm of their scales.  ``act`` is that kernel and one division.
+The integer coordinates of a point in a frame have one reader,
+``_frame_ints``: the support and the instability code read the integers
+alone, and the grading and the limit build Fractions only for the points
+they return.
 
 The closed enumeration of kinds (conjugation tuples, symmetric powers of
 the standard 2-dimensional module, adjoint, direct sums) is the documented
-extension point: a new kind must supply basis weights and an exact action
-matrix, and may act faster through its structure.
+extension point: a new kind supplies basis weights and its action, the memo
+entry ``_action`` builds for a checked pair, and its own ``_moved`` unless
+that entry is the integer rows of the action matrix.
 """
 
 from __future__ import annotations
@@ -55,21 +57,33 @@ Monomial = tuple[tuple[int, int], ...]  # sorted ((coordinate index, exponent), 
 class Representation:
     """Common interface: ``group``, ``dim``, ``weights``, ``act_matrix``.
 
-    ``act`` checks the acting element on every call, so a non-member is
-    always rejected, and acts by its checked pair (``_act``).  The act memo
-    keeps what the kind's action needs (``_action``), keyed by the pair's
-    first value: the conjugation operator for conjugation tuples, the
-    action matrix for any other kind, the parts' data for a direct sum.
-    Each kind's kernel ``_moved`` applies an entry to integer coordinates,
-    and ``_kernel`` looks the entry up and applies it.
+    ``act`` and ``act_matrix`` check the acting element on every call, so a
+    non-member is always rejected, and act by its checked pair.  The act
+    memo keeps what the kind's action needs (``_action``), keyed by the
+    pair's first value: the conjugation operator for conjugation tuples,
+    the action matrix for any other kind, the parts' data for a direct
+    sum.  Each kind's kernel ``_moved`` applies an entry to integer
+    coordinates, and ``_kernel`` looks the entry up and applies it.  The
+    memo stays out of equality, hash, repr and pickles.
     """
 
     group: GroupSpec
     dim: int
     weights: tuple[Character, ...]
 
+    def __getstate__(self) -> dict:
+        return {f.name: getattr(self, f.name) for f in fields(self)}
+
     def act_matrix(self, g: Mat) -> Mat:
-        raise NotImplementedError
+        """The matrix of g's action in the basis: column j is the kernel's
+        image of the j-th basis vector."""
+        pair = self.group._checked_pair(linalg.mat(g), "acting element")
+        n = self.dim
+        columns = []
+        for j in range(n):
+            moved, s = self._kernel(pair, [int(i == j) for i in range(n)])
+            columns.append([Fraction(x, s) if x else ZERO for x in moved])
+        return tuple(zip(*columns))
 
     def act(self, g: Mat, point: "Point") -> "Point":
         return self._act(self.group._checked_pair(linalg.mat(g), "acting element"), point)
@@ -96,9 +110,6 @@ class Representation:
         except KeyError:
             data = memo[g] = None if g == linalg._Scaled.of(self.group.identity()) else self._action(*pair)
         return (w, 1) if data is None else self._moved(data, w)
-
-    def _action(self, g: linalg._Scaled, inverse: linalg._Scaled):
-        return linalg._Scaled.of(self.act_matrix(g.fractions()))
 
     def _moved(self, data: linalg._Scaled, w) -> tuple[list[int], int]:
         """The kernel: integer coordinates w moved by a memo entry, and the
@@ -131,20 +142,6 @@ class ConjugationTuples(Representation):
     @property
     def weights(self) -> tuple[Character, ...]:
         return _conjugation_weights(self.m, self.count)
-
-    def act_matrix(self, g: Mat) -> Mat:
-        # (g h g^{-1})_{ij} = sum_{kl} g_{ik} (g^{-1})_{lj} h_{kl}: the block is g (x) g^-T
-        inverse_t = linalg.transpose(linalg.inverse(g))
-        block = linalg._Scaled.of(g).kron(linalg._Scaled.of(inverse_t)).fractions()
-        n = self.m * self.m
-        dim = self.dim
-        rows = []
-        for t in range(self.count):
-            for r in range(n):
-                row = [ZERO] * dim
-                row[t * n : (t + 1) * n] = block[r]
-                rows.append(tuple(row))
-        return tuple(rows)
 
     def _action(self, g: linalg._Scaled, inverse: linalg._Scaled) -> linalg._Conjugation:
         return linalg._conjugation_operator(g, inverse)
@@ -218,10 +215,7 @@ class SymPower(Representation):
         d = self.degree
         return tuple(Character((d - j, j)) for j in range(d + 1))
 
-    def act_matrix(self, g: Mat) -> Mat:
-        return self._action(linalg._Scaled.of(g), None).fractions()
-
-    def _action(self, g: linalg._Scaled, inverse: linalg._Scaled | None) -> linalg._Scaled:
+    def _action(self, g: linalg._Scaled, inverse: linalg._Scaled) -> linalg._Scaled:
         """The action matrix, whose entries are forms of degree d in g."""
         # g.x = g00 x + g10 y, g.y = g01 x + g11 y; expand (g.x)^{d-j} (g.y)^j.
         (a, b), (c, e) = g.rows
@@ -270,19 +264,6 @@ class DirectSum(Representation):
     @property
     def weights(self) -> tuple[Character, ...]:
         return tuple(w for p in self.parts for w in p.weights)
-
-    def act_matrix(self, g: Mat) -> Mat:
-        dim = self.dim
-        rows = []
-        offset = 0
-        for p in self.parts:
-            block = p.act_matrix(g)
-            for r in block:
-                row = [Fraction(0)] * dim
-                row[offset : offset + p.dim] = r
-                rows.append(tuple(row))
-            offset += p.dim
-        return tuple(rows)
 
     def _action(self, g: linalg._Scaled, inverse: linalg._Scaled) -> tuple:
         return tuple(p._action(g, inverse) for p in self.parts)
@@ -409,7 +390,7 @@ def limit(v: Point, lam: Cocharacter) -> Point | None:
 
     v is moved into lambda's frame on its integer coordinates, the reading
     stops at the first coordinate of a negative level, and otherwise only
-    the level-0 part is moved back.
+    the level-0 part is moved back by the same kernel and divided once.
     """
     levels, u = _frame_levels(v, lam)
     level = [0] * v.rep.dim
@@ -546,11 +527,10 @@ class Polynomial:
 
 def _composed(polys, g: Mat) -> tuple[Polynomial, ...]:
     """Each polynomial v -> f(g . v), for polynomials on one representation,
-    through one action matrix; g is checked like an acting element."""
+    through one action matrix, which checks g."""
     if not polys:
         return ()
     rep = polys[0].rep
-    rep.group.require_member(g, "acting element")
     a = rep.act_matrix(g)
     return tuple(f.substitute_linear(a) for f in polys)
 

@@ -265,7 +265,8 @@ def _kkt_solve(q: Mat, rows, top, bottom) -> tuple[Vec, Vec] | None:
         tuple(row) + (Fraction(0),) * k for row in rows
     )
     solution = linalg._solve_terms([linalg._terms(row) for row in system], linalg.vec((*top, *bottom)), n + k)
-    return None if solution is None else (solution[:n], solution[n:])
+    x = None if solution is None else tuple(Fraction(z, solution[1]) for z in solution[0])
+    return None if x is None else (x[:n], x[n:])
 
 
 def _fraction_min_qnorm(
@@ -1288,10 +1289,11 @@ def _frame_pair(frame, inverse=None):
     return linalg._Scaled.of(frame), linalg._Scaled.of(linalg.inverse(frame) if inverse is None else inverse)
 
 
+@functools.cache
 def _weyl_shear_family(group, values=()):
     """The frames ``SearchConfig.default`` walked before it generated its
     tori directly: each Weyl representative, alone and composed with each
-    elementary shear."""
+    elementary shear; built once per group and values."""
     frames = [group.identity()]
     shears = group.shears(values) if values else ()
     for w in group.weyl_representatives():
@@ -1301,10 +1303,16 @@ def _weyl_shear_family(group, values=()):
     return _per_frame_family(group, frames)
 
 
+@functools.cache
+def _reference_frame(frame):
+    """A frame's inverse and its pair, built once per frame."""
+    inv = linalg.inverse(frame)
+    return inv, _frame_pair(frame, inv)
+
+
 def _reference_frame_cocharacters(mats, cfg, frames):
     for frame in frames:
-        inv = linalg.inverse(frame)
-        pair = _frame_pair(frame, inv)
+        inv, pair = _reference_frame(frame)
         tmats = [linalg.mat_mul(linalg.mat_mul(inv, h), frame) for h in mats]
         for exps in admissible_exponents(cfg.group, cfg.exponent_box, _entry_pattern(tmats)):
             yield Cocharacter._on_frame(cfg.group, frame, pair, exps), tmats

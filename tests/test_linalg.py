@@ -15,7 +15,8 @@ from destab.errors import DomainError
 
 def _solve(a, b):
     """One solution of a x = b through the integer solver, or None."""
-    return linalg._solve_terms([linalg._terms(row) for row in a], linalg.vec(b), len(a[0]) if a else 0)
+    solution = linalg._solve_terms([linalg._terms(row) for row in a], linalg.vec(b), len(a[0]) if a else 0)
+    return None if solution is None else tuple(F(z, solution[1]) for z in solution[0])
 
 
 def _pivots(a):
@@ -177,7 +178,7 @@ def test_scaled_value_matches_fraction_references():
         assert (linalg._Scaled.of(other) == sa) == (other == a)
         seen["unequal"] += other != a
         v = tuple(entry() for _ in range(k))
-        moved = sa.apply(v)
+        moved = tuple(x for (x,) in (sa @ linalg._Scaled.of([[x] for x in v])).fractions())
         assert moved == _fraction_mat_vec(a, v) == linalg.mat_vec(a, v)
         assert all(type(x) is F for x in moved)
         seen["huge"] += any(abs(x.numerator) > 2**64 for row in a for x in row)
@@ -351,11 +352,22 @@ def _seeded_matrices(seed, count=200):
     return out
 
 
+def _assert_rref_matches(a, rref_inplace):
+    """``_rref`` of the integer rows of a against the RREF of a given
+    Gauss-Jordan loop on its Fraction rows: the same basis, and the integer
+    rows left in place are positive multiples of the RREF's rows, then
+    zero."""
+    ints, ref = [linalg._integer_row(row) for row in a], [list(r) for r in a]
+    pivots = rref_inplace(ref)
+    assert linalg._rref(ints) == tuple(tuple(r) for r in ref[: len(pivots)])
+    assert all(row[c] > 0 and all(F(x, row[c]) == y for x, y in zip(row, r)) for row, c, r in zip(ints, pivots, ref))
+    assert not any(any(row) for row in ints[len(pivots) :])
+    assert all(type(x) is F for row in linalg._rref([linalg._integer_row(row) for row in a]) for x in row)
+
+
 def test_rref_inplace_matches_dense_reference():
     for a in _seeded_matrices(11):
-        rows, ref = [list(r) for r in a], [list(r) for r in a]
-        assert linalg._rref_inplace(rows) == _dense_rref_inplace(ref)
-        assert rows == ref
+        _assert_rref_matches(a, _dense_rref_inplace)
 
 
 def _reference_solve_affine(rref_inplace, a, b):
@@ -380,7 +392,59 @@ def _reference_pivots(rref_inplace, a):
     return tuple(rref_inplace([list(r) for r in a]))
 
 
-def test_solvers_match_dense_reference(monkeypatch):
+def _reference_row_space(rref_inplace, a):
+    rows = [list(r) for r in a]
+    return tuple(tuple(r) for r in rows[: len(rref_inplace(rows))])
+
+
+def _reference_basis(rref_inplace, a):
+    """Reference: the RREF rows as primitive integer rows."""
+    return tuple(map(linalg.primitive_direction, _reference_row_space(rref_inplace, a)))
+
+
+def _reference_nullspace(rref_inplace, a):
+    """Reference: one kernel vector per free column of the RREF, 1 there
+    and 0 at the other free columns."""
+    m = len(a[0]) if a else 0
+    rows = [list(r) for r in a]
+    pivots = rref_inplace(rows)
+    basis = []
+    for free in range(m):
+        if free in pivots:
+            continue
+        v = [F(0)] * m
+        v[free] = F(1)
+        for r, c in enumerate(pivots):
+            v[c] = -rows[r][free]
+        basis.append(tuple(v))
+    return tuple(basis)
+
+
+def _basis(a):
+    return linalg._basis([linalg._integer_row(row) for row in a])
+
+
+def _kernel(a):
+    """The kernel of a through ``linalg._kernel``, each vector over its
+    denominator, checked to be 1 at its free column."""
+    kernel = linalg._kernel([linalg._integer_row(row) for row in a], len(a[0]) if a else 0)
+    assert all(k[f] == den for f, k, den in kernel)
+    return tuple(tuple(F(x, den) for x in k) for _, k, den in kernel)
+
+
+READERS = (_solve, linalg.rank, _pivots, linalg.row_space, _basis, linalg.nullspace, _kernel)
+REFERENCES = (
+    _reference_solve_affine,
+    _reference_rank,
+    _reference_pivots,
+    _reference_row_space,
+    _reference_basis,
+    _reference_nullspace,
+    _reference_nullspace,
+)
+
+
+def test_solvers_match_dense_reference():
     rng = random.Random(12)
     cases = []
     for a in _seeded_matrices(12):
@@ -389,10 +453,10 @@ def test_solvers_match_dense_reference(monkeypatch):
         inconsistent = tuple(b + (1 if i == 0 else 0) for i, b in enumerate(consistent))
         cases.append((a, consistent, inconsistent))
 
-    def run(solve, rank, pivots):
+    def run(solve, rank, pivots, row_space, basis, nullspace, kernel):
         out = {"reductions": [], "solutions": [], "inverses": []}
         for a, consistent, inconsistent in cases:
-            out["reductions"].append((pivots(a), rank(a), linalg.row_space(a), linalg.nullspace(a)))
+            out["reductions"].append((pivots(a), rank(a), row_space(a), basis(a), nullspace(a), kernel(a)))
             out["solutions"].append((solve(a, consistent), solve(a, inconsistent)))
             if len(a) == len(a[0]):
                 try:
@@ -401,10 +465,8 @@ def test_solvers_match_dense_reference(monkeypatch):
                     out["inverses"].append(str(exc))
         return out
 
-    new = run(_solve, linalg.rank, _pivots)
-    monkeypatch.setattr(linalg, "_rref_inplace", _dense_rref_inplace)
-    reference = [partial(f, _dense_rref_inplace) for f in (_reference_solve_affine, _reference_rank, _reference_pivots)]
-    assert new == run(*reference)
+    new = run(*READERS)
+    assert new == run(*[partial(f, _dense_rref_inplace) for f in REFERENCES])
     assert all(s is not None for s, _ in new["solutions"])
     assert sum(s is None for _, s in new["solutions"]) >= 50
     assert {type(x) for x in new["inverses"]} == {str, tuple}
@@ -593,17 +655,14 @@ def test_kernel_matrices_cover_the_cases():
 
 def test_integer_rref_matches_fraction_kernel():
     for a in _kernel_matrices(21) + _seeded_matrices(22):
-        rows, ref = [list(r) for r in a], [list(r) for r in a]
-        assert linalg._rref_inplace(rows) == _fraction_rref_inplace(ref)
-        assert rows == ref
-        assert all(type(x) is F for row in rows for x in row)
+        _assert_rref_matches(a, _fraction_rref_inplace)
         ints = [linalg._integer_row(row) for row in a]
         pivots = linalg._reduce(ints)[0]
         assert all(ints[r][c] > 0 for r, c in enumerate(pivots))
         assert not any(any(row) for row in ints[len(pivots) :])
 
 
-def test_integer_solvers_match_fraction_kernel(monkeypatch):
+def test_integer_solvers_match_fraction_kernel():
     rng = random.Random(23)
     cases = []
     for a in _kernel_matrices(23):
@@ -612,10 +671,10 @@ def test_integer_solvers_match_fraction_kernel(monkeypatch):
         inconsistent = tuple(b + F(1, 3) * (i == len(a) - 1) for i, b in enumerate(consistent))
         cases.append((a, consistent, inconsistent))
 
-    def run(solve, rank, pivots):
+    def run(solve, rank, pivots, row_space, basis, nullspace, kernel):
         out = {"reductions": [], "solutions": [], "inverses": []}
         for a, consistent, inconsistent in cases:
-            out["reductions"].append((linalg.row_space(a), pivots(a), rank(a), linalg.nullspace(a)))
+            out["reductions"].append((row_space(a), pivots(a), rank(a), basis(a), nullspace(a), kernel(a)))
             out["solutions"].append(tuple(solve(a, b) for b in (consistent, inconsistent)))
             if len(a) == len(a[0]):
                 try:
@@ -624,10 +683,11 @@ def test_integer_solvers_match_fraction_kernel(monkeypatch):
                     out["inverses"].append(str(exc))
         return out
 
-    new = run(_solve, linalg.rank, _pivots)
-    monkeypatch.setattr(linalg, "_rref_inplace", _fraction_rref_inplace)
-    reference = [partial(f, _fraction_rref_inplace) for f in (_reference_solve_affine, _reference_rank, _reference_pivots)]
-    assert run(*reference) == new
+    new = run(*READERS)
+    assert run(*[partial(f, _fraction_rref_inplace) for f in REFERENCES]) == new
+    for a, consistent, _ in cases:  # the denominator of a solution is its least one
+        z, den = linalg._solve_terms([linalg._terms(row) for row in a], consistent, len(a[0]))
+        assert den == lcm(*[F(x, den).denominator for x in z])
     assert all(s is not None for s, _ in new["solutions"])
     assert sum(s is None for _, s in new["solutions"]) >= 30
     assert sum(type(x) is str for x in new["inverses"]) >= 5

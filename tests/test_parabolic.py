@@ -6,6 +6,7 @@ import pytest
 from destab import (
     Cocharacter,
     ConjugationTuples,
+    DomainError,
     GroupSpec,
     MembershipClass,
     ParabolicDescriptor,
@@ -224,18 +225,56 @@ def test_parabolic_descriptor_equality_same_ordering():
     assert a.blocks == ((2, 1),)
 
 
+def _flag_stabilization_contains(descr, g):
+    """Reference: membership as ``ParabolicDescriptor.contains`` tested it
+    before it compared conjugated flags, each flag row moved by g and
+    tested against its space."""
+    g = linalg.mat(g)
+    descr.group.require_member(g)
+    for chain in descr.flags:
+        for space in chain:
+            for row in space:
+                if not linalg.in_row_space(linalg.mat_vec(g, row), space):
+                    return False
+    return True
+
+
 def test_parabolic_descriptor_membership_matches_classify():
+    # on GL_3 and GL_2 x SL_2: seeded elements of P, frames and radical
+    # elements of another parabolic, and fixed elements; membership agrees
+    # with classify and with the flag-stabilization reference, and a
+    # non-member of the group is refused by both with the same error
     rng = random.Random(3)
-    for _ in range(20):
-        lam = random_cocharacter(rng, GL3)
-        descr = ParabolicDescriptor.from_cocharacter(lam)
-        candidates = [
-            random_parabolic_element(rng, lam),
-            linalg.mat([[1, 0, 0], [1, 1, 0], [1, 1, 1]]),
-            linalg.mat([[0, 0, 1], [0, 1, 0], [1, 0, 0]]),
-        ]
-        for g in candidates:
-            assert descr.contains(g) == (classify(g, lam) is not MembershipClass.NOT_IN_P)
+    gl2sl2 = GroupSpec.make(("GL", 2), ("SL", 2))
+    fixed = {
+        GL3: [linalg.mat([[1, 0, 0], [1, 1, 0], [1, 1, 1]]), linalg.mat([[0, 0, 1], [0, 1, 0], [1, 0, 0]])],
+        gl2sl2: [linalg.mat([[0, 1, 0, 0], [1, 0, 0, 0], [0, 0, 0, 1], [0, 0, -1, 0]])],
+    }
+    outside = {  # singular, and determinant 2 on the SL_2 block
+        GL3: linalg.mat([[1, 2, 3], [2, 4, 6], [0, 0, 1]]),
+        gl2sl2: linalg.mat([[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 2, 0], [0, 0, 0, 1]]),
+    }
+    seen = {True: 0, False: 0}
+    for group in (GL3, gl2sl2):
+        for _ in range(20):
+            lam = random_cocharacter(rng, group)
+            descr = ParabolicDescriptor.from_cocharacter(lam)
+            other = random_cocharacter(rng, group)
+            candidates = [
+                random_parabolic_element(rng, lam),
+                random_frame(rng, group),
+                random_radical_element(rng, other),
+                *fixed[group],
+            ]
+            for g in candidates:
+                inside = descr.contains(g)
+                assert inside == (classify(g, lam) is not MembershipClass.NOT_IN_P)
+                assert inside == _flag_stabilization_contains(descr, g)
+                seen[inside] += 1
+            for check in (descr.contains, lambda g: _flag_stabilization_contains(descr, g)):
+                with pytest.raises(DomainError, match="^element is not in the group$"):
+                    check(outside[group])
+    assert min(seen.values()) >= 30, seen
 
 
 def test_parabolic_descriptor_product_blocks_independent():
@@ -358,8 +397,8 @@ def test_conjugator_system_matches_entrywise_reference():
         else:
             lam = random_cocharacter(rng, group)
             v_prime = rep.act(random_radical_element(rng, lam), v)
-        hs = [lam._to_frame(g) for g in rep.matrices(v)]
-        hs_prime = [lam._to_frame(g) for g in rep.matrices(v_prime)]
+        hs = [lam._to_frame(g).fractions() for g in rep.matrices(v)]
+        hs_prime = [lam._to_frame(g).fractions() for g in rep.matrices(v_prime)]
         free = parabolic._radical_positions(lam)
         rows, rhs = parabolic._conjugator_system(hs, hs_prime, free)
         dense = []

@@ -296,7 +296,7 @@ def test_act_memo_keys_on_the_scaled_value(monkeypatch):
         reductions.clear()
         for g, pair, copy_pair in pairs:
             v = _random_point(rng, rep)
-            expected = linalg.mat_vec(rep.act_matrix(g), v.coords)
+            expected = linalg.mat_vec(_fraction_act_matrix(rep, g), v.coords)
             assert rep._act(pair, v).coords == expected
             assert rep._act(copy_pair, v).coords == expected
         assert len(rep._act_memo) == len(set(elements))
@@ -324,6 +324,8 @@ def test_act_rejects_a_non_member_on_every_call():
         for _ in range(2):
             with pytest.raises(DomainError, match="acting element is not in the group"):
                 rep.act(g, point)
+            with pytest.raises(DomainError, match="acting element is not in the group"):
+                rep.act_matrix(g)
         with pytest.raises(DomainError, match="acting element is not in the group"):
             Polynomial.coordinate(rep, 0).composed_with_action(g)
         # a frame moves points into it: support and the torus optimum
@@ -443,7 +445,7 @@ def _two_product_apply(rep, pair, coords):
             offset += p.dim
         return tuple(out)
     if not isinstance(rep, ConjugationTuples):
-        return rep._action(*pair).apply(coords)
+        return tuple(x for (x,) in (rep._action(*pair) @ linalg._Scaled.of([[x] for x in coords])).fractions())
     g, inverse = pair
     m = rep.m
     out = []
@@ -510,15 +512,33 @@ def test_evaluate_matches_fraction_loop():
     assert all(count >= 20 for count in seen.values()), seen
 
 
+def _pickle_reps():
+    reps = [ConjugationTuples(GL2, 2), ConjugationTuples(GroupSpec.make(("GL", 2), ("SL", 2)), 1), SymPower(SL2, 4)]
+    return reps + [DirectSum((SymPower(GL2, 3), ConjugationTuples(GL2, 1)))]
+
+
 def test_point_integer_coordinates_are_kept_out_of_equality_and_pickles():
     # the integer coordinates and their scale are computed once per point,
     # on first use; equality, hash, repr and the pickled bytes are a fresh
-    # point's, and an unpickled copy computes them again
+    # point's, and an unpickled copy computes them again.  A representation
+    # whose act memo and torus memo are filled pickles to a fresh one's
+    # bytes, and an unpickled copy starts with empty memos
     import pickle
 
+    from destab import SearchConfig, optimize
+
     rng = random.Random(181)
-    reps = [ConjugationTuples(GL2, 2), ConjugationTuples(GroupSpec.make(("GL", 2), ("SL", 2)), 1), SymPower(SL2, 4)]
-    reps.append(DirectSum((SymPower(GL2, 3), ConjugationTuples(GL2, 1))))
+    reps = _pickle_reps()
+    for rep, fresh_rep in zip(reps, _pickle_reps()):
+        g = _acting_elements(rng, rep.group)[0]
+        v = _random_point(rng, rep)
+        moved = rep.act(g, v)
+        optimize([moved], SubvarietySpec.zero_locus(), SearchConfig.default(rep.group, exponent_box=1, shear_values=()))
+        assert rep._act_memo and rep._torus_memo
+        assert pickle.dumps(rep) == pickle.dumps(fresh_rep)
+        copy = pickle.loads(pickle.dumps(rep))
+        assert copy == rep and "_act_memo" not in copy.__dict__ and "_torus_memo" not in copy.__dict__
+        assert copy.act(g, Point(copy, v.coords)).coords == moved.coords
     for rep in reps:
         for _ in range(4):
             coords = [F(rng.randint(-5, 5), rng.choice((1, 2, 3, 6))) if rng.random() < 0.7 else F(0) for _ in range(rep.dim)]
@@ -554,3 +574,12 @@ def test_points_with_integer_coordinates_round_trip_through_workers(monkeypatch)
     serial = corpus.run_profile("ruconj", 1, 10)
     assert corpus.run_profile("ruconj", 1, 10, workers=2) == serial
     assert all(record["ok"] for record in serial) and sum(record["holds"] for record in serial) >= 5
+    # the cases share representations whose act memos grow as the cases are
+    # drawn; the memos stay out of each pickled case, so the largest case
+    # does not grow with the number of cases drawn
+    import pickle
+
+    def largest(size):
+        return max(len(pickle.dumps(case)) for case in cases(1, size))
+
+    assert largest(100) <= largest(20) * 1.2
