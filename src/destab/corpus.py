@@ -84,26 +84,35 @@ def random_exponents(rng: random.Random, group: GroupSpec, box: int = 3) -> tupl
 
 
 def random_frame(rng: random.Random, group: GroupSpec) -> Mat:
-    """A unimodular frame: a Weyl representative times a couple of shears,
-    multiplied on scaled values."""
-    g = linalg._Scaled.of(rng.choice(group.weyl_representatives()))
-    shears = group.shears((-2, -1, 1, 2))
+    """A unimodular frame: a Weyl representative times a couple of shears."""
+    return _random_frame_pair(rng, group)[0].fractions()
+
+
+def _random_frame_pair(rng: random.Random, group: GroupSpec) -> tuple:
+    """``random_frame``'s draws, as the frame's held pair: the product of
+    the held pairs of its factors (``GroupSpec._weyl_pairs``,
+    ``GroupSpec._shear_table``)."""
+    g, inverse = rng.choice(group._weyl_pairs)
+    shears = group._shear_table((-2, -1, 1, 2))[1]
     for _ in range(rng.randint(0, 2)):
-        g @= linalg._Scaled.of(rng.choice(shears))
-    return g.fractions()
+        s, s_inverse = rng.choice(shears)
+        g, inverse = g @ s, s_inverse @ inverse
+    return g, inverse
 
 
-def family_frame(rng: random.Random, group: GroupSpec, shear_values=(-2, -1, 1, 2)) -> Mat:
-    """A Weyl representative, times one shear four times in five: a frame
-    spanning a torus of the default search family."""
-    g = rng.choice(group.weyl_representatives())
+def family_frame(rng: random.Random, group: GroupSpec, shear_values=(-2, -1, 1, 2)) -> tuple:
+    """A Weyl representative, times one shear four times in five: the held
+    pair of a frame spanning a torus of the default search family."""
+    g, inverse = rng.choice(group._weyl_pairs)
     if rng.random() < 0.8:
-        g = linalg.mat_mul(g, rng.choice(group.shears(shear_values)))
-    return g
+        s, s_inverse = rng.choice(group._shear_table(shear_values)[1])
+        g, inverse = g @ s, s_inverse @ inverse
+    return g, inverse
 
 
 def random_cocharacter(rng: random.Random, group: GroupSpec, box: int = 3) -> Cocharacter:
-    return Cocharacter.based(group, random_frame(rng, group), random_exponents(rng, group, box))
+    pair = _random_frame_pair(rng, group)
+    return Cocharacter._on_frame(group, pair[0].fractions(), pair, random_exponents(rng, group, box))
 
 
 def random_parabolic_element(rng: random.Random, lam: Cocharacter) -> Mat:
@@ -341,7 +350,7 @@ def subgroup_corpus(seed: int, size: int = 50) -> list[SubgroupPresentation]:
         count = rng.randint(1, 3)
         gens = [_structured_generator(rng, m) for _ in range(count)]
         if rng.random() < 0.8:
-            frame, inverse = group._checked_pair(family_frame(rng, group), "frame")
+            frame, inverse = family_frame(rng, group)
             gens = [(frame @ linalg._Scaled.of(g) @ inverse).fractions() for g in gens]
         try:
             out.append(SubgroupPresentation(group, tuple(linalg.mat(g) for g in gens)))
@@ -467,27 +476,25 @@ def _kempf_check(inst: KempfInstance) -> dict:
     subproblems correspond one to one; the optimal values must then tie
     exactly and the optimal parabolics must be conjugate.  Normalizer
     samples are checked by the optimizer itself (it raises if one escapes
-    the parabolic).
+    the parabolic).  Each conjugator is checked once, and the extra frame
+    and the samples once per instance.
     """
     group = inst.group
     rep = inst.points[0].rep
     s = SubvarietySpec.zero_locus()
-    extra = inst.extra_frame
-    ident, scaled_extra = group.identity(), linalg._Scaled.of(extra)
+    ident, extra = group.identity(), linalg.mat(inst.extra_frame)
+    one = linalg._Scaled.of(ident)
+    e, e_inverse = group._checked_pair(extra, "conjugation family element")
+    fixed = [(ident, (one, one)), (extra, (e, e_inverse))]
+    samples = [(x, group._checked_pair(x, "normalizer sample")) for x in map(linalg.mat, inst.normalizer_samples)]
     for g in map(linalg.mat, inst.conjugators):
         pair = group._checked_pair(g, "conjugator")
-        cfg = SearchConfig(
-            group,
-            exponent_box=4,
-            conjugation_family=(ident, extra, pair[1].fractions(), (pair[1] @ scaled_extra).fractions()),
-            normalizer_samples=inst.normalizer_samples,
-        )
+        # the other frames are products a b of held pairs, with inverse b^-1 a^-1
+        g_inv_e, g_e = pair[1] @ e, pair[0] @ e
+        inverses = [(pair[1].fractions(), pair[::-1]), (g_inv_e.fractions(), (g_inv_e, e_inverse @ pair[0]))]
+        cfg = SearchConfig._held(group, 4, fixed + inverses, samples=samples)
         # g times the family above: g g^-1 = I and g g^-1 extra = extra
-        moved_cfg = SearchConfig(
-            group,
-            exponent_box=4,
-            conjugation_family=(g, (pair[0] @ scaled_extra).fractions(), ident, extra),
-        )
+        moved_cfg = SearchConfig._held(group, 4, [(g, pair), (g_e.fractions(), (g_e, e_inverse @ pair[1])), *fixed])
         try:
             result = optimize(inst.points, s, cfg)
         except InvariantViolation as exc:

@@ -204,31 +204,57 @@ class GroupSpec:
             out.append(tuple(tuple(row) for row in g))
         return tuple(out)
 
+    @functools.cached_property
+    def _weyl_pairs(self) -> tuple:
+        """The held pair of each Weyl representative, in closed form: a
+        signed permutation is orthogonal, so its inverse is its transpose."""
+        weyl = map(linalg._Scaled.of, self._weyl_representatives)
+        return tuple((w, linalg._Scaled(tuple(zip(*w.rows)), 1)) for w in weyl)
+
     def shears(self, values=(-2, -1, 1, 2)) -> tuple[Mat, ...]:
         """Elementary shears I + c*E_ij inside factor blocks, built once per
         sequence of values."""
+        return self._shear_table(values)[0]
+
+    def _shear_table(self, values) -> tuple:
+        """``shears`` of the values, their held pairs and the block of each.
+
+        The pairs are in closed form: for c = p / s in lowest terms,
+        I + c E_ij is the rows s I + p E_ij over s, and for i != j its
+        inverse I - c E_ij is s I - p E_ij over the same s; both are the
+        canonical values ``linalg._Scaled.of`` gives.
+        """
         values = tuple(map(frac, values))
         tables = self._shear_tables
         if values not in tables:
             m = self.dimension
+            ident = linalg.identity(m)
+            # s I for each scale s of the values
+            scaled = {c.denominator: tuple(tuple(c.denominator * (a == k) for k in range(m)) for a in range(m))
+                      for c in values}
             out = []
-            for block in self.block_slices:
-                for i in block:
-                    for j in block:
-                        if i == j:
-                            continue
-                        for c in values:
-                            if c == 0:
-                                continue
-                            g = [list(row) for row in linalg.identity(m)]
-                            g[i][j] = c
-                            out.append(tuple(tuple(row) for row in g))
-            tables[values] = tuple(out)
+            for b, block in enumerate(self.block_slices):
+                for i, j in itertools.permutations(block, 2):
+                    for c in values:
+                        if c != 0:
+                            rows, s = scaled[c.denominator], c.denominator
+                            pair = (linalg._Scaled(_with_entry(rows, i, j, c.numerator), s),
+                                    linalg._Scaled(_with_entry(rows, i, j, -c.numerator), s))
+                            out.append((_with_entry(ident, i, j, c), pair, b))
+            tables[values] = tuple(zip(*out)) or ((), (), ())
         return tables[values]
 
     @functools.cached_property
     def _shear_tables(self) -> dict:
         return {}
+
+
+def _with_entry(rows: tuple, i: int, j: int, x) -> tuple:
+    """The matrix rows with entry (i, j) replaced by x; the other rows are
+    shared."""
+    row = list(rows[i])
+    row[j] = x
+    return (*rows[:i], tuple(row), *rows[i + 1 :])
 
 
 def _block_det_allowed(f: Factor, d: Fraction) -> bool:

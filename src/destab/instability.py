@@ -37,14 +37,15 @@ one base frame each, and is never claimed complete; ``oracle_mode``
 re-derives the optimum by brute force over an exponent box as an
 independent check.
 
-A configuration checks each torus base and inverts it once, and keeps it
-as its checked pair (base, base^-1) of scaled values
-(``GroupSpec._checked_pair``); the optimizer, the value check and the
-closedness search move points and tuples by those pairs, and the
-cocharacters they build hold them.  The closedness search scales each
-generator once and moves it into each torus by that torus's conjugation
-operator, which the configuration builds on its first search.  Its entry
-pattern, its limit and the conjugator equations
+A configuration keeps each torus base as its pair (base, base^-1) of
+scaled values: a base given from outside is checked and inverted once
+(``GroupSpec._checked_pair``), and the program's own come with their
+inverses in closed form (``SearchConfig._held``).  The optimizer, the
+value check and the closedness search move points and tuples by those
+pairs, and the cocharacters they build hold them.  The closedness search
+scales each generator once and moves it into each torus by that torus's
+conjugation operator, which the configuration builds on its first
+search.  Its entry pattern, its limit and the conjugator equations
 u h = h' u are homogeneous in the pair (h, h') of one generator, so the
 search reads the integer rows alone.
 """
@@ -528,27 +529,6 @@ def _torus_key(frame: linalg._Scaled) -> frozenset:
     return frozenset(map(linalg._line, zip(*frame.rows)))
 
 
-def _torus_bases(frames, group: GroupSpec) -> tuple[tuple[Mat, ...], tuple[tuple, ...]]:
-    """The first frame of each maximal torus the frames span, with its
-    checked pair, checking that every frame is in the group.
-
-    Two invertible frames span the same maximal torus exactly when
-    frame' = frame . P with P monomial, that is when their columns agree
-    up to order and nonzero scalars; so the tori are read off the lines of
-    the columns (``_torus_key``).
-    """
-    seen: set[frozenset] = set()
-    bases, pairs = [], []
-    for frame in frames:
-        pair = group._checked_pair(frame, "conjugation family element")
-        key = _torus_key(pair[0])
-        if key not in seen:
-            seen.add(key)
-            bases.append(frame)
-            pairs.append(pair)
-    return tuple(bases), tuple(pairs)
-
-
 @dataclass(frozen=True)
 class SearchConfig:
     """Bounded search parameters: exponent box and conjugation family.
@@ -563,9 +543,13 @@ class SearchConfig:
     monomial, and admissibility, the weak orderings, the norm and the
     exponent box are all invariant under the permutation of coordinates P
     makes (``Norm.check_invariance``), so such a frame adds no cocharacter
-    and no value that its base lacks.  Every given frame and every
-    normalizer sample is checked to be in the group, and each sample is
-    kept as its checked pair too (``_samples``).
+    and no value that its base lacks.  Two invertible frames span one
+    torus exactly when their ``_torus_key`` agree.  Every frame and every
+    normalizer sample given to the constructor is checked to be in the
+    group once, and each sample is kept as its checked pair too
+    (``_samples``).  The program's own frames, the shears of ``default``
+    and the products of held pairs the corpus builds, come with their
+    inverses in closed form and are not checked again (``_held``).
     """
 
     group: GroupSpec
@@ -577,20 +561,42 @@ class SearchConfig:
     _samples: tuple[tuple, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
+        check = self.group._checked_pair
+        self._hold(
+            ((g, check(g, "conjugation family element")) for g in map(linalg.mat, self.conjugation_family)),
+            ((g, check(g, "normalizer sample")) for g in map(linalg.mat, self.normalizer_samples)),
+        )
+
+    @staticmethod
+    def _held(group, exponent_box, family, oracle_mode=False, samples=()) -> "SearchConfig":
+        """The configuration whose frames and normalizer samples are given
+        as (matrix, held pair) items, which are not checked again."""
+        cfg = object.__new__(SearchConfig)
+        for name, value in (("group", group), ("exponent_box", exponent_box), ("oracle_mode", oracle_mode)):
+            object.__setattr__(cfg, name, value)
+        cfg._hold(family, samples)
+        return cfg
+
+    def _hold(self, family, samples) -> None:
+        """Keeps the first frame of each maximal torus of the (matrix, pair)
+        items of the family, the identity first when the family lacks it,
+        and the samples; the items are read after the exponent box is
+        checked."""
         if self.exponent_box < 1:
             raise DomainError("exponent box must be >= 1")
-        family = [linalg.mat(g) for g in self.conjugation_family]
+        family = list(family)
         ident = self.group.identity()
-        if ident not in family:
-            family.insert(0, ident)
-        bases, pairs = _torus_bases(family, self.group)
-        object.__setattr__(self, "conjugation_family", bases)
-        object.__setattr__(self, "_frames", pairs)
-        samples = tuple(linalg.mat(g) for g in self.normalizer_samples)
-        object.__setattr__(self, "normalizer_samples", samples)
-        object.__setattr__(
-            self, "_samples", tuple(self.group._checked_pair(g, "normalizer sample") for g in samples)
-        )
+        if ident not in [g for g, _ in family]:
+            one = linalg._Scaled.of(ident)
+            family.insert(0, (ident, (one, one)))
+        tori: dict = {}
+        for g, pair in family:
+            tori.setdefault(_torus_key(pair[0]), (g, pair))
+        samples = tuple(samples)
+        for name, items in (("conjugation_family", tori.values()), ("normalizer_samples", samples)):
+            object.__setattr__(self, name, tuple(g for g, _ in items))
+        object.__setattr__(self, "_frames", tuple(pair for _, pair in tori.values()))
+        object.__setattr__(self, "_samples", tuple(pair for _, pair in samples))
 
     @functools.cached_property
     def _operators(self) -> tuple:
@@ -623,25 +629,18 @@ class SearchConfig:
         again an elementary shear, with c negated when w negates a column,
         as odd Weyl representatives on SL do.  So a GL block takes the
         given values and an SL block those values closed under negation.
+        The shears come with their held pairs in closed form
+        (``GroupSpec._shear_table``); only the normalizer samples are
+        checked.
         """
-        frames: list[Mat] = [group.identity()]
-        for f, block in zip(group.factors, group.block_slices):
+        frames = []
+        for b, f in enumerate(group.factors):
             values = tuple(shear_values)
             if f.family == "SL":
                 values += tuple(-c for c in values if -c not in values)
-            for i, j in itertools.permutations(block, 2):
-                for c in values:
-                    if c != 0:
-                        shear = [list(row) for row in frames[0]]
-                        shear[i][j] = c
-                        frames.append(linalg.mat(shear))
-        return SearchConfig(
-            group,
-            exponent_box,
-            tuple(frames),
-            oracle_mode,
-            tuple(normalizer_samples),
-        )
+            frames += [(g, pair) for g, pair, block in zip(*group._shear_table(values)) if block == b]
+        samples = ((g, group._checked_pair(g, "normalizer sample")) for g in map(linalg.mat, normalizer_samples))
+        return SearchConfig._held(group, exponent_box, frames, oracle_mode, samples)
 
 
 @dataclass(frozen=True)

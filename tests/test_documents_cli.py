@@ -398,6 +398,27 @@ def test_cli_precondition_exit(tmp_path, docs):
     assert code == 2  # caught at parse time as a schema violation
 
 
+def test_cli_config_refuses_frames_and_samples_outside_the_group(tmp_path, docs):
+    # a document's family frames and samples are checked as the constructor
+    # checks them, with the default family as with a given one
+    from destab import DomainError, SearchConfig, linalg
+
+    group = GroupSpec.make(("GL", 2))
+    outside = [["1", "0"], ["2", "0"]]
+    with pytest.raises(DomainError, match="^conjugation family element is not in the group$"):
+        SearchConfig(group, 2, (group.identity(), linalg.mat(outside)))
+    for config, what in (
+        ({"exponent_box": 2, "family": [[["1", "0"], ["0", "1"]], outside]}, "conjugation family element"),
+        ({"exponent_box": 2, "shear_values": [1], "normalizer_samples": [outside]}, "normalizer sample"),
+    ):
+        path = tmp_path / "bad_config.json"
+        path.write_text(json.dumps(config))
+        args = ["gcr", "--group", docs["group_gl2"], "--input", docs["subgroup"], "--config", str(path)]
+        code, report = run_cli(tmp_path, args)
+        assert code == 2
+        assert report["error"] == {"kind": "schema", "message": f"$: {what} is not in the group"}
+
+
 def test_cli_oracle_refuses_a_huge_box(tmp_path):
     # box 200 on GL_3 is about 401^3 box vectors: refused before the sweep
     paths = {}

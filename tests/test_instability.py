@@ -3030,16 +3030,40 @@ def test_kempf_check_checks_each_conjugator_once(monkeypatch):
 
         return call
 
+    built, held = [], SearchConfig._held
+
+    def recorded(*args, **kwargs):
+        built.append(held(*args, **kwargs))
+        return built[-1]
+
     monkeypatch.setattr(GroupSpec, "_checked_pair", counted_pair)
     monkeypatch.setattr(linalg, "inverse", refused("inverse"))
     monkeypatch.setattr(GroupSpec, "require_member", refused("require_member"))
     monkeypatch.setattr(Representation, "act", refused("act"))
+    monkeypatch.setattr(SearchConfig, "_held", staticmethod(recorded))
     for inst, record in zip(cases, expected):
         calls.clear()
         assert corpus._kempf_check(inst) == record == {"ok": True, "detail": None}
         assert calls.count("conjugator") == len(inst.conjugators)
+        # the extra frame and the samples once per instance, every other frame a product of held pairs
+        assert calls.count("conjugation family element") == 1
+        assert calls.count("normalizer sample") == len(inst.normalizer_samples) > 0
+        assert len(calls) == len(inst.conjugators) + 1 + len(inst.normalizer_samples)
         assert not {"inverse", "require_member", "act"} & set(calls)
     monkeypatch.undo()
+    # each configuration, with the pairs of its frames and samples, is the one
+    # the checking constructor builds from the reference's families
+    references = []
+    for inst in cases:
+        for g in inst.conjugators:
+            ginv = linalg.inverse(g)
+            base_family = (inst.group.identity(), inst.extra_frame, ginv, linalg.mat_mul(ginv, inst.extra_frame))
+            references.append(SearchConfig(inst.group, 4, base_family, normalizer_samples=inst.normalizer_samples))
+            references.append(SearchConfig(inst.group, 4, tuple(linalg.mat_mul(g, f) for f in base_family)))
+    assert len(built) == len(references)
+    for cfg, reference in zip(built, references):
+        assert cfg == reference and repr(cfg) == repr(reference)
+        assert cfg._frames == reference._frames and cfg._samples == reference._samples
     # the private path conjugates as the public one, which still checks
     rng = random.Random(139)
     for group in SEARCH_TABLE_GROUPS:
@@ -3049,6 +3073,129 @@ def test_kempf_check_checks_each_conjugator_once(monkeypatch):
             assert p._conjugated_by_pair(group._checked_pair(g)) == p.conjugated_by(g)
         with pytest.raises(DomainError, match="^element is not in the group$"):
             p.conjugated_by(linalg.zeros(group.dimension, group.dimension))
+
+
+# ---------------------------------------------------------------------------
+# The program's own frames carry their inverses in closed form, against the
+# checked pairs of ``GroupSpec._checked_pair``, kept as the reference
+
+
+HELD_PAIR_GROUPS = tuple(
+    GroupSpec.make(*factors)
+    for factors in (
+        (("GL", 1),),
+        (("GL", 2),),
+        (("GL", 3),),
+        (("GL", 4),),
+        (("GL", 5),),
+        (("SL", 2),),
+        (("SL", 3),),
+        (("SL", 4),),
+        (("GL", 2), ("SL", 2)),
+        (("GL", 1), ("GL", 1), ("GL", 1)),
+    )
+)
+
+
+def _old_default_frames(group, values):
+    """Reference: the frames ``SearchConfig.default`` gave to the
+    checking constructor, the identity and then each shear of each block,
+    an SL block's values closed under negation."""
+    frames = [group.identity()]
+    for f, block in zip(group.factors, group.block_slices):
+        block_values = tuple(values)
+        if f.family == "SL":
+            block_values += tuple(-c for c in block_values if -c not in block_values)
+        for i, j in itertools.permutations(block, 2):
+            for c in block_values:
+                if c != 0:
+                    shear = [list(row) for row in group.identity()]
+                    shear[i][j] = c
+                    frames.append(linalg.mat(shear))
+    return tuple(frames)
+
+
+def _assert_reference_pair(group, frame, pair, canonical=False):
+    reference = group._checked_pair(linalg.mat(frame), "frame")
+    assert pair[0] == reference[0] and pair[1] == reference[1]
+    assert pair[0].fractions() == linalg.mat(frame)
+    if canonical:  # the same rows and scale as the checked pair's
+        assert tuple(pair[0]) == tuple(reference[0]) and tuple(pair[1]) == tuple(reference[1])
+
+
+def test_closed_form_pairs_match_checked_pairs():
+    from destab import corpus
+
+    rng = random.Random(149)
+    for group in HELD_PAIR_GROUPS:
+        weyl = group.weyl_representatives()
+        held = list(zip(weyl, group._weyl_pairs))
+        assert len(held) == len(weyl)
+        if any(f.family == "SL" for f in group.factors) and len(weyl) > 1:
+            assert any(-1 in row for w in weyl for row in w)  # negated-column representatives
+        for values in ((-2, -1, 1, 2), (F(1, 2), -3, "-2/3"), ()):
+            mats, pairs, blocks = group._shear_table(values)
+            assert mats == group.shears(values) and len(pairs) == len(blocks) == len(mats)
+            for g, b in zip(mats, blocks):
+                i, j = next((i, j) for i, row in enumerate(g) for j, x in enumerate(row) if i != j and x)
+                assert group.block_of(i) == group.block_of(j) == b
+            held += zip(mats, pairs)
+        for g, pair in held:
+            _assert_reference_pair(group, g, pair, canonical=True)
+        cfg = SearchConfig.default(group, shear_values=(F(1, 2), -1))
+        for g, pair in zip(cfg.conjugation_family, cfg._frames):
+            _assert_reference_pair(group, g, pair, canonical=True)
+        # seeded products of two and three held pairs: (a b, b^-1 a^-1)
+        for _ in range(12):
+            items = [rng.choice(held) for _ in range(rng.choice((2, 3)))]
+            frame, pair = items[0]
+            for g, (a, a_inverse) in items[1:]:
+                frame, pair = linalg.mat_mul(frame, g), (pair[0] @ a, a_inverse @ pair[1])
+            _assert_reference_pair(group, frame, pair)
+        # the corpus draws: the pair of the frame the same draws gave before
+        for seed in range(6 if group.shears() else 0):
+            draw, again = random.Random(seed), random.Random(seed)
+            pair = corpus._random_frame_pair(draw, group)
+            assert pair[0].fractions() == corpus.random_frame(again, group) and draw.random() == again.random()
+            _assert_reference_pair(group, pair[0].fractions(), pair)
+            pair = corpus.family_frame(draw, group)
+            _assert_reference_pair(group, pair[0].fractions(), pair)
+
+
+def test_default_configuration_checks_only_its_samples(monkeypatch):
+    from destab import documents
+
+    calls = []
+    checked_pair = GroupSpec._checked_pair
+
+    def counted(group, g, what="element"):
+        calls.append(what)
+        return checked_pair(group, g, what)
+
+    rng = random.Random(151)
+    monkeypatch.setattr(GroupSpec, "_checked_pair", counted)
+    SearchConfig.default(GL3, shear_values=(-2, -1, 1, 2))
+    assert calls == []
+    for k in (1, 2, 3):
+        calls.clear()
+        SearchConfig.default(GL3, shear_values=(-2, -1, 1, 2), normalizer_samples=[_dense_member(rng, GL3) for _ in range(k)])
+        assert calls == ["normalizer sample"] * k
+    monkeypatch.undo()
+    # the configuration the checking constructor builds from the same frames
+    for group in HELD_PAIR_GROUPS:
+        for values in ((-2, -1, 1, 2), (1,), (F(1, 2), -1), (2, 0, 2), ()):
+            samples = (_dense_member(rng, group), group.identity())
+            cfg = SearchConfig.default(group, 3, values, True, samples)
+            old = SearchConfig(group, 3, _old_default_frames(group, values), True, samples)
+            assert cfg == old and hash(cfg) == hash(old) and repr(cfg) == repr(old)
+            assert documents.emit_config(cfg) == documents.emit_config(old)
+            assert cfg._frames == old._frames and cfg._samples == old._samples
+    with pytest.raises(DomainError, match="^exponent box must be >= 1$"):
+        SearchConfig.default(GL2, exponent_box=0, normalizer_samples=(linalg.zeros(2, 2),))
+    with pytest.raises(DomainError, match="^normalizer sample is not in the group$"):
+        SearchConfig.default(SL2, shear_values=(1,), normalizer_samples=(GL2.identity(), linalg.mat([[2, 0], [0, 1]])))
+    with pytest.raises(TypeError):
+        SearchConfig.default(GL2, shear_values=(1.0,))
 
 
 # ---------------------------------------------------------------------------
