@@ -170,8 +170,10 @@ class GroupSpec:
         scaled = linalg._Scaled.of(g)
         return scaled, self._member_inverse(scaled, what)
 
-    # The frame tables below depend on the group alone: each is built on
-    # first use and kept in __dict__ like the shape data.
+    # The frame tables below depend on the factors alone: each is built on
+    # first use per group shape and kept in a module-level cache, so every
+    # instance of one shape shares it, and equality, hash and pickles do
+    # not see it.
 
     def weyl_representatives(self) -> tuple[Mat, ...]:
         """One rational representative per Weyl group element.
@@ -179,74 +181,75 @@ class GroupSpec:
         Permutation matrices blockwise; inside SL factors a column is negated
         when needed to keep determinant one.
         """
-        return self._weyl_representatives
+        return _weyl_table(self.factors)[0]
 
-    @functools.cached_property
-    def _weyl_representatives(self) -> tuple[Mat, ...]:
-        per_block = []
-        for f, block in zip(self.factors, self.block_slices):
-            reps = []
-            for perm in itertools.permutations(range(f.rank)):
-                reps.append((block, perm, f.family))
-            per_block.append(reps)
-        m = self.dimension
-        out = []
-        for combo in itertools.product(*per_block):
-            g = [[Fraction(0)] * m for _ in range(m)]
-            for block, perm, family in combo:
-                sign = _perm_sign(perm)
-                negate_col = None
-                if family == SL and sign < 0:
-                    negate_col = next(i for i, p in enumerate(perm) if p != i)
-                for i, p in enumerate(perm):
-                    val = Fraction(-1 if i == negate_col else 1)
-                    g[block[p]][block[i]] = val
-            out.append(tuple(tuple(row) for row in g))
-        return tuple(out)
-
-    @functools.cached_property
+    @property
     def _weyl_pairs(self) -> tuple:
         """The held pair of each Weyl representative, in closed form: a
         signed permutation is orthogonal, so its inverse is its transpose."""
-        weyl = map(linalg._Scaled.of, self._weyl_representatives)
-        return tuple((w, linalg._Scaled(tuple(zip(*w.rows)), 1)) for w in weyl)
+        return _weyl_table(self.factors)[1]
 
     def shears(self, values=(-2, -1, 1, 2)) -> tuple[Mat, ...]:
         """Elementary shears I + c*E_ij inside factor blocks, built once per
-        sequence of values."""
+        group shape and sequence of values."""
         return self._shear_table(values)[0]
 
     def _shear_table(self, values) -> tuple:
-        """``shears`` of the values, their held pairs and the block of each.
+        """``shears`` of the values, their held pairs and the block of each
+        (``_shear_table_of``)."""
+        return _shear_table_of(self.factors, tuple(map(frac, values)))
 
-        The pairs are in closed form: for c = p / s in lowest terms,
-        I + c E_ij is the rows s I + p E_ij over s, and for i != j its
-        inverse I - c E_ij is s I - p E_ij over the same s; both are the
-        canonical values ``linalg._Scaled.of`` gives.
-        """
-        values = tuple(map(frac, values))
-        tables = self._shear_tables
-        if values not in tables:
-            m = self.dimension
-            ident = linalg.identity(m)
-            # s I for each scale s of the values
-            scaled = {c.denominator: tuple(tuple(c.denominator * (a == k) for k in range(m)) for a in range(m))
-                      for c in values}
-            out = []
-            for b, block in enumerate(self.block_slices):
-                for i, j in itertools.permutations(block, 2):
-                    for c in values:
-                        if c != 0:
-                            rows, s = scaled[c.denominator], c.denominator
-                            pair = (linalg._Scaled(_with_entry(rows, i, j, c.numerator), s),
-                                    linalg._Scaled(_with_entry(rows, i, j, -c.numerator), s))
-                            out.append((_with_entry(ident, i, j, c), pair, b))
-            tables[values] = tuple(zip(*out)) or ((), (), ())
-        return tables[values]
 
-    @functools.cached_property
-    def _shear_tables(self) -> dict:
-        return {}
+@functools.cache
+def _weyl_table(factors: tuple[Factor, ...]) -> tuple:
+    """The Weyl representatives of a group shape and their held pairs."""
+    starts = itertools.accumulate((f.rank for f in factors), initial=0)
+    per_block = [
+        [(range(start, start + f.rank), perm, f.family) for perm in itertools.permutations(range(f.rank))]
+        for start, f in zip(starts, factors)
+    ]
+    m = sum(f.rank for f in factors)
+    out = []
+    for combo in itertools.product(*per_block):
+        g = [[Fraction(0)] * m for _ in range(m)]
+        for block, perm, family in combo:
+            sign = _perm_sign(perm)
+            negate_col = None
+            if family == SL and sign < 0:
+                negate_col = next(i for i, p in enumerate(perm) if p != i)
+            for i, p in enumerate(perm):
+                val = Fraction(-1 if i == negate_col else 1)
+                g[block[p]][block[i]] = val
+        out.append(tuple(tuple(row) for row in g))
+    weyl = map(linalg._Scaled.of, out)
+    return tuple(out), tuple((w, linalg._Scaled(tuple(zip(*w.rows)), 1)) for w in weyl)
+
+
+@functools.cache
+def _shear_table_of(factors: tuple[Factor, ...], values: tuple[Fraction, ...]) -> tuple:
+    """The shears of a group shape and exact values, their held pairs and
+    the block of each.
+
+    The pairs are in closed form: for c = p / s in lowest terms, I + c E_ij
+    is the rows s I + p E_ij over s, and for i != j its inverse I - c E_ij
+    is s I - p E_ij over the same s; both are the canonical values
+    ``linalg._Scaled.of`` gives.
+    """
+    m = sum(f.rank for f in factors)
+    ident = linalg.identity(m)
+    # s I for each scale s of the values
+    scaled = {c.denominator: tuple(tuple(c.denominator * (a == k) for k in range(m)) for a in range(m)) for c in values}
+    out = []
+    starts = itertools.accumulate((f.rank for f in factors), initial=0)
+    for b, (start, f) in enumerate(zip(starts, factors)):
+        for i, j in itertools.permutations(range(start, start + f.rank), 2):
+            for c in values:
+                if c != 0:
+                    rows, s = scaled[c.denominator], c.denominator
+                    pair = (linalg._Scaled(_with_entry(rows, i, j, c.numerator), s),
+                            linalg._Scaled(_with_entry(rows, i, j, -c.numerator), s))
+                    out.append((_with_entry(ident, i, j, c), pair, b))
+    return tuple(zip(*out)) or ((), (), ())
 
 
 def _with_entry(rows: tuple, i: int, j: int, x) -> tuple:
@@ -293,6 +296,14 @@ class TorusCocharacter:
         for f, block in zip(self.group.factors, self.group.block_slices):
             if f.family == SL and sum(self.exponents[i] for i in block) != 0:
                 raise DomainError("SL factor exponents must sum to zero")
+
+    @staticmethod
+    def _held(group: GroupSpec, exponents: tuple[int, ...]) -> "TorusCocharacter":
+        """The torus cocharacter of a tuple of ints already known to be
+        exponents of the group, not checked again."""
+        torus = object.__new__(TorusCocharacter)
+        vars(torus).update(group=group, exponents=exponents)
+        return torus
 
     @property
     def is_zero(self) -> bool:
@@ -370,10 +381,14 @@ class Cocharacter:
     @staticmethod
     def _on_frame(group: GroupSpec, frame: Mat, pair: tuple, exponents) -> "Cocharacter":
         """``based`` on a frame given with its checked pair."""
+        return Cocharacter._held(frame, pair, TorusCocharacter(group, tuple(exponents)))
+
+    @staticmethod
+    def _held(frame: Mat, pair: tuple, torus: TorusCocharacter) -> "Cocharacter":
+        """The cocharacter of a torus cocharacter on a frame given with its
+        checked pair; nothing is checked again."""
         lam = object.__new__(Cocharacter)
-        object.__setattr__(lam, "base", frame)
-        object.__setattr__(lam, "torus", TorusCocharacter(group, tuple(exponents)))
-        object.__setattr__(lam, "_frame", pair)
+        vars(lam).update(base=frame, torus=torus, _frame=pair)
         return lam
 
     def conjugated_by(self, g: Mat) -> "Cocharacter":

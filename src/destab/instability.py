@@ -74,6 +74,7 @@ from .groups import (
     Character,
     Cocharacter,
     GroupSpec,
+    TorusCocharacter,
     fold_permutation_base,
     norm_sq,
     pairing_vec,
@@ -930,6 +931,15 @@ def is_cochar_closed(v: Point, cfg: SearchConfig) -> CocharClosedVerdict:
     a sound witness: rational conjugacy of the limit would force a radical
     conjugator.
 
+    Each torus is judged by one entry mask of the tuple moved into its
+    base frame, bit i m + j set when entry (i, j) of some moved matrix is
+    nonzero (``_torus_moves``).  A representative is admissible when the
+    mask meets none of its pairs with d_i < d_j, and its limit moves the
+    tuple exactly when the mask meets one of its pairs with d_i > d_j
+    (``_Representatives``); the moved matrices are built only for a torus
+    that admits a cocharacter, and the limit only for a cocharacter whose
+    conjugator system is solved.
+
     The conjugator system is solved in the base frame that already holds
     the tuple and its limit, once per flag of lambda in the whole space
     (``_flag``).  Whether the limit is R_u(P_lambda)(Q)-conjugate to the
@@ -946,11 +956,12 @@ def is_cochar_closed(v: Point, cfg: SearchConfig) -> CocharClosedVerdict:
     the verdict nor ``examined``.
 
     What depends on the configuration alone is built once: each torus's
-    conjugation operator (``_moved_tuples``), and per group shape and box
-    each representative's ordering mask, which ``admissible_exponents``
-    tests against the entry pattern, and its radical positions with their
-    conjugator index (``_Representatives``); per torus and coordinate set,
-    each flag space (``SearchConfig._flag_spaces``).  Nothing keyed by the
+    conjugation operator (``SearchConfig._operators``), and per group shape
+    and box each representative's masks, level sets and radical positions
+    with their conjugator index (``_Representatives``); per torus and
+    coordinate set, each flag space (``SearchConfig._flag_spaces``).  The
+    examined cocharacters are built on the torus's held pair from the
+    table's exponents, which are not checked again.  Nothing keyed by the
     input is kept between calls.
     """
     rep = v.rep
@@ -958,32 +969,47 @@ def is_cochar_closed(v: Point, cfg: SearchConfig) -> CocharClosedVerdict:
         raise UnsupportedRepresentationError(
             "cocharacter-closedness needs a conjugation-tuple representation"
         )
-    if rep.group != cfg.group:
+    group = cfg.group
+    if rep.group != group:
         raise DimensionError("configuration group differs from the representation group")
-    table = _representatives(cfg.group.factors, cfg.exponent_box)
+    table = _representatives(group.factors, cfg.exponent_box)
     examined: list[Cocharacter] = []
     solved: set = set()  # the flag of each cocharacter with a conjugator
-    for torus, lam, moved in _frame_cocharacters(rep.matrices(v), cfg):
-        examined.append(lam)
-        d = lam.torus.exponents
-        tmats = [t.rows for t in moved]
-        limit_t = [_limit_pattern(h, d) for h in tmats]
-        if limit_t == tmats:
-            continue  # the identity conjugator works
-        key = _flag(cfg, torus, d)
-        if key in solved:
-            continue
-        if _radical_conjugator(tmats, limit_t, lam, table.radical(d)) is None:
-            # each limit on its moved matrix's scale, out of the frame
-            limit_mats = tuple(lam._from_frame(t._replace(rows=h)) for t, h in zip(moved, limit_t))
-            return CocharClosedVerdict(
-                False,
-                fold_permutation_base(lam),
-                limit_mats,
-                tuple(examined),
-                cfg.exponent_box,
-            )
-        solved.add(key)
+    held: dict = {}  # exponents -> their torus cocharacter, shared by the tori
+    for torus, (flat, bits) in enumerate(_torus_moves(rep.matrices(v), cfg)):
+        if bits & table.crossing:
+            moved = _moved(flat, group.dimension)
+            pattern = _entry_pattern(t.rows for t in moved)
+            entries = [(d, *table.masks(d)) for d in admissible_exponents(group, cfg.exponent_box, pattern)]
+        else:
+            entries = [r for r in table.records if not r[1] & bits]  # r[1]: its less mask
+            if not entries:
+                continue
+            moved = _moved(flat, group.dimension)
+        frame, pair = cfg.conjugation_family[torus], cfg._frames[torus]
+        for d, _, greater, levels in entries:
+            if d not in held:
+                held[d] = TorusCocharacter._held(group, d)
+            lam = Cocharacter._held(frame, pair, held[d])
+            examined.append(lam)
+            if not bits & greater:
+                continue  # the limit is the tuple: the identity conjugator works
+            key = _flag(cfg, torus, levels)
+            if key in solved:
+                continue
+            tmats = [t.rows for t in moved]
+            limit_t = [_limit_pattern(h, d) for h in tmats]
+            if _radical_conjugator(tmats, limit_t, lam, table.radical(d)) is None:
+                # each limit on its moved matrix's scale, out of the frame
+                limit_mats = tuple(lam._from_frame(t._replace(rows=h)) for t, h in zip(moved, limit_t))
+                return CocharClosedVerdict(
+                    False,
+                    fold_permutation_base(lam),
+                    limit_mats,
+                    tuple(examined),
+                    cfg.exponent_box,
+                )
+            solved.add(key)
     return CocharClosedVerdict(True, None, None, tuple(examined), cfg.exponent_box)
 
 
@@ -998,59 +1024,51 @@ def _entry_pattern(mats) -> set[tuple[int, int]]:
     }
 
 
-def _moved_tuples(mats, cfg: SearchConfig):
-    """Torus by torus, its base, its checked pair (an entry of
-    ``SearchConfig._frames``), and the tuple moved into the base frame,
-    base^-1 h base for each matrix h, as scaled values.
+def _torus_moves(mats, cfg: SearchConfig):
+    """Torus by torus, the tuple moved into the base frame, base^-1 h base
+    for each matrix h, as the flat integer rows and the scale of each
+    matrix, and its entry mask: bit i m + j is set when entry (i, j) of
+    some moved matrix is nonzero.
 
     Each matrix is scaled once, and each torus holds its conjugation
     operator (``SearchConfig._operators``), so a move is one pass over the
-    nonzero entries of h's integer rows; the result is the value that the
-    two products inverse @ h @ base give, rows and scale alike.
+    nonzero entries of h's integer rows; the rows and scale are those that
+    the two products inverse @ h @ base give.
     """
-    m = cfg.group.dimension
     flat = []
     for h in mats:
         h = linalg._Scaled.of(h)
         flat.append(([(kl, x) for kl, x in enumerate(itertools.chain.from_iterable(h.rows)) if x], h.scale))
-    for frame, pair, operator in zip(cfg.conjugation_family, cfg._frames, cfg._operators):
-        moved = []
-        for terms, s in flat:
-            acc = operator.moved(terms)
-            moved.append(linalg._Scaled(tuple(tuple(acc[i : i + m]) for i in range(0, m * m, m)), operator.scale * s))
-        yield frame, pair, moved
+    powers = [1 << k for k in range(cfg.group.dimension ** 2)]
+    for operator in cfg._operators:
+        moved = [(operator.moved(terms), operator.scale * s) for terms, s in flat]
+        bits = 0
+        for acc, _ in moved:
+            bits |= sum(itertools.compress(powers, acc))
+        yield moved, bits
 
 
-def _frame_cocharacters(mats, cfg: SearchConfig):
-    """Torus by torus, each admissible cocharacter whose parabolic contains
-    the tuple, with the torus's index and the tuple moved into its base
-    frame as ``_moved_tuples`` gives it.  Within a torus distinct exponents
-    are distinct cocharacters; one may recur in another torus that
-    contains it."""
-    for torus, (frame, pair, moved) in enumerate(_moved_tuples(mats, cfg)):
-        for exps in admissible_exponents(cfg.group, cfg.exponent_box, _entry_pattern(t.rows for t in moved)):
-            yield torus, Cocharacter._on_frame(cfg.group, frame, pair, exps), moved
+def _moved(flat, m: int) -> list[linalg._Scaled]:
+    """The moved matrices of one torus of ``_torus_moves`` as scaled values."""
+    return [linalg._Scaled(tuple(tuple(acc[i : i + m]) for i in range(0, m * m, m)), s) for acc, s in flat]
 
 
-def _flag(cfg: SearchConfig, torus: int, d) -> tuple:
-    """The flag of the cocharacter with exponents d on the configuration's
-    torus of that index, in the whole space: for each distinct exponent c
-    but the smallest, largest first, V_c, the span of the base columns i
-    with d_i >= c, as its ``_column_space``.  Two cocharacters have equal
-    flags exactly when they define one parabolic subgroup of GL of the
-    space; each space is built once per torus and coordinate set."""
+def _flag(cfg: SearchConfig, torus: int, levels: tuple[int, ...]) -> tuple:
+    """The flag, in the whole space, of a cocharacter on the
+    configuration's torus of that index whose level sets are given as
+    coordinate bitmasks (``_Representatives.masks``): for each distinct
+    exponent c but the smallest, largest first, V_c, the span of the base
+    columns i with d_i >= c, as its ``_column_space``.  Two cocharacters
+    have equal flags exactly when they define one parabolic subgroup of GL
+    of the space; each space is built once per torus and coordinate set."""
     spaces = cfg._flag_spaces
-    key = []
-    mask = 0
-    for c in sorted(set(d), reverse=True)[:-1]:
-        for i, x in enumerate(d):
-            if x == c:
-                mask |= 1 << i
-        space = spaces.get((torus, mask))
-        if space is None:
-            space = spaces[torus, mask] = _column_space(cfg._frames[torus][0], mask)
-        key.append(space)
-    return tuple(key)
+    key = tuple([spaces.get((torus, mask)) for mask in levels])
+    if None in key:
+        for mask in levels:
+            if (torus, mask) not in spaces:
+                spaces[torus, mask] = _column_space(cfg._frames[torus][0], mask)
+        key = tuple([spaces[torus, mask] for mask in levels])
+    return key
 
 
 def _column_space(frame: linalg._Scaled, mask: int) -> tuple:
@@ -1074,8 +1092,9 @@ def admissible_exponents(group: GroupSpec, box: int, pattern) -> list[tuple[int,
     through all its box vectors instead.  Blocks combine in block order,
     the last varying fastest, each in lexicographic order of rank vectors.
     Without such a pair the combined representatives are kept once per
-    group shape and box, each with its ordering mask (``_Representatives``),
-    and the pattern's pairs, as bits, select them.
+    group shape and box, each with the mask of its pairs with d_i < d_j
+    (``_Representatives``), and the pattern's pairs, as bits i m + j,
+    select those whose mask they miss.
     """
     table = _representatives(group.factors, box)
     m = group.dimension
@@ -1083,7 +1102,7 @@ def admissible_exponents(group: GroupSpec, box: int, pattern) -> list[tuple[int,
     for i, j in pattern:
         bits |= 1 << (i * m + j)
     if not bits & table.crossing:  # each combination is its own signature
-        return [d for d, mask in table.records if not mask & bits]
+        return [d for d, less, *_ in table.records if not less & bits]
     crossing = [(i, j) for i, j in pattern if group.block_of(i) != group.block_of(j)]
     per_block = []
     for f, block in zip(group.factors, group.block_slices):
@@ -1106,27 +1125,48 @@ class _Representatives:
     entries ``admissible_exponents`` gives for a pattern with no pair
     between blocks, and what depends on them alone.
 
-    ``records`` holds each representative d, in order, with the bits
-    i m + j of its in-block pairs with d_i < d_j: a pattern, as bits of its
-    pairs, admits d exactly when the two share no bit.  ``crossing`` holds
-    the bits of the pairs between blocks.  ``radical`` gives a
-    representative's radical positions with their conjugator index, built
-    on first use.
+    ``records`` holds each representative d, in order, as
+    (d, less, greater, levels): the bits i m + j of the pairs with
+    d_i < d_j and of those with d_i > d_j (``masks``), and its level sets.
+    A pattern, as bits of its entries, admits d exactly when it shares no
+    bit with less, and the limit along d keeps the pattern's entries
+    exactly when it shares none with greater.  ``crossing`` holds the bits
+    of the pairs between blocks.  ``radical`` gives a representative's
+    radical positions with their conjugator index, and ``masks`` any
+    exponent vector's masks, each built on first use.
     """
 
     def __init__(self, factors: tuple, box: int):
         self._blocks = tuple(b for b, f in enumerate(factors) for _ in range(f.rank))
         m = len(self._blocks)
-        pairs = [(i, j) for i in range(m) for j in range(m)]
-        self.crossing = sum(1 << (i * m + j) for i, j in pairs if self._blocks[i] != self._blocks[j])
-        inside = [(i, j) for i, j in pairs if self._blocks[i] == self._blocks[j]]
+        self.crossing = sum(1 << (i * m + j) for i in range(m) for j in range(m) if self._blocks[i] != self._blocks[j])
+        self._masks: dict = {}
         records = []
         for combo in itertools.product(*(_block_representatives(f.family, f.rank, box) for f in factors)):
             if any(map(any, combo)):
                 d = sum(combo, ())
-                records.append((d, sum(1 << (i * m + j) for i, j in inside if d[i] < d[j])))
+                records.append((d, *self.masks(d)))
         self.records = tuple(records)
-        self._radicals: dict = dict.fromkeys(d for d, _ in records)
+        self._radicals: dict = dict.fromkeys(d for d, *_ in records)
+
+    def masks(self, d: tuple[int, ...]) -> tuple[int, int, tuple[int, ...]]:
+        """(less, greater, levels) of exponents d: the bits i m + j of the
+        pairs with d_i < d_j and of those with d_i > d_j, and for each
+        distinct exponent c but the smallest, largest first, the coordinate
+        bitmask of the i with d_i >= c."""
+        masks = self._masks.get(d)
+        if masks is None:
+            m = len(d)
+            values = sorted(set(d), reverse=True)
+            level = {c: sum(1 << i for i, x in enumerate(d) if x == c) for c in values}
+            at_least = dict(zip(values, itertools.accumulate(level[c] for c in values)))
+            whole = (1 << m) - 1
+            less = greater = 0
+            for i, x in enumerate(d):
+                less |= (at_least[x] ^ level[x]) << (i * m)
+                greater |= (whole ^ at_least[x]) << (i * m)
+            masks = self._masks[d] = (less, greater, tuple(at_least[c] for c in values[:-1]))
+        return masks
 
     def radical(self, d: tuple[int, ...]) -> tuple | None:
         """The radical positions of a representative d

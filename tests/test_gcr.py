@@ -665,9 +665,15 @@ def test_centralizer_dim_matches_dense_reference_on_corpus_and_projections():
     dims = set()
     for h in subgroup_corpus(1, 64):
         tuples = [h.generators]
-        for _, lam, moved in instability._frame_cocharacters(h.generators, corpus_config(h.group)):
+        cfg = corpus_config(h.group)
+        exponents = (
+            (d, moved)
+            for moved in (instability._moved(flat, h.group.dimension) for flat, _ in instability._torus_moves(h.generators, cfg))
+            for d in instability.admissible_exponents(h.group, cfg.exponent_box, instability._entry_pattern(t.rows for t in moved))
+        )
+        for d, moved in exponents:
             # the moved tuple's Levi projection, back on its own scale
-            projected = [linalg._Scaled(_limit_pattern(t.rows, lam.torus.exponents), t.scale).fractions() for t in moved]
+            projected = [linalg._Scaled(_limit_pattern(t.rows, d), t.scale).fractions() for t in moved]
             if projected != [t.fractions() for t in moved] and projected not in tuples:
                 tuples.append(projected)
             if len(tuples) == 6:

@@ -209,9 +209,9 @@ def test_frame_tables_match_their_definition():
 
 
 def test_group_shape_is_kept_out_of_equality_and_pickles():
-    # dimension, block slices, block indices and the frame tables are
-    # computed once per instance; equality, hash, repr and the pickled
-    # bytes are a fresh group's
+    # dimension, block slices and block indices are computed once per
+    # instance and the frame tables once per group shape; equality, hash,
+    # repr and the pickled bytes are a fresh group's
     import pickle
 
     for factors in ((("GL", 3),), (("GL", 2), ("SL", 2)), (("GL", 1), ("SL", 3), ("GL", 2))):
@@ -238,3 +238,31 @@ def test_group_shape_is_kept_out_of_equality_and_pickles():
         assert copy == group and copy.block_slices == slices and copy.block_of(m - 1) == len(slices) - 1
         assert "_weyl_representatives" not in copy.__dict__ and "_shear_tables" not in copy.__dict__
         assert copy.weyl_representatives() == weyl and copy.shears((1, -1)) == shears
+
+
+def test_frame_tables_are_shared_per_group_shape():
+    # two instances of one shape and a parsed document's group hold the
+    # same table objects, equal to a fresh build; another shape or another
+    # sequence of values gets its own
+    from destab import documents, groups
+
+    first, second = GroupSpec.make(("GL", 3)), GroupSpec.make(("GL", 3))
+    parsed = documents.parse_group({"factors": [{"family": "GL", "rank": 3}], "gram": "identity"})
+    weighted = GroupSpec.make(("GL", 3), gram=[[2, 1, 1], [1, 2, 1], [1, 1, 2]])  # another norm, one shape
+    assert first is not second and first == second == parsed != weighted
+    values = (-2, -1, 1, 2)
+    fresh_weyl = groups._weyl_table.__wrapped__(first.factors)
+    fresh_shears = groups._shear_table_of.__wrapped__(first.factors, tuple(map(F, values)))
+    for group in (second, parsed, weighted):
+        assert group.weyl_representatives() is first.weyl_representatives()
+        assert group._weyl_pairs is first._weyl_pairs
+        assert group._shear_table(values) is first._shear_table([F(x) for x in values])
+        assert group.shears() is first.shears(values)
+    assert (first.weyl_representatives(), first._weyl_pairs) == fresh_weyl
+    assert first._shear_table(values) == fresh_shears
+    assert first._shear_table((1, -1)) is not first._shear_table((-1, 1))
+    gl2_sl2 = GroupSpec.make(("GL", 2), ("SL", 2))
+    assert gl2_sl2._shear_table(values) == groups._shear_table_of.__wrapped__(gl2_sl2.factors, tuple(map(F, values)))
+    assert len(gl2_sl2.weyl_representatives()) == 4 and gl2_sl2._shear_table(values) != first._shear_table(values)
+    for group in (first, parsed):
+        assert not {"_weyl_representatives", "_weyl_pairs", "_shear_tables"} & set(vars(group))

@@ -1178,7 +1178,7 @@ def test_is_cochar_closed_product_groups_match_reference(monkeypatch):
         new = is_cochar_closed(v, cfg)
         with monkeypatch.context() as patched:
             patched.setattr(instability, "admissible_exponents", _reference_admissible_exponents)
-            old = is_cochar_closed(v, cfg)
+            old = _set_pattern_is_cochar_closed(v, cfg)
         assert new.closed == old.closed
         if new.closed:  # a full search; an open verdict stops at its witness
             assert len(new.examined) <= len(old.examined)
@@ -1188,10 +1188,12 @@ def test_is_cochar_closed_product_groups_match_reference(monkeypatch):
 
 
 def _closed_with_reference(v, cfg, monkeypatch):
+    """The verdict, checked against the set-pattern search on the
+    reference enumeration."""
     new = is_cochar_closed(v, cfg)
     with monkeypatch.context() as patched:
         patched.setattr(instability, "admissible_exponents", _reference_admissible_exponents)
-        old = is_cochar_closed(v, cfg)
+        old = _set_pattern_is_cochar_closed(v, cfg)
     assert new.closed == old.closed
     return new.closed
 
@@ -1234,9 +1236,9 @@ def test_is_cochar_closed_single_sl4_matches_box_scan(monkeypatch):
     verdict = is_cochar_closed(v, cfg)
     with monkeypatch.context() as patched:
         patched.setattr(instability, "admissible_exponents", _box_scan_exponents)
-        assert not is_cochar_closed(v, cfg).closed
+        assert not _set_pattern_is_cochar_closed(v, cfg).closed
         patched.setattr(instability, "admissible_exponents", _reference_admissible_exponents)
-        assert is_cochar_closed(v, cfg).closed  # the rank scan misses it
+        assert _set_pattern_is_cochar_closed(v, cfg).closed  # the rank scan misses it
     assert not verdict.closed
     assert sorted(verdict.witness.torus.exponents, reverse=True) == [2, 0, -1, -1]
 
@@ -1420,9 +1422,9 @@ def test_moved_tuples_match_fraction_products():
         for h in subgroup_corpus(seed, 60):
             cfg = corpus_config(h.group)
             mats = _twisted(h.generators, rng)
-            moved = list(instability._moved_tuples(mats, cfg))
-            assert [(f, pair) for f, pair, _ in moved] == list(zip(cfg.conjugation_family, cfg._frames))
-            for frame, pair, tmats in moved:
+            moved = [instability._moved(flat, h.group.dimension) for flat, _ in instability._torus_moves(mats, cfg)]
+            assert len(moved) == len(cfg._frames)
+            for frame, pair, tmats in zip(cfg.conjugation_family, cfg._frames, moved):
                 inv = linalg.inverse(frame)
                 assert pair == _frame_pair(frame, inv)
                 assert all(type(x) is int for t in tmats for row in t.rows for x in row)
@@ -1431,6 +1433,124 @@ def test_moved_tuples_match_fraction_products():
                 assert [t.fractions() for t in tmats] == expected
                 tori += 1
     assert tori >= 120 * 7, tori
+
+
+# ---------------------------------------------------------------------------
+# The set-pattern closedness search that the bitmask one replaced, kept as a
+# reference: every torus's moved tuple built as scaled values, its entry
+# pattern taken as a set of pairs, one checked cocharacter built per
+# admissible entry, its limit built and compared with the tuple, and its
+# flag read by a sort of its exponents
+
+
+def _moved_tuples(mats, cfg):
+    """Torus by torus, its base, its checked pair (an entry of
+    ``SearchConfig._frames``), and the tuple moved into the base frame,
+    base^-1 h base for each matrix h, as scaled values."""
+    m = cfg.group.dimension
+    flat = []
+    for h in mats:
+        h = linalg._Scaled.of(h)
+        flat.append(([(kl, x) for kl, x in enumerate(itertools.chain.from_iterable(h.rows)) if x], h.scale))
+    for frame, pair, operator in zip(cfg.conjugation_family, cfg._frames, cfg._operators):
+        moved = []
+        for terms, s in flat:
+            acc = operator.moved(terms)
+            moved.append(linalg._Scaled(tuple(tuple(acc[i : i + m]) for i in range(0, m * m, m)), operator.scale * s))
+        yield frame, pair, moved
+
+
+def _frame_cocharacters(mats, cfg):
+    """Torus by torus, each admissible cocharacter whose parabolic contains
+    the tuple, with the torus's index and the tuple moved into its base
+    frame as ``_moved_tuples`` gives it; the enumeration is read through
+    the module, so a test may replace it."""
+    for torus, (frame, pair, moved) in enumerate(_moved_tuples(mats, cfg)):
+        for exps in instability.admissible_exponents(cfg.group, cfg.exponent_box, _entry_pattern(t.rows for t in moved)):
+            yield torus, Cocharacter._on_frame(cfg.group, frame, pair, exps), moved
+
+
+def _flag(cfg, torus, d):
+    """The flag key of the cocharacter with exponents d on the torus of
+    that index: the ``_column_space`` of the base columns i with d_i >= c,
+    for each distinct exponent c but the smallest, largest first."""
+    spaces = cfg._flag_spaces
+    key = []
+    mask = 0
+    for c in sorted(set(d), reverse=True)[:-1]:
+        for i, x in enumerate(d):
+            if x == c:
+                mask |= 1 << i
+        space = spaces.get((torus, mask))
+        if space is None:
+            space = spaces[torus, mask] = instability._column_space(cfg._frames[torus][0], mask)
+        key.append(space)
+    return tuple(key)
+
+
+def _set_pattern_is_cochar_closed(v, cfg):
+    """Reference: the closedness search on the set pattern of each torus,
+    solving through the module's ``_radical_conjugator``, so that a test
+    may count its calls."""
+    rep = v.rep
+    table = instability._representatives(cfg.group.factors, cfg.exponent_box)
+    examined = []
+    solved = set()
+    for torus, lam, moved in _frame_cocharacters(rep.matrices(v), cfg):
+        examined.append(lam)
+        d = lam.torus.exponents
+        tmats = [t.rows for t in moved]
+        limit_t = [_limit_pattern(h, d) for h in tmats]
+        if limit_t == tmats:
+            continue  # the identity conjugator works
+        key = _flag(cfg, torus, d)
+        if key in solved:
+            continue
+        if instability._radical_conjugator(tmats, limit_t, lam, table.radical(d)) is None:
+            limit_mats = tuple(lam._from_frame(t._replace(rows=h)) for t, h in zip(moved, limit_t))
+            return CocharClosedVerdict(False, fold_permutation_base(lam), limit_mats, tuple(examined), cfg.exponent_box)
+        solved.add(key)
+    return CocharClosedVerdict(True, None, None, tuple(examined), cfg.exponent_box)
+
+
+def _diagonal_gl(m):
+    """The diagonal GL_m tuple diag(1, ..., m) and the default configuration
+    with shears (-2, -1, 1, 2)."""
+    group = GroupSpec.make(("GL", m))
+    v = ConjugationTuples(group, 1).point([linalg.mat([[i + 1 if i == j else 0 for j in range(m)] for i in range(m)])])
+    return v, SearchConfig.default(group, shear_values=(-2, -1, 1, 2))
+
+
+def test_is_cochar_closed_matches_set_pattern_reference(monkeypatch):
+    # the corpus under its configuration, seeded GL_2 x SL_2 tuples with
+    # entries between blocks, seeded SL_3 tuples, and the diagonal GL_4 and
+    # GL_5 tuples: the same verdict, witness, witness limits and examined
+    # cocharacters in order, and the same cocharacters handed to the
+    # conjugator solver, each search on a configuration of its own
+    solved = _counting_solves(monkeypatch)
+    inputs = [(h.tuple_point(), lambda g=h.group: corpus_config(g)) for seed, size in ((1, 64), (2, 200), (3, 100)) for h in subgroup_corpus(seed, size)]
+    gl2_sl2 = (("GL", 2), ("SL", 2))
+    for v in _crossing_tuples(random.Random(141), [gl2_sl2], 24):
+        inputs.append((v, lambda g=v.rep.group: SearchConfig.default(g, exponent_box=2, shear_values=(1, -1))))
+    sl3 = GroupSpec.make(("SL", 3))
+    for v in _closedness_points(sl3, random.Random(142), 12):
+        inputs.append((v, lambda: SearchConfig.default(sl3, exponent_box=2, shear_values=(-1, 2))))
+    for m in (4, 5):
+        v, _ = _diagonal_gl(m)
+        inputs.append((v, lambda m=m: _diagonal_gl(m)[1]))
+    seen = dict(closed=0, open=0, crossing=0, solves=0)
+    for v, config in inputs:
+        solved.clear()
+        verdict = is_cochar_closed(v, config())
+        handed = list(solved)
+        solved.clear()
+        reference = _set_pattern_is_cochar_closed(v, config())
+        assert verdict == reference  # witness, witness limits and examined, in order
+        assert handed == solved
+        seen["closed" if verdict.closed else "open"] += 1
+        seen["crossing"] += any(v.rep.group.block_of(i) != v.rep.group.block_of(j) for i, j in _entry_pattern(v.rep.matrices(v)))
+        seen["solves"] += len(handed)
+    assert seen["crossing"] >= 15 and min(seen.values()) >= 15, seen
 
 
 def _primitive_rows(space):
@@ -1452,26 +1572,45 @@ def _whole_space_flag(lam):
 
 
 def test_flag_is_the_whole_space_flag():
-    # every cocharacter the corpus search examines whose limit moves the
-    # tuple: its key, read off the configuration's table, is its flag, and
-    # on these one-factor groups the one flag of its parabolic descriptor
+    # every cocharacter the set-pattern search examines whose limit moves
+    # the tuple: its key, read off its level masks and the torus index, is
+    # its flag and the key the sort read; on the one-factor corpus groups it
+    # is the one flag of its parabolic descriptor.  The corpus, seeded
+    # tuples on the search-table groups, and seeded tuples with entries
+    # between blocks
+    cases = [(h.generators, corpus_config(h.group)) for h in subgroup_corpus(1, 64)]
+    rng = random.Random(139)
+    for group in SEARCH_TABLE_GROUPS:
+        cfg = SearchConfig.default(group, exponent_box=2, shear_values=(-1, 1))
+        cases += [(v.rep.matrices(v), cfg) for v in _closedness_points(group, rng, 4)]
+    shapes = [(("GL", 2), ("SL", 2)), (("GL", 1), ("GL", 2))]
+    for v in _crossing_tuples(random.Random(140), shapes, 8):
+        cases.append((v.rep.matrices(v), SearchConfig.default(v.rep.group, exponent_box=2, shear_values=(1, -1))))
     keys = set()
-    checked = 0
-    for h in subgroup_corpus(1, 64):
-        cfg = corpus_config(h.group)
-        for torus, lam, moved in instability._frame_cocharacters(h.generators, cfg):
+    checked = crossing = 0
+    for mats, cfg in cases:
+        table = instability._representatives(cfg.group.factors, cfg.exponent_box)
+        for torus, lam, moved in _frame_cocharacters(mats, cfg):
             d = lam.torus.exponents
             if [_limit_pattern(t.rows, d) for t in moved] == [t.rows for t in moved]:
                 continue
-            key = instability._flag(cfg, torus, d)
-            assert key == _whole_space_flag(lam)
-            (chain,) = ParabolicDescriptor.from_cocharacter(lam).flags
-            assert key == tuple(map(_primitive_rows, chain))
+            key = instability._flag(cfg, torus, table.masks(d)[2])
+            assert key == _whole_space_flag(lam) == _flag(cfg, torus, d)
+            if len(cfg.group.factors) == 1:
+                (chain,) = ParabolicDescriptor.from_cocharacter(lam).flags
+                assert key == tuple(map(_primitive_rows, chain))
             keys.add(key)
             checked += 1
+            crossing += bool(_entry_pattern(t.rows for t in moved) & _crossing_pairs(cfg.group))
         m = cfg.group.dimension
         assert all(0 <= t < len(cfg._frames) and 0 < mask < (1 << m) - 1 for t, mask in cfg._flag_spaces)
-    assert checked >= 400 and len(keys) >= 20, (checked, len(keys))
+    assert checked >= 600 and len(keys) >= 40 and crossing >= 20, (checked, len(keys), crossing)
+
+
+def _crossing_pairs(group):
+    """The off-diagonal pairs (i, j) between two factor blocks."""
+    m = group.dimension
+    return {(i, j) for i in range(m) for j in range(m) if group.block_of(i) != group.block_of(j)}
 
 
 def test_is_cochar_closed_matches_reference_on_twisted_corpus():
@@ -1578,6 +1717,21 @@ def test_is_cochar_closed_diagonal_gl4_solves_once_per_flag(monkeypatch):
     assert verdict.closed and len(verdict.examined) == 2138
     moving = [lam for lam in verdict.examined if limit(v, lam) != v]
     assert len({_whole_space_flag(lam) for lam in moving}) == len(solved) == 74
+
+
+def test_is_cochar_closed_diagonal_gl5_examines_and_solves_as_pinned(monkeypatch):
+    # the diagonal GL_5 tuple under the default shears: 81 tori, 25,100
+    # cocharacters examined and 540 systems solved, one per distinct flag,
+    # well within a generous time budget
+    v, cfg = _diagonal_gl(5)
+    solved = _counting_solves(monkeypatch)
+    start = time.perf_counter()
+    verdict = is_cochar_closed(v, cfg)
+    took = time.perf_counter() - start
+    assert verdict.closed and len(cfg._frames) == 81
+    assert len(verdict.examined) == 25100 and len(solved) == 540
+    assert len({_whole_space_flag(lam) for lam in solved}) == 540
+    assert took < 10.0, took
 
 
 def _crossing_tuples(rng, shapes, count):
@@ -2867,11 +3021,14 @@ def test_conjugation_operator_matches_two_products():
             cases.append((cfg, [_rational_matrix(rng, group.dimension) for _ in range(rng.randint(1, 3))]))
     tori = 0
     for cfg, mats in cases:
-        new = list(instability._moved_tuples(mats, cfg))
+        new = list(instability._torus_moves(mats, cfg))
         old = list(_two_product_moved_tuples(mats, cfg))
-        assert [(f, pair) for f, pair, _ in new] == [(f, pair) for f, pair, _ in old]
-        for (_, _, moved), (_, _, expected) in zip(new, old):
+        assert [(f, pair) for f, pair, _ in old] == list(zip(cfg.conjugation_family, cfg._frames)) and len(new) == len(old)
+        for (flat, bits), (_, _, expected) in zip(new, old):
+            moved = instability._moved(flat, cfg.group.dimension)
             assert [tuple(t) for t in moved] == [tuple(t) for t in expected]  # rows and scale, not only the value
+            m = cfg.group.dimension
+            assert bits == sum(1 << (i * m + j) for i in range(m) for j in range(m) if any(t.rows[i][j] for t in expected))
         tori += len(new)
     assert tori >= 120 * 7 + 5 * 4 * 7, tori
 
@@ -2894,13 +3051,67 @@ def test_admissible_exponent_masks_match_all_filter():
     for seed in (1, 2):
         for h in subgroup_corpus(seed, 60):
             cfg = corpus_config(h.group)
-            for _, _, moved in instability._moved_tuples(h.generators, cfg):
+            for flat, _ in instability._torus_moves(h.generators, cfg):
+                moved = instability._moved(flat, h.group.dimension)
                 cases.append((h.group, cfg.exponent_box, _entry_pattern(t.rows for t in moved)))
     crossing = 0
     for group, box, pattern in cases:
         assert admissible_exponents(group, box, pattern) == _all_filter_admissible_exponents(group, box, pattern)
         crossing += any(group.block_of(i) != group.block_of(j) for i, j in pattern)
     assert crossing >= 50, crossing
+
+
+def _patterned_matrix(rng, m, pattern):
+    """A seeded integer matrix with a nonzero diagonal and its off-diagonal
+    entries inside the pattern, as rows."""
+    return tuple(
+        tuple(rng.choice((1, -1, 2)) if i == j else rng.choice((0, 1, -2)) if (i, j) in pattern else 0 for j in range(m))
+        for i in range(m)
+    )
+
+
+def test_representative_masks_split_the_pairs_and_decide_the_limit():
+    # on the search-table groups at boxes 1-4: each representative's less,
+    # equal and greater pairs split the off-diagonal pairs, its levels are
+    # its cumulative level sets, and its record holds what ``masks`` gives.
+    # On seeded tuples with seeded entry patterns, pairs between blocks
+    # included: the admissible entries are the records whose less mask the
+    # entry mask misses (no pair between blocks), each admissible entry's
+    # less mask misses it, and its greater mask misses it exactly when the
+    # limit leaves every matrix as it is
+    rng = random.Random(143)
+    seen = dict(records=0, still=0, moving=0, crossing=0)
+    for group in SEARCH_TABLE_GROUPS:
+        m = group.dimension
+        off = [(i, j) for i in range(m) for j in range(m) if i != j]
+        bit = {(i, j): 1 << (i * m + j) for i, j in off}
+        within = [p for p in off if group.block_of(p[0]) == group.block_of(p[1])]
+        for box in (1, 2, 3, 4):
+            table = instability._representatives(group.factors, box)
+            for d, less, greater, levels in table.records:
+                equal = sum(bit[i, j] for i, j in off if d[i] == d[j])
+                assert less == sum(bit[i, j] for i, j in off if d[i] < d[j])
+                assert greater == sum(bit[i, j] for i, j in off if d[i] > d[j])
+                assert less & greater == less & equal == greater & equal == 0
+                assert less | equal | greater == sum(bit.values())
+                cuts = sorted(set(d), reverse=True)[:-1]
+                assert levels == tuple(sum(1 << i for i in range(m) if d[i] >= c) for c in cuts)
+                assert table.masks(d) == (less, greater, levels)
+                seen["records"] += 1
+            for q, pairs, _ in itertools.product((0.1, 0.25, 0.5), (within, off), range(3)):
+                pattern = {p for p in pairs if rng.random() < q}
+                mats = [_patterned_matrix(rng, m, pattern) for _ in range(rng.randint(1, 2))]
+                bits = sum(bit[p] for p in _entry_pattern(mats))
+                entries = admissible_exponents(group, box, _entry_pattern(mats))
+                if not bits & table.crossing:
+                    assert entries == [d for d, less, *_ in table.records if not less & bits]
+                seen["crossing"] += bool(bits & table.crossing)
+                for d in entries:
+                    less, greater, _ = table.masks(d)
+                    still = all(_limit_pattern(h, d) == h for h in mats)
+                    assert not less & bits and (not bits & greater) == still
+                    seen["still" if still else "moving"] += 1
+    assert seen["crossing"] >= 20 and min(seen["records"], seen["still"], seen["moving"]) >= 300, seen
 
 
 def test_representative_radicals_match_radical_positions():
@@ -2911,8 +3122,8 @@ def test_representative_radicals_match_radical_positions():
     for group in SEARCH_TABLE_GROUPS:
         for box in (1, 2, 4):
             table = instability._representatives(group.factors, box)
-            assert [d for d, _ in table.records] == admissible_exponents(group, box, set())
-            for d, _ in table.records:
+            assert [d for d, *_ in table.records] == admissible_exponents(group, box, set())
+            for d, *_ in table.records:
                 free = _radical_positions(Cocharacter.standard(group, d))
                 assert table.radical(d) == (tuple(free), _conjugator_index(free))
             assert table.radical((0,) * group.dimension) is None
