@@ -16,15 +16,15 @@ import functools
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd, isqrt
+from itertools import chain
+from math import gcd, isqrt, lcm
 
 from . import linalg
 from .errors import DestabError, InvariantViolation
 from .gcr import (
     LieSubalgebra,
     SubgroupPresentation,
-    _flatten,
-    _is_unipotent,
+    _nilpotent_powers,
     _unflatten,
     centralizer_dim,
     is_gcr_algebra,
@@ -510,34 +510,6 @@ def _kempf_check(inst: KempfInstance) -> dict:
     return {"ok": True, "detail": None}
 
 
-def _nilpotent_log(group: GroupSpec, u: Mat) -> Mat:
-    """Exact logarithm of a unipotent matrix (the series terminates)."""
-    m = group.dimension
-    n = linalg.mat_sub(u, linalg.identity(m))
-    total = linalg.zeros(m, m)
-    power = linalg.identity(m)
-    for k in range(1, m):
-        power = linalg.mat_mul(power, n)
-        total = linalg.mat_add(total, linalg.mat_scale(Fraction((-1) ** (k + 1), k), power))
-    return total
-
-
-def _char_poly(g: Mat) -> list[Fraction]:
-    """Monic characteristic polynomial coefficients, constant term first."""
-    import itertools as it
-
-    m = len(g)
-    coeffs = [Fraction(0)] * (m + 1)
-    coeffs[m] = Fraction(1)
-    for k in range(1, m + 1):
-        minors = Fraction(0)
-        for subset in it.combinations(range(m), k):
-            sub = tuple(tuple(g[i][j] for j in subset) for i in subset)
-            minors += linalg.det(sub)
-        coeffs[m - k] = Fraction((-1) ** k) * minors
-    return coeffs
-
-
 def _divisors(n: int) -> list[int]:
     """The positive divisors of a nonzero integer, by trial division up to its square root."""
     n = abs(n)
@@ -545,82 +517,56 @@ def _divisors(n: int) -> list[int]:
     return low + [n // d for d in low if d * d != n]
 
 
-def _rational_spectral_projections(g: Mat) -> list[Mat] | None:
-    """Eigenprojections of a matrix that is diagonalizable over the rationals.
+def _generator_tangents(group: GroupSpec, g: Mat) -> list[list[int]] | None:
+    """Flat integer rows spanning the tangent directions of an invertible
+    generator, or None when it is neither unipotent nor diagonalizable over
+    the rationals.
 
-    Finds the rational roots of the characteristic polynomial; if they do
-    not account for the full degree, or the matrix does not satisfy the
-    squarefree product of the root factors, returns None.
+    For N = s g - s I, s the scale of g (``_nilpotent_powers``), a unipotent
+    g has the logarithm sum (-1)^(k+1) N^k / (k s^k), kept times
+    lcm(1, ..., m - 1) s^(m-1).  Else one kernel of the flat powers I, A,
+    ..., A^m of A = s g gives A's minimal polynomial, monic with integer
+    coefficients c_i, so s^deg times g's is mu = sum c_i s^i x^i.  g is
+    diagonalizable exactly when mu has deg mu rational roots p/q, p | mu(0)
+    and q | the leading coefficient of mu over its content, and then I, ...,
+    A^(deg mu - 1) span its eigenprojections.
     """
-    m = len(g)
-    coeffs = _char_poly(g)
-    scale = 1
-    for c in coeffs:
-        scale = scale * c.denominator // gcd(scale, c.denominator)
-    ints = [int(c * scale) for c in coeffs]
-    constant, leading = ints[0], ints[-1]
-    if constant == 0:
-        candidates = {Fraction(0)}
-    else:
-        candidates = {
-            Fraction(sign * p, q)
-            for p in _divisors(constant)
-            for q in _divisors(leading)
-            for sign in (1, -1)
-        }
-
-    def poly_at(x: Fraction) -> Fraction:
-        total = Fraction(0)
-        for c in reversed(coeffs):
-            total = total * x + c
-        return total
-
-    roots = sorted(x for x in candidates if poly_at(x) == 0)
-    if not roots:
-        return None
-    # require the squarefree root product to annihilate g (semisimple over Q)
-    ident = linalg.identity(m)
-    product = ident
-    for r in roots:
-        product = linalg.mat_mul(product, linalg.mat_sub(g, linalg.mat_scale(r, ident)))
-    if any(x != 0 for row in product for x in row):
-        return None
-    projections = []
-    for r in roots:
-        proj = ident
-        for s in roots:
-            if s == r:
-                continue
-            factor = linalg.mat_scale(
-                Fraction(1) / (r - s), linalg.mat_sub(g, linalg.mat_scale(s, ident))
-            )
-            proj = linalg.mat_mul(proj, factor)
-        projections.append(proj)
-    return projections
+    m = group.dimension
+    powers, s = _nilpotent_powers(group, g)
+    if not any(map(any, powers[-1].rows)):
+        factor = lcm(*range(1, m)) * s ** (m - 1)
+        log = [0] * (m * m)
+        for k, power in enumerate(powers[:-1], 1):
+            c = (-1) ** (k + 1) * (factor // (k * s**k))
+            for i, x in enumerate(chain.from_iterable(power.rows)):
+                log[i] += c * x
+        return [log]
+    a = linalg._Scaled(linalg._Scaled.of(g).rows, 1)
+    krylov, step = [a], a.factor()
+    for _ in range(m - 1):
+        krylov.append(krylov[-1].times(step))
+    flat = [[int(i == j) for i in range(m) for j in range(m)]]
+    flat += [list(chain.from_iterable(p.rows)) for p in krylov]
+    degree, k, den = linalg._kernel([list(column) for column in zip(*flat)], m + 1)[0]
+    mu = [c // den * s**i for i, c in enumerate(k[: degree + 1])]
+    content = gcd(*mu)
+    candidates = [(r, q) for q in _divisors(mu[-1] // content) for p in _divisors(mu[0] // content) if gcd(p, q) == 1 for r in (p, -p)]
+    roots = [(r, q) for r, q in candidates if sum(c * r**i * q ** (degree - i) for i, c in enumerate(mu)) == 0]
+    return flat[:degree] if len(roots) == degree else None
 
 
 def _tangent_span(h: SubgroupPresentation):
-    """Tangent directions of a generator set, when exactly computable.
-
-    Unipotent generators contribute their logarithms; generators that are
-    diagonalizable over the rationals contribute their eigenprojections.
-    Returns None when some generator is neither, or when the span fails to
-    close under the commutator.
-    """
+    """Tangent directions of a generator set, when exactly computable: the
+    span of each generator's (``_generator_tangents``), or None when some
+    generator has none or the span is not closed under the commutator."""
     group = h.group
-    m = group.dimension
-    mats: list[Mat] = []
+    rows: list[list[int]] = []
     for g in h.generators:
-        if _is_unipotent(group, g):
-            mats.append(_nilpotent_log(group, g))
-            continue
-        projections = _rational_spectral_projections(g)
-        if projections is None:
+        tangents = _generator_tangents(group, g)
+        if tangents is None:
             return None
-        mats.extend(projections)
-    rows = [_flatten(x) for x in mats if any(c != 0 for c in _flatten(x))]
-    basis_rows = linalg.row_space(tuple(rows)) if rows else ()
-    basis = [_unflatten(v, m) for v in basis_rows]
+        rows += tangents
+    basis = [_unflatten(v, group.dimension) for v in linalg._rref(rows)]
     if not basis:
         return None
     try:

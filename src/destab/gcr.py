@@ -370,14 +370,20 @@ def reduce_to_gcr(
 UNIPOTENT_IDENTITY = "unipotent_identity"
 
 
-def _is_unipotent(group: GroupSpec, g: Mat) -> bool:
-    # (g - I)^m = 0, tested on s g - s I for the scale s of g
+def _nilpotent_powers(group: GroupSpec, g: Mat) -> tuple[list[linalg._Scaled], int]:
+    """The integer powers N, N^2, ..., N^m of N = s g - s I, for the scale s
+    of g and m the group's dimension, each over scale 1, and s: g is
+    unipotent exactly when N^m = 0."""
     x = linalg._Scaled.of(g)
     n = linalg._Scaled(tuple(tuple(y - x.scale * (i == j) for j, y in enumerate(row)) for i, row in enumerate(x.rows)), 1)
-    power, step = n, n.factor()
+    powers, step = [n], n.factor()
     for _ in range(group.dimension - 1):
-        power = power.times(step)
-    return not any(map(any, power.rows))
+        powers.append(powers[-1].times(step))
+    return powers, x.scale
+
+
+def _is_unipotent(group: GroupSpec, g: Mat) -> bool:
+    return not any(map(any, _nilpotent_powers(group, g)[0][-1].rows))
 
 
 def optimal_parabolic_subgroup(

@@ -43,11 +43,11 @@ scaled values: a base given from outside is checked and inverted once
 inverses in closed form (``SearchConfig._held``).  The optimizer, the
 value check and the closedness search move points and tuples by those
 pairs, and the cocharacters they build hold them.  The closedness search
-scales each generator once and moves it into each torus by that torus's
-conjugation operator, which the configuration builds on its first
-search.  Its entry pattern, its limit and the conjugator equations
-u h = h' u are homogeneous in the pair (h, h') of one generator, so the
-search reads the integer rows alone.
+reads each matrix of the tuple off the point's integer coordinates and
+moves it into each torus by that torus's conjugation operator, which the
+configuration builds on its first search.  Its entry pattern, its limit
+and the conjugator equations u h = h' u are homogeneous in the pair
+(h, h') of one generator, so the search reads the integer rows alone.
 """
 
 from __future__ import annotations
@@ -976,7 +976,7 @@ def is_cochar_closed(v: Point, cfg: SearchConfig) -> CocharClosedVerdict:
     examined: list[Cocharacter] = []
     solved: set = set()  # the flag of each cocharacter with a conjugator
     held: dict = {}  # exponents -> their torus cocharacter, shared by the tori
-    for torus, (flat, bits) in enumerate(_torus_moves(rep.matrices(v), cfg)):
+    for torus, (flat, bits) in enumerate(_torus_moves(v, cfg)):
         if bits & table.crossing:
             moved = _moved(flat, group.dimension)
             pattern = _entry_pattern(t.rows for t in moved)
@@ -1024,22 +1024,26 @@ def _entry_pattern(mats) -> set[tuple[int, int]]:
     }
 
 
-def _torus_moves(mats, cfg: SearchConfig):
-    """Torus by torus, the tuple moved into the base frame, base^-1 h base
-    for each matrix h, as the flat integer rows and the scale of each
-    matrix, and its entry mask: bit i m + j is set when entry (i, j) of
-    some moved matrix is nonzero.
+def _torus_moves(v: Point, cfg: SearchConfig):
+    """Torus by torus, the point's tuple moved into the base frame,
+    base^-1 h base for each matrix h, as the flat integer rows and scale of
+    each matrix, and its entry mask: bit i m + j is set when entry (i, j)
+    of some moved matrix is nonzero.
 
-    Each matrix is scaled once, and each torus holds its conjugation
-    operator (``SearchConfig._operators``), so a move is one pass over the
-    nonzero entries of h's integer rows; the rows and scale are those that
-    the two products inverse @ h @ base give.
+    Matrix t is read off the point's integer coordinates w over u
+    (``Point._ints``) as w_t and u divided by gcd(u, w_t), the rows and
+    scale that ``linalg._Scaled.of`` gives it.  Each torus's conjugation
+    operator (``SearchConfig._operators``) moves it in one pass over its
+    nonzero entries, to the rows and scale of inverse @ h @ base.
     """
+    w, u = v._ints
+    n = cfg.group.dimension ** 2
     flat = []
-    for h in mats:
-        h = linalg._Scaled.of(h)
-        flat.append(([(kl, x) for kl, x in enumerate(itertools.chain.from_iterable(h.rows)) if x], h.scale))
-    powers = [1 << k for k in range(cfg.group.dimension ** 2)]
+    for t in range(0, len(w), n):
+        block = w[t : t + n]
+        g = gcd(u, *block)
+        flat.append(([(kl, x // g) for kl, x in enumerate(block) if x], u // g))
+    powers = [1 << k for k in range(n)]
     for operator in cfg._operators:
         moved = [(operator.moved(terms), operator.scale * s) for terms, s in flat]
         bits = 0

@@ -11,13 +11,15 @@ integer rows over one positive scale.  A Fraction matrix is scaled by the
 lcm of its denominators (``_Scaled.of``), values multiply as integer
 matrices with their scales multiplied, compare equal when they hold the
 same rational matrix, and turn back into Fractions once
-(``_Scaled.fractions``).  ``mat_mul`` is one such product.  Callers that
-multiply the same matrices again and again keep the values between
-products, and a repeated right factor's terms (``_Scaled.factor``).  A
-matrix conjugated again and again by one pair keeps the pair's
-conjugation operator (``_conjugation_operator``): the integer terms of
-h -> left h right over the entries of h, so a move is one pass over h's
-nonzero entries.
+(``_Scaled.fractions``).  No other module multiplies, adds or scales
+Fraction matrices: ``mat_mul``, ``mat_add``, ``mat_sub``, ``mat_scale``
+and ``zeros`` serve callers outside the library.  Callers that multiply
+the same matrices again and again keep the values between products, and
+a repeated right factor's terms (``_Scaled.factor``).  A matrix
+conjugated again and again by one pair keeps the pair's conjugation
+operator (``_conjugation_operator``): the integer terms of h -> left h
+right over the entries of h, so a move is one pass over h's nonzero
+entries.
 
 Elimination runs on integer rows.  Each incoming row is scaled by the lcm
 of its denominators, and one fraction-free step, ``_eliminate``, replaces

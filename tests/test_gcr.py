@@ -1,4 +1,5 @@
 import hashlib
+import itertools
 import math
 import random
 from fractions import Fraction as F
@@ -35,8 +36,8 @@ from destab import (
     radical_dim,
     reduce_to_gcr,
 )
-from destab import gcr, instability, linalg
-from destab.corpus import corpus_config, subgroup_corpus
+from destab import DestabError, gcr, instability, linalg
+from destab.corpus import _divisors, _generator_tangents, _tangent_span, corpus_config, subgroup_corpus
 from destab.gcr import EnvelopingAlgebra, _flatten, algebra_of_tuple, radical_basis
 from destab.parabolic import _limit_pattern
 
@@ -668,7 +669,7 @@ def test_centralizer_dim_matches_dense_reference_on_corpus_and_projections():
         cfg = corpus_config(h.group)
         exponents = (
             (d, moved)
-            for moved in (instability._moved(flat, h.group.dimension) for flat, _ in instability._torus_moves(h.generators, cfg))
+            for moved in (instability._moved(flat, h.group.dimension) for flat, _ in instability._torus_moves(h.tuple_point(), cfg))
             for d in instability.admissible_exponents(h.group, cfg.exponent_box, instability._entry_pattern(t.rows for t in moved))
         )
         for d, moved in exponents:
@@ -937,8 +938,17 @@ def test_is_unipotent_matches_fraction_reference():
         g = linalg.mat_mul(linalg.mat_mul(frame, linalg.mat(u)), linalg.inverse(frame))
         unipotent = gcr._is_unipotent(group, g)
         assert unipotent == _fraction_is_unipotent(group, g)
+        if unipotent:
+            # the integer logarithm is the Fraction series up to a positive factor
+            (log,) = _generator_tangents(group, g)
+            assert _direction(log) == _direction(_flatten(_nilpotent_log(group, g)))
         outcomes[unipotent] += 1
     assert min(outcomes.values()) >= 30, outcomes
+
+
+def _direction(v):
+    """The primitive integer vector on the ray of v, or None for zero."""
+    return linalg.primitive_direction(v) if any(v) else None
 
 
 def test_group_to_lie_consistency_corpus():
@@ -950,16 +960,160 @@ def test_group_to_lie_consistency_corpus():
     assert all(r["ok"] for r in records)
 
 
+# ---------------------------------------------------------------------------
+# The Fraction tangent kernel that the integer Krylov kernel replaced, kept
+# as a reference: the characteristic polynomial summed over all principal
+# minors, its rational roots, the test that the product of the root factors
+# annihilates g, the eigenprojections as products, and the logarithm of a
+# unipotent generator as a Fraction series.  On a singular g it tries only
+# the root 0, so it is compared on invertible matrices alone.
+
+
+def _nilpotent_log(group, u):
+    """Exact logarithm of a unipotent matrix (the series terminates)."""
+    m = group.dimension
+    n = linalg.mat_sub(u, linalg.identity(m))
+    total = linalg.zeros(m, m)
+    power = linalg.identity(m)
+    for k in range(1, m):
+        power = linalg.mat_mul(power, n)
+        total = linalg.mat_add(total, linalg.mat_scale(F((-1) ** (k + 1), k), power))
+    return total
+
+
+def _char_poly(g):
+    """Monic characteristic polynomial coefficients, constant term first."""
+    m = len(g)
+    coeffs = [F(0)] * (m + 1)
+    coeffs[m] = F(1)
+    for k in range(1, m + 1):
+        minors = F(0)
+        for subset in itertools.combinations(range(m), k):
+            sub = tuple(tuple(g[i][j] for j in subset) for i in subset)
+            minors += linalg.det(sub)
+        coeffs[m - k] = F((-1) ** k) * minors
+    return coeffs
+
+
+def _rational_spectral_projections(g):
+    """Eigenprojections of a matrix that is diagonalizable over the
+    rationals, or None: the rational roots of the characteristic
+    polynomial, when the squarefree product of their factors annihilates g."""
+    m = len(g)
+    coeffs = _char_poly(g)
+    scale = math.lcm(*[c.denominator for c in coeffs])
+    ints = [int(c * scale) for c in coeffs]
+    constant, leading = ints[0], ints[-1]
+    if constant == 0:
+        candidates = {F(0)}
+    else:
+        candidates = {F(sign * p, q) for p in _divisors(constant) for q in _divisors(leading) for sign in (1, -1)}
+
+    def poly_at(x):
+        total = F(0)
+        for c in reversed(coeffs):
+            total = total * x + c
+        return total
+
+    roots = sorted(x for x in candidates if poly_at(x) == 0)
+    if not roots:
+        return None
+    ident = linalg.identity(m)
+    product = ident
+    for r in roots:
+        product = linalg.mat_mul(product, linalg.mat_sub(g, linalg.mat_scale(r, ident)))
+    if any(x != 0 for row in product for x in row):
+        return None
+    projections = []
+    for r in roots:
+        proj = ident
+        for s in roots:
+            if s != r:
+                proj = linalg.mat_mul(proj, linalg.mat_scale(F(1) / (r - s), linalg.mat_sub(g, linalg.mat_scale(s, ident))))
+        projections.append(proj)
+    return projections
+
+
+def _reference_tangent_span(h):
+    """``_tangent_span`` on the Fraction kernel above."""
+    group = h.group
+    mats = []
+    for g in h.generators:
+        if _fraction_is_unipotent(group, g):
+            mats.append(_nilpotent_log(group, g))
+            continue
+        projections = _rational_spectral_projections(g)
+        if projections is None:
+            return None
+        mats.extend(projections)
+    rows = [_flatten(x) for x in mats if any(_flatten(x))]
+    basis = [gcr._unflatten(v, group.dimension) for v in (linalg.row_space(tuple(rows)) if rows else ())]
+    if not basis:
+        return None
+    try:
+        return LieSubalgebra(group, tuple(basis))
+    except DestabError:
+        return None
+
+
 def test_rational_spectral_projections_large_constant_term():
     import time
-
-    from destab.corpus import _rational_spectral_projections
 
     p = 1_000_000_007  # prime: the constant term of (x - p)(x - 1) is about 10^9
     start = time.monotonic()
     projections = _rational_spectral_projections(linalg.mat([[p, 0], [0, 1]]))
     assert time.monotonic() - start < 1.0
     assert projections == [linalg.mat([[0, 0], [0, 1]]), linalg.mat([[1, 0], [0, 0]])]
+    start = time.monotonic()
+    lie = _tangent_span(SubgroupPresentation(GL2, (((p, 0), (0, 1)),)))
+    assert time.monotonic() - start < 1.0
+    assert lie.basis == (linalg.mat([[1, 0], [0, 0]]), linalg.mat([[0, 0], [0, 1]]))
+
+
+def _seeded_tangent_inputs(rng):
+    """Invertible GL_2-GL_5 matrices P X P^-1 with X of one of four kinds:
+    diagonal with repeated rational eigenvalues, a Jordan block on a
+    repeated one, a companion block of an irreducible quadratic (x^2 - 2,
+    x^2 + 1, x^2 - x - 1), or unitriangular."""
+    eigenvalues = (1, -1, 2, -2, 3, F(1, 2), F(-3, 2), F(2, 3))
+    for _ in range(75):
+        for kind in ("diagonal", "jordan", "irrational", "unipotent"):
+            m = rng.randint(2, 5)
+            group = GroupSpec.make(("GL", m))
+            x = [[F(0)] * m for _ in range(m)]
+            for i in range(m):
+                x[i][i] = F(rng.choice(eigenvalues[:3] if rng.random() < 0.5 else eigenvalues))
+            k = rng.randrange(m - 1)
+            if kind == "jordan":
+                x[k + 1][k + 1] = x[k][k]
+                x[k][k + 1] = F(1)
+            elif kind == "irrational":
+                (a, b), (c, d) = rng.choice((((0, 2), (1, 0)), ((0, -1), (1, 0)), ((0, 1), (1, 1))))
+                x[k][k], x[k][k + 1], x[k + 1][k], x[k + 1][k + 1] = F(a), F(b), F(c), F(d)
+            elif kind == "unipotent":
+                x = [[F(int(i == j)) if i >= j else F(rng.randint(-2, 2), rng.choice((1, 2))) for j in range(m)] for i in range(m)]
+            frame = _dense_frame(rng, group)
+            yield kind, group, linalg.mat_mul(linalg.mat_mul(frame, linalg.mat(x)), linalg.inverse(frame))
+
+
+def test_tangent_span_matches_fraction_reference():
+    # every generator of subgroup_corpus(1-3, 200) alone, every corpus
+    # presentation whole, and seeded invertible GL_2-GL_5 matrices: the same
+    # span, and None exactly when the reference gives None
+    cases = []
+    for seed in (1, 2, 3):
+        for h in subgroup_corpus(seed, 200):
+            cases += [("corpus", SubgroupPresentation(h.group, (g,))) for g in h.generators]
+            cases.append(("presentation", h))
+    cases += [(kind, SubgroupPresentation(group, (g,))) for kind, group, g in _seeded_tangent_inputs(random.Random(83))]
+    outcomes = {}
+    for kind, h in cases:
+        new, ref = _tangent_span(h), _reference_tangent_span(h)
+        assert (new is None) == (ref is None), (kind, h)
+        assert new is None or new.basis == ref.basis, (kind, h)
+        outcomes[kind, new is None] = outcomes.get((kind, new is None), 0) + 1
+    assert all(outcomes.get((kind, False), 0) >= 20 for kind in ("corpus", "presentation", "diagonal", "unipotent")), outcomes
+    assert all(outcomes.get((kind, True), 0) >= 20 for kind in ("corpus", "presentation", "jordan", "irrational")), outcomes
 
 
 def test_group_to_lie_consistency():

@@ -1422,7 +1422,8 @@ def test_moved_tuples_match_fraction_products():
         for h in subgroup_corpus(seed, 60):
             cfg = corpus_config(h.group)
             mats = _twisted(h.generators, rng)
-            moved = [instability._moved(flat, h.group.dimension) for flat, _ in instability._torus_moves(mats, cfg)]
+            point = ConjugationTuples(cfg.group, len(mats)).point(mats)
+            moved = [instability._moved(flat, h.group.dimension) for flat, _ in instability._torus_moves(point, cfg)]
             assert len(moved) == len(cfg._frames)
             for frame, pair, tmats in zip(cfg.conjugation_family, cfg._frames, moved):
                 inv = linalg.inverse(frame)
@@ -3021,7 +3022,7 @@ def test_conjugation_operator_matches_two_products():
             cases.append((cfg, [_rational_matrix(rng, group.dimension) for _ in range(rng.randint(1, 3))]))
     tori = 0
     for cfg, mats in cases:
-        new = list(instability._torus_moves(mats, cfg))
+        new = list(instability._torus_moves(ConjugationTuples(cfg.group, len(mats)).point(mats), cfg))
         old = list(_two_product_moved_tuples(mats, cfg))
         assert [(f, pair) for f, pair, _ in old] == list(zip(cfg.conjugation_family, cfg._frames)) and len(new) == len(old)
         for (flat, bits), (_, _, expected) in zip(new, old):
@@ -3051,7 +3052,7 @@ def test_admissible_exponent_masks_match_all_filter():
     for seed in (1, 2):
         for h in subgroup_corpus(seed, 60):
             cfg = corpus_config(h.group)
-            for flat, _ in instability._torus_moves(h.generators, cfg):
+            for flat, _ in instability._torus_moves(h.tuple_point(), cfg):
                 moved = instability._moved(flat, h.group.dimension)
                 cases.append((h.group, cfg.exponent_box, _entry_pattern(t.rows for t in moved)))
     crossing = 0
