@@ -334,14 +334,16 @@ def centralizer_dim(group: GroupSpec, mats) -> int:
     The commutation equations x h = h x are the conjugator equations of the
     tuple with itself, over the entries of x inside the diagonal blocks;
     adding trace zero on SL blocks gives the group centralizer dimension
-    because the invertible locus is dense.
+    because the invertible locus is dense.  The equations are homogeneous
+    in h, so each matrix enters as its integer rows (``linalg._Scaled``),
+    its scale dropped.
     """
-    mats = [linalg.mat(x) for x in mats]
+    mats = [linalg._Scaled.of(linalg.mat(x)).rows for x in mats]
     free = [(i, j) for block in group.block_slices for i in block for j in block]
     rows, _ = _conjugator_system(mats, mats, free)
     for f, block in zip(group.factors, group.block_slices):
         if f.family == "SL":
-            rows.append([(k, linalg.ONE) for k, (a, b) in enumerate(free) if a == b and a in block])
+            rows.append([(k, 1) for k, (a, b) in enumerate(free) if a == b and a in block])
     return len(free) - linalg._rank_terms(rows, len(free))
 
 

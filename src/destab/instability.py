@@ -25,12 +25,24 @@ polynomial is evaluated.  Both the
 torus search and the value check that ``optimize`` runs on its optimum
 (``vanishing_order``) read them so.  A custom subvariety, only
 spot-checked for stability, composes its generators with each frame and
-evaluates their isotypic components.  The points of a frame merge into
-two weight sets, the nonzero support weights and the objective forms
-(``_weight_sets``).  A torus optimum is a function of those two sets, and
-``optimize`` solves each pair of sets once per representation: the result
-is kept on the representation, beside its act memo.  The oracle sweep
-reads the same sets.
+evaluates their isotypic components.
+
+Weights are read as bits.  Each representation keeps its weight classes
+(``_WeightClasses``), beside its act memo: its distinct weights in
+first-seen order, class k read as bit 1 << k, with each coordinate's class
+bit and the zero weight's bit.  A component weight of a custom subvariety
+that is not a weight of the representation gets the next bit when first
+seen, so no bit ever changes meaning.  A point in a frame is two class
+masks, its support and its objective forms, and the points of a frame
+merge into one pair by OR, the zero bit dropped from the support, which
+bounds the admissibility cone (``_weight_sets``).  A torus optimum is a
+function of that pair, and ``optimize`` solves each pair once per
+representation: the result is kept on the representation, beside its
+weight classes, and the QP gets the pair's weights decoded in class order.
+The oracle sweep visits each distinct pair once per call and keeps
+nothing: it reads the box vectors a chunk at a time, and each class's
+pairings with a chunk are summed once from the chunk's coordinates
+(``_oracle_best_value``).
 
 Searching beyond one maximal torus uses a finite family of maximal tori,
 one base frame each, and is never claimed complete; ``oracle_mode``
@@ -260,7 +272,7 @@ def vanishing_order(x: Point, lam: Cocharacter, s: SubvarietySpec) -> VanishingO
     if not forms:
         raise InvariantViolation("point outside S with identically vanishing generators")
     d = lam.torus.exponents
-    return VanishingOrder(min(pairing_vec(d, chi) for chi in forms))
+    return VanishingOrder(min(pairing_vec(d, chi) for chi in _weight_classes(x.rep).decode(forms)))
 
 
 # ---------------------------------------------------------------------------
@@ -427,44 +439,105 @@ class TorusOptimum:
         return self.value_sq is None
 
 
-def _frame_forms(points, s: SubvarietySpec, frame: tuple | None):
+class _WeightClasses:
+    """The weight classes of a representation: its distinct weights in
+    first-seen order, class k read as bit 1 << k (``characters``), each
+    coordinate's class bit (``coordinate_bits``), and the zero weight's
+    bit, 0 when the zero weight is not a weight of the representation
+    (``zero``).  ``bit`` gives a weight's bit; a weight not seen before, a
+    component weight of a custom subvariety that is not a weight of the
+    representation, gets the next one, so a bit never changes meaning and
+    masks kept from earlier calls stay valid."""
+
+    def __init__(self, rep: Representation):
+        self.characters: list[Character] = []
+        self._bit_of: dict = {}
+        self.coordinate_bits = tuple(map(self.bit, rep.weights))
+        self.zero = self._bit_of.get(Character((0,) * rep.group.dimension), 0)
+
+    def bit(self, chi: Character) -> int:
+        b = self._bit_of.get(chi)
+        if b is None:
+            # append, then read the first index: two threads that add one
+            # weight agree on its bit, and two weights never share one
+            self.characters.append(chi)
+            b = self._bit_of.setdefault(chi, 1 << self.characters.index(chi))
+        return b
+
+    def decode(self, mask: int) -> tuple[Character, ...]:
+        """The weights of the classes set in a mask, in class order."""
+        return tuple(self.characters[k] for k in _bits(mask))
+
+
+def _weight_classes(rep: Representation) -> _WeightClasses:
+    """The representation's ``_WeightClasses``, built on first use and kept
+    in its __dict__ beside its act memo, out of equality, hash, repr and
+    pickles."""
+    classes = rep.__dict__.get("_weight_classes")
+    if classes is None:
+        classes = rep.__dict__.setdefault("_weight_classes", _WeightClasses(rep))
+    return classes
+
+
+def _mask(bits) -> int:
+    """The OR of the bits."""
+    return functools.reduce(operator.or_, bits, 0)
+
+
+def _bits(mask: int) -> list[int]:
+    """The indices k of the bits 1 << k set in a mask, in order."""
+    return [k for k in range(mask.bit_length()) if mask >> k & 1]
+
+
+def _frame_forms(points, s: SubvarietySpec, frame: tuple | None) -> list[tuple[int, int]]:
     """Per point moved into the frame of a checked pair (base, base^-1), or
-    left in the standard frame when it is None: its support weights, and
-    the weights of the isotypic components of S's generators that do not
-    vanish on it.
+    left in the standard frame when it is None, two class masks of the
+    representation's ``_WeightClasses``: that of its support weights, and
+    that of the weights of the isotypic components of S's generators that
+    do not vanish on it.
 
     A built-in subvariety is one G-fixed point p (``_fixed_point``), and
     its generators are the coordinates of x - p, each a single isotypic
     component with the weight of its coordinate.  Since base^-1 fixes p,
-    the moved point minus p is base^-1 . (x - p), so the weights are read
-    off the integer coordinates c of the moved point (``_frame_ints``) with
-    c != p_i times their scale, with no point built and no polynomial
-    evaluated.  A custom subvariety is only spot-checked for stability, so
-    its generators are composed with each frame and their components
-    evaluated at the moved point.
+    the moved point minus p is base^-1 . (x - p), so the forms are the
+    class bits of the integer coordinates c of the moved point
+    (``_frame_ints``) with c != p_i times their scale, with no point built
+    and no polynomial evaluated; for the zero locus they are the support.
+    A custom subvariety is only spot-checked for stability, so its
+    generators are composed with each frame and their components evaluated
+    at the moved point.
     """
     rep = points[0].rep
+    classes = _weight_classes(rep)
+    bits = classes.coordinate_bits
     p = s._fixed_point(rep)
     if p is None:
         iso = s.isotypic_data(rep, None if frame is None else frame[0].fractions())
     out = []
     for x in points:
         w, u = _frame_ints(x, frame)
-        if p is not None:
-            forms = {chi for chi, c, pc in zip(rep.weights, w, p) if c != pc * u}
-        else:
+        support = _mask(itertools.compress(bits, w))
+        if p is None:
             moved = _point(rep, w, u)
-            forms = {chi for parts in iso for chi, component in parts if component.evaluate(moved) != 0}
-        out.append(([chi for chi, c in zip(rep.weights, w) if c], forms))
+            forms = _mask(classes.bit(chi) for parts in iso for chi, component in parts if component.evaluate(moved) != 0)
+        elif any(p):
+            forms = _mask(itertools.compress(bits, [c - pc * u for c, pc in zip(w, p)]))
+        else:
+            forms = support
+        out.append((support, forms))
     return out
 
 
-def _weight_sets(per_point) -> tuple[frozenset, frozenset]:
-    """The ``_frame_forms`` of the points in one frame merged: the nonzero
-    support weights, which bound the admissibility cone, and the objective
+def _weight_sets(per_point, zero: int) -> tuple[int, int]:
+    """The ``_frame_forms`` of the points in one frame merged: the mask of
+    the nonzero support weights, which bound the admissibility cone, with
+    the zero weight's bit ``zero`` dropped, and the mask of the objective
     forms."""
-    cone = frozenset(chi for support, _ in per_point for chi in support if not chi.is_zero())
-    return cone, frozenset().union(*(forms for _, forms in per_point))
+    cone = forms = 0
+    for support, point_forms in per_point:
+        cone |= support
+        forms |= point_forms
+    return cone & ~zero, forms
 
 
 def optimize_torus(points, s: SubvarietySpec, frame: Mat | None = None) -> TorusOptimum | None:
@@ -479,15 +552,17 @@ def optimize_torus(points, s: SubvarietySpec, frame: Mat | None = None) -> Torus
     points = list(points)
     if not points:
         raise PreconditionError("the point set must be nonempty")
-    group = points[0].rep.group
-    pair = None if frame is None else group._checked_pair(linalg.mat(frame), "acting element")
-    cone, objective = _weight_sets(_frame_forms(points, s, pair))
-    return _torus_optimum(cone, objective, group)
+    rep = points[0].rep
+    pair = None if frame is None else rep.group._checked_pair(linalg.mat(frame), "acting element")
+    classes = _weight_classes(rep)
+    cone, objective = _weight_sets(_frame_forms(points, s, pair), classes.zero)
+    return _torus_optimum(classes.decode(cone), classes.decode(objective), rep.group)
 
 
-def _torus_optimum(cone: frozenset, objective: frozenset, group: GroupSpec) -> TorusOptimum | None:
-    """``optimize_torus`` on the weight sets of the points in one frame
-    (``_weight_sets``): a function of the two sets and the group alone."""
+def _torus_optimum(cone, objective, group: GroupSpec) -> TorusOptimum | None:
+    """``optimize_torus`` on the weights of the points in one frame, the
+    nonzero support weights and the objective forms (``_weight_sets``,
+    decoded): a function of the two sets of weights and the group alone."""
     if not objective:  # every point already lies in S
         return TorusOptimum((0,) * group.dimension, None, (), ())
     if any(chi.is_zero() for chi in objective):
@@ -498,8 +573,9 @@ def _torus_optimum(cone: frozenset, objective: frozenset, group: GroupSpec) -> T
         for f, block in zip(group.factors, group.block_slices)
         if f.family == "SL"
     ]
+    bounds = [chi for chi in cone if chi not in objective]
     ineqs = [(chi.weights, 1) for chi in objective]
-    ineqs += [(chi.weights, 0) for chi in cone - objective]
+    ineqs += [(chi.weights, 0) for chi in bounds]
     d = min_qnorm_over_polyhedron(group.norm.gram, ineqs, eqs)
     if d is None:
         return None
@@ -512,7 +588,7 @@ def _torus_optimum(cone: frozenset, objective: frozenset, group: GroupSpec) -> T
     active_obj = tuple(sorted((c for c, p in pairings.items() if p == a), key=lambda c: c.weights))
     active_cone = tuple(
         sorted(
-            (c for c in cone - objective if pairing_vec(exps, c) == 0),
+            (c for c in bounds if pairing_vec(exps, c) == 0),
             key=lambda c: c.weights,
         )
     )
@@ -747,14 +823,15 @@ def optimize(points, s: SubvarietySpec, cfg: SearchConfig) -> OptimizationResult
         )
 
     frames = cfg.conjugation_family
-    weight_sets = [_weight_sets(_frame_forms(points, s, pair)) for pair in cfg._frames]
-    # one torus optimum per weight pattern and representation
+    classes = _weight_classes(rep)
+    weight_sets = [_weight_sets(_frame_forms(points, s, pair), classes.zero) for pair in cfg._frames]
+    # one torus optimum per mask pair and representation
     memo = rep.__dict__.setdefault("_torus_memo", {})
     outcomes = []
     candidates = []
     for idx, key in enumerate(weight_sets):
         if key not in memo:
-            memo[key] = _torus_optimum(*key, group)
+            memo[key] = _torus_optimum(*map(classes.decode, key), group)
         opt = memo[key]
         if opt is None or opt.trivial:
             outcomes.append(FrameOutcome(idx, None, None))
@@ -764,7 +841,7 @@ def optimize(points, s: SubvarietySpec, cfg: SearchConfig) -> OptimizationResult
 
     oracle_value, oracle_box = (None, None)
     if cfg.oracle_mode:
-        oracle_value = _oracle_best_value(weight_sets, group, cfg.exponent_box)
+        oracle_value = _oracle_best_value(weight_sets, classes, group, cfg.exponent_box)
         oracle_box = cfg.exponent_box
 
     if not candidates:
@@ -842,8 +919,12 @@ def _fixes_input(g: Mat, pair: tuple, points, s: SubvarietySpec) -> bool:
 # The oracle sweep visits about tori * (2b+1)^m box vectors.  The largest
 # oracle run of the tests, the demos and the benchmark documents estimates
 # 2,401, far below this limit; a GL_3 sweep over the 970,299 vectors of box
-# 49 takes 6.4 s on a 2-vCPU machine, and box 200 would take hours.
+# 49 takes about 1 s on a 2-vCPU machine, and the 64 million of box 200
+# would take over a minute.
 _ORACLE_SWEEP_LIMIT = 1_000_000
+# The sweep reads the box vectors this many at a time, so what it holds
+# does not grow with the box.
+_ORACLE_CHUNK = 4096
 
 
 def _check_oracle_sweep(cfg: SearchConfig) -> None:
@@ -857,41 +938,57 @@ def _check_oracle_sweep(cfg: SearchConfig) -> None:
         )
 
 
-def _oracle_best_value(weight_sets, group: GroupSpec, box: int) -> Fraction | None:
-    """Exhaustive maximum of a^2/|d|^2 over the box and the frames' weight
-    sets (``_weight_sets``).
+def _oracle_best_value(weight_sets, classes: _WeightClasses, group: GroupSpec, box: int) -> Fraction | None:
+    """Exhaustive maximum of a^2/|d|^2 over the box and the frames' mask
+    pairs (``_weight_sets``), each distinct pair swept once.
 
     A box vector d admits every point's limit iff no nonzero support
     weight of any point pairs negatively with it, and a, the least pairing
     over each point's forms minimized over the points outside S, is the
-    least pairing over the union of their forms.
+    least pairing over the objective's classes.  A cone class that is also
+    a form needs no check of its own, as pairing negatively there makes a
+    negative; so the cone is read at its other classes, and only for a d
+    that beats the best a^2/|d|^2 so far.  The vectors are read in chunks
+    of ``_ORACLE_CHUNK``, and a class's pairings with a chunk are summed
+    from the chunk's coordinate lists (``_combination``).
     """
-    vectors = list(_box_vectors(group, box))
+    # an empty objective: every point is in S, of infinite order
+    pairs = dict.fromkeys((cone & ~objective, objective) for cone, objective in weight_sets if objective)
+    used = _mask(bounds | objective for bounds, objective in pairs)
+    norm = group.norm._int_value_sq
     best_num, best_den = 0, 1  # the best a^2 / |d|^2 so far, 0 for none
-    for cone, objective in weight_sets:
-        if not objective:
-            continue  # every point is in S; infinite order
-        support = [chi.weights for chi in cone]
-        forms = [chi.weights for chi in objective]
-        for d in vectors:
-            if any(sum(map(operator.mul, d, w)) < 0 for w in support):
-                continue
-            a = min(sum(map(operator.mul, d, w)) for w in forms)
-            if a > 0:
-                n = group.norm._int_value_sq(d)
-                if a * a * best_den > best_num * n:
-                    best_num, best_den = a * a, n
+    vectors = _box_vectors(group, box)
+    while pairs and (chunk := list(itertools.islice(vectors, _ORACLE_CHUNK))):
+        coordinates = list(zip(*chunk))
+        pairings = {k: _combination(coordinates, classes.characters[k].weights) for k in _bits(used)}
+        for bounds, objective in pairs:
+            least = list(map(min, zip(*(pairings[k] for k in _bits(objective)))))
+            bound_pairings = [pairings[k] for k in _bits(bounds)]
+            for i in itertools.compress(itertools.count(), map(operator.lt, itertools.repeat(0), least)):
+                a_sq, n = least[i] ** 2, norm(chunk[i])
+                if a_sq * best_den > best_num * n and all(column[i] >= 0 for column in bound_pairings):
+                    best_num, best_den = a_sq, n
     return Fraction(best_num, best_den) if best_num else None
+
+
+def _combination(columns, w) -> list[int]:
+    """The entrywise sum of w_j times the list columns[j]."""
+    terms = [columns[j] if x == 1 else [x * y for y in columns[j]] for j, x in enumerate(w) if x]
+    return functools.reduce(lambda a, b: list(map(operator.add, a, b)), terms, [0] * len(columns[0]))
 
 
 def _box_vectors(group: GroupSpec, box: int):
     """Primitive integer exponent vectors in the box, SL sums zero, in
-    lexicographic order: the product of the blocks' lexicographic lists."""
-    blocks = (_block_vectors(f.family, len(b), box) for f, b in zip(group.factors, group.block_slices))
-    for combo in itertools.product(*blocks):
-        d = sum(combo, ())
-        if gcd(*d) == 1:
-            yield d
+    lexicographic order: the product of the blocks' lexicographic lists,
+    the first block's read as it is made, so that a one-block box is never
+    held whole."""
+    first, *others = (_block_vectors(f.family, len(b), box) for f, b in zip(group.factors, group.block_slices))
+    tails = [sum(combo, ()) for combo in itertools.product(*others)]
+    for head in first:
+        for tail in tails:
+            d = head + tail
+            if gcd(*d) == 1:
+                yield d
 
 
 # ---------------------------------------------------------------------------

@@ -212,8 +212,7 @@ class SymPower(Representation):
 
     @property
     def weights(self) -> tuple[Character, ...]:
-        d = self.degree
-        return tuple(Character((d - j, j)) for j in range(d + 1))
+        return _sym_weights(self.degree)
 
     def _action(self, g: linalg._Scaled, inverse: linalg._Scaled) -> linalg._Scaled:
         """The action matrix, whose entries are forms of degree d in g."""
@@ -233,6 +232,11 @@ class SymPower(Representation):
         coords = [Fraction(0)] * self.dim
         coords[j] = frac(coeff)
         return Point(self, tuple(coords))
+
+
+@lru_cache(maxsize=None)
+def _sym_weights(degree: int) -> tuple[Character, ...]:
+    return tuple(Character((degree - j, j)) for j in range(degree + 1))
 
 
 def _binom_expand(a: int, b: int, n: int) -> list[int]:

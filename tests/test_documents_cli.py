@@ -3,6 +3,7 @@ import json
 import subprocess
 import sys
 import time
+from pathlib import Path
 
 import pytest
 
@@ -488,6 +489,67 @@ def test_cli_corpus_case_streams_pinned(tmp_path):
         assert code == 0
         canon = json.dumps(report["result"], sort_keys=True).encode("utf-8")
         assert hashlib.sha256(canon).hexdigest() == digest, (profile, seed)
+
+
+# The exit code and the sha256 of the sorted-key report, "version" dropped,
+# of each command of the committed bench/docs manifest, by case name.
+BENCH_DOCS = Path(__file__).resolve().parent.parent / "bench" / "docs"
+BENCH_DOCS_REPORT_PINS = (
+    ("limit-gl3-pair", 0, "06518178b4d8ff08f388d204a404391af1e6699a1ddff37378ef92cb2499ff93"),
+    ("limit-gl3-based", 0, "ad48f2a034b4fd60e88d47ac94832efbf1508f902c078a1385edcad4d921f69f"),
+    ("limit-sl2-binary", 0, "d948a8ba7f6f33181be5fb38bc9e8eec42ce19f12ddb5808287347d5dac08360"),
+    ("limit-gl2-triple", 0, "0ebf68b01b5b94b1a2c9f1a9bf3c5aca40654b93f4ff67e0af7c407a13f104e3"),
+    ("limit-gl3-weak", 0, "662d3de69ebae1cb07a051a9e9f006f2ee8ceff79ca546f6c09c888a9cf0c38f"),
+    ("limit-gl2-none", 0, "9ff2ea9eb13d4eacba4e2845f9184084ac5dc12a42e30d8392fd0711ae497141"),
+    ("classify-InRu", 0, "b41175d90b9fea60b6461b171caccced04eec1bdb77bf92df0aeb3b015bb6a80"),
+    ("classify-InL", 0, "55db8960822a9b6f74198b925d9c4cc3d8863339992a46953dc87a582533c0c4"),
+    ("classify-InPnotLnotRu", 0, "8d8191435f52295dc982412416a9ac8bb234cad180cecbcbe617d6b40fd74587"),
+    ("classify-NotInP", 0, "deb6d52e504e8431c365d036689dd00f49e186f0894225f91bb75a020724a3c6"),
+    ("optimize-gl3-regular", 0, "319b13eda8343329b8691dc9f5b41df3ea895a19548dee5334ec00a50fb5be6d"),
+    ("optimize-gl3-jordan21", 0, "4bc3fa1b911d23aab1f480013bb1659606fdc21feddc8dbc161aa87144a3b59e"),
+    ("optimize-gl4-regular", 0, "60d89d71f0b1f00271fc2a371be5c6f1c79309aa5baa9b62634c175344b3a001"),
+    ("optimize-gl2-regular", 0, "6e71446f38fa236f3fcd36203d5a1b1be10b39bb3d2df390f836f43655b1bed3"),
+    ("oracle-sl2-sym3", 0, "0377ae9bd8f12c63ffd3614c3d06df2c01f151f514ea3556fff8182d82eaf181"),
+    ("oracle-sl2-sym5", 0, "8780a7de74c3663f4380b8e6efc005f2129f70321d5efda6eecffcd57b1c4455"),
+    ("oracle-gl2-nilpotent", 0, "bd40c4be97543ea975f6b61f8de4efa908b3f93a10147281f669edbd375835ed"),
+    ("closed-gl3-semisimple", 0, "063848e3b89a727a131798ff227fc65e9127574fda845d959c4316a190db8ae6"),
+    ("closed-gl3-jordan", 0, "177f1baa9214227f35e9e16ad2100bb4d7a0a0c9d09dba0b7946e5802889cf9e"),
+    ("closed-gl2-jordan", 0, "06b0ca59ab8b04e992bfd88212fb3ebb45d384f6e42a4258db731c4a13deea16"),
+    ("closed-gl2-flag", 0, "cf646f1ce667cb50bd62ab03890b0661ec1ba343d448d8b0822419440036f36a"),
+    ("closed-gl2-irreducible", 0, "44685456146835158acc3ce601a938be5ab8730b7728248816bde4942148962e"),
+    ("gcr-gl2-unipotent", 0, "f149cd03d8f1bfb15853b8ce7e084d81101ac78a691e76d6a88e97535c8711d0"),
+    ("gcr-gl2-irreducible", 0, "c72af2a6487d827f1efb81c464ae2f106a7a7320c080adbde02600ed7a0079ba"),
+    ("gcr-gl3-borel", 0, "3b691b4879870b6a41ed232532684320d580845137663958571748cf83285d91"),
+    ("gcr-gl3-cycle", 0, "e44d41efb76aa72ef85c60fd703fdbb8d9bfe70272998432a6f1f8b52a923866"),
+    ("gcr-gl3-unipotent", 0, "97dd99927a5d7974de76c7bc6da039b24a9a340ce3092f34719b96865af8c67a"),
+    ("reduce-gl2-unipotent", 0, "47b3a67af328a6ec3493c04724ac125104b24499c9dbef0013878f00b476d07e"),
+    ("reduce-gl3-borel", 0, "90b06a4be3bec1a3b63c28dabf46a352792af602322681747e0dbef33c3ea104"),
+    ("reduce-gl3-block", 0, "d9283f59737f38de40a2d17ffd7b7baaf7aa49e9c2c33e3802a2ad7d9b77bd98"),
+    ("centre-gl3-regular", 0, "13ece5c7b92d77266b49d0d3b7c5135d5e7750f9c400281ea97a8c4243385de9"),
+    ("centre-gl3-pair", 0, "04ea608932982fb5c422ecd77f240f49f9318e4cedcddf5beb2126b9d08ec4bc"),
+    ("centre-gl2-unipotent", 0, "4ec57cb2468ab477b64fc595f504fb057a26b974859b37bfc8714150c201cc8b"),
+    ("corpus-ruconj", 0, "28164e07d9ab3202d9d8f893bb7e51a942cf0e63e644b20738ecb701d1a5e15a"),
+    ("corpus-equivariance", 0, "e90dc7611dbdbe13de6091908ed8cd54273f96b3482db1e658a9af5773c1eaed"),
+    ("corpus-dblecochar", 0, "1b171fc957a0cf0614d1081d5a3471ec698e14ea66f09b2b05280700e6f61077"),
+    ("corpus-oracle-agreement", 0, "62bdc1762babf16da1e5f61c1e38629c15d2e8270411e2186dd8adb409d57cdb"),
+    ("corpus-centralizer", 0, "2f5e38ceb90ea29b5b0e72661e51842a1c3adf9ec95fe4380bfbb662c3e15904"),
+    ("corpus-kempf-equivariance", 0, "6c798227a812d4484c06dac8f3ffcdb5806b802abeba8294a9041b2d60715ff3"),
+    ("corpus-group-lie-consistency", 0, "3f8bf62de32e379d0999c2c95855951b21478e4b5f7aacf6faba7179777c65ff"),
+)
+
+
+def test_bench_docs_reports_pinned(tmp_path):
+    # every command of the manifest run in process on the committed
+    # documents: a change that moves any report, or an exit code, shows here
+    manifest = json.loads((BENCH_DOCS / "manifest.json").read_text(encoding="utf-8"))
+    seen = []
+    for case in manifest["cases"]:
+        argv = [str(BENCH_DOCS / a) if (BENCH_DOCS / a).is_file() else a for a in case["argv"]]
+        code, report = run_cli(tmp_path, argv)
+        del report["version"]
+        canon = json.dumps(report, sort_keys=True).encode("utf-8")
+        seen.append((case["name"], code, hashlib.sha256(canon).hexdigest()))
+    assert seen == list(BENCH_DOCS_REPORT_PINS)
 
 
 @pytest.mark.parametrize("profile", CORPUS_PROFILES)

@@ -1,6 +1,7 @@
 import dataclasses
 import functools
 import itertools
+import operator
 import random
 import sys
 import time
@@ -50,7 +51,7 @@ from destab import (
     support,
 )
 from destab.corpus import corpus_config, subgroup_corpus
-from destab.groups import Norm, fold_permutation_base, pairing
+from destab.groups import Character, Norm, fold_permutation_base, pairing
 from destab.linalg import Mat, Vec
 from destab.instability import (
     _box_vectors,
@@ -1837,10 +1838,44 @@ def _reference_frame_forms(points, s, frame):
 
 
 def _reference_weight_sets(per_point):
-    """Reference: one frame's forms merged, the nonzero support weights and
-    the objective forms."""
+    """Reference: the frozenset ``_weight_sets`` that the class masks
+    replaced, one frame's forms merged, the nonzero support weights and the
+    objective forms."""
     cone = {chi for support, _ in per_point for chi in support if not chi.is_zero()}
     return frozenset(cone), frozenset(set().union(*(forms for _, forms in per_point)))
+
+
+def _reference_sets_oracle_best_value(weight_sets, group, box):
+    """Reference: the frozenset ``_oracle_best_value`` that the class masks
+    and the configuration's table replaced, every box vector paired with
+    every weight of every frame's ``_reference_weight_sets``, repeated sets
+    swept again."""
+    vectors = list(_box_vectors(group, box))
+    best_num, best_den = 0, 1  # the best a^2 / |d|^2 so far, 0 for none
+    for cone, objective in weight_sets:
+        if not objective:
+            continue  # every point is in S; infinite order
+        support = [chi.weights for chi in cone]
+        forms = [chi.weights for chi in objective]
+        for d in vectors:
+            if any(sum(map(operator.mul, d, w)) < 0 for w in support):
+                continue
+            a = min(sum(map(operator.mul, d, w)) for w in forms)
+            if a > 0:
+                n = group.norm._int_value_sq(d)
+                if a * a * best_den > best_num * n:
+                    best_num, best_den = a * a, n
+    return F(best_num, best_den) if best_num else None
+
+
+def _decoded(rep, per_point):
+    """The class masks of ``_frame_forms`` per point, decoded to the sets of
+    weights they stand for; every bit set is a class of the
+    representation's table."""
+    classes = instability._weight_classes(rep)
+    for masks in per_point:
+        assert all(mask >> len(classes.characters) == 0 for mask in masks)
+    return [tuple(set(classes.decode(mask)) for mask in masks) for masks in per_point]
 
 
 def _reference_torus_optimum(per_point, group):
@@ -1868,7 +1903,6 @@ def _reference_optimize(points, s, cfg, frames):
         ParabolicDescriptor,
         SearchCertificate,
         _check_custom_stability,
-        _oracle_best_value,
         _whole_group_descriptor,
     )
     from destab.groups import norm_sq
@@ -1898,7 +1932,7 @@ def _reference_optimize(points, s, cfg, frames):
 
     oracle_value, oracle_box = (None, None)
     if cfg.oracle_mode:
-        oracle_value = _oracle_best_value(list(map(_reference_weight_sets, frame_forms)), group, cfg.exponent_box)
+        oracle_value = _reference_sets_oracle_best_value(list(map(_reference_weight_sets, frame_forms)), group, cfg.exponent_box)
         oracle_box = cfg.exponent_box
 
     if not candidates:
@@ -2306,7 +2340,7 @@ def test_frame_free_objective_sets_match_per_frame_decomposition():
                         assert frame_free == _objective_set(s, rep, frame, x)
                         compared += 1
                         partial += 0 < len(frame_free) < len(rep.weights)
-                    shared = instability._frame_forms(points, s, _frame_pair(frame))
+                    shared = _decoded(rep, instability._frame_forms(points, s, _frame_pair(frame)))
                     assert [forms for _, forms in shared] == [_objective_set(s, rep, frame, x) for x in moved]
     assert compared == 240 and partial >= 60
 
@@ -2670,11 +2704,137 @@ def test_oracle_sweep_on_merged_weight_sets_matches_per_point_reference():
                     points.append(rep.act(frame, Point(rep, tuple(coords))))
             frames = (None, frame, _dense_member(rng, group))
             frame_forms = [instability._frame_forms(points, ZERO, _frame_pair(f)) for f in frames]
-            weight_sets = [instability._weight_sets(per_point) for per_point in frame_forms]
-            value = instability._oracle_best_value(weight_sets, group, box)
-            assert value == _reference_oracle_best_value(frame_forms, group, box)
+            classes = instability._weight_classes(rep)
+            weight_sets = [instability._weight_sets(per_point, classes.zero) for per_point in frame_forms]
+            value = instability._oracle_best_value(weight_sets, classes, group, box)
+            assert value == _reference_oracle_best_value([_decoded(rep, per_point) for per_point in frame_forms], group, box)
             values.append(value)
     assert len(values) == 24 and 3 <= values.count(None) and len(set(values)) >= 5
+
+
+# ---------------------------------------------------------------------------
+# Weight classes: the class masks and the oracle sweep on them,
+# against the frozenset weight sets they replaced, kept as references
+
+
+def _mask_cases(rng):
+    """Seeded (points, subvariety, frames, box) cases: GL_3 tuples in Weyl
+    and shear frames, GL_2 x SL_2 tuples, forms of degree 2 to 5 on SL_2, a
+    direct sum, and M_2 with the custom subvariety x_1^2 = 0, whose
+    components composed with a shear have weights such as 2(e_1 - e_2),
+    which is no weight of M_2.  The frames hold the standard one (None)."""
+    gl2sl2 = GroupSpec.make(("GL", 2), ("SL", 2))
+    identity = SubvarietySpec.identity_tuple()
+    cases = []
+    for group, values in ((GL3, (-1, 2)), (gl2sl2, (1, -2))):
+        family = _weyl_shear_family(group, values)
+        ident = linalg.mat(group.identity())
+        for count in (1, 2):
+            rep = ConjugationTuples(group, count)
+            for _ in range(2):
+                frames = [None, *rng.sample(family, 6)]
+                mover = rng.choice(family)
+                nilpotents = [_conjugated(mover, _upper_nilpotent(rng, group)) for _ in range(count)]
+                cases.append(([rep.point(nilpotents)], ZERO, frames, 2))
+                unipotents = [linalg.mat_add(ident, h) for h in nilpotents]
+                cases.append(([rep.point(unipotents), rep.point([ident] * count)], identity, frames, 2))
+                diagonal = rep.point([_block_diagonal_matrix(rng, group) for _ in range(count)])
+                cases.append(([diagonal, rep.point(nilpotents)], ZERO, frames, 2))
+    sl2_frames = [None, *_weyl_shear_family(SL2, (-1, 1))]
+    values = (0, 0, 1, -2, F(1, 2), 3)
+    both = DirectSum((SymPower(SL2, 3), SymPower(SL2, 4)))
+    for rep in [*(SymPower(SL2, degree) for degree in range(2, 6)), both]:
+        for _ in range(3):
+            kept = (0, 1, 4, 5) if rep is both else range(rep.dim // 2 + 1)
+            coords = tuple(F(rng.choice(values)) if j in kept else F(0) for j in range(rep.dim))
+            points = [rep.act(rng.choice(sl2_frames[1:]), Point(rep, coords))]
+            if rng.random() < 0.3:
+                points.append(rep.zero())
+            cases.append((points, ZERO, sl2_frames, 3))
+    m2 = ConjugationTuples(GL2, 1)
+    x1 = Polynomial.coordinate(m2, 1)
+    square = SubvarietySpec.custom([x1 * x1], g_stable_asserted=True)
+    gl2_frames = [None, *_weyl_shear_family(GL2, (1, -1))]
+    for upper in (False, True, False, True):
+        points = [
+            m2.point([[[rng.choice((0, 1, -2)), rng.choice((1, -2))], [0 if upper else rng.choice((0, 1)), 0]]])
+            for _ in range(rng.choice((1, 2)))
+        ]
+        cases.append((points, square, gl2_frames, 2))
+    return cases
+
+
+def test_mask_path_matches_frozenset_references_on_seeded_inputs():
+    # per frame, the class masks decoded against the frozenset forms and
+    # weight sets, the torus optimum of the decoded weights against that
+    # of the sets, and the oracle sweep on the masks against the frozenset
+    # sweep; a custom component weight gets a new bit, and no bit moves
+    rng = random.Random(179)
+    values, added = [], set()
+    for points, s, frames, box in _mask_cases(rng):
+        rep = points[0].rep
+        group = rep.group
+        classes = instability._weight_classes(rep)
+        before = list(classes.characters)
+        mask_sets, reference_sets = [], []
+        for frame in frames:
+            pair = _frame_pair(frame)
+            per_point = instability._frame_forms(points, s, pair)
+            reference = _reference_frame_forms(points, s, pair)
+            assert _decoded(rep, per_point) == [(set(support), forms) for support, forms in reference]
+            mask_sets.append(instability._weight_sets(per_point, classes.zero))
+            reference_sets.append(_reference_weight_sets(reference))
+        for masks, sets in zip(mask_sets, reference_sets):
+            assert tuple(frozenset(classes.decode(mask)) for mask in masks) == sets
+            decoded = [classes.decode(mask) for mask in masks]
+            assert instability._torus_optimum(*decoded, group) == instability._torus_optimum(*sets, group)
+        value = instability._oracle_best_value(mask_sets, classes, group, box)
+        assert value == _reference_sets_oracle_best_value(reference_sets, group, box)
+        values.append(value)
+        assert classes.characters[: len(before)] == before
+        assert [classes.bit(chi) for chi in rep.weights] == list(classes.coordinate_bits)
+        added.update(set(classes.characters) - set(rep.weights))
+    assert len(values) == 43 and values.count(None) >= 3 and len(set(values)) >= 6
+    assert Character((2, -2)) in added and Character((-2, 2)) in added
+
+
+def test_oracle_sweep_keeps_nothing_and_reads_any_chunk_size_alike(monkeypatch):
+    # the sweep holds one chunk of box vectors at a time and keeps nothing
+    # between calls: each call enumerates the box again, the configuration
+    # gains no attribute, and every chunk size gives the same values
+    rng = random.Random(181)
+    cfg = SearchConfig.default(GL3, exponent_box=2, shear_values=(-1, 1), oracle_mode=True)
+    ident = linalg.mat(GL3.identity())
+    inputs = []
+    for count in (1, 2, 1):
+        rep = ConjugationTuples(GL3, count)
+        nilpotents = [linalg.mat(_upper_nilpotent(rng, GL3)) for _ in range(count)]
+        inputs.append(([rep.point(nilpotents)], ZERO))
+        inputs.append(([rep.point([linalg.mat_add(ident, h) for h in nilpotents])], SubvarietySpec.identity_tuple()))
+    results = [optimize(points, s, cfg) for points, s in inputs]
+    assert all(r.global_verified for r in results if r.status == OPTIMAL) and OPTIMAL in {r.status for r in results}
+    sweeps = []
+    for points, s in inputs:
+        classes = instability._weight_classes(points[0].rep)
+        weight_sets = [instability._weight_sets(instability._frame_forms(points, s, pair), classes.zero) for pair in cfg._frames]
+        sweeps.append((weight_sets, classes))
+    calls = []
+    vectors = instability._box_vectors
+
+    def counted(group, box):
+        calls.append((group, box))
+        return vectors(group, box)
+
+    monkeypatch.setattr(instability, "_box_vectors", counted)
+    kept = dict(vars(cfg))
+    expected = [r.certificate.oracle_value_sq for r in results]
+    for chunk in (1, 2, 7, 97, 98, instability._ORACLE_CHUNK):
+        monkeypatch.setattr(instability, "_ORACLE_CHUNK", chunk)
+        values = [instability._oracle_best_value(weight_sets, classes, GL3, 2) for weight_sets, classes in sweeps]
+        assert values == expected
+    assert len(expected) - expected.count(None) >= 3
+    assert calls == [(GL3, 2)] * (6 * len(sweeps))
+    assert vars(cfg) == kept and cfg == SearchConfig.default(GL3, exponent_box=2, shear_values=(-1, 1), oracle_mode=True)
 
 
 # ---------------------------------------------------------------------------
@@ -2693,7 +2853,6 @@ def _slow_optimize(points, s, cfg):
         ParabolicDescriptor,
         SearchCertificate,
         _check_custom_stability,
-        _oracle_best_value,
         _whole_group_descriptor,
     )
     from destab.groups import norm_sq
@@ -2716,7 +2875,7 @@ def _slow_optimize(points, s, cfg):
             candidates.append((opt, idx))
     oracle_value = None
     if cfg.oracle_mode:
-        oracle_value = _oracle_best_value(list(map(_reference_weight_sets, forms)), group, cfg.exponent_box)
+        oracle_value = _reference_sets_oracle_best_value(list(map(_reference_weight_sets, forms)), group, cfg.exponent_box)
     oracle_box = cfg.exponent_box if cfg.oracle_mode else None
     if not candidates:
         assert oracle_value is None
@@ -3435,6 +3594,12 @@ def _reference_moved_point_forms(points, s, frame):
     return out
 
 
+def _moved_point_sets(points, s, frame):
+    """``_reference_moved_point_forms`` with each point's support weights
+    as a set, as its class mask holds them."""
+    return [(set(support), forms) for support, forms in _reference_moved_point_forms(points, s, frame)]
+
+
 def _reference_grade(v, lam):
     """Reference: ``grade`` on moved points: v moved into lambda's frame as
     a point, its coordinates bucketed by level, each bucket moved back."""
@@ -3539,9 +3704,9 @@ def test_frame_forms_match_moved_point_reference():
         for s in subvarieties:
             for frame in (lam._frame, None):
                 for x in points:
-                    assert instability._frame_forms([x], s, frame) == _reference_moved_point_forms([x], s, frame)
+                    assert _decoded(rep, instability._frame_forms([x], s, frame)) == _moved_point_sets([x], s, frame)
                     checked += 1
-                assert instability._frame_forms(points, s, frame) == _reference_moved_point_forms(points, s, frame)
+                assert _decoded(rep, instability._frame_forms(points, s, frame)) == _moved_point_sets(points, s, frame)
         for x in points:
             w, u = _frame_ints(x, lam._frame)
             assert tuple(F(c, u) for c in w) == _reference_frame_weights(x, lam._frame)[0].coords

@@ -127,6 +127,14 @@ def test_torus_acts_with_declared_weights():
                 assert rep.act(t, v) == scaled
 
 
+def test_sym_power_weights_are_built_once_per_degree():
+    # x^{d-j} y^j has weight (d - j, j), on GL_2 and SL_2 alike
+    for degree in range(1, 7):
+        weights = SymPower(SL2, degree).weights
+        assert weights == tuple(Character((degree - j, j)) for j in range(degree + 1))
+        assert SymPower(GL2, degree).weights is weights and SymPower(SL2, degree).weights is weights
+
+
 def test_sym_power_action_matches_substitution():
     # g.(x^2 y) for g = [[1,1],[0,1]]: x -> x, y -> x + y
     sym3 = SymPower(GL2, 3)
@@ -521,8 +529,8 @@ def test_point_integer_coordinates_are_kept_out_of_equality_and_pickles():
     # the integer coordinates and their scale are computed once per point,
     # on first use; equality, hash, repr and the pickled bytes are a fresh
     # point's, and an unpickled copy computes them again.  A representation
-    # whose act memo and torus memo are filled pickles to a fresh one's
-    # bytes, and an unpickled copy starts with empty memos
+    # whose act memo, weight classes and torus memo are filled pickles to a
+    # fresh one's bytes, and an unpickled copy starts with empty memos
     import pickle
 
     from destab import SearchConfig, optimize
@@ -534,10 +542,10 @@ def test_point_integer_coordinates_are_kept_out_of_equality_and_pickles():
         v = _random_point(rng, rep)
         moved = rep.act(g, v)
         optimize([moved], SubvarietySpec.zero_locus(), SearchConfig.default(rep.group, exponent_box=1, shear_values=()))
-        assert rep._act_memo and rep._torus_memo
+        assert rep._act_memo and rep._torus_memo and rep._weight_classes.characters
         assert pickle.dumps(rep) == pickle.dumps(fresh_rep)
         copy = pickle.loads(pickle.dumps(rep))
-        assert copy == rep and "_act_memo" not in copy.__dict__ and "_torus_memo" not in copy.__dict__
+        assert copy == rep and not {"_act_memo", "_torus_memo", "_weight_classes"} & set(copy.__dict__)
         assert copy.act(g, Point(copy, v.coords)).coords == moved.coords
     for rep in reps:
         for _ in range(4):
