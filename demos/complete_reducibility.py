@@ -55,7 +55,7 @@ print()
 print("== reduction to the completely reducible quotient ==")
 for label, gens in examples.items():
     h = SubgroupPresentation(gl2, gens)
-    chain, quotient = reduce_to_gcr(h, cfg)
+    chain, quotient = reduce_to_gcr(h)
     print(f"  {label:38s} steps = {len(chain)}")
     for lam in chain:
         print("      descended along", lam.torus.exponents)

@@ -215,7 +215,7 @@ def _run_gcr(args):
 
 def _run_reduce(args):
     h, cfg = _load_subgroup(args)
-    chain, quotient = reduce_to_gcr(h, cfg)
+    chain, quotient = reduce_to_gcr(h)
     result = {
         "chain": [documents.emit_cocharacter(lam) for lam in chain],
         "quotient_generators": [documents.emit_matrix(g) for g in quotient.generators],

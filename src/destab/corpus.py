@@ -404,7 +404,7 @@ def _centralizer_check(h: SubgroupPresentation) -> dict:
             ok = False
             break
         v_prime = rep.point(projected)
-        u = find_ru_conjugator(v, v_prime, lam, rep)
+        u = find_ru_conjugator(v, v_prime, lam)
         if (proj_dim == base_dim) != (u is not None):
             ok = False
             break

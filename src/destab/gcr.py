@@ -102,12 +102,13 @@ def _unflatten(v: Vec, m: int) -> Mat:
     return tuple(tuple(v[i * m + j] for j in range(m)) for i in range(m))
 
 
-def _span_closure(group: GroupSpec, seeds: list[Mat], multipliers: list[Mat]) -> EnvelopingAlgebra:
+def _span_closure(group: GroupSpec, seeds: list, steps: list) -> EnvelopingAlgebra:
     """Smallest span containing seeds and closed under right multiplication,
     as an algebra that keeps the echelon basis and the scaled words built
-    here, taken breadth first.  Each candidate costs one product on integer
-    rows (the multipliers' terms are built once) and one reduction of those
-    rows.  A span of dimension m^2 is all of M_m, so the closure ends there.
+    here, taken breadth first.  Seeds are scaled values and multipliers
+    their ``factor()``s, so each candidate costs one product on integer
+    rows and one reduction of those rows.  A span of dimension m^2 is all
+    of M_m, so the closure ends there.
     """
     echelon: list = []
     words: list = []
@@ -120,9 +121,8 @@ def _span_closure(group: GroupSpec, seeds: list[Mat], multipliers: list[Mat]) ->
         words.append(x)
         return True
 
-    for seed in map(linalg._Scaled.of, seeds):
+    for seed in seeds:
         try_add(seed)
-    steps = [linalg._Scaled.of(g).factor() for g in multipliers]
     for b, g in ((b, g) for b in words for g in steps):  # the words appended below join the queue
         if len(echelon) == group.dimension**2:
             break
@@ -148,10 +148,10 @@ def enveloping_algebra(h: SubgroupPresentation) -> EnvelopingAlgebra:
     the algebra's scaled basis.  If S has dimension m^2, it is M_m and
     holds every b g, so the products stop once every word is matched.
     """
-    algebra = algebra_of_tuple(h.group, h.generators)
+    gens = [linalg._Scaled.of(g).factor() for g in h.generators]
+    algebra = _span_closure(h.group, [linalg._Scaled.of(h.group.identity())], gens)
     basis = algebra._scaled
     full = len(algebra._echelon) == h.group.dimension**2
-    gens = [linalg._Scaled.of(g).factor() for g in h.generators]
     words = 1  # basis[:words] are checked to be words in the generators
     for k, b in enumerate(basis):
         if full and words == len(basis):
@@ -169,7 +169,8 @@ def enveloping_algebra(h: SubgroupPresentation) -> EnvelopingAlgebra:
 
 def algebra_of_tuple(group: GroupSpec, mats) -> EnvelopingAlgebra:
     """Associative algebra generated by a tuple, seeded with the identity."""
-    return _span_closure(group, [group.identity()], [linalg.mat(x) for x in mats])
+    steps = [linalg._Scaled.of(linalg.mat(x)).factor() for x in mats]
+    return _span_closure(group, [linalg._Scaled.of(group.identity())], steps)
 
 
 def is_generic_tuple(tup, h: SubgroupPresentation) -> bool:
@@ -347,17 +348,14 @@ def centralizer_dim(group: GroupSpec, mats) -> int:
     return len(free) - linalg._rank_terms(rows, len(free))
 
 
-def reduce_to_gcr(
-    h: SubgroupPresentation, cfg: SearchConfig
-) -> tuple[tuple[Cocharacter, ...], SubgroupPresentation]:
+def reduce_to_gcr(h: SubgroupPresentation) -> tuple[tuple[Cocharacter, ...], SubgroupPresentation]:
     """A completely reducible quotient, in one exact step.
 
     A completely reducible subgroup comes back unchanged with an empty
     chain.  Otherwise the chain is the cocharacter lambda of the radical
     filtration (see ``is_gcr_algebra``) and the quotient is c_lambda(h),
     which acts on the graded layers: the semisimplification of V, unique up
-    to conjugacy, which the algebra oracle certifies.  ``cfg`` does not
-    enter the computation; it is kept for the report's config echo.
+    to conjugacy, which the algebra oracle certifies.
     """
     verdict = is_gcr_algebra(h)
     if verdict.is_completely_reducible:

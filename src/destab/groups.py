@@ -441,6 +441,8 @@ class Norm:
     def __post_init__(self):
         g = linalg.mat(self.gram)
         object.__setattr__(self, "gram", g)
+        if any(len(row) != len(g) for row in g):
+            raise DimensionError("Gram matrix must be square")
         if any(x.denominator != 1 for row in g for x in row):
             raise DomainError("Gram matrix must be integer-valued")
         object.__setattr__(self, "_int_gram", tuple(tuple(map(int, row)) for row in g))
@@ -454,18 +456,16 @@ class Norm:
         return Norm(linalg.identity(m))
 
     def check_invariance(self, group: GroupSpec) -> None:
-        """Reject Gram matrices moved by an in-block transposition."""
-        m = group.dimension
-        if len(self.gram) != m:
+        """Reject Gram matrices moved by an in-block transposition.  These
+        generate each block's permutations, so the Gram is invariant exactly
+        when G_ij depends only on the block of i, the block of j and whether
+        i = j."""
+        if len(self.gram) != group.dimension:
             raise DimensionError("Gram matrix size must equal the matrix dimension")
-        for block in group.block_slices:
-            for i, j in zip(block, list(block)[1:]):
-                perm = list(range(m))
-                perm[i], perm[j] = perm[j], perm[i]
-                moved = tuple(
-                    tuple(self.gram[perm[a]][perm[b]] for b in range(m)) for a in range(m)
-                )
-                if moved != self.gram:
+        blocks, orbit = group._block_indices, {}
+        for i, row in enumerate(self._int_gram):
+            for j, x in enumerate(row):
+                if orbit.setdefault((blocks[i], blocks[j], i == j), x) != x:
                     raise DomainError("Gram matrix is not invariant under block permutations")
 
     def value_sq(self, d: tuple[int, ...]) -> Fraction:

@@ -57,9 +57,11 @@ value check and the closedness search move points and tuples by those
 pairs, and the cocharacters they build hold them.  The closedness search
 reads each matrix of the tuple off the point's integer coordinates and
 moves it into each torus by that torus's conjugation operator, which the
-configuration builds on its first search.  Its entry pattern, its limit
-and the conjugator equations u h = h' u are homogeneous in the pair
-(h, h') of one generator, so the search reads the integer rows alone.
+configuration builds on its first search.  Each cocharacter's entry
+pattern is read off its exponent record (``parabolic._exponent_record``),
+kept per group shape and box.  The entry pattern, the limit and the
+conjugator equations u h = h' u are homogeneous in the pair (h, h') of one
+generator, so the search reads the integer rows alone.
 """
 
 from __future__ import annotations
@@ -96,10 +98,9 @@ from .parabolic import (
     MembershipClass,
     ParabolicDescriptor,
     _classify_member,
-    _conjugator_index,
+    _exponent_record,
     _limit_pattern,
     _radical_conjugator,
-    _radical_entries,
 )
 from .reps import ConjugationTuples, Point, Polynomial, Representation, _composed, _frame_ints, _point
 
@@ -241,9 +242,6 @@ class VanishingOrder:
     @staticmethod
     def infinite() -> "VanishingOrder":
         return VanishingOrder(None)
-
-    def scaled(self, m: int) -> "VanishingOrder":
-        return self if self.finite is None else VanishingOrder(m * self.finite)
 
 
 def admits_limit(x: Point, lam: Cocharacter) -> bool:
@@ -1010,32 +1008,20 @@ class CocharClosedVerdict:
     examined: tuple[Cocharacter, ...]
     box: int
 
-    @property
-    def examined_nonzero(self) -> int:
-        return len(self.examined)
-
 
 def is_cochar_closed(v: Point, cfg: SearchConfig) -> CocharClosedVerdict:
     """Semi-decide closedness of the rational orbit of a matrix tuple.
 
-    Enumerates cocharacters torus by torus, in each torus's base frame;
-    within a torus only the weak ordering of the exponents within each
-    factor block matters for limits and radical membership, so one
-    primitive representative per admissible ordering in the box is
-    examined, and on a product group one per combination of block orderings
-    (split further by which entries between two blocks survive in the
-    limit, when the tuple has such entries).  A failed conjugator search is
-    a sound witness: rational conjugacy of the limit would force a radical
-    conjugator.
-
+    Enumerates cocharacters torus by torus, in each torus's base frame.
     Each torus is judged by one entry mask of the tuple moved into its
     base frame, bit i m + j set when entry (i, j) of some moved matrix is
-    nonzero (``_torus_moves``).  A representative is admissible when the
-    mask meets none of its pairs with d_i < d_j, and its limit moves the
-    tuple exactly when the mask meets one of its pairs with d_i > d_j
-    (``_Representatives``); the moved matrices are built only for a torus
-    that admits a cocharacter, and the limit only for a cocharacter whose
-    conjugator system is solved.
+    nonzero (``_torus_moves``): the cocharacters it admits, one per
+    signature, and whether the limit along each moves the tuple are read
+    off their exponent records (``_Representatives.admissible``).  A failed
+    conjugator search is a sound witness: rational conjugacy of the limit
+    would force a radical conjugator.  The moved matrices are built only
+    for a torus that admits a cocharacter, and the limit only for a
+    cocharacter whose conjugator system is solved.
 
     The conjugator system is solved in the base frame that already holds
     the tuple and its limit, once per flag of lambda in the whole space
@@ -1053,10 +1039,9 @@ def is_cochar_closed(v: Point, cfg: SearchConfig) -> CocharClosedVerdict:
     the verdict nor ``examined``.
 
     What depends on the configuration alone is built once: each torus's
-    conjugation operator (``SearchConfig._operators``), and per group shape
-    and box each representative's masks, level sets and radical positions
-    with their conjugator index (``_Representatives``); per torus and
-    coordinate set, each flag space (``SearchConfig._flag_spaces``).  The
+    conjugation operator (``SearchConfig._operators``), the exponent
+    records per group shape and box (``_Representatives``), and per torus
+    and coordinate set each flag space (``SearchConfig._flag_spaces``).  The
     examined cocharacters are built on the torus's held pair from the
     table's exponents, which are not checked again.  Nothing keyed by the
     input is kept between calls.
@@ -1074,17 +1059,12 @@ def is_cochar_closed(v: Point, cfg: SearchConfig) -> CocharClosedVerdict:
     solved: set = set()  # the flag of each cocharacter with a conjugator
     held: dict = {}  # exponents -> their torus cocharacter, shared by the tori
     for torus, (flat, bits) in enumerate(_torus_moves(v, cfg)):
-        if bits & table.crossing:
-            moved = _moved(flat, group.dimension)
-            pattern = _entry_pattern(t.rows for t in moved)
-            entries = [(d, *table.masks(d)) for d in admissible_exponents(group, cfg.exponent_box, pattern)]
-        else:
-            entries = [r for r in table.records if not r[1] & bits]  # r[1]: its less mask
-            if not entries:
-                continue
-            moved = _moved(flat, group.dimension)
+        entries = table.admissible(bits)
+        if not entries:
+            continue
+        moved = _moved(flat, group.dimension)
         frame, pair = cfg.conjugation_family[torus], cfg._frames[torus]
-        for d, _, greater, levels in entries:
+        for d, _, greater, levels, free, index in entries:
             if d not in held:
                 held[d] = TorusCocharacter._held(group, d)
             lam = Cocharacter._held(frame, pair, held[d])
@@ -1096,7 +1076,7 @@ def is_cochar_closed(v: Point, cfg: SearchConfig) -> CocharClosedVerdict:
                 continue
             tmats = [t.rows for t in moved]
             limit_t = [_limit_pattern(h, d) for h in tmats]
-            if _radical_conjugator(tmats, limit_t, lam, table.radical(d)) is None:
+            if _radical_conjugator(tmats, limit_t, lam, (free, index)) is None:
                 # each limit on its moved matrix's scale, out of the frame
                 limit_mats = tuple(lam._from_frame(t._replace(rows=h)) for t, h in zip(moved, limit_t))
                 return CocharClosedVerdict(
@@ -1157,7 +1137,7 @@ def _moved(flat, m: int) -> list[linalg._Scaled]:
 def _flag(cfg: SearchConfig, torus: int, levels: tuple[int, ...]) -> tuple:
     """The flag, in the whole space, of a cocharacter on the
     configuration's torus of that index whose level sets are given as
-    coordinate bitmasks (``_Representatives.masks``): for each distinct
+    coordinate bitmasks (``_exponent_record``'s levels): for each distinct
     exponent c but the smallest, largest first, V_c, the span of the base
     columns i with d_i >= c, as its ``_column_space``.  Two cocharacters
     have equal flags exactly when they define one parabolic subgroup of GL
@@ -1180,104 +1160,73 @@ def _column_space(frame: linalg._Scaled, mask: int) -> tuple:
 
 def admissible_exponents(group: GroupSpec, box: int, pattern) -> list[tuple[int, ...]]:
     """Primitive exponent vectors in the box admissible for a zero pattern,
-    ``pattern`` holding pairs (i, j) that force d_i >= d_j.
-
-    Limits, radical membership and conjugator existence depend only on the
-    weak ordering within each factor block and on which pattern pairs
-    between two blocks have d_i = d_j, so one entry per such signature
-    loses nothing; all blocks constant and all such pairs equal is skipped.
-    A block's representative is its centred levels (GL) or m * level - total
-    (SL), made primitive; past the box it is replaced by the first primitive
-    block vector in the box with that ordering, and the ordering is dropped
-    when the box has none.  With a pair between blocks, each block runs
-    through all its box vectors instead.  Blocks combine in block order,
-    the last varying fastest, each in lexicographic order of rank vectors.
-    Without such a pair the combined representatives are kept once per
-    group shape and box, each with the mask of its pairs with d_i < d_j
-    (``_Representatives``), and the pattern's pairs, as bits i m + j,
-    select those whose mask they miss.
-    """
-    table = _representatives(group.factors, box)
+    ``pattern`` holding pairs (i, j) that force d_i >= d_j: the exponents of
+    the records ``_Representatives.admissible`` gives for the pattern's
+    pairs as bits i m + j, in its order."""
     m = group.dimension
     bits = 0
     for i, j in pattern:
         bits |= 1 << (i * m + j)
-    if not bits & table.crossing:  # each combination is its own signature
-        return [d for d, less, *_ in table.records if not less & bits]
-    crossing = [(i, j) for i, j in pattern if group.block_of(i) != group.block_of(j)]
-    per_block = []
-    for f, block in zip(group.factors, group.block_slices):
-        local = [(i - block.start, j - block.start) for i, j in pattern if i in block and j in block]
-        per_block.append([d for d in _block_vectors(f.family, len(block), box) if all(d[i] >= d[j] for i, j in local)])
-    combos = itertools.product(*per_block)
-    out = {}
-    for combo in combos:
-        d = sum(combo, ())
-        if any(d[i] < d[j] for i, j in crossing):
-            continue
-        key = (tuple(map(_ranks, combo)), tuple(d[i] == d[j] for i, j in crossing))
-        if any(map(any, key[0])) or not all(key[1]):  # something moves
-            out.setdefault(key, tuple(x // gcd(*d) for x in d))
-    return list(out.values())
+    return [r[0] for r in _representatives(group.factors, box).admissible(bits)]
 
 
 class _Representatives:
-    """The combined block representatives of one group shape and box, the
-    entries ``admissible_exponents`` gives for a pattern with no pair
-    between blocks, and what depends on them alone.
-
-    ``records`` holds each representative d, in order, as
-    (d, less, greater, levels): the bits i m + j of the pairs with
-    d_i < d_j and of those with d_i > d_j (``masks``), and its level sets.
-    A pattern, as bits of its entries, admits d exactly when it shares no
-    bit with less, and the limit along d keeps the pattern's entries
-    exactly when it shares none with greater.  ``crossing`` holds the bits
-    of the pairs between blocks.  ``radical`` gives a representative's
-    radical positions with their conjugator index, and ``masks`` any
-    exponent vector's masks, each built on first use.
-    """
+    """The exponent records of one group shape and box: ``record`` gives
+    exponents d as (d, *``parabolic._exponent_record(d)``), built on first
+    use and kept here, and ``records`` holds those of the combined block
+    representatives, in order.  ``crossing`` holds the bits i m + j of the
+    pairs between blocks."""
 
     def __init__(self, factors: tuple, box: int):
+        self._factors, self._box = factors, box
         self._blocks = tuple(b for b, f in enumerate(factors) for _ in range(f.rank))
         m = len(self._blocks)
         self.crossing = sum(1 << (i * m + j) for i in range(m) for j in range(m) if self._blocks[i] != self._blocks[j])
-        self._masks: dict = {}
-        records = []
-        for combo in itertools.product(*(_block_representatives(f.family, f.rank, box) for f in factors)):
-            if any(map(any, combo)):
-                d = sum(combo, ())
-                records.append((d, *self.masks(d)))
-        self.records = tuple(records)
-        self._radicals: dict = dict.fromkeys(d for d, *_ in records)
+        self._records: dict = {}
+        combos = itertools.product(*(_block_representatives(f.family, f.rank, box) for f in factors))
+        self.records = tuple(self.record(sum(combo, ())) for combo in combos if any(map(any, combo)))
 
-    def masks(self, d: tuple[int, ...]) -> tuple[int, int, tuple[int, ...]]:
-        """(less, greater, levels) of exponents d: the bits i m + j of the
-        pairs with d_i < d_j and of those with d_i > d_j, and for each
-        distinct exponent c but the smallest, largest first, the coordinate
-        bitmask of the i with d_i >= c."""
-        masks = self._masks.get(d)
-        if masks is None:
-            m = len(d)
-            values = sorted(set(d), reverse=True)
-            level = {c: sum(1 << i for i, x in enumerate(d) if x == c) for c in values}
-            at_least = dict(zip(values, itertools.accumulate(level[c] for c in values)))
-            whole = (1 << m) - 1
-            less = greater = 0
-            for i, x in enumerate(d):
-                less |= (at_least[x] ^ level[x]) << (i * m)
-                greater |= (whole ^ at_least[x]) << (i * m)
-            masks = self._masks[d] = (less, greater, tuple(at_least[c] for c in values[:-1]))
-        return masks
+    def record(self, d: tuple[int, ...]) -> tuple:
+        """(d, *``_exponent_record(d)``), kept per exponent vector."""
+        record = self._records.get(d)
+        if record is None:
+            record = self._records[d] = (d, *_exponent_record(d, self._blocks))
+        return record
 
-    def radical(self, d: tuple[int, ...]) -> tuple | None:
-        """The radical positions of a representative d
-        (``_radical_entries``) with their ``_conjugator_index``; None when
-        d is not a representative."""
-        radical = self._radicals.get(d)
-        if radical is None and d in self._radicals:
-            free = tuple(_radical_entries(d, self._blocks))
-            radical = self._radicals[d] = (free, _conjugator_index(free))
-        return radical
+    def admissible(self, bits: int) -> list[tuple]:
+        """The records admissible for an entry mask, bit i m + j for entry
+        (i, j); diagonal bits constrain nothing.
+
+        Limits, radical membership and conjugator existence depend only on
+        the weak ordering within each factor block and on which entries
+        between two blocks have d_i = d_j, so one record per such signature
+        loses nothing; all blocks constant and all such entries equal is
+        skipped.  Without an entry between blocks each combination of block
+        representatives (``records``) is its own signature, and those whose
+        less mask the bits miss are kept.  With one, each block runs through
+        its box vectors that keep its own entries, and the first of each
+        signature is kept, made primitive.  Blocks combine in block order,
+        the last varying fastest, each in lexicographic order of rank
+        vectors."""
+        if not bits & self.crossing:
+            return [r for r in self.records if not r[1] & bits]
+        m = len(self._blocks)
+        pattern = [divmod(k, m) for k in range(m * m) if bits >> k & 1]
+        crossing = [(i, j) for i, j in pattern if self._blocks[i] != self._blocks[j]]
+        per_block, start = [], 0
+        for b, f in enumerate(self._factors):
+            local = [(i - start, j - start) for i, j in pattern if self._blocks[i] == self._blocks[j] == b]
+            per_block.append([d for d in _block_vectors(f.family, f.rank, self._box) if all(d[i] >= d[j] for i, j in local)])
+            start += f.rank
+        out = {}
+        for combo in itertools.product(*per_block):
+            d = sum(combo, ())
+            if any(d[i] < d[j] for i, j in crossing):
+                continue
+            key = (tuple(map(_ranks, combo)), tuple(d[i] == d[j] for i, j in crossing))
+            if any(map(any, key[0])) or not all(key[1]):  # something moves
+                out.setdefault(key, tuple(x // gcd(*d) for x in d))
+        return [self.record(d) for d in out.values()]
 
 
 @functools.cache
@@ -1288,8 +1237,10 @@ def _representatives(factors: tuple, box: int) -> _Representatives:
 @functools.cache
 def _block_representatives(family: str, m: int, box: int):
     """Per weak ordering of one block of size m, in lexicographic order of
-    rank vectors (constant first, as zero), its representative in the box,
-    replaced or dropped past the box as admissible_exponents says."""
+    rank vectors (constant first, as zero), its representative in the box:
+    its centred levels (GL) or m * level - total (SL), made primitive, and
+    past the box the first primitive block vector in the box with that
+    ordering, or none when the box has none."""
     out = []
     for ranks in _weak_orderings(m):
         k = max(ranks) + 1

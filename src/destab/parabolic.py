@@ -232,16 +232,38 @@ class ParabolicDescriptor:
 # Conjugators inside the unipotent radical
 
 
-def _radical_positions(lam: Cocharacter) -> list[tuple[int, int]]:
-    """Entries (i, j), row by row, left free in R_u(P_lambda) in the standard frame."""
-    return _radical_entries(lam.torus.exponents, lam.group._block_indices)
+def _exponent_record(d, blocks) -> tuple:
+    """The entry pattern of exponents d, given the block of each
+    coordinate, as (less, greater, levels, free, index).
+
+    less and greater hold the bits i m + j of the pairs with d_i < d_j,
+    which lambda_d forbids, and of those with d_i > d_j, which its limit
+    moves: a tuple whose nonzero entries, as such bits, share none with
+    less admits the limit, and the limit is the tuple exactly when they
+    share none with greater.  levels holds, for each distinct exponent c but
+    the smallest, largest first, the coordinate bitmask of the i with
+    d_i >= c.  free holds the radical positions, the entries (i, j), row by
+    row, with d_i > d_j in one block, and index their ``_conjugator_index``.
+    """
+    m = len(d)
+    less = greater = 0
+    free = []
+    for i, x in enumerate(d):
+        for j, y in enumerate(d):
+            if x < y:
+                less |= 1 << (i * m + j)
+            elif x > y:
+                greater |= 1 << (i * m + j)
+                if blocks[i] == blocks[j]:
+                    free.append((i, j))
+    levels = tuple(sum(1 << i for i, x in enumerate(d) if x >= c) for c in sorted(set(d), reverse=True)[:-1])
+    return less, greater, levels, tuple(free), _conjugator_index(free)
 
 
-def _radical_entries(d, blocks) -> list[tuple[int, int]]:
-    """``_radical_positions`` of exponents d, given the block of each
-    coordinate: the entries (i, j), row by row, with d_i > d_j in one
-    block."""
-    return [(i, j) for i in range(len(d)) for j in range(len(d)) if d[i] > d[j] and blocks[i] == blocks[j]]
+def _radical_positions(lam: Cocharacter) -> tuple[tuple[int, int], ...]:
+    """Entries (i, j), row by row, left free in R_u(P_lambda) in the standard
+    frame (``_exponent_record``)."""
+    return _exponent_record(lam.torus.exponents, lam.group._block_indices)[3]
 
 
 def _conjugator_index(free) -> tuple[dict, dict]:
@@ -283,20 +305,19 @@ def _conjugator_system(hs, hs_prime, free, index=None) -> tuple[list, list]:
     return rows, rhs
 
 
-def _radical_conjugator(hs, hs_prime, lam: Cocharacter, radical=None) -> linalg._Scaled | None:
+def _radical_conjugator(hs, hs_prime, lam: Cocharacter, radical) -> linalg._Scaled | None:
     """In the frame of lambda: u in R_u(P_lambda)(Q) with u h = h' u for
     every pair of the two tuples, as a scaled value, or None.  Each pair
     (h, h') is given as integer rows over one common scale, which cancels
-    in u h = h' u.  ``radical`` is the pair of lambda's
-    ``_radical_positions`` and their ``_conjugator_index``, when the caller
-    holds it.
+    in u h = h' u.  ``radical`` is the pair (free, index) of lambda's
+    ``_exponent_record``.
 
     u's integer rows are the solution's integer entries over its
     denominator (``linalg._solve``), and both postconditions, the radical
     pattern (the scale on the diagonal) and every product equation, are
     re-checked exactly on them before u is handed out.
     """
-    free, index = (_radical_positions(lam), None) if radical is None else radical
+    free, index = radical
     solution = linalg._solve_terms(*_conjugator_system(hs, hs_prime, free, index), len(free))
     if solution is None:
         return None
@@ -319,9 +340,7 @@ def _intertwines(u: linalg._Scaled, hs, hs_prime) -> bool:
     return all(u @ h == hp @ u for h, hp in zip(hs, hs_prime))
 
 
-def find_ru_conjugator(
-    v: Point, v_prime: Point, lam: Cocharacter, rep: ConjugationTuples | None = None
-) -> Mat | None:
+def find_ru_conjugator(v: Point, v_prime: Point, lam: Cocharacter) -> Mat | None:
     """Exact u in R_u(P_lambda)(Q) with u . v = v', or None.
 
     Only conjugation-tuple representations are supported: there the
@@ -329,12 +348,12 @@ def find_ru_conjugator(
     in the radical is an affine condition, so existence is an exact
     affine-linear feasibility question over the rationals.
     """
-    rep = rep if rep is not None else v.rep
+    rep = v.rep
     if not isinstance(rep, ConjugationTuples):
         raise UnsupportedRepresentationError(
             "conjugator solving needs a conjugation-tuple representation"
         )
-    if v.rep != rep or v_prime.rep != rep:
+    if v_prime.rep != rep:
         raise DimensionError("points must belong to the given representation")
     hs = rep.matrices(v)
     hs_prime = rep.matrices(v_prime)
@@ -345,6 +364,7 @@ def find_ru_conjugator(
         [tuple(tuple(x * hp.scale for x in row) for row in h.rows) for h, hp in pairs],
         [tuple(tuple(x * h.scale for x in row) for row in hp.rows) for h, hp in pairs],
         lam,
+        _exponent_record(lam.torus.exponents, lam.group._block_indices)[3:],
     )
     if ut is None:
         return None

@@ -355,6 +355,23 @@ def test_cli_schema_error_exit(tmp_path, docs):
 
 
 @pytest.mark.parametrize(
+    "rank, gram",
+    [
+        (3, [["1", "0"], ["0", "1"], ["0", "0"]]),  # taller than wide
+        (2, [["1", "0", "0"], ["0", "1", "0"]]),  # wider than tall
+    ],
+)
+def test_cli_non_square_gram_is_a_schema_error(tmp_path, rank, gram):
+    group = tmp_path / "group.json"
+    group.write_text(json.dumps({"factors": [{"family": "GL", "rank": rank}], "gram": gram}))
+    subgroup = tmp_path / "subgroup.json"
+    subgroup.write_text(json.dumps({"generators": [[[str(int(i == j)) for j in range(rank)] for i in range(rank)]]}))
+    code, report = run_cli(tmp_path, ["gcr", "--group", str(group), "--input", str(subgroup)])
+    assert code == 2
+    assert report["error"] == {"kind": "schema", "message": "$: Gram matrix must be square"}
+
+
+@pytest.mark.parametrize(
     "config, field",
     [
         ({"shear_values": 3}, "shear_values"),

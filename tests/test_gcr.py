@@ -102,6 +102,22 @@ def _recomputing_span_closure(group, seeds, multipliers):
     return EnvelopingAlgebra(group, tuple(basis_mats))
 
 
+def _scaled_recomputing_span_closure(group, seeds, steps):
+    """``_recomputing_span_closure`` on the scaled seeds and factored
+    multipliers that ``gcr._span_closure`` takes."""
+    return _recomputing_span_closure(group, [x.fractions() for x in seeds], list(map(_unfactor, steps)))
+
+
+def _unfactor(factor):
+    """The Fraction matrix of a ``linalg._Scaled.factor()``."""
+    terms, m, scale = factor
+    rows = [[F(0)] * m for _ in terms]
+    for row, row_terms in zip(rows, terms):
+        for j, y in row_terms:
+            row[j] = F(y, scale)
+    return linalg.mat(rows)
+
+
 def _twisted_corpus(seed, size):
     """The corpus with each generator scaled by one of +-1, +-2, +-1/2."""
     rng = random.Random(seed)
@@ -120,13 +136,13 @@ def test_enveloping_algebra_matches_recomputing_reference(monkeypatch):
     half = linalg.mat([[F(1, 2), F(-3, 4)], [0, F(5, 6)]])
     cases = [([zero], [UNIP.generators[0]]), ([GL2.identity(), zero], [zero, SWAP.generators[0], half])]
     for seeds, mults in cases:
-        algebra = gcr._span_closure(GL2, seeds, mults)
+        algebra = gcr._span_closure(GL2, [linalg._Scaled.of(x) for x in seeds], [linalg._Scaled.of(g).factor() for g in mults])
         assert algebra == _recomputing_span_closure(GL2, seeds, mults)
         assert algebra._echelon == EnvelopingAlgebra(GL2, algebra.basis)._echelon
     corpus = [h for s in (1, 2, 3) for h in subgroup_corpus(s, 200) + _twisted_corpus(s, 60)]
     new = [enveloping_algebra(h) for h in corpus]
     assert all(a._echelon == EnvelopingAlgebra(a.group, a.basis)._echelon for a in new)
-    monkeypatch.setattr(gcr, "_span_closure", _recomputing_span_closure)
+    monkeypatch.setattr(gcr, "_span_closure", _scaled_recomputing_span_closure)
     old = [enveloping_algebra(h) for h in corpus]
     assert [a.basis for a in new] == [a.basis for a in old]
     assert {len(a.basis) for a in new} >= {1, 2, 3, 4, 9}
@@ -259,7 +275,7 @@ def test_returned_matrices_hold_fractions_only():
         cfg = corpus_config(h.group)
         assert _fraction_entries(enveloping_algebra(h).basis)
         algebraic = is_gcr_algebra(h)
-        chain, quotient = reduce_to_gcr(h, cfg)
+        chain, quotient = reduce_to_gcr(h)
         assert _fraction_entries(quotient.generators)
         for lam in chain:
             assert _fraction_entries((lam.base, lam.base_inverse))
@@ -507,7 +523,7 @@ def test_case_162_has_an_exact_witness_and_quotient():
     radical, layers, lam = gcr._radical_filtration(h)
     assert lam == verdict.witness_cocharacter and radical == verdict.witness_radical
     assert layers == (((1, 1, 1),),)
-    chain, quotient = reduce_to_gcr(h, cfg)
+    chain, quotient = reduce_to_gcr(h)
     assert chain == (lam,)
     assert is_gcr_algebra(quotient).is_completely_reducible
 
@@ -600,7 +616,7 @@ def test_radical_filtration_witnesses_and_reduces_conjugated_subgroups():
             radical, layers, lam = gcr._radical_filtration(h)
             assert lam == verdict.witness_cocharacter
             _assert_stable_adapted_layers(h, layers, lam)
-            chain, quotient = reduce_to_gcr(h, cfg_for(group))
+            chain, quotient = reduce_to_gcr(h)
             assert chain == (lam,)
             assert is_gcr_algebra(quotient).is_completely_reducible
             assert [_power_traces(g) for g in quotient.generators] == [_power_traces(g) for g in gens]
@@ -743,26 +759,24 @@ def test_generic_tuple_projection():
 
 
 def test_reduce_to_gcr_examples():
-    cfg = cfg_for(GL2)
-    chain, quotient = reduce_to_gcr(UNIP, cfg)
+    chain, quotient = reduce_to_gcr(UNIP)
     assert len(chain) == 1
     assert quotient.generators == (linalg.identity(2),)
 
     rot = SubgroupPresentation(SL2, (((0, -1), (1, 0)),))
-    chain, quotient = reduce_to_gcr(rot, cfg_for(SL2))
+    chain, quotient = reduce_to_gcr(rot)
     assert chain == ()
     assert quotient.generators == rot.generators
 
-    chain, quotient = reduce_to_gcr(DIAG, cfg)
+    chain, quotient = reduce_to_gcr(DIAG)
     assert chain == ()
     assert quotient.generators == DIAG.generators
 
 
 def test_reduce_to_gcr_idempotent():
-    cfg = cfg_for(GL2)
     for h in (UNIP, DIAG, SubgroupPresentation(GL2, (((1, 2), (0, 3)),))):
-        _, quotient = reduce_to_gcr(h, cfg)
-        chain, again = reduce_to_gcr(quotient, cfg)
+        _, quotient = reduce_to_gcr(h)
+        chain, again = reduce_to_gcr(quotient)
         assert chain == ()
         assert again.generators == quotient.generators
 

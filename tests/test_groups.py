@@ -2,6 +2,7 @@ import itertools
 import math
 import random
 from fractions import Fraction as F
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings
@@ -132,6 +133,73 @@ def test_norm_rejects_bad_gram():
         Norm(linalg.mat([[1, 2], [0, 1]]))
     with pytest.raises(DomainError):
         Norm(linalg.mat([[-1, 0], [0, 1]]))
+    # a Gram that is not square is refused before any other check
+    for rows in ([[1, 0], [0, 1], [0, 0]], [[1, 0, 0], [0, 1, 0]], [[1, 0], [0, 1], [5, 7]]):
+        with pytest.raises(DimensionError, match="^Gram matrix must be square$"):
+            Norm(linalg.mat(rows))
+
+
+def _transposition_invariant(gram, group):
+    """Reference: the invariance check that moved the Gram by each in-block
+    transposition of neighbours and compared the result with the Gram."""
+    m = group.dimension
+    for block in group.block_slices:
+        for i, j in zip(block, list(block)[1:]):
+            perm = list(range(m))
+            perm[i], perm[j] = perm[j], perm[i]
+            if tuple(tuple(gram[perm[a]][perm[b]] for b in range(m)) for a in range(m)) != tuple(map(tuple, gram)):
+                return False
+    return True
+
+
+def _block_constant_invariant(gram, group):
+    """``Norm.check_invariance`` on a square integer Gram, symmetric or not."""
+    try:
+        Norm.check_invariance(SimpleNamespace(gram=gram, _int_gram=gram), group)
+    except DomainError:
+        return False
+    return True
+
+
+def test_norm_invariance_matches_transposition_reference():
+    # seeded block-constant Grams are invariant under both checks; each
+    # entry broken alone, and with its mirror entry, covers every orbit kind
+    # (a block's diagonal, a block's off-diagonal, two blocks), and both
+    # checks agree on each.  The symmetric ones are also built as norms,
+    # which refuse exactly the non-invariant ones with the same message
+    rng = random.Random(31)
+    shapes = [(("GL", 1),), (("GL", 3),), (("SL", 2), ("GL", 1)), (("GL", 2), ("SL", 3)), (("GL", 1), ("GL", 2), ("SL", 2))]
+    seen = dict(invariant=0, broken=0, refused=0)
+    for shape, _ in itertools.product(shapes, range(6)):
+        group = GroupSpec.make(*shape)
+        m, blocks, k = group.dimension, group._block_indices, len(group.factors)
+        between = {(a, b): rng.randint(-2, 2) for a in range(k) for b in range(a + 1, k)}
+        diag = [rng.randint(3 * m + 1, 3 * m + 5) for _ in range(k)]  # diagonally dominant: positive definite
+        off = [rng.randint(-2, 2) for _ in range(k)]
+
+        def entry(i, j):
+            a, b = sorted((blocks[i], blocks[j]))
+            return between[a, b] if a != b else diag[a] if i == j else off[a]
+
+        gram = [[entry(i, j) for j in range(m)] for i in range(m)]
+        assert _transposition_invariant(gram, group) and _block_constant_invariant(gram, group)
+        assert GroupSpec.make(*shape, gram=gram).norm.gram == linalg.mat(gram)
+        for i, j, mirror in itertools.product(range(m), range(m), (False, True)):
+            broken = [row[:] for row in gram]
+            broken[i][j] += 1
+            if mirror and i != j:
+                broken[j][i] += 1
+            invariant = _transposition_invariant(broken, group)
+            assert _block_constant_invariant(broken, group) == invariant
+            seen["invariant" if invariant else "broken"] += 1
+            if mirror or i == j:
+                if invariant:
+                    GroupSpec.make(*shape, gram=broken)
+                else:
+                    with pytest.raises(DomainError, match="^Gram matrix is not invariant under block permutations$"):
+                        GroupSpec.make(*shape, gram=broken)
+                    seen["refused"] += 1
+    assert min(seen.values()) >= 30, seen
 
 
 def test_cocharacter_evaluate():

@@ -1335,7 +1335,7 @@ def _assert_valid_witness(v, verdict):
     lam = verdict.witness
     moved = limit(v, lam)
     assert moved is not None and rep.matrices(moved) == verdict.witness_limit
-    assert find_ru_conjugator(v, moved, lam, rep) is None
+    assert find_ru_conjugator(v, moved, lam) is None
 
 
 def _gl_only(group):
@@ -1372,7 +1372,7 @@ def _reference_is_cochar_closed(v, cfg, frames):
         limit_mats = tuple(
             linalg.mat_mul(linalg.mat_mul(lam.base, h), lam.base_inverse) for h in limit_t
         )
-        u = find_ru_conjugator(v, rep.point(limit_mats), lam, rep)
+        u = find_ru_conjugator(v, rep.point(limit_mats), lam)
         if u is None:
             return CocharClosedVerdict(
                 False,
@@ -1508,7 +1508,7 @@ def _set_pattern_is_cochar_closed(v, cfg):
         key = _flag(cfg, torus, d)
         if key in solved:
             continue
-        if instability._radical_conjugator(tmats, limit_t, lam, table.radical(d)) is None:
+        if instability._radical_conjugator(tmats, limit_t, lam, table.record(d)[4:]) is None:
             limit_mats = tuple(lam._from_frame(t._replace(rows=h)) for t, h in zip(moved, limit_t))
             return CocharClosedVerdict(False, fold_permutation_base(lam), limit_mats, tuple(examined), cfg.exponent_box)
         solved.add(key)
@@ -1596,7 +1596,7 @@ def test_flag_is_the_whole_space_flag():
             d = lam.torus.exponents
             if [_limit_pattern(t.rows, d) for t in moved] == [t.rows for t in moved]:
                 continue
-            key = instability._flag(cfg, torus, table.masks(d)[2])
+            key = instability._flag(cfg, torus, table.record(d)[3])
             assert key == _whole_space_flag(lam) == _flag(cfg, torus, d)
             if len(cfg.group.factors) == 1:
                 (chain,) = ParabolicDescriptor.from_cocharacter(lam).flags
@@ -2244,7 +2244,7 @@ def _assert_same_reduction(h, cfg, frames):
     centralizer and algebra dimensions as the one-step quotient (both are
     the semisimplification of V, so they are conjugate).  Returns the
     chain length and whether the reference finished."""
-    chain, quotient = gcr.reduce_to_gcr(h, cfg)
+    chain, quotient = gcr.reduce_to_gcr(h)
     assert (chain == ()) == gcr.is_gcr_algebra(h).is_completely_reducible
     if not chain:
         assert quotient == h
@@ -3233,12 +3233,13 @@ def _patterned_matrix(rng, m, pattern):
 def test_representative_masks_split_the_pairs_and_decide_the_limit():
     # on the search-table groups at boxes 1-4: each representative's less,
     # equal and greater pairs split the off-diagonal pairs, its levels are
-    # its cumulative level sets, and its record holds what ``masks`` gives.
+    # its cumulative level sets, and ``record`` gives the same masks.
     # On seeded tuples with seeded entry patterns, pairs between blocks
-    # included: the admissible entries are the records whose less mask the
-    # entry mask misses (no pair between blocks), each admissible entry's
-    # less mask misses it, and its greater mask misses it exactly when the
-    # limit leaves every matrix as it is
+    # included: ``admissible_exponents`` lists the exponents of the records
+    # ``admissible`` gives for the entry mask, which are the records whose
+    # less mask the entry mask misses (no pair between blocks), each
+    # admissible entry's less mask misses it, and its greater mask misses it
+    # exactly when the limit leaves every matrix as it is
     rng = random.Random(143)
     seen = dict(records=0, still=0, moving=0, crossing=0)
     for group in SEARCH_TABLE_GROUPS:
@@ -3248,7 +3249,7 @@ def test_representative_masks_split_the_pairs_and_decide_the_limit():
         within = [p for p in off if group.block_of(p[0]) == group.block_of(p[1])]
         for box in (1, 2, 3, 4):
             table = instability._representatives(group.factors, box)
-            for d, less, greater, levels in table.records:
+            for d, less, greater, levels, *_ in table.records:
                 equal = sum(bit[i, j] for i, j in off if d[i] == d[j])
                 assert less == sum(bit[i, j] for i, j in off if d[i] < d[j])
                 assert greater == sum(bit[i, j] for i, j in off if d[i] > d[j])
@@ -3256,18 +3257,19 @@ def test_representative_masks_split_the_pairs_and_decide_the_limit():
                 assert less | equal | greater == sum(bit.values())
                 cuts = sorted(set(d), reverse=True)[:-1]
                 assert levels == tuple(sum(1 << i for i in range(m) if d[i] >= c) for c in cuts)
-                assert table.masks(d) == (less, greater, levels)
+                assert table.record(d)[1:4] == (less, greater, levels)
                 seen["records"] += 1
             for q, pairs, _ in itertools.product((0.1, 0.25, 0.5), (within, off), range(3)):
                 pattern = {p for p in pairs if rng.random() < q}
                 mats = [_patterned_matrix(rng, m, pattern) for _ in range(rng.randint(1, 2))]
                 bits = sum(bit[p] for p in _entry_pattern(mats))
                 entries = admissible_exponents(group, box, _entry_pattern(mats))
+                assert entries == [r[0] for r in table.admissible(bits)]
                 if not bits & table.crossing:
                     assert entries == [d for d, less, *_ in table.records if not less & bits]
                 seen["crossing"] += bool(bits & table.crossing)
                 for d in entries:
-                    less, greater, _ = table.masks(d)
+                    less, greater, _ = table.record(d)[1:4]
                     still = all(_limit_pattern(h, d) == h for h in mats)
                     assert not less & bits and (not bits & greater) == still
                     seen["still" if still else "moving"] += 1
@@ -3275,18 +3277,41 @@ def test_representative_masks_split_the_pairs_and_decide_the_limit():
 
 
 def test_representative_radicals_match_radical_positions():
-    # the positions and index kept per representative are the ones the
-    # solver built per cocharacter
+    # the positions and index kept in each record are the ones the solver
+    # builds per cocharacter, the entries with d_i > d_j in one block, row
+    # by row: on every representative, and on every entry admitted for
+    # seeded entry patterns with pairs between blocks; a record is kept
     from destab.parabolic import _conjugator_index, _radical_positions
+
+    def check(group, table, d):
+        m = group.dimension
+        free = _radical_positions(Cocharacter.standard(group, d))
+        assert free == tuple((i, j) for i in range(m) for j in range(m) if d[i] > d[j] and group.block_of(i) == group.block_of(j))
+        assert table.record(d)[4:] == (free, _conjugator_index(free))
+        assert table.record(d) is table.record(d)
 
     for group in SEARCH_TABLE_GROUPS:
         for box in (1, 2, 4):
             table = instability._representatives(group.factors, box)
             assert [d for d, *_ in table.records] == admissible_exponents(group, box, set())
             for d, *_ in table.records:
-                free = _radical_positions(Cocharacter.standard(group, d))
-                assert table.radical(d) == (tuple(free), _conjugator_index(free))
-            assert table.radical((0,) * group.dimension) is None
+                check(group, table, d)
+    rng = random.Random(144)
+    crossing = 0
+    for shape in ((("GL", 2), ("SL", 2)), (("GL", 1), ("GL", 2))):
+        group = GroupSpec.make(*shape)
+        m = group.dimension
+        off = [(i, j) for i in range(m) for j in range(m) if i != j]
+        for box, _ in itertools.product((1, 2), range(12)):
+            table = instability._representatives(group.factors, box)
+            pattern = {p for p in off if rng.random() < 0.3} | {rng.choice(sorted(_crossing_pairs(group)))}
+            bits = sum(1 << (i * m + j) for i, j in pattern)
+            entries = table.admissible(bits)
+            assert [r[0] for r in entries] == admissible_exponents(group, box, pattern)
+            for d, *_ in entries:
+                check(group, table, d)
+                crossing += 1
+    assert crossing >= 100, crossing
 
 
 def _closedness_points(group, rng, count=6):

@@ -6,6 +6,7 @@ import pytest
 from destab import (
     Cocharacter,
     ConjugationTuples,
+    DimensionError,
     DomainError,
     GroupSpec,
     MembershipClass,
@@ -114,7 +115,7 @@ def test_find_ru_conjugator_paper_instance():
 def test_find_ru_conjugator_identity_case():
     rep = ConjugationTuples(GL2, 1)
     v = rep.point([[[2, 0], [0, 5]]])
-    u = find_ru_conjugator(v, v, rep=rep, lam=LAM2)
+    u = find_ru_conjugator(v, v, LAM2)
     assert u == linalg.identity(2)
     assert classify(u, LAM2) is MembershipClass.IN_RU
 
@@ -130,7 +131,16 @@ def test_find_ru_conjugator_rejects_sym_power():
     sym = SymPower(GL2, 2)
     v = sym.monomial(0)
     with pytest.raises(UnsupportedRepresentationError):
-        find_ru_conjugator(v, v, LAM2, sym)
+        find_ru_conjugator(v, v, LAM2)
+
+
+def test_find_ru_conjugator_rejects_points_of_two_representations():
+    # the points' own representation is the one solved in; a second point
+    # of another one is refused
+    v = ConjugationTuples(GL2, 1).point([[[2, 0], [0, 5]]])
+    for other in (ConjugationTuples(GL2, 2).point([[[2, 0], [0, 5]], [[1, 0], [0, 1]]]), SymPower(GL2, 2).monomial(0)):
+        with pytest.raises(DimensionError, match="^points must belong to the given representation$"):
+            find_ru_conjugator(v, other, LAM2)
 
 
 def test_find_ru_conjugator_product_group_stays_in_factor():
@@ -333,7 +343,7 @@ def test_find_ru_conjugator_completeness_on_solvable_instances():
         ]
         v = rep.point(mats)
         v_prime = rep.act(u0, v)
-        u = find_ru_conjugator(v, v_prime, lam, rep)
+        u = find_ru_conjugator(v, v_prime, lam)
         assert u is not None
         assert rep.act(u, v) == v_prime
         assert classify(u, lam) is MembershipClass.IN_RU
