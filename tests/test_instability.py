@@ -1,6 +1,8 @@
 import dataclasses
 import functools
+import hashlib
 import itertools
+import json
 import operator
 import random
 import sys
@@ -1553,6 +1555,55 @@ def test_is_cochar_closed_matches_set_pattern_reference(monkeypatch):
         seen["crossing"] += any(v.rep.group.block_of(i) != v.rep.group.block_of(j) for i, j in _entry_pattern(v.rep.matrices(v)))
         seen["solves"] += len(handed)
     assert seen["crossing"] >= 15 and min(seen.values()) >= 15, seen
+
+
+def _closedness_record(verdict, cfg):
+    """A verdict as JSON-ready data, rationals as strings: the verdict, the
+    witness (base and exponents), the witness limit, and each examined
+    cocharacter as (index of its base in the configuration's family,
+    exponents)."""
+    family = cfg.conjugation_family
+    index_of = {}  # id of a base -> its index, each base looked up once by equality
+
+    def index(base):
+        i = index_of.get(id(base))
+        if i is None:
+            i = index_of[id(base)] = family.index(base)
+        return i
+
+    def rationals(mat):
+        return [[str(x) for x in row] for row in mat]
+
+    w = verdict.witness
+    return {
+        "closed": verdict.closed,
+        "box": verdict.box,
+        "witness": None if w is None else {"base": rationals(w.base), "exponents": list(w.torus.exponents)},
+        "witness_limit": None if verdict.witness_limit is None else [rationals(h) for h in verdict.witness_limit],
+        "examined": [[index(lam.base), list(lam.torus.exponents)] for lam in verdict.examined],
+    }
+
+
+def _closedness_pin_inputs():
+    """``subgroup_corpus(1, 64)``, ``(2, 200)`` and ``(3, 100)`` under
+    ``corpus_config``, then the diagonal GL_4 and GL_5 tuples."""
+    inputs = [(h.tuple_point(), corpus_config(h.group)) for seed, size in ((1, 64), (2, 200), (3, 100)) for h in subgroup_corpus(seed, size)]
+    return inputs + [_diagonal_gl(m) for m in (4, 5)]
+
+
+# sha256 of the sorted-key JSON of _closedness_record over the inputs of
+# _closedness_pin_inputs, in order: 366 verdicts, 115 of them not closed,
+# and 30,600 examined cocharacters
+_CLOSEDNESS_DIGEST = "10ece8f3d38fcc178189b82a5ecad72d739cd70c9657f5664c68f42cf03b902c"
+
+
+def test_closedness_search_outputs_pinned():
+    records = [_closedness_record(is_cochar_closed(v, cfg), cfg) for v, cfg in _closedness_pin_inputs()]
+    assert len(records) == 366
+    assert sum(not r["closed"] for r in records) == 115
+    assert sum(len(r["examined"]) for r in records) == 30600
+    canon = json.dumps(records, sort_keys=True).encode("utf-8")
+    assert hashlib.sha256(canon).hexdigest() == _CLOSEDNESS_DIGEST
 
 
 def _primitive_rows(space):
