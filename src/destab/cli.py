@@ -40,6 +40,7 @@ EXIT_SCHEMA = 2
 EXIT_PRECONDITION = 3
 EXIT_UNSUPPORTED = 4
 EXIT_INVARIANT = 5
+_MAX_WORKERS = 64  # a larger DESTAB_THREADS is refused before any worker process starts
 
 
 def _load_json(args, flag: str):
@@ -249,6 +250,8 @@ def _run_corpus(args):
         workers = int(threads)
     except ValueError:
         raise SchemaError(f"DESTAB_THREADS must be an integer, got {threads!r}") from None
+    if workers > _MAX_WORKERS:
+        raise SchemaError(f"DESTAB_THREADS must be at most {_MAX_WORKERS}, got {workers}")
     records = run_profile(profile, seed, size, workers)
     failures = [r for r in records if not r.get("ok", False)]
     result = {

@@ -36,6 +36,7 @@ from .instability import (
     OPTIMAL,
     SearchConfig,
     SubvarietySpec,
+    _Torus,
     _entry_pattern,
     admissible_exponents,
     optimize,
@@ -485,16 +486,16 @@ def _kempf_check(inst: KempfInstance) -> dict:
     ident, extra = group.identity(), linalg.mat(inst.extra_frame)
     one = linalg._Scaled.of(ident)
     e, e_inverse = group._checked_pair(extra, "conjugation family element")
-    fixed = [(ident, (one, one)), (extra, (e, e_inverse))]
+    fixed = [_Torus(ident, (one, one)), _Torus(extra, (e, e_inverse))]
     samples = [(x, group._checked_pair(x, "normalizer sample")) for x in map(linalg.mat, inst.normalizer_samples)]
     for g in map(linalg.mat, inst.conjugators):
         pair = group._checked_pair(g, "conjugator")
         # the other frames are products a b of held pairs, with inverse b^-1 a^-1
         g_inv_e, g_e = pair[1] @ e, pair[0] @ e
-        inverses = [(pair[1].fractions(), pair[::-1]), (g_inv_e.fractions(), (g_inv_e, e_inverse @ pair[0]))]
+        inverses = [_Torus(pair[1].fractions(), pair[::-1]), _Torus(g_inv_e.fractions(), (g_inv_e, e_inverse @ pair[0]))]
         cfg = SearchConfig._held(group, 4, fixed + inverses, samples=samples)
         # g times the family above: g g^-1 = I and g g^-1 extra = extra
-        moved_cfg = SearchConfig._held(group, 4, [(g, pair), (g_e.fractions(), (g_e, e_inverse @ pair[1])), *fixed])
+        moved_cfg = SearchConfig._held(group, 4, [_Torus(g, pair), _Torus(g_e.fractions(), (g_e, e_inverse @ pair[1])), *fixed])
         try:
             result = optimize(inst.points, s, cfg)
         except InvariantViolation as exc:

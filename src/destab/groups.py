@@ -501,14 +501,15 @@ def fold_permutation_base(lam: Cocharacter) -> Cocharacter:
 
     Conjugating a diagonal cocharacter by a signed permutation matrix just
     permutes the exponents, so the standard-torus representative is the
-    canonical way to report it.  Other bases are returned unchanged.
+    canonical way to report it.  Other bases are returned unchanged.  On the
+    held pair's rows, each column of a signed permutation has one nonzero entry, +-scale.
     """
-    base = lam.base
-    m = len(base)
+    rows, scale = lam._frame[0]
+    m = len(rows)
     perm = [0] * m
-    for j in range(m):
-        nonzero = [i for i in range(m) if base[i][j] != 0]
-        if len(nonzero) != 1 or abs(base[nonzero[0]][j]) != 1:
+    for j, column in enumerate(zip(*rows)):
+        nonzero = [i for i, x in enumerate(column) if x]
+        if len(nonzero) != 1 or abs(column[nonzero[0]]) != scale:
             return lam
         perm[j] = nonzero[0]
     exps = [0] * m

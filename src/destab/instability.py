@@ -49,15 +49,15 @@ one base frame each, and is never claimed complete; ``oracle_mode``
 re-derives the optimum by brute force over an exponent box as an
 independent check.
 
-A configuration keeps each torus base as its pair (base, base^-1) of
-scaled values: a base given from outside is checked and inverted once
-(``GroupSpec._checked_pair``), and the program's own come with their
-inverses in closed form (``SearchConfig._held``).  The optimizer, the
-value check and the closedness search move points and tuples by those
-pairs, and the cocharacters they build hold them.  The closedness search
-reads each matrix of the tuple off the point's integer coordinates and
-moves it into each torus by that torus's conjugation operator, which the
-configuration builds on its first search.  Each cocharacter's entry
+A configuration keeps one record per maximal torus (``_Torus``): its base
+frame with the pair (base, base^-1) of scaled values, checked and inverted
+once when given from outside (``GroupSpec._checked_pair``), in closed form
+for the program's own (``SearchConfig._held``).  Both searches walk these
+records; the optimizer, the value check and the closedness search move
+points and tuples by the pairs, and the cocharacters they build hold them.
+The closedness search reads each matrix of the tuple off the point's
+integer coordinates and moves it into each torus by the record's
+conjugation operator, built on first use.  Each cocharacter's entry
 pattern is read off its exponent record (``parabolic._exponent_record``),
 kept per group shape and box.  The entry pattern, the limit and the
 conjugator equations u h = h' u are homogeneous in the pair (h, h') of one
@@ -89,11 +89,12 @@ from .groups import (
     Cocharacter,
     GroupSpec,
     TorusCocharacter,
+    _shear_table_of,
     fold_permutation_base,
     norm_sq,
     pairing_vec,
 )
-from .linalg import ZERO, Mat, Vec
+from .linalg import ZERO, Mat, Vec, frac
 from .parabolic import (
     MembershipClass,
     ParabolicDescriptor,
@@ -604,6 +605,47 @@ def _torus_key(frame: linalg._Scaled) -> frozenset:
     return frozenset(map(linalg._line, zip(*frame.rows)))
 
 
+class _Torus:
+    """One maximal torus f T f^-1 of a configuration, T the diagonal torus:
+    the base frame f, its held pair (f, f^-1) of scaled values and its
+    ``_torus_key``.  On first use it builds and keeps the operator h -> f^-1
+    h f and, per coordinate bitmask, the span of f's columns there (``flag``).
+    These depend on f alone, so configurations may share a record; none of
+    their equality, hash, repr, echo or fingerprint reads them."""
+
+    def __init__(self, frame: Mat, pair: tuple):
+        self.frame, self.pair = frame, pair
+        self.key = _torus_key(pair[0])
+        self._spaces: dict = {}  # coordinate bitmask -> its _column_space
+
+    @functools.cached_property
+    def operator(self) -> linalg._Conjugation:
+        base, inverse = self.pair
+        return linalg._conjugation_operator(inverse, base)
+
+    def flag(self, levels: tuple[int, ...]) -> tuple:
+        """The flag in the whole space of a cocharacter on this torus with
+        level sets given as coordinate bitmasks (``_exponent_record``'s): for
+        each distinct exponent c but the smallest, largest first, the span
+        of the base columns i with d_i >= c; equal flags, one parabolic."""
+        spaces = self._spaces
+        return tuple([spaces[k] if k in spaces else spaces.setdefault(k, _column_space(self.pair[0], k)) for k in levels])
+
+
+@functools.cache
+def _default_tori(factors: tuple, values: tuple) -> tuple[_Torus, ...]:
+    """``SearchConfig.default``'s records, built once per group shape and
+    exact shear values: the identity, then per factor block its shears of
+    the values, closed under negation on an SL block."""
+    ident = linalg.identity(sum(f.rank for f in factors))
+    one = linalg._Scaled.of(ident)
+    tori = [_Torus(ident, (one, one))]
+    for b, f in enumerate(factors):
+        closed = values + tuple(-c for c in values if -c not in values) if f.family == "SL" else values
+        tori += [_Torus(g, pair) for g, pair, block in zip(*_shear_table_of(factors, closed)) if block == b]
+    return tuple(tori)
+
+
 @dataclass(frozen=True)
 class SearchConfig:
     """Bounded search parameters: exponent box and conjugation family.
@@ -612,9 +654,8 @@ class SearchConfig:
     cocharacter lies in a maximal torus, and a frame f spans the torus
     f T f^-1 of the diagonal torus T.  The family is kept as one base frame
     per maximal torus, the first frame of the given family that spans it,
-    and the searches move points by its checked pair (base, base^-1)
-    (``_frames``); the identity is put first when the family lacks it.
-    Another frame of a torus is f . P with P
+    with its record (``_Torus``, in ``_tori``); the identity is put first
+    when the family lacks it.  Another frame of a torus is f . P with P
     monomial, and admissibility, the weak orderings, the norm and the
     exponent box are all invariant under the permutation of coordinates P
     makes (``Norm.check_invariance``), so such a frame adds no cocharacter
@@ -632,61 +673,42 @@ class SearchConfig:
     conjugation_family: tuple[Mat, ...] = ()
     oracle_mode: bool = False
     normalizer_samples: tuple[Mat, ...] = ()
-    _frames: tuple[tuple, ...] = field(init=False, repr=False, compare=False)
+    _tori: tuple[_Torus, ...] = field(init=False, repr=False, compare=False)
     _samples: tuple[tuple, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         check = self.group._checked_pair
         self._hold(
-            ((g, check(g, "conjugation family element")) for g in map(linalg.mat, self.conjugation_family)),
+            (_Torus(g, check(g, "conjugation family element")) for g in map(linalg.mat, self.conjugation_family)),
             ((g, check(g, "normalizer sample")) for g in map(linalg.mat, self.normalizer_samples)),
         )
 
     @staticmethod
     def _held(group, exponent_box, family, oracle_mode=False, samples=()) -> "SearchConfig":
-        """The configuration whose frames and normalizer samples are given
-        as (matrix, held pair) items, which are not checked again."""
+        """The configuration of ``_Torus`` records and (matrix, held pair)
+        normalizer samples, which are not checked again."""
         cfg = object.__new__(SearchConfig)
-        for name, value in (("group", group), ("exponent_box", exponent_box), ("oracle_mode", oracle_mode)):
-            object.__setattr__(cfg, name, value)
+        vars(cfg).update(group=group, exponent_box=exponent_box, oracle_mode=oracle_mode)
         cfg._hold(family, samples)
         return cfg
 
     def _hold(self, family, samples) -> None:
-        """Keeps the first frame of each maximal torus of the (matrix, pair)
-        items of the family, the identity first when the family lacks it,
-        and the samples; the items are read after the exponent box is
-        checked."""
+        """Keeps the first of the family's records per maximal torus, in
+        first-seen order, the identity first when the family lacks it, and
+        the samples; both are read after the exponent box is checked."""
         if self.exponent_box < 1:
             raise DomainError("exponent box must be >= 1")
         family = list(family)
         ident = self.group.identity()
-        if ident not in [g for g, _ in family]:
+        if ident not in [t.frame for t in family]:
             one = linalg._Scaled.of(ident)
-            family.insert(0, (ident, (one, one)))
-        tori: dict = {}
-        for g, pair in family:
-            tori.setdefault(_torus_key(pair[0]), (g, pair))
-        samples = tuple(samples)
-        for name, items in (("conjugation_family", tori.values()), ("normalizer_samples", samples)):
-            object.__setattr__(self, name, tuple(g for g, _ in items))
-        object.__setattr__(self, "_frames", tuple(pair for _, pair in tori.values()))
-        object.__setattr__(self, "_samples", tuple(pair for _, pair in samples))
-
-    @functools.cached_property
-    def _operators(self) -> tuple:
-        """Per torus, h -> base^-1 h base as the ``linalg`` conjugation
-        operator of its checked pair, built on the first closedness search
-        and kept, outside the compared fields, beside ``_frames``."""
-        return tuple(linalg._conjugation_operator(inverse, base) for base, inverse in self._frames)
-
-    @functools.cached_property
-    def _flag_spaces(self) -> dict:
-        """(torus index, coordinate bitmask) -> the ``_column_space`` of
-        that torus base's columns at the set bits, filled by the closedness
-        search on first use (``_flag``) and kept, outside the compared
-        fields, beside ``_operators``."""
-        return {}
+            family.insert(0, _Torus(ident, (one, one)))
+        first: dict = {}
+        for t in family:
+            first.setdefault(t.key, t)
+        tori, samples = tuple(first.values()), tuple(samples)
+        vars(self).update(conjugation_family=tuple(t.frame for t in tori), _tori=tori)
+        vars(self).update(normalizer_samples=tuple(g for g, _ in samples), _samples=tuple(pair for _, pair in samples))
 
     @staticmethod
     def default(
@@ -704,18 +726,13 @@ class SearchConfig:
         again an elementary shear, with c negated when w negates a column,
         as odd Weyl representatives on SL do.  So a GL block takes the
         given values and an SL block those values closed under negation.
-        The shears come with their held pairs in closed form
-        (``GroupSpec._shear_table``); only the normalizer samples are
-        checked.
+        The shears come with their held pairs in closed form, and their
+        records are built once per group shape and values
+        (``_default_tori``); only the normalizer samples are checked.
         """
-        frames = []
-        for b, f in enumerate(group.factors):
-            values = tuple(shear_values)
-            if f.family == "SL":
-                values += tuple(-c for c in values if -c not in values)
-            frames += [(g, pair) for g, pair, block in zip(*group._shear_table(values)) if block == b]
+        tori = _default_tori(group.factors, tuple(map(frac, shear_values)))
         samples = ((g, group._checked_pair(g, "normalizer sample")) for g in map(linalg.mat, normalizer_samples))
-        return SearchConfig._held(group, exponent_box, frames, oracle_mode, samples)
+        return SearchConfig._held(group, exponent_box, tori, oracle_mode, samples)
 
 
 @dataclass(frozen=True)
@@ -816,13 +833,11 @@ def optimize(points, s: SubvarietySpec, cfg: SearchConfig) -> OptimizationResult
     if all(s.contains_point(x) for x in points):
         zero = Cocharacter.standard(group, (0,) * group.dimension)
         cert = SearchCertificate((), (), (), norm_gram=group.norm.gram)
-        return OptimizationResult(
-            TRIVIAL, zero, None, _whole_group_descriptor(group), cert, cfg.oracle_mode
-        )
+        return OptimizationResult(TRIVIAL, zero, None, _whole_group_descriptor(group), cert, cfg.oracle_mode)
 
-    frames = cfg.conjugation_family
+    tori = cfg._tori
     classes = _weight_classes(rep)
-    weight_sets = [_weight_sets(_frame_forms(points, s, pair), classes.zero) for pair in cfg._frames]
+    weight_sets = [_weight_sets(_frame_forms(points, s, t.pair), classes.zero) for t in tori]
     # one torus optimum per mask pair and representation
     memo = rep.__dict__.setdefault("_torus_memo", {})
     outcomes = []
@@ -853,7 +868,7 @@ def optimize(points, s: SubvarietySpec, cfg: SearchConfig) -> OptimizationResult
     tied = []
     for opt_c, idx in candidates:
         if opt_c.value_sq == best_value:
-            lam_c = Cocharacter._on_frame(group, frames[idx], cfg._frames[idx], opt_c.exponents)
+            lam_c = Cocharacter._on_frame(group, tori[idx].frame, tori[idx].pair, opt_c.exponents)
             tied.append((fold_permutation_base(lam_c), opt_c))
     # standard-torus representatives first, then lexicographically smallest
     # exponents, then family order
@@ -1025,7 +1040,7 @@ def is_cochar_closed(v: Point, cfg: SearchConfig) -> CocharClosedVerdict:
 
     The conjugator system is solved in the base frame that already holds
     the tuple and its limit, once per flag of lambda in the whole space
-    (``_flag``).  Whether the limit is R_u(P_lambda)(Q)-conjugate to the
+    (``_Torus.flag``).  Whether the limit is R_u(P_lambda)(Q)-conjugate to the
     tuple depends on the parabolic alone: two cocharacters with one flag
     have one parabolic and interleave their levels alike, so their Levi
     subgroups are conjugate by some u0 in R_u(P)(Q), and u0 carries one
@@ -1038,13 +1053,12 @@ def is_cochar_closed(v: Point, cfg: SearchConfig) -> CocharClosedVerdict:
     and a skipped cocharacter has a conjugator, so this changes neither
     the verdict nor ``examined``.
 
-    What depends on the configuration alone is built once: each torus's
-    conjugation operator (``SearchConfig._operators``), the exponent
-    records per group shape and box (``_Representatives``), and per torus
-    and coordinate set each flag space (``SearchConfig._flag_spaces``).  The
-    examined cocharacters are built on the torus's held pair from the
-    table's exponents, which are not checked again.  Nothing keyed by the
-    input is kept between calls.
+    What depends on the configuration alone is built once: each torus
+    record's conjugation operator and flag spaces (``_Torus``), and the
+    exponent records per group shape and box (``_Representatives``).  The
+    examined cocharacters are built on the record's frame and held pair
+    from the table's exponents, which are not checked again.  Nothing keyed
+    by the input is kept between calls.
     """
     rep = v.rep
     if not isinstance(rep, ConjugationTuples):
@@ -1058,20 +1072,19 @@ def is_cochar_closed(v: Point, cfg: SearchConfig) -> CocharClosedVerdict:
     examined: list[Cocharacter] = []
     solved: set = set()  # the flag of each cocharacter with a conjugator
     held: dict = {}  # exponents -> their torus cocharacter, shared by the tori
-    for torus, (flat, bits) in enumerate(_torus_moves(v, cfg)):
+    for torus, flat, bits in _torus_moves(v, cfg):
         entries = table.admissible(bits)
         if not entries:
             continue
         moved = _moved(flat, group.dimension)
-        frame, pair = cfg.conjugation_family[torus], cfg._frames[torus]
         for d, _, greater, levels, free, index in entries:
             if d not in held:
                 held[d] = TorusCocharacter._held(group, d)
-            lam = Cocharacter._held(frame, pair, held[d])
+            lam = Cocharacter._held(torus.frame, torus.pair, held[d])
             examined.append(lam)
             if not bits & greater:
                 continue  # the limit is the tuple: the identity conjugator works
-            key = _flag(cfg, torus, levels)
+            key = torus.flag(levels)
             if key in solved:
                 continue
             tmats = [t.rows for t in moved]
@@ -1102,16 +1115,16 @@ def _entry_pattern(mats) -> set[tuple[int, int]]:
 
 
 def _torus_moves(v: Point, cfg: SearchConfig):
-    """Torus by torus, the point's tuple moved into the base frame,
-    base^-1 h base for each matrix h, as the flat integer rows and scale of
-    each matrix, and its entry mask: bit i m + j is set when entry (i, j)
-    of some moved matrix is nonzero.
+    """Per torus record, in order, the record, the point's tuple moved into
+    its base frame, base^-1 h base for each matrix h, as the flat integer
+    rows and scale of each matrix, and its entry mask: bit i m + j is set
+    when entry (i, j) of some moved matrix is nonzero.
 
     Matrix t is read off the point's integer coordinates w over u
     (``Point._ints``) as w_t and u divided by gcd(u, w_t), the rows and
-    scale that ``linalg._Scaled.of`` gives it.  Each torus's conjugation
-    operator (``SearchConfig._operators``) moves it in one pass over its
-    nonzero entries, to the rows and scale of inverse @ h @ base.
+    scale that ``linalg._Scaled.of`` gives it.  The record's conjugation
+    operator moves it in one pass over its nonzero entries, to the rows
+    and scale of inverse @ h @ base.
     """
     w, u = v._ints
     n = cfg.group.dimension ** 2
@@ -1121,35 +1134,17 @@ def _torus_moves(v: Point, cfg: SearchConfig):
         g = gcd(u, *block)
         flat.append(([(kl, x // g) for kl, x in enumerate(block) if x], u // g))
     powers = [1 << k for k in range(n)]
-    for operator in cfg._operators:
-        moved = [(operator.moved(terms), operator.scale * s) for terms, s in flat]
+    for torus in cfg._tori:
+        moved = [(torus.operator.moved(terms), torus.operator.scale * s) for terms, s in flat]
         bits = 0
         for acc, _ in moved:
             bits |= sum(itertools.compress(powers, acc))
-        yield moved, bits
+        yield torus, moved, bits
 
 
 def _moved(flat, m: int) -> list[linalg._Scaled]:
     """The moved matrices of one torus of ``_torus_moves`` as scaled values."""
     return [linalg._Scaled(tuple(tuple(acc[i : i + m]) for i in range(0, m * m, m)), s) for acc, s in flat]
-
-
-def _flag(cfg: SearchConfig, torus: int, levels: tuple[int, ...]) -> tuple:
-    """The flag, in the whole space, of a cocharacter on the
-    configuration's torus of that index whose level sets are given as
-    coordinate bitmasks (``_exponent_record``'s levels): for each distinct
-    exponent c but the smallest, largest first, V_c, the span of the base
-    columns i with d_i >= c, as its ``_column_space``.  Two cocharacters
-    have equal flags exactly when they define one parabolic subgroup of GL
-    of the space; each space is built once per torus and coordinate set."""
-    spaces = cfg._flag_spaces
-    key = tuple([spaces.get((torus, mask)) for mask in levels])
-    if None in key:
-        for mask in levels:
-            if (torus, mask) not in spaces:
-                spaces[torus, mask] = _column_space(cfg._frames[torus][0], mask)
-        key = tuple([spaces[torus, mask] for mask in levels])
-    return key
 
 
 def _column_space(frame: linalg._Scaled, mask: int) -> tuple:

@@ -590,6 +590,17 @@ def test_cli_corpus_rejects_non_integer_threads(tmp_path, monkeypatch):
     assert "DESTAB_THREADS" in report["error"]["message"]
 
 
+def test_cli_corpus_refuses_oversized_threads(tmp_path, monkeypatch):
+    # the refusal comes before run_profile, so no worker process starts
+    started = []
+    monkeypatch.setattr(cli, "run_profile", lambda *args: started.append(args))
+    monkeypatch.setenv("DESTAB_THREADS", str(cli._MAX_WORKERS + 1))
+    code, report = run_cli(tmp_path, ["corpus", "--profile", "ruconj", "--size", "2"])
+    assert code == 2 and started == []
+    assert report["error"]["kind"] == "schema"
+    assert "DESTAB_THREADS" in report["error"]["message"] and str(cli._MAX_WORKERS) in report["error"]["message"]
+
+
 @pytest.mark.parametrize("size", ["0", "-3"])
 def test_cli_corpus_rejects_size_below_one(tmp_path, size):
     code, report = run_cli(tmp_path, ["corpus", "--profile", "ruconj", "--size", size])

@@ -685,7 +685,7 @@ def test_centralizer_dim_matches_dense_reference_on_corpus_and_projections():
         cfg = corpus_config(h.group)
         exponents = (
             (d, moved)
-            for moved in (instability._moved(flat, h.group.dimension) for flat, _ in instability._torus_moves(h.tuple_point(), cfg))
+            for moved in (instability._moved(flat, h.group.dimension) for _, flat, _ in instability._torus_moves(h.tuple_point(), cfg))
             for d in instability.admissible_exponents(h.group, cfg.exponent_box, instability._entry_pattern(t.rows for t in moved))
         )
         for d, moved in exponents:

@@ -1294,6 +1294,11 @@ def _frame_pair(frame, inverse=None):
     return linalg._Scaled.of(frame), linalg._Scaled.of(linalg.inverse(frame) if inverse is None else inverse)
 
 
+def _pairs(cfg):
+    """The held pair of each torus record of a configuration, in order."""
+    return tuple(t.pair for t in cfg._tori)
+
+
 @functools.cache
 def _weyl_shear_family(group, values=()):
     """The frames ``SearchConfig.default`` walked before it generated its
@@ -1426,9 +1431,11 @@ def test_moved_tuples_match_fraction_products():
             cfg = corpus_config(h.group)
             mats = _twisted(h.generators, rng)
             point = ConjugationTuples(cfg.group, len(mats)).point(mats)
-            moved = [instability._moved(flat, h.group.dimension) for flat, _ in instability._torus_moves(point, cfg)]
-            assert len(moved) == len(cfg._frames)
-            for frame, pair, tmats in zip(cfg.conjugation_family, cfg._frames, moved):
+            moved = [(t, instability._moved(flat, h.group.dimension)) for t, flat, _ in instability._torus_moves(point, cfg)]
+            assert [t for t, _ in moved] == list(cfg._tori)
+            for frame, (torus, tmats) in zip(cfg.conjugation_family, moved):
+                pair = torus.pair
+                assert torus.frame is frame
                 inv = linalg.inverse(frame)
                 assert pair == _frame_pair(frame, inv)
                 assert all(type(x) is int for t in tmats for row in t.rows for x in row)
@@ -1448,46 +1455,48 @@ def test_moved_tuples_match_fraction_products():
 
 
 def _moved_tuples(mats, cfg):
-    """Torus by torus, its base, its checked pair (an entry of
-    ``SearchConfig._frames``), and the tuple moved into the base frame,
-    base^-1 h base for each matrix h, as scaled values."""
+    """Torus by torus, its record (an entry of ``SearchConfig._tori``) and
+    the tuple moved into the base frame, base^-1 h base for each matrix h,
+    as scaled values."""
     m = cfg.group.dimension
     flat = []
     for h in mats:
         h = linalg._Scaled.of(h)
         flat.append(([(kl, x) for kl, x in enumerate(itertools.chain.from_iterable(h.rows)) if x], h.scale))
-    for frame, pair, operator in zip(cfg.conjugation_family, cfg._frames, cfg._operators):
+    for torus in cfg._tori:
+        operator = torus.operator
         moved = []
         for terms, s in flat:
             acc = operator.moved(terms)
             moved.append(linalg._Scaled(tuple(tuple(acc[i : i + m]) for i in range(0, m * m, m)), operator.scale * s))
-        yield frame, pair, moved
+        yield torus, moved
 
 
 def _frame_cocharacters(mats, cfg):
     """Torus by torus, each admissible cocharacter whose parabolic contains
-    the tuple, with the torus's index and the tuple moved into its base
+    the tuple, with the torus's record and the tuple moved into its base
     frame as ``_moved_tuples`` gives it; the enumeration is read through
     the module, so a test may replace it."""
-    for torus, (frame, pair, moved) in enumerate(_moved_tuples(mats, cfg)):
+    for torus, moved in _moved_tuples(mats, cfg):
         for exps in instability.admissible_exponents(cfg.group, cfg.exponent_box, _entry_pattern(t.rows for t in moved)):
-            yield torus, Cocharacter._on_frame(cfg.group, frame, pair, exps), moved
+            yield torus, Cocharacter._on_frame(cfg.group, torus.frame, torus.pair, exps), moved
 
 
-def _flag(cfg, torus, d):
+def _flag(torus, d):
     """The flag key of the cocharacter with exponents d on the torus of
-    that index: the ``_column_space`` of the base columns i with d_i >= c,
-    for each distinct exponent c but the smallest, largest first."""
-    spaces = cfg._flag_spaces
+    that record: the ``_column_space`` of the base columns i with d_i >= c,
+    for each distinct exponent c but the smallest, largest first, kept in
+    the record's spaces."""
+    spaces = torus._spaces
     key = []
     mask = 0
     for c in sorted(set(d), reverse=True)[:-1]:
         for i, x in enumerate(d):
             if x == c:
                 mask |= 1 << i
-        space = spaces.get((torus, mask))
+        space = spaces.get(mask)
         if space is None:
-            space = spaces[torus, mask] = instability._column_space(cfg._frames[torus][0], mask)
+            space = spaces[mask] = instability._column_space(torus.pair[0], mask)
         key.append(space)
     return tuple(key)
 
@@ -1507,7 +1516,7 @@ def _set_pattern_is_cochar_closed(v, cfg):
         limit_t = [_limit_pattern(h, d) for h in tmats]
         if limit_t == tmats:
             continue  # the identity conjugator works
-        key = _flag(cfg, torus, d)
+        key = _flag(torus, d)
         if key in solved:
             continue
         if instability._radical_conjugator(tmats, limit_t, lam, table.record(d)[4:]) is None:
@@ -1626,7 +1635,7 @@ def _whole_space_flag(lam):
 
 def test_flag_is_the_whole_space_flag():
     # every cocharacter the set-pattern search examines whose limit moves
-    # the tuple: its key, read off its level masks and the torus index, is
+    # the tuple: its key, read off its level masks by the torus record, is
     # its flag and the key the sort read; on the one-factor corpus groups it
     # is the one flag of its parabolic descriptor.  The corpus, seeded
     # tuples on the search-table groups, and seeded tuples with entries
@@ -1647,8 +1656,8 @@ def test_flag_is_the_whole_space_flag():
             d = lam.torus.exponents
             if [_limit_pattern(t.rows, d) for t in moved] == [t.rows for t in moved]:
                 continue
-            key = instability._flag(cfg, torus, table.record(d)[3])
-            assert key == _whole_space_flag(lam) == _flag(cfg, torus, d)
+            key = torus.flag(table.record(d)[3])
+            assert key == _whole_space_flag(lam) == _flag(torus, d)
             if len(cfg.group.factors) == 1:
                 (chain,) = ParabolicDescriptor.from_cocharacter(lam).flags
                 assert key == tuple(map(_primitive_rows, chain))
@@ -1656,7 +1665,7 @@ def test_flag_is_the_whole_space_flag():
             checked += 1
             crossing += bool(_entry_pattern(t.rows for t in moved) & _crossing_pairs(cfg.group))
         m = cfg.group.dimension
-        assert all(0 <= t < len(cfg._frames) and 0 < mask < (1 << m) - 1 for t, mask in cfg._flag_spaces)
+        assert all(0 < mask < (1 << m) - 1 for t in cfg._tori for mask in t._spaces)
     assert checked >= 600 and len(keys) >= 40 and crossing >= 20, (checked, len(keys), crossing)
 
 
@@ -1781,7 +1790,7 @@ def test_is_cochar_closed_diagonal_gl5_examines_and_solves_as_pinned(monkeypatch
     start = time.perf_counter()
     verdict = is_cochar_closed(v, cfg)
     took = time.perf_counter() - start
-    assert verdict.closed and len(cfg._frames) == 81
+    assert verdict.closed and len(cfg._tori) == 81
     assert len(verdict.examined) == 25100 and len(solved) == 540
     assert len({_whole_space_flag(lam) for lam in solved}) == 540
     assert took < 10.0, took
@@ -2158,8 +2167,10 @@ def test_default_tori_match_weyl_shear_family():
             assert len(set(_torus_keys(cfg.conjugation_family))) == len(cfg.conjugation_family)
             if _gl_only(group):
                 assert cfg.conjugation_family == _first_per_torus(frames), (shape, values)
-            assert cfg._frames == tuple(map(_frame_pair, cfg.conjugation_family))
-            for frame_s, inv_s in cfg._frames:  # frame inv = I
+            assert _pairs(cfg) == tuple(map(_frame_pair, cfg.conjugation_family))
+            assert [t.frame for t in cfg._tori] == list(cfg.conjugation_family)
+            assert [t.key for t in cfg._tori] == _torus_keys(cfg.conjugation_family)
+            for frame_s, inv_s in _pairs(cfg):  # frame inv = I
                 assert frame_s @ inv_s == linalg._Scaled.of(linalg.identity(group.dimension))
     # a given family keeps its first frame per torus, the identity first
     cfg, frames = _torus_families()["gl3-scaled"]
@@ -2354,7 +2365,7 @@ def test_frame_forms_run_once_per_torus_class(monkeypatch):
             calls.clear()
             result = optimize(points, ZERO, cfg)
             # one call per torus, then the value check's per point
-            assert calls == [*cfg._frames, *[result.cocharacter._frame] * len(points)]
+            assert calls == [*_pairs(cfg), *[result.cocharacter._frame] * len(points)]
         _assert_same_optimum(result, _reference_optimize(points, ZERO, cfg, frames), cfg, frames)
         assert len(result.certificate.frames) == tori
 
@@ -2498,7 +2509,7 @@ def test_search_config_membership_matches_dense_check():
                 accepted = False
             else:
                 accepted = True
-                assert cfg._frames == tuple(map(_frame_pair, cfg.conjugation_family))
+                assert _pairs(cfg) == tuple(map(_frame_pair, cfg.conjugation_family))
             assert accepted == member, (group, f, frame)
             verdicts.add(member)
     assert verdicts == {True, False}
@@ -2867,7 +2878,7 @@ def test_oracle_sweep_keeps_nothing_and_reads_any_chunk_size_alike(monkeypatch):
     sweeps = []
     for points, s in inputs:
         classes = instability._weight_classes(points[0].rep)
-        weight_sets = [instability._weight_sets(instability._frame_forms(points, s, pair), classes.zero) for pair in cfg._frames]
+        weight_sets = [instability._weight_sets(instability._frame_forms(points, s, pair), classes.zero) for pair in _pairs(cfg)]
         sweeps.append((weight_sets, classes))
     calls = []
     vectors = instability._box_vectors
@@ -2915,7 +2926,7 @@ def _slow_optimize(points, s, cfg):
         zero = Cocharacter.standard(group, (0,) * group.dimension)
         cert = SearchCertificate((), (), (), norm_gram=group.norm.gram)
         return OptimizationResult(TRIVIAL, zero, None, _whole_group_descriptor(group), cert, cfg.oracle_mode)
-    forms = [_reference_frame_forms(points, s, pair) for pair in cfg._frames]
+    forms = [_reference_frame_forms(points, s, pair) for pair in _pairs(cfg)]
     outcomes, candidates = [], []
     for idx, per_point in enumerate(forms):
         opt = _reference_torus_optimum(per_point, group)
@@ -3074,7 +3085,7 @@ def test_builtin_targets_evaluate_no_polynomial(monkeypatch):
     monkeypatch.setattr(Polynomial, "evaluate", counted)
     custom_seen = False
     for name, points, s, cfg in _target_cases(rng):
-        frame = cfg._frames[-1]
+        frame = cfg._tori[-1].pair
         instability._frame_forms(points, s, frame)
         for x in points:
             s.contains_point(x)
@@ -3171,7 +3182,7 @@ def _two_product_moved_tuples(mats, cfg):
     """Reference: each matrix scaled once and moved into each torus base by
     the two products inverse @ h @ base."""
     scaled = [linalg._Scaled.of(h) for h in mats]
-    for frame, pair in zip(cfg.conjugation_family, cfg._frames):
+    for frame, pair in zip(cfg.conjugation_family, _pairs(cfg)):
         base, inverse = pair
         yield frame, pair, [inverse @ h @ base for h in scaled]
 
@@ -3234,8 +3245,9 @@ def test_conjugation_operator_matches_two_products():
     for cfg, mats in cases:
         new = list(instability._torus_moves(ConjugationTuples(cfg.group, len(mats)).point(mats), cfg))
         old = list(_two_product_moved_tuples(mats, cfg))
-        assert [(f, pair) for f, pair, _ in old] == list(zip(cfg.conjugation_family, cfg._frames)) and len(new) == len(old)
-        for (flat, bits), (_, _, expected) in zip(new, old):
+        assert [(f, pair) for f, pair, _ in old] == [(t.frame, t.pair) for t, _, _ in new] and len(new) == len(old)
+        assert [t for t, _, _ in new] == list(cfg._tori)
+        for (_, flat, bits), (_, _, expected) in zip(new, old):
             moved = instability._moved(flat, cfg.group.dimension)
             assert [tuple(t) for t in moved] == [tuple(t) for t in expected]  # rows and scale, not only the value
             m = cfg.group.dimension
@@ -3262,7 +3274,7 @@ def test_admissible_exponent_masks_match_all_filter():
     for seed in (1, 2):
         for h in subgroup_corpus(seed, 60):
             cfg = corpus_config(h.group)
-            for flat, _ in instability._torus_moves(h.tuple_point(), cfg):
+            for _, flat, _ in instability._torus_moves(h.tuple_point(), cfg):
                 moved = instability._moved(flat, h.group.dimension)
                 cases.append((h.group, cfg.exponent_box, _entry_pattern(t.rows for t in moved)))
     crossing = 0
@@ -3382,6 +3394,9 @@ def _closedness_points(group, rng, count=6):
 
 
 def test_second_search_builds_no_operator(monkeypatch):
+    # one operator per torus record, on its first search; a second search,
+    # or a second default configuration of the same shape, whose records
+    # are the first one's, builds none
     build = linalg._conjugation_operator
     built = []
 
@@ -3390,16 +3405,19 @@ def test_second_search_builds_no_operator(monkeypatch):
         return build(left, right)
 
     monkeypatch.setattr(linalg, "_conjugation_operator", counted)
+    instability._default_tori.cache_clear()  # fresh records, whatever ran before
     rng = random.Random(131)
     for group in (GL3, GroupSpec.make(("GL", 2), ("SL", 2))):
         cfg = SearchConfig.default(group, exponent_box=2, shear_values=(-1, 1))
         points = _closedness_points(group, rng)
         built.clear()
         verdicts = [is_cochar_closed(v, cfg) for v in points]
-        assert built == list(cfg._frames)  # one operator per torus, on the first search
+        assert built == list(_pairs(cfg))  # one operator per torus, on the first search
         assert {v.closed for v in verdicts} == {True, False}
         assert [is_cochar_closed(v, cfg) for v in points] == verdicts
-        assert len(built) == len(cfg._frames)
+        again = SearchConfig.default(group, exponent_box=3, shear_values=(-1, 1))
+        assert all(a is t for a, t in zip(again._tori, cfg._tori)) and len(again._tori) == len(cfg._tori)
+        assert [is_cochar_closed(v, again) for v in points] and len(built) == len(cfg._tori)
 
 
 def test_searched_configuration_equals_a_fresh_one():
@@ -3414,10 +3432,13 @@ def test_searched_configuration_equals_a_fresh_one():
         def build():
             return SearchConfig.default(group, exponent_box=2, shear_values=(-1, 1), normalizer_samples=samples)
 
-        cfg, fresh = build(), build()
+        cfg = build()
+        # the checking constructor's records are fresh, not the shared ones
+        fresh = SearchConfig(group, 2, cfg.conjugation_family, normalizer_samples=samples)
         points = _closedness_points(group, rng)
         verdicts = [is_cochar_closed(v, cfg) for v in points]
-        assert "_operators" in vars(cfg) and "_operators" not in vars(fresh)
+        assert all("operator" in vars(t) for t in cfg._tori)
+        assert not any("operator" in vars(t) or t._spaces for t in fresh._tori)
         assert cfg == fresh and hash(cfg) == hash(fresh) and repr(cfg) == repr(fresh)
         echo = documents.emit_config(cfg)
         assert echo == documents.emit_config(fresh)
@@ -3510,7 +3531,8 @@ def test_kempf_check_checks_each_conjugator_once(monkeypatch):
     assert len(built) == len(references)
     for cfg, reference in zip(built, references):
         assert cfg == reference and repr(cfg) == repr(reference)
-        assert cfg._frames == reference._frames and cfg._samples == reference._samples
+        assert _pairs(cfg) == _pairs(reference) and cfg._samples == reference._samples
+        assert [t.key for t in cfg._tori] == [t.key for t in reference._tori]
     # the private path conjugates as the public one, which still checks
     rng = random.Random(139)
     for group in SEARCH_TABLE_GROUPS:
@@ -3590,7 +3612,7 @@ def test_closed_form_pairs_match_checked_pairs():
         for g, pair in held:
             _assert_reference_pair(group, g, pair, canonical=True)
         cfg = SearchConfig.default(group, shear_values=(F(1, 2), -1))
-        for g, pair in zip(cfg.conjugation_family, cfg._frames):
+        for g, pair in zip(cfg.conjugation_family, _pairs(cfg)):
             _assert_reference_pair(group, g, pair, canonical=True)
         # seeded products of two and three held pairs: (a b, b^-1 a^-1)
         for _ in range(12):
@@ -3636,7 +3658,8 @@ def test_default_configuration_checks_only_its_samples(monkeypatch):
             old = SearchConfig(group, 3, _old_default_frames(group, values), True, samples)
             assert cfg == old and hash(cfg) == hash(old) and repr(cfg) == repr(old)
             assert documents.emit_config(cfg) == documents.emit_config(old)
-            assert cfg._frames == old._frames and cfg._samples == old._samples
+            assert _pairs(cfg) == _pairs(old) and cfg._samples == old._samples
+            assert [t.key for t in cfg._tori] == [t.key for t in old._tori]
     with pytest.raises(DomainError, match="^exponent box must be >= 1$"):
         SearchConfig.default(GL2, exponent_box=0, normalizer_samples=(linalg.zeros(2, 2),))
     with pytest.raises(DomainError, match="^normalizer sample is not in the group$"):
