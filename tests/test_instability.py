@@ -10,6 +10,7 @@ import time
 from fractions import Fraction
 from fractions import Fraction as F
 from math import gcd
+from pathlib import Path
 
 import pytest
 
@@ -1613,6 +1614,74 @@ def test_closedness_search_outputs_pinned():
     assert sum(len(r["examined"]) for r in records) == 30600
     canon = json.dumps(records, sort_keys=True).encode("utf-8")
     assert hashlib.sha256(canon).hexdigest() == _CLOSEDNESS_DIGEST
+
+
+def _optimization_record(result):
+    """An ``OptimizationResult`` as JSON-ready data, rationals as strings:
+    status, value, global verification, the cocharacter's base and
+    exponents, the parabolic's flags and the whole certificate."""
+
+    def rational(x):
+        return None if x is None else str(x)
+
+    def rationals(mat):
+        return [[str(x) for x in row] for row in mat]
+
+    lam, cert = result.cocharacter, result.certificate
+    return {
+        "status": result.status,
+        "value_sq": rational(result.value_sq),
+        "global_verified": result.global_verified,
+        "cocharacter": None if lam is None else {"base": rationals(lam.base), "exponents": list(lam.torus.exponents)},
+        "parabolic": None if result.parabolic is None else [[rationals(space) for space in chain] for chain in result.parabolic.flags],
+        "certificate": {
+            "frames": [[f.frame_index, None if f.exponents is None else list(f.exponents), rational(f.value_sq)] for f in cert.frames],
+            "active_objective": [list(chi.weights) for chi in cert.active_objective],
+            "active_cone": [list(chi.weights) for chi in cert.active_cone],
+            "oracle_value_sq": rational(cert.oracle_value_sq),
+            "oracle_box": cert.oracle_box,
+            "norm_gram": None if cert.norm_gram is None else rationals(cert.norm_gram),
+        },
+    }
+
+
+def _kempf_workload_results(monkeypatch, tmp_path):
+    """The results of one round of the 42 ``kempf-optimize`` cases of
+    ``bench/workloads.py`` at seeds 1, 2, 3 and 5, built and run as the
+    workload builds and runs them: nilpotents and binary forms through
+    ``optimize``, unipotent generators through
+    ``gcr.optimal_parabolic_subgroup``.  The workload module is imported
+    from ``bench/`` without writing bytecode there."""
+    monkeypatch.setattr(sys, "dont_write_bytecode", True)
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parent.parent / "bench"))
+    import workloads
+
+    results = []
+    for seed in (1, 2, 3, 5):
+        state = workloads._build_kempf(seed, tmp_path)
+        for case in workloads._round_kempf(state):
+            cfg = state["configs"][case.inputs["config"]]
+            if case.kind == "unipotent":
+                h = gcr.SubgroupPresentation(case.inputs["group"], case.inputs["data"])
+                results.append(gcr.optimal_parabolic_subgroup(h, cfg))
+            else:
+                results.append(optimize(case.live["points"], case.live["subvariety"], cfg))
+    return results
+
+
+# sha256 of the sorted-key JSON of _optimization_record over the results of
+# _kempf_workload_results, in order: 168 results, 42 per seed, all optimal,
+# 48 of them globally verified, with 640 frame outcomes
+_OPTIMIZE_DIGEST = "e23f5954841bc131627a77e5573ad4dfed37476b61f0e454943b416de99b6d51"
+
+
+def test_optimize_outputs_pinned(monkeypatch, tmp_path):
+    records = [_optimization_record(r) for r in _kempf_workload_results(monkeypatch, tmp_path)]
+    assert len(records) == 168 and all(r["status"] == OPTIMAL for r in records)
+    assert sum(r["global_verified"] for r in records) == 48
+    assert sum(len(r["certificate"]["frames"]) for r in records) == 640
+    canon = json.dumps(records, sort_keys=True).encode("utf-8")
+    assert hashlib.sha256(canon).hexdigest() == _OPTIMIZE_DIGEST
 
 
 def _primitive_rows(space):
