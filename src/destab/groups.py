@@ -468,6 +468,19 @@ class Norm:
                 if orbit.setdefault((blocks[i], blocks[j], i == j), x) != x:
                     raise DomainError("Gram matrix is not invariant under block permutations")
 
+    # The inverse below is computed once per instance and kept in its
+    # __dict__, outside the dataclass fields, so equality, hash and repr do
+    # not see it; ``__getstate__`` leaves it out of pickles.
+
+    @functools.cached_property
+    def _inverse(self) -> linalg._Scaled:
+        """G^-1 as an integer matrix over a positive scale, which the QP
+        kernel reads (``instability._kkt_solve``)."""
+        return linalg._Scaled(self._int_gram, 1).inverse()[0]
+
+    def __getstate__(self) -> dict:
+        return {f.name: getattr(self, f.name) for f in fields(self)}
+
     def value_sq(self, d: tuple[int, ...]) -> Fraction:
         """d^T G d, summed in integers since G is integer-valued."""
         if len(d) != len(self._int_gram):

@@ -12,8 +12,9 @@ objective form is at least one.  Its minimizer is unique (the norm is
 positive definite) and is found by an exact dual active-set method: one
 KKT solve per step, with steps that grow with the number of forms tight at
 the optimum rather than with the number of subsets of forms.  It runs on
-integer rows (``min_qnorm_over_polyhedron``), and Fractions come back only
-in the returned minimizer.
+integers end to end (``_min_qnorm``): the weights, the norm's inverse, the
+minimizer, the multipliers and the step lengths; Fractions come back only
+from the public wrapper ``min_qnorm_over_polyhedron``.
 
 The built-in subvarieties, the zero locus and the identity tuple, are each
 one G-fixed point p: 0, or (I, ..., I).  A frame's inverse moves x - p to
@@ -72,7 +73,7 @@ import itertools
 import operator
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 
 from . import linalg
 from .errors import (
@@ -246,8 +247,14 @@ class VanishingOrder:
 
 
 def admits_limit(x: Point, lam: Cocharacter) -> bool:
-    d = lam.torus.exponents
-    return all(pairing_vec(d, chi) >= 0 for chi, c in zip(x.rep.weights, _frame_ints(x, lam._frame)[0]) if c)
+    return _admits(x.rep, _frame_ints(x, lam._frame)[0], lam.torus.exponents)
+
+
+def _admits(rep: Representation, w, d) -> bool:
+    """Whether a point with integer coordinates w in a cocharacter's frame
+    has a limit along its exponents d: no weight of a nonzero coordinate
+    pairs negatively with d."""
+    return all(pairing_vec(d, chi) >= 0 for chi, c in zip(rep.weights, w) if c)
 
 
 def admits_limit_set(points, lam: Cocharacter) -> bool:
@@ -261,16 +268,18 @@ def vanishing_order(x: Point, lam: Cocharacter, s: SubvarietySpec) -> VanishingO
     It is the least <lambda, chi> over the weights chi of the isotypic
     components of S's generators, composed with lambda's base, that do not
     vanish at x moved into the base's frame: the least pairing over the
-    forms ``_frame_forms`` reads in that frame.
+    forms ``_frame_forms`` reads in that frame.  x is moved into the frame
+    once, and both the limit check and the forms read its coordinates there.
     """
-    if not admits_limit(x, lam):
+    ints = _frame_ints(x, lam._frame)
+    d = lam.torus.exponents
+    if not _admits(x.rep, ints[0], d):
         raise LimitMembershipError("the limit of x along lambda does not exist")
     if s.contains_point(x):
         return VanishingOrder.infinite()
-    forms = _frame_forms([x], s, lam._frame)[0][1]
+    forms = _forms_reader(x.rep, s, lam._frame)(*ints)[1]
     if not forms:
         raise InvariantViolation("point outside S with identically vanishing generators")
-    d = lam.torus.exponents
     return VanishingOrder(min(pairing_vec(d, chi) for chi in _weight_classes(x.rep).decode(forms)))
 
 
@@ -278,21 +287,103 @@ def vanishing_order(x: Point, lam: Cocharacter, s: SubvarietySpec) -> VanishingO
 # Exact convex kernels
 
 
-def _kkt_solve(q: list, rows: list, top: list) -> tuple[list[int], list[int], int]:
+def _kkt_solve(inverse, rows: list, top) -> tuple[list[int], list[int], int]:
     """(z, r, den) with q x + A^T y = top and A x = 0 for x = z/den and
-    y = r/den, for the integer Gram matrix q and integer rows A, reduced as
-    integer rows.  q is positive definite and the rows are independent, so
-    the solution is unique.
+    y = r/den, for q^-1 given as the integer matrix Qi over the scale s
+    (``inverse``, None when q is singular) and the integer rows A.  The
+    k x k Schur complement gives y: (A Qi A^T) y = A Qi top, and then
+    x = Qi (top - A^T y) / s, so with y = y_num / y_den it returns
+    z = Qi (y_den top - A^T y_num), r = s y_num and den = s y_den.  q is
+    positive definite and the rows are independent, so the solution is
+    unique; otherwise it raises.
     """
-    n, k = len(q), len(rows)
-    m = n + k
-    system = [[*q[i], *(row[i] for row in rows), top[i]] for i in range(n)]
-    system += [[*row, *[0] * (k + 1)] for row in rows]
-    solution = linalg._solve(system, m)
-    if solution is None:
+    if inverse is None:
         raise InvariantViolation("singular KKT system in the dual active-set solver")
-    x, den = solution
-    return x[:n], x[n:], den
+    qi, s = inverse
+    qt = [sum(map(operator.mul, row, top)) for row in qi]
+    if not rows:
+        return qt, [], s
+    k = len(rows)
+    qa = [[sum(map(operator.mul, row, a)) for row in qi] for a in rows]  # Qi a for each row a
+    system = [[*(sum(map(operator.mul, a, w)) for w in qa), sum(map(operator.mul, a, qt))] for a in rows]
+    if linalg._reduce(system)[0] != list(range(k)):
+        raise InvariantViolation("singular KKT system in the dual active-set solver")
+    y_den = lcm(*[row[c] // gcd(row[c], row[k]) for c, row in enumerate(system)])
+    y_num = [row[k] * y_den // row[c] for c, row in enumerate(system)]
+    z = [y_den * x for x in qt]
+    for y, w in zip(y_num, qa):
+        if y:
+            z = [x - y * v for x, v in zip(z, w)]
+    return z, [s * y for y in y_num], s * y_den
+
+
+def _min_qnorm(inverse, n: int, rows, rhs, eqs) -> tuple[list[int], int] | None:
+    """The minimizer dn / den in n unknowns of d^T q d over {g.d >= c,
+    e.d = 0}, or None if the polyhedron is empty, for q^-1 as ``_kkt_solve``
+    takes it, the integer rows g with integer right-hand sides c, and
+    independent integer equality rows e: the integer kernel of
+    ``min_qnorm_over_polyhedron``.  dn and den have no common factor, and
+    den > 0."""
+    active = list(eqs)
+    n_eqs = len(active)
+    act_idx: list[int] = []  # inequality index of active[n_eqs + k]
+    # the multipliers of the active inequalities, then that of the row being
+    # added, as integers over one denominator, all >= 0
+    mult, m_den = [], 1
+    dn, den = [0] * n, 1  # d = dn / den
+    seen: set[frozenset[int]] = set()
+    while True:
+        slacks = [sum(map(operator.mul, g, dn)) - c * den for g, c in zip(rows, rhs)]
+        p = min(range(len(rows)), key=slacks.__getitem__, default=None)  # the first minimum
+        if p is None or slacks[p] >= 0:
+            return dn, den
+        g_p, c_p, slack = rows[p], rhs[p], slacks[p]  # the slack of p is slack / den
+        mult.append(0)
+        while True:
+            z, r, z_den = _kkt_solve(inverse, active, g_p)
+            r = r[n_eqs:]
+            r.append(-z_den)  # p's multiplier grows by the step length
+            # the step length is t = z_den a / b: the full step to
+            # g_p.d = c_p, or the step where the first multiplier reaches
+            # zero when that is shorter, the least mult_k / r_k over r_k > 0
+            # with ties to the least inequality index
+            drop = None
+            for k, rk in enumerate(r):
+                if rk > 0 and (drop is None or (mult[k] * r[drop], act_idx[k]) < (mult[drop] * rk, act_idx[drop])):
+                    drop = k
+            gz = sum(map(operator.mul, g_p, z))  # z^T q z / z_den > 0 when z is not 0
+            full = any(z)
+            if full:
+                a, b = -slack, den * gz
+                full = drop is None or a * m_den * r[drop] <= mult[drop] * b
+            elif drop is None:
+                return None
+            if not full:
+                a, b = mult[drop], m_den * r[drop]
+            # d + t z / z_den and mult - t r / z_den, each over one
+            # denominator and reduced
+            dn = [x * b + a * y * den for x, y in zip(dn, z)]
+            den *= b
+            common = gcd(den, *dn)
+            if common > 1:
+                dn = [x // common for x in dn]
+                den //= common
+            mult = [x * b - a * y * m_den for x, y in zip(mult, r)]
+            m_den *= b
+            common = gcd(m_den, *mult)
+            if common > 1:
+                mult = [x // common for x in mult]
+                m_den //= common
+            if full:
+                active.append(g_p)
+                act_idx.append(p)
+                key = frozenset(act_idx)
+                if key in seen:
+                    raise InvariantViolation("dual active-set solver revisited an active set")
+                seen.add(key)
+                break
+            slack = sum(map(operator.mul, g_p, dn)) - c_p * den
+            del active[n_eqs + drop], act_idx[drop], mult[drop]
 
 
 def min_qnorm_over_polyhedron(
@@ -300,94 +391,46 @@ def min_qnorm_over_polyhedron(
 ) -> Vec | None:
     """Unique minimizer of d^T q d over {g.d >= c, e.d = 0}, or None if empty.
 
-    Goldfarb-Idnani dual active-set method in exact arithmetic.  It starts
-    at d = 0, the unconstrained minimizer (q is positive definite), with
-    the equality rows active, and keeps d the minimizer over the affine set
-    of the active rows with nonnegative multipliers on the active
-    inequalities.  Each round adds the most violated inequality p: one KKT
-    solve gives the primal direction z and the change r of the active
-    multipliers, and the step either reaches g_p.d = c_p (full step: p
-    becomes active) or stops where a multiplier reaches zero (partial step:
-    that row is dropped and p is tried again).  Ties go to the smallest
-    index.  When p is a combination of the active rows and no multiplier
-    can fall, no step can satisfy it and the polyhedron is empty.
+    Goldfarb-Idnani dual active-set method (Math. Programming 27, 1983) in
+    exact arithmetic.  It starts at d = 0, the unconstrained minimizer (q is
+    positive definite), with the equality rows active, and keeps d the
+    minimizer over the affine set of the active rows with nonnegative
+    multipliers on the active inequalities.  Each round adds the most
+    violated inequality p: one KKT solve gives the primal direction z and
+    the change r of the active multipliers, and the step either reaches
+    g_p.d = c_p (full step: p becomes active) or stops where a multiplier
+    reaches zero (partial step: that row is dropped and p is tried again).
+    Ties go to the smallest index.  When p is a combination of the active
+    rows and no multiplier can fall, no step can satisfy it and the
+    polyhedron is empty.  Each full step strictly raises the dual
+    objective, so no active set recurs after a full step; a recurrence is
+    reported as an invariant violation rather than looping.
 
-    Each full step strictly raises the dual objective, so no active set
-    recurs after a full step; a recurrence is reported as an invariant
-    violation rather than looping.
-
-    The method runs on integers.  Rows may hold ints or Fractions.  The
-    inequalities [g | c] and q are taken as the integer rows of their
-    scaled values, and d is kept as an integer vector over one denominator
-    D.  Scaling q by a positive factor divides z by it and multiplies the
-    step lengths and the multipliers by it; scaling a row s g scales z and
-    its multiplier by s and 1/s.  So the step lengths, the full-or-partial
-    test and the drop ratios mult/r all scale by one positive factor per
-    step: the same rows are added and dropped, and d takes the same values.
-    All inequalities share one scale L, so each slack is the integer
-    L D (g.d - c), ranked as the rational slacks are, ties included.
+    This wrapper reads q and the rows [g | c] as integer rows over one
+    scale each and hands them to the integer kernel ``_min_qnorm``, which
+    the torus optimum calls directly.  The KKT step (``_kkt_solve``) solves
+    only the k x k Schur complement of the k active rows, on q^-1 held as
+    one integer matrix over a scale: a ``Norm`` keeps its own, built on
+    first use, and this wrapper inverts q once per call.  d is an integer
+    vector over one denominator, the multipliers integer numerators over
+    another, reduced by their gcd, and the step lengths integer pairs,
+    compared by cross-multiplication with positive denominators.  Scaling q
+    or all the rows by a positive factor scales the steps, the multipliers
+    and both sides of every comparison alike, so the same rows are added
+    and dropped, ties included, and d takes the same values.
     """
     n = len(q)
-    q_int = linalg._Scaled.of(q).rows
     for g, _ in ineqs:
         if len(g) != n:
             raise linalg.DimensionMismatch(n, len(g))
     ineq_rows = linalg._Scaled.of(tuple((*g, c) for g, c in ineqs)).rows
-    rows = [w[:n] for w in ineq_rows]
-    rhs = [w[n] for w in ineq_rows]
-    # independent equality rows, so every KKT matrix below is nonsingular
-    active: list = list(linalg._basis([linalg._integer_row(e) for e in eqs]))
-    n_eqs = len(active)
-    act_idx: list[int] = []  # inequality index of active[n_eqs + k]
-    mult: list[Fraction] = []  # its multiplier, always >= 0
-    dn, den = [0] * n, 1  # d = dn / den
-    seen: set[frozenset[int]] = set()
-    while True:
-        slacks = [sum(map(operator.mul, g, dn)) - c * den for g, c in zip(rows, rhs)]
-        p = min(range(len(rows)), key=slacks.__getitem__, default=None)  # the first minimum
-        if p is None or slacks[p] >= 0:
-            return tuple(Fraction(x, den) if x else ZERO for x in dn)
-        g_p = rows[p]
-        slack_p = Fraction(slacks[p], den)
-        u_p = ZERO
-        while True:
-            z, r, z_den = _kkt_solve(q_int, active, g_p)
-            r_ineq = r[n_eqs:]
-            blocking = [k for k, rk in enumerate(r_ineq) if rk > 0]
-            t_partial = None
-            if blocking:
-                drop = min(blocking, key=lambda k: (mult[k] / r_ineq[k], act_idx[k]))
-                t_partial = mult[drop] * z_den / r_ineq[drop]
-            gz = sum(map(operator.mul, g_p, z))  # z^T q z / z_den > 0 when z is not 0
-            full = any(z)
-            if full:
-                t_full = -slack_p * z_den / gz
-                full = t_partial is None or t_full <= t_partial
-            elif t_partial is None:
-                return None
-            t = t_full if full else t_partial
-            # d + t z over the denominator den t.denominator z_den, reduced
-            a, b = t.numerator, t.denominator
-            dn = [x * b * z_den + a * y * den for x, y in zip(dn, z)]
-            den *= b * z_den
-            common = gcd(den, *dn)
-            if common > 1:
-                dn = [x // common for x in dn]
-                den //= common
-            step = t / z_den
-            mult = [m - step * rk for m, rk in zip(mult, r_ineq)]
-            u_p += t
-            if full:
-                active.append(g_p)
-                act_idx.append(p)
-                mult.append(u_p)
-                key = frozenset(act_idx)
-                if key in seen:
-                    raise InvariantViolation("dual active-set solver revisited an active set")
-                seen.add(key)
-                break
-            slack_p += step * gz
-            del active[n_eqs + drop], act_idx[drop], mult[drop]
+    # independent equality rows, so every KKT matrix is nonsingular
+    eq_rows = linalg._basis([linalg._integer_row(e) for e in eqs])
+    solution = _min_qnorm(linalg._Scaled.of(q).inverse()[0], n, [w[:n] for w in ineq_rows], [w[n] for w in ineq_rows], eq_rows)
+    if solution is None:
+        return None
+    dn, den = solution
+    return tuple(Fraction(x, den) if x else ZERO for x in dn)
 
 
 def nearest_point_interior(points, gram: Mat | None = None) -> Vec:
@@ -413,11 +456,17 @@ def nearest_point_interior(points, gram: Mat | None = None) -> Vec:
             raise DomainError("Gram matrix must be symmetric")
         if not linalg.is_positive_definite(q):
             raise DomainError("Gram matrix must be positive definite")
-    d = min_qnorm_over_polyhedron(q, [(linalg.mat_vec(q, p), Fraction(1)) for p in pts], [])
-    if d is None:
+    # q = Q / s and p_i = P_i / u, so (q p_i).d >= 1 is (Q P_i).d >= s u
+    scaled = linalg._Scaled.of(q)
+    (qs, s), (ps, u) = scaled, linalg._Scaled.of(pts)
+    rows = [[sum(map(operator.mul, row, p)) for row in qs] for p in ps]
+    solution = _min_qnorm(scaled.inverse()[0], n, rows, [s * u] * len(rows), ())
+    if solution is None:
         return (Fraction(0),) * n
-    value = linalg.dot(d, linalg.mat_vec(q, d))
-    return tuple(x / value for x in d)
+    # d = dn / den, so d / (d^T q d) = dn s den / (dn^T Q dn)
+    dn, den = solution
+    value = sum(x * sum(map(operator.mul, row, dn)) for x, row in zip(dn, qs))
+    return tuple(Fraction(x * s * den, value) for x in dn)
 
 
 # ---------------------------------------------------------------------------
@@ -506,25 +555,29 @@ def _frame_forms(points, s: SubvarietySpec, frame: tuple | None) -> list[tuple[i
     generators are composed with each frame and their components evaluated
     at the moved point.
     """
-    rep = points[0].rep
+    forms = _forms_reader(points[0].rep, s, frame)
+    return [forms(*_frame_ints(x, frame)) for x in points]
+
+
+def _forms_reader(rep: Representation, s: SubvarietySpec, frame: tuple | None):
+    """The function that takes the integer coordinates w over u of a point
+    moved into the frame to its two ``_frame_forms`` masks."""
     classes = _weight_classes(rep)
     bits = classes.coordinate_bits
     p = s._fixed_point(rep)
     if p is None:
         iso = s.isotypic_data(rep, None if frame is None else frame[0].fractions())
-    out = []
-    for x in points:
-        w, u = _frame_ints(x, frame)
+
+    def forms(w, u) -> tuple[int, int]:
         support = _mask(itertools.compress(bits, w))
         if p is None:
             moved = _point(rep, w, u)
-            forms = _mask(classes.bit(chi) for parts in iso for chi, component in parts if component.evaluate(moved) != 0)
-        elif any(p):
-            forms = _mask(itertools.compress(bits, [c - pc * u for c, pc in zip(w, p)]))
-        else:
-            forms = support
-        out.append((support, forms))
-    return out
+            return support, _mask(classes.bit(chi) for parts in iso for chi, component in parts if component.evaluate(moved) != 0)
+        if any(p):
+            return support, _mask(itertools.compress(bits, [c - pc * u for c, pc in zip(w, p)]))
+        return support, support
+
+    return forms
 
 
 def _weight_sets(per_point, zero: int) -> tuple[int, int]:
@@ -558,6 +611,15 @@ def optimize_torus(points, s: SubvarietySpec, frame: Mat | None = None) -> Torus
     return _torus_optimum(classes.decode(cone), classes.decode(objective), rep.group)
 
 
+@functools.cache
+def _sl_rows(factors: tuple) -> tuple[tuple[int, ...], ...]:
+    """The sum rows of the SL blocks of a group shape, independent rows
+    that cut out the cocharacters of the shape's group; kept per shape."""
+    m = sum(f.rank for f in factors)
+    starts = itertools.accumulate((f.rank for f in factors), initial=0)
+    return tuple(tuple(int(a <= i < a + f.rank) for i in range(m)) for f, a in zip(factors, starts) if f.family == "SL")
+
+
 def _torus_optimum(cone, objective, group: GroupSpec) -> TorusOptimum | None:
     """``optimize_torus`` on the weights of the points in one frame, the
     nonzero support weights and the objective forms (``_weight_sets``,
@@ -566,19 +628,15 @@ def _torus_optimum(cone, objective, group: GroupSpec) -> TorusOptimum | None:
         return TorusOptimum((0,) * group.dimension, None, (), ())
     if any(chi.is_zero() for chi in objective):
         return None
-    m = group.dimension
-    eqs = [
-        tuple(int(i in block) for i in range(m))
-        for f, block in zip(group.factors, group.block_slices)
-        if f.family == "SL"
-    ]
     bounds = [chi for chi in cone if chi not in objective]
-    ineqs = [(chi.weights, 1) for chi in objective]
-    ineqs += [(chi.weights, 0) for chi in bounds]
-    d = min_qnorm_over_polyhedron(group.norm.gram, ineqs, eqs)
-    if d is None:
+    rows = [chi.weights for chi in (*objective, *bounds)]
+    rhs = [1] * len(objective) + [0] * len(bounds)
+    solution = _min_qnorm(group.norm._inverse, group.dimension, rows, rhs, _sl_rows(group.factors))
+    if solution is None:
         return None
-    exps = linalg.primitive_direction(d)
+    dn = solution[0]
+    g = gcd(*dn)
+    exps = tuple(x // g for x in dn)
     pairings = {chi: pairing_vec(exps, chi) for chi in objective}
     a = min(pairings.values())
     if a <= 0:

@@ -642,20 +642,27 @@ def test_integer_kernel_matches_fraction_reference(monkeypatch):
     """The integer kernel solves the Fraction loop's KKT systems in the same
     order, with the same active rows and the same added row up to positive
     scale, so it adds, drops and breaks ties as the loop does; and it
-    returns the loop's minimizer, or None where the loop does.  Checked on
-    weight polyhedra of GL_3, GL_4 and GL_2 x SL_2, on rational rows under
-    integer and rational Gram matrices, on the seeded polyhedra of the
-    enumeration test and on degenerate vertices of small integer rows."""
+    returns the loop's minimizer, or None where the loop does.  Each Schur
+    complement solution (z, r, den), read as z / den and r / den, is the
+    (x, y) of the full KKT system the reference solves on the same rows.
+    Checked on weight polyhedra of GL_3, GL_4 and GL_2 x SL_2, on rational
+    rows under integer and rational Gram matrices, on the seeded polyhedra
+    of the enumeration test and on degenerate vertices of small integer
+    rows; a singular q and dependent rows raise."""
     reference_systems, integer_systems = [], []
     kkt, integer_kkt = _kkt_solve, instability._kkt_solve
+    gram = []  # the Gram matrix of the case being solved
 
     def recording_kkt(q, rows, top, bottom):
         reference_systems.append((tuple(map(_line, rows)), _line(top)))
         return kkt(q, rows, top, bottom)
 
-    def recording_integer_kkt(q, rows, top):
+    def recording_integer_kkt(inverse, rows, top):
         integer_systems.append((tuple(map(_line, rows)), _line(top)))
-        return integer_kkt(q, rows, top)
+        z, r, den = integer_kkt(inverse, rows, top)
+        x, y = kkt(gram[0], rows, top, (F(0),) * len(rows))
+        assert den > 0 and tuple(F(v, den) for v in z) == x and tuple(F(v, den) for v in r) == y
+        return z, r, den
 
     monkeypatch.setattr(sys.modules[__name__], "_kkt_solve", recording_kkt)
     monkeypatch.setattr(instability, "_kkt_solve", recording_integer_kkt)
@@ -671,6 +678,7 @@ def test_integer_kernel_matches_fraction_reference(monkeypatch):
     for q, ineqs, eqs in cases:
         reference_systems.clear()
         integer_systems.clear()
+        gram[:] = [q]
         ref = _fraction_min_qnorm(q, ineqs, eqs)
         out = min_qnorm_over_polyhedron(q, ineqs, eqs)
         assert out == ref
@@ -686,6 +694,13 @@ def test_integer_kernel_matches_fraction_reference(monkeypatch):
         # a repeated row ties with itself: the first index must be added
         seen["dup"] += len(set(ineqs)) < len(ineqs)
     assert all(count >= 10 for count in seen.values()), seen
+    # a singular q leaves the first system without a solution, in both
+    for q in (((1, 0), (0, 0)), ((0, 0), (0, 0))):
+        for solve in (min_qnorm_over_polyhedron, _fraction_min_qnorm):
+            with pytest.raises(InvariantViolation, match="^singular KKT system in the dual active-set solver$"):
+                solve(linalg.mat(q), [((0, 1), 1)], [])
+    with pytest.raises(InvariantViolation, match="^singular KKT system in the dual active-set solver$"):
+        integer_kkt(linalg._Scaled.of(linalg.identity(2)).inverse()[0], [[1, 0], [2, 0]], [1, 1])
 
 
 @pytest.mark.parametrize(
@@ -2415,12 +2430,12 @@ def test_reduce_to_gcr_matches_per_frame_reference_on_corpus():
 def test_frame_forms_run_once_per_torus_class(monkeypatch):
     # the 24 Weyl frames of GL_4 span one torus; GL_3 with shears +-1 has
     # 78 frames on 13 tori: the identity's and one per shear
-    forms = instability._frame_forms
+    forms = instability._forms_reader
     calls = []
 
-    def counted(points, s, frame):
+    def counted(rep, s, frame):
         calls.append(frame)
-        return forms(points, s, frame)
+        return forms(rep, s, frame)
 
     gl4 = GroupSpec.make(("GL", 4))
     rng = random.Random(43)
@@ -2430,7 +2445,7 @@ def test_frame_forms_run_once_per_torus_class(monkeypatch):
         assert (len(frames), len(cfg.conjugation_family)) == ((24, 1) if group is gl4 else (78, 13))
         points = [ConjugationTuples(group, 1).point([_upper_nilpotent(rng, group)])]
         with monkeypatch.context() as patched:
-            patched.setattr(instability, "_frame_forms", counted)
+            patched.setattr(instability, "_forms_reader", counted)
             calls.clear()
             result = optimize(points, ZERO, cfg)
             # one call per torus, then the value check's per point
@@ -2488,27 +2503,22 @@ def test_frame_forms_act_through_structure(monkeypatch):
     rep = ConjugationTuples(group, 2)
     frame = frames[5]
     points = [rep.point([_conjugated(frame, _upper_nilpotent(rng, group)) for _ in range(2)])]
-    forms = instability._frame_forms
-    inside = []
+    forms = instability._forms_reader
     counts = {"frames": 0, "act_matrix": 0, "composed": 0}
 
     def counted_forms(*args):
         counts["frames"] += 1
-        inside.append(True)
-        try:
-            return forms(*args)
-        finally:
-            inside.pop()
+        return forms(*args)
 
     def counter(name, fn):
         def counted(*args):
-            counts[name] += bool(inside)
+            counts[name] += 1
             return fn(*args)
 
         return counted
 
     with monkeypatch.context() as patched:
-        patched.setattr(instability, "_frame_forms", counted_forms)
+        patched.setattr(instability, "_forms_reader", counted_forms)
         patched.setattr(ConjugationTuples, "act_matrix", counter("act_matrix", ConjugationTuples.act_matrix))
         patched.setattr(Polynomial, "composed_with_action", counter("composed", Polynomial.composed_with_action))
         patched.setattr(reps, "_composed", counter("composed", reps._composed))
@@ -3115,13 +3125,13 @@ def test_optimize_matches_slow_reference_on_seeded_inputs():
 def test_repeated_weight_pattern_solves_one_qp_per_representation(monkeypatch):
     # the shear I + E_12 fixes E_13, so both tori see one weight pattern
     calls = []
-    qp = instability.min_qnorm_over_polyhedron
+    qp = instability._min_qnorm
 
     def counted(*args):
         calls.append(args)
         return qp(*args)
 
-    monkeypatch.setattr(instability, "min_qnorm_over_polyhedron", counted)
+    monkeypatch.setattr(instability, "_min_qnorm", counted)
     cfg = SearchConfig(GL3, 2, ([[1, 1, 0], [0, 1, 0], [0, 0, 1]],))
     assert len(cfg.conjugation_family) == 2
     e13 = [[0, 0, 1], [0, 0, 0], [0, 0, 0]]
