@@ -73,7 +73,7 @@ import itertools
 import operator
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import gcd, lcm
+from math import gcd
 
 from . import linalg
 from .errors import (
@@ -301,15 +301,15 @@ def _kkt_solve(inverse, rows: list, top) -> tuple[list[int], list[int], int]:
         raise InvariantViolation("singular KKT system in the dual active-set solver")
     qi, s = inverse
     qt = [sum(map(operator.mul, row, top)) for row in qi]
-    if not rows:
-        return qt, [], s
     k = len(rows)
     qa = [[sum(map(operator.mul, row, a)) for row in qi] for a in rows]  # Qi a for each row a
     system = [[*(sum(map(operator.mul, a, w)) for w in qa), sum(map(operator.mul, a, qt))] for a in rows]
-    if linalg._reduce(system)[0] != list(range(k)):
+    solution = linalg._solve(system, k)
+    # the reduced rows hold a pivot on each diagonal entry exactly when the
+    # Schur complement is nonsingular
+    if solution is None or not all(row[c] for c, row in enumerate(system)):
         raise InvariantViolation("singular KKT system in the dual active-set solver")
-    y_den = lcm(*[row[c] // gcd(row[c], row[k]) for c, row in enumerate(system)])
-    y_num = [row[k] * y_den // row[c] for c, row in enumerate(system)]
+    y_num, y_den = solution
     z = [y_den * x for x in qt]
     for y, w in zip(y_num, qa):
         if y:
@@ -613,8 +613,9 @@ def optimize_torus(points, s: SubvarietySpec, frame: Mat | None = None) -> Torus
 
 @functools.cache
 def _sl_rows(factors: tuple) -> tuple[tuple[int, ...], ...]:
-    """The sum rows of the SL blocks of a group shape, independent rows
-    that cut out the cocharacters of the shape's group; kept per shape."""
+    """The indicator rows of the SL blocks of a group shape: e.d = 0 for
+    each says that d sums to zero on its block.  The blocks are disjoint,
+    so the rows are independent.  Kept per shape."""
     m = sum(f.rank for f in factors)
     starts = itertools.accumulate((f.rank for f in factors), initial=0)
     return tuple(tuple(int(a <= i < a + f.rank) for i in range(m)) for f, a in zip(factors, starts) if f.family == "SL")
@@ -634,7 +635,7 @@ def _torus_optimum(cone, objective, group: GroupSpec) -> TorusOptimum | None:
     solution = _min_qnorm(group.norm._inverse, group.dimension, rows, rhs, _sl_rows(group.factors))
     if solution is None:
         return None
-    dn = solution[0]
+    dn = solution[0]  # the minimizer is dn / den with den > 0: its direction is dn's
     g = gcd(*dn)
     exps = tuple(x // g for x in dn)
     pairings = {chi: pairing_vec(exps, chi) for chi in objective}
