@@ -1,8 +1,11 @@
 import hashlib
 import itertools
+import json
 import math
 import random
+import sys
 from fractions import Fraction as F
+from pathlib import Path
 
 import pytest
 
@@ -355,6 +358,69 @@ def test_algebra_route_outputs_pinned():
     for seed, digest in _ALGEBRA_ROUTE_DIGESTS.items():
         out = [(gcr._radical_filtration(h), enveloping_algebra(h).basis) for h in subgroup_corpus(seed, 200)]
         assert hashlib.sha256(repr(out).encode()).hexdigest() == digest, seed
+
+
+def _gcr_corpus_record(h, cfg):
+    """One ``gcr-corpus`` case as JSON-ready data, rationals as strings: the
+    algebra verdict with its witness cocharacter and radical, the search
+    verdict with its witness and the number of cocharacters it examined,
+    and, for a search witness, the limit of the generator tuple along it and
+    the radical conjugator found for that limit."""
+
+    def rationals(mat):
+        return [[str(x) for x in row] for row in mat]
+
+    def cocharacter(lam):
+        return None if lam is None else {"base": rationals(lam.base), "exponents": list(lam.torus.exponents)}
+
+    algebra, searched = is_gcr_algebra(h), is_gcr_search(h, cfg)
+    record = {
+        "algebra": {
+            "status": algebra.status,
+            "witness": cocharacter(algebra.witness_cocharacter),
+            "radical": None if algebra.witness_radical is None else [rationals(x) for x in algebra.witness_radical],
+        },
+        "search": {
+            "status": searched.status,
+            "witness": cocharacter(searched.witness_cocharacter),
+            "examined": len(searched.examined),
+            "box": searched.bounded_box,
+        },
+    }
+    lam = searched.witness_cocharacter
+    if lam is not None:
+        v = h.tuple_point()
+        v_limit = limit(v, lam)
+        u = None if v_limit is None else find_ru_conjugator(v, v_limit, lam)
+        record["witness_limit"] = None if v_limit is None else [str(x) for x in v_limit.coords]
+        record["witness_conjugator"] = None if u is None else rationals(u)
+    return record
+
+
+# sha256 of the sorted-key JSON of _gcr_corpus_record over one round of the
+# 65 ``gcr-corpus`` cases of ``bench/workloads.py`` at seeds 1, 2, 3 and 5,
+# in order, the known-fault case included as it stands: 260 records, 88
+# with a search witness, 1,456 examined cocharacters
+_GCR_CORPUS_DIGEST = "2ecd96304622e5d80f047bc4b2f57a167d6d09cc5385d0e999565e90e1768f61"
+
+
+def test_gcr_corpus_outputs_pinned(monkeypatch, tmp_path):
+    # the workload module is imported from bench/ without writing bytecode there
+    monkeypatch.setattr(sys, "dont_write_bytecode", True)
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parent.parent / "bench"))
+    import workloads
+
+    records = []
+    for seed in (1, 2, 3, 5):
+        state = workloads._build_gcr(seed, tmp_path)
+        for case in workloads._round_gcr(state):
+            h = case.live["h"]
+            records.append(_gcr_corpus_record(h, state["configs"][h.group]))
+    assert len(records) == 260
+    assert sum(r["search"]["witness"] is not None for r in records) == 88
+    assert sum(r["search"]["examined"] for r in records) == 1456
+    canon = json.dumps(records, sort_keys=True).encode("utf-8")
+    assert hashlib.sha256(canon).hexdigest() == _GCR_CORPUS_DIGEST
 
 
 def _unit(m, i, j):
