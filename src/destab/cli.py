@@ -54,6 +54,8 @@ def _load_json(args, flag: str):
             doc = json.load(fh)
     except FileNotFoundError:
         raise SchemaError(f"{what} document not found: {path}")
+    except (OSError, UnicodeDecodeError) as exc:
+        raise SchemaError(f"{what} document cannot be read: {exc}")
     except json.JSONDecodeError as exc:
         raise SchemaError(f"{what} document is not valid JSON: {exc}")
     args.documents[flag] = doc
@@ -69,6 +71,14 @@ def _load_subgroup(args):
     group = documents.parse_group(_load_json(args, "group"))
     h = documents.parse_subgroup(_load_json(args, "input"), group)
     return h, _load_config(args, group)
+
+
+def _load_point_inputs(args):
+    """The group, representation and input document of ``limit``,
+    ``optimize``, ``oracle`` and ``cochar-closed``."""
+    group = documents.parse_group(_load_json(args, "group"))
+    rep = documents.parse_representation(_load_json(args, "rep"), group)
+    return group, rep, _load_json(args, "input")
 
 
 def _fingerprint(payload) -> str:
@@ -140,9 +150,7 @@ def _emit_gcr_verdict(verdict) -> dict:
 
 
 def _run_limit(args):
-    group = documents.parse_group(_load_json(args, "group"))
-    rep = documents.parse_representation(_load_json(args, "rep"), group)
-    doc = _load_json(args, "input")
+    group, rep, doc = _load_point_inputs(args)
     if not isinstance(doc, dict):
         raise SchemaError("input: expected an object with 'point' and 'cocharacter'")
     point = documents.parse_point(doc.get("point"), rep, "$.point")
@@ -167,9 +175,7 @@ def _run_classify(args):
 
 
 def _run_optimize(args, force_oracle: bool = False):
-    group = documents.parse_group(_load_json(args, "group"))
-    rep = documents.parse_representation(_load_json(args, "rep"), group)
-    doc = _load_json(args, "input")
+    group, rep, doc = _load_point_inputs(args)
     if not isinstance(doc, dict):
         raise SchemaError("input: expected an object with 'points' and 'subvariety'")
     pts_doc = doc.get("points")
@@ -187,9 +193,7 @@ def _run_optimize(args, force_oracle: bool = False):
 
 
 def _run_cochar_closed(args):
-    group = documents.parse_group(_load_json(args, "group"))
-    rep = documents.parse_representation(_load_json(args, "rep"), group)
-    doc = _load_json(args, "input")
+    group, rep, doc = _load_point_inputs(args)
     point = documents.parse_point(doc.get("point") if isinstance(doc, dict) else doc, rep, "$.point")
     cfg = _load_config(args, group)
     verdict = is_cochar_closed(point, cfg)

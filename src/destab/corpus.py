@@ -16,7 +16,6 @@ import functools
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import chain
 from math import gcd, isqrt, lcm
 
 from . import linalg
@@ -25,13 +24,12 @@ from .gcr import (
     LieSubalgebra,
     SubgroupPresentation,
     _nilpotent_powers,
-    _unflatten,
     centralizer_dim,
     is_gcr_algebra,
     is_gcr_search,
     lie_is_gcr,
 )
-from .groups import Cocharacter, GroupSpec, pairing_vec
+from .groups import Cocharacter, GroupSpec, _identity_frame, pairing_vec
 from .instability import (
     OPTIMAL,
     SearchConfig,
@@ -49,7 +47,7 @@ from .parabolic import (
     composition_threshold,
     find_ru_conjugator,
 )
-from .reps import ConjugationTuples, Point, Representation, SymPower, grade, limit
+from .reps import ConjugationTuples, Point, Representation, SymPower, _flatten, _unflatten, grade, limit
 
 
 # ---------------------------------------------------------------------------
@@ -483,10 +481,9 @@ def _kempf_check(inst: KempfInstance) -> dict:
     group = inst.group
     rep = inst.points[0].rep
     s = SubvarietySpec.zero_locus()
-    ident, extra = group.identity(), linalg.mat(inst.extra_frame)
-    one = linalg._Scaled.of(ident)
+    extra = linalg.mat(inst.extra_frame)
     e, e_inverse = group._checked_pair(extra, "conjugation family element")
-    fixed = [_Torus(ident, (one, one)), _Torus(extra, (e, e_inverse))]
+    fixed = [_Torus(*_identity_frame(group.dimension)), _Torus(extra, (e, e_inverse))]
     samples = [(x, group._checked_pair(x, "normalizer sample")) for x in map(linalg.mat, inst.normalizer_samples)]
     for g in map(linalg.mat, inst.conjugators):
         pair = group._checked_pair(g, "conjugator")
@@ -539,7 +536,7 @@ def _generator_tangents(group: GroupSpec, g: Mat) -> list[list[int]] | None:
         log = [0] * (m * m)
         for k, power in enumerate(powers[:-1], 1):
             c = (-1) ** (k + 1) * (factor // (k * s**k))
-            for i, x in enumerate(chain.from_iterable(power.rows)):
+            for i, x in enumerate(_flatten(power.rows)):
                 log[i] += c * x
         return [log]
     a = linalg._Scaled(linalg._Scaled.of(g).rows, 1)
@@ -547,7 +544,7 @@ def _generator_tangents(group: GroupSpec, g: Mat) -> list[list[int]] | None:
     for _ in range(m - 1):
         krylov.append(krylov[-1].times(step))
     flat = [[int(i == j) for i in range(m) for j in range(m)]]
-    flat += [list(chain.from_iterable(p.rows)) for p in krylov]
+    flat += [_flatten(p.rows) for p in krylov]
     degree, k, den = linalg._kernel([list(column) for column in zip(*flat)], m + 1)[0]
     mu = [c // den * s**i for i, c in enumerate(k[: degree + 1])]
     content = gcd(*mu)

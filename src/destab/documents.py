@@ -34,6 +34,29 @@ def _schema_errors(path: str):
         _fail(path, str(exc))
 
 
+def _object(doc, path: str) -> dict:
+    if not isinstance(doc, dict):
+        _fail(path, "expected an object")
+    return doc
+
+
+def _is_int(x) -> bool:
+    """Whether a JSON value is an integer; JSON booleans are not."""
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
+def _positive_int(value, path: str) -> int:
+    if not _is_int(value) or value < 1:
+        _fail(path, "must be a positive integer")
+    return value
+
+
+def _int_list(value, path: str, message: str = "expected a list of integers") -> list[int]:
+    if not isinstance(value, list) or not all(map(_is_int, value)):
+        _fail(path, message)
+    return value
+
+
 def parse_rational(value, path: str = "$") -> Fraction:
     if isinstance(value, bool):
         _fail(path, "booleans are not rationals")
@@ -72,22 +95,15 @@ def emit_matrix(m: Mat) -> list[list[str]]:
 
 
 def parse_group(doc, path: str = "$") -> GroupSpec:
-    if not isinstance(doc, dict):
-        _fail(path, "expected an object")
-    factors = doc.get("factors")
+    factors = _object(doc, path).get("factors")
     if not isinstance(factors, list) or not factors:
         _fail(f"{path}.factors", "expected a nonempty list")
     parsed = []
     for i, f in enumerate(factors):
-        if not isinstance(f, dict):
-            _fail(f"{path}.factors[{i}]", "expected an object")
-        family = f.get("family")
-        rank = f.get("rank")
+        family = _object(f, f"{path}.factors[{i}]").get("family")
         if family not in ("GL", "SL"):
             _fail(f"{path}.factors[{i}].family", "must be 'GL' or 'SL'")
-        if not isinstance(rank, int) or rank < 1:
-            _fail(f"{path}.factors[{i}].rank", "must be a positive integer")
-        parsed.append((family, rank))
+        parsed.append((family, _positive_int(f.get("rank"), f"{path}.factors[{i}].rank")))
     gram = doc.get("gram", "identity")
     with _schema_errors(path):
         if gram == "identity":
@@ -105,25 +121,18 @@ def emit_group(group: GroupSpec) -> dict:
 
 
 def parse_representation(doc, group: GroupSpec, path: str = "$") -> Representation:
-    if not isinstance(doc, dict):
-        _fail(path, "expected an object")
-    kind = doc.get("kind")
+    kind = _object(doc, path).get("kind")
     with _schema_errors(path):
         if kind == "conjugation_tuples":
-            count = doc.get("count")
-            if not isinstance(count, int) or count < 1:
-                _fail(f"{path}.count", "must be a positive integer")
+            count = _positive_int(doc.get("count"), f"{path}.count")
             m = doc.get("m", group.dimension)
-            if m != group.dimension:
+            if not _is_int(m) or m != group.dimension:
                 _fail(f"{path}.m", "must match the group's matrix dimension")
             return ConjugationTuples(group, count)
         if kind == "adjoint":
             return ConjugationTuples(group, 1)
         if kind == "sym_power":
-            degree = doc.get("degree")
-            if not isinstance(degree, int) or degree < 1:
-                _fail(f"{path}.degree", "must be a positive integer")
-            return SymPower(group, degree)
+            return SymPower(group, _positive_int(doc.get("degree"), f"{path}.degree"))
         if kind == "direct_sum":
             parts = doc.get("parts")
             if not isinstance(parts, list) or not parts:
@@ -158,11 +167,7 @@ def emit_point(point: Point) -> list[str]:
 
 
 def parse_cocharacter(doc, group: GroupSpec, path: str = "$") -> Cocharacter:
-    if not isinstance(doc, dict):
-        _fail(path, "expected an object")
-    exps = doc.get("exponents")
-    if not isinstance(exps, list) or not all(isinstance(x, int) for x in exps):
-        _fail(f"{path}.exponents", "expected a list of integers")
+    exps = _int_list(_object(doc, path).get("exponents"), f"{path}.exponents")
     base = doc.get("base")
     with _schema_errors(path):
         if base is None:
@@ -182,19 +187,13 @@ def parse_polynomial(doc, rep: Representation, path: str = "$") -> Polynomial:
         _fail(path, "expected a list of monomial terms")
     terms = {}
     for i, term in enumerate(doc):
-        if not isinstance(term, dict):
-            _fail(f"{path}[{i}]", "expected an object")
-        coeff = parse_rational(term.get("coeff", "1"), f"{path}[{i}].coeff")
+        coeff = parse_rational(_object(term, f"{path}[{i}]").get("coeff", "1"), f"{path}[{i}].coeff")
         mono = term.get("monomial", [])
         if not isinstance(mono, list):
             _fail(f"{path}[{i}].monomial", "expected a list of [index, exponent] pairs")
         pairs = []
         for j, pair in enumerate(mono):
-            if (
-                not isinstance(pair, list)
-                or len(pair) != 2
-                or not all(isinstance(x, int) for x in pair)
-            ):
+            if len(_int_list(pair, f"{path}[{i}].monomial[{j}]", "expected [index, exponent]")) != 2:
                 _fail(f"{path}[{i}].monomial[{j}]", "expected [index, exponent]")
             pairs.append((pair[0], pair[1]))
         key = tuple(sorted(pairs))
@@ -211,9 +210,7 @@ def emit_polynomial(poly: Polynomial) -> list[dict]:
 
 
 def parse_subvariety(doc, rep: Representation | None = None, path: str = "$") -> SubvarietySpec:
-    if not isinstance(doc, dict):
-        _fail(path, "expected an object")
-    kind = doc.get("kind")
+    kind = _object(doc, path).get("kind")
     if kind == "zero_locus":
         return SubvarietySpec.zero_locus()
     if kind == "identity_tuple":
@@ -247,11 +244,7 @@ def emit_subvariety(s: SubvarietySpec) -> dict:
 def parse_config(doc, group: GroupSpec, path: str = "$") -> SearchConfig:
     if doc is None:
         return SearchConfig.default(group)
-    if not isinstance(doc, dict):
-        _fail(path, "expected an object")
-    box = doc.get("exponent_box", 4)
-    if not isinstance(box, int) or isinstance(box, bool) or box < 1:
-        _fail(f"{path}.exponent_box", "must be a positive integer")
+    box = _positive_int(_object(doc, path).get("exponent_box", 4), f"{path}.exponent_box")
     oracle = doc.get("oracle_mode", False)
     if not isinstance(oracle, bool):
         _fail(f"{path}.oracle_mode", "expected a boolean")
@@ -264,15 +257,10 @@ def parse_config(doc, group: GroupSpec, path: str = "$") -> SearchConfig:
     family = doc.get("family", "weyl")
     with _schema_errors(path):
         if family == "weyl" or family is None:
-            shear_values = doc.get("shear_values", [])
-            if not isinstance(shear_values, list) or not all(
-                isinstance(v, int) and not isinstance(v, bool) for v in shear_values
-            ):
-                _fail(f"{path}.shear_values", "expected a list of integers")
             return SearchConfig.default(
                 group,
                 exponent_box=box,
-                shear_values=shear_values,
+                shear_values=_int_list(doc.get("shear_values", []), f"{path}.shear_values"),
                 oracle_mode=oracle,
                 normalizer_samples=parsed_samples,
             )
@@ -292,9 +280,7 @@ def emit_config(cfg: SearchConfig) -> dict:
 
 
 def parse_subgroup(doc, group: GroupSpec, path: str = "$") -> SubgroupPresentation:
-    if not isinstance(doc, dict):
-        _fail(path, "expected an object")
-    gens = doc.get("generators")
+    gens = _object(doc, path).get("generators")
     if not isinstance(gens, list) or not gens:
         _fail(f"{path}.generators", "expected a nonempty list of matrices")
     mats = [parse_matrix(g, f"{path}.generators[{i}]") for i, g in enumerate(gens)]
@@ -303,9 +289,7 @@ def parse_subgroup(doc, group: GroupSpec, path: str = "$") -> SubgroupPresentati
 
 
 def parse_lie_subalgebra(doc, group: GroupSpec, path: str = "$") -> LieSubalgebra:
-    if not isinstance(doc, dict):
-        _fail(path, "expected an object")
-    basis = doc.get("basis")
+    basis = _object(doc, path).get("basis")
     if not isinstance(basis, list) or not basis:
         _fail(f"{path}.basis", "expected a nonempty list of matrices")
     mats = [parse_matrix(x, f"{path}.basis[{i}]") for i, x in enumerate(basis)]

@@ -20,12 +20,11 @@ from __future__ import annotations
 
 import functools
 from dataclasses import dataclass
-from itertools import chain
 from operator import mul
 
 from . import linalg
 from .errors import DomainError, InvariantViolation, ModeError, PreconditionError
-from .groups import SL, Cocharacter, GroupSpec, TorusCocharacter, fold_permutation_base
+from .groups import SL, Cocharacter, GroupSpec, TorusCocharacter, _identity_frame, fold_permutation_base
 from .instability import (
     OPTIMAL,
     OptimizationResult,
@@ -38,12 +37,13 @@ from .linalg import Mat, Vec
 from .parabolic import (
     MembershipClass,
     ParabolicDescriptor,
+    _classify_member,
     _conjugator_system,
     _require_lie_element,
     c_lambda,
     classify,
 )
-from .reps import ConjugationTuples, Point
+from .reps import ConjugationTuples, Point, _flatten, _unflatten
 
 
 @dataclass(frozen=True)
@@ -94,14 +94,6 @@ class EnvelopingAlgebra:
         return linalg.echelon_contains(self._echelon, _flatten(linalg.mat(x)))
 
 
-def _flatten(x: Mat) -> Vec:
-    return tuple(entry for row in x for entry in row)
-
-
-def _unflatten(v: Vec, m: int) -> Mat:
-    return tuple(tuple(v[i * m + j] for j in range(m)) for i in range(m))
-
-
 def _span_closure(group: GroupSpec, seeds: list, steps: list) -> EnvelopingAlgebra:
     """Smallest span containing seeds and closed under right multiplication,
     as an algebra that keeps the echelon basis and the scaled words built
@@ -113,13 +105,9 @@ def _span_closure(group: GroupSpec, seeds: list, steps: list) -> EnvelopingAlgeb
     echelon: list = []
     words: list = []
 
-    def try_add(x) -> bool:
-        w = linalg.echelon_reduce(echelon, list(chain(*x.rows)))[0]
-        if not any(w):
-            return False
-        echelon.append(linalg._pivot_terms(w))
-        words.append(x)
-        return True
+    def try_add(x) -> None:
+        if linalg._echelon_append(echelon, _flatten(x.rows)):
+            words.append(x)
 
     for seed in seeds:
         try_add(seed)
@@ -149,7 +137,7 @@ def enveloping_algebra(h: SubgroupPresentation) -> EnvelopingAlgebra:
     holds every b g, so the products stop once every word is matched.
     """
     gens = [linalg._Scaled.of(g).factor() for g in h.generators]
-    algebra = _span_closure(h.group, [linalg._Scaled.of(h.group.identity())], gens)
+    algebra = _span_closure(h.group, [_identity_frame(h.group.dimension)[1][0]], gens)
     basis = algebra._scaled
     full = len(algebra._echelon) == h.group.dimension**2
     words = 1  # basis[:words] are checked to be words in the generators
@@ -160,7 +148,7 @@ def enveloping_algebra(h: SubgroupPresentation) -> EnvelopingAlgebra:
             x = b.times(g)
             if k < words < len(basis) and x == basis[words]:
                 words += 1
-            elif not full and any(linalg.echelon_reduce(algebra._echelon, list(chain(*x.rows)))[0]):
+            elif not full and any(linalg.echelon_reduce(algebra._echelon, _flatten(x.rows))[0]):
                 raise InvariantViolation("algebra basis is not multiplicatively closed")
     if algebra.basis[0] != h.group.identity() or words < len(basis):
         raise InvariantViolation("algebra basis is not spanned by words in the generators")
@@ -170,7 +158,7 @@ def enveloping_algebra(h: SubgroupPresentation) -> EnvelopingAlgebra:
 def algebra_of_tuple(group: GroupSpec, mats) -> EnvelopingAlgebra:
     """Associative algebra generated by a tuple, seeded with the identity."""
     steps = [linalg._Scaled.of(linalg.mat(x)).factor() for x in mats]
-    return _span_closure(group, [linalg._Scaled.of(group.identity())], steps)
+    return _span_closure(group, [_identity_frame(group.dimension)[1][0]], steps)
 
 
 def is_generic_tuple(tup, h: SubgroupPresentation) -> bool:
@@ -202,8 +190,8 @@ def _radical(a: EnvelopingAlgebra) -> list:
     m = a.group.dimension
     if len(a._echelon) == m * m:
         return []
-    flats = [list(chain(*x.rows)) for x in a._scaled]
-    transposed = [list(chain(*zip(*x.rows))) for x in a._scaled]
+    flats = [_flatten(x.rows) for x in a._scaled]
+    transposed = [_flatten(zip(*x.rows)) for x in a._scaled]
     gram = [[sum(map(mul, r, t)) for t in transposed] for r in flats]
     radical = []
     for f, k, den in linalg._kernel(gram, len(flats)):
@@ -459,13 +447,10 @@ def building_centre(
     result = optimal_parabolic_subgroup(h, cfg, mode, subvariety)
     if result.status != OPTIMAL:
         return CentreSimplex(None, None, None, ())
-    verified = []
-    for g, pair in zip(cfg.normalizer_samples, cfg._samples):  # checked with the configuration
-        if result.parabolic._conjugated_by_pair(pair) == result.parabolic:
-            verified.append(g)
-    return CentreSimplex(
-        result.parabolic, result.cocharacter, result.parabolic.blocks, tuple(verified)
-    )
+    # a parabolic subgroup is its own normalizer: g fixes P_lambda exactly
+    # when g is in it; the samples were checked with the configuration
+    verified = tuple(g for g, pair in zip(cfg.normalizer_samples, cfg._samples) if _classify_member(pair[0], result.cocharacter).in_parabolic)
+    return CentreSimplex(result.parabolic, result.cocharacter, result.parabolic.blocks, verified)
 
 
 # ---------------------------------------------------------------------------

@@ -59,6 +59,30 @@ class Character:
         return all(w == 0 for w in self.weights)
 
 
+def _field_state(self) -> dict:
+    """The ``__getstate__`` of a dataclass that keeps cached data in its
+    __dict__: its fields alone, so pickles leave that data out."""
+    return {f.name: getattr(self, f.name) for f in fields(self)}
+
+
+@functools.cache
+def _shape(factors: tuple[Factor, ...]) -> tuple:
+    """The coordinate range of each factor block of a group shape, and the
+    block of each coordinate; built once per shape."""
+    starts = itertools.accumulate((f.rank for f in factors), initial=0)
+    ranges = tuple(range(start, start + f.rank) for start, f in zip(starts, factors))
+    return ranges, tuple(b for b, block in enumerate(ranges) for _ in block)
+
+
+@functools.cache
+def _identity_frame(m: int) -> tuple:
+    """The m x m identity and its held pair: a member of every group of
+    dimension m, and its own inverse; built once per dimension."""
+    ident = linalg.identity(m)
+    one = linalg._Scaled.of(ident)
+    return ident, (one, one)
+
+
 @dataclass(frozen=True)
 class GroupSpec:
     """A product of GL/SL factors with its standard torus and norm."""
@@ -90,28 +114,22 @@ class GroupSpec:
 
     @functools.cached_property
     def block_slices(self) -> tuple[range, ...]:
-        out = []
-        start = 0
-        for f in self.factors:
-            out.append(range(start, start + f.rank))
-            start += f.rank
-        return tuple(out)
+        return _shape(self.factors)[0]
 
     @functools.cached_property
     def _block_indices(self) -> tuple[int, ...]:
         """The block of each coordinate."""
-        return tuple(b for b, r in enumerate(self.block_slices) for _ in r)
+        return _shape(self.factors)[1]
 
     def block_of(self, index: int) -> int:
         if 0 <= index < self.dimension:
             return self._block_indices[index]
         raise DimensionError(f"index {index} out of range")
 
-    def __getstate__(self) -> dict:
-        return {f.name: getattr(self, f.name) for f in fields(self)}
+    __getstate__ = _field_state
 
     def identity(self) -> Mat:
-        return linalg.identity(self.dimension)
+        return _identity_frame(self.dimension)[0]
 
     def _blocks(self, g):
         """The diagonal blocks of a matrix g given by its rows, or None
@@ -203,19 +221,18 @@ class GroupSpec:
 @functools.cache
 def _weyl_table(factors: tuple[Factor, ...]) -> tuple:
     """The Weyl representatives of a group shape and their held pairs."""
-    starts = itertools.accumulate((f.rank for f in factors), initial=0)
     per_block = [
-        [(range(start, start + f.rank), perm, f.family) for perm in itertools.permutations(range(f.rank))]
-        for start, f in zip(starts, factors)
+        [(block, perm, f.family) for perm in itertools.permutations(range(f.rank))]
+        for block, f in zip(_shape(factors)[0], factors)
     ]
     m = sum(f.rank for f in factors)
     out = []
     for combo in itertools.product(*per_block):
         g = [[Fraction(0)] * m for _ in range(m)]
         for block, perm, family in combo:
-            sign = _perm_sign(perm)
             negate_col = None
-            if family == SL and sign < 0:
+            # the sign of a permutation is the determinant of its matrix
+            if family == SL and linalg.det([[int(p == j) for j in range(len(perm))] for p in perm]) < 0:
                 negate_col = next(i for i, p in enumerate(perm) if p != i)
             for i, p in enumerate(perm):
                 val = Fraction(-1 if i == negate_col else 1)
@@ -240,9 +257,8 @@ def _shear_table_of(factors: tuple[Factor, ...], values: tuple[Fraction, ...]) -
     # s I for each scale s of the values
     scaled = {c.denominator: tuple(tuple(c.denominator * (a == k) for k in range(m)) for a in range(m)) for c in values}
     out = []
-    starts = itertools.accumulate((f.rank for f in factors), initial=0)
-    for b, (start, f) in enumerate(zip(starts, factors)):
-        for i, j in itertools.permutations(range(start, start + f.rank), 2):
+    for b, block in enumerate(_shape(factors)[0]):
+        for i, j in itertools.permutations(block, 2):
             for c in values:
                 if c != 0:
                     rows, s = scaled[c.denominator], c.denominator
@@ -263,23 +279,6 @@ def _with_entry(rows: tuple, i: int, j: int, x) -> tuple:
 def _block_det_allowed(f: Factor, d: Fraction) -> bool:
     """Whether a block of factor f with determinant d is in the factor."""
     return d != 0 and (f.family == GL or d == 1)
-
-
-def _perm_sign(perm) -> int:
-    sign = 1
-    seen = [False] * len(perm)
-    for i in range(len(perm)):
-        if seen[i]:
-            continue
-        length = 0
-        j = i
-        while not seen[j]:
-            seen[j] = True
-            j = perm[j]
-            length += 1
-        if length % 2 == 0:
-            sign = -sign
-    return sign
 
 
 @dataclass(frozen=True)
@@ -370,9 +369,7 @@ class Cocharacter:
 
     @staticmethod
     def standard(group: GroupSpec, exponents) -> "Cocharacter":
-        ident = group.identity()  # a member of every group, and its own inverse
-        one = linalg._Scaled.of(ident)
-        return Cocharacter._on_frame(group, ident, (one, one), exponents)
+        return Cocharacter._on_frame(group, *_identity_frame(group.dimension), exponents)
 
     @staticmethod
     def based(group: GroupSpec, base, exponents) -> "Cocharacter":
@@ -478,8 +475,7 @@ class Norm:
         kernel reads (``instability._kkt_solve``)."""
         return linalg._Scaled(self._int_gram, 1).inverse()[0]
 
-    def __getstate__(self) -> dict:
-        return {f.name: getattr(self, f.name) for f in fields(self)}
+    __getstate__ = _field_state
 
     def value_sq(self, d: tuple[int, ...]) -> Fraction:
         """d^T G d, summed in integers since G is integer-valued."""

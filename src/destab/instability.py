@@ -90,6 +90,8 @@ from .groups import (
     Cocharacter,
     GroupSpec,
     TorusCocharacter,
+    _identity_frame,
+    _shape,
     _shear_table_of,
     fold_permutation_base,
     norm_sq,
@@ -104,7 +106,7 @@ from .parabolic import (
     _limit_pattern,
     _radical_conjugator,
 )
-from .reps import ConjugationTuples, Point, Polynomial, Representation, _composed, _frame_ints, _point
+from .reps import ConjugationTuples, Point, Polynomial, Representation, _composed, _frame_ints, _point, _unflatten
 
 # ---------------------------------------------------------------------------
 # Subvarieties
@@ -617,8 +619,7 @@ def _sl_rows(factors: tuple) -> tuple[tuple[int, ...], ...]:
     each says that d sums to zero on its block.  The blocks are disjoint,
     so the rows are independent.  Kept per shape."""
     m = sum(f.rank for f in factors)
-    starts = itertools.accumulate((f.rank for f in factors), initial=0)
-    return tuple(tuple(int(a <= i < a + f.rank) for i in range(m)) for f, a in zip(factors, starts) if f.family == "SL")
+    return tuple(tuple(int(i in block) for i in range(m)) for f, block in zip(factors, _shape(factors)[0]) if f.family == "SL")
 
 
 def _torus_optimum(cone, objective, group: GroupSpec) -> TorusOptimum | None:
@@ -696,9 +697,7 @@ def _default_tori(factors: tuple, values: tuple) -> tuple[_Torus, ...]:
     """``SearchConfig.default``'s records, built once per group shape and
     exact shear values: the identity, then per factor block its shears of
     the values, closed under negation on an SL block."""
-    ident = linalg.identity(sum(f.rank for f in factors))
-    one = linalg._Scaled.of(ident)
-    tori = [_Torus(ident, (one, one))]
+    tori = [_Torus(*_identity_frame(sum(f.rank for f in factors)))]
     for b, f in enumerate(factors):
         closed = values + tuple(-c for c in values if -c not in values) if f.family == "SL" else values
         tori += [_Torus(g, pair) for g, pair, block in zip(*_shear_table_of(factors, closed)) if block == b]
@@ -758,10 +757,9 @@ class SearchConfig:
         if self.exponent_box < 1:
             raise DomainError("exponent box must be >= 1")
         family = list(family)
-        ident = self.group.identity()
-        if ident not in [t.frame for t in family]:
-            one = linalg._Scaled.of(ident)
-            family.insert(0, _Torus(ident, (one, one)))
+        identity = _identity_frame(self.group.dimension)
+        if identity[0] not in [t.frame for t in family]:
+            family.insert(0, _Torus(*identity))
         first: dict = {}
         for t in family:
             first.setdefault(t.key, t)
@@ -1135,7 +1133,7 @@ def is_cochar_closed(v: Point, cfg: SearchConfig) -> CocharClosedVerdict:
         entries = table.admissible(bits)
         if not entries:
             continue
-        moved = _moved(flat, group.dimension)
+        moved = [linalg._Scaled(_unflatten(acc, group.dimension), s) for acc, s in flat]
         for d, _, greater, levels, free, index in entries:
             if d not in held:
                 held[d] = TorusCocharacter._held(group, d)
@@ -1201,11 +1199,6 @@ def _torus_moves(v: Point, cfg: SearchConfig):
         yield torus, moved, bits
 
 
-def _moved(flat, m: int) -> list[linalg._Scaled]:
-    """The moved matrices of one torus of ``_torus_moves`` as scaled values."""
-    return [linalg._Scaled(tuple(tuple(acc[i : i + m]) for i in range(0, m * m, m)), s) for acc, s in flat]
-
-
 def _column_space(frame: linalg._Scaled, mask: int) -> tuple:
     """The span of the columns of a scaled frame at the set bits of mask,
     as its canonical basis (``linalg._basis``)."""
@@ -1233,7 +1226,7 @@ class _Representatives:
 
     def __init__(self, factors: tuple, box: int):
         self._factors, self._box = factors, box
-        self._blocks = tuple(b for b, f in enumerate(factors) for _ in range(f.rank))
+        self._blocks = _shape(factors)[1]
         m = len(self._blocks)
         self.crossing = sum(1 << (i * m + j) for i in range(m) for j in range(m) if self._blocks[i] != self._blocks[j])
         self._records: dict = {}

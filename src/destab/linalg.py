@@ -36,9 +36,10 @@ denominator.  ``row_space``, ``nullspace`` and the solver ``_solve_terms``
 are built on them, and the callers in other modules read them directly.
 ``rank`` counts the pivots, and ``det`` and the inverse read the factor
 ``_reduce`` puts on the determinant (``_Scaled.reduced``); the same step
-grows the incremental echelon basis (``echelon_add``,
-``echelon_contains``, ``in_row_space``, and ``echelon_reduce`` for rows
-that are already integer).  The inverse of a scaled value is read off one
+grows the incremental echelon basis through one integer core,
+``echelon_reduce`` and ``_echelon_append`` on rows that are already
+integer: ``echelon_add``, ``echelon_contains`` and ``in_row_space`` scale
+their rational rows into it.  The inverse of a scaled value is read off one
 reduction of [rows | scale I] as its canonical scaled value
 (``_Scaled.inverse``), with no Fraction built; ``inverse`` divides it into
 Fractions once.  Every integer row is a positive multiple of the row that
@@ -457,15 +458,21 @@ def echelon_reduce(echelon: list, w: list[int]) -> tuple[list[int], int, int]:
     return w, a, t
 
 
-def echelon_add(echelon: list, v: Sequence[Fraction]) -> bool:
-    """Append v reduced against the basis, as the primitive integer row on
-    its line with a positive pivot, unless it lies in the span; returns
-    whether v was appended."""
-    w = _echelon_reduce(echelon, v)[0]
+def _echelon_append(echelon: list, w: list[int]) -> bool:
+    """Append an integer row w, a list it may change, reduced against the
+    basis, as the primitive integer row on its line with a positive pivot,
+    unless it lies in the span; returns whether w was appended."""
+    w = echelon_reduce(echelon, w)[0]
     if not any(w):
         return False
     echelon.append(_pivot_terms(w))
     return True
+
+
+def echelon_add(echelon: list, v: Sequence[Fraction]) -> bool:
+    """``_echelon_append`` of a rational row scaled by the lcm of its
+    denominators."""
+    return _echelon_append(echelon, _integer_row(v))
 
 
 def echelon_contains(echelon: list, v: Sequence[Fraction]) -> bool:

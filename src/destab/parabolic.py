@@ -52,12 +52,9 @@ def _classify_pattern(gt: Mat, d: tuple[int, ...], unit) -> MembershipClass:
     """Where gt, in the frame of d, sits relative to P_d, with ``unit`` the
     diagonal entry of the radical's elements: the scale for a group
     element's integer rows, 0 for a Lie element."""
-    m = len(d)
-    below = any(
-        gt[i][j] != 0 for i in range(m) for j in range(m) if d[i] < d[j]
-    )
-    if below:
+    if _outside(gt, d):
         return MembershipClass.NOT_IN_P
+    m = len(d)
     diag_part_is_unit = all(
         gt[i][j] == (unit if i == j else 0) for i in range(m) for j in range(m) if d[i] == d[j]
     )
@@ -69,6 +66,13 @@ def _classify_pattern(gt: Mat, d: tuple[int, ...], unit) -> MembershipClass:
     if not strictly_above:
         return MembershipClass.IN_LEVI
     return MembershipClass.IN_P_NOT_LEVI_NOT_RU
+
+
+def _outside(gt: Mat, d: tuple[int, ...]) -> bool:
+    """Whether gt, in the frame of d, has a nonzero entry (i, j) with
+    d_i < d_j, where P_d has none."""
+    m = len(d)
+    return any(gt[i][j] != 0 for i in range(m) for j in range(m) if d[i] < d[j])
 
 
 def classify(g: Mat, lam: Cocharacter) -> MembershipClass:
@@ -102,12 +106,11 @@ def _require_lie_element(group: GroupSpec, x: Mat) -> None:
     m = group.dimension
     if len(x) != m or any(len(r) != m for r in x):
         raise DimensionError("matrix size must equal the group dimension")
-    for bi, block_i in enumerate(group.block_slices):
-        for bj, block_j in enumerate(group.block_slices):
-            if bi != bj and any(x[i][j] != 0 for i in block_i for j in block_j):
-                raise DomainError("Lie algebra elements are block-diagonal")
-    for f, block in zip(group.factors, group.block_slices):
-        if f.family == "SL" and sum(x[i][i] for i in block) != 0:
+    blocks = group._blocks(x)
+    if blocks is None:
+        raise DomainError("Lie algebra elements are block-diagonal")
+    for f, sub in zip(group.factors, blocks):
+        if f.family == "SL" and sum(row[i] for i, row in enumerate(sub)) != 0:
             raise DomainError("SL factor requires trace zero")
 
 
@@ -126,7 +129,7 @@ def _levi_projection(g, lam: Cocharacter, container: str):
     for k, h in enumerate(items):
         ht = lam._to_frame(h)
         rows = ht.rows
-        if any(rows[i][j] != 0 for i in range(len(rows)) for j in range(len(rows)) if d[i] < d[j]):
+        if _outside(rows, d):
             where = "element" if single else f"component {k}"
             raise PreconditionError(f"{where} is not in {container}")
         out.append(lam._from_frame(ht._replace(rows=_limit_pattern(rows, d))))

@@ -40,7 +40,7 @@ from __future__ import annotations
 
 import functools
 import itertools
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import lcm
@@ -48,7 +48,7 @@ from operator import mul
 
 from . import linalg
 from .errors import DimensionError, DomainError
-from .groups import Character, Cocharacter, GroupSpec, pairing_vec
+from .groups import Character, Cocharacter, GroupSpec, _field_state, _identity_frame, pairing_vec
 from .linalg import ZERO, Mat, Vec, frac
 
 Monomial = tuple[tuple[int, int], ...]  # sorted ((coordinate index, exponent), ...)
@@ -71,8 +71,7 @@ class Representation:
     dim: int
     weights: tuple[Character, ...]
 
-    def __getstate__(self) -> dict:
-        return {f.name: getattr(self, f.name) for f in fields(self)}
+    __getstate__ = _field_state
 
     def act_matrix(self, g: Mat) -> Mat:
         """The matrix of g's action in the basis: column j is the kernel's
@@ -108,7 +107,7 @@ class Representation:
         try:
             data = memo[g]
         except KeyError:
-            data = memo[g] = None if g == linalg._Scaled.of(self.group.identity()) else self._action(*pair)
+            data = memo[g] = None if g == _identity_frame(self.group.dimension)[1][0] else self._action(*pair)
         return (w, 1) if data is None else self._moved(data, w)
 
     def _moved(self, data: linalg._Scaled, w) -> tuple[list[int], int]:
@@ -155,20 +154,25 @@ class ConjugationTuples(Representation):
         mats = [linalg.mat(h) for h in matrices]
         if len(mats) != self.count:
             raise DimensionError(f"expected {self.count} matrices, got {len(mats)}")
-        coords = []
         for h in mats:
             if len(h) != self.m or any(len(r) != self.m for r in h):
                 raise DimensionError("matrix size mismatch")
-            coords.extend(x for row in h for x in row)
-        return Point(self, tuple(coords))
+        return Point(self, tuple(itertools.chain.from_iterable(map(_flatten, mats))))
 
     def matrices(self, point: "Point") -> tuple[Mat, ...]:
         n = self.m * self.m
-        out = []
-        for t in range(self.count):
-            flat = point.coords[t * n : (t + 1) * n]
-            out.append(tuple(tuple(flat[i * self.m + j] for j in range(self.m)) for i in range(self.m)))
-        return tuple(out)
+        return tuple(_unflatten(point.coords[t : t + n], self.m) for t in range(0, self.dim, n))
+
+
+def _flatten(x) -> list:
+    """The entries of a matrix given by its rows, row by row: the layout of
+    a matrix in a conjugation tuple's coordinates."""
+    return list(itertools.chain.from_iterable(x))
+
+
+def _unflatten(v, m: int) -> tuple:
+    """The m x m matrix whose entries, row by row, are v (``_flatten``)."""
+    return tuple(tuple(v[i : i + m]) for i in range(0, m * m, m))
 
 
 @lru_cache(maxsize=None)
@@ -315,8 +319,7 @@ class Point:
         w, u = linalg._integer_terms(linalg._terms(self.coords), self.rep.dim)
         return tuple(w), u
 
-    def __getstate__(self) -> dict:
-        return {f.name: getattr(self, f.name) for f in fields(self)}
+    __getstate__ = _field_state
 
 
 def _point(rep: Representation, w, den: int) -> Point:

@@ -391,6 +391,63 @@ def test_cli_config_schema_errors(tmp_path, docs, config, field):
     assert f"$.{field}" in report["error"]["message"]
 
 
+GL1_DOC = {"factors": [{"family": "GL", "rank": 1}]}
+LIMIT_GL1 = {"point": ["1"], "cocharacter": {"exponents": [1]}}
+
+
+def _custom_subvariety_input(monomial):
+    return {"points": [["0", "1", "0", "0"]], "subvariety": {"kind": "custom", "generators": [[{"monomial": [monomial]}]]}}
+
+
+@pytest.mark.parametrize("flag", [True, False])
+@pytest.mark.parametrize(
+    "command, group, rep, inp, path",
+    [
+        ("limit", {"factors": [{"family": "GL", "rank": "flag"}]}, {"kind": "adjoint"}, LIMIT_GL1, "$.factors[0].rank"),
+        ("limit", GL1_DOC, {"kind": "conjugation_tuples", "count": "flag"}, LIMIT_GL1, "$.count"),
+        ("limit", GL2_DOC, {"kind": "sym_power", "degree": "flag"}, {"point": ["1", "0"], "cocharacter": {"exponents": [1, -1]}}, "$.degree"),
+        ("limit", GL1_DOC, {"kind": "adjoint"}, {"point": ["1"], "cocharacter": {"exponents": ["flag"]}}, "$.cocharacter.exponents"),
+        ("optimize", GL2_DOC, MAT2_DOC, _custom_subvariety_input(["flag", 1]), "$.subvariety.generators[0][0].monomial[0]"),
+        ("optimize", GL2_DOC, MAT2_DOC, _custom_subvariety_input([1, "flag"]), "$.subvariety.generators[0][0].monomial[0]"),
+    ],
+)
+def test_cli_refuses_booleans_as_integers(tmp_path, command, group, rep, inp, path, flag):
+    # JSON true and false are not the integers 1 and 0 in any integer field
+    paths = []
+    for name, payload in (("group", group), ("rep", rep), ("input", inp)):
+        p = tmp_path / f"{name}.json"
+        p.write_text(json.dumps(payload).replace('"flag"', json.dumps(flag)))
+        paths += [f"--{name}", str(p)]
+    code, report = run_cli(tmp_path, [command, *paths])
+    assert code == 2
+    assert report["error"]["kind"] == "schema"
+    assert report["error"]["message"].startswith(f"{path}: ")
+
+
+def test_cli_refuses_true_as_m_on_gl1(tmp_path):
+    paths = []
+    for name, payload in (("group", GL1_DOC), ("rep", {"kind": "conjugation_tuples", "count": 1, "m": True}), ("input", LIMIT_GL1)):
+        p = tmp_path / f"{name}.json"
+        p.write_text(json.dumps(payload))
+        paths += [f"--{name}", str(p)]
+    code, report = run_cli(tmp_path, ["limit", *paths])
+    assert code == 2
+    assert report["error"] == {"kind": "schema", "message": "$.m: must match the group's matrix dimension"}
+
+
+def test_cli_unreadable_documents_are_schema_errors(tmp_path, docs):
+    # a directory and a file that is not UTF-8 text end in exit 2, not a
+    # traceback; a missing file keeps its own message
+    latin1 = tmp_path / "latin1.json"
+    latin1.write_bytes(json.dumps(GL2_DOC).replace("GL", "G\xc9L").encode("latin-1"))
+    missing = tmp_path / "missing.json"
+    for path, message in ((tmp_path, "group document cannot be read: "), (latin1, "group document cannot be read: "), (missing, f"group document not found: {missing}")):
+        code, report = run_cli(tmp_path, ["gcr", "--group", str(path), "--input", docs["subgroup"]])
+        assert code == 2
+        assert report["error"]["kind"] == "schema"
+        assert report["error"]["message"].startswith(message)
+
+
 def test_cli_precondition_exit(tmp_path, docs):
     inp = tmp_path / "nolimit.json"
     inp.write_text(

@@ -43,6 +43,7 @@ from destab import DestabError, gcr, instability, linalg
 from destab.corpus import _divisors, _generator_tangents, _tangent_span, corpus_config, subgroup_corpus
 from destab.gcr import EnvelopingAlgebra, _flatten, algebra_of_tuple, radical_basis
 from destab.parabolic import _limit_pattern
+from destab.reps import _unflatten
 
 GL2 = GroupSpec.make(("GL", 2))
 GL3 = GroupSpec.make(("GL", 3))
@@ -744,6 +745,12 @@ def _dense_centralizer_dim(group, mats):
     return len(linalg.nullspace(tuple(rows), m * m))
 
 
+def _moved(flat, m):
+    """The moved matrices of one torus of ``instability._torus_moves`` as
+    scaled values."""
+    return [linalg._Scaled(_unflatten(acc, m), s) for acc, s in flat]
+
+
 def test_centralizer_dim_matches_dense_reference_on_corpus_and_projections():
     dims = set()
     for h in subgroup_corpus(1, 64):
@@ -751,7 +758,7 @@ def test_centralizer_dim_matches_dense_reference_on_corpus_and_projections():
         cfg = corpus_config(h.group)
         exponents = (
             (d, moved)
-            for moved in (instability._moved(flat, h.group.dimension) for _, flat, _ in instability._torus_moves(h.tuple_point(), cfg))
+            for moved in (_moved(flat, h.group.dimension) for _, flat, _ in instability._torus_moves(h.tuple_point(), cfg))
             for d in instability.admissible_exponents(h.group, cfg.exponent_box, instability._entry_pattern(t.rows for t in moved))
         )
         for d, moved in exponents:

@@ -63,7 +63,7 @@ from destab.instability import (
     min_qnorm_over_polyhedron,
 )
 from destab.parabolic import _limit_pattern
-from destab.reps import DirectSum, Point, _frame_ints, grade, limit
+from destab.reps import DirectSum, Point, _frame_ints, _unflatten, grade, limit
 
 GL2 = GroupSpec.make(("GL", 2))
 GL3 = GroupSpec.make(("GL", 3))
@@ -1433,6 +1433,12 @@ def test_is_cochar_closed_matches_reference_on_corpus():
     assert (examined, reference_examined) == (1778, 8415)
 
 
+def _moved(flat, m):
+    """The moved matrices of one torus of ``instability._torus_moves`` as
+    scaled values."""
+    return [linalg._Scaled(_unflatten(acc, m), s) for acc, s in flat]
+
+
 def _twisted(mats, rng, twists=(F(1, 2), F(-1, 2), F(2), F(-2))):
     return [linalg.mat_scale(rng.choice(twists), g) for g in mats]
 
@@ -1447,7 +1453,7 @@ def test_moved_tuples_match_fraction_products():
             cfg = corpus_config(h.group)
             mats = _twisted(h.generators, rng)
             point = ConjugationTuples(cfg.group, len(mats)).point(mats)
-            moved = [(t, instability._moved(flat, h.group.dimension)) for t, flat, _ in instability._torus_moves(point, cfg)]
+            moved = [(t, _moved(flat, h.group.dimension)) for t, flat, _ in instability._torus_moves(point, cfg)]
             assert [t for t, _ in moved] == list(cfg._tori)
             for frame, (torus, tmats) in zip(cfg.conjugation_family, moved):
                 pair = torus.pair
@@ -3327,7 +3333,7 @@ def test_conjugation_operator_matches_two_products():
         assert [(f, pair) for f, pair, _ in old] == [(t.frame, t.pair) for t, _, _ in new] and len(new) == len(old)
         assert [t for t, _, _ in new] == list(cfg._tori)
         for (_, flat, bits), (_, _, expected) in zip(new, old):
-            moved = instability._moved(flat, cfg.group.dimension)
+            moved = _moved(flat, cfg.group.dimension)
             assert [tuple(t) for t in moved] == [tuple(t) for t in expected]  # rows and scale, not only the value
             m = cfg.group.dimension
             assert bits == sum(1 << (i * m + j) for i in range(m) for j in range(m) if any(t.rows[i][j] for t in expected))
@@ -3354,7 +3360,7 @@ def test_admissible_exponent_masks_match_all_filter():
         for h in subgroup_corpus(seed, 60):
             cfg = corpus_config(h.group)
             for _, flat, _ in instability._torus_moves(h.tuple_point(), cfg):
-                moved = instability._moved(flat, h.group.dimension)
+                moved = _moved(flat, h.group.dimension)
                 cases.append((h.group, cfg.exponent_box, _entry_pattern(t.rows for t in moved)))
     crossing = 0
     for group, box, pattern in cases:
