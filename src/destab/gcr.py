@@ -449,7 +449,8 @@ def building_centre(
         return CentreSimplex(None, None, None, ())
     # a parabolic subgroup is its own normalizer: g fixes P_lambda exactly
     # when g is in it; the samples were checked with the configuration
-    verified = tuple(g for g, pair in zip(cfg.normalizer_samples, cfg._samples) if _classify_member(pair[0], result.cocharacter).in_parabolic)
+    samples = zip(cfg.normalizer_samples, cfg._samples)
+    verified = tuple(g for g, pair in samples if _classify_member(pair[0], result.cocharacter).in_parabolic)
     return CentreSimplex(result.parabolic, result.cocharacter, result.parabolic.blocks, verified)
 
 
