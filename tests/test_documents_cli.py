@@ -405,6 +405,7 @@ def _custom_subvariety_input(monomial):
     [
         ("limit", {"factors": [{"family": "GL", "rank": "flag"}]}, {"kind": "adjoint"}, LIMIT_GL1, "$.factors[0].rank"),
         ("limit", GL1_DOC, {"kind": "conjugation_tuples", "count": "flag"}, LIMIT_GL1, "$.count"),
+        ("limit", GL1_DOC, {"kind": "conjugation_tuples", "count": 1, "m": "flag"}, LIMIT_GL1, "$.m"),
         ("limit", GL2_DOC, {"kind": "sym_power", "degree": "flag"}, {"point": ["1", "0"], "cocharacter": {"exponents": [1, -1]}}, "$.degree"),
         ("limit", GL1_DOC, {"kind": "adjoint"}, {"point": ["1"], "cocharacter": {"exponents": ["flag"]}}, "$.cocharacter.exponents"),
         ("optimize", GL2_DOC, MAT2_DOC, _custom_subvariety_input(["flag", 1]), "$.subvariety.generators[0][0].monomial[0]"),
@@ -422,17 +423,6 @@ def test_cli_refuses_booleans_as_integers(tmp_path, command, group, rep, inp, pa
     assert code == 2
     assert report["error"]["kind"] == "schema"
     assert report["error"]["message"].startswith(f"{path}: ")
-
-
-def test_cli_refuses_true_as_m_on_gl1(tmp_path):
-    paths = []
-    for name, payload in (("group", GL1_DOC), ("rep", {"kind": "conjugation_tuples", "count": 1, "m": True}), ("input", LIMIT_GL1)):
-        p = tmp_path / f"{name}.json"
-        p.write_text(json.dumps(payload))
-        paths += [f"--{name}", str(p)]
-    code, report = run_cli(tmp_path, ["limit", *paths])
-    assert code == 2
-    assert report["error"] == {"kind": "schema", "message": "$.m: must match the group's matrix dimension"}
 
 
 def test_cli_unreadable_documents_are_schema_errors(tmp_path, docs):
